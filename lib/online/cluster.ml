@@ -60,6 +60,10 @@ type t = {
      confinement contract — the loadgen precedent. *)
   send_block : Metrics.Histogram.t array;  (* per worker domain *)
   reply_wait : Metrics.Histogram.t array;  (* per shard *)
+  (* Shard i's [Engine.makespan] as of its last completed task, stored
+     by the owner domain before the task's reply cell fills — so
+     [makespan] is a fold over these, with no mailbox round trip. *)
+  peaks : int Atomic.t array;
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
   directory : (string, residency) Hashtbl.t;
@@ -153,6 +157,15 @@ let worker_loop w registry mailbox =
   in
   loop ()
 
+(* Run [f] on shard [s]'s engine — on its owner domain — and publish
+   the shard's makespan before the result is handed back, so a caller
+   that has its reply always sees its own op's effect in [makespan]. *)
+let on_shard t s f =
+  let e = t.engines.(s) in
+  let r = match f e with v -> Ok v | exception ex -> Error ex in
+  Atomic.set t.peaks.(s) (Engine.makespan e);
+  r
+
 (* Submit an envelope to worker [w], timing how long the send blocked
    on a full mailbox (the backpressure signal).
    @raise Shut_down if the mailbox is closed. *)
@@ -174,7 +187,7 @@ let run ?(label = "task") t s f =
   let iv = Ivar.create () in
   let env =
     {
-      run = (fun () -> Ivar.fill iv (match f t.engines.(s) with v -> Ok v | exception e -> Error e));
+      run = (fun () -> Ivar.fill iv (on_shard t s f));
       enq_ns = Timer.now_ns ();
       carrier = Optrace.current_carrier ();
       label;
@@ -198,9 +211,7 @@ let run_all ?(label = "task") t f =
         let iv = Ivar.create () in
         let env =
           {
-            run =
-              (fun () ->
-                Ivar.fill iv (match f s t.engines.(s) with v -> Ok v | exception e -> Error e));
+            run = (fun () -> Ivar.fill iv (on_shard t s (f s)));
             enq_ns = Timer.now_ns ();
             carrier;
             label;
@@ -284,6 +295,7 @@ let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
     registries;
     send_block;
     reply_wait;
+    peaks = Array.map (fun e -> Atomic.make (Engine.makespan e)) engines;
     dir_mu = Mutex.create ();
     dir_settled = Condition.create ();
     directory;
@@ -582,13 +594,8 @@ let apply_bulk t ?on_result ops =
               run =
                 (fun () ->
                   Ivar.fill iv
-                    (match
-                       Engine.apply_bulk t.engines.(s)
-                         ~on_result:(fun j _ r -> sub_results.(j) <- r)
-                         sub
-                     with
-                    | () -> Ok ()
-                    | exception e -> Error e));
+                    (on_shard t s (fun e ->
+                         Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)));
               enq_ns = Timer.now_ns ();
               carrier = Optrace.current_carrier ();
               label = "apply_bulk";
@@ -797,9 +804,9 @@ let rebalance t ~k =
 
 (* ----- inspection ----- *)
 
-let makespan t =
-  try Array.fold_left max 0 (run_all ~label:"makespan" t (fun _ e -> Engine.makespan e))
-  with Shut_down -> 0
+(* No mailbox: each shard's value is the one its owner published at
+   the end of its last completed task. *)
+let makespan t = Array.fold_left (fun acc p -> max acc (Atomic.get p)) 0 t.peaks
 
 let loads t =
   let out = Array.make t.m 0 in

@@ -94,7 +94,17 @@ val offset : t -> int -> int
 (** First global processor index owned by shard [i]. *)
 
 val job_count : t -> int
+
 val makespan : t -> int
+(** The global peak: the maximum over shards of each shard's makespan
+    {e as of its last completed task}. Every shard's owner domain
+    publishes that value through an atomic before it fills the task's
+    reply cell, so this never blocks and posts no task — it is a fold
+    over [shards] atomics — and a caller always sees the effect of its
+    own completed operations. Other clients' in-flight operations may
+    or may not be reflected yet; on a quiescent cluster the value is
+    exactly the maximum [Engine.makespan]. After {!shutdown} it returns
+    the final value (it does not raise). *)
 
 val loads : t -> int array
 (** Global load vector (length [m]), shard ranges concatenated. *)
@@ -194,7 +204,8 @@ val shutdown : t -> unit
     operations still get replies), close the mailboxes and join the
     worker domains. Idempotent from one thread; afterwards operations
     report ["cluster is shut down"] and inspection raises
-    {!Shut_down}. *)
+    {!Shut_down}, except {!makespan}, which keeps returning the final
+    value. *)
 
 val engine : t -> int -> Engine.t
 (** Shard [i]'s backing engine, {e without} domain confinement — only

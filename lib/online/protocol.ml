@@ -586,10 +586,12 @@ let command_op = function
 (* The reply for one batched mutation. [makespan t] is read inside the
    batch's [on_result] callback: on a [Single] engine that fires after
    each op and before the next, so the value is exactly the
-   intermediate makespan the one-by-one path reports; on a [Parallel]
-   cluster results surface when the op's chunk completes, so the value
-   reflects the chunk — indistinguishable from the interleavings
-   concurrent sessions already produce. *)
+   intermediate makespan the one-by-one path reports. On a [Parallel]
+   cluster results surface when the op's chunk completes, and the read
+   folds the per-shard values the owner domains published at the end
+   of their last task (no mailbox round trip): it covers the whole
+   chunk, and other sessions' completed ops — indistinguishable from
+   the interleavings concurrent sessions already produce. *)
 let bulk_reply t op result =
   match result with
   | Error e -> [ "ERR " ^ e ]

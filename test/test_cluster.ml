@@ -1,16 +1,20 @@
-(* Parallel cluster tests: the qcheck equivalence property (a command
+(* Parallel cluster tests: the qcheck equivalence properties (a command
    stream fanned across D worker domains must land in the same state as
    the sequential router, for D ∈ {1, 2, 8}, with every per-shard
-   journal individually replayable), mailbox backpressure and close
-   semantics, two-phase move crash points, and a genuinely concurrent
-   multi-thread driver checked for directory integrity. *)
+   journal individually replayable, and must draw byte-identical
+   protocol replies), mailbox backpressure and close semantics,
+   two-phase move crash points, a genuinely concurrent multi-thread
+   driver checked for directory integrity, and the published-makespan
+   contract (never waits on a worker, costs no mailbox task). *)
 
 module Engine = Rebal_online.Engine
 module Shard = Rebal_online.Shard
 module Cluster = Rebal_online.Cluster
 module Mailbox = Rebal_online.Mailbox
 module Replay = Rebal_online.Replay
+module Protocol = Rebal_online.Protocol
 module Journal = Rebal_obs.Journal
+module Metrics = Rebal_obs.Metrics
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -128,6 +132,60 @@ let prop_cluster_matches_shard =
                    && o.Replay.final_makespan = Engine.makespan eng
                    && o.Replay.final_jobs = Engine.job_count eng)
                (Array.init shards Fun.id))
+        [ 1; 2; 8 ])
+
+(* The reply stream a client sees — every acknowledgement's [makespan=]
+   field included — is the sequential router's, line for line, when the
+   same script is sent one line at a time. The READY banners differ
+   only by the parallel target's [domains=] field; they are compared
+   with it dropped, before the script and after it (a loaded cluster's
+   banner reports a non-trivial makespan). *)
+let script_gen =
+  let open QCheck2 in
+  Gen.(
+    let* m = int_range 8 16 in
+    let id = map (Printf.sprintf "j%d") (int_range 0 24) in
+    let* script =
+      list_size (int_range 0 60)
+        (oneof
+           [
+             map2 (Printf.sprintf "ADD %s %d") id (int_range 1 60);
+             map (Printf.sprintf "REMOVE %s") id;
+             map2 (Printf.sprintf "RESIZE %s %d") id (int_range 1 60);
+             map (Printf.sprintf "REBALANCE %d") (int_range 0 8);
+             return "STATS";
+           ])
+    in
+    return (m, script))
+
+let without_domains banner =
+  String.split_on_char ' ' banner
+  |> List.filter (fun w -> not (String.starts_with ~prefix:"domains=" w))
+  |> String.concat " "
+
+let transcript target script =
+  let banner () = without_domains (Protocol.greeting target) in
+  let first = banner () in
+  let replies =
+    List.concat (List.mapi (fun i l -> fst (Protocol.handle_line ~line:(i + 1) target l)) script)
+  in
+  (first :: replies) @ [ banner () ]
+
+let prop_protocol_replies_match =
+  QCheck2.Test.make
+    ~name:"Parallel protocol replies = sequential Cluster replies for D in {1,2,8}"
+    ~count:40
+    ~print:QCheck2.Print.(pair int (list string))
+    script_gen
+    (fun (m, script) ->
+      let shards = 8 in
+      let expected = transcript (Protocol.Cluster (Shard.create ~m ~shards ())) script in
+      List.for_all
+        (fun domains ->
+          let c = Cluster.create ~m ~shards ~domains () in
+          let got = transcript (Protocol.Parallel c) script in
+          Cluster.shutdown c;
+          got = expected)
         [ 1; 2; 8 ])
 
 (* --- mailbox ------------------------------------------------------------- *)
@@ -311,9 +369,93 @@ let test_shutdown_semantics () =
   | Error e -> check Alcotest.string "reports shutdown" "cluster is shut down" e);
   Alcotest.check_raises "inspection raises after shutdown" Cluster.Shut_down (fun () ->
       ignore (Cluster.query c 0 Engine.makespan));
+  check_int "makespan returns the final value after shutdown" 5 (Cluster.makespan c);
   (* The engines themselves remain readable — the replay-audit path. *)
   check_int "post-shutdown engine access" 1
     (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1))
+
+(* --- the published makespan --------------------------------------------- *)
+
+(* [makespan] reads the owners' published values, so it answers while
+   the only worker domain is parked inside a task; and because the
+   owner publishes before it fills the reply cell, the caller's next
+   read includes its own completed add. *)
+let test_makespan_never_waits () =
+  let c =
+    ok
+      (Cluster.of_engines ~domains:1 ~shards:2 (fun i ->
+           let e = Engine.create ~m:2 () in
+           if i = 0 then ignore (Engine.add_job e ~id:"a" ~size:9);
+           e))
+  in
+  let before = Cluster.makespan c in
+  check_int "seeded from the engines as resumed" 9 before;
+  let gate = Mutex.create () in
+  Mutex.lock gate;
+  let parked = Atomic.make false in
+  let helper =
+    Thread.create
+      (fun () ->
+        Cluster.query c 0 (fun _ ->
+            Atomic.set parked true;
+            Mutex.lock gate;
+            Mutex.unlock gate))
+      ()
+  in
+  let wait_for cond =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done;
+    cond ()
+  in
+  let worker_parked = wait_for (fun () -> Atomic.get parked) in
+  let read = Atomic.make None in
+  let reader = Thread.create (fun () -> Atomic.set read (Some (Cluster.makespan c))) () in
+  let answered = worker_parked && wait_for (fun () -> Atomic.get read <> None) in
+  (* Release the worker whatever happened, so a regression fails here
+     instead of hanging the suite. *)
+  Mutex.unlock gate;
+  Thread.join helper;
+  Thread.join reader;
+  check_bool "worker parked inside the query" true worker_parked;
+  check_bool "makespan answered while the worker was parked" true answered;
+  check Alcotest.(option int) "pre-park value" (Some before) (Atomic.get read);
+  ignore (ok (Cluster.add_job c ~id:"b" ~size:100));
+  check_int "own add visible on the next read" 100 (Cluster.makespan c);
+  Cluster.shutdown c
+
+(* Every worker observes [rebal_mailbox_wait_seconds] once per task it
+   dequeues, so the merged observation count is the number of mailbox
+   tasks. One-by-one ops each followed by a makespan read must cost one
+   task apiece: the read itself posts none. *)
+let mailbox_tasks c =
+  let into = Metrics.Registry.create () in
+  Cluster.merge_metrics c ~into;
+  List.fold_left
+    (fun acc (m : Metrics.metric) ->
+      match m.Metrics.kind with
+      | Metrics.Histogram h when m.Metrics.name = "rebal_mailbox_wait_seconds" ->
+        acc + Metrics.Histogram.observations h
+      | _ -> acc)
+    0 (Metrics.Registry.metrics into)
+
+let test_mailbox_task_budget () =
+  let c = Cluster.create ~m:8 ~shards:4 ~domains:2 () in
+  let before = mailbox_tasks c in
+  let n = 90 in
+  let peak = ref 0 in
+  for i = 0 to n - 1 do
+    let id = Printf.sprintf "b%d" (i / 3) in
+    (match i mod 3 with
+    | 0 -> ignore (ok (Cluster.add_job c ~id ~size:(1 + (i mod 17))))
+    | 1 -> ignore (ok (Cluster.resize_job c ~id ~size:(2 + (i mod 13))))
+    | _ -> ignore (ok (Cluster.remove_job c ~id)));
+    peak := max !peak (Cluster.makespan c)
+  done;
+  check_bool "makespan reads saw the load" true (!peak > 0);
+  check_int "one mailbox task per op, none per makespan read" n (mailbox_tasks c - before);
+  Cluster.shutdown c
 
 let test_create_validation () =
   Alcotest.check_raises "zero domains"
@@ -344,7 +486,10 @@ let () =
   Alcotest.run "rebal_cluster"
     [
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_cluster_matches_shard ] );
+        [
+          QCheck_alcotest.to_alcotest prop_cluster_matches_shard;
+          QCheck_alcotest.to_alcotest prop_protocol_replies_match;
+        ] );
       ( "mailbox",
         [
           Alcotest.test_case "backpressure blocks and wakes" `Quick
@@ -364,5 +509,11 @@ let () =
             test_concurrent_drivers;
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "creation validation" `Quick test_create_validation;
+        ] );
+      ( "makespan reads",
+        [
+          Alcotest.test_case "makespan never waits on a worker" `Quick
+            test_makespan_never_waits;
+          Alcotest.test_case "one mailbox task per op" `Quick test_mailbox_task_budget;
         ] );
     ]
