@@ -935,7 +935,7 @@ let e17 () =
 let e18 () =
   header "E18: sharded router vs single engine (E15's event mix)";
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
+  let module Cluster = Rebal_online.Cluster in
   let n = 10_000 and m = 64 in
   let events = 50_000 in
   (* One driver, parameterized over the serving shape, so single and
@@ -1012,16 +1012,16 @@ let e18 () =
   let last_ratio = ref 1.0 and last_ms = ref ms_single in
   List.iter
     (fun shards ->
-      let sh = Shard.create ~m ~shards () in
+      let sh = Cluster.create ~m ~shards () in
       let per, ms =
         run
-          ~add_job:(fun id size -> Shard.add_job sh ~id ~size)
-          ~remove_job:(fun id -> Shard.remove_job sh ~id)
-          ~resize_job:(fun id size -> Shard.resize_job sh ~id ~size)
-          ~rebalance:(fun k -> Shard.rebalance sh ~k)
-          ~makespan:(fun () -> Shard.makespan sh)
+          ~add_job:(fun id size -> Cluster.add_job sh ~id ~size)
+          ~remove_job:(fun id -> Cluster.remove_job sh ~id)
+          ~resize_job:(fun id size -> Cluster.resize_job sh ~id ~size)
+          ~rebalance:(fun k -> Cluster.rebalance sh ~k)
+          ~makespan:(fun () -> Cluster.makespan sh)
       in
-      if not (Shard.check_consistency sh ~k:max_int) then
+      if not (Cluster.check_consistency sh ~k:max_int) then
         failwith (pf "E18: %d-shard router diverged from batch greedy" shards);
       last_ratio := per_single /. per;
       last_ms := ms;
@@ -1167,7 +1167,7 @@ let e19 () =
 let e20 () =
   header "E20: self-healing failover (supervised cluster under shard kills)";
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
+  let module Cluster = Rebal_online.Cluster in
   let module Supervisor = Rebal_online.Supervisor in
   let module Replay = Rebal_online.Replay in
   let shards = 8 and m = 32 in
@@ -1186,7 +1186,7 @@ let e20 () =
     in
     let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
     let cluster =
-      Shard.create
+      Cluster.create
         ~journal_for:(fun i ->
           Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
         ~m ~shards ()
@@ -1222,18 +1222,19 @@ let e20 () =
       ignore (Supervisor.tick sup);
       for i = 0 to shards - 1 do
         if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          match
-            Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume
-          with
-          | Error e -> failwith (pf "E20: shard %d restore failed: %s" i e)
-          | Ok (eng, outcome) ->
-            Engine.set_journal eng
-              (Some
-                 (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                    ~write:(Buffer.add_string buffers.(i)) ()));
-            (match Supervisor.readmit sup i eng with
-            | Ok () -> incr recovered
-            | Error e -> failwith (pf "E20: shard %d readmission rejected: %s" i e))
+          let restore () =
+            Result.map
+              (fun (eng, outcome) ->
+                Engine.set_journal eng
+                  (Some
+                     (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
+                        ~write:(Buffer.add_string buffers.(i)) ()));
+                eng)
+              (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
+          in
+          match Supervisor.readmit sup i restore with
+          | Ok () -> incr recovered
+          | Error e -> failwith (pf "E20: shard %d readmission failed: %s" i e)
         end
       done;
       for _ = 1 to ops_per_step do
@@ -1269,18 +1270,18 @@ let e20 () =
       if (t + 1) mod 10 = 0 then ignore (Supervisor.rebalance sup ~k:16);
       let serving = Supervisor.serving_shards sup in
       dw :=
-        !dw +. (float_of_int (Shard.makespan cluster) *. float_of_int (1 + shards - serving))
+        !dw +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving))
     done;
     (* Audit: nothing lost, every journal still replays to the live state. *)
     Hashtbl.iter
       (fun id size ->
-        match Shard.find cluster id with
+        match Cluster.find cluster id with
         | Some (sz, _) when sz = size -> ()
         | _ -> failwith (pf "E20: job %s lost or corrupted" id))
       model;
-    if Shard.job_count cluster <> Hashtbl.length model then
+    if Cluster.job_count cluster <> Hashtbl.length model then
       failwith "E20: stray or duplicated jobs after failover";
-    if not (Shard.check_consistency cluster ~k:16) then
+    if not (Cluster.check_consistency cluster ~k:16) then
       failwith "E20: cluster consistency check failed";
     Array.iteri
       (fun i buf ->
@@ -1288,8 +1289,8 @@ let e20 () =
         | Error e -> failwith (pf "E20: shard %d journal replay: %s" i e)
         | Ok (eng, _) ->
           if
-            Engine.job_count eng <> Engine.job_count (Shard.engine cluster i)
-            || Engine.makespan eng <> Engine.makespan (Shard.engine cluster i)
+            Engine.job_count eng <> Engine.job_count (Cluster.engine cluster i)
+            || Engine.makespan eng <> Engine.makespan (Cluster.engine cluster i)
           then failwith (pf "E20: shard %d journal replay diverges" i))
       buffers;
     (!dw, !recovered, Supervisor.stats sup)

@@ -594,7 +594,6 @@ exception Terminated
 
 let serve_cmd =
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
   let module Supervisor = Rebal_online.Supervisor in
   let module Cluster = Rebal_online.Cluster in
   let module Protocol = Rebal_online.Protocol in
@@ -632,8 +631,7 @@ let serve_cmd =
              --shards; shard $(i,i) is owned by domain $(i,i) mod $(docv)). Each shard's \
              engine, journal and metrics are confined to its owner domain behind a bounded \
              command mailbox; cross-shard rebalancing uses journaled two-phase transfers, \
-             so per-shard journals stay individually replayable. Incompatible with \
-             --supervise.")
+             so per-shard journals stay individually replayable.")
   in
   let tcp =
     Arg.(
@@ -643,9 +641,9 @@ let serve_cmd =
           ~doc:
             "Listen on 127.0.0.1:$(docv) and serve many clients concurrently, one session \
              thread per connection (pipelining allowed; ERR lines stay numbered per \
-             session). Port 0 picks a free port (printed on stdout). With --domains the \
-             sessions run against the parallel runtime; otherwise they are serialized \
-             against the single engine/router under one operation lock.")
+             session). Port 0 picks a free port (printed on stdout). With --domains and \
+             without --supervise the sessions run concurrently against the parallel \
+             runtime; otherwise they are serialized under one operation lock.")
   in
   let auto_events =
     Arg.(
@@ -868,9 +866,6 @@ let serve_cmd =
     | Some d when d < 1 ->
       Printf.eprintf "error: --domains must be positive (got %d)\n" d;
       exit 1
-    | Some _ when supervise ->
-      Printf.eprintf "error: --supervise and --domains are mutually exclusive\n";
-      exit 1
     | _ -> ());
     if tcp <> None && socket <> None then begin
       Printf.eprintf "error: give at most one of --tcp and --socket\n";
@@ -960,7 +955,7 @@ let serve_cmd =
     let fresh_engine ~m () =
       Engine.create ~trigger:(Option.value cli_trigger ~default:Engine.Manual) ~m ()
     in
-    (* Shard i's journal: plain FILE when there is one shard, FILE.i
+    (* The journal of shard i: plain FILE when there is one shard, FILE.i
        otherwise — the same naming for sequential and parallel serves,
        so a journal set can be resumed under either runtime. *)
     let shard_journal_path base i = if shards = 1 then base else Printf.sprintf "%s.%d" base i in
@@ -971,49 +966,41 @@ let serve_cmd =
       | Some base -> journaled_engine ~m:m_i (shard_journal_path base i)
     in
     let target =
-      match domains with
-      | Some d -> begin
-        (* The parallel runtime: engines built per shard by the cluster
-           so each binds (metric handles, journal drop counters) to its
-           owner domain's registry. *)
-        match Cluster.of_engines ~domains:d ~shards shard_engine with
-        | Ok c -> Protocol.Parallel c
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      end
-      | None ->
-      if shards = 1 then
+      if shards = 1 && domains = None then
         Protocol.Single
           (match journal_file with
           | None -> fresh_engine ~m:procs ()
           | Some path -> journaled_engine ~m:procs path)
       else begin
-        let engines = Array.init shards shard_engine in
-        match Shard.of_engines engines with
-        | Ok s ->
-          if supervise then begin
-            let config =
-              {
-                Supervisor.default_config with
-                Supervisor.evac_budget = Option.value evac_budget ~default:max_int;
-              }
-            in
-            Protocol.Supervised (Supervisor.create ~config s)
-          end
-          else Protocol.Cluster s
+        (* The sharded runtime, inline or on --domains worker domains:
+           engines built per shard by the cluster so each binds (metric
+           handles, journal drop counters) to its owner's registry. *)
+        match Cluster.of_engines ?domains ~shards shard_engine with
+        | Ok c when supervise ->
+          let config =
+            {
+              Supervisor.default_config with
+              Supervisor.evac_budget = Option.value evac_budget ~default:max_int;
+            }
+          in
+          Protocol.Supervised (Supervisor.create ~config c)
+        | Ok c -> Protocol.Cluster c
         | Error msg ->
           Printf.eprintf "error: %s\n" msg;
           exit 1
       end
     in
     (* ----- continuous telemetry ----- *)
-    (* The operation lock: everything that touches a non-Parallel target
-       from more than one thread — concurrent TCP sessions, the sampler
-       tick — runs under it. Parallel targets are internally thread-safe
-       (mailbox-confined engines) and skip it. *)
+    (* The operation lock: everything that touches the target from more
+       than one thread — concurrent TCP sessions, the sampler tick —
+       runs under it, except an unsupervised cluster with worker domains,
+       which is internally thread-safe (mailbox-confined engines). A
+       supervised cluster keeps it: the supervisor's state machine and
+       watchdog are single-threaded. *)
     let op_lock =
-      match target with Protocol.Parallel _ -> None | _ -> Some (Mutex.create ())
+      match target with
+      | Protocol.Cluster c when Cluster.domain_count c > 0 -> None
+      | _ -> Some (Mutex.create ())
     in
     let with_op_lock f =
       match op_lock with
@@ -1127,28 +1114,17 @@ let serve_cmd =
       match metrics_file with
       | None -> ()
       | Some path -> (
-        match target with
-        | Protocol.Parallel _ ->
-          (* The parallel exposition merges the worker-domain registries
-             into a fresh one — metrics_lines is that path; reuse it. *)
-          (try
-             let oc = open_out path in
-             List.iter
-               (fun l ->
-                 output_string oc l;
-                 output_char oc '\n')
-               (Protocol.metrics_lines target);
-             close_out oc
-           with Sys_error e ->
-             Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e)
-        | _ ->
-          Protocol.export_target target;
-          (match
-             Expo.to_file ~trailer:"# EOF" Expo.Prometheus ~path
-               (Metrics.Registry.current ())
-           with
-          | Ok () -> ()
-          | Error e -> Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e))
+        (* A cluster's exposition merges its owner registries into a
+           fresh one — metrics_lines is that path for every target. *)
+        try
+          let oc = open_out path in
+          List.iter
+            (fun l ->
+              output_string oc l;
+              output_char oc '\n')
+            (Protocol.metrics_lines target);
+          close_out oc
+        with Sys_error e -> Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e)
     in
     if metrics_file <> None then begin
       try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> dump_metrics ()))
@@ -1162,9 +1138,7 @@ let serve_cmd =
         try
           match target with
           | Protocol.Single e -> ignore (Engine.journal_snapshot e)
-          | Protocol.Cluster s -> ignore (Shard.journal_snapshot s)
-          | Protocol.Supervised sup -> ignore (Shard.journal_snapshot (Supervisor.cluster sup))
-          | Protocol.Parallel c -> ignore (Cluster.journal_snapshot c)
+          | _ -> Option.iter (fun c -> ignore (Cluster.journal_snapshot c)) (Protocol.cluster_of target)
         with Failure msg ->
           Printf.eprintf "rebalance serve: final snapshot failed: %s\n%!" msg
     in
@@ -1181,9 +1155,7 @@ let serve_cmd =
         stop_telemetry ();
         final_snapshot ();
         dump_metrics ();
-        (match target with
-        | Protocol.Parallel c -> Cluster.shutdown c
-        | Protocol.Single _ | Protocol.Cluster _ | Protocol.Supervised _ -> ());
+        Option.iter Cluster.shutdown (Protocol.cluster_of target);
         List.iter (fun oc -> try close_out oc with Sys_error _ -> ()) !opened)
     @@ fun () ->
     try
@@ -1198,11 +1170,13 @@ let serve_cmd =
         in
         Printf.printf "rebalance serve: listening on 127.0.0.1:%d (procs=%d, shards=%d, domains=%d)\n%!"
           actual procs shards
-          (match target with Protocol.Parallel c -> Cluster.domain_count c | _ -> 1);
+          (Option.fold ~none:0 ~some:Cluster.domain_count (Protocol.cluster_of target));
         (* Scrape dispatch: a connection whose first bytes sniff as an
            HTTP request gets one GET /metrics-style answer and closes;
            everything else is a line-protocol session. The sniff peeks
-           without consuming, so the protocol stream is untouched. *)
+           without consuming, so the protocol stream is untouched. A
+           metrics scrape reads the target under the op lock, as the
+           sampler tick does. *)
         let http_alerts =
           match telemetry with
           | Some (_, Some a) ->
@@ -1224,7 +1198,7 @@ let serve_cmd =
         let tcp_session ic oc =
           if Http.sniff (Unix.descr_of_in_channel ic) then begin
             Http.handle
-              ~metrics:(fun () -> Protocol.metrics_text target)
+              ~metrics:(fun () -> with_op_lock (fun () -> Protocol.metrics_text target))
               ?alerts:http_alerts ?tsdb:http_tsdb ic oc;
             Protocol.Close
           end
@@ -1555,11 +1529,13 @@ let top_cmd =
       if not !tsdb_ok then None
       else begin
         send oc (Printf.sprintf "TSDB rebal_engine_events_total{shard=\"%d\"} 60s" i);
-        match recv_until_eof ic with
-        | l :: _ when is_err l ->
+        (* An ERR answer is one line, with no "# EOF" after it. *)
+        match recv ic with
+        | l when is_err l ->
           tsdb_ok := false;
           None
-        | lines ->
+        | first ->
+          let lines = if first = "# EOF" then [] else first :: recv_until_eof ic in
           let lasts =
             List.filter_map
               (fun l ->
@@ -1997,7 +1973,7 @@ let postmortem_cmd =
 
 (* The online counterpart of `chaos`: instead of simulating policies
    over traffic curves, it drives a real supervised shard cluster —
-   the same Engine/Shard/Supervisor stack `serve --supervise` runs —
+   the same Engine/Cluster/Supervisor stack `serve --supervise` runs —
    through a seeded workload while a seeded fault plan kills and
    revives shards. Every shard journals to memory, so the run ends
    with the full robustness audit: work conservation against a
@@ -2006,7 +1982,7 @@ let postmortem_cmd =
    failure makes it a CI smoke test. *)
 let chaos_serve_cmd =
   let module Engine = Rebal_online.Engine in
-  let module Shard = Rebal_online.Shard in
+  let module Cluster = Rebal_online.Cluster in
   let module Supervisor = Rebal_online.Supervisor in
   let module Protocol = Rebal_online.Protocol in
   let module Tsdb = Rebal_obs.Tsdb in
@@ -2124,7 +2100,7 @@ let chaos_serve_cmd =
        engines' ordinary sinks, replayed wholesale at the end. *)
     let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
     let cluster =
-      Shard.create
+      Cluster.create
         ~journal_for:(fun i -> Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
         ~m:procs ~shards ()
     in
@@ -2221,18 +2197,19 @@ let chaos_serve_cmd =
            were recorded, so the restored engine agrees with the
            directory — and let the supervisor ramp it back in. *)
         if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          match
-            Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume
-          with
-          | Error msg -> failf "shard %d: restore for readmission failed: %s" i msg
-          | Ok (eng, outcome) ->
-            Engine.set_journal eng
-              (Some
-                 (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                    ~write:(Buffer.add_string buffers.(i)) ()));
-            (match Supervisor.readmit sup i eng with
-            | Ok () -> ()
-            | Error msg -> failf "shard %d: readmission rejected: %s" i msg)
+          let restore () =
+            Result.map
+              (fun (eng, outcome) ->
+                Engine.set_journal eng
+                  (Some
+                     (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
+                        ~write:(Buffer.add_string buffers.(i)) ()));
+                eng)
+              (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
+          in
+          match Supervisor.readmit sup i restore with
+          | Ok () -> ()
+          | Error msg -> failf "shard %d: readmission failed: %s" i msg
         end
       done;
       for _ = 1 to ops_per_step do
@@ -2271,7 +2248,7 @@ let chaos_serve_cmd =
       let serving = Supervisor.serving_shards sup in
       downtime_weighted :=
         !downtime_weighted
-        +. (float_of_int (Shard.makespan cluster) *. float_of_int (1 + shards - serving));
+        +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving));
       match telemetry with
       | None -> ()
       | Some (tsdb, alerts) ->
@@ -2282,7 +2259,7 @@ let chaos_serve_cmd =
     let lost =
       Hashtbl.fold
         (fun id size acc ->
-          match Shard.find cluster id with
+          match Cluster.find cluster id with
           | Some (sz, _) when sz = size -> acc
           | Some _ | None -> id :: acc)
         model []
@@ -2290,17 +2267,17 @@ let chaos_serve_cmd =
     if lost <> [] then
       failf "%d job(s) lost or corrupted (e.g. %s)" (List.length lost)
         (List.hd (List.sort compare lost));
-    if Shard.job_count cluster <> Hashtbl.length model then
+    if Cluster.job_count cluster <> Hashtbl.length model then
       failf "cluster holds %d job(s), workload expects %d (strays or duplicates)"
-        (Shard.job_count cluster) (Hashtbl.length model);
-    if not (Shard.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
+        (Cluster.job_count cluster) (Hashtbl.length model);
+    if not (Cluster.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
     let replays_clean = ref 0 in
     Array.iteri
       (fun i buf ->
         match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
         | Error msg -> failf "shard %d journal replay: %s" i msg
         | Ok (eng, _) ->
-          let live_eng = Shard.engine cluster i in
+          let live_eng = Cluster.engine cluster i in
           let same_jobs =
             Engine.fold_jobs live_eng
               (fun acc ~id ~size ~proc ->
@@ -2346,8 +2323,8 @@ let chaos_serve_cmd =
       Printf.printf "  mean recovery: %.1f steps\n"
         (float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)));
     Printf.printf "  downtime-weighted makespan: %.0f\n" !downtime_weighted;
-    Printf.printf "  jobs live: %d, makespan: %d\n" (Shard.job_count cluster)
-      (Shard.makespan cluster);
+    Printf.printf "  jobs live: %d, makespan: %d\n" (Cluster.job_count cluster)
+      (Cluster.makespan cluster);
     (match telemetry with
     | None -> ()
     | Some (tsdb, alerts) ->

@@ -1,29 +1,47 @@
-(** The parallel cluster: the shard router scaled across OCaml 5
-    domains. Each shard's engine runs confined to one worker domain
-    behind a bounded MPSC command {!Mailbox}; client threads submit
-    closures and park on a reply cell, so every operation is
-    synchronous at the call site while independent shards execute
-    genuinely in parallel.
+(** The sharded runtime: processors partitioned into [S] shards, each
+    backed by its own {!Engine} (with its own trigger and, optionally,
+    its own flight-recorder journal), behind one residency directory
+    and one consistent-hash router, run by one of two executors.
 
-    {b Ownership and confinement.} Shard [i] is owned by worker domain
-    [i mod domains]. All of a shard's engine work — state mutation,
-    journal writes, metric-handle updates — runs on its owner, in
-    mailbox order. That single-writer discipline is what lets the
-    engines, their journal sinks and their per-domain metric
-    registries stay completely unsynchronized: the only locks in the
-    system are the mailboxes and the residency directory. With
-    [domains = shards] (the default) this is domain-per-shard; with
-    fewer domains, shards are multiplexed round-robin.
+    Processor numbering is global: shard [i] owns the contiguous range
+    [[offset t i, offset t i + procs of shard i)], and every move list
+    or processor this module returns uses global indices.
 
-    {b The directory.} Job residency lives in one mutex-guarded
-    directory. Every mutating operation {e reserves} its id there
-    before touching an engine and settles it afterwards; operations
-    arriving while an id is reserved wait. That per-id reservation is
-    the only cross-shard synchronization point — there is no global
-    stop-the-world, and shards never wait on each other.
+    {b Executors.} With [~domains:0] (the default) the cluster is
+    {e inline}: every task runs on the calling thread, with no mailbox,
+    no reply cell and no worker domain, and callers serialize their own
+    access (one thread, or an external lock). With [~domains:D >= 1],
+    shard [i] is owned by worker domain [i mod D]; all of a shard's
+    engine work — state mutation, journal writes, metric-handle updates
+    — runs on its owner, in mailbox order, behind a bounded MPSC
+    command {!Mailbox}, and client threads park on a reply cell, so
+    every operation is synchronous at the call site while independent
+    shards execute genuinely in parallel. That single-writer discipline
+    lets the engines, their journal sinks and their per-domain metric
+    registries stay unsynchronized: the only locks are the mailboxes
+    and the residency directory. Both executors go through the same
+    task helper, which publishes the shard's makespan before handing a
+    result back; a quiescent cluster places, repairs and reports
+    bit-identically whatever [D] is — the equivalence property the
+    test suite checks.
 
-    {b Two-phase moves.} Cross-shard transfers ({!move}, and
-    {!rebalance}'s inter-shard pass) reserve the id, lift it off the
+    {b Routing and weights.} A new id lands on the shard owning the
+    first ring point at or after its hash (64 virtual nodes per shard,
+    FNV-1a with a murmur3 finalizer — stable across runs). Each shard
+    carries a routing weight in [[0, 1]] (see {!set_weight}); weight 0
+    takes it out of the ring and out of the repair passes. Hashing
+    only decides where a {e new} id lands: the cross-shard pass and
+    evacuations migrate jobs off their hash shard, so the directory is
+    authoritative for lookups.
+
+    {b The directory.} Every mutating operation {e reserves} its id in
+    the mutex-guarded directory before touching an engine and settles
+    it afterwards; operations arriving while an id is reserved wait.
+    That per-id reservation is the only cross-shard synchronization
+    point — there is no global stop-the-world.
+
+    {b Two-phase moves.} Cross-shard transfers ({!move}, {!rebalance}'s
+    inter-shard pass and {!evacuate}) reserve the id, lift it off the
     source through the ordinary journaled remove, land it on the
     destination through the ordinary journaled add, then commit the
     directory. Each half is a plain single-shard event on that shard's
@@ -32,10 +50,12 @@
     second half rolls back by re-adding on the source (again an
     ordinary journaled event).
 
-    {b Routing} uses the same consistent-hash ring as {!Shard}
-    (unweighted), so a quiescent cluster places, repairs and reports
-    bit-identically to the sequential router — the equivalence
-    property the test suite checks for every domain count. *)
+    [rebalance ~k] composes the per-shard guarantee of the paper with a
+    cross-shard repair: every shard first runs its own bounded GREEDY
+    repair (each shard's makespan then bit-matches the batch GREEDY on
+    its sub-instance), then a bounded top-k pass migrates the globally
+    heaviest liftable job to the least-loaded processor of another
+    shard whenever that lands below the current global peak. *)
 
 type move = Engine.move = {
   id : string;
@@ -43,11 +63,32 @@ type move = Engine.move = {
   dst : int;
 }
 
+type stats = {
+  shards : int;
+  jobs : int;
+  procs : int;
+  makespan : int;  (** max over all shards *)
+  total_size : int;
+  imbalance : float;
+      (** global makespan / max (global average load, largest live job) *)
+  events : int;
+  adds : int;  (** includes the add half of cross-shard transfers *)
+  removes : int;  (** includes the remove half of cross-shard transfers *)
+  resizes : int;
+  rebalances : int;
+  auto_rebalances : int;
+  trigger_firings : int;
+  moved : int;  (** intra-shard repair relocations, summed *)
+  inter_moves : int;  (** cross-shard transfers committed by this cluster *)
+  consistency_checks : int;
+  consistency_failures : int;
+}
+
 exception Shut_down
 (** Raised by inspection entry points ({!query}, {!stats}, {!loads},
-    {!shard_stats}, {!check_consistency}) called after {!shutdown}.
-    The result-returning operations catch it and report
-    ["cluster is shut down"] instead. *)
+    {!shard_stats}, {!check_consistency}) called after {!shutdown},
+    whatever the executor. The result-returning operations catch it
+    and report ["cluster is shut down"] instead. *)
 
 type t
 
@@ -61,15 +102,17 @@ val create :
   shards:int ->
   unit ->
   t
-(** [m] processors split over [shards] engines exactly as
-    {!Shard.create} splits them, each engine bound (metric handles and
-    all) to its owner domain's private registry. [domains] defaults to
-    [shards] and is clamped to it; [mailbox_capacity] (default 1024)
-    bounds each worker's command queue — senders block when it fills,
-    which is the backpressure. Worker domains are spawned here; pair
-    with {!shutdown}.
-    @raise Invalid_argument on a non-positive domain or capacity
-    count, [shards < 1] or [m < shards]. *)
+(** [m] processors split as evenly as possible over [shards] engines
+    (the first [m mod shards] shards get one extra); [trigger] and
+    [clock] are handed to every engine, [journal_for i] supplies shard
+    [i]'s flight-recorder sink. Each engine is bound (metric handles
+    and all) to its owner's private registry. [domains] defaults to 0
+    (the inline executor) and is clamped to [shards];
+    [mailbox_capacity] (default 1024) bounds each worker's command
+    queue — senders block when it fills, which is the backpressure.
+    Worker domains, if any, are spawned here; pair with {!shutdown}.
+    @raise Invalid_argument on a negative domain count, a non-positive
+    capacity, [shards < 1] or [m < shards]. *)
 
 val of_engines :
   ?mailbox_capacity:int ->
@@ -78,14 +121,17 @@ val of_engines :
   (int -> Engine.t) ->
   (t, string) result
 (** Assemble a cluster around restored engines — the restart path.
-    [build i] is called once per shard, {e under the owner domain's
+    [build i] is called once per shard, {e under the owner's
     registry}, so resumed engines bind their metric handles where only
-    their worker writes (this is why the builder is a function, not an
-    array). The residency directory is rebuilt from the engines' live
-    jobs; [Error] if an id appears in two engines. *)
+    their executor writes (this is why the builder is a function, not
+    an array). [domains] is as for {!create}. The residency directory
+    is rebuilt from the engines' live jobs; [Error] if an id appears in
+    two engines. The [inter_moves] counter starts at zero. *)
 
 val shard_count : t -> int
+
 val domain_count : t -> int
+(** Worker domains: 0 for the inline executor. *)
 
 val m : t -> int
 (** Total processors across all shards. *)
@@ -115,13 +161,25 @@ val find : t -> string -> (int * int) option
 (** [(size, global processor)]. Waits for any in-flight operation on
     the id to settle first. *)
 
-val home_shard : t -> string -> int
-(** Where [id] resides, or (for a new id) where the ring would route
-    it. *)
+val weight : t -> int -> float
+(** Shard [i]'s routing weight (1.0 unless changed). *)
+
+val set_weight : t -> int -> float -> unit
+(** Set shard [i]'s routing weight in [[0, 1]]: the fraction of its
+    virtual nodes accepting {e new} placements (weight [w] keeps
+    [ceil (w * 64)] of its 64 replicas active, so weight 1 routes
+    bit-identically to the unweighted ring). Weight 0 takes the shard
+    out of the ring and out of {!rebalance} — a Down shard stops
+    receiving routes; a Recovering shard ramps back gradually.
+    Residency and lookups of jobs already placed are never affected.
+    When {e every} shard is weighted to 0, routing falls back to the
+    unweighted ring (refusing service on an all-down cluster is the
+    supervisor's job, not the router's).
+    @raise Invalid_argument if [w] is outside [[0, 1]] or not finite. *)
 
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** Route by consistent hash, reserve, place greedily on the owner
-    domain. Returns the global processor and any automatic-repair
+(** Route by the weighted ring, reserve, place greedily on the chosen
+    shard. Returns the global processor and any automatic-repair
     moves. Blocks while the shard's mailbox is full — backpressure,
     not failure. *)
 
@@ -135,7 +193,7 @@ val apply_bulk :
   unit
 (** Apply a batch of events, amortizing dispatch and journal flushing:
     the batch is routed into per-shard sub-batches and each involved
-    shard runs one [Engine.apply_bulk] task on its owner domain —
+    shard runs one [Engine.apply_bulk] task — on worker domains
     distinct shards execute in parallel, and each shard's journal is
     flushed once per sub-batch instead of once per event. Per-id
     semantics match the one-by-one operations: ids are reserved in the
@@ -160,14 +218,40 @@ val move : ?on_removed:(unit -> unit) -> t -> id:string -> dst:int -> (move list
 
 val rebalance : t -> k:int -> move list
 (** Per-shard bounded GREEDY repair (budget [k] each, all shards in
-    parallel), then up to [k] two-phase cross-shard transfers, each
-    chosen from a fresh probe of every shard. Quiescent, this makes
-    the same decisions in the same order as {!Shard.rebalance}; under
+    parallel on worker domains), then up to [k] two-phase cross-shard
+    transfers, each chosen from a fresh probe of every shard. Returns
+    all moves in global indices, intra-shard repairs first. Quiescent,
+    every executor makes the same decisions in the same order; under
     concurrent traffic a transfer beaten by a client operation is
-    skipped and the next iteration re-probes.
+    skipped and the next iteration re-probes. Zero-weight shards are
+    skipped entirely — their engines are presumed unreachable, and
+    transfers never target them.
     @raise Invalid_argument if [k < 0]. *)
 
-val stats : t -> Shard.stats
+val evacuate : t -> from:int -> budget:int -> (move list * int, string) result
+(** Re-home up to [budget] jobs off shard [from] onto the other
+    positive-weight shards as two-phase moves, largest job first, each
+    landing on the shard holding the globally least-loaded processor
+    (lowest index on ties). Both halves are journaled on their engines,
+    the directory is updated and each transfer counts in
+    [inter_moves]. Returns the moves (global indices) and how many jobs
+    were {e left} on [from]. Typically called with weight 0 already set
+    on [from] (the supervisor's Down transition), but this function
+    does not require or change weights. [Error] if [from] is out of
+    range, [budget] is negative, or jobs remain and no other shard has
+    positive weight. *)
+
+val replace_engine : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) result
+(** Swap shard [i]'s backing engine for the one [build ()] returns —
+    the re-admission path: a Recovering shard restores an engine from
+    its latest snapshot plus journal tail. [build] runs under the
+    owner's registry, as {!of_engines} builders do, and the swap is a
+    task on the owner. Refuses (leaving the cluster untouched) unless
+    the engine has the same processor count and holds exactly the jobs
+    the directory maps to shard [i] (after a full evacuation, both are
+    empty); [build]'s own [Error] is passed through. *)
+
+val stats : t -> stats
 val shard_stats : t -> Engine.stats array
 
 val check_consistency : t -> k:int -> bool
@@ -177,37 +261,39 @@ val check_consistency : t -> k:int -> bool
     count as failures by design. *)
 
 val journal_snapshot : t -> ((int * int) list, string) result
-(** Emit a snapshot event into every shard's journal (on its owner
-    domain); [(shard, event seq)] pairs. [Error] (emitting nothing) if
+(** Emit a snapshot event into every shard's journal (on its owner);
+    [(shard, event seq)] pairs. [Error] (emitting nothing) if
     any shard lacks a journal. *)
 
 val query : t -> int -> (Engine.t -> 'a) -> 'a
-(** Run a read-only closure on shard [i]'s engine, {e on its owner
-    domain}, and wait for the answer — the safe way to inspect a live
-    engine (e.g. its journal tail).
+(** Run a closure on shard [i]'s engine, {e on its owner}, and wait for
+    the answer — the safe way to inspect a live engine (e.g. its
+    journal tail) or to write to its journal.
     @raise Shut_down after {!shutdown}. *)
 
 val recorded_spans : t -> Rebal_obs.Optrace.span list
 (** Every worker domain's recorded op spans (one collection task per
-    {e domain}, not per shard), concatenated. The caller's own domain
-    is not included — combine with [Optrace.recorded ()] for the full
-    picture.
+    {e domain}, not per shard), concatenated; none inline. The
+    caller's own domain is not included — combine with
+    [Optrace.recorded ()] for the full picture.
     @raise Shut_down after {!shutdown}. *)
 
 val merge_metrics : t -> into:Rebal_obs.Metrics.Registry.t -> unit
-(** Fold every worker domain's metrics registry into [into] — call at
-    exposition time with a fresh registry (merging twice into the same
-    registry double-counts). *)
+(** Fold every owner registry (one per worker domain, one inline) into
+    [into] — call at exposition time with a fresh registry (merging
+    twice into the same registry double-counts). *)
 
 val shutdown : t -> unit
 (** Stop accepting work, drain every accepted task (in-flight
     operations still get replies), close the mailboxes and join the
-    worker domains. Idempotent from one thread; afterwards operations
+    worker domains, if any. Idempotent from one thread; afterwards operations
     report ["cluster is shut down"] and inspection raises
     {!Shut_down}, except {!makespan}, which keeps returning the final
     value. *)
 
 val engine : t -> int -> Engine.t
-(** Shard [i]'s backing engine, {e without} domain confinement — only
-    safe once the cluster is {!shutdown} (the replay-audit path in
-    tests and benches). For a live cluster use {!query}. *)
+(** Shard [i]'s backing engine, {e without} domain confinement — safe
+    on an inline cluster, or once the cluster is {!shutdown} (the
+    replay-audit path in tests and benches). For a live cluster with
+    worker domains use {!query}. Mutating it directly bypasses the
+    residency directory. *)

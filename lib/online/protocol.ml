@@ -28,16 +28,17 @@ type verdict =
 
 type target =
   | Single of Engine.t
-  | Cluster of Shard.t
+  | Cluster of Cluster.t
   | Supervised of Supervisor.t
   | Parallel of Cluster.t
 
-(* Read-only paths (stats, journals, snapshots, metrics) see a
-   supervised cluster as the underlying router; only mutations and the
-   health report go through the supervisor. *)
-let as_cluster = function
-  | Supervised sup -> Cluster (Supervisor.cluster sup)
-  | t -> t
+(* Read-only paths (stats, journals, snapshots, metrics, spans) see a
+   supervised cluster as the cluster underneath; only mutations and
+   the health report go through the supervisor. *)
+let cluster_of = function
+  | Single _ -> None
+  | Cluster c | Parallel c -> Some c
+  | Supervised sup -> Some (Supervisor.cluster sup)
 
 let pf = Printf.sprintf
 
@@ -111,37 +112,32 @@ let parse line =
 
 let makespan = function
   | Single e -> Engine.makespan e
-  | Cluster s -> Shard.makespan s
-  | Supervised sup -> Shard.makespan (Supervisor.cluster sup)
-  | Parallel c -> Cluster.makespan c
+  | Cluster c | Parallel c -> Cluster.makespan c
+  | Supervised sup -> Cluster.makespan (Supervisor.cluster sup)
 
 let add_job t ~id ~size =
   match t with
   | Single e -> Engine.add_job e ~id ~size
-  | Cluster s -> Shard.add_job s ~id ~size
+  | Cluster c | Parallel c -> Cluster.add_job c ~id ~size
   | Supervised sup -> Supervisor.add_job sup ~id ~size
-  | Parallel c -> Cluster.add_job c ~id ~size
 
 let remove_job t ~id =
   match t with
   | Single e -> Engine.remove_job e ~id
-  | Cluster s -> Shard.remove_job s ~id
+  | Cluster c | Parallel c -> Cluster.remove_job c ~id
   | Supervised sup -> Supervisor.remove_job sup ~id
-  | Parallel c -> Cluster.remove_job c ~id
 
 let resize_job t ~id ~size =
   match t with
   | Single e -> Engine.resize_job e ~id ~size
-  | Cluster s -> Shard.resize_job s ~id ~size
+  | Cluster c | Parallel c -> Cluster.resize_job c ~id ~size
   | Supervised sup -> Supervisor.resize_job sup ~id ~size
-  | Parallel c -> Cluster.resize_job c ~id ~size
 
 let rebalance t ~k =
   match t with
   | Single e -> Engine.rebalance e ~k
-  | Cluster s -> Shard.rebalance s ~k
+  | Cluster c | Parallel c -> Cluster.rebalance c ~k
   | Supervised sup -> Supervisor.rebalance sup ~k
-  | Parallel c -> Cluster.rebalance c ~k
 
 let move_lines moves =
   List.map (fun mv -> pf "MOVE %s %d %d" mv.Engine.id mv.Engine.src mv.Engine.dst) moves
@@ -188,20 +184,20 @@ let cluster_stats_line st =
     "STATS shards=%d jobs=%d procs=%d makespan=%d total=%d imbalance=%.3f events=%d \
      adds=%d removes=%d resizes=%d rebalances=%d auto=%d auto_triggers=%d moved=%d \
      inter_moves=%d checks=%d failures=%d"
-    st.Shard.shards st.Shard.jobs st.Shard.procs st.Shard.makespan st.Shard.total_size
-    st.Shard.imbalance st.Shard.events st.Shard.adds st.Shard.removes st.Shard.resizes
-    st.Shard.rebalances st.Shard.auto_rebalances st.Shard.trigger_firings st.Shard.moved
-    st.Shard.inter_moves st.Shard.consistency_checks st.Shard.consistency_failures
+    st.Cluster.shards st.Cluster.jobs st.Cluster.procs st.Cluster.makespan
+    st.Cluster.total_size st.Cluster.imbalance st.Cluster.events st.Cluster.adds
+    st.Cluster.removes st.Cluster.resizes st.Cluster.rebalances st.Cluster.auto_rebalances
+    st.Cluster.trigger_firings st.Cluster.moved st.Cluster.inter_moves
+    st.Cluster.consistency_checks st.Cluster.consistency_failures
 
 (* The supervised STATS line is the cluster line with health fields
    appended — consumers matching on the existing prefix keep working. *)
 let stats_line = function
   | Single e -> "STATS " ^ engine_stats_line (Engine.stats e)
-  | Cluster s -> cluster_stats_line (Shard.stats s)
-  | Parallel c -> cluster_stats_line (Cluster.stats c)
+  | Cluster c | Parallel c -> cluster_stats_line (Cluster.stats c)
   | Supervised sup ->
     let h = Supervisor.stats sup in
-    cluster_stats_line (Shard.stats (Supervisor.cluster sup))
+    cluster_stats_line (Cluster.stats (Supervisor.cluster sup))
     ^ pf
         " healthy=%d suspect=%d down=%d recovering=%d evacuations=%d evacuated=%d \
          stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d rejections=%d"
@@ -214,34 +210,31 @@ let shard_line ~offset i (st : Engine.stats) =
   pf "SHARD %d offset=%d procs=%d jobs=%d makespan=%d imbalance=%.3f" i offset
     st.Engine.procs st.Engine.jobs st.Engine.makespan st.Engine.imbalance
 
+let cluster_shard_lines c =
+  Array.to_list
+    (Array.mapi (fun i st -> shard_line ~offset:(Cluster.offset c i) i st) (Cluster.shard_stats c))
+
 let shards_lines = function
   | Single _ -> [ "ERR not sharded (serve started without --shards)" ]
-  | Cluster s ->
-    Array.to_list
-      (Array.mapi (fun i st -> shard_line ~offset:(Shard.offset s i) i st) (Shard.shard_stats s))
-  | Parallel c ->
-    Array.to_list
-      (Array.mapi
-         (fun i st -> shard_line ~offset:(Cluster.offset c i) i st)
-         (Cluster.shard_stats c))
+  | Cluster c | Parallel c -> cluster_shard_lines c
   | Supervised sup ->
     (* Same SHARD lines, with health and routing weight appended. *)
-    let s = Supervisor.cluster sup in
-    Array.to_list
-      (Array.mapi
-         (fun i st ->
-           shard_line ~offset:(Shard.offset s i) i st
-           ^ pf " health=%s weight=%.2f"
-               (Supervisor.health_name (Supervisor.health sup i))
-               (Shard.weight s i))
-         (Shard.shard_stats s))
+    let c = Supervisor.cluster sup in
+    List.mapi
+      (fun i line ->
+        line
+        ^ pf " health=%s weight=%.2f"
+            (Supervisor.health_name (Supervisor.health sup i))
+            (Cluster.weight c i))
+      (cluster_shard_lines c)
 
 let health_lines = function
   | Single _ | Cluster _ | Parallel _ ->
     [ "ERR not supervised (serve started without --supervise)" ]
   | Supervised sup ->
     let h = Supervisor.stats sup in
-    let s = Supervisor.cluster sup in
+    let c = Supervisor.cluster sup in
+    let per_shard = Cluster.shard_stats c in
     pf
       "HEALTH shards=%d healthy=%d suspect=%d down=%d recovering=%d evacuations=%d \
        evacuated=%d stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d \
@@ -253,8 +246,7 @@ let health_lines = function
     :: List.init (Supervisor.shard_count sup) (fun i ->
            pf "HEALTH %d %s weight=%.2f jobs=%d" i
              (Supervisor.health_name (Supervisor.health sup i))
-             (Shard.weight s i)
-             (Engine.job_count (Shard.engine s i)))
+             (Cluster.weight c i) per_shard.(i).Engine.jobs)
 
 (* Engine counters live in the engine record, not the registry; METRICS
    exports them into the current registry right before rendering — the
@@ -288,7 +280,7 @@ let export_metrics e = export_engine_stats (Engine.stats e)
 
 let export_supervisor sup =
   let h = Supervisor.stats sup in
-  let s = Supervisor.cluster sup in
+  let c = Supervisor.cluster sup in
   (* One 0/1 gauge per (shard, state) pair plus the routing weight, so
      dashboards can plot a health timeline without value decoding. *)
   for i = 0 to Supervisor.shard_count sup - 1 do
@@ -305,7 +297,7 @@ let export_supervisor sup =
       (Metrics.gauge
          ~labels:[ ("shard", string_of_int i) ]
          ~help:"Routing weight (fraction of ring replicas active)" "rebal_shard_weight")
-      (Shard.weight s i)
+      (Cluster.weight c i)
   done;
   let count name help v = Metrics.Counter.set (Metrics.counter ~help name) v in
   count "rebal_evacuations_total" "Down transitions that ran an evacuation" h.Supervisor.evacuations;
@@ -322,35 +314,33 @@ let export_supervisor sup =
 
 (* One labeled series per shard plus cluster-level aggregates; a
    sum() over the shard label reproduces the additive aggregates. *)
-let export_sharded ~shard_stats ~(stats : Shard.stats) =
+let export_cluster c =
   Array.iteri
     (fun i st -> export_engine_stats ~labels:[ ("shard", string_of_int i) ] st)
-    shard_stats;
-  let st = stats in
+    (Cluster.shard_stats c);
+  let st = Cluster.stats c in
   let gauge name help v = Metrics.Gauge.set (Metrics.gauge ~help name) v in
-  gauge "rebal_cluster_shards" "Shards served" (float_of_int st.Shard.shards);
-  gauge "rebal_cluster_jobs" "Live jobs across all shards" (float_of_int st.Shard.jobs);
-  gauge "rebal_cluster_procs" "Processors across all shards" (float_of_int st.Shard.procs);
+  gauge "rebal_cluster_shards" "Shards served" (float_of_int st.Cluster.shards);
+  gauge "rebal_cluster_jobs" "Live jobs across all shards" (float_of_int st.Cluster.jobs);
+  gauge "rebal_cluster_procs" "Processors across all shards" (float_of_int st.Cluster.procs);
   gauge "rebal_cluster_makespan" "Global maximum processor load"
-    (float_of_int st.Shard.makespan);
+    (float_of_int st.Cluster.makespan);
   gauge "rebal_cluster_imbalance" "Global makespan over the global batch lower bound"
-    st.Shard.imbalance;
+    st.Cluster.imbalance;
   Metrics.Counter.set
     (Metrics.counter ~help:"Cross-shard job transfers performed by rebalancing"
        "rebal_cluster_inter_moves_total")
-    st.Shard.inter_moves
-
-let rec export_target = function
-  | Single e -> export_metrics e
-  | Supervised sup ->
-    export_target (as_cluster (Supervised sup));
-    export_supervisor sup
-  | Cluster s -> export_sharded ~shard_stats:(Shard.shard_stats s) ~stats:(Shard.stats s)
-  | Parallel c ->
-    export_sharded ~shard_stats:(Cluster.shard_stats c) ~stats:(Cluster.stats c);
-    Metrics.Gauge.set
-      (Metrics.gauge ~help:"Worker domains serving the shards" "rebal_cluster_domains")
+    st.Cluster.inter_moves;
+  if Cluster.domain_count c > 0 then
+    gauge "rebal_cluster_domains" "Worker domains serving the shards"
       (float_of_int (Cluster.domain_count c))
+
+let export_target = function
+  | Single e -> export_metrics e
+  | Cluster c | Parallel c -> export_cluster c
+  | Supervised sup ->
+    export_cluster (Supervisor.cluster sup);
+    export_supervisor sup
 
 let render_registry reg =
   let text = Expo.prometheus reg in
@@ -359,20 +349,20 @@ let render_registry reg =
   lines @ [ "# EOF" ]
 
 let metrics_registry t =
-  match t with
-  | Parallel c ->
-    (* The worker domains hold their own registries (handle mutation is
-       confined to one domain); exposition builds a fresh registry each
-       time — exported aggregates first, then every worker registry and
-       the main domain's merged in. Fresh-per-reply matters: merge adds
-       counters, so folding twice into a reused registry would double
-       count. *)
+  match cluster_of t with
+  | Some c ->
+    (* The cluster's engines bind their handles in owner registries
+       (handle mutation is confined to one executor); exposition builds
+       a fresh registry each time — exported aggregates first, then
+       every owner registry and the main domain's merged in.
+       Fresh-per-reply matters: merge adds counters, so folding twice
+       into a reused registry would double count. *)
     let export = Metrics.Registry.create () in
     Metrics.Registry.with_registry export (fun () -> export_target t);
     Cluster.merge_metrics c ~into:export;
     Metrics.merge ~into:export Metrics.Registry.default;
     export
-  | _ ->
+  | None ->
     export_target t;
     Metrics.Registry.current ()
 
@@ -384,7 +374,13 @@ let engine_journal_tail i e n =
   | None -> Error i
   | Some sink -> Ok (Rebal_obs.Journal.tail sink n)
 
-let sharded_journal_lines parts =
+(* Tails are read on each shard's owner — a journal sink is
+   single-writer state, so the query fabric is the safe path in. *)
+let cluster_journal_lines c n =
+  let parts =
+    List.init (Cluster.shard_count c) (fun i ->
+        Cluster.query c i (fun e -> engine_journal_tail i e n))
+  in
   match List.find_opt Result.is_error parts with
   | Some (Error i) -> [ pf "ERR no journal attached to shard %d" i ]
   | _ ->
@@ -396,37 +392,29 @@ let sharded_journal_lines parts =
     @ [ "# EOF" ]
 
 let journal_lines t n =
-  match as_cluster t with
-  | Supervised _ -> assert false (* as_cluster never returns Supervised *)
+  match t with
   | Single e -> begin
     match engine_journal_tail 0 e n with
     | Error _ -> [ "ERR no journal attached (start serve with --journal FILE)" ]
     | Ok lines -> lines @ [ "# EOF" ]
   end
-  | Cluster s ->
-    sharded_journal_lines
-      (List.init (Shard.shard_count s) (fun i -> engine_journal_tail i (Shard.engine s i) n))
-  | Parallel c ->
-    (* Tails are read on each shard's owner domain — a journal sink is
-       single-writer state, so the query fabric is the safe path in. *)
-    sharded_journal_lines
-      (List.init (Cluster.shard_count c) (fun i ->
-           Cluster.query c i (fun e -> engine_journal_tail i e n)))
+  | Cluster c | Parallel c -> cluster_journal_lines c n
+  | Supervised sup -> cluster_journal_lines (Supervisor.cluster sup) n
 
-let sharded_snapshot_lines = function
+let cluster_snapshot_lines c =
+  match Cluster.journal_snapshot c with
   | Error e -> [ "ERR " ^ e ^ " (start serve with --journal FILE)" ]
   | Ok seqs -> List.map (fun (i, seq) -> pf "SNAPSHOTTED shard=%d seq=%d" i seq) seqs
 
 let snapshot_lines t =
-  match as_cluster t with
-  | Supervised _ -> assert false (* as_cluster never returns Supervised *)
+  match t with
   | Single e -> begin
     match Engine.journal_snapshot e with
     | Error e -> [ "ERR " ^ e ^ " (start serve with --journal FILE)" ]
     | Ok seq -> [ pf "SNAPSHOTTED seq=%d" seq ]
   end
-  | Cluster s -> sharded_snapshot_lines (Shard.journal_snapshot s)
-  | Parallel c -> sharded_snapshot_lines (Cluster.journal_snapshot c)
+  | Cluster c | Parallel c -> cluster_snapshot_lines c
+  | Supervised sup -> cluster_snapshot_lines (Supervisor.cluster sup)
 
 (* TRACES: span trees for the last [n] slow ops, newest last. Spans
    come from the calling domain's ring plus (in parallel serve) every
@@ -444,9 +432,9 @@ let traces_lines t n =
   | [] -> [ "# no slow ops captured"; "# EOF" ]
   | slow ->
     let worker_spans =
-      match t with
-      | Parallel c -> ( try Cluster.recorded_spans c with Cluster.Shut_down -> [])
-      | _ -> []
+      match cluster_of t with
+      | Some c -> ( try Cluster.recorded_spans c with Cluster.Shut_down -> [])
+      | None -> []
     in
     let trees = Optrace.assemble (Optrace.recorded () @ worker_spans) in
     List.concat_map
@@ -586,12 +574,12 @@ let command_op = function
 (* The reply for one batched mutation. [makespan t] is read inside the
    batch's [on_result] callback: on a [Single] engine that fires after
    each op and before the next, so the value is exactly the
-   intermediate makespan the one-by-one path reports. On a [Parallel]
-   cluster results surface when the op's chunk completes, and the read
-   folds the per-shard values the owner domains published at the end
-   of their last task (no mailbox round trip): it covers the whole
-   chunk, and other sessions' completed ops — indistinguishable from
-   the interleavings concurrent sessions already produce. *)
+   intermediate makespan the one-by-one path reports. On a cluster
+   results surface when the op's chunk completes, and the read folds
+   the per-shard values the executors published at the end of their
+   last task (no mailbox round trip): it covers the whole chunk, and
+   other sessions' completed ops — indistinguishable from the
+   interleavings concurrent sessions already produce. *)
 let bulk_reply t op result =
   match result with
   | Error e -> [ "ERR " ^ e ]
@@ -605,7 +593,7 @@ let bulk_reply t op result =
     pf "%s %s %d makespan=%d" verb id p (makespan t) :: auto_lines t auto
 
 let handle_lines ?(start_line = 1) t lines =
-  let bulk_capable = match t with Single _ | Parallel _ -> true | _ -> false in
+  let bulk_capable = match t with Supervised _ -> false | _ -> true in
   let out = ref [] in
   let push ls = out := List.rev_append ls !out in
   let pending = ref [] in
@@ -628,8 +616,8 @@ let handle_lines ?(start_line = 1) t lines =
       Optrace.with_op ~verb:"BATCH" (fun () ->
           match t with
           | Single e -> Engine.apply_bulk e ~on_result ops
-          | Parallel c -> Cluster.apply_bulk c ~on_result ops
-          | Cluster _ | Supervised _ -> assert false (* never queued *));
+          | Cluster c | Parallel c -> Cluster.apply_bulk c ~on_result ops
+          | Supervised _ -> assert false (* never queued *));
       Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0)
   in
   let verdict = ref Continue in
@@ -657,19 +645,16 @@ let handle_lines ?(start_line = 1) t lines =
   go start_line lines;
   (List.rev !out, !verdict)
 
+(* [domains=] appears only when worker domains exist. *)
+let cluster_banner c =
+  pf "READY rebalance-serve shards=%d%s procs=%d jobs=%d makespan=%d" (Cluster.shard_count c)
+    (if Cluster.domain_count c > 0 then pf " domains=%d" (Cluster.domain_count c) else "")
+    (Cluster.m c) (Cluster.job_count c) (Cluster.makespan c)
+
 let greeting = function
   | Single e ->
     pf "READY rebalance-serve procs=%d jobs=%d makespan=%d" (Engine.m e)
       (Engine.job_count e) (Engine.makespan e)
-  | Cluster s ->
-    pf "READY rebalance-serve shards=%d procs=%d jobs=%d makespan=%d" (Shard.shard_count s)
-      (Shard.m s) (Shard.job_count s) (Shard.makespan s)
+  | Cluster c | Parallel c -> cluster_banner c
   | Supervised sup ->
-    let s = Supervisor.cluster sup in
-    pf "READY rebalance-serve shards=%d procs=%d jobs=%d makespan=%d serving=%d"
-      (Shard.shard_count s) (Shard.m s) (Shard.job_count s) (Shard.makespan s)
-      (Supervisor.serving_shards sup)
-  | Parallel c ->
-    pf "READY rebalance-serve shards=%d domains=%d procs=%d jobs=%d makespan=%d"
-      (Cluster.shard_count c) (Cluster.domain_count c) (Cluster.m c) (Cluster.job_count c)
-      (Cluster.makespan c)
+    cluster_banner (Supervisor.cluster sup) ^ pf " serving=%d" (Supervisor.serving_shards sup)

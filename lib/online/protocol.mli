@@ -78,18 +78,24 @@ type verdict =
   | Close  (** end this client session *)
   | Stop  (** end the session and shut the daemon down *)
 
-(** What the protocol operates: one engine, a shard router, a shard
-    router under health supervision, or the domain-parallel cluster.
-    A {!Parallel} target answers the same replies as {!Cluster} (the
-    [READY] banner gains [domains=<d>], [METRICS] gains
-    [rebal_cluster_domains] and the per-worker latency histograms) and
-    is safe to drive from many sessions concurrently — every command
-    is routed through the cluster's owner-domain mailboxes. *)
+(** What the protocol operates: one engine, a sharded {!Cluster}, or a
+    cluster under health supervision. [Cluster] and [Parallel] carry
+    the same runtime and answer identically; [rebalance serve] builds
+    only [Cluster]. A cluster with worker domains adds [domains=<d>] to
+    the [READY] banner and [rebal_cluster_domains] plus the per-worker
+    latency histograms to [METRICS], and is safe to drive from many
+    sessions concurrently — every command is routed through the
+    cluster's owner-domain mailboxes. An inline cluster (no worker
+    domains) and a supervised target need their callers serialized. *)
 type target =
   | Single of Engine.t
-  | Cluster of Shard.t
+  | Cluster of Cluster.t
   | Supervised of Supervisor.t
   | Parallel of Cluster.t
+
+val cluster_of : target -> Cluster.t option
+(** The cluster underneath a sharded target (supervised or not);
+    [None] for {!Single}. *)
 
 val parse : string -> (command option, string) result
 (** [Ok None] for blank/comment lines; [Error] explains a malformed
@@ -112,13 +118,15 @@ val handle_lines : ?start_line:int -> target -> string list -> string list * ver
 (** {!handle_line} over a pipeline of lines, coalescing runs of
     consecutive mutating commands (ADD / REMOVE / RESIZE) into one
     [Engine.apply_bulk] (a {!Single} target) or [Cluster.apply_bulk]
-    (a {!Parallel} target) call — one dispatch and one journal flush
-    per run instead of per line. Replies come back in line order and
-    are identical to the one-by-one path; a run of a single mutation
-    takes exactly the unbatched path (same per-verb latency series),
-    while a genuine pipeline runs under one [BATCH] span and one
-    [verb="batch"] latency observation. {!Cluster} and {!Supervised}
-    targets process every line individually. Processing stops at the
+    (a cluster target) call — one dispatch and one journal flush per
+    run instead of per line. Replies come back in line order and are
+    identical to the one-by-one path, except that a cluster's
+    [makespan=] fields report the value as of the end of the op's
+    chunk; a run of a single mutation takes exactly the unbatched path
+    (same per-verb latency series), while a genuine pipeline runs under
+    one [BATCH] span and one [verb="batch"] latency observation.
+    {!Supervised} targets process every line individually (the
+    watchdog times each op). Processing stops at the
     first [QUIT]/[SHUTDOWN]; the returned verdict is that command's.
     [start_line] (default 1) numbers the first line for [ERR]
     prefixes. *)
@@ -137,11 +145,11 @@ val export_target : target -> unit
     this before rendering through [Rebal_obs.Expo]. *)
 
 val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
-(** The registry a metrics reply renders: for {!Parallel} a fresh
-    registry holding the exported aggregates plus every worker
-    domain's and the default registry merged in (fresh each call —
-    merging into a reused registry would double count); otherwise the
-    current registry after {!export_target}. *)
+(** The registry a metrics reply renders: for a cluster target a fresh
+    registry holding the exported aggregates plus the cluster's owner
+    registries and the default registry merged in (fresh each call —
+    merging into a reused registry would double count); for {!Single}
+    the current registry after {!export_target}. *)
 
 val metrics_lines : target -> string list
 (** The [METRICS] reply: {!metrics_registry} rendered as Prometheus

@@ -60,7 +60,7 @@ type stats = {
 }
 
 type t = {
-  cluster : Shard.t;
+  cluster : Cluster.t;
   config : config;
   probe : int -> bool;
   clock : unit -> float;
@@ -83,7 +83,7 @@ let create ?(config = default_config) ?(probe = fun _ -> true) ?(clock = Unix.ge
     probe;
     clock;
     states =
-      Array.init (Shard.shard_count cluster) (fun _ ->
+      Array.init (Cluster.shard_count cluster) (fun _ ->
           { health = Healthy; fails = 0; ramp = 0 });
     evacuations = 0;
     evacuated_jobs = 0;
@@ -113,19 +113,20 @@ let serving_shards t =
   Array.fold_left (fun acc s -> if s.health <> Down then acc + 1 else acc) 0 t.states
 
 (* The Down transition: stop routing to the shard, then re-home its
-   jobs onto the survivors through the router's ordinary remove/add
-   path (both halves journaled, directory updated). The provenance
-   event lands in the evacuated shard's own journal — it explains the
-   burst of removes that follows nothing the workload did — and is
-   informational on replay, so the journal stays replayable. *)
+   jobs onto the survivors as two-phase moves (both halves journaled,
+   directory updated). The provenance event lands in the evacuated
+   shard's own journal — it explains the burst of removes that follows
+   nothing the workload did — and is informational on replay, so the
+   journal stays replayable. The engine is reached only through
+   [Cluster.query], so the journal write runs on the shard's owner. *)
 let transition_down t i ~reason =
   let st = t.states.(i) in
   st.health <- Down;
   st.ramp <- 0;
-  Shard.set_weight t.cluster i 0.0;
-  let before = Engine.job_count (Shard.engine t.cluster i) in
+  Cluster.set_weight t.cluster i 0.0;
+  let before = Cluster.query t.cluster i Engine.job_count in
   let moves, leftover =
-    match Shard.evacuate t.cluster ~from:i ~budget:t.config.evac_budget with
+    match Cluster.evacuate t.cluster ~from:i ~budget:t.config.evac_budget with
     | Ok (moves, leftover) -> (moves, leftover)
     | Error _ ->
       (* No routable survivor: the jobs stay stranded on the dead
@@ -136,18 +137,19 @@ let transition_down t i ~reason =
   t.evacuations <- t.evacuations + 1;
   t.evacuated_jobs <- t.evacuated_jobs + (before - leftover);
   t.stranded_jobs <- t.stranded_jobs + leftover;
-  (match Engine.journal (Shard.engine t.cluster i) with
-  | None -> ()
-  | Some sink ->
-    Journal.emit sink ~kind:"evacuation"
-      [
-        ("shard", Journal.Int i);
-        ("reason", Journal.Str reason);
-        ("jobs", Journal.Int (before - leftover));
-        ("leftover", Journal.Int leftover);
-        ("budget",
-         Journal.Int (if t.config.evac_budget = max_int then -1 else t.config.evac_budget));
-      ]);
+  Cluster.query t.cluster i (fun e ->
+      match Engine.journal e with
+      | None -> ()
+      | Some sink ->
+        Journal.emit sink ~kind:"evacuation"
+          [
+            ("shard", Journal.Int i);
+            ("reason", Journal.Str reason);
+            ("jobs", Journal.Int (before - leftover));
+            ("leftover", Journal.Int leftover);
+            ("budget",
+             Journal.Int (if t.config.evac_budget = max_int then -1 else t.config.evac_budget));
+          ]);
   moves
 
 let note_failure t i ~reason =
@@ -177,7 +179,7 @@ let note_success t i =
     st.fails <- 0;
     st.ramp <- min t.config.recovery_steps (st.ramp + 1);
     let w = float_of_int st.ramp /. float_of_int t.config.recovery_steps in
-    Shard.set_weight t.cluster i w;
+    Cluster.set_weight t.cluster i w;
     if st.ramp >= t.config.recovery_steps then st.health <- Healthy
 
 let tick t =
@@ -203,19 +205,19 @@ let mark_down t i =
   check_shard t i;
   if t.states.(i).health = Down then [] else transition_down t i ~reason:"manual"
 
-let readmit t i eng =
+let readmit t i build =
   check_shard t i;
   let st = t.states.(i) in
   if st.health <> Down then
     Error (Printf.sprintf "shard %d is %s, not down" i (health_name st.health))
   else
-    match Shard.replace_engine t.cluster i eng with
+    match Cluster.replace_engine t.cluster i build with
     | Error _ as e -> e
     | Ok () ->
       st.health <- Recovering;
       st.fails <- 0;
       st.ramp <- 0;
-      Shard.set_weight t.cluster i 0.0;
+      Cluster.set_weight t.cluster i 0.0;
       t.readmissions <- t.readmissions + 1;
       Ok ()
 
@@ -231,21 +233,28 @@ let timed t f =
   let result = f () in
   (result, t.clock () -. t0)
 
-let watchdog_check t i dt =
-  if dt > t.config.op_deadline then begin
-    t.watchdog_trips <- t.watchdog_trips + 1;
-    note_failure t i ~reason:"watchdog"
-  end
-  else []
+(* [served ()] names the shard that served the op; it is asked only
+   once the deadline is blown. *)
+let watchdog_check t served dt =
+  if dt <= t.config.op_deadline then []
+  else
+    match served () with
+    | None -> []
+    | Some i ->
+      t.watchdog_trips <- t.watchdog_trips + 1;
+      note_failure t i ~reason:"watchdog"
 
 let reject t msg =
   t.degraded_rejections <- t.degraded_rejections + 1;
   Error msg
 
 let add_job t ~id ~size =
-  if serving_shards t = 0 then reject t "no serving shards"
+  let serving = serving_shards t in
+  if serving = 0 then reject t "no serving shards"
   else begin
-    match Shard.shard_of t.cluster id with
+    (* Only a Down shard strands jobs, so a fully serving cluster skips
+       the directory lookup. *)
+    match if serving = shard_count t then None else Cluster.shard_of t.cluster id with
     | Some s when t.states.(s).health = Down ->
       (* A stranded duplicate: the id is resident on a dead shard the
          evacuation budget did not cover. *)
@@ -255,39 +264,34 @@ let add_job t ~id ~size =
          serving shard remains, so the home shard is safe to touch.
          Attribution happens after the op — routing decides the shard
          during the add. *)
-      let result, dt = timed t (fun () -> Shard.add_job t.cluster ~id ~size) in
+      let result, dt = timed t (fun () -> Cluster.add_job t.cluster ~id ~size) in
       (match result with
       | Error _ as e -> e
       | Ok (p, moves) ->
-        let extra =
-          match Shard.shard_of t.cluster id with
-          | Some s -> watchdog_check t s dt
-          | None -> []
-        in
-        Ok (p, moves @ extra))
+        Ok (p, moves @ watchdog_check t (fun () -> Cluster.shard_of t.cluster id) dt))
   end
 
 let remove_job t ~id =
-  match Shard.shard_of t.cluster id with
+  match Cluster.shard_of t.cluster id with
   | Some s when t.states.(s).health = Down ->
     reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
   | Some s ->
-    let result, dt = timed t (fun () -> Shard.remove_job t.cluster ~id) in
-    let extra = watchdog_check t s dt in
+    let result, dt = timed t (fun () -> Cluster.remove_job t.cluster ~id) in
+    let extra = watchdog_check t (fun () -> Some s) dt in
     (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
   | None -> Error (Printf.sprintf "job %s not found" id)
 
 let resize_job t ~id ~size =
-  match Shard.shard_of t.cluster id with
+  match Cluster.shard_of t.cluster id with
   | Some s when t.states.(s).health = Down ->
     reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
   | Some s ->
-    let result, dt = timed t (fun () -> Shard.resize_job t.cluster ~id ~size) in
-    let extra = watchdog_check t s dt in
+    let result, dt = timed t (fun () -> Cluster.resize_job t.cluster ~id ~size) in
+    let extra = watchdog_check t (fun () -> Some s) dt in
     (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
   | None -> Error (Printf.sprintf "job %s not found" id)
 
-let rebalance t ~k = Shard.rebalance t.cluster ~k
+let rebalance t ~k = Cluster.rebalance t.cluster ~k
 
 let stats t =
   let count h = Array.fold_left (fun acc s -> if s.health = h then acc + 1 else acc) 0 t.states in

@@ -1,5 +1,8 @@
 (** The self-healing layer: per-shard health supervision over a
-    {!Shard} router, with automatic failover and re-admission.
+    {!Cluster}, with automatic failover and re-admission. It runs over
+    either executor: every engine access goes through the cluster's
+    own operations ({!Cluster.query} for the journal write), and its
+    mutations stay one op at a time, each under the watchdog.
 
     Each shard carries a health state machine
 
@@ -15,17 +18,17 @@
 
     The Down transition is the failover: the shard's routing weight
     drops to 0 (new placements stop landing there — see
-    {!Shard.set_weight}), and up to [evac_budget] of its jobs are
-    re-homed onto the survivors through the router's ordinary
-    remove/add path, so every journal stays replayable and the
-    directory stays authoritative ({!Shard.evacuate}). An informational
+    {!Cluster.set_weight}), and up to [evac_budget] of its jobs are
+    re-homed onto the survivors as two-phase moves, so every journal
+    stays replayable and the directory stays authoritative
+    ({!Cluster.evacuate}). An informational
     ["evacuation"] event in the dead shard's journal records the
     trigger ([probe], [watchdog], [report] or [manual]), the job count
     and the budget — provenance for the burst of removes that follows.
 
     Re-admission reverses it: the operator restores an engine from the
-    shard's latest snapshot plus journal tail ({!Replay.resume}) and
-    hands it to {!readmit}; the shard re-enters as Recovering and each
+    shard's latest snapshot plus journal tail ({!Replay.resume}) in the
+    builder it hands to {!readmit}; the shard re-enters as Recovering and each
     successful probe ramps its routing weight back by
     [1 / recovery_steps] until it is Healthy at full weight. A failure
     mid-ramp sends it straight back Down (evacuating whatever it
@@ -83,15 +86,15 @@ type stats = {
 type t
 
 val create :
-  ?config:config -> ?probe:(int -> bool) -> ?clock:(unit -> float) -> Shard.t -> t
+  ?config:config -> ?probe:(int -> bool) -> ?clock:(unit -> float) -> Cluster.t -> t
 (** Supervise [cluster]. [probe i] (default: always alive) answers
     whether shard [i] looks live — inject the fault source here.
     [clock] (default [Unix.gettimeofday]) feeds the watchdog; inject a
     fake for deterministic deadline tests. All shards start Healthy.
     @raise Invalid_argument on a nonsensical [config]. *)
 
-val cluster : t -> Shard.t
-(** The supervised router. Mutating it directly bypasses health
+val cluster : t -> Cluster.t
+(** The supervised cluster. Mutating it directly bypasses health
     guards and the watchdog — use the supervised operations. *)
 
 val config : t -> config
@@ -123,23 +126,24 @@ val mark_down : t -> int -> move list
 (** Operator override: force shard [i] Down now (no effect if already
     Down), returning the evacuation moves. *)
 
-val readmit : t -> int -> Engine.t -> (unit, string) result
-(** Swap a restored engine in for Down shard [i] and start the
-    recovery ramp at weight 0. The engine must hold exactly the jobs
-    the directory still maps to shard [i] — an engine resumed from the
-    shard's own journal does, because the evacuation removes were
-    journaled ({!Shard.replace_engine}). [Error] if the shard is not
-    Down or the engine disagrees with the directory. *)
+val readmit : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) result
+(** Swap the engine [build ()] restores in for Down shard [i] and start
+    the recovery ramp at weight 0. [build] runs under the shard owner's
+    metrics registry ({!Cluster.replace_engine}). The engine must hold
+    exactly the jobs the directory still maps to shard [i] — an engine
+    resumed from the shard's own journal does, because the evacuation
+    removes were journaled. [Error] if the shard is not Down, [build]
+    fails, or the engine disagrees with the directory. *)
 
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** {!Shard.add_job} under the watchdog. Rejected when no shard is
+(** {!Cluster.add_job} under the watchdog. Rejected when no shard is
     serving or the id is stranded on a Down shard. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
 
 val rebalance : t -> k:int -> move list
-(** {!Shard.rebalance} on the cluster (Down shards hold no weight and,
+(** {!Cluster.rebalance} on the cluster (Down shards hold no weight and,
     after evacuation, at most stranded jobs). *)
 
 val stats : t -> stats

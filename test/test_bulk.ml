@@ -352,25 +352,29 @@ let test_cluster_bulk_equivalence () =
     | Engine.Remove { id } -> Cluster.remove_job c ~id
     | Engine.Resize { id; size } -> Cluster.resize_job c ~id ~size
   in
-  let run_seq () =
-    let c = Cluster.create ~m:8 ~shards:2 () in
+  let run_seq domains =
+    let c = Cluster.create ~m:8 ~shards:2 ~domains () in
     Fun.protect ~finally:(fun () -> Cluster.shutdown c) @@ fun () ->
     let rs = Array.map (fun op -> apply_one_cluster c op) ops in
     (rs, Cluster.loads c, Cluster.makespan c, Cluster.job_count c)
   in
-  let run_bulk () =
-    let c = Cluster.create ~m:8 ~shards:2 () in
+  let run_bulk domains =
+    let c = Cluster.create ~m:8 ~shards:2 ~domains () in
     Fun.protect ~finally:(fun () -> Cluster.shutdown c) @@ fun () ->
     let rs = Array.make (Array.length ops) (Error "never ran") in
     Cluster.apply_bulk c ~on_result:(fun i _ r -> rs.(i) <- r) ops;
     (rs, Cluster.loads c, Cluster.makespan c, Cluster.job_count c)
   in
-  let rs_a, loads_a, mk_a, jc_a = run_seq () in
-  let rs_b, loads_b, mk_b, jc_b = run_bulk () in
-  check_bool "results match" true (rs_a = rs_b);
-  check_bool "loads match" true (loads_a = loads_b);
-  check_int "makespan" mk_a mk_b;
-  check_int "job count" jc_a jc_b
+  (* Both executors, each batched against one-by-one on itself. *)
+  List.iter
+    (fun domains ->
+      let rs_a, loads_a, mk_a, jc_a = run_seq domains in
+      let rs_b, loads_b, mk_b, jc_b = run_bulk domains in
+      check_bool "results match" true (rs_a = rs_b);
+      check_bool "loads match" true (loads_a = loads_b);
+      check_int "makespan" mk_a mk_b;
+      check_int "job count" jc_a jc_b)
+    [ 0; 2 ]
 
 (* ----- Protocol.handle_lines ----- *)
 

@@ -1,14 +1,15 @@
-(* Parallel cluster tests: the qcheck equivalence properties (a command
+(* Cluster executor tests: the qcheck equivalence properties (a command
    stream fanned across D worker domains must land in the same state as
-   the sequential router, for D ∈ {1, 2, 8}, with every per-shard
-   journal individually replayable, and must draw byte-identical
-   protocol replies), mailbox backpressure and close semantics,
-   two-phase move crash points, a genuinely concurrent multi-thread
-   driver checked for directory integrity, and the published-makespan
-   contract (never waits on a worker, costs no mailbox task). *)
+   the inline executor, D = 0, for D ∈ {1, 2, 8}, with every per-shard
+   journal byte-identical and individually replayable, and must draw
+   identical protocol replies, one line at a time and pipelined),
+   mailbox backpressure and close semantics, two-phase move crash
+   points, a genuinely concurrent multi-thread driver checked for
+   directory integrity, shutdown on both executors, and the
+   published-makespan contract (never waits on a worker, costs no
+   mailbox task). *)
 
 module Engine = Rebal_online.Engine
-module Shard = Rebal_online.Shard
 module Cluster = Rebal_online.Cluster
 module Mailbox = Rebal_online.Mailbox
 module Replay = Rebal_online.Replay
@@ -25,8 +26,8 @@ let ok = function
   | Error e -> Alcotest.failf "unexpected cluster error: %s" e
 
 (* Deterministic in-memory journals, one per shard: each Buffer and
-   fake clock is touched only by its shard's owner domain, which is
-   exactly the confinement the cluster promises its sinks. *)
+   fake clock is touched only by its shard's owner, which is exactly
+   the confinement the cluster promises its sinks. *)
 let buffer_journals shards =
   let bufs = Array.init shards (fun _ -> Buffer.create 512) in
   let journal_for i =
@@ -41,7 +42,7 @@ let buffer_journals shards =
   in
   (bufs, journal_for)
 
-(* The same adversarial stream shape as the shard suite: m >= 8 so an
+(* The same adversarial stream shape as the inline suite: m >= 8 so an
    8-shard split is constructible. *)
 let stream_gen =
   let open QCheck2 in
@@ -61,16 +62,6 @@ let stream_gen =
     let* k = int_range 0 20 in
     return (m, events, k))
 
-let apply_to_shard sh events =
-  List.iter
-    (fun ev ->
-      match ev with
-      | `Add (id, size) -> ignore (Shard.add_job sh ~id ~size)
-      | `Remove id -> ignore (Shard.remove_job sh ~id)
-      | `Resize (id, size) -> ignore (Shard.resize_job sh ~id ~size)
-      | `Rebalance k -> ignore (Shard.rebalance sh ~k))
-    events
-
 let apply_to_cluster c events =
   List.iter
     (fun ev ->
@@ -81,65 +72,70 @@ let apply_to_cluster c events =
       | `Rebalance k -> ignore (Cluster.rebalance c ~k))
     events
 
+(* Every per-shard journal of a shut-down (or inline) cluster replays
+   to the engine its executor left behind. *)
+let journals_replay c bufs =
+  Array.for_all
+    (fun i ->
+      let eng = Cluster.engine c i in
+      match Result.bind (Journal.parse_string (Buffer.contents bufs.(i))) Replay.run with
+      | Error _ -> false
+      | Ok o ->
+        o.Replay.consistency_ok
+        && o.Replay.final_makespan = Engine.makespan eng
+        && o.Replay.final_jobs = Engine.job_count eng)
+    (Array.init (Cluster.shard_count c) Fun.id)
+
 (* The tentpole property: a quiescent cluster is observationally the
-   sequential router, whatever the domain count — same loads, same
-   global peak, same directory, same repair decisions — and every
-   per-shard journal replays to the engine the worker left behind. *)
+   inline executor, whatever the domain count — same loads, same
+   global peak, same directory, same repair decisions, byte-identical
+   journals — and every per-shard journal replays to the engine its
+   executor left behind. *)
 let prop_cluster_matches_shard =
   QCheck2.Test.make
-    ~name:"cluster = sequential shard router for D in {1,2,8}, journals replayable"
+    ~name:"cluster = sequential shard router (inline, D=0) for D in {1,2,8}, journals replayable"
     ~count:40 stream_gen
     (fun (m, events, k) ->
       let shards = 8 in
-      let sh = Shard.create ~m ~shards () in
-      apply_to_shard sh events;
-      let seq_moves = Shard.rebalance sh ~k in
-      List.for_all
-        (fun domains ->
-          let bufs, journal_for = buffer_journals shards in
-          let c = Cluster.create ~journal_for ~m ~shards ~domains () in
-          apply_to_cluster c events;
-          let par_moves = Cluster.rebalance c ~k in
-          let state_equal =
-            Cluster.loads c = Shard.loads sh
-            && Cluster.makespan c = Shard.makespan sh
-            && Cluster.job_count c = Shard.job_count sh
-            && par_moves = seq_moves
-            && Array.for_all2
-                 (fun (a : Engine.stats) (b : Engine.stats) ->
-                   a.Engine.makespan = b.Engine.makespan
-                   && a.Engine.jobs = b.Engine.jobs)
-                 (Cluster.shard_stats c) (Shard.shard_stats sh)
-            && List.for_all
-                 (fun id -> Cluster.shard_of c id = Shard.shard_of sh id)
-                 (List.init 25 (Printf.sprintf "j%d"))
-            && Cluster.check_consistency c ~k
-            && Cluster.check_consistency c ~k:max_int
-          in
-          Cluster.shutdown c;
-          state_equal
-          && Array.for_all
-               (fun i ->
-                 let eng = Cluster.engine c i in
-                 match
-                   Result.bind
-                     (Journal.parse_string (Buffer.contents bufs.(i)))
-                     Replay.run
-                 with
-                 | Error _ -> false
-                 | Ok o ->
-                   o.Replay.consistency_ok
-                   && o.Replay.final_makespan = Engine.makespan eng
-                   && o.Replay.final_jobs = Engine.job_count eng)
-               (Array.init shards Fun.id))
-        [ 1; 2; 8 ])
+      let seq_bufs, seq_journal_for = buffer_journals shards in
+      let seq = Cluster.create ~journal_for:seq_journal_for ~m ~shards () in
+      apply_to_cluster seq events;
+      let seq_moves = Cluster.rebalance seq ~k in
+      journals_replay seq seq_bufs
+      && List.for_all
+           (fun domains ->
+             let bufs, journal_for = buffer_journals shards in
+             let c = Cluster.create ~journal_for ~m ~shards ~domains () in
+             apply_to_cluster c events;
+             let par_moves = Cluster.rebalance c ~k in
+             (* Before the consistency checks below, which journal. *)
+             let journals_equal =
+               Array.for_all2 (fun a b -> Buffer.contents a = Buffer.contents b) bufs seq_bufs
+             in
+             let state_equal =
+               Cluster.loads c = Cluster.loads seq
+               && Cluster.makespan c = Cluster.makespan seq
+               && Cluster.job_count c = Cluster.job_count seq
+               && par_moves = seq_moves
+               && Cluster.stats c = Cluster.stats seq
+               && Cluster.shard_stats c = Cluster.shard_stats seq
+               && List.for_all
+                    (fun id -> Cluster.shard_of c id = Cluster.shard_of seq id)
+                    (List.init 25 (Printf.sprintf "j%d"))
+               && Cluster.check_consistency c ~k
+               && Cluster.check_consistency c ~k:max_int
+             in
+             Cluster.shutdown c;
+             state_equal && journals_equal && journals_replay c bufs)
+           [ 1; 2; 8 ])
 
 (* The reply stream a client sees — every acknowledgement's [makespan=]
-   field included — is the sequential router's, line for line, when the
-   same script is sent one line at a time. The READY banners differ
-   only by the parallel target's [domains=] field; they are compared
-   with it dropped, before the script and after it (a loaded cluster's
-   banner reports a non-trivial makespan). *)
+   field included — is the inline executor's, line for line, whether
+   the script is sent one line at a time or pipelined (batched through
+   [Cluster.apply_bulk]). The READY banners differ only by the
+   [domains=] field worker domains add; they are compared with it
+   dropped, before the script and after it (a loaded cluster's banner
+   reports a non-trivial makespan). *)
 let script_gen =
   let open QCheck2 in
   Gen.(
@@ -171,21 +167,27 @@ let transcript target script =
   in
   (first :: replies) @ [ banner () ]
 
+let pipelined target script = fst (Protocol.handle_lines target script)
+
 let prop_protocol_replies_match =
   QCheck2.Test.make
-    ~name:"Parallel protocol replies = sequential Cluster replies for D in {1,2,8}"
+    ~name:"Parallel protocol replies = sequential inline Cluster replies for D in {1,2,8}"
     ~count:40
     ~print:QCheck2.Print.(pair int (list string))
     script_gen
     (fun (m, script) ->
       let shards = 8 in
-      let expected = transcript (Protocol.Cluster (Shard.create ~m ~shards ())) script in
+      let expected = transcript (Protocol.Cluster (Cluster.create ~m ~shards ())) script in
+      let expected_piped = pipelined (Protocol.Cluster (Cluster.create ~m ~shards ())) script in
       List.for_all
         (fun domains ->
           let c = Cluster.create ~m ~shards ~domains () in
           let got = transcript (Protocol.Parallel c) script in
           Cluster.shutdown c;
-          got = expected)
+          let c = Cluster.create ~m ~shards ~domains () in
+          let got_piped = pipelined (Protocol.Parallel c) script in
+          Cluster.shutdown c;
+          got = expected && got_piped = expected_piped)
         [ 1; 2; 8 ])
 
 (* --- mailbox ------------------------------------------------------------- *)
@@ -270,7 +272,7 @@ let test_move_commits () =
   check_int "one recorded transfer" 1 (List.length moves);
   check Alcotest.(option int) "directory follows the move" (Some dst)
     (Cluster.shard_of c "big");
-  check_int "inter_moves counted" 1 (Cluster.stats c).Shard.inter_moves;
+  check_int "inter_moves counted" 1 (Cluster.stats c).Cluster.inter_moves;
   check_bool "consistent after commit" true (Cluster.check_consistency c ~k:8);
   check Alcotest.(result (list unit) string) "move to own shard is a no-op" (Ok [])
     (Result.map (List.map ignore) (Cluster.move c ~id:"big" ~dst));
@@ -294,7 +296,7 @@ let test_move_crash_rolls_back () =
     (Cluster.shard_of c "big");
   check_int "no job lost" before_jobs (Cluster.job_count c);
   check_int "load restored" before_peak (Cluster.makespan c);
-  check_int "rolled-back transfer not counted" 0 (Cluster.stats c).Shard.inter_moves;
+  check_int "rolled-back transfer not counted" 0 (Cluster.stats c).Cluster.inter_moves;
   check_bool "consistent after rollback" true (Cluster.check_consistency c ~k:8);
   (* The id is fully settled: ordinary traffic proceeds. *)
   ignore (ok (Cluster.resize_job c ~id:"big" ~size:50));
@@ -359,20 +361,32 @@ let test_concurrent_drivers () =
   Cluster.shutdown c;
   check_bool "every journal from the concurrent run replays" true (replayable bufs)
 
+(* Both executors refuse work and raise on inspection once shut down. *)
 let test_shutdown_semantics () =
-  let c = Cluster.create ~m:4 ~shards:2 () in
-  ignore (ok (Cluster.add_job c ~id:"x" ~size:5));
-  Cluster.shutdown c;
-  Cluster.shutdown c (* idempotent *);
-  (match Cluster.add_job c ~id:"y" ~size:1 with
-  | Ok _ -> Alcotest.fail "accepted work after shutdown"
-  | Error e -> check Alcotest.string "reports shutdown" "cluster is shut down" e);
-  Alcotest.check_raises "inspection raises after shutdown" Cluster.Shut_down (fun () ->
-      ignore (Cluster.query c 0 Engine.makespan));
-  check_int "makespan returns the final value after shutdown" 5 (Cluster.makespan c);
-  (* The engines themselves remain readable — the replay-audit path. *)
-  check_int "post-shutdown engine access" 1
-    (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1))
+  List.iter
+    (fun domains ->
+      let c = Cluster.create ~m:4 ~shards:2 ~domains () in
+      ignore (ok (Cluster.add_job c ~id:"x" ~size:5));
+      Cluster.shutdown c;
+      Cluster.shutdown c (* idempotent *);
+      (match Cluster.add_job c ~id:"y" ~size:1 with
+      | Ok _ -> Alcotest.fail "accepted work after shutdown"
+      | Error e -> check Alcotest.string "reports shutdown" "cluster is shut down" e);
+      let shut = ref [] in
+      Cluster.apply_bulk c ~on_result:(fun _ _ r -> shut := r :: !shut)
+        [| Engine.Add { id = "z"; size = 1 } |];
+      check Alcotest.(list (result unit string)) "batched work refused"
+        [ Error "cluster is shut down" ]
+        (List.map (Result.map ignore) !shut);
+      Alcotest.check_raises "inspection raises after shutdown" Cluster.Shut_down (fun () ->
+          ignore (Cluster.query c 0 Engine.makespan));
+      Alcotest.check_raises "stats raise after shutdown" Cluster.Shut_down (fun () ->
+          ignore (Cluster.stats c));
+      check_int "makespan returns the final value after shutdown" 5 (Cluster.makespan c);
+      (* The engines themselves remain readable — the replay-audit path. *)
+      check_int "post-shutdown engine access" 1
+        (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1)))
+    [ 0; 2 ]
 
 (* --- the published makespan --------------------------------------------- *)
 
@@ -458,13 +472,21 @@ let test_mailbox_task_budget () =
   Cluster.shutdown c
 
 let test_create_validation () =
-  Alcotest.check_raises "zero domains"
-    (Invalid_argument "Cluster: need at least one domain") (fun () ->
-      ignore (Cluster.create ~m:4 ~shards:2 ~domains:0 ()));
+  Alcotest.check_raises "negative domains"
+    (Invalid_argument "Cluster: negative domain count") (fun () ->
+      ignore (Cluster.create ~m:4 ~shards:2 ~domains:(-1) ()));
+  (* Zero domains is the inline executor, and the default. *)
+  List.iter
+    (fun c ->
+      check_int "inline: no worker domain" 0 (Cluster.domain_count c);
+      ignore (ok (Cluster.add_job c ~id:"x" ~size:3));
+      check_int "inline cluster serves" 3 (Cluster.makespan c);
+      Cluster.shutdown c)
+    [ Cluster.create ~m:4 ~shards:2 ~domains:0 (); Cluster.create ~m:4 ~shards:2 () ];
   Alcotest.check_raises "zero capacity"
     (Invalid_argument "Cluster.create: need a positive mailbox capacity") (fun () ->
       ignore (Cluster.create ~m:4 ~shards:2 ~mailbox_capacity:0 ()));
-  (* Domains clamp to the shard count; uneven splits match Shard. *)
+  (* Domains clamp to the shard count; uneven splits go to the first shards. *)
   let c = Cluster.create ~m:7 ~shards:3 ~domains:64 () in
   check_int "domains clamped to shards" 3 (Cluster.domain_count c);
   check_int "offsets partition" 3 (Cluster.offset c 1);
@@ -476,7 +498,7 @@ let test_create_validation () =
   let e0 = Engine.create ~m:1 () and e1 = Engine.create ~m:1 () in
   ignore (Engine.add_job e0 ~id:"x" ~size:5);
   ignore (Engine.add_job e1 ~id:"x" ~size:7);
-  match Cluster.of_engines ~shards:2 (fun i -> if i = 0 then e0 else e1) with
+  match Cluster.of_engines ~domains:2 ~shards:2 (fun i -> if i = 0 then e0 else e1) with
   | Ok c ->
     Cluster.shutdown c;
     Alcotest.fail "duplicate residency accepted"

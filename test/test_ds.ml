@@ -1,63 +1,12 @@
-(* Data-structure tests: heap ordering against List.sort, indexed-heap
-   decrease-key behaviour, and the Sorted_jobs binary searches against a
-   brute-force reference. *)
+(* Data-structure tests: indexed-heap decrease-key behaviour, and the
+   Sorted_jobs binary searches against a brute-force reference. *)
 
-module Heap = Rebal_ds.Heap
 module Indexed_heap = Rebal_ds.Indexed_heap
 module Sorted_jobs = Rebal_ds.Sorted_jobs
 module Rng = Rebal_workloads.Rng
 
-module Int_heap = Heap.Make (Int)
-
 let check = Alcotest.check
 let check_int = check Alcotest.int
-
-let test_heap_sorts () =
-  let rng = Rng.create 1 in
-  for _ = 1 to 200 do
-    let n = Rng.int_range rng 0 50 in
-    let xs = List.init n (fun _ -> Rng.int_range rng (-100) 100) in
-    let h = Int_heap.of_list xs in
-    check (Alcotest.list Alcotest.int) "heap drains sorted"
-      (List.sort compare xs)
-      (Int_heap.to_sorted_list h);
-    Alcotest.(check bool) "empty after drain" true (Int_heap.is_empty h)
-  done
-
-let test_heap_interleaved () =
-  let rng = Rng.create 2 in
-  let h = Int_heap.create () in
-  let reference = ref [] in
-  for _ = 1 to 2000 do
-    if Rng.bool rng || !reference = [] then begin
-      let x = Rng.int_range rng 0 1000 in
-      Int_heap.add h x;
-      reference := x :: !reference
-    end
-    else begin
-      let expected = List.fold_left min max_int !reference in
-      let got = Int_heap.pop_exn h in
-      check_int "interleaved min" expected got;
-      let removed = ref false in
-      reference :=
-        List.filter
-          (fun v ->
-            if v = expected && not !removed then begin
-              removed := true;
-              false
-            end
-            else true)
-          !reference
-    end
-  done;
-  check_int "sizes agree" (List.length !reference) (Int_heap.length h)
-
-let test_heap_empty_ops () =
-  let h = Int_heap.create () in
-  Alcotest.(check (option int)) "pop empty" None (Int_heap.pop h);
-  Alcotest.(check (option int)) "min empty" None (Int_heap.min h);
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Int_heap.pop_exn h))
 
 let test_indexed_heap_updates () =
   let rng = Rng.create 3 in
@@ -226,12 +175,6 @@ let test_sorted_jobs_min_removals () =
 let () =
   Alcotest.run "rebal_ds"
     [
-      ( "heap",
-        [
-          Alcotest.test_case "drains sorted" `Quick test_heap_sorts;
-          Alcotest.test_case "interleaved ops vs model" `Quick test_heap_interleaved;
-          Alcotest.test_case "empty-heap operations" `Quick test_heap_empty_ops;
-        ] );
       ( "indexed_heap",
         [
           Alcotest.test_case "set/remove/min vs model" `Quick test_indexed_heap_updates;

@@ -8,7 +8,6 @@ module Assignment = Rebal_core.Assignment
 module Budget = Rebal_core.Budget
 module Lower_bounds = Rebal_core.Lower_bounds
 module Io = Rebal_core.Io
-module Heap = Rebal_ds.Heap
 module Sorted_jobs = Rebal_ds.Sorted_jobs
 module Greedy = Rebal_algo.Greedy
 module M_partition = Rebal_algo.M_partition
@@ -42,19 +41,6 @@ let medium = instance_with_k_gen ~max_n:60 ~max_m:8 ~max_size:200
 let count = 200
 
 (* --- data-structure properties ------------------------------------------ *)
-
-module Int_heap = Heap.Make (Int)
-
-let prop_heap_sorts =
-  Test.make ~name:"heap drains in sorted order" ~count
-    Gen.(list_size (int_range 0 60) (int_range (-1000) 1000))
-    (fun xs -> Int_heap.to_sorted_list (Int_heap.of_list xs) = List.sort compare xs)
-
-let prop_heap_min_is_minimum =
-  Test.make ~name:"heap min equals list minimum" ~count
-    Gen.(list_size (int_range 1 60) (int_range (-1000) 1000))
-    (fun xs ->
-      Int_heap.min_exn (Int_heap.of_list xs) = List.fold_left min max_int xs)
 
 let prop_sorted_jobs_partition_identity =
   Test.make ~name:"sorted view: prefix + suffix = total" ~count
@@ -239,8 +225,6 @@ let () =
       ( "datastructs",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_heap_sorts;
-            prop_heap_min_is_minimum;
             prop_sorted_jobs_partition_identity;
             prop_sorted_jobs_large_prefix;
           ] );
