@@ -12,7 +12,7 @@ module Dist = Rebal_workloads.Dist
 module Gen = Rebal_workloads.Gen
 module Rng = Rebal_workloads.Rng
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
+module Optrace = Rebal_obs.Optrace
 module Expo = Rebal_obs.Expo
 module Journal = Rebal_obs.Journal
 module Replay = Rebal_online.Replay
@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.10.0"
+let version = "1.13.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -526,20 +526,23 @@ let profile_cmd =
   in
   let run algo n m k dist format out seed =
     let k = match k with Some k -> k | None -> max 1 (n / 10) in
-    Rebal_obs.Control.set_enabled true;
     let reg = Metrics.Registry.create () in
     Metrics.Registry.with_registry reg @@ fun () ->
-    Trace.reset ();
     let hc = Indexed_heap.fresh_counters () in
     Indexed_heap.install_counters hc;
     Fun.protect ~finally:Indexed_heap.remove_counters @@ fun () ->
     let rng = Rng.create seed in
     let dist = Dist.prepare dist in
     let inst = Gen.random rng ~n ~m ~dist ~cost:Gen.Unit () in
+    (* One traced op around the solve: the solver's phase spans are its
+       children, and they are the tree printed below. *)
+    Optrace.reset ();
+    Optrace.set_sample_every 1;
     let assignment =
-      match algo with
-      | `Greedy -> Rebal_algo.Greedy.solve inst ~k
-      | `M_partition -> Rebal_algo.M_partition.solve inst ~k
+      Optrace.with_op ~verb:"profile" (fun () ->
+          match algo with
+          | `Greedy -> Rebal_algo.Greedy.solve inst ~k
+          | `M_partition -> Rebal_algo.M_partition.solve inst ~k)
     in
     flush_heap_counters hc;
     match format with
@@ -551,7 +554,10 @@ let profile_cmd =
            m k
            (Assignment.makespan inst assignment)
            (Instance.initial_makespan inst));
-      List.iter (fun sp -> Buffer.add_string b (Trace.render_tree sp)) (Trace.finished ());
+      List.iter
+        (fun (op : Optrace.tree) ->
+          List.iter (fun sp -> Buffer.add_string b (Optrace.render_tree sp)) op.children)
+        (Optrace.assemble (Optrace.recorded ()));
       Buffer.add_char b '\n';
       Buffer.add_string b (Rebal_harness.Table.render (counter_table reg));
       (match out with
@@ -599,7 +605,6 @@ let serve_cmd =
   let module Protocol = Rebal_online.Protocol in
   let module Server = Rebal_net.Server in
   let module Http = Rebal_net.Http in
-  let module Optrace = Rebal_obs.Optrace in
   let module Tsdb = Rebal_obs.Tsdb in
   let module Alerts = Rebal_obs.Alerts in
   let procs =
@@ -624,11 +629,12 @@ let serve_cmd =
   let domains =
     Arg.(
       value
-      & opt (some int) None
+      & opt int 0
       & info [ "domains" ] ~docv:"D"
           ~doc:
             "Run the shard engines on $(docv) parallel worker domains (clamped to \
-             --shards; shard $(i,i) is owned by domain $(i,i) mod $(docv)). Each shard's \
+             --shards; shard $(i,i) is owned by domain $(i,i) mod $(docv)); 0, the \
+             default, runs them inline on the calling thread. Each shard's \
              engine, journal and metrics are confined to its owner domain behind a bounded \
              command mailbox; cross-shard rebalancing uses journaled two-phase transfers, \
              so per-shard journals stay individually replayable.")
@@ -862,11 +868,10 @@ let serve_cmd =
       Printf.eprintf "error: --supervise needs --shards >= 2 (failover needs survivors)\n";
       exit 1
     end;
-    (match domains with
-    | Some d when d < 1 ->
-      Printf.eprintf "error: --domains must be positive (got %d)\n" d;
+    if domains < 0 then begin
+      Printf.eprintf "error: --domains must be non-negative (got %d)\n" domains;
       exit 1
-    | _ -> ());
+    end;
     if tcp <> None && socket <> None then begin
       Printf.eprintf "error: give at most one of --tcp and --socket\n";
       exit 1
@@ -966,7 +971,7 @@ let serve_cmd =
       | Some base -> journaled_engine ~m:m_i (shard_journal_path base i)
     in
     let target =
-      if shards = 1 && domains = None then
+      if shards = 1 && domains = 0 then
         Protocol.Single
           (match journal_file with
           | None -> fresh_engine ~m:procs ()
@@ -975,7 +980,7 @@ let serve_cmd =
         (* The sharded runtime, inline or on --domains worker domains:
            engines built per shard by the cluster so each binds (metric
            handles, journal drop counters) to its owner's registry. *)
-        match Cluster.of_engines ?domains ~shards shard_engine with
+        match Cluster.of_engines ~domains ~shards shard_engine with
         | Ok c when supervise ->
           let config =
             {

@@ -3,7 +3,7 @@ module Assignment = Rebal_core.Assignment
 module Sorted_jobs = Rebal_ds.Sorted_jobs
 module Indexed_heap = Rebal_ds.Indexed_heap
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
+module Optrace = Rebal_obs.Optrace
 
 type insertion_order =
   | As_removed
@@ -74,21 +74,21 @@ let removal_phase_makespan inst ~k =
 
 let solve ?(order = Descending) inst ~k =
   Metrics.Counter.inc (metric_solves ());
-  Trace.with_span "greedy.solve"
+  Optrace.with_span "greedy.solve"
     ~attrs:
       [
-        ("n", Trace.Int (Instance.n inst));
-        ("m", Trace.Int (Instance.m inst));
-        ("k", Trace.Int (min k (Instance.n inst)));
+        ("n", string_of_int (Instance.n inst));
+        ("m", string_of_int (Instance.m inst));
+        ("k", string_of_int (min k (Instance.n inst)));
       ]
     (fun () ->
       let removed, load =
-        Trace.with_span "greedy.removal" (fun () ->
+        Optrace.with_span "greedy.removal" (fun () ->
             let removed, load = removal_phase inst ~k in
-            Trace.add_attr "removed" (Trace.Int (List.length removed));
+            Optrace.add_attr "removed" (string_of_int (List.length removed));
             (removed, load))
       in
-      Trace.with_span "greedy.reinsert" (fun () ->
+      Optrace.with_span "greedy.reinsert" (fun () ->
           let comparisons = ref 0 in
           let removed =
             match order with

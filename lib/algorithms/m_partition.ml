@@ -3,7 +3,7 @@ module Budget = Rebal_core.Budget
 module Lower_bounds = Rebal_core.Lower_bounds
 module Sorted_jobs = Rebal_ds.Sorted_jobs
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
+module Optrace = Rebal_obs.Optrace
 
 let algo_labels = [ ("algo", "m-partition") ]
 
@@ -58,20 +58,20 @@ type scan_stats = {
 let solve_with_stats inst ~k =
   if k < 0 then invalid_arg "M_partition: negative k";
   Metrics.Counter.inc (metric_solves ());
-  Trace.with_span "m_partition.solve"
+  Optrace.with_span "m_partition.solve"
     ~attrs:
       [
-        ("n", Trace.Int (Instance.n inst));
-        ("m", Trace.Int (Instance.m inst));
-        ("k", Trace.Int (min k (Instance.n inst)));
+        ("n", string_of_int (Instance.n inst));
+        ("m", string_of_int (Instance.m inst));
+        ("k", string_of_int (min k (Instance.n inst)));
       ]
   @@ fun () ->
   let views = Instance.sorted_views inst in
   let lb = Lower_bounds.best inst ~budget:(Budget.Moves k) in
   let candidates =
-    Trace.with_span "m_partition.candidates" (fun () ->
+    Optrace.with_span "m_partition.candidates" (fun () ->
         let cs = candidate_thresholds inst in
-        Trace.add_attr "candidates" (Trace.Int (Array.length cs));
+        Optrace.add_attr "candidates" (string_of_int (Array.length cs));
         cs)
   in
   Metrics.Counter.add (metric_candidates ()) (Array.length candidates);
@@ -85,12 +85,12 @@ let solve_with_stats inst ~k =
   let finish plan t =
     Metrics.Counter.add (metric_tried ()) !tried;
     Metrics.Counter.add (metric_scan_steps ()) !scan_steps;
-    Trace.add_attr "tried" (Trace.Int !tried);
-    Trace.add_attr "accepted" (Trace.Int t);
+    Optrace.add_attr "tried" (string_of_int !tried);
+    Optrace.add_attr "accepted" (string_of_int t);
     ( Partition.build inst ~views plan,
       { candidates = Array.length candidates; tried = !tried; accepted = t; lower_bound = lb } )
   in
-  Trace.with_span "m_partition.scan" @@ fun () ->
+  Optrace.with_span "m_partition.scan" @@ fun () ->
   (* Try the lower bound itself first (it need not be a candidate value),
      then every candidate above it in increasing order. The scan always
      terminates: at the initial makespan — which is a suffix sum, hence a

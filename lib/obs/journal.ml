@@ -131,19 +131,26 @@ let escape_string b s =
     s;
   Fb.put_char b '"'
 
+(* The text codec's scalars, one writer each ([Fb.put_int] and
+   [escape_string] cover ints and strings); [render_into] and the
+   streamed [Emit] writers both go through them. *)
+let render_bool b v = Fb.put_string b (if v then "true" else "false")
+
+let render_float b f =
+  reject_non_finite f;
+  (* %.17g round-trips every finite binary64 through
+     [float_of_string] exactly. *)
+  let s = Printf.sprintf "%.17g" f in
+  Fb.put_string b s;
+  (* "2" would parse back as Int; force a float marker. *)
+  if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
+    Fb.put_string b ".0"
+
 let rec render_into b = function
   | Null -> Fb.put_string b "null"
-  | Bool v -> Fb.put_string b (if v then "true" else "false")
+  | Bool v -> render_bool b v
   | Int i -> Fb.put_int b i
-  | Float f ->
-    reject_non_finite f;
-    (* %.17g round-trips every finite binary64 through
-       [float_of_string] exactly. *)
-    let s = Printf.sprintf "%.17g" f in
-    Fb.put_string b s;
-    (* "2" would parse back as Int; force a float marker. *)
-    if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
-      Fb.put_string b ".0"
+  | Float f -> render_float b f
   | Str s -> escape_string b s
   | List xs ->
     Fb.ensure b 1;
@@ -434,31 +441,41 @@ let put_key b k =
   put_uvarint b (String.length k);
   Fb.put_string b k
 
+(* The binary codec's scalars, one writer each; [encode_value], the
+   event prelude and the streamed [Emit] writers all go through them. *)
+let encode_bool b v =
+  Fb.ensure b 2;
+  Fb.put_byte b 0x01;
+  Fb.put_byte b (if v then 0x01 else 0x00)
+
+let encode_int b i =
+  (* Zigzag maps the sign bit into bit 0 so small magnitudes of either
+     sign stay one byte. *)
+  Fb.ensure b 11;
+  Fb.put_byte b 0x02;
+  put_uvarint b ((i lsl 1) lxor (i asr 62))
+
+let encode_float b f =
+  reject_non_finite f;
+  Fb.ensure b 9;
+  Fb.put_byte b 0x03;
+  Bytes.set_int64_le b.Fb.b b.Fb.pos (Int64.bits_of_float f);
+  b.Fb.pos <- b.Fb.pos + 8
+
+let encode_str b s =
+  Fb.ensure b 10;
+  Fb.put_byte b 0x04;
+  put_uvarint b (String.length s);
+  Fb.put_string b s
+
 let rec encode_value b = function
   | Null ->
     Fb.ensure b 1;
     Fb.put_byte b 0x00
-  | Bool v ->
-    Fb.ensure b 2;
-    Fb.put_byte b 0x01;
-    Fb.put_byte b (if v then 0x01 else 0x00)
-  | Int i ->
-    (* Zigzag maps the sign bit into bit 0 so small magnitudes of either
-       sign stay one byte. *)
-    Fb.ensure b 11;
-    Fb.put_byte b 0x02;
-    put_uvarint b ((i lsl 1) lxor (i asr 62))
-  | Float f ->
-    reject_non_finite f;
-    Fb.ensure b 9;
-    Fb.put_byte b 0x03;
-    Bytes.set_int64_le b.Fb.b b.Fb.pos (Int64.bits_of_float f);
-    b.Fb.pos <- b.Fb.pos + 8
-  | Str s ->
-    Fb.ensure b 10;
-    Fb.put_byte b 0x04;
-    put_uvarint b (String.length s);
-    Fb.put_string b s
+  | Bool v -> encode_bool b v
+  | Int i -> encode_int b i
+  | Float f -> encode_float b f
+  | Str s -> encode_str b s
   | List xs ->
     Fb.ensure b 11;
     Fb.put_byte b 0x05;
@@ -548,14 +565,12 @@ let encode_payload json =
   encode_value b json;
   Fb.contents b
 
-(* ----- the emit fast path -----
+(* ----- event preludes -----
 
-   [emit] runs once per engine event; building an [event] record, an
-   [event_obj] and its filtered field list just to tear them down again
-   dominated journaling cost (measured ~2x of the whole emit). These
-   encoders write the reserved triple and the caller's fields straight
-   into the writer — byte-identical to [encode_value (event_obj e)] /
-   [render_into (event_obj e)], which the codec tests pin down.
+   Every event opens with the reserved triple, written straight into
+   the writer; with the fields [Emit] appends, the bytes equal
+   [encode_value (event_obj e)] / [render_into (event_obj e)], which
+   the codec tests pin down.
 
    [is_reserved] dispatches on the first character before paying for a
    full string compare: three compares per field added up to ~20% of
@@ -578,40 +593,15 @@ let count_unreserved fields =
   go 0 fields
 
 let encode_event_prelude b ~seq ~ts_ns ~kind ~count =
-  Fb.ensure b 64;
+  Fb.ensure b 11;
   Fb.put_byte b 0x06;
   put_uvarint b (3 + count);
-  put_uvarint b 3;
-  Fb.put_string b "seq";
-  Fb.ensure b 11;
-  Fb.put_byte b 0x02;
-  put_uvarint b ((seq lsl 1) lxor (seq asr 62));
-  Fb.ensure b 6;
-  put_uvarint b 5;
-  Fb.put_string b "ts_ns";
-  Fb.ensure b 11;
-  Fb.put_byte b 0x02;
-  put_uvarint b ((ts_ns lsl 1) lxor (ts_ns asr 62));
-  Fb.ensure b 3;
-  put_uvarint b 2;
-  Fb.put_string b "ev";
-  Fb.ensure b 10;
-  Fb.put_byte b 0x04;
-  put_uvarint b (String.length kind);
-  Fb.put_string b kind
-
-let encode_event_into b ~seq ~ts_ns ~kind fields =
-  encode_event_prelude b ~seq ~ts_ns ~kind ~count:(count_unreserved fields);
-  let rec go = function
-    | [] -> ()
-    | (k, v) :: tl ->
-      if not (is_reserved k) then begin
-        put_key b k;
-        encode_value b v
-      end;
-      go tl
-  in
-  go fields
+  put_key b "seq";
+  encode_int b seq;
+  put_key b "ts_ns";
+  encode_int b ts_ns;
+  put_key b "ev";
+  encode_str b kind
 
 let render_event_prelude b ~seq ~ts_ns ~kind =
   Fb.put_string b "{\"seq\":";
@@ -620,25 +610,6 @@ let render_event_prelude b ~seq ~ts_ns ~kind =
   Fb.put_int b ts_ns;
   Fb.put_string b ",\"ev\":";
   escape_string b kind
-
-let render_event_into b ~seq ~ts_ns ~kind fields =
-  render_event_prelude b ~seq ~ts_ns ~kind;
-  let rec go = function
-    | [] -> ()
-    | (k, v) :: tl ->
-      if not (is_reserved k) then begin
-        Fb.ensure b 1;
-        Fb.put_char b ',';
-        escape_string b k;
-        Fb.ensure b 1;
-        Fb.put_char b ':';
-        render_into b v
-      end;
-      go tl
-  in
-  go fields;
-  Fb.ensure b 1;
-  Fb.put_char b '}'
 
 (* ----- sinks ----- *)
 
@@ -793,53 +764,22 @@ let write_header sink ~journal meta =
       push_payload sink (Fb.contents sink.scratch)
   end
 
-let emit sink ~kind fields =
-  if sink.stream_open then
-    invalid_arg "Journal.emit: a streamed event is open on this sink";
-  let seq = sink.next_seq in
-  let ts_ns = Int64.to_int (sink.clock_ns ()) in
-  (* Encode before committing the sequence number: a rejected event (a
-     non-finite float) leaves the sink unperturbed instead of burning a
-     seq and tearing a hole replay would trip on. *)
-  let payload =
-    try
-      Fb.clear sink.scratch;
-      (match sink.format with
-      | Jsonl -> render_event_into sink.scratch ~seq ~ts_ns ~kind fields
-      | Binary -> encode_event_into sink.scratch ~seq ~ts_ns ~kind fields);
-      Fb.contents sink.scratch
-    with Encode_error msg ->
-      raise
-        (Encode_error
-           (Printf.sprintf "line %d (event seq %d, ev %S): %s"
-              (sink.ring_written + 1) seq kind msg))
-  in
-  sink.next_seq <- seq + 1;
-  match sink.format with
-  | Jsonl -> push_line sink payload
-  | Binary -> push_payload sink payload
+(* ----- emission -----
 
-(* ----- streamed emission -----
-
-   [emit] still allocates its argument: a [(string * value) list] with a
-   boxed [value] per field, built once per event and immediately
-   garbage. On the engine's per-op hot path that list is most of the
-   remaining journaling cost. [Emit] writes fields straight into the
-   sink's scratch writer instead — the caller declares the field count
-   up front (it goes in the binary object header) and then pushes each
-   field with a monomorphic call, so a steady-state event allocates
-   nothing but the final payload string.
-
-   Byte identity with [emit] is pinned by the codec tests: the prelude
-   comes from the same [encode_event_prelude]/[render_event_prelude],
-   and each field encoder mirrors the corresponding [encode_value] /
-   [render_into] branch exactly.
+   One encode path per codec. [Emit] writes fields straight into the
+   sink's scratch writer — the caller declares the field count up front
+   (it goes in the binary object header) and then pushes each field
+   with a monomorphic call, so a steady-state event allocates nothing
+   but the final payload string. [emit] is the same protocol driven
+   from a field list: [Emit.start], one [Emit.value] per unreserved
+   field, [Emit.finish].
 
    Contract: [start] .. exactly [fields] field calls .. [finish].
    Misuse (double start, wrong arity, reserved key) raises
    [Invalid_argument]. A non-finite float raises [Encode_error] with
-   line/seq context, aborts the whole event and burns no seq — the
-   same recovery story as [emit]. *)
+   line/seq context, aborts the whole event and burns no seq: the
+   sequence number is committed only by [finish], so a rejected event
+   cannot tear a hole replay would trip on. *)
 
 let stream_error sink msg =
   sink.stream_open <- false;
@@ -886,53 +826,37 @@ module Emit = struct
 
   let int sink k v =
     field_key sink k;
-    let b = sink.scratch in
     match sink.format with
-    | Binary ->
-      Fb.ensure b 11;
-      Fb.put_byte b 0x02;
-      put_uvarint b ((v lsl 1) lxor (v asr 62))
-    | Jsonl -> Fb.put_int b v
+    | Binary -> encode_int sink.scratch v
+    | Jsonl -> Fb.put_int sink.scratch v
 
   let str sink k v =
     field_key sink k;
-    let b = sink.scratch in
     match sink.format with
-    | Binary ->
-      Fb.ensure b 10;
-      Fb.put_byte b 0x04;
-      put_uvarint b (String.length v);
-      Fb.put_string b v
-    | Jsonl -> escape_string b v
+    | Binary -> encode_str sink.scratch v
+    | Jsonl -> escape_string sink.scratch v
 
   let bool sink k v =
     field_key sink k;
-    let b = sink.scratch in
     match sink.format with
-    | Binary ->
-      Fb.ensure b 2;
-      Fb.put_byte b 0x01;
-      Fb.put_byte b (if v then 1 else 0)
-    | Jsonl -> Fb.put_string b (if v then "true" else "false")
+    | Binary -> encode_bool sink.scratch v
+    | Jsonl -> render_bool sink.scratch v
 
   let float sink k v =
-    if not (Float.is_finite v) then
-      stream_error sink
-        (Printf.sprintf "non-finite float %s has no journal encoding"
-           (Float.to_string v));
     field_key sink k;
-    let b = sink.scratch in
-    match sink.format with
-    | Binary ->
-      Fb.ensure b 9;
-      Fb.put_byte b 0x03;
-      Bytes.set_int64_le b.Fb.b b.Fb.pos (Int64.bits_of_float v);
-      b.Fb.pos <- b.Fb.pos + 8
-    | Jsonl ->
-      let s = Printf.sprintf "%.17g" v in
-      Fb.put_string b s;
-      if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
-        Fb.put_string b ".0"
+    try
+      match sink.format with
+      | Binary -> encode_float sink.scratch v
+      | Jsonl -> render_float sink.scratch v
+    with Encode_error msg -> stream_error sink msg
+
+  let value sink k v =
+    field_key sink k;
+    try
+      match sink.format with
+      | Binary -> encode_value sink.scratch v
+      | Jsonl -> render_into sink.scratch v
+    with Encode_error msg -> stream_error sink msg
 
   let finish sink =
     if not sink.stream_open then
@@ -952,6 +876,11 @@ module Emit = struct
     | Jsonl -> push_line sink payload
     | Binary -> push_payload sink payload
 end
+
+let emit sink ~kind fields =
+  Emit.start sink ~kind ~fields:(count_unreserved fields);
+  List.iter (fun (k, v) -> if not (is_reserved k) then Emit.value sink k v) fields;
+  Emit.finish sink
 
 let events_written sink = sink.next_seq
 

@@ -151,14 +151,14 @@ val end_batch : sink -> unit
 (** Flush and close one {!begin_batch} bracket. The flushed bytes are
     identical to what per-event writes would have produced. *)
 
-(** Streamed emission: the zero-intermediate fast path for per-op hot
-    sites. [emit] builds a [(string * json) list] per event — a boxed
-    value per field, immediately garbage. [Emit] writes each field
-    straight into the sink's scratch encoder instead, so a steady-state
-    event allocates nothing but the payload string.
+(** Streamed emission, the one encode path per codec: {!emit} is
+    [start], one {!Emit.value} per unreserved field, then [finish].
+    The typed writers ([int], [str], [bool], [float]) skip the boxed
+    [json] per field, so a steady-state event on a per-op hot site
+    allocates nothing but the payload string.
 
     Protocol: [start sink ~kind ~fields:n], then exactly [n] field
-    calls, then [finish]. The produced bytes are identical to
+    calls, then [finish]. The produced bytes equal
     [emit sink ~kind fields] with the same fields in the same order.
     At most one streamed event may be open per sink; [emit] and
     [write_header] refuse ([Invalid_argument]) while one is open.
@@ -172,6 +172,10 @@ module Emit : sig
   val str : sink -> string -> string -> unit
   val bool : sink -> string -> bool -> unit
   val float : sink -> string -> float -> unit
+
+  val value : sink -> string -> json -> unit
+  (** Any value, nested ones included. *)
+
   val finish : sink -> unit
 end
 

@@ -1,20 +1,22 @@
 module Timer = Rebal_harness.Timer
 
-(* Cross-domain request tracing. Where [Trace] keeps a per-domain stack
-   of nested spans (right for the single-threaded solvers), protocol ops
-   cross threads and domains: a session systhread opens the op, a worker
-   domain runs the engine half, and a two-phase move touches two
-   workers. So spans here are flat records carrying explicit
-   [trace_id]/[span_id]/[parent_id] links, recorded into per-domain ring
-   buffers and stitched back into trees at exposition time — recording
-   never blocks on anything wider than one domain's ring mutex.
+(* The one span system. Protocol ops cross threads and domains: a
+   session systhread opens the op, a worker domain runs the engine half,
+   and a two-phase move touches two workers. So spans are flat records
+   carrying explicit [trace_id]/[span_id]/[parent_id] links, recorded
+   into per-domain ring buffers and stitched back into trees at
+   exposition time — recording never blocks on anything wider than one
+   domain's ring mutex. The solvers' phase spans ([greedy.*],
+   [m_partition.*], [engine.repair]) are ordinary children of whatever
+   op is open: [profile] opens one at sample-every-1.
 
    Cost model: head sampling (1-in-N at the op boundary) decides whether
    an op's spans are recorded at all; ops slower than the tail threshold
    are additionally captured into a bounded slow-op ring whether or not
    they were sampled (an unsampled slow op keeps only its root span —
    the children were never recorded). With both knobs off, [with_op] is
-   [f ()] behind two atomic loads. *)
+   [f ()] behind two atomic loads, and [with_span]/[add_attr] without a
+   carrier behind one. *)
 
 type span = {
   trace_id : int;
@@ -24,7 +26,7 @@ type span = {
   domain : int;  (* domain the span ran on *)
   start_ns : int64;
   mutable stop_ns : int64;
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;
 }
 
 type carrier = {
@@ -67,7 +69,7 @@ let op_counter = Atomic.make 0
 let next_trace () = Atomic.fetch_and_add trace_ids 1
 let next_span () = Atomic.fetch_and_add span_ids 1
 
-(* ----- drop accounting (same counter family as Trace) ----- *)
+(* ----- drop accounting ----- *)
 
 let count_dropped kind =
   Metrics.Counter.inc
@@ -160,42 +162,48 @@ let slow_ops () =
 
 (* ----- the current trace context ----- *)
 
-(* Keyed by (domain, thread), not plain DLS: session systhreads share
-   the control domain's DLS, so a domain-local "current carrier" would
-   leak one session's context into another. The table only ever holds
-   entries for threads inside a sampled op, so it stays tiny and the
-   lock is uncontended unless tracing is busy. *)
+(* The innermost open span of each thread inside a sampled op. Keyed
+   by (domain, thread), not plain DLS: session systhreads share the
+   control domain's DLS, so a domain-local "current span" would leak one
+   session's context into another. The table only ever holds entries
+   for threads inside a sampled op, so it stays tiny and the lock is
+   uncontended unless tracing is busy. *)
 let ctx_mu = Mutex.create ()
-let ctx : (int * int, carrier) Hashtbl.t = Hashtbl.create 64
+let ctx : (int * int, span) Hashtbl.t = Hashtbl.create 64
 
 let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
-let current_carrier () =
+let current_span () =
   Mutex.lock ctx_mu;
-  let c = Hashtbl.find_opt ctx (self_key ()) in
+  let sp = Hashtbl.find_opt ctx (self_key ()) in
   Mutex.unlock ctx_mu;
-  c
+  sp
 
-let set_ctx key v =
-  Mutex.lock ctx_mu;
-  (match v with
-  | None -> Hashtbl.remove ctx key
-  | Some c -> Hashtbl.replace ctx key c);
-  Mutex.unlock ctx_mu
+(* Context is set only inside a sampled op, and a sampled op needs
+   head sampling on: with it off, the lookup (a mutex and a hash probe)
+   is skipped outright, so untraced callers pay one atomic load. *)
+let may_have_context () = Atomic.get sample_every > 0
 
-(* Run [f] with the current context set to [c], restoring on the way
-   out (removing the entry if there was none — dead threads must not
-   leave ghosts in the table). *)
-let with_ctx c f =
+let current_carrier () =
+  if may_have_context () then
+    Option.map (fun sp -> { trace = sp.trace_id; parent = sp.span_id }) (current_span ())
+  else None
+
+(* Run [f] with [sp] as the calling thread's innermost span, restoring
+   the previous one on the way out (removing the entry if there was
+   none — dead threads must not leave ghosts in the table). *)
+let with_ctx sp f =
   let key = self_key () in
-  let saved =
-    Mutex.lock ctx_mu;
-    let s = Hashtbl.find_opt ctx key in
-    Hashtbl.replace ctx key c;
-    Mutex.unlock ctx_mu;
-    s
-  in
-  Fun.protect ~finally:(fun () -> set_ctx key saved) f
+  Mutex.lock ctx_mu;
+  let saved = Hashtbl.find_opt ctx key in
+  Hashtbl.replace ctx key sp;
+  Mutex.unlock ctx_mu;
+  Fun.protect f ~finally:(fun () ->
+      Mutex.lock ctx_mu;
+      (match saved with
+      | None -> Hashtbl.remove ctx key
+      | Some s -> Hashtbl.replace ctx key s);
+      Mutex.unlock ctx_mu)
 
 (* ----- spans ----- *)
 
@@ -231,11 +239,11 @@ let with_op ~verb f =
           { slow_trace = trace_id; slow_verb = verb; slow_duration_ns = dur; slow_finished_ns = stop }
     in
     Fun.protect ~finally:finish @@ fun () ->
-    if sampled then with_ctx { trace = trace_id; parent = span_id } f else f ()
+    if sampled then with_ctx sp f else f ()
   end
 
 let with_span ?carrier ?(attrs = []) name f =
-  let parent = match carrier with Some _ as c -> c | None -> current_carrier () in
+  let parent = match carrier with Some _ -> carrier | None -> current_carrier () in
   match parent with
   | None -> f ()
   | Some { trace; parent } ->
@@ -256,7 +264,15 @@ let with_span ?carrier ?(attrs = []) name f =
       ~finally:(fun () ->
         sp.stop_ns <- now ();
         record sp)
-      (fun () -> with_ctx { trace; parent = span_id } f)
+      (fun () -> with_ctx sp f)
+
+(* The span is the caller's own until it closes, and [record] runs only
+   after [f] returns, so the write never races a reader of the ring. *)
+let add_attr key v =
+  if may_have_context () then
+    match current_span () with
+    | Some sp -> sp.attrs <- sp.attrs @ [ (key, v) ]
+    | None -> ()
 
 let reset () =
   let r = ring () in

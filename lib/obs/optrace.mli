@@ -1,13 +1,17 @@
-(** Cross-domain request tracing with head sampling and tail capture.
+(** Span tracing: cross-domain op traces with head sampling and tail
+    capture, and the solvers' phase spans.
 
-    {!Trace} records a stack of nested spans per domain — right for the
-    single-threaded solvers, useless for a protocol op whose work hops
-    from a session thread over a mailbox to a worker domain (or two, for
-    a cross-shard move). Spans here are {e flat records} with explicit
-    [trace_id]/[span_id]/[parent_id] links: each domain records into its
-    own bounded ring, a {!carrier} travels inside mailbox envelopes to
-    link worker-side spans to the originating op, and {!assemble}
-    stitches the flat records back into causal trees at exposition time.
+    Spans are {e flat records} with explicit
+    [trace_id]/[span_id]/[parent_id] links: each domain records into
+    its own bounded ring, a {!carrier} travels inside mailbox envelopes
+    to link worker-side spans to the originating op, and {!assemble}
+    stitches the flat records back into causal trees at exposition
+    time. A protocol op's work can hop from a session thread over a
+    mailbox to a worker domain (or two, for a cross-shard move) and
+    still read as one tree. The solvers' phase spans ([greedy.*],
+    [m_partition.*], [engine.repair]) are ordinary {!with_span}
+    children of whatever op is open; [rebalance profile] opens one op
+    at sample-every-1 and renders its children.
 
     {b Sampling.} {!with_op} opens a trace at the op boundary. With head
     sampling at 1-in-N ({!set_sample_every}), every Nth op records its
@@ -15,17 +19,19 @@
     ({!set_slow_threshold_ns}) land in a bounded slow-op ring whether or
     not they were sampled — an unsampled slow op keeps only its root
     span, since the children were never recorded. With both knobs off
-    (the default) [with_op] is [f ()] behind two atomic loads, and
-    {!with_span} is [f ()] behind a context lookup that answers [None].
+    (the default) [with_op] is [f ()] behind two atomic loads; with head
+    sampling off, {!with_span} without a carrier and {!add_attr} are
+    [f ()] / a no-op behind one.
 
     {b Concurrency contract.} Span rings are per-domain (mutex-guarded,
     because session systhreads share the control domain's ring); the
     slow-op ring and the id counters are global. The current trace
-    context is keyed by [(domain, thread)] — {e not} plain DLS — so
-    concurrent sessions on the control domain cannot leak context into
-    one another. {!recorded} reads the {e calling} domain's ring; a
-    coordinator wanting worker spans must collect them on the workers
-    (the cluster's [recorded_spans] does exactly this). *)
+    context — the innermost open span — is keyed by
+    [(domain, thread)], {e not} plain DLS, so concurrent sessions on
+    the control domain cannot leak context into one another.
+    {!recorded} reads the {e calling} domain's ring; a coordinator
+    wanting worker spans must collect them on the workers (the
+    cluster's [recorded_spans] does exactly this). *)
 
 type span = {
   trace_id : int;
@@ -35,7 +41,7 @@ type span = {
   domain : int;  (** domain the span ran on *)
   start_ns : int64;
   mutable stop_ns : int64;
-  attrs : (string * string) list;
+  mutable attrs : (string * string) list;  (** see {!add_attr} *)
 }
 
 type carrier = {
@@ -96,6 +102,11 @@ val with_span :
     mailbox-crossing case) or, absent that, the calling thread's
     current context; with neither, [f] runs untraced. Sets the context
     for the duration of [f], so nesting works on worker domains too. *)
+
+val add_attr : string -> string -> unit
+(** Append an attribute to the calling thread's innermost open span —
+    for values known only once the phase has run ([removed], [moves]).
+    A no-op outside a sampled op. *)
 
 val current_carrier : unit -> carrier option
 (** The calling thread's context, to be captured into an envelope at

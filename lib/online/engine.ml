@@ -3,7 +3,7 @@ module Assignment = Rebal_core.Assignment
 module Indexed_heap = Rebal_ds.Indexed_heap
 module Flat_str_map = Rebal_ds.Flat_str_map
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
+module Optrace = Rebal_obs.Optrace
 module Control = Rebal_obs.Control
 module Journal = Rebal_obs.Journal
 module Timer = Rebal_harness.Timer
@@ -513,8 +513,8 @@ let reserve t ~jobs =
 
 let repair ~auto t ~k =
   if k < 0 then invalid_arg "Engine.rebalance: negative k";
-  Trace.with_span "engine.repair"
-    ~attrs:[ ("k", Trace.Int k); ("auto", Trace.Bool auto) ]
+  Optrace.with_span "engine.repair"
+    ~attrs:[ ("k", string_of_int k); ("auto", string_of_bool auto) ]
   @@ fun () ->
   (* Decision-time context for the journal, captured before any load
      changes. Both reads are O(1); skipped entirely when not journaling. *)
@@ -610,7 +610,7 @@ let repair ~auto t ~k =
   t.c.moved <- t.c.moved + n_moves;
   t.c.last_rebalance_moves <- n_moves;
   Metrics.Histogram.observe t.obs.moves_per_rebalance (float_of_int n_moves);
-  Trace.add_attr "moves" (Trace.Int n_moves);
+  Optrace.add_attr "moves" (string_of_int n_moves);
   t.events_since_repair <- 0;
   t.last_repair <- t.clock ();
   (match decision with

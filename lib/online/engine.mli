@@ -20,7 +20,9 @@
     [rebal_engine_moves_per_rebalance]) in the registry current at
     {!create} time. Moves-per-rebalance is always observed (no clock
     involved); per-op latency needs two monotonic clock reads and is
-    recorded only while [Rebal_obs.Control.enabled ()] is true.
+    recorded only while [Rebal_obs.Control.enabled ()] is true. Each
+    repair pass is an [engine.repair] [Rebal_obs.Optrace] span
+    (attributes [k], [auto], [moves]) under the sampled op that ran it.
 
     The flight recorder: attach a [Rebal_obs.Journal] sink (at {!create}
     or with {!set_journal}) and the engine writes a ["rebal-engine"]

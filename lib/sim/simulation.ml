@@ -3,7 +3,6 @@ module Assignment = Rebal_core.Assignment
 module Verify = Rebal_core.Verify
 module Stats = Rebal_harness.Stats
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
 module Control = Rebal_obs.Control
 module Journal = Rebal_obs.Journal
 module Timer = Rebal_harness.Timer
@@ -108,15 +107,6 @@ let run ?(fault = Fault.none) ?(recovery_threshold = 1.5) ?journal traffic
   let m_failed_moves = metric_moves policy "failed" in
   let m_emergency_moves = metric_moves policy "emergency" in
   let m_latency = metric_policy_latency policy in
-  Trace.with_span "simulation.run"
-    ~attrs:
-      [
-        ("policy", Trace.Str (Policy.name policy));
-        ("servers", Trace.Int servers);
-        ("sites", Trace.Int sites);
-        ("horizon", Trace.Int horizon);
-      ]
-  @@ fun () ->
   let live_at time = Array.init servers (fun s -> Fault.is_live fault ~server:s ~time) in
   (* Initial placement: LPT on the rates at time 0, over the servers
      live at time 0. *)
@@ -310,8 +300,6 @@ let run ?(fault = Fault.none) ?(recovery_threshold = 1.5) ?journal traffic
         end)
       crash_times
   in
-  Trace.add_attr "moves" (Trace.Int !total_moves);
-  Trace.add_attr "emergency" (Trace.Int !total_emergency);
   {
     steps;
     total_moves = !total_moves;

@@ -1,12 +1,12 @@
 (* Tests for the observability layer: metric identity and registry
    scoping, histogram bucketing (property-based), registry merging,
    Prometheus exposition round-tripped through a line parser, span-tree
-   nesting, the ring-buffer event log, and the flight-recorder journal
-   codec (render/parse round trip, corruption rejection, tail ring). *)
+   nesting and the span ring, and the flight-recorder journal codec
+   (render/parse round trip, corruption rejection, tail ring, and the
+   list and streamed emit paths writing the same bytes). *)
 
 module Metrics = Rebal_obs.Metrics
-module Trace = Rebal_obs.Trace
-module Control = Rebal_obs.Control
+module Optrace = Rebal_obs.Optrace
 module Expo = Rebal_obs.Expo
 module Journal = Rebal_obs.Journal
 open QCheck2
@@ -230,57 +230,86 @@ let test_json_renders () =
 
 (* ----- span tracing ----- *)
 
+(* Optrace state is global (knobs, id counters) and per-domain (the span
+   ring); every tracing test runs inside this bracket. *)
+let with_sampling every f =
+  Optrace.reset ();
+  Optrace.set_sample_every every;
+  Fun.protect
+    ~finally:(fun () ->
+      Optrace.set_sample_every 0;
+      Optrace.set_ring_capacity 4096;
+      Optrace.reset ())
+    f
+
+let span_name (t : Optrace.tree) = t.span.Optrace.name
+
+let the_op () =
+  match Optrace.assemble (Optrace.recorded ()) with
+  | [ op ] -> op
+  | trees -> Alcotest.failf "expected exactly one op tree, got %d" (List.length trees)
+
 let test_span_nesting () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
+  with_sampling 1 @@ fun () ->
   let result =
-    Trace.with_span "root" ~attrs:[ ("n", Trace.Int 3) ] (fun () ->
-        Trace.with_span "first" (fun () -> Trace.add_attr "hit" (Trace.Bool true));
-        Trace.with_span "second" (fun () -> ());
-        17)
+    Optrace.with_op ~verb:"op" (fun () ->
+        Optrace.with_span "root" ~attrs:[ ("n", "3") ] (fun () ->
+            Optrace.with_span "first" (fun () -> Optrace.add_attr "hit" "true");
+            Optrace.with_span "second" (fun () -> ());
+            17))
   in
   Alcotest.(check int) "with_span returns f's value" 17 result;
-  match Trace.finished () with
+  match (the_op ()).children with
   | [ root ] ->
-    Alcotest.(check string) "root name" "root" (Trace.name root);
+    Alcotest.(check string) "root name" "root" (span_name root);
     Alcotest.(check (list string)) "children in start order" [ "first"; "second" ]
-      (List.map Trace.name (Trace.children root));
+      (List.map span_name root.children);
     Alcotest.(check bool) "root attr kept" true
-      (List.mem_assoc "n" (Trace.attrs root));
-    let first = List.hd (Trace.children root) in
+      (List.mem_assoc "n" root.span.Optrace.attrs);
+    let first = List.hd root.children in
     Alcotest.(check bool) "child attr attached to child" true
-      (List.mem_assoc "hit" (Trace.attrs first));
+      (List.assoc_opt "hit" first.span.Optrace.attrs = Some "true"
+      && not (List.mem_assoc "hit" root.span.Optrace.attrs));
     Alcotest.(check bool) "durations non-negative" true
-      (Trace.duration_ns root >= 0L);
+      (Optrace.duration_ns root.span >= 0L);
     Alcotest.(check bool) "root at least as long as children" true
-      (Trace.duration_ns root
-      >= List.fold_left (fun acc sp -> Int64.add acc (Trace.duration_ns sp)) 0L
-           (Trace.children root))
+      (Optrace.duration_ns root.span
+      >= List.fold_left
+           (fun acc (c : Optrace.tree) -> Int64.add acc (Optrace.duration_ns c.span))
+           0L root.children)
   | spans -> Alcotest.failf "expected exactly one root, got %d" (List.length spans)
 
 let test_span_disabled_is_noop () =
-  Control.with_enabled false @@ fun () ->
-  Trace.reset ();
-  let r = Trace.with_span "invisible" (fun () -> 5) in
+  with_sampling 0 @@ fun () ->
+  let r =
+    Optrace.with_op ~verb:"op" (fun () ->
+        Optrace.with_span "invisible" (fun () ->
+            Optrace.add_attr "ignored" "x";
+            5))
+  in
   Alcotest.(check int) "value passes through" 5 r;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.finished ()))
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Optrace.recorded ()))
 
 let test_span_survives_exception () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
-  (try Trace.with_span "boom" (fun () -> failwith "expected") with Failure _ -> ());
-  match Trace.finished () with
-  | [ sp ] -> Alcotest.(check string) "span closed on raise" "boom" (Trace.name sp)
+  with_sampling 1 @@ fun () ->
+  (try
+     Optrace.with_op ~verb:"op" (fun () ->
+         Optrace.with_span "boom" (fun () -> failwith "expected"))
+   with Failure _ -> ());
+  Alcotest.(check bool) "context restored" true (Optrace.current_carrier () = None);
+  match (the_op ()).children with
+  | [ sp ] ->
+    Alcotest.(check string) "span closed on raise" "boom" (span_name sp);
+    Alcotest.(check bool) "stop stamped" true (sp.span.Optrace.stop_ns >= sp.span.start_ns)
   | _ -> Alcotest.fail "span not recorded after exception"
 
 let test_ring_buffer_wrap () =
-  Control.with_enabled true @@ fun () ->
-  Trace.set_ring_capacity 4;
-  Fun.protect ~finally:(fun () -> Trace.set_ring_capacity 1024) @@ fun () ->
+  with_sampling 1 @@ fun () ->
+  Optrace.set_ring_capacity 4;
   for i = 0 to 5 do
-    Trace.event (Printf.sprintf "e%d" i)
+    Optrace.with_op ~verb:(Printf.sprintf "e%d" i) (fun () -> ())
   done;
-  let names = List.map (fun e -> e.Trace.event_name) (Trace.events ()) in
+  let names = List.map (fun (sp : Optrace.span) -> sp.name) (Optrace.recorded ()) in
   Alcotest.(check (list string)) "keeps newest, oldest first" [ "e2"; "e3"; "e4"; "e5" ]
     names
 
@@ -289,24 +318,23 @@ let test_trace_dropped_counter () =
      is current at overwrite time. *)
   let reg = Metrics.Registry.create () in
   Metrics.Registry.with_registry reg @@ fun () ->
-  Control.with_enabled true @@ fun () ->
-  Trace.set_ring_capacity 4;
-  Fun.protect ~finally:(fun () -> Trace.set_ring_capacity 1024) @@ fun () ->
+  with_sampling 1 @@ fun () ->
+  Optrace.set_ring_capacity 4;
   for i = 0 to 9 do
-    Trace.event (Printf.sprintf "d%d" i)
+    Optrace.with_op ~verb:(Printf.sprintf "d%d" i) (fun () -> ())
   done;
   let dropped =
     match
       List.find_opt
         (fun (m : Metrics.metric) ->
           m.Metrics.name = "rebal_trace_dropped_total"
-          && m.Metrics.labels = [ ("kind", "event") ])
+          && m.Metrics.labels = [ ("kind", "op_span") ])
         (Metrics.Registry.metrics reg)
     with
     | Some { Metrics.kind = Metrics.Counter c; _ } -> Metrics.Counter.value c
     | _ -> 0
   in
-  (* 10 events into a 4-slot ring: 6 overwrites. *)
+  (* 10 spans into a 4-slot ring: 6 overwrites. *)
   Alcotest.(check int) "overwrites counted" 6 dropped
 
 (* ----- the flight-recorder journal codec ----- *)
@@ -432,23 +460,166 @@ let test_json_value_round_trip () =
   | Ok (Journal.Int 2), Ok (Journal.Float 2.0) -> ()
   | _ -> Alcotest.fail "int/float distinction lost"
 
+(* ----- one encoder per codec: [emit] and streamed [Emit] agree ----- *)
+
+(* Scalar-only field lists, the shape [Emit]'s typed writers can carry.
+   Strings include the characters the text codec escapes; floats
+   include integral values, which need the forced ".0" marker. *)
+let scalar_gen =
+  Gen.oneof
+    [
+      Gen.map (fun b -> Journal.Bool b) Gen.bool;
+      Gen.map (fun i -> Journal.Int i)
+        (Gen.oneof [ Gen.int; Gen.oneofl [ 0; -1; min_int; max_int ] ]);
+      Gen.map
+        (fun (a, b) -> Journal.Float (float_of_int a /. float_of_int b))
+        (Gen.pair (Gen.int_range (-100_000) 100_000) (Gen.int_range 1 999));
+      Gen.map (fun f -> Journal.Float f) (Gen.oneofl [ 0.0; -0.0; 2.0; 1e300; 5e-324 ]);
+      Gen.map
+        (fun s -> Journal.Str s)
+        (Gen.string_size
+           ~gen:(Gen.oneof [ Gen.printable; Gen.oneofl [ '"'; '\\'; '\n'; '\t'; '\001' ] ])
+           (Gen.int_range 0 12));
+    ]
+
+let scalar_events_gen =
+  Gen.list_size (Gen.int_range 0 12)
+    (Gen.pair
+       (Gen.string_size ~gen:(Gen.char_range 'a' 'z') (Gen.int_range 1 8))
+       (Gen.list_size (Gen.int_range 0 6) (Gen.pair field_name_gen scalar_gen)))
+
+let ticking_clock () =
+  let tick = ref 0 in
+  fun () ->
+    incr tick;
+    Int64.of_int (!tick * 31)
+
+let emit_streamed sink ~kind fields =
+  Journal.Emit.start sink ~kind ~fields:(List.length fields);
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Journal.Int i -> Journal.Emit.int sink k i
+      | Journal.Str s -> Journal.Emit.str sink k s
+      | Journal.Bool b -> Journal.Emit.bool sink k b
+      | Journal.Float f -> Journal.Emit.float sink k f
+      | _ -> invalid_arg "emit_streamed: not a scalar")
+    fields;
+  Journal.Emit.finish sink
+
+let prop_emit_paths_agree =
+  Test.make ~count:300 ~name:"emit and streamed Emit write identical bytes"
+    scalar_events_gen (fun events ->
+      List.for_all
+        (fun format ->
+          let bytes_of push =
+            let buf = Buffer.create 512 in
+            let sink =
+              Journal.create ~format ~clock_ns:(ticking_clock ())
+                ~write:(Buffer.add_string buf) ()
+            in
+            List.iter (fun (kind, fields) -> push sink ~kind fields) events;
+            Buffer.contents buf
+          in
+          let via_list = bytes_of (fun sink ~kind fields -> Journal.emit sink ~kind fields) in
+          let via_stream = bytes_of emit_streamed in
+          (* The reference: the whole-event renderers over the same
+             records, stamped by the same clock. *)
+          let clock = ticking_clock () in
+          let expected =
+            String.concat ""
+              (List.mapi
+                 (fun seq (kind, fields) ->
+                   let e =
+                     {
+                       Journal.seq;
+                       ts_ns = Int64.to_int (clock ());
+                       kind;
+                       fields;
+                       line = 0;
+                     }
+                   in
+                   match format with
+                   | Journal.Jsonl -> Journal.render_event e ^ "\n"
+                   | Journal.Binary -> Journal.Binary.encode_event e)
+                 events)
+          in
+          via_list = expected && via_stream = expected)
+        [ Journal.Jsonl; Journal.Binary ])
+
+let test_emit_misuse () =
+  List.iter
+    (fun format ->
+      let buf = Buffer.create 256 in
+      let sink =
+        Journal.create ~format ~clock_ns:(ticking_clock ()) ~write:(Buffer.add_string buf) ()
+      in
+      let refused name f =
+        match f () with
+        | () -> Alcotest.failf "%s accepted" name
+        | exception Invalid_argument _ -> ()
+      in
+      refused "negative arity" (fun () -> Journal.Emit.start sink ~kind:"x" ~fields:(-1));
+      refused "field before start" (fun () -> Journal.Emit.int sink "a" 1);
+      refused "finish before start" (fun () -> Journal.Emit.finish sink);
+      Journal.Emit.start sink ~kind:"x" ~fields:2;
+      refused "double start" (fun () -> Journal.Emit.start sink ~kind:"y" ~fields:0);
+      refused "emit while streaming" (fun () -> Journal.emit sink ~kind:"z" []);
+      refused "reserved key" (fun () -> Journal.Emit.int sink "seq" 1);
+      Journal.Emit.int sink "a" 1;
+      refused "too few fields" (fun () -> Journal.Emit.finish sink);
+      Journal.Emit.bool sink "b" true;
+      refused "too many fields" (fun () -> Journal.Emit.str sink "c" "no room");
+      Journal.Emit.finish sink;
+      (* A NaN aborts the open event and burns no sequence number. *)
+      Journal.Emit.start sink ~kind:"bad" ~fields:2;
+      Journal.Emit.int sink "a" 2;
+      (match Journal.Emit.float sink "f" nan with
+      | () -> Alcotest.fail "Emit.float accepted nan"
+      | exception Journal.Encode_error msg ->
+        Alcotest.(check bool) ("context in " ^ msg) true
+          (String.length msg > 0 && String.sub msg 0 5 = "line "));
+      Alcotest.(check int) "no seq burnt" 1 (Journal.events_written sink);
+      Journal.Emit.start sink ~kind:"ok" ~fields:1;
+      Journal.Emit.float sink "f" 0.5;
+      Journal.Emit.finish sink;
+      Journal.emit sink ~kind:"tail" [ ("seq", Journal.Int 99); ("v", Journal.Int 3) ];
+      let out = Buffer.contents buf in
+      let parsed =
+        match format with
+        | Journal.Jsonl -> Journal.parse_string ({|{"journal":"t","version":1}|} ^ "\n" ^ out)
+        | Journal.Binary ->
+          Journal.Binary.parse_string
+            (Journal.Binary.magic
+            ^ Journal.Binary.encode_header { Journal.journal = "t"; version = 1; meta = [] }
+            ^ out)
+      in
+      match parsed with
+      | Error e -> Alcotest.failf "journal after misuse does not parse: %s" e
+      | Ok (_, evs) ->
+        Alcotest.(check (list string)) "only the committed events" [ "x"; "ok"; "tail" ]
+          (List.map (fun (e : Journal.event) -> e.Journal.kind) evs);
+        Alcotest.(check (list int)) "contiguous seqs" [ 0; 1; 2 ]
+          (List.map (fun (e : Journal.event) -> e.Journal.seq) evs);
+        Alcotest.(check bool) "first event kept both fields" true
+          ((List.hd evs).Journal.fields = [ ("a", Journal.Int 1); ("b", Journal.Bool true) ]);
+        Alcotest.(check bool) "emit skipped the reserved key" true
+          ((List.nth evs 2).Journal.fields = [ ("v", Journal.Int 3) ]))
+    [ Journal.Jsonl; Journal.Binary ]
+
 (* ----- render tree ----- *)
 
 let test_render_tree () =
-  Control.with_enabled true @@ fun () ->
-  Trace.reset ();
-  Trace.with_span "outer" (fun () -> Trace.with_span "inner" (fun () -> ()));
-  match Trace.finished () with
-  | [ root ] ->
-    let out = Trace.render_tree root in
-    let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
-    (match lines with
-    | [ l1; l2 ] ->
-      Alcotest.(check bool) "outer first" true (String.length l1 >= 5 && String.sub l1 0 5 = "outer");
-      Alcotest.(check bool) "inner indented" true
-        (String.length l2 >= 7 && String.sub l2 0 7 = "  inner")
-    | _ -> Alcotest.failf "expected two lines, got %d" (List.length lines))
-  | _ -> Alcotest.fail "expected one root"
+  with_sampling 1 @@ fun () ->
+  Optrace.with_op ~verb:"outer" (fun () -> Optrace.with_span "inner" (fun () -> ()));
+  let out = Optrace.render_tree (the_op ()) in
+  let lines = String.split_on_char '\n' out |> List.filter (fun l -> l <> "") in
+  match lines with
+  | [ l1; l2 ] ->
+    Alcotest.(check bool) "outer first" true (String.length l1 >= 5 && String.sub l1 0 5 = "outer");
+    Alcotest.(check bool) "inner indented" true
+      (String.length l2 >= 7 && String.sub l2 0 7 = "  inner")
+  | _ -> Alcotest.failf "expected two lines, got %d" (List.length lines)
 
 let () =
   Alcotest.run "rebal_obs"
@@ -489,5 +660,7 @@ let () =
           Alcotest.test_case "rejects corrupted journals" `Quick test_journal_rejects;
           Alcotest.test_case "tail ring" `Quick test_journal_tail;
           Alcotest.test_case "strict JSON values" `Quick test_json_value_round_trip;
+          QCheck_alcotest.to_alcotest prop_emit_paths_agree;
+          Alcotest.test_case "Emit misuse is refused" `Quick test_emit_misuse;
         ] );
     ]

@@ -7,6 +7,8 @@ open QCheck2
 module Optrace = Rebal_obs.Optrace
 module Metrics = Rebal_obs.Metrics
 module Cluster = Rebal_online.Cluster
+module Engine = Rebal_online.Engine
+module Protocol = Rebal_online.Protocol
 module Http = Rebal_net.Http
 
 (* Optrace state is global (knobs, id counters, slow ring) and
@@ -75,6 +77,61 @@ let test_move_tree () =
       Alcotest.(check int) "one trace" root.Optrace.span.trace_id sp.trace_id;
       Alcotest.(check bool) "span closed" true (sp.stop_ns >= sp.start_ns))
     spans
+
+(* ----- the repair pass is a span of the op that ran it ----- *)
+
+(* A sampled REBALANCE must show the engine's repair pass in its tree:
+   directly under the op root on the inline executors, under the
+   worker's [shard.rebalance] span with worker domains. The post-hoc
+   [moves] attribute lands on the repair span itself. *)
+let test_repair_span () =
+  let targets =
+    [
+      ("single", fun () -> Protocol.Single (Engine.create ~m:4 ()));
+      ("cluster D=0", fun () -> Protocol.Cluster (Cluster.create ~m:4 ~shards:2 ~domains:0 ()));
+      ("cluster D=1", fun () -> Protocol.Cluster (Cluster.create ~m:4 ~shards:2 ~domains:1 ()));
+    ]
+  in
+  List.iter
+    (fun (label, make) ->
+      with_tracing ~sample:1 ~slow_ns:(-1) @@ fun () ->
+      let target = make () in
+      Fun.protect ~finally:(fun () -> Option.iter Cluster.shutdown (Protocol.cluster_of target))
+      @@ fun () ->
+      List.iter
+        (fun line -> ignore (Protocol.handle_line target line))
+        [ "ADD a 10"; "ADD b 10"; "ADD c 10"; "ADD d 10"; "RESIZE a 90"; "REBALANCE 3" ];
+      let worker_spans =
+        match Protocol.cluster_of target with Some c -> Cluster.recorded_spans c | None -> []
+      in
+      let root =
+        match
+          List.filter
+            (fun (t : Optrace.tree) -> t.span.name = "REBALANCE")
+            (Optrace.assemble (Optrace.recorded () @ worker_spans))
+        with
+        | [ t ] -> t
+        | l -> Alcotest.failf "%s: expected one REBALANCE root, got %d" label (List.length l)
+      in
+      let rec repairs (t : Optrace.tree) =
+        (if t.span.name = "engine.repair" then [ t.span ] else [])
+        @ List.concat_map repairs t.children
+      in
+      match repairs root with
+      | [] -> Alcotest.failf "%s: no engine.repair span under the REBALANCE root" label
+      | spans ->
+        List.iter
+          (fun (sp : Optrace.span) ->
+            Alcotest.(check (list string))
+              (label ^ ": repair attrs in order") [ "k"; "auto"; "moves" ]
+              (List.map fst sp.attrs);
+            Alcotest.(check string) (label ^ ": k") "3" (List.assoc "k" sp.attrs);
+            Alcotest.(check string) (label ^ ": auto") "false" (List.assoc "auto" sp.attrs);
+            Alcotest.(check bool) (label ^ ": moves is a count") true
+              (int_of_string_opt (List.assoc "moves" sp.attrs) <> None);
+            Alcotest.(check int) (label ^ ": same trace") root.span.trace_id sp.trace_id)
+          spans)
+    targets
 
 (* ----- well-formed trees under concurrent drivers ----- *)
 
@@ -238,6 +295,7 @@ let () =
         [
           Alcotest.test_case "cross-shard move tree" `Quick test_move_tree;
           Alcotest.test_case "orphan promotion" `Quick test_orphan_promotion;
+          Alcotest.test_case "REBALANCE shows engine.repair" `Quick test_repair_span;
           QCheck_alcotest.to_alcotest prop_trees_well_formed;
         ] );
       ("slow ring", [ QCheck_alcotest.to_alcotest prop_slow_ring_retention ]);
