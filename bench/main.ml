@@ -1126,11 +1126,7 @@ let e19 () =
   let compacted =
     match Replay.compact parsed with
     | Error e -> failwith ("E19: compaction failed: " ^ e)
-    | Ok (lines, _, _) -> begin
-      match Journal.parse_string (String.concat "\n" lines) with
-      | Ok p -> p
-      | Error e -> failwith ("E19: compacted journal does not parse: " ^ e)
-    end
+    | Ok (compacted, _, _) -> compacted
   in
   let resumed, dt_resumed = replay "resumed" compacted in
   if resumed.Replay.final_makespan <> full.Replay.final_makespan
@@ -1166,141 +1162,42 @@ let e19 () =
 
 let e20 () =
   header "E20: self-healing failover (supervised cluster under shard kills)";
-  let module Engine = Rebal_online.Engine in
-  let module Cluster = Rebal_online.Cluster in
+  let module Chaos = Rebal_online.Chaos in
   let module Supervisor = Rebal_online.Supervisor in
-  let module Replay = Rebal_online.Replay in
   let shards = 8 and m = 32 in
   let horizon = 400 and ops_per_step = 8 in
   let kills = [ (2, 100); (5, 200) ] and down_for = 80 in
-  (* One driver, two schedules: the identical seeded workload runs once
-     with no faults and once with two mid-stream shard kills (each down
-     for 80 steps, evacuated, restored from its own journal, readmitted
-     and re-weighted). Scoring weights each step's makespan by
-     1 + (shards - serving), so downtime is charged on top of whatever
-     load imbalance the failover caused. *)
+  (* The chaos-serve driver under two schedules: the identical seeded
+     workload runs once with no faults and once with two mid-stream
+     shard kills (each down for 80 steps, evacuated, restored from its
+     own journal, readmitted and re-weighted). Scoring weights each
+     step's makespan by 1 + (shards - serving), so downtime is charged
+     on top of whatever load imbalance the failover caused. *)
+  let config =
+    { Chaos.shards; procs = m; horizon; ops_per_step; period = 10; k = 16; evac_budget = None; seed = 120 }
+  in
   let drive ~faults () =
-    let live i t =
-      (not faults)
-      || not (List.exists (fun (s, st) -> s = i && t >= st && t < st + down_for) kills)
+    let schedule = if faults then kills else [] in
+    let live =
+      match Chaos.kill_schedule config ~down_for schedule with
+      | Ok live -> live
+      | Error e -> failwith ("E20: " ^ e)
     in
-    let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ()
-    in
-    let time = ref 0 in
-    let config =
-      {
-        Supervisor.default_config with
-        Supervisor.suspect_after = 1;
-        down_after = 2;
-        recovery_steps = 4;
-      }
-    in
-    let sup = Supervisor.create ~config ~probe:(fun i -> live i !time) cluster in
-    let model = Hashtbl.create 1024 in
-    let rng = Rng.create 120 in
-    let live_ids = ref (Array.make 1024 "") in
-    let count = ref 0 in
-    let push id =
-      if !count = Array.length !live_ids then begin
-        let bigger = Array.make (2 * Array.length !live_ids) "" in
-        Array.blit !live_ids 0 bigger 0 !count;
-        live_ids := bigger
-      end;
-      !live_ids.(!count) <- id;
-      incr count
-    in
-    let next = ref 0 in
-    let recovered = ref 0 in
-    let dw = ref 0.0 in
-    for t = 0 to horizon - 1 do
-      time := t;
-      ignore (Supervisor.tick sup);
-      for i = 0 to shards - 1 do
-        if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          let restore () =
-            Result.map
-              (fun (eng, outcome) ->
-                Engine.set_journal eng
-                  (Some
-                     (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                        ~write:(Buffer.add_string buffers.(i)) ()));
-                eng)
-              (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
-          in
-          match Supervisor.readmit sup i restore with
-          | Ok () -> incr recovered
-          | Error e -> failwith (pf "E20: shard %d readmission failed: %s" i e)
-        end
-      done;
-      for _ = 1 to ops_per_step do
-        let r = Rng.float rng 1.0 in
-        if r < 0.6 || !count = 0 then begin
-          let id = pf "f%d" !next in
-          incr next;
-          let size = Rng.int_range rng 1 100 in
-          match Supervisor.add_job sup ~id ~size with
-          | Ok _ ->
-            Hashtbl.replace model id size;
-            push id
-          | Error e -> failwith ("E20: add rejected: " ^ e)
-        end
-        else begin
-          let j = Rng.int rng !count in
-          let id = !live_ids.(j) in
-          if r < 0.85 then (
-            match Supervisor.remove_job sup ~id with
-            | Ok _ ->
-              Hashtbl.remove model id;
-              !live_ids.(j) <- !live_ids.(!count - 1);
-              decr count
-            | Error e -> failwith ("E20: remove rejected: " ^ e))
-          else begin
-            let size = Rng.int_range rng 1 100 in
-            match Supervisor.resize_job sup ~id ~size with
-            | Ok _ -> Hashtbl.replace model id size
-            | Error e -> failwith ("E20: resize rejected: " ^ e)
-          end
-        end
-      done;
-      if (t + 1) mod 10 = 0 then ignore (Supervisor.rebalance sup ~k:16);
-      let serving = Supervisor.serving_shards sup in
-      dw :=
-        !dw +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving))
-    done;
-    (* Audit: nothing lost, every journal still replays to the live state. *)
-    Hashtbl.iter
-      (fun id size ->
-        match Cluster.find cluster id with
-        | Some (sz, _) when sz = size -> ()
-        | _ -> failwith (pf "E20: job %s lost or corrupted" id))
-      model;
-    if Cluster.job_count cluster <> Hashtbl.length model then
-      failwith "E20: stray or duplicated jobs after failover";
-    if not (Cluster.check_consistency cluster ~k:16) then
-      failwith "E20: cluster consistency check failed";
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
-        | Error e -> failwith (pf "E20: shard %d journal replay: %s" i e)
-        | Ok (eng, _) ->
-          if
-            Engine.job_count eng <> Engine.job_count (Cluster.engine cluster i)
-            || Engine.makespan eng <> Engine.makespan (Cluster.engine cluster i)
-          then failwith (pf "E20: shard %d journal replay diverges" i))
-      buffers;
-    (!dw, !recovered, Supervisor.stats sup)
+    let r = Chaos.run (Chaos.create ~live config) in
+    (* The audit: nothing lost, every job where the directory says,
+       every journal still replays to the live state. *)
+    List.iter (fun f -> failwith ("E20: " ^ f)) r.Chaos.failures;
+    if r.Chaos.rejected > 0 then failwith (pf "E20: %d workload ops rejected" r.Chaos.rejected);
+    (r.Chaos.downtime_weighted, r.Chaos.stats)
   in
   Gc.compact ();
-  let (dw_base, _, _), dt_base = Timer.time (fun () -> drive ~faults:false ()) in
+  let (dw_base, _), dt_base = Timer.time (fun () -> drive ~faults:false ()) in
   Gc.compact ();
-  let (dw_fault, recovered, h), dt_fault = Timer.time (fun () -> drive ~faults:true ()) in
-  if recovered <> List.length kills then
-    failwith (pf "E20: only %d of %d killed shards were readmitted" recovered (List.length kills));
+  let (dw_fault, h), dt_fault = Timer.time (fun () -> drive ~faults:true ()) in
+  if h.Supervisor.readmissions <> List.length kills then
+    failwith
+      (pf "E20: only %d of %d killed shards were readmitted" h.Supervisor.readmissions
+         (List.length kills));
   let ratio = dw_fault /. dw_base in
   let t =
     Table.create
@@ -1328,14 +1225,103 @@ let e20 () =
   Some ratio
 
 (* ---------------------------------------------------------------------- *)
+(* The serving benches' shared load and audit (E21, E22, E23).            *)
+(* ---------------------------------------------------------------------- *)
+
+(* A cluster whose shards journal into memory, for the replay audit. *)
+let journaled_cluster ~m ~shards ~domains =
+  let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
+  let journal_for i = Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()) in
+  (Rebal_online.Cluster.create ~journal_for ~m ~shards ~domains (), buffers)
+
+(* [threads] client threads push the 60/25/15 add/remove/resize mix
+   straight into [cluster] (the closures the TCP sessions run, minus the
+   sockets), each over [sessions] private id universes so every command
+   is valid and an error is a cluster bug, not noise; thread 0 also
+   rebalances (k = 8) every 500 ops. [wrap verb f] runs each op (E22
+   puts the session-boundary span there). Every op is timed. Returns
+   the wall time, the jobs the clients left live and the sorted
+   per-op latencies in seconds. *)
+let drive_clients ?(wrap = fun _ f -> f ()) ?(sessions = 1) ~what ~seed ~id ~threads ~ops
+    cluster =
+  let module Cluster = Rebal_online.Cluster in
+  let survivors = Array.make threads 0 in
+  let latencies = Array.make (threads * ops) 0.0 in
+  let client t () =
+    let rng = Rng.create (seed + t) in
+    let live = Array.make sessions [] and next = Array.make sessions 0 in
+    let n = ref 0 in
+    let check verb = function
+      | Ok _ -> ()
+      | Error e -> failwith (pf "%s: %s rejected: %s" what verb e)
+    in
+    for i = 0 to ops - 1 do
+      let s = i mod sessions in
+      let started = Timer.now_ns () in
+      (match Rng.float rng 1.0 with
+      | r when r < 0.6 || live.(s) = [] ->
+        let id = id t s next.(s) in
+        next.(s) <- next.(s) + 1;
+        wrap "ADD" (fun () ->
+            check "add" (Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100));
+            live.(s) <- id :: live.(s);
+            incr n)
+      | r when r < 0.85 ->
+        wrap "REMOVE" (fun () ->
+            check "remove" (Cluster.remove_job cluster ~id:(List.hd live.(s)));
+            live.(s) <- List.tl live.(s);
+            decr n)
+      | _ ->
+        wrap "RESIZE" (fun () ->
+            check "resize"
+              (Cluster.resize_job cluster ~id:(List.hd live.(s)) ~size:(Rng.int_range rng 1 100))));
+      latencies.((t * ops) + i) <- Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
+      if t = 0 && (i + 1) mod 500 = 0 then
+        wrap "REBALANCE" (fun () -> ignore (Cluster.rebalance cluster ~k:8))
+    done;
+    survivors.(t) <- !n
+  in
+  Gc.compact ();
+  let (), wall =
+    Timer.time (fun () ->
+        Array.iter Thread.join (Array.init threads (fun t -> Thread.create (client t) ())))
+  in
+  Array.sort compare latencies;
+  (wall, Array.fold_left ( + ) 0 survivors, latencies)
+
+let percentile sorted q =
+  let n = Array.length sorted in
+  sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
+(* Audit before scoring, the way the serve daemon is audited: nothing
+   lost, directory consistent, and — after shutdown — every shard's
+   journal replays to exactly the engine its worker domain left behind.
+   Returns the journal events replayed. *)
+let audit_cluster ~what ~jobs cluster buffers =
+  let module Cluster = Rebal_online.Cluster in
+  let module Replay = Rebal_online.Replay in
+  if Cluster.job_count cluster <> jobs then
+    failwith (what ^ ": jobs lost or duplicated under concurrency");
+  if not (Cluster.check_consistency cluster ~k:max_int) then
+    failwith (what ^ ": directory/engine consistency check failed");
+  Cluster.shutdown cluster;
+  let replayed i buf =
+    match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
+    | Error e -> failwith (pf "%s: shard %d journal replay: %s" what i e)
+    | Ok (eng, o) ->
+      if not (Replay.same_state eng (Cluster.engine cluster i)) then
+        failwith (pf "%s: shard %d journal replay diverges" what i);
+      o.Replay.events
+  in
+  Array.fold_left ( + ) 0 (Array.mapi replayed buffers)
+
+(* ---------------------------------------------------------------------- *)
 (* E21 — parallel serving: throughput and p99 vs worker domain count.     *)
 (* ---------------------------------------------------------------------- *)
 
 let e21 () =
   header "E21: parallel serving throughput (domain-per-shard cluster, 1024 sessions)";
-  let module Engine = Rebal_online.Engine in
   let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
   let shards = 8 and m = 32 in
   let driver_threads = 8 and sessions_per_thread = 128 in
   let ops_per_thread = 3_000 in
@@ -1349,85 +1335,17 @@ let e21 () =
      nothing lost, directory consistent, and each shard's journal
      replays to exactly the engine its worker domain left behind. *)
   let drive ~domains () =
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
+    let cluster, buffers = journaled_cluster ~m ~shards ~domains in
+    let wall, jobs, latencies =
+      drive_clients ~what:"E21" ~seed:4242
+        ~id:(pf "t%ds%d.%d")
+        ~sessions:sessions_per_thread ~threads:driver_threads ~ops:ops_per_thread cluster
     in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (4242 + t) in
-      (* Per-session state: a private id universe, so every command is
-         semantically valid and an error is a cluster bug, not noise. *)
-      let live = Array.make sessions_per_thread [] in
-      let next = Array.make sessions_per_thread 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let s = i mod sessions_per_thread in
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || live.(s) = [] ->
-          let id = pf "t%ds%d.%d" t s next.(s) in
-          next.(s) <- next.(s) + 1;
-          (match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ ->
-            live.(s) <- id :: live.(s);
-            incr n
-          | Error e -> failwith ("E21: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match live.(s) with
-          | [] -> assert false
-          | id :: rest -> (
-            match Cluster.remove_job cluster ~id with
-            | Ok _ ->
-              live.(s) <- rest;
-              decr n
-            | Error e -> failwith ("E21: remove rejected: " ^ e)))
-        | _ -> (
-          let id = List.hd live.(s) in
-          match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ -> ()
-          | Error e -> failwith ("E21: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then ignore (Cluster.rebalance cluster ~k:8)
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
-    in
-    (* Audit before scoring: the speed is worthless if the state is wrong. *)
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E21: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E21: directory/engine consistency check failed";
+    let events = audit_cluster ~what:"E21" ~jobs cluster buffers in
     let makespan = Cluster.makespan cluster in
     Cluster.merge_metrics cluster ~into:(Metrics.Registry.current ());
-    Cluster.shutdown cluster;
-    let journal_events = ref 0 in
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E21: shard %d journal replay: %s" i e)
-        | Ok o ->
-          journal_events := !journal_events + o.Replay.events;
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E21: shard %d journal replay diverges" i))
-      buffers;
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.5, pctl 0.99, makespan, !journal_events)
+    let pctl = percentile latencies in
+    (wall, float_of_int total_ops /. wall, pctl 0.5, pctl 0.99, makespan, events)
   in
   let w1, tput1, p50_1, p99_1, mk1, ev1 = drive ~domains:1 () in
   let w4, tput4, p50_4, p99_4, mk4, ev4 = drive ~domains:4 () in
@@ -1478,9 +1396,6 @@ let e21 () =
 
 let e22 () =
   header "E22: tracing overhead (1/64 head sampling + 10ms tail capture, 4 domains)";
-  let module Engine = Rebal_online.Engine in
-  let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
   let module Optrace = Rebal_obs.Optrace in
   let shards = 8 and m = 32 and domains = 4 in
   let driver_threads = 8 and ops_per_thread = 2_000 in
@@ -1502,86 +1417,19 @@ let e22 () =
       Optrace.set_sample_every 0;
       Optrace.set_slow_threshold_ns (-1)
     end;
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
+    let cluster, buffers = journaled_cluster ~m ~shards ~domains in
+    let wall, jobs, latencies =
+      drive_clients ~what:"E22" ~seed:22422
+        ~id:(fun t _ n -> pf "e22t%d.%d" t n)
+        ~wrap:(fun verb f -> Optrace.with_op ~verb f)
+        ~threads:driver_threads ~ops:ops_per_thread cluster
     in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (22422 + t) in
-      let live = ref [] in
-      let next = ref 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || !live = [] ->
-          let id = pf "e22t%d.%d" t !next in
-          incr next;
-          Optrace.with_op ~verb:"ADD" (fun () ->
-              match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-              | Ok _ ->
-                live := id :: !live;
-                incr n
-              | Error e -> failwith ("E22: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match !live with
-          | [] -> assert false
-          | id :: rest ->
-            Optrace.with_op ~verb:"REMOVE" (fun () ->
-                match Cluster.remove_job cluster ~id with
-                | Ok _ ->
-                  live := rest;
-                  decr n
-                | Error e -> failwith ("E22: remove rejected: " ^ e)))
-        | _ ->
-          let id = List.hd !live in
-          Optrace.with_op ~verb:"RESIZE" (fun () ->
-              match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-              | Ok _ -> ()
-              | Error e -> failwith ("E22: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then
-          Optrace.with_op ~verb:"REBALANCE" (fun () ->
-              ignore (Cluster.rebalance cluster ~k:8))
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
-    in
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E22: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E22: directory/engine consistency check failed";
     if traced && Optrace.recorded () = [] then
       failwith "E22: tracing enabled but no spans recorded at the op boundary";
-    Cluster.shutdown cluster;
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E22: shard %d journal replay: %s" i e)
-        | Ok o ->
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E22: shard %d journal replay diverges with tracing on" i))
-      buffers;
+    ignore (audit_cluster ~what:"E22" ~jobs cluster buffers);
     Optrace.set_sample_every 0;
     Optrace.set_slow_threshold_ns (-1);
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.99)
+    (wall, float_of_int total_ops /. wall, percentile latencies 0.99)
   in
   (* Interleaved pairs, scored best-of per arm: scheduler noise only
      ever slows a run down, never speeds it up, so the fastest run of
@@ -1634,9 +1482,7 @@ let e22 () =
 
 let e23 () =
   header "E23: telemetry overhead (50 Hz sampling + 10 active alert rules, 4 domains)";
-  let module Engine = Rebal_online.Engine in
   let module Cluster = Rebal_online.Cluster in
-  let module Replay = Rebal_online.Replay in
   let module Tsdb = Rebal_obs.Tsdb in
   let module Alerts = Rebal_obs.Alerts in
   let shards = 8 and m = 32 and domains = 4 in
@@ -1676,13 +1522,7 @@ let e23 () =
      flattery. Both arms keep the full audit: nothing lost, directory
      consistent, every shard journal replays with zero divergence. *)
   let drive ~telemetry () =
-    let buffers = Array.init shards (fun _ -> Buffer.create 65536) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i ->
-          Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m ~shards ~domains ()
-    in
+    let cluster, buffers = journaled_cluster ~m ~shards ~domains in
     let telemetry_buf = Buffer.create 65536 in
     let stop = ref false in
     let sampler =
@@ -1712,49 +1552,10 @@ let e23 () =
         Some (tsdb, alerts, thread)
       end
     in
-    let survivors = Array.make driver_threads 0 in
-    let latencies = Array.make total_ops 0.0 in
-    let driver t () =
-      let rng = Rng.create (23523 + t) in
-      let live = ref [] in
-      let next = ref 0 in
-      let n = ref 0 in
-      for i = 0 to ops_per_thread - 1 do
-        let started = Timer.now_ns () in
-        (match Rng.float rng 1.0 with
-        | r when r < 0.6 || !live = [] ->
-          let id = pf "e23t%d.%d" t !next in
-          incr next;
-          (match Cluster.add_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ ->
-            live := id :: !live;
-            incr n
-          | Error e -> failwith ("E23: add rejected: " ^ e))
-        | r when r < 0.85 -> (
-          match !live with
-          | [] -> assert false
-          | id :: rest -> (
-            match Cluster.remove_job cluster ~id with
-            | Ok _ ->
-              live := rest;
-              decr n
-            | Error e -> failwith ("E23: remove rejected: " ^ e)))
-        | _ -> (
-          let id = List.hd !live in
-          match Cluster.resize_job cluster ~id ~size:(Rng.int_range rng 1 100) with
-          | Ok _ -> ()
-          | Error e -> failwith ("E23: resize rejected: " ^ e)));
-        latencies.((t * ops_per_thread) + i) <-
-          Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9;
-        if t = 0 && (i + 1) mod 500 = 0 then ignore (Cluster.rebalance cluster ~k:8)
-      done;
-      survivors.(t) <- !n
-    in
-    Gc.compact ();
-    let (), wall =
-      Timer.time (fun () ->
-          let ts = Array.init driver_threads (fun t -> Thread.create (driver t) ()) in
-          Array.iter Thread.join ts)
+    let wall, jobs, latencies =
+      drive_clients ~what:"E23" ~seed:23523
+        ~id:(fun t _ n -> pf "e23t%d.%d" t n)
+        ~threads:driver_threads ~ops:ops_per_thread cluster
     in
     (match sampler with
     | None -> ()
@@ -1781,26 +1582,8 @@ let e23 () =
           failwith "E23: telemetry journal mislabeled";
         if List.length events < Tsdb.samples_taken tsdb then
           failwith "E23: telemetry journal lost samples"));
-    if Cluster.job_count cluster <> Array.fold_left ( + ) 0 survivors then
-      failwith "E23: jobs lost or duplicated under concurrency";
-    if not (Cluster.check_consistency cluster ~k:max_int) then
-      failwith "E23: directory/engine consistency check failed";
-    Cluster.shutdown cluster;
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
-        | Error e -> failwith (pf "E23: shard %d journal replay: %s" i e)
-        | Ok o ->
-          let eng = Cluster.engine cluster i in
-          if
-            (not o.Replay.consistency_ok)
-            || o.Replay.final_jobs <> Engine.job_count eng
-            || o.Replay.final_makespan <> Engine.makespan eng
-          then failwith (pf "E23: shard %d journal replay diverges with telemetry on" i))
-      buffers;
-    Array.sort compare latencies;
-    let pctl q = latencies.(min (total_ops - 1) (int_of_float (q *. float_of_int total_ops))) in
-    (wall, float_of_int total_ops /. wall, pctl 0.99)
+    ignore (audit_cluster ~what:"E23" ~jobs cluster buffers);
+    (wall, float_of_int total_ops /. wall, percentile latencies 0.99)
   in
   Rebal_obs.Control.with_enabled true (fun () ->
       let pairs = 5 in

@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.13.0"
+let version = "1.14.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -64,6 +64,13 @@ let cost_conv =
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+(* A refused run: one "error:" line on stderr, exit status 1. *)
+let or_exit = function
+  | Ok v -> v
+  | Error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit 1
 
 let read_instance_file path =
   let ic = open_in path in
@@ -592,27 +599,15 @@ let profile_cmd =
 
 (* ----- serve ----- *)
 
-(* Raised from the SIGTERM/SIGINT handler: OCaml delivers it at the
-   next safe point, which unwinds the blocking read or accept and runs
-   every Fun.protect finaliser on the way out — final snapshot, journal
-   close, socket unlink. *)
-exception Terminated
-
 let serve_cmd =
-  let module Engine = Rebal_online.Engine in
-  let module Supervisor = Rebal_online.Supervisor in
-  let module Cluster = Rebal_online.Cluster in
-  let module Protocol = Rebal_online.Protocol in
-  let module Server = Rebal_net.Server in
-  let module Http = Rebal_net.Http in
-  let module Tsdb = Rebal_obs.Tsdb in
-  let module Alerts = Rebal_obs.Alerts in
+  let module Daemon = Rebal_net.Daemon in
+  let d = Daemon.default in
   let procs =
-    Arg.(value & opt int 8 & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.")
+    Arg.(value & opt int d.procs & info [ "m"; "procs" ] ~docv:"M" ~doc:"Number of processors.")
   in
   let shards =
     Arg.(
-      value & opt int 1
+      value & opt int d.shards
       & info [ "shards" ] ~docv:"S"
           ~doc:
             "Partition the processors into $(docv) shards, each backed by its own engine \
@@ -629,7 +624,7 @@ let serve_cmd =
   let domains =
     Arg.(
       value
-      & opt int 0
+      & opt int d.domains
       & info [ "domains" ] ~docv:"D"
           ~doc:
             "Run the shard engines on $(docv) parallel worker domains (clamped to \
@@ -672,7 +667,7 @@ let serve_cmd =
   in
   let auto_k =
     Arg.(
-      value & opt int 16
+      value & opt int d.auto_k
       & info [ "auto-k" ] ~docv:"K" ~doc:"Move budget for each automatic rebalance.")
   in
   let metrics_file =
@@ -701,7 +696,7 @@ let serve_cmd =
   let journal_format =
     Arg.(
       value
-      & opt (enum [ ("jsonl", Journal.Jsonl); ("binary", Journal.Binary) ]) Journal.Jsonl
+      & opt (enum [ ("jsonl", Journal.Jsonl); ("binary", Journal.Binary) ]) d.journal_format
       & info [ "journal-format" ] ~docv:"FMT"
           ~doc:
             "On-disk format for a $(b,new) --journal file: $(b,jsonl) (default; one JSON \
@@ -731,7 +726,7 @@ let serve_cmd =
   in
   let trace_sample =
     Arg.(
-      value & opt int 64
+      value & opt int d.trace_sample
       & info [ "trace-sample" ] ~docv:"N"
           ~doc:
             "Head-sample one protocol op in $(docv) for full span recording (TRACES verb). \
@@ -739,7 +734,7 @@ let serve_cmd =
   in
   let trace_slow_ms =
     Arg.(
-      value & opt float 10.0
+      value & opt float d.trace_slow_ms
       & info [ "trace-slow-ms" ] ~docv:"MS"
           ~doc:
             "Capture every op slower than $(docv) milliseconds into the slow-op ring \
@@ -780,475 +775,33 @@ let serve_cmd =
              suspect-annotated rule spends firing is reported to the supervisor as a \
              failure signal against that shard.")
   in
-  (* One client session: read commands line by line, stream responses.
-     A dropped connection — EOF (even mid-line) on the read side, a
-     closed pipe (Sys_error / EPIPE) on either side — ends the session,
-     never the daemon. [lock] serializes command execution when the
-     target is not internally thread-safe (anything but Parallel) yet
-     several threads touch it — concurrent TCP sessions, the telemetry
-     sampler. Blocking reads happen outside the lock, so an idle
-     session never starves the others.
-
-     I/O runs through Lineio on the raw descriptors: EINTR is retried
-     (a SIGTERM mid-drain no longer kills live sessions), and the
-     reader's inspectable buffer lets the session coalesce every
-     already-arrived line into one [Protocol.handle_lines] dispatch —
-     a pipelining client gets its run of mutations executed as a
-     single engine batch. The first read of each round still blocks
-     (an idle session costs nothing); only the gather loop after it is
-     non-blocking. *)
-  let module Lineio = Rebal_net.Lineio in
-  let session ?lock target ic oc =
-    let locked f =
-      match lock with
-      | None -> f ()
-      | Some m ->
-        Mutex.lock m;
-        Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-    in
-    try
-      (* Channels may hold buffered output from a previous owner of
-         this fd pair; push it before switching to raw-fd writes. *)
-      flush oc;
-      let fd_in = Unix.descr_of_in_channel ic in
-      let fd_out = Unix.descr_of_out_channel oc in
-      Lineio.write_string fd_out (Protocol.greeting target ^ "\n");
-      let r = Lineio.reader fd_in in
-      let rec loop lineno =
-        match Lineio.read_line r with
-        | None -> Protocol.Close
-        | Some first ->
-          (* Gather whatever else has already arrived — syscall-free
-             probe, so a non-pipelining client is never made to wait. *)
-          let rec gather acc =
-            if Lineio.has_line r then
-              match Lineio.read_line r with
-              | Some l -> gather (l :: acc)
-              | None -> List.rev acc
-            else List.rev acc
-          in
-          let lines = first :: gather [] in
-          let out, verdict =
-            locked (fun () -> Protocol.handle_lines ~start_line:lineno target lines)
-          in
-          let buf = Buffer.create 256 in
-          List.iter
-            (fun l ->
-              Buffer.add_string buf l;
-              Buffer.add_char buf '\n')
-            out;
-          Lineio.write_string fd_out (Buffer.contents buf);
-          (match verdict with
-          | Protocol.Continue -> loop (lineno + List.length lines)
-          | v -> v)
-      in
-      loop 1
-    with Sys_error _ | Unix.Unix_error _ -> Protocol.Close
-  in
   let run procs shards socket domains tcp auto_events auto_imbalance auto_seconds auto_k
-      metrics_file journal_file journal_format supervise evac_budget trace_sample
-      trace_slow_ms telemetry_interval telemetry_out alert_rules =
-    let cli_trigger =
-      match (auto_events, auto_imbalance, auto_seconds) with
-      | Some events, None, None -> Some (Engine.Every_events { events; k = auto_k })
-      | None, Some threshold, None -> Some (Engine.Imbalance_above { threshold; k = auto_k })
-      | None, None, Some seconds -> Some (Engine.Every_seconds { seconds; k = auto_k })
-      | None, None, None -> None
-      | _ ->
-        Printf.eprintf
-          "error: give at most one of --auto-events, --auto-imbalance, --auto-seconds\n";
-        exit 1
-    in
-    if shards < 1 || procs < shards then begin
-      Printf.eprintf "error: need 1 <= --shards <= --procs (got %d shards, %d procs)\n"
-        shards procs;
-      exit 1
-    end;
-    if supervise && shards < 2 then begin
-      Printf.eprintf "error: --supervise needs --shards >= 2 (failover needs survivors)\n";
-      exit 1
-    end;
-    if domains < 0 then begin
-      Printf.eprintf "error: --domains must be non-negative (got %d)\n" domains;
-      exit 1
-    end;
-    if tcp <> None && socket <> None then begin
-      Printf.eprintf "error: give at most one of --tcp and --socket\n";
-      exit 1
-    end;
-    (match telemetry_interval with
-    | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
-      Printf.eprintf "error: --telemetry-interval must be positive (got %g)\n" s;
-      exit 1
-    | _ -> ());
-    (* The daemon is the observed artifact: spans and latency histograms
-       are on for its whole lifetime. *)
-    Rebal_obs.Control.set_enabled true;
-    Optrace.set_sample_every trace_sample;
-    Optrace.set_slow_threshold_ns
-      (if trace_slow_ms < 0.0 then -1 else int_of_float (trace_slow_ms *. 1e6));
-    let opened = ref [] in
-    (* One engine bound to one journal file. An existing journal is the
-       record of a previous run: replay it (resuming from the latest
-       snapshot if compacted), verify it, re-arm its recorded trigger
-       (CLI --auto-* flags override), and append. Line-flushed so a
-       crash loses at most the event being written. *)
-    (* Disk appends go through the resilient wrapper: a transient
-       Sys_error (disk full, rotated fd) is retried with backoff, and a
-       line that still cannot be written is dropped — counted in
-       rebal_journal_dropped_total, kept in the tail ring — instead of
-       crashing the serving thread. *)
-    let resilient_channel_sink ?format ?start_seq ?header_written path oc =
-      let write =
-        Journal.resilient ~label:(Filename.basename path) (fun line ->
-            output_string oc line;
-            flush oc)
-      in
-      Journal.create ?format ?start_seq ?header_written ~write ()
-    in
-    (* A resumed journal keeps its on-disk format whatever the flag says
-       — appending JSONL lines to a binary file (or vice versa) would
-       corrupt it. *)
-    let sniff_format path =
-      let ic = open_in_bin path in
-      let fmt =
-        match really_input_string ic (String.length Journal.Binary.magic) with
-        | head -> if head = Journal.Binary.magic then Journal.Binary else Journal.Jsonl
-        | exception End_of_file -> Journal.Jsonl
-      in
-      close_in ic;
-      fmt
-    in
-    let journaled_engine ~m path =
-      let existing = Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 in
-      if existing then begin
-        match Result.bind (Journal.load_file path) Replay.resume with
-        | Error msg ->
-          Printf.eprintf "error: cannot resume journal %s: %s\n" path msg;
-          exit 1
-        | Ok (eng, outcome) ->
-          if Engine.m eng <> m then begin
-            Printf.eprintf
-              "error: journal %s was recorded over %d processors, this serve would give it \
-               %d\n"
-              path (Engine.m eng) m;
-            exit 1
-          end;
-          let oc = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path in
-          opened := oc :: !opened;
-          let sink =
-            resilient_channel_sink ~format:(sniff_format path)
-              ~start_seq:(outcome.Replay.events) ~header_written:true path oc
-          in
-          Engine.set_journal eng (Some sink);
-          (match cli_trigger with Some tr -> Engine.set_trigger eng tr | None -> ());
-          Printf.eprintf
-            "rebalance serve: resumed %s (%d events%s) -> %d jobs, makespan %d\n%!" path
-            outcome.Replay.events
-            (if outcome.Replay.resumed then ", from snapshot" else "")
-            outcome.Replay.final_jobs outcome.Replay.final_makespan;
-          eng
-      end
-      else begin
-        let oc = open_out_bin path in
-        opened := oc :: !opened;
-        let sink = resilient_channel_sink ~format:journal_format path oc in
-        let trigger = Option.value cli_trigger ~default:Engine.Manual in
-        Engine.create ~trigger ~journal:sink ~m ()
-      end
-    in
-    let fresh_engine ~m () =
-      Engine.create ~trigger:(Option.value cli_trigger ~default:Engine.Manual) ~m ()
-    in
-    (* The journal of shard i: plain FILE when there is one shard, FILE.i
-       otherwise — the same naming for sequential and parallel serves,
-       so a journal set can be resumed under either runtime. *)
-    let shard_journal_path base i = if shards = 1 then base else Printf.sprintf "%s.%d" base i in
-    let shard_engine i =
-      let m_i = (procs / shards) + if i < procs mod shards then 1 else 0 in
-      match journal_file with
-      | None -> fresh_engine ~m:m_i ()
-      | Some base -> journaled_engine ~m:m_i (shard_journal_path base i)
-    in
-    let target =
-      if shards = 1 && domains = 0 then
-        Protocol.Single
-          (match journal_file with
-          | None -> fresh_engine ~m:procs ()
-          | Some path -> journaled_engine ~m:procs path)
-      else begin
-        (* The sharded runtime, inline or on --domains worker domains:
-           engines built per shard by the cluster so each binds (metric
-           handles, journal drop counters) to its owner's registry. *)
-        match Cluster.of_engines ~domains ~shards shard_engine with
-        | Ok c when supervise ->
-          let config =
-            {
-              Supervisor.default_config with
-              Supervisor.evac_budget = Option.value evac_budget ~default:max_int;
-            }
-          in
-          Protocol.Supervised (Supervisor.create ~config c)
-        | Ok c -> Protocol.Cluster c
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      end
-    in
-    (* ----- continuous telemetry ----- *)
-    (* The operation lock: everything that touches the target from more
-       than one thread — concurrent TCP sessions, the sampler tick —
-       runs under it, except an unsupervised cluster with worker domains,
-       which is internally thread-safe (mailbox-confined engines). A
-       supervised cluster keeps it: the supervisor's state machine and
-       watchdog are single-threaded. *)
-    let op_lock =
-      match target with
-      | Protocol.Cluster c when Cluster.domain_count c > 0 -> None
-      | _ -> Some (Mutex.create ())
-    in
-    let with_op_lock f =
-      match op_lock with
-      | None -> f ()
-      | Some m ->
-        Mutex.lock m;
-        Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-    in
-    let telemetry_on =
-      telemetry_interval <> None || telemetry_out <> None || alert_rules <> None
-    in
-    let telemetry =
-      if not telemetry_on then None
-      else begin
-        let sink =
-          match telemetry_out with
-          | None -> None
-          | Some path ->
-            let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
-            opened := oc :: !opened;
-            Some (resilient_channel_sink path oc)
-        in
-        let tsdb =
-          Tsdb.create ?sink
-            ~meta:
-              [
-                ("procs", Journal.Int procs);
-                ("shards", Journal.Int shards);
-                ( "interval_s",
-                  Journal.Float (Option.value telemetry_interval ~default:1.0) );
-              ]
-            ~source:(fun () -> Metrics.Registry.metrics (Protocol.metrics_registry target))
-            ()
-        in
-        let alerts =
-          match alert_rules with
-          | None -> None
-          | Some path -> (
-            match Alerts.parse_rules_file path with
-            | Error msg ->
-              Printf.eprintf "error: cannot load alert rules: %s\n" msg;
-              exit 1
-            | Ok [] ->
-              Printf.eprintf "error: alert rules file %s holds no rules\n" path;
-              exit 1
-            | Ok rules ->
-              Printf.eprintf "rebalance serve: loaded %d alert rule%s from %s\n%!"
-                (List.length rules)
-                (if List.length rules = 1 then "" else "s")
-                path;
-              Some (Alerts.create ?sink ~rules tsdb))
-        in
-        Protocol.set_telemetry ?alerts tsdb;
-        Some (tsdb, alerts)
-      end
-    in
-    let telemetry_stop = ref false in
-    let telemetry_thread =
-      match telemetry with
-      | None -> None
-      | Some (tsdb, alerts) ->
-        let interval = Option.value telemetry_interval ~default:1.0 in
-        let sup = match target with Protocol.Supervised s -> Some s | _ -> None in
-        let tick () =
-          with_op_lock (fun () ->
-              Tsdb.sample tsdb;
-              match alerts with
-              | None -> ()
-              | Some a ->
-                ignore (Alerts.eval a);
-                (* The feedback loop: every tick a suspect-annotated rule
-                   spends Firing is one failure signal against its shard —
-                   one tick marks it Suspect, [down_after] sustained ticks
-                   tip it Down through the ordinary evacuation path, with
-                   the rule's name as the journaled provenance. *)
-                match sup with
-                | None -> ()
-                | Some sup ->
-                  List.iter
-                    (fun ((r : Alerts.rule), _) ->
-                      match r.Alerts.suspect with
-                      | Some i when i >= 0 && i < Supervisor.shard_count sup ->
-                        ignore (Supervisor.fail ~reason:("alert:" ^ r.Alerts.rule_name) sup i)
-                      | _ -> ())
-                    (Alerts.firing a))
-        in
-        (* Sleep in short slices so shutdown never waits out a long
-           interval. *)
-        let rec pause remaining =
-          if (not !telemetry_stop) && remaining > 0.0 then begin
-            let step = Float.min 0.05 remaining in
-            (try Thread.delay step with Unix.Unix_error _ -> ());
-            pause (remaining -. step)
-          end
-        in
-        Some
-          (Thread.create
-             (fun () ->
-               while not !telemetry_stop do
-                 tick ();
-                 pause interval
-               done)
-             ())
-    in
-    let stop_telemetry () =
-      telemetry_stop := true;
-      (match telemetry_thread with None -> () | Some th -> Thread.join th);
-      if telemetry <> None then Protocol.clear_telemetry ()
-    in
-    let dump_metrics () =
-      match metrics_file with
-      | None -> ()
-      | Some path -> (
-        (* A cluster's exposition merges its owner registries into a
-           fresh one — metrics_lines is that path for every target. *)
-        try
-          let oc = open_out path in
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            (Protocol.metrics_lines target);
-          close_out oc
-        with Sys_error e -> Printf.eprintf "rebalance serve: metrics dump failed: %s\n%!" e)
-    in
-    if metrics_file <> None then begin
-      try Sys.set_signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> dump_metrics ()))
-      with Invalid_argument _ -> ()
-    end;
-    (* Graceful shutdown: a final snapshot marks a compaction point, so
-       the next serve resumes from it instead of replaying the whole
-       journal, and the channels are flushed and closed cleanly. *)
-    let final_snapshot () =
-      if journal_file <> None then
-        try
-          match target with
-          | Protocol.Single e -> ignore (Engine.journal_snapshot e)
-          | _ -> Option.iter (fun c -> ignore (Cluster.journal_snapshot c)) (Protocol.cluster_of target)
-        with Failure msg ->
-          Printf.eprintf "rebalance serve: final snapshot failed: %s\n%!" msg
-    in
-    let term_handler = Sys.Signal_handle (fun _ -> raise Terminated) in
-    (try Sys.set_signal Sys.sigterm term_handler with Invalid_argument _ -> ());
-    (try Sys.set_signal Sys.sigint term_handler with Invalid_argument _ -> ());
-    Fun.protect
-      ~finally:(fun () ->
-        (* Order matters: the sampler stops first (it holds handles into
-           the target and the telemetry sink); the snapshot and the
-           metrics merge need the worker domains alive (journals are
-           written on their owners); the journal channels are closed
-           only after the cluster has drained and joined. *)
-        stop_telemetry ();
-        final_snapshot ();
-        dump_metrics ();
-        Option.iter Cluster.shutdown (Protocol.cluster_of target);
-        List.iter (fun oc -> try close_out oc with Sys_error _ -> ()) !opened)
-    @@ fun () ->
-    try
-      match (tcp, socket) with
-      | Some port, _ ->
-        (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-        let srv =
-          Server.create ~addr:(Unix.ADDR_INET (Unix.inet_addr_loopback, port)) ()
-        in
-        let actual =
-          match Server.bound_addr srv with Unix.ADDR_INET (_, p) -> p | _ -> port
-        in
-        Printf.printf "rebalance serve: listening on 127.0.0.1:%d (procs=%d, shards=%d, domains=%d)\n%!"
-          actual procs shards
-          (Option.fold ~none:0 ~some:Cluster.domain_count (Protocol.cluster_of target));
-        (* Scrape dispatch: a connection whose first bytes sniff as an
-           HTTP request gets one GET /metrics-style answer and closes;
-           everything else is a line-protocol session. The sniff peeks
-           without consuming, so the protocol stream is untouched. A
-           metrics scrape reads the target under the op lock, as the
-           sampler tick does. *)
-        let http_alerts =
-          match telemetry with
-          | Some (_, Some a) ->
-            Some (fun () -> String.concat "\n" (Alerts.status_lines a) ^ "\n")
-          | _ -> None
-        in
-        let http_tsdb =
-          match telemetry with
-          | None -> None
-          | Some (tsdb, _) ->
-            Some
-              (fun ~series ~window ->
-                match
-                  match window with None -> Ok 60.0 | Some w -> Tsdb.parse_duration w
-                with
-                | Error e -> Error e
-                | Ok window_s -> Tsdb.render_json tsdb ~selector:series ~window_s)
-        in
-        let tcp_session ic oc =
-          if Http.sniff (Unix.descr_of_in_channel ic) then begin
-            Http.handle
-              ~metrics:(fun () -> with_op_lock (fun () -> Protocol.metrics_text target))
-              ?alerts:http_alerts ?tsdb:http_tsdb ic oc;
-            Protocol.Close
-          end
-          else session ?lock:op_lock target ic oc
-        in
-        (* SIGTERM lands as Terminated in this accepting thread; drain
-           reuses the graceful path — stop accepting, wait out live
-           sessions, shut stragglers down — before the finalisers run. *)
-        (try Server.run srv ~session:tcp_session
-         with Terminated ->
-           Printf.eprintf "rebalance serve: caught termination signal, draining\n%!");
-        Server.drain ~grace:5.0 srv
-      | None, None -> ignore (session ?lock:op_lock target stdin stdout)
-      | None, Some path ->
-      (* A client that hangs up mid-response must not kill the daemon:
-         with SIGPIPE ignored the write fails as a Sys_error, which ends
-         just that session. *)
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
-      Unix.bind sock (Unix.ADDR_UNIX path);
-      Unix.listen sock 8;
-      Printf.printf "rebalance serve: listening on %s (procs=%d, shards=%d)\n%!" path procs
+      metrics_file journal journal_format supervise evac_budget trace_sample trace_slow_ms
+      telemetry_interval telemetry_out alert_rules =
+    let config =
+      {
+        Daemon.procs;
         shards;
-      let rec accept_loop () =
-        match Unix.accept sock with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
-        | fd, _ ->
-          let ic = Unix.in_channel_of_descr fd in
-          let oc = Unix.out_channel_of_descr fd in
-          let verdict = session ?lock:op_lock target ic oc in
-          (try close_in ic with Sys_error _ -> ());
-          (* The engine (and its placement) outlives the connection: clients
-             come and go, the daemon keeps serving the same cluster state. *)
-          (match verdict with
-          | Protocol.Stop -> ()
-          | Protocol.Close | Protocol.Continue -> accept_loop ())
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.close sock with Unix.Unix_error _ -> ());
-          try Unix.unlink path with Unix.Unix_error _ -> ())
-        accept_loop
-    with Terminated ->
-      Printf.eprintf "rebalance serve: caught termination signal, shutting down\n%!"
+        socket;
+        domains;
+        tcp;
+        auto_events;
+        auto_imbalance;
+        auto_seconds;
+        auto_k;
+        metrics_file;
+        journal;
+        journal_format;
+        supervise;
+        evac_budget;
+        trace_sample;
+        trace_slow_ms;
+        telemetry_interval;
+        telemetry_out;
+        alert_rules;
+      }
+    in
+    or_exit (Result.bind (Daemon.create config) (fun daemon -> Daemon.run daemon))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1986,10 +1539,8 @@ let postmortem_cmd =
    and the router's own consistency check. Exit status 1 on any
    failure makes it a CI smoke test. *)
 let chaos_serve_cmd =
-  let module Engine = Rebal_online.Engine in
-  let module Cluster = Rebal_online.Cluster in
+  let module Chaos = Rebal_online.Chaos in
   let module Supervisor = Rebal_online.Supervisor in
-  let module Protocol = Rebal_online.Protocol in
   let module Tsdb = Rebal_obs.Tsdb in
   let module Alerts = Rebal_obs.Alerts in
   let shards = Arg.(value & opt int 8 & info [ "shards" ] ~docv:"S" ~doc:"Number of shards.") in
@@ -2076,231 +1627,44 @@ let chaos_serve_cmd =
   in
   let run shards procs horizon ops_per_step crash_rate mttr kills down_for evac_budget period
       k telemetry_out alert_rules journal_out seed =
-    if shards < 2 || procs < shards then begin
-      Printf.eprintf "error: need 2 <= --shards <= --procs (got %d shards, %d procs)\n"
-        shards procs;
-      exit 1
-    end;
-    List.iter
-      (fun (s, t) ->
-        if s < 0 || s >= shards || t < 0 || t >= horizon then begin
-          Printf.eprintf "error: --kill %d:%d is outside %d shards x %d steps\n" s t shards
-            horizon;
-          exit 1
-        end)
-      kills;
-    let fault =
+    let config = { Chaos.shards; procs; horizon; ops_per_step; period; k; evac_budget; seed } in
+    or_exit (Chaos.validate config);
+    let live =
       if kills = [] then
-        Some
-          (Rebal_sim.Fault.create ~seed:(seed + 1) ~servers:shards ~horizon ~crash_rate
-             ~mttr ())
-      else None
+        match
+          Rebal_sim.Fault.create ~seed:(seed + 1) ~servers:shards ~horizon ~crash_rate ~mttr ()
+        with
+        | fault -> fun i t -> Rebal_sim.Fault.is_live fault ~server:i ~time:t
+        | exception Invalid_argument msg -> or_exit (Error msg)
+      else or_exit (Chaos.kill_schedule config ~down_for kills)
     in
-    let live i t =
-      match fault with
-      | Some f -> Rebal_sim.Fault.is_live f ~server:i ~time:t
-      | None -> not (List.exists (fun (s, st) -> s = i && t >= st && t < st + down_for) kills)
-    in
-    (* In-memory journals: one buffer per shard, written through the
-       engines' ordinary sinks, replayed wholesale at the end. *)
-    let buffers = Array.init shards (fun _ -> Buffer.create 4096) in
-    let cluster =
-      Cluster.create
-        ~journal_for:(fun i -> Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()))
-        ~m:procs ~shards ()
-    in
-    let time = ref 0 in
-    let config =
-      {
-        Supervisor.default_config with
-        Supervisor.suspect_after = 1;
-        down_after = 2;
-        recovery_steps = 4;
-        evac_budget = Option.value evac_budget ~default:max_int;
-      }
-    in
-    let sup = Supervisor.create ~config ~probe:(fun i -> live i !time) cluster in
-    (* Per-step telemetry: the same store/rule-engine pair serve runs on
-       a timer, ticked once per driven step. Journal events and samples
+    let chaos = Chaos.create ~live config in
+    (* Per-step telemetry: the store and rule engine serve runs on a
+       timer, ticked once per driven step. Journal events and samples
        share the monotonic clock, so postmortem lines them up. *)
-    let telemetry_oc = ref None in
+    let telemetry_oc =
+      Option.map (fun path -> try open_out path with Sys_error e -> or_exit (Error e)) telemetry_out
+    in
     let telemetry =
       if telemetry_out = None && alert_rules = None then None
-      else begin
-        Rebal_obs.Control.set_enabled true;
-        let sink =
-          match telemetry_out with
-          | None -> None
-          | Some path ->
-            let oc = open_out path in
-            telemetry_oc := Some oc;
-            Some
-              (Journal.create
-                 ~write:(fun line ->
-                   output_string oc line;
-                   flush oc)
-                 ())
-        in
-        let target = Protocol.Supervised sup in
-        let tsdb =
-          Tsdb.create ?sink
-            ~meta:[ ("mode", Journal.Str "chaos-serve"); ("shards", Journal.Int shards) ]
-            ~source:(fun () -> Metrics.Registry.metrics (Protocol.metrics_registry target))
-            ()
-        in
-        let alerts =
-          match alert_rules with
-          | None -> None
-          | Some path -> (
-            match Alerts.parse_rules_file path with
-            | Error msg ->
-              Printf.eprintf "error: cannot load alert rules: %s\n" msg;
-              exit 1
-            | Ok rules -> Some (Alerts.create ?sink ~rules tsdb))
-        in
-        Some (tsdb, alerts)
-      end
+      else
+        Some
+          (or_exit
+             (Rebal_net.Daemon.telemetry
+                ?sink:(Option.map (Journal.to_channel ~line_flush:true) telemetry_oc)
+                ?rules:alert_rules
+                ~meta:[ ("mode", Journal.Str "chaos-serve"); ("shards", Journal.Int shards) ]
+                (Rebal_online.Protocol.Supervised (Chaos.supervisor chaos))))
     in
-    (* Reference model: what the workload believes is live. Anything the
-       cluster accepted must survive every kill and recovery. *)
-    let model = Hashtbl.create 1024 in
-    let live_ids = ref (Array.make 16 "") in
-    let n_live = ref 0 in
-    let push id =
-      if !n_live = Array.length !live_ids then begin
-        let bigger = Array.make ((2 * !n_live) + 16) "" in
-        Array.blit !live_ids 0 bigger 0 !n_live;
-        live_ids := bigger
-      end;
-      !live_ids.(!n_live) <- id;
-      incr n_live
+    let on_step _ =
+      Option.iter
+        (fun (tsdb, alerts) ->
+          Tsdb.sample tsdb;
+          Option.iter (fun a -> ignore (Alerts.eval a)) alerts)
+        telemetry
     in
-    let remove_at j =
-      !live_ids.(j) <- !live_ids.(!n_live - 1);
-      decr n_live
-    in
-    let rng = Rng.create seed in
-    let next_id = ref 0 in
-    let rejected = ref 0 in
-    let down_at = Array.make shards (-1) in
-    let recoveries = ref [] in
-    let downtime_weighted = ref 0.0 in
-    let failures = ref [] in
-    let failf fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-    for t = 0 to horizon - 1 do
-      time := t;
-      ignore (Supervisor.tick sup);
-      for i = 0 to shards - 1 do
-        (match Supervisor.health sup i with
-        | Supervisor.Down when down_at.(i) < 0 -> down_at.(i) <- t
-        | Supervisor.Healthy when down_at.(i) >= 0 ->
-          recoveries := (i, down_at.(i), t) :: !recoveries;
-          down_at.(i) <- -1
-        | _ -> ());
-        (* Re-admission: the fault plan revived the shard, so rebuild
-           its engine from its own journal — the evacuation removes
-           were recorded, so the restored engine agrees with the
-           directory — and let the supervisor ramp it back in. *)
-        if Supervisor.health sup i = Supervisor.Down && live i t then begin
-          let restore () =
-            Result.map
-              (fun (eng, outcome) ->
-                Engine.set_journal eng
-                  (Some
-                     (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-                        ~write:(Buffer.add_string buffers.(i)) ()));
-                eng)
-              (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
-          in
-          match Supervisor.readmit sup i restore with
-          | Ok () -> ()
-          | Error msg -> failf "shard %d: readmission failed: %s" i msg
-        end
-      done;
-      for _ = 1 to ops_per_step do
-        let r = Rng.float rng 1.0 in
-        if r < 0.6 || !n_live = 0 then begin
-          let id = Printf.sprintf "c%d" !next_id in
-          incr next_id;
-          let size = Rng.int_range rng 1 100 in
-          match Supervisor.add_job sup ~id ~size with
-          | Ok _ ->
-            Hashtbl.replace model id size;
-            push id
-          | Error _ -> incr rejected
-        end
-        else begin
-          let j = Rng.int rng !n_live in
-          let id = !live_ids.(j) in
-          if r < 0.85 then (
-            match Supervisor.remove_job sup ~id with
-            | Ok _ ->
-              Hashtbl.remove model id;
-              remove_at j
-            | Error _ -> incr rejected)
-          else begin
-            let size = Rng.int_range rng 1 100 in
-            match Supervisor.resize_job sup ~id ~size with
-            | Ok _ -> Hashtbl.replace model id size
-            | Error _ -> incr rejected
-          end
-        end
-      done;
-      if (t + 1) mod period = 0 then ignore (Supervisor.rebalance sup ~k);
-      (* Downtime-weighted makespan, the chaos scoring rule: a step
-         served with dead shards counts its makespan once per missing
-         shard on top of the base weight. *)
-      let serving = Supervisor.serving_shards sup in
-      downtime_weighted :=
-        !downtime_weighted
-        +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving));
-      match telemetry with
-      | None -> ()
-      | Some (tsdb, alerts) ->
-        Tsdb.sample tsdb;
-        Option.iter (fun a -> ignore (Alerts.eval a)) alerts
-    done;
-    (* ----- the audit ----- *)
-    let lost =
-      Hashtbl.fold
-        (fun id size acc ->
-          match Cluster.find cluster id with
-          | Some (sz, _) when sz = size -> acc
-          | Some _ | None -> id :: acc)
-        model []
-    in
-    if lost <> [] then
-      failf "%d job(s) lost or corrupted (e.g. %s)" (List.length lost)
-        (List.hd (List.sort compare lost));
-    if Cluster.job_count cluster <> Hashtbl.length model then
-      failf "cluster holds %d job(s), workload expects %d (strays or duplicates)"
-        (Cluster.job_count cluster) (Hashtbl.length model);
-    if not (Cluster.check_consistency cluster ~k:16) then failf "cluster consistency check failed";
-    let replays_clean = ref 0 in
-    Array.iteri
-      (fun i buf ->
-        match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
-        | Error msg -> failf "shard %d journal replay: %s" i msg
-        | Ok (eng, _) ->
-          let live_eng = Cluster.engine cluster i in
-          let same_jobs =
-            Engine.fold_jobs live_eng
-              (fun acc ~id ~size ~proc ->
-                acc
-                &&
-                match Engine.find eng id with
-                | Some (sz, p) -> sz = size && p = proc
-                | None -> false)
-              true
-          in
-          if
-            Engine.job_count eng <> Engine.job_count live_eng
-            || Engine.makespan eng <> Engine.makespan live_eng
-            || not same_jobs
-          then failf "shard %d journal replay diverges from live state" i
-          else incr replays_clean)
-      buffers;
-    let h = Supervisor.stats sup in
+    let r = Chaos.run ~on_step chaos in
+    let h = r.Chaos.stats in
     Printf.printf "chaos-serve: %d shards, %d procs, %d steps x %d ops, seed=%d%s\n" shards
       procs horizon ops_per_step seed
       (if kills = [] then
@@ -2309,27 +1673,24 @@ let chaos_serve_cmd =
     Printf.printf
       "  evacuations=%d evacuated_jobs=%d stranded=%d readmissions=%d rejected_ops=%d\n"
       h.Supervisor.evacuations h.Supervisor.evacuated_jobs h.Supervisor.stranded_jobs
-      h.Supervisor.readmissions !rejected;
+      h.Supervisor.readmissions r.Chaos.rejected;
     List.iter
       (fun (i, went_down, healthy_again) ->
         Printf.printf "  shard %d: down at step %d, healthy again at step %d (%d steps)\n" i
           went_down healthy_again (healthy_again - went_down))
-      (List.rev !recoveries);
-    Array.iteri
-      (fun i at ->
-        if at >= 0 then
-          Printf.printf "  shard %d: still %s at end (down since step %d)\n" i
-            (Supervisor.health_name (Supervisor.health sup i))
-            at)
-      down_at;
-    (match List.map (fun (_, d, h') -> h' - d) !recoveries with
+      r.Chaos.recoveries;
+    List.iter
+      (fun (i, health, at) ->
+        Printf.printf "  shard %d: still %s at end (down since step %d)\n" i
+          (Supervisor.health_name health) at)
+      r.Chaos.still_down;
+    (match List.map (fun (_, d, h') -> h' - d) r.Chaos.recoveries with
     | [] -> ()
     | xs ->
       Printf.printf "  mean recovery: %.1f steps\n"
         (float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)));
-    Printf.printf "  downtime-weighted makespan: %.0f\n" !downtime_weighted;
-    Printf.printf "  jobs live: %d, makespan: %d\n" (Cluster.job_count cluster)
-      (Cluster.makespan cluster);
+    Printf.printf "  downtime-weighted makespan: %.0f\n" r.Chaos.downtime_weighted;
+    Printf.printf "  jobs live: %d, makespan: %d\n" r.Chaos.jobs r.Chaos.makespan;
     (match telemetry with
     | None -> ()
     | Some (tsdb, alerts) ->
@@ -2338,29 +1699,26 @@ let chaos_serve_cmd =
         (match alerts with
         | None -> ""
         | Some a -> Printf.sprintf ", %d alert transition(s)" (List.length (Alerts.transitions a))));
-    (match journal_out with
-    | None -> ()
-    | Some base ->
-      Array.iteri
-        (fun i buf ->
-          let path = Printf.sprintf "%s.%d" base i in
-          try
-            let oc = open_out path in
-            output_string oc (Buffer.contents buf);
-            close_out oc
-          with Sys_error e -> failf "cannot write journal %s: %s" path e)
-        buffers;
-      Printf.printf "  journals written to %s.0 .. %s.%d\n" base base (shards - 1));
-    (match !telemetry_oc with
-    | Some oc -> ( try close_out oc with Sys_error _ -> ())
-    | None -> ());
+    let failures = ref r.Chaos.failures in
+    Option.iter
+      (fun base ->
+        Array.iteri
+          (fun i journal ->
+            let path = Printf.sprintf "%s.%d" base i in
+            try Out_channel.with_open_text path (fun oc -> output_string oc journal)
+            with Sys_error e ->
+              failures := !failures @ [ Printf.sprintf "cannot write journal %s: %s" path e ])
+          r.Chaos.journals;
+        Printf.printf "  journals written to %s.0 .. %s.%d\n" base base (shards - 1))
+      journal_out;
+    Option.iter close_out_noerr telemetry_oc;
     match !failures with
     | [] ->
       Printf.printf
         "  verification: OK (no lost jobs, %d/%d journals replay clean, consistency ok)\n"
-        !replays_clean shards
+        r.Chaos.replays_clean shards
     | fs ->
-      List.iter (fun f -> Printf.eprintf "chaos-serve: FAIL: %s\n" f) (List.rev fs);
+      List.iter (fun f -> Printf.eprintf "chaos-serve: FAIL: %s\n" f) fs;
       exit 1
   in
   Cmd.v
@@ -2385,13 +1743,7 @@ let replay_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"JOURNAL" ~doc:"Flight-recorder journal file (JSONL or binary, auto-detected).")
   in
-  let run file =
-    match Replay.run_file file with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Ok outcome -> print_endline (Replay.summary outcome)
-  in
+  let run file = print_endline (Replay.summary (or_exit (Replay.run_file file))) in
   Cmd.v
     (Cmd.info "replay"
        ~doc:
@@ -2416,22 +1768,18 @@ let snapshot_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the snapshot to $(docv) instead of stdout.")
   in
   let run file out =
-    match Result.bind (Journal.load_file file) Replay.resume with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Ok (eng, outcome) ->
-      let line = Journal.render_json (Engine.snapshot eng) in
-      (match out with
-      | None -> print_endline line
-      | Some path ->
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc);
-      Printf.eprintf "snapshot: %d jobs over m=%d, makespan %d (from %d journal events)\n%!"
-        outcome.Replay.final_jobs outcome.Replay.m outcome.Replay.final_makespan
-        outcome.Replay.events
+    let eng, outcome = or_exit (Result.bind (Journal.load_file file) Replay.resume) in
+    let line = Journal.render_json (Engine.snapshot eng) in
+    (match out with
+    | None -> print_endline line
+    | Some path ->
+      let oc = open_out path in
+      output_string oc line;
+      output_char oc '\n';
+      close_out oc);
+    Printf.eprintf "snapshot: %d jobs over m=%d, makespan %d (from %d journal events)\n%!"
+      outcome.Replay.final_jobs outcome.Replay.m outcome.Replay.final_makespan
+      outcome.Replay.events
   in
   Cmd.v
     (Cmd.info "snapshot"
@@ -2455,46 +1803,13 @@ let compact_cmd =
           ~doc:"Write the compacted journal to $(docv) instead of rewriting in place.")
   in
   let run file out =
-    match Result.bind (Journal.load_file file) Replay.compact with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Ok (lines, dropped, kept) ->
-      let dest = Option.value out ~default:file in
-      (* Write-then-rename so an interrupted compaction never destroys
-         the only copy of the journal. A binary journal stays binary:
-         the compacted lines are re-parsed and re-framed. *)
-      let binary_src =
-        let ic = open_in_bin file in
-        let is_bin =
-          match really_input_string ic (String.length Journal.Binary.magic) with
-          | head -> head = Journal.Binary.magic
-          | exception End_of_file -> false
-        in
-        close_in ic;
-        is_bin
-      in
-      let tmp = dest ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      (if binary_src then begin
-         match Journal.parse_lines lines with
-         | Error msg ->
-           Printf.eprintf "error: compacted journal does not re-parse: %s\n" msg;
-           exit 1
-         | Ok (h, evs) ->
-           output_string oc Journal.Binary.magic;
-           output_string oc (Journal.Binary.encode_header h);
-           List.iter (fun e -> output_string oc (Journal.Binary.encode_event e)) evs
-       end
-       else
-         List.iter
-           (fun l ->
-             output_string oc l;
-             output_char oc '\n')
-           lines);
-      close_out oc;
-      Sys.rename tmp dest;
-      Printf.printf "compacted %s: kept %d event(s), dropped %d\n" dest kept dropped
+    let compacted, dropped, kept =
+      or_exit (Result.bind (Journal.load_file file) Replay.compact)
+    in
+    let dest = Option.value out ~default:file in
+    (* A binary journal stays binary. *)
+    or_exit (Journal.write_file (Journal.sniff_file file) dest compacted);
+    Printf.printf "compacted %s: kept %d event(s), dropped %d\n" dest kept dropped
   in
   Cmd.v
     (Cmd.info "compact"
@@ -2527,25 +1842,13 @@ let explain_cmd =
           ~doc:"Show one rebalance decision (by its journal sequence number) in full.")
   in
   let run file job reb =
-    match Journal.load_file file with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Ok parsed -> begin
-      let show = function
-        | Ok text -> print_string text
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit 1
-      in
-      match (job, reb) with
-      | Some _, Some _ ->
-        Printf.eprintf "error: give either --job or --rebalance, not both\n";
-        exit 1
-      | Some id, None -> show (Replay.explain_job parsed ~id)
-      | None, Some seq -> show (Replay.explain_rebalance parsed ~seq)
-      | None, None -> print_string (Replay.explain_summary parsed)
-    end
+    let parsed = or_exit (Journal.load_file file) in
+    print_string
+      (match (job, reb) with
+      | Some _, Some _ -> or_exit (Error "give either --job or --rebalance, not both")
+      | Some id, None -> or_exit (Replay.explain_job parsed ~id)
+      | None, Some seq -> or_exit (Replay.explain_rebalance parsed ~seq)
+      | None, None -> Replay.explain_summary parsed)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -2580,56 +1883,21 @@ let journal_convert_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
   in
   let run file to_ out =
-    match Journal.load_file file with
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-    | Ok (h, evs) ->
-      let src =
-        let ic = open_in_bin file in
-        let fmt =
-          match really_input_string ic (String.length Journal.Binary.magic) with
-          | head -> if head = Journal.Binary.magic then Journal.Binary else Journal.Jsonl
-          | exception End_of_file -> Journal.Jsonl
-        in
-        close_in ic;
-        fmt
-      in
-      let target =
-        Option.value to_
-          ~default:(match src with Journal.Jsonl -> Journal.Binary | Journal.Binary -> Journal.Jsonl)
-      in
-      let emit oc =
-        match target with
-        | Journal.Binary ->
-          output_string oc Journal.Binary.magic;
-          output_string oc (Journal.Binary.encode_header h);
-          List.iter (fun e -> output_string oc (Journal.Binary.encode_event e)) evs
-        | Journal.Jsonl ->
-          output_string oc (Journal.render_header h);
-          output_char oc '\n';
-          List.iter
-            (fun e ->
-              output_string oc (Journal.render_event e);
-              output_char oc '\n')
-            evs
-      in
-      let name = function Journal.Jsonl -> "jsonl" | Journal.Binary -> "binary" in
-      (match out with
-      | None ->
-        set_binary_mode_out stdout true;
-        emit stdout;
-        flush stdout
-      | Some path ->
-        (* Write-then-rename: converting over the input (or any existing
-           file) never leaves a half-written journal behind. *)
-        let tmp = path ^ ".tmp" in
-        let oc = open_out_bin tmp in
-        emit oc;
-        close_out oc;
-        Sys.rename tmp path);
-      Printf.eprintf "converted %s (%s -> %s): %d event(s)\n%!" file (name src)
-        (name target) (List.length evs)
+    let ((_, evs) as parsed) = or_exit (Journal.load_file file) in
+    let src = Journal.sniff_file file in
+    let target =
+      Option.value to_
+        ~default:(match src with Journal.Jsonl -> Journal.Binary | Journal.Binary -> Journal.Jsonl)
+    in
+    let name = function Journal.Jsonl -> "jsonl" | Journal.Binary -> "binary" in
+    (match out with
+    | None ->
+      set_binary_mode_out stdout true;
+      print_string (Journal.encode target parsed);
+      flush stdout
+    | Some path -> or_exit (Journal.write_file target path parsed));
+    Printf.eprintf "converted %s (%s -> %s): %d event(s)\n%!" file (name src)
+      (name target) (List.length evs)
   in
   Cmd.v
     (Cmd.info "journal-convert"

@@ -1,5 +1,5 @@
-(** The multi-client TCP front-end: an accept loop handing each
-    connection to its own session thread.
+(** The multi-client socket front-end (TCP or Unix domain): an accept
+    loop handing each connection to its own session thread.
 
     Sessions speak whatever line protocol the [session] callback
     implements — the daemon passes {!Rebal_online.Protocol} sessions,
@@ -12,9 +12,9 @@
     Concurrency model: session threads are systhreads on the accepting
     domain — cheap, I/O-bound, and they park on the parallel cluster's
     reply cells, releasing the runtime lock, while shard worker
-    domains do the compute. The server itself therefore assumes the
-    target behind [session] is safe to drive from many threads (the
-    daemon enforces [--tcp] implies [--domains]).
+    domains do the compute. The server itself assumes the target
+    behind [session] is safe to drive from many threads ({!Daemon}
+    serializes sessions under its operation lock when it is not).
 
     Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) or a
     call to {!request_stop} (the SIGTERM path) stops the accept loop;

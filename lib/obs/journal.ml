@@ -955,20 +955,6 @@ let parse_lines lines =
 
 let parse_string s = parse_lines (String.split_on_char '\n' s)
 
-let parse_file path =
-  match open_in path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec loop acc =
-          match input_line ic with
-          | line -> loop (line :: acc)
-          | exception End_of_file -> List.rev acc
-        in
-        parse_lines (loop []))
-
 (* ----- binary journals ----- *)
 
 let starts_with_magic s =
@@ -1027,9 +1013,6 @@ module Binary = struct
   let encode_header h = frame_of_payload (encode_payload (header_obj h))
   let encode_event e = frame_of_payload (encode_payload (event_obj e))
   let parse_string = parse_binary_string
-
-  let parse_file path =
-    Result.bind (read_whole_file path) parse_binary_string
 end
 
 (* Auto-detecting loaders: a binary journal announces itself with the
@@ -1040,6 +1023,46 @@ let load_string s =
   if starts_with_magic s then parse_binary_string s else parse_string s
 
 let load_file path = Result.bind (read_whole_file path) load_string
+
+(* ----- whole-journal files ----- *)
+
+let sniff_file path =
+  match open_in_bin path with
+  | exception Sys_error _ -> Jsonl
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        match really_input_string ic (String.length binary_magic) with
+        | head when starts_with_magic head -> Binary
+        | _ | (exception End_of_file) -> Jsonl)
+
+let encode format (h, evs) =
+  let b = Buffer.create 4096 in
+  (match format with
+  | Binary ->
+    Buffer.add_string b binary_magic;
+    Buffer.add_string b (Binary.encode_header h);
+    List.iter (fun e -> Buffer.add_string b (Binary.encode_event e)) evs
+  | Jsonl ->
+    let line s =
+      Buffer.add_string b s;
+      Buffer.add_char b '\n'
+    in
+    line (render_header h);
+    List.iter (fun e -> line (render_event e)) evs);
+  Buffer.contents b
+
+(* Write-then-rename: an interrupted write (or one over the input file
+   itself) never leaves a half-written journal behind. *)
+let write_file format path parsed =
+  let tmp = path ^ ".tmp" in
+  match
+    Out_channel.with_open_bin tmp (fun oc -> output_string oc (encode format parsed));
+    Sys.rename tmp path
+  with
+  | () -> Ok ()
+  | exception Sys_error msg -> Error msg
 
 (* ----- typed field access ----- *)
 

@@ -199,8 +199,6 @@ val parse_lines : string list -> (header * event list, string) result
     fields are all rejected. Blank lines are ignored. *)
 
 val parse_string : string -> (header * event list, string) result
-val parse_file : string -> (header * event list, string) result
-(** [parse_file path] also turns [Sys_error] into [Error]. *)
 
 (** The length-prefixed binary frame codec: magic ["RBJB\x01\n"], then
     [u32 LE length | payload] frames, each payload one tag-prefixed
@@ -221,8 +219,6 @@ module Binary : sig
   (** Same guarantees as the text {!parse_lines}: header first,
       contiguous sequence numbers, ["line %d: ..."] errors (a frame is a
       "line": header 1, first event 2 — matching the JSONL numbering). *)
-
-  val parse_file : string -> (header * event list, string) result
 end
 
 val load_string : string -> (header * event list, string) result
@@ -232,6 +228,21 @@ val load_file : string -> (header * event list, string) result
     anything else is parsed as JSONL text. What every consumer of
     user-supplied journal paths (replay, snapshot, compact, explain,
     serve resume, convert) should call. *)
+
+val sniff_file : string -> format
+(** The on-disk format of a journal file: [Binary] when it opens with
+    {!Binary.magic}, [Jsonl] otherwise (an empty, short or unreadable
+    file included). A resumed journal is appended to in this format. *)
+
+val encode : format -> header * event list -> string
+(** A whole journal in [format]: header line then one line per event
+    (JSONL), or the magic, the header frame and one frame per event
+    (binary). The bytes a sink of that format would have written. *)
+
+val write_file : format -> string -> header * event list -> (unit, string) result
+(** [write_file format path journal] writes {!encode} to [path ^ ".tmp"]
+    and renames it over [path], so an interrupted write never destroys
+    an existing file. [Error] carries the [Sys_error] message. *)
 
 (** {2 Typed field access} *)
 

@@ -232,6 +232,21 @@ let run_engine (header, evs) =
 let run parsed = Result.map snd (run_engine parsed)
 let resume = run_engine
 
+let resume_appending ?format ~write parsed =
+  Result.map
+    (fun (eng, outcome) ->
+      Engine.set_journal eng
+        (Some (Journal.create ?format ~start_seq:outcome.events ~header_written:true ~write ()));
+      (eng, outcome))
+    (run_engine parsed)
+
+let same_state a b =
+  Engine.job_count a = Engine.job_count b
+  && Engine.makespan a = Engine.makespan b
+  && Engine.fold_jobs a
+       (fun acc ~id ~size ~proc -> acc && Engine.find b id = Some (size, proc))
+       true
+
 let run_file path =
   (* Auto-detect: replay verifies binary journals just like JSONL. *)
   match Journal.load_file path with
@@ -256,9 +271,6 @@ let compact (header, evs) =
   let renumber evs =
     List.mapi (fun i (ev : Journal.event) -> { ev with Journal.seq = i }) evs
   in
-  let rendered header evs =
-    Journal.render_header header :: List.map Journal.render_event evs
-  in
   if List.exists is_snapshot evs then begin
     (* Keep the suffix from the latest snapshot on; everything before it
        is reconstructible from the snapshot itself. *)
@@ -269,7 +281,7 @@ let compact (header, evs) =
       | _ :: rest -> split (dropped + 1) rest
     in
     let dropped, kept = split 0 evs in
-    Ok (rendered header (renumber kept), dropped, List.length kept)
+    Ok ((header, renumber kept), dropped, List.length kept)
   end
   else
     (* No snapshot recorded: replay (verifying the whole journal) and
@@ -289,7 +301,7 @@ let compact (header, evs) =
           line = 0;
         }
       in
-      Ok (rendered header [ snap ], List.length evs, 1)
+      Ok ((header, [ snap ]), List.length evs, 1)
 
 (* ----- provenance views ----- *)
 

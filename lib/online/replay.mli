@@ -53,20 +53,41 @@ val resume :
     trigger re-armed, journal-detached — ready to be put back into
     service ([serve --journal] restarts through this). *)
 
+val resume_appending :
+  ?format:Journal.format ->
+  write:(string -> unit) ->
+  Journal.header * Journal.event list ->
+  (Engine.t * outcome, string) result
+(** {!resume}, then attach a sink that appends to the same journal:
+    [write] receives the rendered bytes, numbering continues after the
+    last replayed event and no second header is written. [format]
+    (default [Jsonl]) must be the journal's own — see
+    {!Journal.sniff_file}. The restart path of [serve --journal] and of
+    a readmitted shard. *)
+
+val same_state : Engine.t -> Engine.t -> bool
+(** Both engines hold the same jobs with the same sizes on the same
+    processors (hence the same makespan). The replay-equals-live check:
+    a journal that resumes to an engine [same_state] as the live one
+    recorded everything. *)
+
 val trigger_of_header : Journal.header -> (Engine.trigger, string) result
 (** The trigger config recorded in the header's [trigger_config] field;
     [Manual] for journals that predate it. *)
 
-val compact : Journal.header * Journal.event list -> (string list * int * int, string) result
+val compact :
+  Journal.header * Journal.event list ->
+  ((Journal.header * Journal.event list) * int * int, string) result
 (** Compact a journal: drop every event before the latest recorded
     [snapshot] (sequence numbers renumbered from 0), or — when none was
     recorded — replay the whole journal (verifying it) and emit a single
-    snapshot of the final state. Returns the rendered lines of the
-    compacted journal (header first, no trailing newlines) plus the
-    number of events dropped and kept. *)
+    snapshot of the final state. Returns the compacted journal (the
+    same header, then the kept events) plus the number of events
+    dropped and kept; {!Journal.write_file} puts it on disk in either
+    format. *)
 
 val run_file : string -> (outcome, string) result
-(** [Journal.parse_file] then {!run}. *)
+(** [Journal.load_file] then {!run}. *)
 
 val summary : outcome -> string
 (** One human-readable paragraph for the CLI. *)

@@ -495,8 +495,8 @@ let prop_compacted_replay_equals_full =
       ignore (Engine.rebalance eng ~k);
       let parsed = Result.get_ok (Journal.parse_string (Buffer.contents buf)) in
       match (Replay.run parsed, Replay.compact parsed) with
-      | Ok full, Ok (lines, dropped, kept) -> begin
-        match Journal.parse_string (String.concat "\n" lines) with
+      | Ok full, Ok (compacted, dropped, kept) -> begin
+        match Journal.load_string (Journal.encode Journal.Jsonl compacted) with
         | Error _ -> false
         | Ok compacted -> begin
           match Replay.run compacted with
@@ -574,11 +574,14 @@ let test_protocol_snapshot_verb () =
   let parsed = Result.get_ok (Journal.parse_string (Buffer.contents buf)) in
   match Replay.compact parsed with
   | Error e -> Alcotest.failf "compact failed: %s" e
-  | Ok (lines, dropped, kept) ->
+  | Ok (((_, evs) as compacted), dropped, kept) ->
     check_int "both adds dropped" 2 dropped;
     check_int "snapshot kept" 1 kept;
-    check_int "header + snapshot" 2 (List.length lines);
-    (match Replay.run (Result.get_ok (Journal.parse_string (String.concat "\n" lines))) with
+    check_int "only the snapshot event" 1 (List.length evs);
+    let binary = Journal.encode Journal.Binary compacted in
+    check_bool "binary encoding opens with the magic" true
+      (starts_with Journal.Binary.magic binary);
+    (match Replay.run (Result.get_ok (Journal.load_string binary)) with
     | Error e -> Alcotest.failf "compacted replay failed: %s" e
     | Ok o ->
       check_bool "resumed from the snapshot" true o.Replay.resumed;

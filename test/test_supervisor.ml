@@ -13,6 +13,7 @@ module Cluster = Rebal_online.Cluster
 module Protocol = Rebal_online.Protocol
 module Supervisor = Rebal_online.Supervisor
 module Replay = Rebal_online.Replay
+module Chaos = Rebal_online.Chaos
 module Journal = Rebal_obs.Journal
 module Metrics = Rebal_obs.Metrics
 
@@ -58,28 +59,13 @@ let jobs_on cluster i = Cluster.query cluster i Engine.job_count
 (* The engine of shard [i] restored from its own journal, appending to it —
    the builder [Supervisor.readmit] takes. *)
 let restore buffers i () =
-  Result.map
-    (fun (eng, outcome) ->
-      Engine.set_journal eng
-        (Some
-           (Journal.create ~start_seq:outcome.Replay.events ~header_written:true
-              ~write:(Buffer.add_string buffers.(i)) ()));
-      eng)
-    (Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume)
+  Result.map fst
+    (Result.bind
+       (Journal.parse_string (Buffer.contents buffers.(i)))
+       (Replay.resume_appending ~write:(Buffer.add_string buffers.(i))))
 
 let replay_matches cluster buffers i =
-  match Result.bind (Journal.parse_string (Buffer.contents buffers.(i))) Replay.resume with
-  | Error _ -> false
-  | Ok (eng, _) ->
-    Cluster.query cluster i (fun live ->
-        Engine.job_count eng = Engine.job_count live
-        && Engine.makespan eng = Engine.makespan live
-        && Engine.fold_jobs live
-             (fun acc ~id ~size ~proc ->
-               acc
-               &&
-               match Engine.find eng id with Some (sz, p) -> sz = size && p = proc | None -> false)
-             true)
+  Result.is_ok (Chaos.replay_matches cluster i (Buffer.contents buffers.(i)))
 
 let live_jobs cluster =
   List.concat
