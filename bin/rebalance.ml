@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.14.0"
+let version = "1.15.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -1768,7 +1768,7 @@ let snapshot_cmd =
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Write the snapshot to $(docv) instead of stdout.")
   in
   let run file out =
-    let eng, outcome = or_exit (Result.bind (Journal.load_file file) Replay.resume) in
+    let eng, outcome = or_exit (Replay.resume_file file) in
     let line = Journal.render_json (Engine.snapshot eng) in
     (match out with
     | None -> print_endline line

@@ -153,11 +153,7 @@ let build_target c ~opened =
   let journaled_engine ~m path =
     if Sys.file_exists path && (Unix.stat path).Unix.st_size > 0 then begin
       let oc = keep (open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path) in
-      let format = Journal.sniff_file path in
-      match
-        Result.bind (Journal.load_file path)
-          (Replay.resume_appending ~format ~write:(resilient_write path oc))
-      with
+      match Replay.resume_file ~append:(resilient_write path oc) path with
       | Error msg -> refuse "cannot resume journal %s: %s" path msg
       | Ok (eng, _) when Engine.m eng <> m ->
         refuse "journal %s was recorded over %d processors, this serve would give it %d" path

@@ -498,66 +498,126 @@ let frame_of_payload payload =
   Bytes.blit_string payload 0 b 4 len;
   Bytes.unsafe_to_string b
 
+(* ----- reading binary values in place -----
+
+   One decoder for the binary codec, over a cursor into a byte buffer:
+   [decode_value] builds a [json] tree, [skip_value] validates a value
+   without building anything, and the frame reader below indexes an
+   event object's members so fields are read where they sit. Errors are
+   [Parse_error] with the messages the whole-journal parsers put after
+   "line N: ". *)
+
+type cursor = {
+  mutable b : Bytes.t;
+  mutable pos : int;
+  mutable lim : int;
+}
+
+let truncated () = raise (Parse_error "truncated frame")
+
+let get_byte c =
+  if c.pos >= c.lim then truncated ();
+  let v = Char.code (Bytes.unsafe_get c.b c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+(* At most 9 bytes: 9 x 7 bits cover OCaml's 63-bit ints, all the
+   encoder ever writes. A longer run of continuation bytes would shift
+   past the word and decode a garbage int. *)
+let get_uvarint_slow c =
+  let acc = ref 0 and shift = ref 0 and continue = ref true in
+  while !continue do
+    let byte = get_byte c in
+    acc := !acc lor ((byte land 0x7f) lsl !shift);
+    if byte land 0x80 = 0 then continue := false
+    else if !shift >= 56 then raise (Parse_error "malformed varint")
+    else shift := !shift + 7
+  done;
+  !acc
+
+(* Keys and counts are one byte long: read those inline. *)
+let get_uvarint c =
+  let p = c.pos in
+  if p < c.lim && Bytes.unsafe_get c.b p < '\x80' then begin
+    c.pos <- p + 1;
+    Char.code (Bytes.unsafe_get c.b p)
+  end
+  else get_uvarint_slow c
+
+let get_zigzag c =
+  let zz = get_uvarint c in
+  (zz lsr 1) lxor (- (zz land 1))
+
+(* Step over [len] bytes; their start offset. *)
+let advance c len =
+  if len < 0 || len > c.lim - c.pos then truncated ();
+  let start = c.pos in
+  c.pos <- c.pos + len;
+  start
+
+(* A list/object count; a negative one cannot fit in any frame. *)
+let get_count c =
+  let n = get_uvarint c in
+  if n < 0 then truncated ();
+  n
+
+let unknown_tag tag = raise (Parse_error (Printf.sprintf "unknown value tag 0x%02x" tag))
+
+let rec skip_value c =
+  match get_byte c with
+  | 0x00 -> ()
+  | 0x01 -> ignore (get_byte c)
+  | 0x02 -> ignore (get_uvarint c)
+  | 0x03 -> ignore (advance c 8)
+  | 0x04 -> ignore (advance c (get_uvarint c))
+  | 0x05 ->
+    for _ = 1 to get_count c do
+      skip_value c
+    done
+  | 0x06 ->
+    for _ = 1 to get_count c do
+      ignore (advance c (get_uvarint c));
+      skip_value c
+    done
+  | tag -> unknown_tag tag
+
+let get_str c =
+  let len = get_uvarint c in
+  let p = advance c len in
+  Bytes.sub_string c.b p len
+
+let rec decode_value c =
+  match get_byte c with
+  | 0x00 -> Null
+  | 0x01 -> Bool (get_byte c <> 0)
+  | 0x02 -> Int (get_zigzag c)
+  | 0x03 -> Float (Int64.float_of_bits (Bytes.get_int64_le c.b (advance c 8)))
+  | 0x04 -> Str (get_str c)
+  | 0x05 -> List (decode_values c (get_count c) [])
+  | 0x06 -> Obj (decode_members c (get_count c) [])
+  | tag -> unknown_tag tag
+
+and decode_values c k acc =
+  if k = 0 then List.rev acc
+  else begin
+    let v = decode_value c in
+    decode_values c (k - 1) (v :: acc)
+  end
+
+and decode_members c k acc =
+  if k = 0 then List.rev acc
+  else begin
+    let key = get_str c in
+    let v = decode_value c in
+    decode_members c (k - 1) ((key, v) :: acc)
+  end
+
+let check_consumed c = if c.pos <> c.lim then raise (Parse_error "trailing bytes in frame")
+
 let decode_payload s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt in
-  let byte () =
-    if !pos >= n then fail "truncated frame"
-    else begin
-      let c = Char.code s.[!pos] in
-      incr pos;
-      c
-    end
-  in
-  let uvarint () =
-    let rec go shift acc =
-      let c = byte () in
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 <> 0 then go (shift + 7) acc else acc
-    in
-    go 0 0
-  in
-  let take len =
-    if len < 0 || !pos + len > n then fail "truncated frame"
-    else begin
-      let r = String.sub s !pos len in
-      pos := !pos + len;
-      r
-    end
-  in
-  let rec value () =
-    match byte () with
-    | 0x00 -> Null
-    | 0x01 -> Bool (byte () <> 0)
-    | 0x02 ->
-      let zz = uvarint () in
-      Int ((zz lsr 1) lxor (- (zz land 1)))
-    | 0x03 -> Float (Int64.float_of_bits (String.get_int64_le (take 8) 0))
-    | 0x04 -> Str (take (uvarint ()))
-    | 0x05 ->
-      let count = uvarint () in
-      List (values count [])
-    | 0x06 ->
-      let count = uvarint () in
-      Obj (members count [])
-    | tag -> fail "unknown value tag 0x%02x" tag
-  and values k acc =
-    if k = 0 then List.rev acc
-    else begin
-      let v = value () in
-      values (k - 1) (v :: acc)
-    end
-  and members k acc =
-    if k = 0 then List.rev acc
-    else begin
-      let key = take (uvarint ()) in
-      let v = value () in
-      members (k - 1) ((key, v) :: acc)
-    end
-  in
-  let v = value () in
-  if !pos <> n then fail "trailing bytes in frame";
+  let c = { b = Bytes.unsafe_of_string s; pos = 0; lim = String.length s } in
+  let v = decode_value c in
+  check_consumed c;
   v
 
 let encode_payload json =
@@ -895,118 +955,547 @@ let tail sink n =
       | Jsonl -> entry
       | Binary -> render_json (decode_payload entry))
 
-(* ----- whole-journal parsing ----- *)
+(* ----- reading journals -----
 
-let err lineno fmt = Printf.ksprintf (fun msg -> Error (Printf.sprintf "line %d: %s" lineno msg)) fmt
+   One reader per codec, both driving the same fold: the header goes to
+   [header], then each event, as a {!Frame.t}, to the step function.
+   The binary reader takes one length-prefixed frame at a time — in
+   place from a string, or from a channel through one reusable buffer —
+   and indexes the event object's members where they sit: the reserved
+   fields are decoded straight off the bytes, and the step reads the
+   rest by key on demand, comparing keys in place. The text reader
+   parses one line at a time into an [event]. The whole-journal parsers
+   are this fold accumulating {!Frame.to_event}. *)
 
-let parse_header_obj lineno kvs =
+exception Field_error of string
+
+let field_msg ~line ~kind key what =
+  Printf.sprintf "line %d: %s event: field %S missing or not %s" line kind key what
+
+(* ----- typed field access ----- *)
+
+let field (e : event) key = List.assoc_opt key e.fields
+
+let field_err (e : event) key what = Error (field_msg ~line:e.line ~kind:e.kind key what)
+
+let int_field e key =
+  match field e key with
+  | Some (Int v) -> Ok v
+  | _ -> field_err e key "an integer"
+
+let str_field e key =
+  match field e key with
+  | Some (Str v) -> Ok v
+  | _ -> field_err e key "a string"
+
+let float_field e key =
+  match field e key with
+  | Some (Float v) -> Ok v
+  | Some (Int v) -> Ok (float_of_int v)
+  | _ -> field_err e key "a number"
+
+let bool_field e key =
+  match field e key with
+  | Some (Bool v) -> Ok v
+  | _ -> field_err e key "a boolean"
+
+let list_field e key =
+  match field e key with
+  | Some (List v) -> Ok v
+  | _ -> field_err e key "a list"
+
+type backing =
+  | Bin (* the payload in [c], indexed below *)
+  | Parsed of event
+
+type frame = {
+  mutable line : int;
+  mutable seq : int;
+  mutable ts_ns : int;
+  mutable kind : string;
+  mutable backing : backing;
+  c : cursor; (* [Bin]: the payload is [c.b] up to [c.lim] *)
+  mutable n : int; (* members of the event object *)
+  mutable koff : int array; (* member i's key starts here ... *)
+  mutable klen : int array; (* ... and is this long; *)
+  mutable voff : int array; (* its value starts here *)
+  mutable kinds : string list; (* every kind seen so far, interned *)
+}
+
+let new_frame () =
+  {
+    line = 0;
+    seq = 0;
+    ts_ns = 0;
+    kind = "";
+    backing = Bin;
+    c = { b = Bytes.empty; pos = 0; lim = 0 };
+    n = 0;
+    koff = Array.make 8 0;
+    klen = Array.make 8 0;
+    voff = Array.make 8 0;
+    kinds = [];
+  }
+
+let set_parsed fr (ev : event) =
+  fr.line <- ev.line;
+  fr.seq <- ev.seq;
+  fr.ts_ns <- ev.ts_ns;
+  fr.kind <- ev.kind;
+  fr.backing <- Parsed ev
+
+let bytes_eq b off s =
+  let len = String.length s in
+  let i = ref 0 in
+  while !i < len && Bytes.unsafe_get b (off + !i) = String.unsafe_get s !i do
+    incr i
+  done;
+  !i = len
+
+let key_is_at fr i key = fr.klen.(i) = String.length key && bytes_eq fr.c.b fr.koff.(i) key
+
+(* The first member named [key], or -1. *)
+let member_index fr key =
+  let i = ref 0 in
+  while !i < fr.n && not (key_is_at fr !i key) do
+    incr i
+  done;
+  if !i < fr.n then !i else -1
+
+let tag_at fr i = Char.code (Bytes.unsafe_get fr.c.b fr.voff.(i))
+
+(* Point the cursor past member [i]'s tag. *)
+let enter fr i = fr.c.pos <- fr.voff.(i) + 1
+
+let grow_index fr =
+  let grow a =
+    let a' = Array.make (2 * Array.length a) 0 in
+    Array.blit a 0 a' 0 fr.n;
+    a'
+  in
+  fr.koff <- grow fr.koff;
+  fr.klen <- grow fr.klen;
+  fr.voff <- grow fr.voff
+
+(* Validate the payload in [fr.c] — the same walk and errors as
+   [decode_value] — and index the members of its object. *)
+let index_frame fr =
+  let c = fr.c in
+  fr.n <- 0;
+  if c.pos < c.lim && Bytes.unsafe_get c.b c.pos = '\x06' then begin
+    c.pos <- c.pos + 1;
+    for _ = 1 to get_count c do
+      if fr.n = Array.length fr.koff then grow_index fr;
+      let len = get_uvarint c in
+      fr.koff.(fr.n) <- advance c len;
+      fr.klen.(fr.n) <- len;
+      fr.voff.(fr.n) <- c.pos;
+      skip_value c;
+      fr.n <- fr.n + 1
+    done;
+    check_consumed c
+  end
+  else begin
+    skip_value c;
+    check_consumed c;
+    raise (Parse_error "expected an object frame")
+  end
+
+let header_of_kvs kvs =
   match (List.assoc_opt "journal" kvs, List.assoc_opt "version" kvs) with
   | Some (Str journal), Some (Int version) ->
     let meta = List.filter (fun (k, _) -> k <> "journal" && k <> "version") kvs in
-    Ok { journal; version; meta }
-  | None, _ -> err lineno "header is missing the \"journal\" field"
-  | _, None -> err lineno "header is missing the \"version\" field"
-  | _ -> err lineno "header \"journal\"/\"version\" fields have the wrong type"
+    { journal; version; meta }
+  | None, _ -> raise (Parse_error "header is missing the \"journal\" field")
+  | _, None -> raise (Parse_error "header is missing the \"version\" field")
+  | _ -> raise (Parse_error "header \"journal\"/\"version\" fields have the wrong type")
 
-let parse_event_obj lineno ~expect_seq kvs =
-  match
-    ( List.assoc_opt "seq" kvs,
-      List.assoc_opt "ts_ns" kvs,
-      List.assoc_opt "ev" kvs )
-  with
+(* The reserved triple, checked alike by both codecs: a well-typed
+   [seq]/[ts_ns]/[ev] with the expected sequence number, or else the
+   first missing key, or else a wrong type. *)
+let check_seq ~expect_seq seq =
+  if seq <> expect_seq then
+    raise
+      (Parse_error
+         (Printf.sprintf "sequence number %d, expected %d (truncated or tampered journal)" seq
+            expect_seq))
+
+let reserved_error ~seq ~ts_ns ~ev =
+  raise
+    (Parse_error
+       (if not seq then "event is missing the \"seq\" field"
+        else if not ts_ns then "event is missing the \"ts_ns\" field"
+        else if not ev then "event is missing the \"ev\" field"
+        else "event \"seq\"/\"ts_ns\"/\"ev\" fields have the wrong type"))
+
+let event_of_kvs ~line ~expect_seq kvs =
+  match (List.assoc_opt "seq" kvs, List.assoc_opt "ts_ns" kvs, List.assoc_opt "ev" kvs) with
   | Some (Int seq), Some (Int ts_ns), Some (Str kind) ->
-    if seq <> expect_seq then
-      err lineno "sequence number %d, expected %d (truncated or tampered journal)" seq
-        expect_seq
-    else begin
-      let fields = List.filter (fun (k, _) -> not (List.mem k reserved)) kvs in
-      Ok { seq; ts_ns; kind; fields; line = lineno }
-    end
-  | None, _, _ -> err lineno "event is missing the \"seq\" field"
-  | _, None, _ -> err lineno "event is missing the \"ts_ns\" field"
-  | _, _, None -> err lineno "event is missing the \"ev\" field"
-  | _ -> err lineno "event \"seq\"/\"ts_ns\"/\"ev\" fields have the wrong type"
+    check_seq ~expect_seq seq;
+    let fields = List.filter (fun (k, _) -> not (List.mem k reserved)) kvs in
+    { seq; ts_ns; kind; fields; line }
+  | seq, ts_ns, ev ->
+    reserved_error ~seq:(Option.is_some seq) ~ts_ns:(Option.is_some ts_ns)
+      ~ev:(Option.is_some ev)
 
-let parse_lines lines =
-  let rec go lineno ~header ~expect_seq acc = function
-    | [] -> (
-      match header with
-      | None -> Error "empty journal: missing header line"
-      | Some h -> Ok (h, List.rev acc))
-    | line :: rest ->
-      if String.trim line = "" then go (lineno + 1) ~header ~expect_seq acc rest
+let rec find_interned b off len = function
+  | [] -> raise Not_found
+  | k :: tl -> if String.length k = len && bytes_eq b off k then k else find_interned b off len tl
+
+(* Kinds are few: after the first frame of each, reading one allocates
+   nothing. *)
+let intern fr off len =
+  match find_interned fr.c.b off len fr.kinds with
+  | k -> k
+  | exception Not_found ->
+    let k = Bytes.sub_string fr.c.b off len in
+    if List.compare_length_with fr.kinds 32 < 0 then fr.kinds <- k :: fr.kinds;
+    k
+
+let read_reserved fr ~expect_seq =
+  let si = member_index fr "seq" and ti = member_index fr "ts_ns" and ei = member_index fr "ev" in
+  if si < 0 || ti < 0 || ei < 0
+     || tag_at fr si <> 0x02 || tag_at fr ti <> 0x02 || tag_at fr ei <> 0x04
+  then reserved_error ~seq:(si >= 0) ~ts_ns:(ti >= 0) ~ev:(ei >= 0);
+  enter fr si;
+  fr.seq <- get_zigzag fr.c;
+  check_seq ~expect_seq fr.seq;
+  enter fr ti;
+  fr.ts_ns <- get_zigzag fr.c;
+  enter fr ei;
+  let len = get_uvarint fr.c in
+  fr.kind <- intern fr (advance fr.c len) len;
+  fr.backing <- Bin
+
+(* The cursor API reads no floats, so a non-finite one — parsed JSON can
+   hold it, the binary codec refuses it — may as well read as null. *)
+let rec finite_only = function
+  | Float f when not (Float.is_finite f) -> Null
+  | List l -> List (List.map finite_only l)
+  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, finite_only v)) kvs)
+  | v -> v
+
+let cursor_of_json v =
+  let b = Fb.create 64 in
+  (try encode_value b v
+   with Encode_error _ ->
+     Fb.clear b;
+     encode_value b (finite_only v));
+  { b = b.Fb.b; pos = 0; lim = b.Fb.pos }
+
+module Cursor = struct
+  type t = cursor
+
+  let pos c = c.pos
+  let seek c p = c.pos <- p
+
+  let tagged c tag =
+    c.pos < c.lim
+    && Char.code (Bytes.unsafe_get c.b c.pos) = tag
+    &&
+    (c.pos <- c.pos + 1;
+     true)
+
+  let list c = if tagged c 0x05 then get_count c else -1
+  let obj c = if tagged c 0x06 then get_count c else -1
+
+  (* Reads a length-prefixed byte run whatever it holds. *)
+  let bytes_are c s =
+    let len = get_uvarint c in
+    let p = advance c len in
+    len = String.length s && bytes_eq c.b p s
+
+  let key_is = bytes_are
+  let str_is c s = tagged c 0x04 && bytes_are c s
+  let int_is c v = tagged c 0x02 && get_zigzag c = v
+
+  let member c key =
+    let n = obj c in
+    let found = ref false and i = ref 0 in
+    while (not !found) && !i < n do
+      if bytes_are c key then found := true
       else begin
-        match json_of_string line with
-        | Error msg -> err lineno "%s" msg
-        | Ok (Obj kvs) -> (
-          match header with
-          | None -> (
-            match parse_header_obj lineno kvs with
-            | Error _ as e -> e
-            | Ok h -> go (lineno + 1) ~header:(Some h) ~expect_seq acc rest)
-          | Some _ -> (
-            match parse_event_obj lineno ~expect_seq kvs with
-            | Error _ as e -> e
-            | Ok ev -> go (lineno + 1) ~header ~expect_seq:(expect_seq + 1) (ev :: acc) rest))
-        | Ok _ -> err lineno "expected a JSON object"
+        skip_value c;
+        incr i
       end
+    done;
+    !found
+end
+
+module Frame = struct
+  type t = frame
+
+  let line fr = fr.line
+  let seq fr = fr.seq
+  let kind fr = fr.kind
+  let missing fr key what = raise (Field_error (field_msg ~line:fr.line ~kind:fr.kind key what))
+
+  (* The member holding field [key] of a [Bin] frame, or -1: reserved
+     keys are not fields, as in [event.fields]. *)
+  let field_index fr key = if is_reserved key then -1 else member_index fr key
+
+  let scalar fr key tag what =
+    let i = field_index fr key in
+    if i < 0 || tag_at fr i <> tag then missing fr key what;
+    enter fr i
+
+  let get = function Ok v -> v | Error msg -> raise (Field_error msg)
+
+  let int fr key =
+    match fr.backing with
+    | Parsed ev -> get (int_field ev key)
+    | Bin ->
+      scalar fr key 0x02 "an integer";
+      get_zigzag fr.c
+
+  let str fr key =
+    match fr.backing with
+    | Parsed ev -> get (str_field ev key)
+    | Bin ->
+      scalar fr key 0x04 "a string";
+      get_str fr.c
+
+  let bool fr key =
+    match fr.backing with
+    | Parsed ev -> get (bool_field ev key)
+    | Bin ->
+      scalar fr key 0x01 "a boolean";
+      get_byte fr.c <> 0
+
+  let field fr key =
+    match fr.backing with
+    | Parsed ev -> field ev key
+    | Bin ->
+      let i = field_index fr key in
+      if i < 0 then None
+      else begin
+        fr.c.pos <- fr.voff.(i);
+        Some (decode_value fr.c)
+      end
+
+  let list fr key = match field fr key with Some (List l) -> l | _ -> missing fr key "a list"
+
+  let cursor fr key =
+    match fr.backing with
+    | Parsed _ -> Option.map cursor_of_json (field fr key)
+    | Bin ->
+      let i = field_index fr key in
+      if i < 0 then None else Some { fr.c with pos = fr.voff.(i) }
+
+  let to_event fr =
+    match fr.backing with
+    | Parsed ev -> ev
+    | Bin ->
+      let fields = ref [] in
+      for i = fr.n - 1 downto 0 do
+        if not (key_is_at fr i "seq" || key_is_at fr i "ts_ns" || key_is_at fr i "ev") then begin
+          let key = Bytes.sub_string fr.c.b fr.koff.(i) fr.klen.(i) in
+          fr.c.pos <- fr.voff.(i);
+          fields := (key, decode_value fr.c) :: !fields
+        end
+      done;
+      { seq = fr.seq; ts_ns = fr.ts_ns; kind = fr.kind; fields = !fields; line = fr.line }
+end
+
+(* Parse errors get the line they were found on; field errors carry it. *)
+let with_line fr f =
+  match f () with
+  | r -> r
+  | exception Parse_error msg -> Error (Printf.sprintf "line %d: %s" fr.line msg)
+  | exception Field_error msg -> Error msg
+
+(* The binary fold. [next] loads the next frame's payload into [fr.c],
+   or answers [false] at a clean end of input. A frame is a "line":
+   header 1, event seq [s] on line [s + 2], as in the JSONL rendering. *)
+let fold_frames fr next ~header step =
+  with_line fr (fun () ->
+      fr.line <- 1;
+      if not (next ()) then Error "empty journal: missing header frame"
+      else begin
+        let v = decode_value fr.c in
+        check_consumed fr.c;
+        let h =
+          match v with
+          | Obj kvs -> header_of_kvs kvs
+          | _ -> raise (Parse_error "expected an object frame")
+        in
+        let acc = ref (header h) in
+        fr.line <- 2;
+        while next () do
+          index_frame fr;
+          read_reserved fr ~expect_seq:(fr.line - 2);
+          acc := step !acc fr;
+          fr.line <- fr.line + 1
+        done;
+        Ok !acc
+      end)
+
+(* The text fold over [next_line]'s lines; blank lines are skipped but
+   numbered. *)
+let fold_lines fr next_line ~header step =
+  let obj_of_line line =
+    match json_of_string line with
+    | Error msg -> raise (Parse_error msg)
+    | Ok (Obj kvs) -> kvs
+    | Ok _ -> raise (Parse_error "expected a JSON object")
   in
-  go 1 ~header:None ~expect_seq:0 [] lines
-
-let parse_string s = parse_lines (String.split_on_char '\n' s)
-
-(* ----- binary journals ----- *)
+  let rec next_obj () =
+    match next_line () with
+    | None -> None
+    | Some line ->
+      fr.line <- fr.line + 1;
+      if String.trim line = "" then next_obj () else Some (obj_of_line line)
+  in
+  with_line fr (fun () ->
+      fr.line <- 0;
+      match next_obj () with
+      | None -> Error "empty journal: missing header line"
+      | Some kvs ->
+        let acc = ref (header (header_of_kvs kvs)) in
+        let rec go expect_seq =
+          match next_obj () with
+          | None -> Ok !acc
+          | Some kvs ->
+            set_parsed fr (event_of_kvs ~line:fr.line ~expect_seq kvs);
+            acc := step !acc fr;
+            go (expect_seq + 1)
+        in
+        go 0)
 
 let starts_with_magic s =
   String.length s >= String.length binary_magic
   && String.sub s 0 (String.length binary_magic) = binary_magic
 
-(* Same discipline as [parse_lines] — header first, contiguous sequence
-   numbers, "line %d" errors (a frame is a line here: the header is
-   line 1, the first event line 2, matching the JSONL rendering). *)
-let parse_binary_string s =
-  if not (starts_with_magic s) then Error "not a binary journal (bad magic)"
+(* A frame's u32 LE length; -1 past [Int32.max_int], which no frame
+   can be. *)
+let get_len b off =
+  let v =
+    Char.code (Bytes.get b off)
+    lor (Char.code (Bytes.get b (off + 1)) lsl 8)
+    lor (Char.code (Bytes.get b (off + 2)) lsl 16)
+    lor (Char.code (Bytes.get b (off + 3)) lsl 24)
+  in
+  if v > 0x7fffffff then -1 else v
+
+let string_frames fr s =
+  let n = String.length s and b = Bytes.unsafe_of_string s in
+  let pos = ref (String.length binary_magic) in
+  fun () ->
+    if !pos >= n then false
+    else if !pos + 4 > n then raise (Parse_error "truncated frame length")
+    else begin
+      let len = get_len b !pos in
+      if len < 0 || len > n - !pos - 4 then truncated ();
+      fr.c.b <- b;
+      fr.c.pos <- !pos + 4;
+      fr.c.lim <- !pos + 4 + len;
+      pos := fr.c.lim;
+      true
+    end
+
+(* Bytes actually read into [b] from [off], up to [len]. *)
+let rec input_full ic b off len =
+  if len = 0 then off
   else begin
-    let n = String.length s in
-    let rec go pos lineno ~header ~expect_seq acc =
-      if pos >= n then
-        match header with
-        | None -> Error "empty journal: missing header frame"
-        | Some h -> Ok (h, List.rev acc)
-      else if pos + 4 > n then err lineno "truncated frame length"
-      else begin
-        let len = Int32.to_int (String.get_int32_le s pos) in
-        if len < 0 || pos + 4 + len > n then err lineno "truncated frame"
-        else begin
-          let payload = String.sub s (pos + 4) len in
-          match decode_payload payload with
-          | exception Parse_error msg -> err lineno "%s" msg
-          | Obj kvs -> (
-            let next = pos + 4 + len in
-            match header with
-            | None -> (
-              match parse_header_obj lineno kvs with
-              | Error _ as e -> e
-              | Ok h -> go next (lineno + 1) ~header:(Some h) ~expect_seq acc)
-            | Some _ -> (
-              match parse_event_obj lineno ~expect_seq kvs with
-              | Error _ as e -> e
-              | Ok ev ->
-                go next (lineno + 1) ~header ~expect_seq:(expect_seq + 1) (ev :: acc)))
-          | _ -> err lineno "expected an object frame"
-        end
-      end
-    in
-    go (String.length binary_magic) 1 ~header:None ~expect_seq:0 []
+    match input ic b off len with
+    | 0 -> off
+    | r -> input_full ic b (off + r) (len - r)
   end
 
-let read_whole_file path =
+(* Frames are read in place from one buffer refilled in large reads; a
+   frame cut by the buffer's end is moved to its front first, and the
+   buffer only grows for a frame larger than itself. [left] bytes of the
+   file are unread: a frame claiming more is truncated, which is found
+   before any buffer is sized for it. *)
+let channel_frames fr ic ~left =
+  let buf = ref (Bytes.create 65536) and lo = ref 0 and hi = ref 0 and left = ref left in
+  (* [need] bytes from [lo] in the buffer, or [false] at end of file *)
+  let fill need =
+    if !hi - !lo < need then begin
+      if !lo + need > Bytes.length !buf then begin
+        let cap = Bytes.length !buf in
+        let b = if need > cap then Bytes.create (max need (2 * cap)) else !buf in
+        Bytes.blit !buf !lo b 0 (!hi - !lo);
+        hi := !hi - !lo;
+        lo := 0;
+        buf := b
+      end;
+      hi := input_full ic !buf !hi (Bytes.length !buf - !hi)
+    end;
+    !hi - !lo >= need
+  in
+  fun () ->
+    if not (fill 4) then
+      if !hi = !lo then false else raise (Parse_error "truncated frame length")
+    else begin
+      let len = get_len !buf !lo in
+      if len < 0 || len > !left - 4 || not (fill (4 + len)) then truncated ();
+      fr.c.b <- !buf;
+      fr.c.pos <- !lo + 4;
+      fr.c.lim <- !lo + 4 + len;
+      lo := fr.c.lim;
+      left := !left - 4 - len;
+      true
+    end
+
+let list_lines lines =
+  let rest = ref lines in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | l :: tl ->
+      rest := tl;
+      Some l
+
+let fold_string s ~header step =
+  let fr = new_frame () in
+  if starts_with_magic s then fold_frames fr (string_frames fr s) ~header step
+  else fold_lines fr (list_lines (String.split_on_char '\n' s)) ~header step
+
+let fold_file path ~header step =
   match open_in_bin path with
   | exception Sys_error msg -> Error msg
   | ic ->
     Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> Ok (In_channel.input_all ic))
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        match in_channel_length ic with
+        | exception Sys_error _ ->
+          (* A pipe can be neither measured nor rewound: read it whole. *)
+          fold_string (In_channel.input_all ic) ~header step
+        | size ->
+          let fr = new_frame () in
+          let magic = String.length binary_magic in
+          let head = Bytes.create magic in
+          if input_full ic head 0 magic = magic && Bytes.to_string head = binary_magic then
+            fold_frames fr (channel_frames fr ic ~left:(size - magic)) ~header step
+          else begin
+            seek_in ic 0;
+            fold_lines fr (fun () -> In_channel.input_line ic) ~header step
+          end)
+
+let fold_events (h, evs) ~header step =
+  let fr = new_frame () in
+  with_line fr (fun () ->
+      Ok
+        (List.fold_left
+           (fun acc ev ->
+             set_parsed fr ev;
+             step acc fr)
+           (header h) evs))
+
+(* ----- whole-journal parsing: the folds, accumulating events ----- *)
+
+let collect fold =
+  Result.map
+    (fun (h, rev) -> (h, List.rev rev))
+    (fold ~header:(fun h -> (h, [])) (fun (h, rev) fr -> (h, Frame.to_event fr :: rev)))
+
+let parse_lines lines = collect (fold_lines (new_frame ()) (list_lines lines))
+let parse_string s = parse_lines (String.split_on_char '\n' s)
+
+let parse_binary_string s =
+  if starts_with_magic s then collect (fold_string s) else Error "not a binary journal (bad magic)"
 
 module Binary = struct
   let magic = binary_magic
@@ -1018,11 +1507,9 @@ end
 (* Auto-detecting loaders: a binary journal announces itself with the
    magic, anything else is treated as JSONL text. Every consumer that
    accepts user-supplied journal paths (replay, snapshot, compact,
-   explain, convert, serve resume) goes through these. *)
-let load_string s =
-  if starts_with_magic s then parse_binary_string s else parse_string s
-
-let load_file path = Result.bind (read_whole_file path) load_string
+   explain, convert, serve resume) goes through these or the folds. *)
+let load_string s = collect (fold_string s)
+let load_file path = collect (fold_file path)
 
 (* ----- whole-journal files ----- *)
 
@@ -1063,36 +1550,3 @@ let write_file format path parsed =
   with
   | () -> Ok ()
   | exception Sys_error msg -> Error msg
-
-(* ----- typed field access ----- *)
-
-let field e key = List.assoc_opt key e.fields
-
-let field_err e key what =
-  Error (Printf.sprintf "line %d: %s event: field %S missing or not %s" e.line e.kind key what)
-
-let int_field e key =
-  match field e key with
-  | Some (Int v) -> Ok v
-  | _ -> field_err e key "an integer"
-
-let str_field e key =
-  match field e key with
-  | Some (Str v) -> Ok v
-  | _ -> field_err e key "a string"
-
-let float_field e key =
-  match field e key with
-  | Some (Float v) -> Ok v
-  | Some (Int v) -> Ok (float_of_int v)
-  | _ -> field_err e key "a number"
-
-let bool_field e key =
-  match field e key with
-  | Some (Bool v) -> Ok v
-  | _ -> field_err e key "a boolean"
-
-let list_field e key =
-  match field e key with
-  | Some (List v) -> Ok v
-  | _ -> field_err e key "a list"

@@ -6,8 +6,9 @@
     number, a monotonic nanosecond timestamp and a producer-defined
     kind plus fields ([{"seq": 0, "ts_ns": ..., "ev": "add", ...}]).
     Producers append through a {!sink}; consumers parse whole journals
-    back with line-numbered errors in the [Rebal_core.Io] style, so a
-    corrupted or truncated recording points at the offending line.
+    back, or fold over them as they are read, with line-numbered errors
+    in the [Rebal_core.Io] style, so a corrupted or truncated recording
+    points at the offending line.
 
     The module is deliberately generic — it knows nothing about engines
     or simulations. [Rebal_online.Engine] emits its operation stream
@@ -227,7 +228,100 @@ val load_file : string -> (header * event list, string) result
 (** Auto-detect: a leading {!Binary.magic} selects the binary parser,
     anything else is parsed as JSONL text. What every consumer of
     user-supplied journal paths (replay, snapshot, compact, explain,
-    serve resume, convert) should call. *)
+    serve resume, convert) should call, unless it can consume the
+    journal as it is read: then see {!fold_file}. *)
+
+(** {2 Streaming}
+
+    The parsers above are these folds accumulating every event; used
+    directly, the folds hand each event to the caller as it is read,
+    and no list is built. There is one reader per codec underneath
+    both. A binary journal is read one length-prefixed frame at a time
+    through a reusable buffer: the event object's members are indexed
+    where they sit, and fields are read by key on demand. A JSONL
+    journal is read one line at a time. Every check and
+    ["line %d: ..."] error of the whole-journal parsers applies, but a
+    fold stops at the first bad line, so a journal with a corrupt tail
+    has had its head folded. *)
+
+exception Field_error of string
+(** Raised by the {!Frame} field readers with {!int_field}'s message; a
+    fold returns it as its [Error]. *)
+
+(** A cursor over one binary-encoded value, for walking large nested
+    values (a snapshot's jobs) without decoding them. Each reader
+    consumes what it reads and answers [false] (or [-1]) when the value
+    here is not of the expected shape, after which the position is
+    unspecified: {!seek} back. *)
+module Cursor : sig
+  type t
+
+  val pos : t -> int
+  val seek : t -> int -> unit
+
+  val list : t -> int
+  (** A list here: its element count, then the cursor is at the first. *)
+
+  val obj : t -> int
+  (** An object here: its member count, then the cursor is at the first
+      key. *)
+
+  val key_is : t -> string -> bool
+  (** Reads an object key; [true] when it equals the string. *)
+
+  val int_is : t -> int -> bool
+  val str_is : t -> string -> bool
+
+  val member : t -> string -> bool
+  (** An object here: move to the value of its first member with this
+      key, as [List.assoc] would find it. *)
+end
+
+(** One event of a journal being folded. Only valid during the step
+    call that receives it: the fold reuses it for the next event. *)
+module Frame : sig
+  type t
+
+  val line : t -> int
+  val seq : t -> int
+
+  val kind : t -> string
+  (** Interned: after the first event of each kind, allocates nothing. *)
+
+  val int : t -> string -> int
+  (** Decoded where it sits; allocates nothing.
+      @raise Field_error when missing or not an integer. *)
+
+  val str : t -> string -> string
+  val bool : t -> string -> bool
+
+  val list : t -> string -> json list
+  (** Decoded on demand, like {!field}. *)
+
+  val field : t -> string -> json option
+  (** Any field, decoded on demand. Reserved keys are not fields. *)
+
+  val cursor : t -> string -> Cursor.t option
+  (** A field's value, to walk without decoding it. *)
+end
+
+val fold_file :
+  string -> header:(header -> 'a) -> ('a -> Frame.t -> 'a) -> ('a, string) result
+(** [fold_file path ~header step] reads the journal at [path], auto-
+    detecting its codec like {!load_file}: [header] builds the
+    accumulator from the header, then [step] is called on each event in
+    order. Exceptions raised by [header] and [step] propagate, except
+    {!Field_error}. *)
+
+val fold_string :
+  string -> header:(header -> 'a) -> ('a -> Frame.t -> 'a) -> ('a, string) result
+(** {!fold_file} over a journal held in memory, read in place. *)
+
+val fold_events :
+  header * event list -> header:(header -> 'a) -> ('a -> Frame.t -> 'a) -> ('a, string) result
+(** The same fold over an already-parsed journal, so one step function
+    serves both. The events are taken as they are: hand-built lists are
+    not checked for contiguous sequence numbers. *)
 
 val sniff_file : string -> format
 (** The on-disk format of a journal file: [Binary] when it opens with

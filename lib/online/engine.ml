@@ -308,6 +308,7 @@ let set_journal t sink =
 let job_count t = t.live
 let makespan t = -Indexed_heap.min_prio_exn t.max_heap
 let loads t = Array.copy t.load
+let load t p = t.load.(p)
 let max_job_size t = if t.glen = 0 then 0 else t.job_size.(t.gheap.(0))
 
 (* Makespan over the batch lower bound max(average load, largest job) —
@@ -939,13 +940,16 @@ let copy t =
 
 let snapshot_version = 1
 
+(* Canonical order: ascending sequence number. Job seqs are preserved
+   so the (size, seq) repair tie-breaks — hence future move lists —
+   survive the round trip bit-exactly. *)
+let slots_by_seq t =
+  let slots = Array.of_list (live_slots t) in
+  Array.sort (fun a b -> compare t.job_seq.(a) t.job_seq.(b)) slots;
+  slots
+
 let snapshot t =
-  (* Canonical order: ascending sequence number. Job seqs are preserved
-     so the (size, seq) repair tie-breaks — hence future move lists —
-     survive the round trip bit-exactly. *)
-  let slots =
-    List.sort (fun a b -> compare t.job_seq.(a) t.job_seq.(b)) (live_slots t)
-  in
+  let slots = Array.to_list (slots_by_seq t) in
   Journal.Obj
     [
       ("snapshot", Journal.Str "rebal-engine");
@@ -1089,6 +1093,38 @@ let of_snapshot ?trigger ?clock ?journal json =
     t.c.consistency_failures <- get "consistency_failures" 0
   | _ -> ());
   Ok t
+
+let snapshot_differs t c =
+  let module C = Journal.Cursor in
+  let top = C.pos c in
+  let int_member key v =
+    C.seek c top;
+    C.member c key && C.int_is c v
+  in
+  (* Each recorded job must be exactly {id, seq, size, proc}, in that
+     order, as [snapshot] writes it. *)
+  let same_job s =
+    C.obj c = 4
+    && C.key_is c "id"
+    && C.str_is c t.job_ext.(s)
+    && C.key_is c "seq"
+    && C.int_is c t.job_seq.(s)
+    && C.key_is c "size"
+    && C.int_is c t.job_size.(s)
+    && C.key_is c "proc"
+    && C.int_is c t.job_proc.(s)
+  in
+  if not (int_member "m" t.m) then Some "m"
+  else if not (int_member "next_seq" t.next_seq) then Some "next_seq"
+  else if not (int_member "events_since_repair" t.events_since_repair) then
+    Some "events_since_repair"
+  else begin
+    C.seek c top;
+    let slots = slots_by_seq t in
+    if C.member c "jobs" && C.list c = Array.length slots && Array.for_all same_job slots
+    then None
+    else Some "jobs"
+  end
 
 let journal_snapshot t =
   match t.journal with

@@ -134,6 +134,9 @@ val makespan : t -> int
 val loads : t -> int array
 (** Fresh copy of the per-processor load vector. *)
 
+val load : t -> int -> int
+(** [load t p]: processor [p]'s load, [O(1)] with no copy. *)
+
 val max_job_size : t -> int
 (** Largest live job size (0 when empty), maintained incrementally. *)
 
@@ -261,6 +264,15 @@ val of_snapshot :
     re-applied explicitly rather than re-fired); by default the recorded
     config is armed. Validates version, processor ranges, positive
     sizes, and id/seq uniqueness. *)
+
+val snapshot_differs : t -> Rebal_obs.Journal.Cursor.t -> string option
+(** [snapshot_differs t c] compares a recorded snapshot (the value at
+    [c]) with {!snapshot}[ t] on the structural fields ["m"],
+    ["next_seq"], ["events_since_repair"] and ["jobs"], in that order,
+    and names the first that is not equal, as [List.assoc] on the two
+    objects would see it. The recorded jobs are walked in place against
+    the engine's jobs in sequence order: no snapshot tree is built on
+    either side. Trigger and counters are not compared. *)
 
 val journal_snapshot : t -> (int, string) result
 (** Emit a ["snapshot"] event carrying the current state into the

@@ -1,4 +1,5 @@
 module Journal = Rebal_obs.Journal
+module Frame = Journal.Frame
 module Table = Rebal_harness.Table
 
 type outcome = {
@@ -58,187 +59,198 @@ let trigger_of_header (header : Journal.header) =
   | None -> Ok Engine.Manual
   | Some json -> Engine.trigger_of_json json
 
-let verify_makespan eng (ev : Journal.event) key =
-  let want = get (Journal.int_field ev key) in
+(* The replay in progress: one per journal, threaded through the fold. *)
+type state = {
+  header : Journal.header;
+  mutable eng : Engine.t;
+  mutable events : int;
+  mutable rebalances : int;
+  mutable moves : int;
+  mutable checks : int;
+  mutable snapshots : int;
+  mutable resumed : bool;
+}
+
+let start header =
+  {
+    header;
+    eng = engine_of_header header;
+    events = 0;
+    rebalances = 0;
+    moves = 0;
+    checks = 0;
+    snapshots = 0;
+    resumed = false;
+  }
+
+(* A failure on the line of frame [f]. *)
+let failf f fmt = faill (Frame.line f) fmt
+
+let verify_makespan eng f key =
+  let want = Frame.int f key in
   let got = Engine.makespan eng in
   if got <> want then
-    faill ev.line "replay diverged: makespan %d, journal recorded %d" got want
+    failf f "replay diverged: makespan %d, journal recorded %d" got want
 
 (* Makespan alone can miss a divergence that happens off the hottest
    processor (e.g. a tampered size on a cold one); the recorded per-event
    [load_after] pins the touched processor's exact load. *)
-let verify_load eng (ev : Journal.event) p =
-  let want = get (Journal.int_field ev "load_after") in
-  let got = (Engine.loads eng).(p) in
+let verify_load eng f p =
+  let want = Frame.int f "load_after" in
+  let got = Engine.load eng p in
   if got <> want then
-    faill ev.line "replay diverged: processor %d load %d, journal recorded %d" p got want
+    failf f "replay diverged: processor %d load %d, journal recorded %d" p got want
 
 (* A mid-journal snapshot must be a faithful picture of the replayed
-   state: compare the structural fields of a freshly taken snapshot
-   against the recorded one. Counters are skipped — a recording made
-   under a live trigger counts auto-rebalances that replay re-executes
-   as manual ones. *)
-let verify_snapshot eng (ev : Journal.event) state =
-  let live = Engine.snapshot eng in
-  let get json name =
-    match json with Journal.Obj kvs -> List.assoc_opt name kvs | _ -> None
-  in
-  List.iter
-    (fun key ->
-      if get live key <> get state key then
-        faill ev.line "replay diverged: snapshot field %S does not match the replayed state"
-          key)
-    [ "m"; "next_seq"; "events_since_repair"; "jobs" ]
+   state: its structural fields are compared, in place, with the engine.
+   Counters are skipped — a recording made under a live trigger counts
+   auto-rebalances that replay re-executes as manual ones. *)
+let verify_snapshot eng f state =
+  match Engine.snapshot_differs eng state with
+  | None -> ()
+  | Some key ->
+    failf f "replay diverged: snapshot field %S does not match the replayed state" key
 
-let apply eng_ref (ev : Journal.event) st =
-  let eng = !eng_ref in
-  let rebalances, moves, checks, snapshots, resumed = st in
-  match ev.kind with
+(* An add/remove/resize outcome: the recorded processor, its load and
+   the makespan. *)
+let verify_placement eng f ~id ~want_proc ~verb result =
+  (match result with
+  | Error msg -> failf f "replay diverged: %s" msg
+  | Ok (p, _) ->
+    if p <> want_proc then
+      failf f "replay diverged: %s %s processor %d, journal recorded %d" id verb p want_proc;
+    verify_load eng f p);
+  verify_makespan eng f "makespan"
+
+let apply st f =
+  let eng = st.eng in
+  st.events <- st.events + 1;
+  (match Frame.kind f with
   | "snapshot" ->
-    let state =
-      match Journal.field ev "state" with
-      | Some state -> state
-      | None -> faill ev.line "snapshot event: missing state"
-    in
-    if ev.seq = 0 then begin
+    if Frame.seq f = 0 then begin
       (* A compacted journal: the snapshot replaces genesis. Replay on a
          Manual engine — recorded auto-repairs are re-applied explicitly
          below, never re-fired. *)
+      let state =
+        match Frame.field f "state" with
+        | Some state -> state
+        | None -> failf f "snapshot event: missing state"
+      in
       match Engine.of_snapshot ~trigger:Engine.Manual state with
-      | Error msg -> faill ev.line "snapshot event: %s" msg
+      | Error msg -> failf f "snapshot event: %s" msg
       | Ok resumed_eng ->
         if Engine.m resumed_eng <> Engine.m eng then
-          faill ev.line "snapshot event: snapshot has m=%d, header recorded m=%d"
+          failf f "snapshot event: snapshot has m=%d, header recorded m=%d"
             (Engine.m resumed_eng) (Engine.m eng);
-        eng_ref := resumed_eng;
-        (rebalances, moves, checks, snapshots + 1, true)
+        st.eng <- resumed_eng;
+        st.resumed <- true
     end
     else begin
-      verify_snapshot eng ev state;
-      (rebalances, moves, checks, snapshots + 1, resumed)
-    end
+      match Frame.cursor f "state" with
+      | Some state -> verify_snapshot eng f state
+      | None -> failf f "snapshot event: missing state"
+    end;
+    st.snapshots <- st.snapshots + 1
   | "add" ->
-    let id = get (Journal.str_field ev "id") in
-    let size = get (Journal.int_field ev "size") in
-    let want_proc = get (Journal.int_field ev "proc") in
-    (match Engine.add_job eng ~id ~size with
-    | Error msg -> faill ev.line "replay diverged: %s" msg
-    | Ok (p, _) ->
-      if p <> want_proc then
-        faill ev.line "replay diverged: %s placed on processor %d, journal recorded %d" id p
-          want_proc;
-      verify_load eng ev p);
-    verify_makespan eng ev "makespan";
-    st
+    let id = Frame.str f "id" in
+    let size = Frame.int f "size" in
+    let want_proc = Frame.int f "proc" in
+    verify_placement eng f ~id ~want_proc ~verb:"placed on" (Engine.add_job eng ~id ~size)
   | "remove" ->
-    let id = get (Journal.str_field ev "id") in
-    let want_proc = get (Journal.int_field ev "proc") in
-    (match Engine.remove_job eng ~id with
-    | Error msg -> faill ev.line "replay diverged: %s" msg
-    | Ok (p, _) ->
-      if p <> want_proc then
-        faill ev.line "replay diverged: %s removed from processor %d, journal recorded %d" id
-          p want_proc;
-      verify_load eng ev p);
-    verify_makespan eng ev "makespan";
-    st
+    let id = Frame.str f "id" in
+    let want_proc = Frame.int f "proc" in
+    verify_placement eng f ~id ~want_proc ~verb:"removed from" (Engine.remove_job eng ~id)
   | "resize" ->
-    let id = get (Journal.str_field ev "id") in
-    let size = get (Journal.int_field ev "size") in
-    let want_proc = get (Journal.int_field ev "proc") in
-    (match Engine.resize_job eng ~id ~size with
-    | Error msg -> faill ev.line "replay diverged: %s" msg
-    | Ok (p, _) ->
-      if p <> want_proc then
-        faill ev.line "replay diverged: %s resized on processor %d, journal recorded %d" id p
-          want_proc;
-      verify_load eng ev p);
-    verify_makespan eng ev "makespan";
-    st
+    let id = Frame.str f "id" in
+    let size = Frame.int f "size" in
+    let want_proc = Frame.int f "proc" in
+    verify_placement eng f ~id ~want_proc ~verb:"resized on" (Engine.resize_job eng ~id ~size)
   | "trigger" ->
     (* Informational: the recorded rebalance that follows carries the
        budget. Replay never re-evaluates trigger policies — that is what
        makes wall-clock-triggered sessions replayable. *)
-    st
+    ()
   | "evacuation" ->
     (* Informational provenance from the shard supervisor: the remove
        (on the evacuated shard) and add (on the survivors) halves of
        each re-homing are ordinary journaled events replayed like any
        other; this record only explains why they happened. *)
-    st
+    ()
   | "rebalance" ->
-    let k = get (Journal.int_field ev "k") in
-    let want_moves = List.map (move_of_json ev.line) (get (Journal.list_field ev "moves")) in
+    let line = Frame.line f in
+    let k = Frame.int f "k" in
+    let want_moves = List.map (move_of_json line) (Frame.list f "moves") in
     let got_moves = Engine.rebalance eng ~k in
     if List.length got_moves <> List.length want_moves then
-      faill ev.line "replay diverged: repair made %d moves, journal recorded %d"
+      faill line "replay diverged: repair made %d moves, journal recorded %d"
         (List.length got_moves) (List.length want_moves);
     List.iteri
       (fun i ((got : Engine.move), want) ->
         if got <> want then
-          faill ev.line
-            "replay diverged: move %d relocated %s %d->%d, journal recorded %s %d->%d" i
-            got.Engine.id got.Engine.src got.Engine.dst want.Engine.id want.Engine.src
+          faill line "replay diverged: move %d relocated %s %d->%d, journal recorded %s %d->%d"
+            i got.Engine.id got.Engine.src got.Engine.dst want.Engine.id want.Engine.src
             want.Engine.dst)
       (List.combine got_moves want_moves);
-    verify_makespan eng ev "makespan_after";
-    (rebalances + 1, moves + List.length got_moves, checks, snapshots, resumed)
+    verify_makespan eng f "makespan_after";
+    st.rebalances <- st.rebalances + 1;
+    st.moves <- st.moves + List.length got_moves
   | "check" ->
-    let k = get (Journal.int_field ev "k") in
-    let want_ok = get (Journal.bool_field ev "ok") in
+    let k = Frame.int f "k" in
+    let want_ok = Frame.bool f "ok" in
     let got_ok = Engine.check_consistency eng ~k in
     if got_ok <> want_ok then
-      faill ev.line "replay diverged: consistency check %b, journal recorded %b" got_ok
-        want_ok;
-    (rebalances, moves, checks + 1, snapshots, resumed)
-  | kind -> faill ev.line "unknown event kind %S" kind
+      failf f "replay diverged: consistency check %b, journal recorded %b" got_ok want_ok;
+    st.checks <- st.checks + 1
+  | kind -> failf f "unknown event kind %S" kind);
+  st
 
-let run_engine (header, evs) =
-  try
-    let eng = ref (engine_of_header header) in
-    let rebalances, moves, checks, snapshots, resumed =
-      List.fold_left (fun st ev -> apply eng ev st) (0, 0, 0, 0, false) evs
-    in
-    let eng = !eng in
-    let final_jobs = Engine.job_count eng in
-    let consistency_ok =
-      final_jobs = 0 || Engine.check_consistency eng ~k:final_jobs
-    in
-    if not consistency_ok then
-      fail "replayed state fails check_consistency against the batch solver";
-    (* Re-arm the recorded trigger config: a journal recorded under
-       --auto-* must not silently come back as Manual when the replayed
-       engine is put back into service. *)
-    let trigger = get (trigger_of_header header) in
-    Engine.set_trigger eng trigger;
-    Ok
-      ( eng,
-        {
-          header;
-          m = Engine.m eng;
-          events = List.length evs;
-          final_jobs;
-          final_makespan = Engine.makespan eng;
-          rebalances;
-          moves;
-          checks;
-          snapshots;
-          resumed;
-          trigger;
-          consistency_ok;
-        } )
-  with Fail msg -> Error msg
+(* After the last event: the full-budget consistency check against the
+   batch solver, then the recorded trigger re-armed — a journal recorded
+   under --auto-* must not silently come back as Manual when the
+   replayed engine is put back into service. *)
+let finish st =
+  let eng = st.eng in
+  let final_jobs = Engine.job_count eng in
+  let consistency_ok = final_jobs = 0 || Engine.check_consistency eng ~k:final_jobs in
+  if not consistency_ok then
+    fail "replayed state fails check_consistency against the batch solver";
+  let trigger = get (trigger_of_header st.header) in
+  Engine.set_trigger eng trigger;
+  ( eng,
+    {
+      header = st.header;
+      m = Engine.m eng;
+      events = st.events;
+      final_jobs;
+      final_makespan = Engine.makespan eng;
+      rebalances = st.rebalances;
+      moves = st.moves;
+      checks = st.checks;
+      snapshots = st.snapshots;
+      resumed = st.resumed;
+      trigger;
+      consistency_ok;
+    } )
 
-let run parsed = Result.map snd (run_engine parsed)
-let resume = run_engine
+(* One replay, whatever the source: [fold] is one of [Journal]'s folds
+   over a file, or over an already-parsed journal. *)
+let replay fold = try Result.map finish (fold ~header:start apply) with Fail msg -> Error msg
 
-let resume_appending ?format ~write parsed =
-  Result.map
-    (fun (eng, outcome) ->
-      Engine.set_journal eng
-        (Some (Journal.create ?format ~start_seq:outcome.events ~header_written:true ~write ()));
-      (eng, outcome))
-    (run_engine parsed)
+let resume parsed = replay (Journal.fold_events parsed)
+let run parsed = Result.map snd (resume parsed)
+
+let append_to ?format ~write (eng, (outcome : outcome)) =
+  Engine.set_journal eng
+    (Some (Journal.create ?format ~start_seq:outcome.events ~header_written:true ~write ()));
+  (eng, outcome)
+
+let resume_appending ?format ~write parsed = Result.map (append_to ?format ~write) (resume parsed)
+
+let resume_file ?append path =
+  let resumed = replay (Journal.fold_file path) in
+  match append with
+  | None -> resumed
+  | Some write -> Result.map (append_to ~format:(Journal.sniff_file path) ~write) resumed
 
 let same_state a b =
   Engine.job_count a = Engine.job_count b
@@ -247,13 +259,9 @@ let same_state a b =
        (fun acc ~id ~size ~proc -> acc && Engine.find b id = Some (size, proc))
        true
 
-let run_file path =
-  (* Auto-detect: replay verifies binary journals just like JSONL. *)
-  match Journal.load_file path with
-  | Error msg -> Error msg
-  | Ok parsed -> run parsed
+let run_file path = Result.map snd (resume_file path)
 
-let summary o =
+let summary (o : outcome) =
   Printf.sprintf
     "replay OK: %d events over m=%d%s -> %d jobs, makespan %d; re-executed %d rebalances \
      (%d moves), re-verified %d recorded checks, final check_consistency passed%s"
@@ -286,7 +294,7 @@ let compact (header, evs) =
   else
     (* No snapshot recorded: replay (verifying the whole journal) and
        compact to a single snapshot of the final state. *)
-    match run_engine (header, evs) with
+    match resume (header, evs) with
     | Error msg -> Error msg
     | Ok (eng, _) ->
       let ts_ns =

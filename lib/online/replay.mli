@@ -21,6 +21,10 @@
     re-armed on the replayed engine, so a journal recorded under
     [--auto-*] does not silently come back as [Manual].
 
+    One step function applies each event, whether it comes from a parsed
+    event list ({!resume}) or straight off a journal file as it is read
+    ({!resume_file}, which builds no list).
+
     The [explain_*] functions are the other consumer: they render
     decision provenance straight from the parsed journal, no engine
     needed. *)
@@ -51,7 +55,7 @@ val resume :
   Journal.header * Journal.event list -> (Engine.t * outcome, string) result
 (** Like {!run}, but also hands back the replayed engine — verified,
     trigger re-armed, journal-detached — ready to be put back into
-    service ([serve --journal] restarts through this). *)
+    service. *)
 
 val resume_appending :
   ?format:Journal.format ->
@@ -62,8 +66,18 @@ val resume_appending :
     [write] receives the rendered bytes, numbering continues after the
     last replayed event and no second header is written. [format]
     (default [Jsonl]) must be the journal's own — see
-    {!Journal.sniff_file}. The restart path of [serve --journal] and of
-    a readmitted shard. *)
+    {!Journal.sniff_file}. The restart path of a readmitted shard. *)
+
+val resume_file :
+  ?append:(string -> unit) -> string -> (Engine.t * outcome, string) result
+(** {!resume} streamed from the journal file at [path]: each event is
+    checked and applied as it is read ({!Journal.fold_file}), with no
+    event list built — the same checks, from genesis, as {!resume} on
+    [Journal.load_file path]. With [append], a sink then appends to the
+    journal in its own on-disk format, as {!resume_appending} does.
+    Errors are those of [load_file] then {!resume}, except that the
+    first bad line wins: a divergence before a corrupt tail is the one
+    reported. [serve --journal] restarts through this. *)
 
 val same_state : Engine.t -> Engine.t -> bool
 (** Both engines hold the same jobs with the same sizes on the same
@@ -87,7 +101,7 @@ val compact :
     format. *)
 
 val run_file : string -> (outcome, string) result
-(** [Journal.load_file] then {!run}. *)
+(** {!resume_file}'s outcome: what [rebalance replay] prints. *)
 
 val summary : outcome -> string
 (** One human-readable paragraph for the CLI. *)

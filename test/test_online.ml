@@ -317,11 +317,11 @@ let test_protocol_auto_moves_stream () =
 
 (* A deterministic in-memory journal: Buffer sink plus a fake monotonic
    clock, so recordings are byte-stable across runs. *)
-let journaled_engine ?trigger m =
+let journaled_engine ?format ?trigger m =
   let buf = Buffer.create 512 in
   let tick = ref 0 in
   let sink =
-    Journal.create
+    Journal.create ?format
       ~clock_ns:(fun () ->
         incr tick;
         Int64.of_int (!tick * 1000))
@@ -587,6 +587,205 @@ let test_protocol_snapshot_verb () =
       check_bool "resumed from the snapshot" true o.Replay.resumed;
       check_int "state preserved" (Engine.makespan eng) o.Replay.final_makespan)
 
+(* --- streaming resume ------------------------------------------------------ *)
+
+let with_journal_file contents f =
+  let path = Filename.temp_file "rebal_stream" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      f path)
+
+(* The two ways to resume a journal file: streamed frame by frame, and
+   parsed into an event list first. *)
+let both_resumes path =
+  (Replay.resume_file path, Result.bind (Journal.load_file path) Replay.resume)
+
+let prop_streaming_resume_equals_list =
+  QCheck2.Test.make ~name:"resume_file equals load_file + resume in both codecs" ~count:150
+    QCheck2.Gen.(pair event_sequence_gen bool)
+    (fun ((m, events, k), binary) ->
+      let format = if binary then Journal.Binary else Journal.Jsonl in
+      let first = List.filteri (fun i _ -> i < List.length events / 2) events in
+      let rest = List.filteri (fun i _ -> i >= List.length events / 2) events in
+      (* Genesis, a recorded check, a mid-journal snapshot, rebalances. *)
+      let eng, buf = journaled_engine ~format m in
+      apply_events eng first;
+      ignore (Engine.check_consistency eng ~k);
+      ignore (Engine.journal_snapshot eng);
+      apply_events eng rest;
+      ignore (Engine.rebalance eng ~k);
+      let full = Buffer.contents buf in
+      (* Compacted: the snapshot at seq 0, then a tail appended by the
+         engine resumed from it. *)
+      let compacted, tail_eng =
+        let parsed = Result.get_ok (Journal.load_string full) in
+        let journal, _, _ = Result.get_ok (Replay.compact parsed) in
+        let b = Buffer.create 512 in
+        Buffer.add_string b (Journal.encode format journal);
+        let eng', _ =
+          Result.get_ok (Replay.resume_appending ~format ~write:(Buffer.add_string b) journal)
+        in
+        apply_events eng' first;
+        (Buffer.contents b, eng')
+      in
+      List.for_all
+        (fun (journal, live) ->
+          with_journal_file journal (fun path ->
+              match both_resumes path with
+              | Ok (a, oa), Ok (b, ob) ->
+                oa = ob && Replay.same_state a b && Replay.same_state a live
+                && oa.Replay.consistency_ok
+                && oa.Replay.resumed = (journal != full)
+              | _ -> false))
+        [ (full, eng); (compacted, tail_eng) ])
+
+(* Every corruption, in both codecs, fails the same way through both
+   entry points: same message, same line. *)
+let test_streaming_rejects_like_list () =
+  List.iter
+    (fun format ->
+      let eng, buf = journaled_engine ~format 3 in
+      ignore (add eng "a" 10);
+      ignore (add eng "b" 20);
+      ignore (add eng "c" 5);
+      ignore (Engine.rebalance eng ~k:2);
+      ignore (Engine.journal_snapshot eng);
+      ignore (add eng "d" 7);
+      let journal = Buffer.contents buf in
+      let header, evs = Result.get_ok (Journal.load_string journal) in
+      let encode evs = Journal.encode format (header, evs) in
+      let update key f kvs = List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) kvs in
+      let obj f = function Journal.Obj kvs -> Journal.Obj (f kvs) | v -> v in
+      let succ = function Journal.Int i -> Journal.Int (i + 1) | v -> v in
+      let map_field kind key f =
+        encode
+          (List.map
+             (fun (ev : Journal.event) ->
+               if ev.kind = kind then { ev with fields = update key f ev.fields } else ev)
+             evs)
+      in
+      let map_state key f = map_field "snapshot" "state" (obj (update key f)) in
+      let map_jobs f =
+        map_state "jobs" (function Journal.List jobs -> Journal.List (f jobs) | v -> v)
+      in
+      let n = String.length journal in
+      let jobs_differ = {|replay diverged: snapshot field "jobs"|} in
+      let cases =
+        [
+          ("truncated tail", String.sub journal 0 (n - 3), "line 7: ");
+          ("bad magic", "RBJX" ^ String.sub journal 4 (n - 4), "line 1: ");
+          ( "sequence gap",
+            encode (List.filteri (fun i _ -> i <> 1) evs),
+            "line 3: sequence number 2, expected 1" );
+          ("tampered size", map_field "add" "size" succ, "line 2: replay diverged");
+          ( "tampered snapshot job",
+            map_jobs (List.mapi (fun i j -> if i = 1 then obj (update "size" succ) j else j)),
+            "line 6: " ^ jobs_differ );
+          ("reordered snapshot jobs", map_jobs List.rev, jobs_differ);
+          ( "extra key in a snapshot job",
+            map_jobs (List.map (obj (fun kvs -> kvs @ [ ("x", Journal.Int 0) ]))),
+            jobs_differ );
+          ("tampered snapshot m", map_state "m" succ, {|snapshot field "m"|});
+          ("snapshot m of the wrong type", map_state "m" (fun _ -> Journal.Float 3.0), {|snapshot field "m"|});
+        ]
+      in
+      List.iter
+        (fun (name, corrupt, want) ->
+          with_journal_file corrupt (fun path ->
+              match both_resumes path with
+              | Error streamed, Error listed ->
+                check Alcotest.string (name ^ ": same error") listed streamed;
+                check_bool (Printf.sprintf "%s: %S names %S" name streamed want) true
+                  (contains want streamed)
+              | _ -> Alcotest.failf "%s: accepted by an entry point" name))
+        cases)
+    [ Journal.Jsonl; Journal.Binary ]
+
+let frame_of_payload payload =
+  let len = String.length payload in
+  String.init 4 (fun i -> Char.chr ((len lsr (8 * i)) land 0xff)) ^ payload
+
+let test_overlong_varint_rejected () =
+  let header =
+    Journal.Binary.encode_header
+      { Journal.journal = "rebal-engine"; version = 1; meta = [ ("m", Journal.Int 1) ] }
+  in
+  (* {"seq": <an int with ten continuation bytes>} *)
+  let event = "\x06\x01\x03seq\x02" ^ String.make 10 '\x80' ^ "\x01" in
+  let blob = Journal.Binary.magic ^ header ^ frame_of_payload event in
+  let want = "line 2: malformed varint" in
+  (match Journal.Binary.parse_string blob with
+  | Ok _ -> Alcotest.fail "over-long varint accepted"
+  | Error e -> check Alcotest.string "list parser" want e);
+  with_journal_file blob (fun path ->
+      match Replay.resume_file path with
+      | Ok _ -> Alcotest.fail "over-long varint resumed"
+      | Error e -> check Alcotest.string "streaming resume" want e)
+
+(* A pipe can be neither measured nor rewound; it is read whole. *)
+let test_resume_from_pipe () =
+  List.iter
+    (fun format ->
+      let eng, buf = journaled_engine ~format 2 in
+      ignore (add eng "a" 3);
+      ignore (add eng "b" 4);
+      let path = Filename.temp_file "rebal_pipe" ".journal" in
+      Sys.remove path;
+      Unix.mkfifo path 0o600;
+      let writer =
+        Thread.create
+          (fun () -> Out_channel.with_open_bin path (fun oc -> output_string oc (Buffer.contents buf)))
+          ()
+      in
+      let resumed = Replay.resume_file path in
+      Thread.join writer;
+      Sys.remove path;
+      match resumed with
+      | Ok (eng', _) -> check_bool "piped journal resumes" true (Replay.same_state eng eng')
+      | Error e -> Alcotest.failf "piped journal: %s" e)
+    [ Journal.Jsonl; Journal.Binary ]
+
+(* What replay reads off an add/remove/resize frame allocates only the
+   id: the count is pinned exactly (two runs agree) and bounded. *)
+let test_streaming_decode_allocation () =
+  let eng, buf = journaled_engine ~format:Journal.Binary 8 in
+  let id i = Printf.sprintf "j%d" i in
+  for i = 0 to 999 do
+    ignore (add eng (id i) (1 + (i mod 97)))
+  done;
+  for i = 0 to 499 do
+    ignore (Engine.resize_job eng ~id:(id i) ~size:(1 + (i mod 13)));
+    ignore (Engine.remove_job eng ~id:(id (999 - i)))
+  done;
+  let frames = 2000. in
+  let step () f =
+    match Journal.Frame.kind f with
+    | "add" | "remove" | "resize" ->
+      ignore (Journal.Frame.str f "id");
+      ignore (Journal.Frame.int f "size");
+      ignore (Journal.Frame.int f "proc");
+      ignore (Journal.Frame.int f "load_after");
+      ignore (Journal.Frame.int f "makespan")
+    | kind -> Alcotest.failf "unexpected %s frame" kind
+  in
+  let words fold =
+    let before = Gc.minor_words () in
+    (match fold ~header:ignore step with Ok () -> () | Error e -> Alcotest.fail e);
+    Gc.minor_words () -. before
+  in
+  let journal = Buffer.contents buf in
+  with_journal_file journal (fun path ->
+      List.iter
+        (fun (name, fold) ->
+          let a = words fold in
+          let b = words fold in
+          check (Alcotest.float 0.) (name ^ ": the count repeats exactly") a b;
+          check_bool (Printf.sprintf "%s: %.1f minor words per frame <= 32" name (a /. frames)) true
+            (a <= 32. *. frames))
+        [ ("fold_file", Journal.fold_file path); ("fold_string", Journal.fold_string journal) ])
+
 let () =
   Alcotest.run "rebal_online"
     [
@@ -636,5 +835,13 @@ let () =
           Alcotest.test_case "parse-time size validation" `Quick
             test_protocol_parse_validation;
           Alcotest.test_case "SNAPSHOT verb" `Quick test_protocol_snapshot_verb;
+        ] );
+      ( "stream resume",
+        [
+          QCheck_alcotest.to_alcotest prop_streaming_resume_equals_list;
+          Alcotest.test_case "corruption fails alike" `Quick test_streaming_rejects_like_list;
+          Alcotest.test_case "over-long varint rejected" `Quick test_overlong_varint_rejected;
+          Alcotest.test_case "journal from a pipe" `Quick test_resume_from_pipe;
+          Alcotest.test_case "decode allocation pinned" `Quick test_streaming_decode_allocation;
         ] );
     ]
