@@ -1234,9 +1234,10 @@ let journaled_cluster ~m ~shards ~domains =
   let journal_for i = Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()) in
   (Rebal_online.Cluster.create ~journal_for ~m ~shards ~domains (), buffers)
 
-(* [threads] client threads push the 60/25/15 add/remove/resize mix
-   straight into [cluster] (the closures the TCP sessions run, minus the
-   sockets), each over [sessions] private id universes so every command
+(* [threads] client threads, started through [Cluster.spawn] so they
+   spread over the cluster's hosting domains as the serve daemon's
+   sessions do, push the 60/25/15 add/remove/resize mix straight into
+   [cluster] (the calls the TCP sessions make, minus the sockets), each over [sessions] private id universes so every command
    is valid and an error is a cluster bug, not noise; thread 0 also
    rebalances (k = 8) every 500 ops. [wrap verb f] runs each op (E22
    puts the session-boundary span there). Every op is timed. Returns
@@ -1284,7 +1285,7 @@ let drive_clients ?(wrap = fun _ f -> f ()) ?(sessions = 1) ~what ~seed ~id ~thr
   Gc.compact ();
   let (), wall =
     Timer.time (fun () ->
-        Array.iter Thread.join (Array.init threads (fun t -> Thread.create (client t) ())))
+        Array.iter (fun join -> join ()) (Array.init threads (fun t -> Cluster.spawn cluster (client t))))
   in
   Array.sort compare latencies;
   (wall, Array.fold_left ( + ) 0 survivors, latencies)
@@ -1295,7 +1296,7 @@ let percentile sorted q =
 
 (* Audit before scoring, the way the serve daemon is audited: nothing
    lost, directory consistent, and — after shutdown — every shard's
-   journal replays to exactly the engine its worker domain left behind.
+   journal replays to exactly the engine the cluster left behind.
    Returns the journal events replayed. *)
 let audit_cluster ~what ~jobs cluster buffers =
   let module Cluster = Rebal_online.Cluster in
@@ -1316,24 +1317,26 @@ let audit_cluster ~what ~jobs cluster buffers =
   Array.fold_left ( + ) 0 (Array.mapi replayed buffers)
 
 (* ---------------------------------------------------------------------- *)
-(* E21 — parallel serving: throughput and p99 vs worker domain count.     *)
+(* E21 — parallel serving: throughput and p99 vs hosting domain count.    *)
 (* ---------------------------------------------------------------------- *)
 
 let e21 () =
-  header "E21: parallel serving throughput (domain-per-shard cluster, 1024 sessions)";
+  header "E21: parallel serving throughput (sessions over hosting domains, 1024 sessions)";
   let module Cluster = Rebal_online.Cluster in
   let shards = 8 and m = 32 in
   let driver_threads = 8 and sessions_per_thread = 128 in
   let ops_per_thread = 3_000 in
   let total_sessions = driver_threads * sessions_per_thread in
   let total_ops = driver_threads * ops_per_thread in
-  (* One driver, parameterized by worker domain count: 1024 logical
-     loadgen sessions multiplexed over 8 client threads submit the
-     60/25/15 add/remove/resize mix straight into the cluster (the same
-     closures the TCP sessions run, minus the sockets). Every op is
-     timed; every run is audited the same way the serve daemon is —
-     nothing lost, directory consistent, and each shard's journal
-     replays to exactly the engine its worker domain left behind. *)
+  (* One driver, parameterized by hosting domain count: 1024 logical
+     loadgen sessions multiplexed over 8 client threads, spread over
+     the hosting domains, submit the 60/25/15 add/remove/resize mix
+     straight into the cluster (the same calls the TCP sessions make,
+     minus the sockets), each op running on its client thread under the
+     shard's lock. Every op is timed; every run is audited the same way
+     the serve daemon is — nothing lost, directory consistent, and each
+     shard's journal replays to exactly the engine the cluster left
+     behind. *)
   let drive ~domains () =
     let cluster, buffers = journaled_cluster ~m ~shards ~domains in
     let wall, jobs, latencies =
@@ -1375,12 +1378,12 @@ let e21 () =
   let speedup = tput4 /. tput1 in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "4 worker domains served %.2fx the single-domain throughput (%d cores available);\n\
+    "sessions on 4 hosting domains served %.2fx the single-domain throughput (%d cores available);\n\
      both runs audited: no job lost, directories consistent, all %d journals replay\n\
      with zero divergence\n"
     speedup cores shards;
   (* The parallel-speedup acceptance bound (>= 2x at 4 domains) is a
-     claim about parallel hardware: on fewer than 4 cores the worker
+     claim about parallel hardware: on fewer than 4 cores the hosting
      domains time-slice one another and the honest expectation is
      parity, so there the guard only rejects collapse. The correctness
      audits above hold unconditionally either way. *)
@@ -1466,7 +1469,7 @@ let e22 () =
      divergence with tracing enabled\n"
     ratio cores shards;
   (* Like E21's speedup bound, the 10%% overhead budget is a claim about
-     parallel hardware: with fewer than 4 cores the worker domains
+     parallel hardware: with fewer than 4 cores the hosting domains
      time-slice one another and run-to-run scheduling noise exceeds the
      budget being measured, so there the guard only rejects collapse.
      The correctness audits above hold unconditionally either way. *)
@@ -1488,8 +1491,8 @@ let e23 () =
   let shards = 8 and m = 32 and domains = 4 in
   let driver_threads = 8 and ops_per_thread = 2_000 in
   let total_ops = driver_threads * ops_per_thread in
-  (* Ten rules over series the cluster actually produces — per-domain
-     utilization and mailbox depth, engine latency quantiles and rates,
+  (* Ten rules over series the cluster actually produces — per-shard
+     utilization and lock-queue depth, engine latency quantiles and rates,
      and one multi-window burn rate — so every tick pays for real
      window scans, not missing-series early-outs. *)
   let rules_text =
@@ -1502,11 +1505,10 @@ let e23 () =
           total=rebal_engine_op_latency_seconds_count{op=\"add\"} budget=0.5 factor=1 \
           short=1s long=3s";
        ]
-      @ List.init 4 (fun d ->
-            pf "alert util%d avg(rebal_domain_utilization{domain=\"%d\"}[2s]) > 0.95 for 1s" d
-              d)
-      @ List.init 2 (fun d ->
-            pf "alert mbox%d max(rebal_mailbox_depth{domain=\"%d\"}[2s]) > 512 for 1s" d d))
+      @ List.init 4 (fun s ->
+            pf "alert util%d avg(rebal_domain_utilization{shard=\"%d\"}[2s]) > 0.95 for 1s" s s)
+      @ List.init 2 (fun s ->
+            pf "alert mbox%d max(rebal_mailbox_depth{shard=\"%d\"}[2s]) > 512 for 1s" s s))
   in
   let rules =
     match Alerts.parse_rules rules_text with
@@ -1516,7 +1518,7 @@ let e23 () =
   if List.length rules <> 10 then failwith "E23: expected 10 rules";
   (* The E21/E22 driver mix, with [Control] (latency histograms) on in
      BOTH arms so the ratio isolates exactly what this PR added: the
-     sampler walking a merged snapshot of every domain registry into the
+     sampler walking a merged snapshot of every shard and hosting registry into the
      ring store, ten rule evaluations per tick and the JSONL telemetry
      sink. 50 Hz is 50x the production 1 s cadence — headroom, not
      flattery. Both arms keep the full audit: nothing lost, directory
@@ -1619,7 +1621,7 @@ let e23 () =
          divergence, and the telemetry arm took real samples through 10 live rules\n"
         ratio cores shards;
       (* Same hardware caveat as E21/E22: under 4 cores the sampler
-         thread time-slices the workers and scheduler noise swamps the
+         thread time-slices the clients and scheduler noise swamps the
          10%% budget being measured, so there the guard only rejects
          collapse. The correctness audits above hold unconditionally. *)
       if cores >= 4 && ratio < 1.0 /. 1.10 then

@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.15.0"
+let version = "1.16.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -627,12 +627,12 @@ let serve_cmd =
       & opt int d.domains
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Run the shard engines on $(docv) parallel worker domains (clamped to \
-             --shards; shard $(i,i) is owned by domain $(i,i) mod $(docv)); 0, the \
-             default, runs them inline on the calling thread. Each shard's \
-             engine, journal and metrics are confined to its owner domain behind a bounded \
-             command mailbox; cross-shard rebalancing uses journaled two-phase transfers, \
-             so per-shard journals stay individually replayable.")
+            "Run --tcp and --socket sessions on $(docv) domains (clamped to --shards), \
+             round robin; 0, the default, runs them on the main domain. Every session \
+             runs its own shard work, holding that shard's lock, so each shard's engine, \
+             journal and metrics have one writer at a time; cross-shard rebalancing uses \
+             journaled two-phase transfers, so per-shard journals stay individually \
+             replayable.")
   in
   let tcp =
     Arg.(
@@ -642,9 +642,10 @@ let serve_cmd =
           ~doc:
             "Listen on 127.0.0.1:$(docv) and serve many clients concurrently, one session \
              thread per connection (pipelining allowed; ERR lines stay numbered per \
-             session). Port 0 picks a free port (printed on stdout). With --domains and \
-             without --supervise the sessions run concurrently against the parallel \
-             runtime; otherwise they are serialized under one operation lock.")
+             session). Port 0 picks a free port (printed on stdout). With --shards above 1 \
+             or --domains above 0, and without --supervise, the sessions run concurrently \
+             under per-shard locks; otherwise they are serialized under one operation \
+             lock.")
   in
   let auto_events =
     Arg.(
@@ -809,9 +810,9 @@ let serve_cmd =
          "Run the online rebalancing engine as a long-running service speaking a \
           line-delimited protocol (ADD/REMOVE/RESIZE/REBALANCE/STATS/METRICS) on stdin or a \
           Unix domain socket. With --shards, processors are partitioned across that many \
-          independent engines behind a consistent-hash router; with --domains, the shard \
-          engines run on parallel worker domains behind bounded mailboxes and --tcp serves \
-          many clients concurrently over TCP; with --journal, restarts resume from the \
+          independent engines behind a consistent-hash router, each behind its own lock, \
+          and --tcp serves many clients concurrently over TCP; with --domains, those \
+          sessions spread over that many domains; with --journal, restarts resume from the \
           recorded state; with --supervise, shard health is tracked and a dead shard's \
           jobs are evacuated onto the survivors; with --telemetry-interval / \
           --telemetry-out / --alert-rules, a sampler thread feeds an in-process \
@@ -920,7 +921,7 @@ let loadgen_cmd =
 (* A live terminal view of a parallel serve, built entirely from the
    public protocol: each frame sends STATS, SHARDS and METRICS down one
    TCP connection, parses the Prometheus text back through Expo.parse,
-   and derives per-shard queue depth, owner utilization and op rates
+   and derives per-shard lock-queue depth, utilization and op rates
    from the labeled series. Nothing here has privileged access —
    anything top shows, any scrape consumer could compute. *)
 let top_cmd =
@@ -1167,9 +1168,7 @@ let top_cmd =
       let rows =
         List.init shards (fun i ->
             let line = shard_line i in
-            let owner = i mod domains in
             let shard_l = [ ("shard", string_of_int i) ] in
-            let dom_l = [ ("domain", string_of_int owner) ] in
             let events =
               Option.value ~default:nan
                 (sample_value samples "rebal_engine_events_total" shard_l)
@@ -1180,12 +1179,11 @@ let top_cmd =
             in
             (!prev_events).(i) <- events;
             ( i,
-              owner,
               Option.bind line (fun l -> kv_int l "jobs"),
               Option.bind line (fun l -> kv_int l "makespan"),
               Option.bind line (fun l -> kv_float l "imbalance"),
-              sample_value samples "rebal_mailbox_depth" dom_l,
-              sample_value samples "rebal_domain_utilization" dom_l,
+              sample_value samples "rebal_mailbox_depth" shard_l,
+              sample_value samples "rebal_domain_utilization" shard_l,
               rate,
               read_spark ic oc i ))
       in
@@ -1210,11 +1208,10 @@ let top_cmd =
                   ( "per_shard",
                     Journal.List
                       (List.map
-                         (fun (i, owner, jobs, makespan, imb, depth, util, rate, spark) ->
+                         (fun (i, jobs, makespan, imb, depth, util, rate, spark) ->
                            Journal.Obj
                              [
                                ("shard", Journal.Int i);
-                               ("domain", Journal.Int owner);
                                ("jobs", j_opt (fun v -> Journal.Int v) jobs);
                                ("load", j_opt (fun v -> Journal.Int v) makespan);
                                ("imbalance", j_opt j_num imb);
@@ -1235,12 +1232,12 @@ let top_cmd =
           (fmt_opt "%d" (stat_int "makespan"))
           (fmt_opt "%.3f" (stat_float "imbalance"))
           (fmt_p99 p99);
-        Printf.ksprintf (Buffer.add_string b) "%5s %4s %7s %7s %7s %7s %6s %9s %s\n" "SHARD"
-          "DOM" "JOBS" "LOAD" "IMB" "DEPTH" "UTIL" "OPS/S" "TREND";
+        Printf.ksprintf (Buffer.add_string b) "%5s %7s %7s %7s %7s %6s %9s %s\n" "SHARD"
+          "JOBS" "LOAD" "IMB" "DEPTH" "UTIL" "OPS/S" "TREND";
         List.iter
-          (fun (i, owner, jobs, makespan, imb, depth, util, rate, spark) ->
-            Printf.ksprintf (Buffer.add_string b) "%5d %4d %7s %7s %7s %7s %6s %9s %s\n" i
-              owner (fmt_opt "%d" jobs) (fmt_opt "%d" makespan) (fmt_opt "%.3f" imb)
+          (fun (i, jobs, makespan, imb, depth, util, rate, spark) ->
+            Printf.ksprintf (Buffer.add_string b) "%5d %7s %7s %7s %7s %6s %9s %s\n" i
+              (fmt_opt "%d" jobs) (fmt_opt "%d" makespan) (fmt_opt "%.3f" imb)
               (fmt_opt "%.0f" depth) (fmt_opt "%.2f" util) (fmt_opt "%.0f" rate)
               (Option.value ~default:"" spark))
           rows;
@@ -1284,7 +1281,7 @@ let top_cmd =
     (Cmd.info "top"
        ~doc:
          "Live cluster telemetry over the line protocol: a refreshing per-shard view of \
-          load, queue depth, owner-domain utilization, op rate, session p99 and (when the \
+          load, lock-queue depth, utilization, op rate, session p99 and (when the \
           daemon samples telemetry) a per-shard event-rate sparkline, against any serve \
           --tcp daemon. Survives server restarts by reconnecting, and degrades missing \
           data to n/a instead of dying. --once --format json emits one machine-readable \

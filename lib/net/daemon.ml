@@ -180,7 +180,7 @@ let build_target c ~opened =
   else begin
     (* The journal of shard i is FILE.i — the same naming for every
        runtime shape, so a journal set resumes under any of them. The
-       cluster builds each engine under its owner's registry. *)
+       cluster builds each engine under its shard's registry. *)
     let shard_engine i =
       let m = (c.procs / c.shards) + if i < c.procs mod c.shards then 1 else 0 in
       engine ~m
@@ -238,12 +238,13 @@ let create c =
           Some (tsdb, alerts)
       end
     in
-    (* An unsupervised cluster with worker domains is internally
-       thread-safe; everything else serializes its callers. *)
+    (* An unsupervised cluster is internally thread-safe at any domain
+       count; a single engine and the supervisor serialize their
+       callers. *)
     let op_lock =
       match target with
-      | Protocol.Cluster cl when Cluster.domain_count cl > 0 -> None
-      | _ -> Some (Mutex.create ())
+      | Protocol.Cluster _ | Protocol.Parallel _ -> None
+      | Protocol.Single _ | Protocol.Supervised _ -> Some (Mutex.create ())
     in
     let sampler_stop = Atomic.make false in
     { config = c; target; op_lock; telemetry; opened = !opened; sampler_stop; sampler = None; closed = false }
@@ -326,9 +327,9 @@ let close t =
     t.closed <- true;
     (* Order matters: the sampler stops first (it holds handles into the
        target and the telemetry sink); the snapshot and the metrics
-       merge need the worker domains alive (journals are written on
-       their owners); the journal channels are closed only after the
-       cluster has drained and joined. *)
+       merge need the cluster alive; the journal channels are closed
+       only after the cluster has shut down and its hosting domains
+       have joined. *)
     Atomic.set t.sampler_stop true;
     Option.iter Thread.join t.sampler;
     if t.telemetry <> None then Protocol.clear_telemetry ();
@@ -414,8 +415,9 @@ let http_or_session t ic oc =
   end
 
 (* TCP or Unix domain socket: both run through Server, so both get
-   concurrent sessions under the op lock, SHUTDOWN and the SIGTERM
-   drain. A stale socket path is unlinked before binding. *)
+   concurrent sessions (under the op lock where there is one), SHUTDOWN
+   and the SIGTERM drain. A stale socket path is unlinked before
+   binding. *)
 let listen t =
   let c = t.config in
   let where, addr, session =
@@ -441,6 +443,15 @@ let listen t =
       Printf.printf "rebalance serve: listening on %s (procs=%d, shards=%d)\n%!" path c.procs
         c.shards);
     Ok (srv, session)
+
+(* A cluster starts each session on its next hosting domain (on this
+   domain when it has none); a single engine's sessions run here. *)
+let spawn t f =
+  match Protocol.cluster_of t.target with
+  | Some cl ->
+    let (_join : unit -> unit) = Cluster.spawn cl f in
+    ()
+  | None -> ignore (Thread.create f ())
 
 (* Raised from the SIGTERM/SIGINT handler at the next safe point: it
    unwinds the blocking read or accept, and the finalizer runs. *)
@@ -474,7 +485,7 @@ let run ?(io = (stdin, stdout)) ?(on_listen = ignore) t =
           install Sys.sigpipe Sys.Signal_ignore;
           on_listen (Server.bound_addr srv);
           (* SIGTERM lands as Terminated in this accepting thread. *)
-          (try Server.run srv ~session
+          (try Server.run srv ~spawn:(spawn t) ~session
            with Terminated ->
              Printf.eprintf "rebalance serve: caught termination signal, draining\n%!");
           Server.drain ~grace:5.0 srv)

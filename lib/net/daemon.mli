@@ -2,19 +2,22 @@
     {!config} record.
 
     {!create} checks the flags and builds the serving target — one
-    engine, a sharded {!Rebal_online.Cluster} (inline or on worker
-    domains), or a cluster under {!Rebal_online.Supervisor} — resuming
+    engine, a sharded {!Rebal_online.Cluster} (with [domains] hosting
+    domains for its sessions), or a cluster under
+    {!Rebal_online.Supervisor} — resuming
     every shard from its journal when one exists, and wires the
     telemetry store and alert rules. {!run} serves the line protocol on
     stdin/stdout, or through {!Server} on a TCP port or a Unix domain
     socket, until the input ends, a client sends [SHUTDOWN], or
     SIGTERM/SIGINT arrives; then it runs the finalizer ({!close}).
 
-    Every thread that touches the target — sessions, the telemetry
-    sampler, a metrics scrape — runs under one operation lock, except
-    on an unsupervised cluster with worker domains, which is internally
-    thread-safe. Blocking reads happen outside the lock, so an idle
-    session never starves the others. *)
+    On a cluster, socket sessions start through [Cluster.spawn], so they
+    run on its hosting domains. Every thread that touches a single
+    engine or a supervised cluster — sessions, the telemetry sampler,
+    a metrics scrape — runs under one operation lock; an unsupervised
+    cluster takes none, at any domain count, since each of its shards
+    is guarded by its own lock. Blocking reads happen outside the lock,
+    so an idle session never starves the others. *)
 
 module Journal = Rebal_obs.Journal
 

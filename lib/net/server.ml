@@ -67,7 +67,7 @@ let handle t session fd =
   unregister t fd;
   if verdict = Protocol.Stop then request_stop t
 
-let run t ~session =
+let run t ~spawn ~session =
   let rec loop () =
     if stopping t then ()
     else
@@ -77,7 +77,12 @@ let run t ~session =
         () (* listener shut down underneath us: a stop request *)
       | fd, _ ->
         register t fd;
-        ignore (Thread.create (handle t session) fd);
+        (match spawn (fun () -> handle t session fd) with
+        | () -> ()
+        | exception _ ->
+          (* No thread to run the session: drop the connection. *)
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          unregister t fd);
         loop ()
   in
   loop ()

@@ -9,12 +9,13 @@
     connection because the session thread processes its input
     sequentially).
 
-    Concurrency model: session threads are systhreads on the accepting
-    domain — cheap, I/O-bound, and they park on the parallel cluster's
-    reply cells, releasing the runtime lock, while shard worker
-    domains do the compute. The server itself assumes the target
-    behind [session] is safe to drive from many threads ({!Daemon}
-    serializes sessions under its operation lock when it is not).
+    Concurrency model: each session is a systhread started by the
+    [spawn] function {!run} is given — the daemon passes the cluster's
+    [Cluster.spawn], so sessions spread over its hosting domains and
+    run their shard work themselves, under shard locks. The server
+    itself assumes the target behind [session] is safe to drive from
+    many threads ({!Daemon} serializes sessions under its operation
+    lock when it is not).
 
     Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) or a
     call to {!request_stop} (the SIGTERM path) stops the accept loop;
@@ -33,11 +34,16 @@ val bound_addr : t -> Unix.sockaddr
 (** The actual listening address — useful with port 0. *)
 
 val run :
-  t -> session:(in_channel -> out_channel -> Rebal_online.Protocol.verdict) -> unit
+  t ->
+  spawn:((unit -> unit) -> unit) ->
+  session:(in_channel -> out_channel -> Rebal_online.Protocol.verdict) ->
+  unit
 (** Accept until stopped. Each connection runs [session] on its own
-    thread; a session's exceptions end only that session. Returns once
-    a stop was requested (by a [Stop] verdict or {!request_stop});
-    live sessions may still be running — follow with {!drain}. *)
+    thread, started by [spawn]; a session's exceptions end only that
+    session, and a connection [spawn] refuses (by raising) is closed.
+    Returns once a stop was requested (by a [Stop] verdict or
+    {!request_stop}); live sessions may still be running — follow with
+    {!drain}. *)
 
 val request_stop : t -> unit
 (** Stop accepting new connections (idempotent, callable from any

@@ -13,7 +13,7 @@
     [delta], [avg], [min], [max], [p99], ...) to a series over a
     trailing window and compares it against a bound ([>], [>=], [<],
     [<=]); e.g.
-    [alert deep_mailbox max(rebal_mailbox_depth{domain="0"}[30s]) > 48 for 10s].
+    [alert deep_mailbox max(rebal_mailbox_depth{shard="0"}[30s]) > 48 for 10s].
     A {e burnrate} rule is the multi-window SLO form: with error budget
     [B] (allowed bad fraction) and burn factor [F], it holds when
     [rate(bad)/rate(total) > F*B] over {e both} the short and the long

@@ -1,6 +1,6 @@
 (* An Atomic, not a ref: the serve daemon flips the switch once on the
-   main domain and every shard worker domain must observe it — a plain
-   ref would be a data race under OCaml 5's memory model. *)
+   main domain and every domain hosting its sessions must observe it —
+   a plain ref would be a data race under OCaml 5's memory model. *)
 let flag = Atomic.make false
 
 let enabled () = Atomic.get flag

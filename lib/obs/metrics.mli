@@ -22,13 +22,13 @@
     {!Registry.default}). Handle {e mutation} ([Counter.inc],
     [Gauge.set], [Histogram.observe]) is deliberately unsynchronized to
     keep the hot path zero-cost: confine each handle's writers to one
-    domain at a time — the pattern the parallel cluster uses is one
-    registry per worker domain, {!merge}d into an exposition registry on
-    export. A reader ({!Registry.metrics}, {!merge}) racing a confined
-    writer sees word-atomic values (no tearing), but cross-field
-    invariants (a histogram's sum vs its buckets) may be mid-update;
-    that is acceptable for monitoring reads and never corrupts the
-    registry. *)
+    thread at a time — the pattern the cluster uses is one registry per
+    shard, written only under that shard's lock, {!merge}d into an
+    exposition registry on export. A reader ({!Registry.metrics},
+    {!merge}) racing a confined writer sees word-atomic values (no
+    tearing), but cross-field invariants (a histogram's sum vs its
+    buckets) may be mid-update; that is acceptable for monitoring reads
+    and never corrupts the registry. *)
 
 type labels = (string * string) list
 

@@ -1,22 +1,23 @@
 module Timer = Rebal_harness.Timer
 
-(* The one span system. Protocol ops cross threads and domains: a
-   session systhread opens the op, a worker domain runs the engine half,
-   and a two-phase move touches two workers. So spans are flat records
+(* The one span system. Protocol ops cross threads: a session systhread
+   opens the op, runs each shard task under that shard's lock, and a
+   two-phase move touches two shards. So spans are flat records
    carrying explicit [trace_id]/[span_id]/[parent_id] links, recorded
-   into per-domain ring buffers and stitched back into trees at
-   exposition time — recording never blocks on anything wider than one
-   domain's ring mutex. The solvers' phase spans ([greedy.*],
-   [m_partition.*], [engine.repair]) are ordinary children of whatever
-   op is open: [profile] opens one at sample-every-1.
+   into per-domain ring buffers (every domain's ring registered in one
+   global list) and stitched back into trees at exposition time —
+   recording never blocks on anything wider than one domain's ring
+   mutex. The solvers' phase spans ([greedy.*], [m_partition.*],
+   [engine.repair]) are ordinary children of whatever op is open:
+   [profile] opens one at sample-every-1.
 
    Cost model: head sampling (1-in-N at the op boundary) decides whether
    an op's spans are recorded at all; ops slower than the tail threshold
    are additionally captured into a bounded slow-op ring whether or not
    they were sampled (an unsampled slow op keeps only its root span —
    the children were never recorded). With both knobs off, [with_op] is
-   [f ()] behind two atomic loads, and [with_span]/[add_attr] without a
-   carrier behind one. *)
+   [f ()] behind two atomic loads; while no thread is inside a sampled
+   op, [with_span]/[add_attr] are behind one. *)
 
 type span = {
   trace_id : int;
@@ -79,8 +80,9 @@ let count_dropped kind =
 
 (* ----- per-domain span rings ----- *)
 
-(* One ring per domain, in DLS. The mutex is not redundant: session
-   systhreads all live on the control domain and share its DLS slot, so
+(* One ring per domain, in DLS, and every ring ever made in [rings], so
+   a reader on any domain sees every domain's spans. The mutex is not
+   redundant: the systhreads of one domain share its DLS slot, so
    several threads record into one ring concurrently. *)
 type ring = {
   ring_mu : Mutex.t;
@@ -88,11 +90,17 @@ type ring = {
   mutable written : int;
 }
 
+let rings_mu = Mutex.create ()
+let rings : ring list ref = ref []
+
 let ring_key =
   Domain.DLS.new_key (fun () ->
-      { ring_mu = Mutex.create (); slots = Array.make 4096 None; written = 0 })
+      let r = { ring_mu = Mutex.create (); slots = Array.make 4096 None; written = 0 } in
+      Mutex.protect rings_mu (fun () -> rings := r :: !rings);
+      r)
 
 let ring () = Domain.DLS.get ring_key
+let all_rings () = Mutex.protect rings_mu (fun () -> List.rev !rings)
 
 let set_ring_capacity n =
   if n < 1 then invalid_arg "Optrace.set_ring_capacity: need a positive capacity";
@@ -113,8 +121,7 @@ let record sp =
   Mutex.unlock r.ring_mu;
   if dropped then count_dropped "op_span"
 
-let recorded () =
-  let r = ring () in
+let ring_spans r =
   Mutex.lock r.ring_mu;
   let buf = Array.copy r.slots in
   let total = r.written in
@@ -122,6 +129,8 @@ let recorded () =
   let cap = Array.length buf in
   let start = max 0 (total - cap) in
   List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
+
+let recorded () = List.concat_map ring_spans (all_rings ())
 
 (* ----- the slow-op ring (global: every domain's slow ops land here) ----- *)
 
@@ -163,13 +172,16 @@ let slow_ops () =
 (* ----- the current trace context ----- *)
 
 (* The innermost open span of each thread inside a sampled op. Keyed
-   by (domain, thread), not plain DLS: session systhreads share the
-   control domain's DLS, so a domain-local "current span" would leak one
+   by (domain, thread), not plain DLS: the session systhreads of one
+   domain share its DLS, so a domain-local "current span" would leak one
    session's context into another. The table only ever holds entries
    for threads inside a sampled op, so it stays tiny and the lock is
    uncontended unless tracing is busy. *)
 let ctx_mu = Mutex.create ()
 let ctx : (int * int, span) Hashtbl.t = Hashtbl.create 64
+
+(* [Hashtbl.length ctx], readable without [ctx_mu]. *)
+let contexts = Atomic.make 0
 
 let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
@@ -179,10 +191,10 @@ let current_span () =
   Mutex.unlock ctx_mu;
   sp
 
-(* Context is set only inside a sampled op, and a sampled op needs
-   head sampling on: with it off, the lookup (a mutex and a hash probe)
-   is skipped outright, so untraced callers pay one atomic load. *)
-let may_have_context () = Atomic.get sample_every > 0
+(* Context is set only inside a sampled op: while no thread is inside
+   one, the lookup (a mutex and a hash probe) is skipped outright, so
+   untraced callers pay one atomic load. *)
+let may_have_context () = Atomic.get contexts > 0
 
 let current_carrier () =
   if may_have_context () then
@@ -197,12 +209,14 @@ let with_ctx sp f =
   Mutex.lock ctx_mu;
   let saved = Hashtbl.find_opt ctx key in
   Hashtbl.replace ctx key sp;
+  Atomic.set contexts (Hashtbl.length ctx);
   Mutex.unlock ctx_mu;
   Fun.protect f ~finally:(fun () ->
       Mutex.lock ctx_mu;
       (match saved with
       | None -> Hashtbl.remove ctx key
       | Some s -> Hashtbl.replace ctx key s);
+      Atomic.set contexts (Hashtbl.length ctx);
       Mutex.unlock ctx_mu)
 
 (* ----- spans ----- *)
@@ -242,9 +256,8 @@ let with_op ~verb f =
     if sampled then with_ctx sp f else f ()
   end
 
-let with_span ?carrier ?(attrs = []) name f =
-  let parent = match carrier with Some _ -> carrier | None -> current_carrier () in
-  match parent with
+let with_span ?(attrs = []) name f =
+  match current_carrier () with
   | None -> f ()
   | Some { trace; parent } ->
     let span_id = next_span () in
@@ -275,11 +288,13 @@ let add_attr key v =
     | None -> ()
 
 let reset () =
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  Array.fill r.slots 0 (Array.length r.slots) None;
-  r.written <- 0;
-  Mutex.unlock r.ring_mu;
+  List.iter
+    (fun r ->
+      Mutex.lock r.ring_mu;
+      Array.fill r.slots 0 (Array.length r.slots) None;
+      r.written <- 0;
+      Mutex.unlock r.ring_mu)
+    (all_rings ());
   Mutex.lock slow_ring.slow_mu;
   Array.fill slow_ring.slow_slots 0 (Array.length slow_ring.slow_slots) None;
   slow_ring.slow_written <- 0;

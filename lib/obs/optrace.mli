@@ -1,14 +1,13 @@
-(** Span tracing: cross-domain op traces with head sampling and tail
-    capture, and the solvers' phase spans.
+(** Span tracing: op traces with head sampling and tail capture, and
+    the solvers' phase spans.
 
     Spans are {e flat records} with explicit
     [trace_id]/[span_id]/[parent_id] links: each domain records into
-    its own bounded ring, a {!carrier} travels inside mailbox envelopes
-    to link worker-side spans to the originating op, and {!assemble}
-    stitches the flat records back into causal trees at exposition
-    time. A protocol op's work can hop from a session thread over a
-    mailbox to a worker domain (or two, for a cross-shard move) and
-    still read as one tree. The solvers' phase spans ([greedy.*],
+    its own bounded ring, every ring is registered in one global list,
+    and {!assemble} stitches the flat records back into causal trees at
+    exposition time. A protocol op's work runs on its session thread,
+    one shard task after another (two, for a cross-shard move), and
+    reads as one tree. The solvers' phase spans ([greedy.*],
     [m_partition.*], [engine.repair]) are ordinary {!with_span}
     children of whatever op is open; [rebalance profile] opens one op
     at sample-every-1 and renders its children.
@@ -19,19 +18,17 @@
     ({!set_slow_threshold_ns}) land in a bounded slow-op ring whether or
     not they were sampled — an unsampled slow op keeps only its root
     span, since the children were never recorded. With both knobs off
-    (the default) [with_op] is [f ()] behind two atomic loads; with head
-    sampling off, {!with_span} without a carrier and {!add_attr} are
+    (the default) [with_op] is [f ()] behind two atomic loads; while no
+    thread is inside a sampled op, {!with_span} and {!add_attr} are
     [f ()] / a no-op behind one.
 
     {b Concurrency contract.} Span rings are per-domain (mutex-guarded,
-    because session systhreads share the control domain's ring); the
+    because the session systhreads of one domain share its ring); the
     slow-op ring and the id counters are global. The current trace
     context — the innermost open span — is keyed by
     [(domain, thread)], {e not} plain DLS, so concurrent sessions on
-    the control domain cannot leak context into one another.
-    {!recorded} reads the {e calling} domain's ring; a coordinator
-    wanting worker spans must collect them on the workers (the
-    cluster's [recorded_spans] does exactly this). *)
+    one domain cannot leak context into one another. {!recorded} reads
+    {e every} domain's ring, whichever domain calls it. *)
 
 type span = {
   trace_id : int;
@@ -48,8 +45,8 @@ type carrier = {
   trace : int;
   parent : int;
 }
-(** What crosses a mailbox: enough to parent a worker-side span into
-    the originating op's trace. A carrier exists only for sampled ops —
+(** The calling thread's trace context: enough to parent a span into
+    the open op's trace. A carrier exists only for sampled ops —
     presence is the sampling decision. *)
 
 type slow_op = {
@@ -96,12 +93,10 @@ val with_op : verb:string -> (unit -> 'a) -> 'a
     the duration of [f] so nested {!with_span} calls attach.
     Exception-safe. *)
 
-val with_span :
-  ?carrier:carrier -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Record a child span. The parent comes from [?carrier] (the
-    mailbox-crossing case) or, absent that, the calling thread's
-    current context; with neither, [f] runs untraced. Sets the context
-    for the duration of [f], so nesting works on worker domains too. *)
+val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
+(** Record a child span of the calling thread's current context; with
+    none, [f] runs untraced. Sets the context for the duration of [f],
+    so nesting works. *)
 
 val add_attr : string -> string -> unit
 (** Append an attribute to the calling thread's innermost open span —
@@ -109,20 +104,19 @@ val add_attr : string -> string -> unit
     A no-op outside a sampled op. *)
 
 val current_carrier : unit -> carrier option
-(** The calling thread's context, to be captured into an envelope at
-    the send site. [None] unless inside a sampled op. *)
+(** The calling thread's context. [None] unless inside a sampled op. *)
 
 (** {2 Collection and assembly} *)
 
 val recorded : unit -> span list
-(** The calling domain's ring, oldest first. *)
+(** Every domain's ring, each oldest first, concatenated. *)
 
 val slow_ops : unit -> slow_op list
 (** The global slow-op ring, oldest first. *)
 
 val reset : unit -> unit
-(** Clear the calling domain's ring, the slow-op ring, and the
-    head-sampling phase (other domains' rings are untouched). *)
+(** Clear every domain's ring, the slow-op ring, and the head-sampling
+    phase. *)
 
 type tree = {
   span : span;

@@ -46,17 +46,30 @@ type entry = {
   mutable reserved : bool;
 }
 
-(* What crosses a mailbox. Beyond the closure itself: the submit
-   timestamp (queueing delay = dequeue minus submit, observed into the
-   owner's wait histogram), the trace carrier when the originating op
-   was sampled (worker-side spans parent into the op's trace), and the
-   label/shard naming the work for those spans. *)
-type envelope = {
-  run : unit -> unit;
-  enq_ns : int64;  (* set at submit, before the send can block *)
-  carrier : Optrace.carrier option;
-  label : string;
-  shard : int;  (* -1 for domain-level (non-shard) tasks *)
+(* The executor state of one shard. Its lock is the only thing that
+   serializes the shard's engine, journal sink and metric handles: every
+   handle below, and every handle the engine binds (they all live in
+   [registry]), is mutated only by the thread holding [mu]. [waiting] is
+   the exception — callers count themselves in before they block — so
+   it is an atomic. *)
+type lane = {
+  mu : Mutex.t;
+  registry : Metrics.Registry.t;
+  waiting : int Atomic.t;  (* callers blocked on [mu] *)
+  depth : Metrics.Gauge.t;
+  wait : Metrics.Histogram.t;
+  busy : Metrics.Gauge.t;
+  util : Metrics.Gauge.t;
+  mutable busy_ns : int;  (* under [mu] *)
+}
+
+(* A domain that hosts threads: [spawn] posts a thread's body to its
+   inbox and the domain starts the thread, under its own registry. A
+   host is started by the first [spawn] that picks it. *)
+type host = {
+  inbox : (unit -> unit) Mailbox.t;
+  domain : unit Domain.t;
+  host_registry : Metrics.Registry.t;
 }
 
 type t = {
@@ -74,33 +87,23 @@ type t = {
      shard ramps back gradually. Residency of placed jobs is never
      affected — only where a *new* id lands. *)
   weights : float array;
-  (* The executor. With D worker domains, shard i is owned by domain
-     [owner.(i)] and all of its engine work runs there, in mailbox order
-     — per-shard FIFO and single-writer confinement (engine state,
-     journal sink, metric handles) fall out of the ownership map. With
-     D = 0 (inline) there are no mailboxes and no workers: tasks run on
-     the calling thread, and callers serialize their own access. *)
-  owner : int array;
-  mailboxes : envelope Mailbox.t array;  (* one per worker domain *)
-  workers : unit Domain.t array;
-  (* One per worker domain (one for the inline executor): the registry
-     each owned engine's metric handles are bound in. *)
-  registries : Metrics.Registry.t array;
-  (* Caller-side histograms, bound in the registry current at assembly
-     time (the control domain's): senders are session systhreads of
-     that one domain, so sharing the handles is within the Metrics
-     confinement contract — the loadgen precedent. Empty inline. *)
-  send_block : Metrics.Histogram.t array;  (* per worker domain *)
-  reply_wait : Metrics.Histogram.t array;  (* per shard *)
+  (* The executor: one lane per shard. Shard work runs on the calling
+     thread under the shard's lane lock; the hosts only decide which
+     domain a spawned thread runs on. *)
+  lanes : lane array;
+  hosts : host option array;  (* under hosts_mu *)
+  hosts_mu : Mutex.t;
+  next_host : int Atomic.t;
+  started_ns : int64;  (* the utilization gauges' wall-clock origin *)
   (* Shard i's [Engine.makespan] as of its last completed task, stored
-     by the executor before the task's result is handed back — so
-     [makespan] is a fold over these, with no mailbox round trip. *)
+     before the lane lock is released — so [makespan] is a fold over
+     these, with no lock at all. *)
   peaks : int Atomic.t array;
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
   directory : (string, entry) Hashtbl.t;
   mutable inter_moves : int;  (* under dir_mu *)
-  mutable stopped : bool;  (* under dir_mu *)
+  stopped : bool Atomic.t;  (* set under dir_mu; read under lane locks too *)
 }
 
 let pf = Printf.sprintf
@@ -170,95 +173,25 @@ let ring_lookup ~weights ring h =
     s
   end
 
-(* ----- the executors and the synchronous call fabric ----- *)
+(* ----- the executor: lane locks on the calling thread ----- *)
 
-(* A write-once cell the coordinator parks on until the owner domain
-   has run its closure. *)
-module Ivar = struct
-  type 'a t = {
-    mu : Mutex.t;
-    cond : Condition.t;
-    mutable v : 'a option;
-  }
+(* Every shard task runs on the thread that asks for it, holding the
+   shard's lane lock — there is no hand-off between threads or domains
+   on the op path. Two invariants keep the locks deadlock-free:
 
-  let create () = { mu = Mutex.create (); cond = Condition.create (); v = None }
+   - a thread never holds two lane locks: work spanning shards (a
+     fan-out, the two halves of a cross-shard move) is a sequence of
+     single-shard tasks;
+   - a thread never holds [dir_mu] while it takes a lane lock:
+     directory steps and engine steps alternate, they never nest.
 
-  let fill t v =
-    Mutex.lock t.mu;
-    t.v <- Some v;
-    Condition.signal t.cond;
-    Mutex.unlock t.mu
+   Task bodies are engine calls and never call back into the cluster,
+   so neither can arise from inside a task. *)
 
-  let read t =
-    Mutex.lock t.mu;
-    let rec wait () =
-      match t.v with
-      | Some v -> v
-      | None ->
-        Condition.wait t.cond t.mu;
-        wait ()
-    in
-    let v = wait () in
-    Mutex.unlock t.mu;
-    v
-end
-
-let worker_loop w registry mailbox =
-  (* Scope the worker to its own registry so any handle bound on this
-     domain (trace drop counters, late-bound histograms) lands where
-     only this domain writes — including the queue/utilization gauges
-     bound right here. *)
-  Metrics.Registry.with_registry registry @@ fun () ->
-  let labels = [ ("domain", string_of_int w) ] in
-  let depth =
-    Metrics.gauge ~labels ~help:"Commands waiting in this worker's mailbox"
-      "rebal_mailbox_depth"
-  in
-  let wait =
-    Metrics.histogram ~labels
-      ~help:"Mailbox residency from submit to dequeue (includes send-block time) in seconds"
-      "rebal_mailbox_wait_seconds"
-  in
-  let busy =
-    Metrics.gauge ~labels ~help:"Cumulative seconds this worker spent executing tasks"
-      "rebal_domain_busy_seconds"
-  in
-  let util =
-    Metrics.gauge ~labels ~help:"Busy seconds over wall seconds since the worker started"
-      "rebal_domain_utilization"
-  in
-  let started = Timer.now_ns () in
-  let busy_ns = ref 0L in
-  let rec loop () =
-    match Mailbox.recv mailbox with
-    | Some env ->
-      let deq = Timer.now_ns () in
-      Metrics.Gauge.set depth (float_of_int (Mailbox.length mailbox));
-      let queued_ns = Int64.sub deq env.enq_ns in
-      Metrics.Histogram.observe_ns wait queued_ns;
-      (match env.carrier with
-      | Some c ->
-        let attrs =
-          ("queue_us", pf "%.1f" (Int64.to_float queued_ns /. 1e3))
-          :: (if env.shard >= 0 then [ ("shard", string_of_int env.shard) ] else [])
-        in
-        Optrace.with_span ~carrier:c ~attrs ("shard." ^ env.label) env.run
-      | None -> env.run ());
-      busy_ns := Int64.add !busy_ns (Int64.sub (Timer.now_ns ()) deq);
-      let busy_s = Int64.to_float !busy_ns /. 1e9 in
-      Metrics.Gauge.set busy busy_s;
-      let wall = Int64.to_float (Int64.sub (Timer.now_ns ()) started) /. 1e9 in
-      if wall > 0.0 then Metrics.Gauge.set util (busy_s /. wall);
-      loop ()
-    | None -> ()
-  in
-  loop ()
-
-(* Run [f] on shard [s]'s engine — on its owner domain, or inline on
-   the caller — and publish the shard's makespan before the result is
-   handed back, so a caller that has its reply always sees its own
-   op's effect in [makespan]. The engine is re-read for the publish: a
-   [replace_engine] task swaps it. *)
+(* Run [f] on shard [s]'s engine and publish the shard's makespan before
+   the lock is released, so a caller that has its result always sees
+   its own op's effect in [makespan]. The engine is re-read for the
+   publish: a [replace_engine] task swaps it. *)
 let publish t s = Atomic.set t.peaks.(s) (Engine.makespan t.engines.(s))
 
 let on_shard t s f =
@@ -270,99 +203,128 @@ let on_shard t s f =
     publish t s;
     raise ex
 
-let captured f = match f () with v -> Ok v | exception e -> Error e
+(* Under [l.mu]: fold the task that started at [start] into the busy
+   and utilization gauges. *)
+let account t l start =
+  let now = Timer.now_ns () in
+  l.busy_ns <- l.busy_ns + Int64.to_int (Int64.sub now start);
+  let busy_s = float_of_int l.busy_ns /. 1e9 in
+  Metrics.Gauge.set l.busy busy_s;
+  let wall = Int64.to_float (Int64.sub now t.started_ns) /. 1e9 in
+  if wall > 0.0 then Metrics.Gauge.set l.util (busy_s /. wall)
 
-(* Submit an envelope to worker [w], timing how long the send blocked
-   on a full mailbox (the backpressure signal).
-   @raise Shut_down if the mailbox is closed. *)
-let post t w env =
-  let t0 = Timer.now_ns () in
-  let accepted = Mailbox.send t.mailboxes.(w) env in
-  Metrics.Histogram.observe_ns t.send_block.(w) (Int64.sub (Timer.now_ns ()) t0);
-  if not accepted then raise Shut_down
-
-(* A submitted task: already run by the inline executor, or parked on
-   its owner's reply cell. Tasks never raise out of a worker (that
-   would kill the domain and strand every later sender): exceptions are
-   carried back and re-raised by the awaiting caller, so a worker-side
-   [failwith] surfaces exactly as it would inline. *)
-type 'a task =
-  | Done of ('a, exn) result
-  | Posted of ('a, exn) result Ivar.t
-
-let inline t = Array.length t.workers = 0
-
-(* The inline executor's only check: a shut-down cluster takes no task.
-   (A worker-domain cluster refuses through its closed mailboxes.) *)
-let check_open t = if t.stopped then raise Shut_down
-
-(* Post [f] for shard [s] to its owner domain; [label] names the
-   worker-side span when the calling op is traced.
+(* Under [l.mu]. A traced op gets a [shard.<label>] child span, with
+   the lock wait as [queue_us].
    @raise Shut_down if the cluster has shut down. *)
-let post_task ?(label = "task") t s f =
-  let iv = Ivar.create () in
-  post t t.owner.(s)
-    {
-      run = (fun () -> Ivar.fill iv (captured (fun () -> on_shard t s f)));
-      enq_ns = Timer.now_ns ();
-      carrier = Optrace.current_carrier ();
-      label;
-      shard = s;
-    };
-  iv
+let locked_task t s l ~label ~queued_ns f =
+  if Atomic.get t.stopped then raise Shut_down;
+  Metrics.Histogram.observe_ns l.wait queued_ns;
+  Metrics.Gauge.set l.depth (float_of_int (Atomic.get l.waiting));
+  let start = Timer.now_ns () in
+  match
+    match Optrace.current_carrier () with
+    | None -> on_shard t s f
+    | Some _ ->
+      Optrace.with_span
+        ~attrs:
+          [ ("queue_us", pf "%.1f" (Int64.to_float queued_ns /. 1e3)); ("shard", string_of_int s) ]
+        ("shard." ^ label)
+        (fun () -> on_shard t s f)
+  with
+  | v ->
+    account t l start;
+    v
+  | exception ex ->
+    account t l start;
+    raise ex
 
-(* @raise Shut_down if the cluster has shut down. *)
-let submit ?label t s f =
-  if inline t then begin
-    check_open t;
-    Done (captured (fun () -> on_shard t s f))
-  end
-  else Posted (post_task ?label t s f)
-
-let await = function Done r -> r | Posted iv -> Ivar.read iv
-let unwrap = function Ok v -> v | Error e -> raise e
-
-(* Run [f] on shard [s]'s engine and wait for the result.
+(* Run [f] on shard [s]'s engine under its lane lock; [label] names the
+   span when the calling op is traced. An uncontended lock observes a
+   zero wait without reading the clock.
    @raise Shut_down if the cluster has shut down. *)
-let run ?label t s f =
-  if inline t then begin
-    check_open t;
-    on_shard t s f
+let run ?(label = "task") t s f =
+  let l = t.lanes.(s) in
+  let queued_ns =
+    if Mutex.try_lock l.mu then 0L
+    else begin
+      let t0 = Timer.now_ns () in
+      Atomic.incr l.waiting;
+      Mutex.lock l.mu;
+      Atomic.decr l.waiting;
+      Int64.sub (Timer.now_ns ()) t0
+    end
+  in
+  match locked_task t s l ~label ~queued_ns f with
+  | v ->
+    Mutex.unlock l.mu;
+    v
+  | exception ex ->
+    Mutex.unlock l.mu;
+    raise ex
+
+(* [f s] on every shard, one lane at a time. *)
+let run_all ?label t f = Array.init (Array.length t.engines) (fun s -> run ?label t s (f s))
+
+(* ----- hosting domains ----- *)
+
+let host_loop registry inbox =
+  Metrics.Registry.with_registry registry @@ fun () ->
+  let rec loop () =
+    match Mailbox.recv inbox with
+    | Some body ->
+      ignore (Thread.create body ());
+      loop ()
+    | None -> ()
+  in
+  loop ()
+
+let start_host () =
+  let inbox = Mailbox.create ~capacity:64 and host_registry = Metrics.Registry.create () in
+  { inbox; host_registry; domain = Domain.spawn (fun () -> host_loop host_registry inbox) }
+
+let started_hosts t =
+  Mutex.protect t.hosts_mu (fun () -> List.filter_map Fun.id (Array.to_list t.hosts))
+
+(* [f] runs on a fresh systhread of host [next_host mod D] (started
+   here if it is the host's first), or of the caller's domain when there
+   are no hosts; the returned join waits for [f]'s outcome. *)
+let spawn t f =
+  let mu = Mutex.create () and finished = Condition.create () in
+  let outcome = ref None in
+  let body () =
+    let r = match f () with () -> Ok () | exception e -> Error e in
+    Mutex.protect mu (fun () ->
+        outcome := Some r;
+        Condition.broadcast finished)
+  in
+  let n = Array.length t.hosts in
+  if n = 0 then begin
+    if Atomic.get t.stopped then raise Shut_down;
+    ignore (Thread.create body ())
   end
   else begin
-    let iv = post_task ?label t s f in
-    let t0 = Timer.now_ns () in
-    let r = Ivar.read iv in
-    Metrics.Histogram.observe_ns t.reply_wait.(s) (Int64.sub (Timer.now_ns ()) t0);
-    unwrap r
-  end
-
-(* Fan [f] out to every shard — all tasks submitted before any reply is
-   awaited, so on worker domains independent shards genuinely overlap. *)
-let run_all ?label t f =
-  let tasks = Array.init (Array.length t.engines) (fun s -> submit ?label t s (f s)) in
-  Array.map (fun tk -> unwrap (await tk)) tasks
-
-(* Run [f] once on every worker domain (not per shard — with fewer
-   domains than shards a per-shard fan-out would visit a domain twice).
-   The span-collection path; inline there is no worker to visit. *)
-let on_domains t f =
-  let ivs =
-    Array.mapi
-      (fun w _ ->
-        let iv = Ivar.create () in
-        post t w
-          {
-            run = (fun () -> Ivar.fill iv (captured f));
-            enq_ns = Timer.now_ns ();
-            carrier = None;
-            label = "domain";
-            shard = -1;
-          };
-        iv)
-      t.mailboxes
-  in
-  Array.map (fun iv -> unwrap (Ivar.read iv)) ivs
+    let i = Atomic.fetch_and_add t.next_host 1 mod n in
+    let host =
+      Mutex.protect t.hosts_mu (fun () ->
+          if Atomic.get t.stopped then raise Shut_down;
+          match t.hosts.(i) with
+          | Some h -> h
+          | None ->
+            let h = start_host () in
+            t.hosts.(i) <- Some h;
+            h)
+    in
+    if not (Mailbox.send host.inbox body) then raise Shut_down
+  end;
+  fun () ->
+    let r =
+      Mutex.protect mu (fun () ->
+          while !outcome = None do
+            Condition.wait finished mu
+          done;
+          Option.get !outcome)
+    in
+    match r with Ok () -> () | Error e -> raise e
 
 (* ----- construction ----- *)
 
@@ -376,87 +338,88 @@ let offsets_of_engines engines =
     engines;
   (offsets, !acc)
 
-(* The executor layout for [domains] (default 0, inline): the worker
-   count, one registry per worker (one for the inline executor) and
-   each shard's owner. *)
-let layout ~shards domains =
-  let domains =
-    match domains with
-    | None -> 0
-    | Some d ->
-      if d < 0 then invalid_arg "Cluster: negative domain count";
-      min d shards
-  in
-  let registries = Array.init (max 1 domains) (fun _ -> Metrics.Registry.create ()) in
-  let owner = Array.init shards (fun i -> if domains = 0 then 0 else i mod domains) in
-  (domains, registries, owner)
+let make_lane s =
+  let registry = Metrics.Registry.create () in
+  let labels = [ ("shard", string_of_int s) ] in
+  {
+    mu = Mutex.create ();
+    registry;
+    waiting = Atomic.make 0;
+    depth =
+      Metrics.gauge ~registry ~labels ~help:"Callers waiting for this shard's lock"
+        "rebal_mailbox_depth";
+    wait =
+      Metrics.histogram ~registry ~labels
+        ~help:
+          "Seconds from submitting a shard task until it holds the shard's lock (0 when \
+           uncontended)"
+        "rebal_mailbox_wait_seconds";
+    busy =
+      Metrics.gauge ~registry ~labels ~help:"Cumulative seconds spent inside this shard's tasks"
+        "rebal_domain_busy_seconds";
+    util =
+      Metrics.gauge ~registry ~labels
+        ~help:"Seconds inside this shard's tasks over wall seconds since the cluster started"
+        "rebal_domain_utilization";
+    busy_ns = 0;
+  }
 
-let assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory =
+(* [domains] (default 0) hosting domains, clamped to [shards]: at most
+   [shards] threads can hold lane locks at once, so more hosts add no
+   parallel engine work. *)
+let host_count ~shards = function
+  | None -> 0
+  | Some d ->
+    if d < 0 then invalid_arg "Cluster: negative domain count";
+    min d shards
+
+let assemble ~engines ~lanes ~domains ~directory =
   let offsets, m = offsets_of_engines engines in
   let shards = Array.length engines in
-  let mailboxes = Array.init domains (fun _ -> Mailbox.create ~capacity:mailbox_capacity) in
-  let workers =
-    Array.mapi (fun w mb -> Domain.spawn (fun () -> worker_loop w registries.(w) mb)) mailboxes
-  in
-  let send_block =
-    Array.init domains (fun w ->
-        Metrics.histogram
-          ~labels:[ ("domain", string_of_int w) ]
-          ~help:"Seconds a sender blocked on a full mailbox (backpressure)"
-          "rebal_mailbox_send_block_seconds")
-  in
-  let reply_wait =
-    Array.init (if domains = 0 then 0 else shards) (fun s ->
-        Metrics.histogram
-          ~labels:[ ("shard", string_of_int s) ]
-          ~help:"Seconds a caller parked on a reply cell waiting for the owner domain"
-          "rebal_reply_wait_seconds")
-  in
   {
     engines;
     offsets;
     m;
     ring = make_ring shards;
     weights = Array.make shards 1.0;
-    owner;
-    mailboxes;
-    workers;
-    registries;
-    send_block;
-    reply_wait;
+    lanes;
+    hosts = Array.make domains None;
+    hosts_mu = Mutex.create ();
+    next_host = Atomic.make 0;
+    started_ns = Timer.now_ns ();
     peaks = Array.map (fun e -> Atomic.make (Engine.makespan e)) engines;
     dir_mu = Mutex.create ();
     dir_settled = Condition.create ();
     directory;
     inter_moves = 0;
-    stopped = false;
+    stopped = Atomic.make false;
   }
 
-let create ?trigger ?clock ?journal_for ?(mailbox_capacity = 1024) ?domains ~m ~shards () =
+let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
   if shards < 1 then invalid_arg "Cluster.create: need at least one shard";
   if m < shards then invalid_arg "Cluster.create: need at least one processor per shard";
-  if mailbox_capacity < 1 then invalid_arg "Cluster.create: need a positive mailbox capacity";
-  let domains, registries, owner = layout ~shards domains in
+  let domains = host_count ~shards domains in
+  let lanes = Array.init shards make_lane in
   let engines =
     Array.init shards (fun i ->
         let m_i = (m / shards) + if i < m mod shards then 1 else 0 in
         (* Bind the engine's metric handles — and anything the journal
            factory binds, e.g. a resilient sink's drop counter — in the
-           owner's registry, so only that worker domain mutates them. *)
-        Metrics.Registry.with_registry registries.(owner.(i)) (fun () ->
+           shard's own registry, which only its lock holder mutates. *)
+        Metrics.Registry.with_registry lanes.(i).registry (fun () ->
             let journal = match journal_for with None -> None | Some f -> f i in
             Engine.create ?trigger ?clock ?journal ~m:m_i ()))
   in
-  assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory:(Hashtbl.create 256)
+  assemble ~engines ~lanes ~domains ~directory:(Hashtbl.create 256)
 
-let of_engines ?(mailbox_capacity = 1024) ?domains ~shards build =
+let of_engines ?domains ~shards build =
   if shards < 1 then Error "Cluster.of_engines: need at least one engine"
-  else if mailbox_capacity < 1 then Error "Cluster.of_engines: need a positive mailbox capacity"
   else begin
-    let domains, registries, owner = layout ~shards domains in
+    let domains = host_count ~shards domains in
+    let lanes = Array.init shards make_lane in
     let engines =
       Array.init shards (fun i ->
-          Metrics.Registry.with_registry registries.(owner.(i)) (fun () -> build i))
+          Metrics.Registry.with_registry lanes.(i).registry (fun () -> build i))
     in
     let directory = Hashtbl.create 256 in
     let exception Dup of string in
@@ -470,14 +433,14 @@ let of_engines ?(mailbox_capacity = 1024) ?domains ~shards build =
             ())
         engines
     with
-    | () -> Ok (assemble ~engines ~registries ~owner ~domains ~mailbox_capacity ~directory)
+    | () -> Ok (assemble ~engines ~lanes ~domains ~directory)
     | exception Dup id -> Error (pf "Cluster.of_engines: job %s lives in two shards" id)
   end
 
 (* ----- simple accessors ----- *)
 
 let shard_count t = Array.length t.engines
-let domain_count t = Array.length t.workers
+let domain_count t = Array.length t.hosts
 let m t = t.m
 let offset t i = t.offsets.(i)
 let global t i p = t.offsets.(i) + p
@@ -497,7 +460,7 @@ let with_dir t f =
 
 (* Under [dir_mu]: wait until [id] is not reserved; its entry, if any. *)
 let rec settled t id =
-  if t.stopped then raise Shut_down;
+  if Atomic.get t.stopped then raise Shut_down;
   match Hashtbl.find_opt t.directory id with
   | Some { reserved = true; _ } ->
     Condition.wait t.dir_settled t.dir_mu;
@@ -535,7 +498,7 @@ let settle t ~id e shard =
       Condition.broadcast t.dir_settled)
 
 (* Run the engine half of an op whose id is reserved; on any exception
-   (worker failure, shutdown mid-flight) roll the reservation back to
+   (a raising task, shutdown mid-flight) roll the reservation back to
    [restore] so waiters are not stranded on a ghost reservation. *)
 let run_reserved ?label t ~id e ~restore s f =
   match run ?label t s f with
@@ -618,9 +581,8 @@ let op_id = function
 
 (* One batch of events, routed and dispatched as per-shard sub-batches:
    each involved shard gets a single task that runs [Engine.apply_bulk]
-   over its share — one dispatch, one journal flush per shard per chunk
-   — while on worker domains distinct shards execute in parallel.
-   Results are delivered to [on_result] in batch order.
+   over its share — one lock acquisition, one journal flush per shard
+   per chunk. Results are delivered to [on_result] in batch order.
 
    The batch is processed in chunks. A chunk ends where per-id ordering
    or deadlock-freedom demands a barrier: at a duplicate id (the second
@@ -683,7 +645,7 @@ let apply_bulk t ?on_result ops =
          let reserved =
            with_dir t (fun () ->
                if i = chunk_lo then reserve ()
-               else if t.stopped then raise Shut_down
+               else if Atomic.get t.stopped then raise Shut_down
                else
                  match Hashtbl.find_opt t.directory id with
                  | Some { reserved = true; _ } -> None
@@ -706,9 +668,11 @@ let apply_bulk t ?on_result ops =
     (* The first op of a chunk always makes progress: it is either
        reserved or its validation failure is recorded before any Exit. *)
     let chunk_hi = max !hi (chunk_lo + 1) in
-    (* Dispatch phase: one [Engine.apply_bulk] task per involved shard.
-       All tasks are submitted before any is awaited, so distinct
-       shards overlap on worker domains. *)
+    (* Dispatch phase: one [Engine.apply_bulk] task per involved shard,
+       each under its own lane lock, one after another. Its results are
+       translated to global processor indices and every reservation is
+       settled — success or failure, no id is left in a transient
+       state. *)
     let module M = Map.Make (Int) in
     let by_shard = ref M.empty in
     for i = chunk_lo to chunk_hi - 1 do
@@ -717,42 +681,29 @@ let apply_bulk t ?on_result ops =
         by_shard :=
           M.update s (function None -> Some [ i ] | Some l -> Some (i :: l)) !by_shard
     done;
-    let tasks =
-      M.fold
-        (fun s rev_idx acc ->
-          let idx = Array.of_list (List.rev rev_idx) in
-          let sub = Array.map (fun i -> ops.(i)) idx in
-          let sub_results = Array.make (Array.length sub) (Error "") in
-          let task =
-            match
-              submit ~label:"apply_bulk" t s (fun e ->
-                  Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)
-            with
-            | tk -> Some tk
-            | exception Shut_down -> None
-          in
-          (s, idx, sub_results, task) :: acc)
-        !by_shard []
-    in
-    (* Collect, translate to global processor indices, and settle every
-       reservation — success or failure, no id is left in a transient
-       state. *)
     let failure = ref None in
-    List.iter
-      (fun (s, idx, sub_results, task) ->
-        let outcome = match task with None -> Error Shut_down | Some tk -> await tk in
+    M.iter
+      (fun s rev_idx ->
+        let idx = Array.of_list (List.rev rev_idx) in
+        let sub = Array.map (fun i -> ops.(i)) idx in
+        let sub_results = Array.make (Array.length sub) (Error "") in
+        let outcome =
+          match
+            run ~label:"apply_bulk" t s (fun e ->
+                Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)
+          with
+          | () -> None
+          | exception e ->
+            if !failure = None then failure := Some e;
+            Some e
+        in
         Array.iteri
           (fun j i ->
             let rolled_back, res =
-              match outcome with
-              | Ok () -> begin
-                match sub_results.(j) with
-                | Ok (p, moves) -> (false, Ok (global t s p, translate t s moves))
-                | Error _ as e -> (true, e)
-              end
-              | Error e ->
-                if !failure = None then failure := Some e;
-                (true, shut_down)
+              match (outcome, sub_results.(j)) with
+              | None, Ok (p, moves) -> (false, Ok (global t s p, translate t s moves))
+              | None, (Error _ as e) -> (true, e)
+              | Some _, _ -> (true, shut_down)
             in
             let settled_on =
               match (ops.(i), rolled_back) with
@@ -762,7 +713,7 @@ let apply_bulk t ?on_result ops =
             settle t ~id:(op_id ops.(i)) entries.(i - chunk_lo) settled_on;
             record i res)
           idx)
-      tasks;
+      !by_shard;
     emit chunk_lo chunk_hi;
     (match !failure with
     | Some Shut_down | None -> ()
@@ -795,11 +746,11 @@ let find t id =
 let move ?(on_removed = fun () -> ()) t ~id ~dst =
   if dst < 0 || dst >= shard_count t then Error (pf "Cluster.move: no such shard %d" dst)
   else
-    (* The whole transfer is one span on the session thread; the two
+    (* The whole transfer is one span on the calling thread; the two
        engine halves become [shard.move.remove] / [shard.move.add]
-       child spans on their executors, and the directory steps bracket
-       them — so a traced cross-shard move reads session → mailbox →
-       remove → add → commit. *)
+       child spans, each under its own lane lock, and the directory
+       steps bracket them — so a traced cross-shard move reads
+       reserve → remove → add → commit. *)
     Optrace.with_span ~attrs:[ ("id", id); ("dst", string_of_int dst) ] "move"
     @@ fun () ->
     try
@@ -817,7 +768,7 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
       | Error _ as e -> e
       | Ok None -> Ok [] (* already resident on [dst] *)
       | Ok (Some (src, entry)) -> (
-        (* Phase 1: size lookup + remove, atomically on src's owner. *)
+        (* Phase 1: size lookup + remove, in one task on src. *)
         let lifted =
           run_reserved ~label:"move.remove" t ~id entry ~restore:(Some src) src
             (fun e ->
@@ -883,8 +834,8 @@ let least_loaded t eligible =
   Array.iteri (fun i l -> if eligible i && (!b < 0 || l < mins.(!b)) then b := i) mins;
   !b
 
-(* Every routable shard's own bounded GREEDY repair first — on worker
-   domains genuinely in parallel, shards are independent — then up to
+(* Every routable shard's own bounded GREEDY repair first — shards are
+   independent, each repair is one task under its own lane — then up to
    [k] cross-shard transfers, each picked from a fresh probe of all
    shards (the globally heaviest liftable job to the shard holding the
    least-loaded processor, only when it lands below the current peak)
@@ -981,17 +932,18 @@ let evacuate t ~from ~budget =
 
 (* Re-admission: swap a fresh engine (restored from the shard's own
    snapshot + journal tail) in behind the directory. It is built in the
-   owner's registry, as [of_engines] builders are, and swapped in by a
-   task on the owner, so it is ordered after every task already queued
-   for the old engine. The swap is only sound when the replacement
-   agrees with the directory about exactly which jobs shard [i] owns —
-   after a full evacuation both sides are empty, so a journal-restored
-   engine (whose journal recorded the evacuation removes) passes. *)
+   shard's registry, as [of_engines] builders are, and swapped in by a
+   task under the shard's lane lock, so it is ordered after every task
+   that took the lock for the old engine first. The swap is only sound
+   when the replacement agrees with the directory about exactly which
+   jobs shard [i] owns — after a full evacuation both sides are empty,
+   so a journal-restored engine (whose journal recorded the evacuation
+   removes) passes. *)
 let replace_engine t i build =
   if i < 0 || i >= shard_count t then Error "Cluster.replace_engine: no such shard"
   else
     try
-      match Metrics.Registry.with_registry t.registries.(t.owner.(i)) build with
+      match Metrics.Registry.with_registry t.lanes.(i).registry build with
       | Error _ as e -> e
       | Ok eng ->
         let owned = Engine.m t.engines.(i) in
@@ -1019,8 +971,8 @@ let replace_engine t i build =
 
 (* ----- inspection ----- *)
 
-(* No mailbox: each shard's value is the one its executor published at
-   the end of its last completed task. *)
+(* No lock: each shard's value is the one published at the end of its
+   last completed task. *)
 let makespan t = Array.fold_left (fun acc p -> max acc (Atomic.get p)) 0 t.peaks
 
 let loads t =
@@ -1113,19 +1065,18 @@ let query t s f =
   if s < 0 || s >= shard_count t then invalid_arg "Cluster.query: no such shard";
   run ~label:"query" t s f
 
-let recorded_spans t =
-  Array.to_list (on_domains t Optrace.recorded) |> List.concat
-
-let merge_metrics t ~into = Array.iter (fun reg -> Metrics.merge ~into reg) t.registries
+let merge_metrics t ~into =
+  Array.iter (fun l -> Metrics.merge ~into l.registry) t.lanes;
+  List.iter (fun h -> Metrics.merge ~into h.host_registry) (started_hosts t)
 
 (* ----- shutdown ----- *)
 
 let shutdown t =
   let first =
     with_dir t (fun () ->
-        if t.stopped then false
+        if Atomic.get t.stopped then false
         else begin
-          t.stopped <- true;
+          Atomic.set t.stopped true;
           (* Wake clients parked in [settled]; they observe [stopped]
              and fail their op with "cluster is shut down". *)
           Condition.broadcast t.dir_settled;
@@ -1133,10 +1084,14 @@ let shutdown t =
         end)
   in
   if first then begin
-    (* Workers drain every accepted task, then exit — in-flight ops
-       still get their replies before the domains are joined. *)
-    Array.iter Mailbox.close t.mailboxes;
-    Array.iter Domain.join t.workers
+    (* A task that took its lane lock before [stopped] was set finishes
+       before this passes its lane; every later one refuses. No host
+       starts once [stopped] is set; the started ones stop taking
+       threads, and joining a host waits for the threads it started. *)
+    Array.iter (fun l -> Mutex.protect l.mu ignore) t.lanes;
+    let hosts = started_hosts t in
+    List.iter (fun h -> Mailbox.close h.inbox) hosts;
+    List.iter (fun h -> Domain.join h.domain) hosts
   end
 
 let engine t i =

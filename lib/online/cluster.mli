@@ -1,29 +1,34 @@
 (** The sharded runtime: processors partitioned into [S] shards, each
     backed by its own {!Engine} (with its own trigger and, optionally,
     its own flight-recorder journal), behind one residency directory
-    and one consistent-hash router, run by one of two executors.
+    and one consistent-hash router, each shard behind its own lock.
 
     Processor numbering is global: shard [i] owns the contiguous range
     [[offset t i, offset t i + procs of shard i)], and every move list
     or processor this module returns uses global indices.
 
-    {b Executors.} With [~domains:0] (the default) the cluster is
-    {e inline}: every task runs on the calling thread, with no mailbox,
-    no reply cell and no worker domain, and callers serialize their own
-    access (one thread, or an external lock). With [~domains:D >= 1],
-    shard [i] is owned by worker domain [i mod D]; all of a shard's
+    {b The executor.} Every shard task runs on the thread that asks for
+    it, holding that shard's lock: there is no hand-off between threads
+    or domains on the op path. The lock serializes all of a shard's
     engine work — state mutation, journal writes, metric-handle updates
-    — runs on its owner, in mailbox order, behind a bounded MPSC
-    command {!Mailbox}, and client threads park on a reply cell, so
-    every operation is synchronous at the call site while independent
-    shards execute genuinely in parallel. That single-writer discipline
-    lets the engines, their journal sinks and their per-domain metric
-    registries stay unsynchronized: the only locks are the mailboxes
-    and the residency directory. Both executors go through the same
-    task helper, which publishes the shard's makespan before handing a
-    result back; a quiescent cluster places, repairs and reports
-    bit-identically whatever [D] is — the equivalence property the
+    — so the engines, their journal sinks and their per-shard metric
+    registries stay unsynchronized, and callers on any number of
+    threads and domains may drive the cluster concurrently. Two
+    invariants keep it deadlock-free: a thread never holds two shard
+    locks (work spanning shards is a sequence of single-shard tasks),
+    and it never holds the directory lock while it takes a shard lock.
+    Each task publishes the shard's makespan before its lock is
+    released. A quiescent cluster places, repairs and reports
+    bit-identically whatever drives it — the equivalence property the
     test suite checks.
+
+    {b Hosting domains.} [~domains:D] (default 0) starts [D] domains
+    that {e host threads}: {!spawn} starts a systhread on the next one,
+    round robin (on the caller's domain when [D = 0]); each starts with
+    its first thread. The serve daemon
+    runs its TCP and Unix-socket sessions there, so sessions spread over
+    [D] domains while their shard work stays on the session thread.
+    Each hosting domain runs under its own metrics registry.
 
     {b Routing and weights.} A new id lands on the shard owning the
     first ring point at or after its hash (64 virtual nodes per shard,
@@ -87,7 +92,7 @@ type stats = {
 exception Shut_down
 (** Raised by inspection entry points ({!query}, {!stats}, {!loads},
     {!shard_stats}, {!check_consistency}) called after {!shutdown},
-    whatever the executor. The result-returning operations catch it
+    whatever the domain count. The result-returning operations catch it
     and report ["cluster is shut down"] instead. *)
 
 type t
@@ -96,7 +101,6 @@ val create :
   ?trigger:Engine.trigger ->
   ?clock:(unit -> float) ->
   ?journal_for:(int -> Rebal_obs.Journal.sink option) ->
-  ?mailbox_capacity:int ->
   ?domains:int ->
   m:int ->
   shards:int ->
@@ -106,32 +110,38 @@ val create :
     (the first [m mod shards] shards get one extra); [trigger] and
     [clock] are handed to every engine, [journal_for i] supplies shard
     [i]'s flight-recorder sink. Each engine is bound (metric handles
-    and all) to its owner's private registry. [domains] defaults to 0
-    (the inline executor) and is clamped to [shards];
-    [mailbox_capacity] (default 1024) bounds each worker's command
-    queue — senders block when it fills, which is the backpressure.
-    Worker domains, if any, are spawned here; pair with {!shutdown}.
-    @raise Invalid_argument on a negative domain count, a non-positive
-    capacity, [shards < 1] or [m < shards]. *)
+    and all) to its shard's private registry. [domains], the hosting
+    domain count, defaults to 0 and is clamped to [shards] (at most
+    [shards] threads can hold shard locks at once). A hosting domain
+    starts with the first thread {!spawn} puts on it; pair with
+    {!shutdown}.
+    @raise Invalid_argument on a negative domain count, [shards < 1] or
+    [m < shards]. *)
 
 val of_engines :
-  ?mailbox_capacity:int ->
   ?domains:int ->
   shards:int ->
   (int -> Engine.t) ->
   (t, string) result
 (** Assemble a cluster around restored engines — the restart path.
-    [build i] is called once per shard, {e under the owner's
+    [build i] is called once per shard, {e under the shard's
     registry}, so resumed engines bind their metric handles where only
-    their executor writes (this is why the builder is a function, not
-    an array). [domains] is as for {!create}. The residency directory
+    the shard's lock holder writes (this is why the builder is a
+    function, not an array). [domains] is as for {!create}. The residency directory
     is rebuilt from the engines' live jobs; [Error] if an id appears in
     two engines. The [inter_moves] counter starts at zero. *)
 
 val shard_count : t -> int
 
 val domain_count : t -> int
-(** Worker domains: 0 for the inline executor. *)
+(** Hosting domains, started or not (0 unless [~domains] was given). *)
+
+val spawn : t -> (unit -> unit) -> unit -> unit
+(** [spawn t f] starts a systhread running [f] on the next hosting
+    domain, round robin, or on the caller's domain when there are none.
+    The result joins it: it waits for [f] to return and re-raises what
+    [f] raised.
+    @raise Shut_down after {!shutdown}. *)
 
 val m : t -> int
 (** Total processors across all shards. *)
@@ -143,11 +153,11 @@ val job_count : t -> int
 
 val makespan : t -> int
 (** The global peak: the maximum over shards of each shard's makespan
-    {e as of its last completed task}. Every shard's owner domain
-    publishes that value through an atomic before it fills the task's
-    reply cell, so this never blocks and posts no task — it is a fold
-    over [shards] atomics — and a caller always sees the effect of its
-    own completed operations. Other clients' in-flight operations may
+    {e as of its last completed task}. Every task publishes that value
+    through an atomic before it releases the shard's lock, so this
+    never blocks and runs no task — it is a fold over [shards] atomics
+    — and a caller always sees the effect of its own completed
+    operations. Other clients' in-flight operations may
     or may not be reflected yet; on a quiescent cluster the value is
     exactly the maximum [Engine.makespan]. After {!shutdown} it returns
     the final value (it does not raise). *)
@@ -180,8 +190,7 @@ val set_weight : t -> int -> float -> unit
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
 (** Route by the weighted ring, reserve, place greedily on the chosen
     shard. Returns the global processor and any automatic-repair
-    moves. Blocks while the shard's mailbox is full — backpressure,
-    not failure. *)
+    moves. Blocks while another thread holds the shard's lock. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
@@ -193,9 +202,9 @@ val apply_bulk :
   unit
 (** Apply a batch of events, amortizing dispatch and journal flushing:
     the batch is routed into per-shard sub-batches and each involved
-    shard runs one [Engine.apply_bulk] task — on worker domains
-    distinct shards execute in parallel, and each shard's journal is
-    flushed once per sub-batch instead of once per event. Per-id
+    shard runs one [Engine.apply_bulk] task under its lock, so each
+    shard's lock is taken and its journal flushed once per sub-batch
+    instead of once per event. Per-id
     semantics match the one-by-one operations: ids are reserved in the
     residency directory for the duration of their sub-batch, results
     (global processor indices, auto-repair moves, engine error
@@ -217,11 +226,12 @@ val move : ?on_removed:(unit -> unit) -> t -> id:string -> dst:int -> (move list
     rolls back (re-add on the source) and reports [Error]. *)
 
 val rebalance : t -> k:int -> move list
-(** Per-shard bounded GREEDY repair (budget [k] each, all shards in
-    parallel on worker domains), then up to [k] two-phase cross-shard
-    transfers, each chosen from a fresh probe of every shard. Returns
-    all moves in global indices, intra-shard repairs first. Quiescent,
-    every executor makes the same decisions in the same order; under
+(** Per-shard bounded GREEDY repair (budget [k] each, one task per
+    shard), then up to [k] two-phase cross-shard transfers, each chosen
+    from a fresh probe of every shard. Returns all moves in global
+    indices, intra-shard repairs first — so one call over [S] shards
+    makes at most [(S + 1) * k] moves. Quiescent, every domain count
+    makes the same decisions in the same order; under
     concurrent traffic a transfer beaten by a client operation is
     skipped and the next iteration re-probes. Zero-weight shards are
     skipped entirely — their engines are presumed unreachable, and
@@ -245,8 +255,8 @@ val replace_engine : t -> int -> (unit -> (Engine.t, string) result) -> (unit, s
 (** Swap shard [i]'s backing engine for the one [build ()] returns —
     the re-admission path: a Recovering shard restores an engine from
     its latest snapshot plus journal tail. [build] runs under the
-    owner's registry, as {!of_engines} builders do, and the swap is a
-    task on the owner. Refuses (leaving the cluster untouched) unless
+    shard's registry, as {!of_engines} builders do, and the swap is a
+    task under the shard's lock. Refuses (leaving the cluster untouched) unless
     the engine has the same processor count and holds exactly the jobs
     the directory maps to shard [i] (after a full evacuation, both are
     empty); [build]'s own [Error] is passed through. *)
@@ -261,39 +271,33 @@ val check_consistency : t -> k:int -> bool
     count as failures by design. *)
 
 val journal_snapshot : t -> ((int * int) list, string) result
-(** Emit a snapshot event into every shard's journal (on its owner);
+(** Emit a snapshot event into every shard's journal (under its lock);
     [(shard, event seq)] pairs. [Error] (emitting nothing) if
     any shard lacks a journal. *)
 
 val query : t -> int -> (Engine.t -> 'a) -> 'a
-(** Run a closure on shard [i]'s engine, {e on its owner}, and wait for
-    the answer — the safe way to inspect a live engine (e.g. its
-    journal tail) or to write to its journal.
-    @raise Shut_down after {!shutdown}. *)
-
-val recorded_spans : t -> Rebal_obs.Optrace.span list
-(** Every worker domain's recorded op spans (one collection task per
-    {e domain}, not per shard), concatenated; none inline. The
-    caller's own domain is not included — combine with
-    [Optrace.recorded ()] for the full picture.
+(** Run a closure on shard [i]'s engine {e under its lock} — the safe
+    way to inspect a live engine (e.g. its journal tail) or to write to
+    its journal. The closure must not call back into the cluster.
     @raise Shut_down after {!shutdown}. *)
 
 val merge_metrics : t -> into:Rebal_obs.Metrics.Registry.t -> unit
-(** Fold every owner registry (one per worker domain, one inline) into
+(** Fold every shard registry and every hosting domain's registry into
     [into] — call at exposition time with a fresh registry (merging
-    twice into the same registry double-counts). *)
+    twice into the same registry double-counts). The caller's own
+    domain's registry is not included. *)
 
 val shutdown : t -> unit
-(** Stop accepting work, drain every accepted task (in-flight
-    operations still get replies), close the mailboxes and join the
-    worker domains, if any. Idempotent from one thread; afterwards operations
-    report ["cluster is shut down"] and inspection raises
-    {!Shut_down}, except {!makespan}, which keeps returning the final
-    value. *)
+(** Stop accepting work: tasks already holding a shard lock finish,
+    later ones refuse. Then join the started hosting domains, which
+    waits for every thread {!spawn} started on them — so call it from
+    a thread the cluster did not spawn. Idempotent from one thread;
+    afterwards operations report ["cluster is shut down"] and
+    inspection raises {!Shut_down}, except {!makespan}, which keeps
+    returning the final value. *)
 
 val engine : t -> int -> Engine.t
-(** Shard [i]'s backing engine, {e without} domain confinement — safe
-    on an inline cluster, or once the cluster is {!shutdown} (the
-    replay-audit path in tests and benches). For a live cluster with
-    worker domains use {!query}. Mutating it directly bypasses the
-    residency directory. *)
+(** Shard [i]'s backing engine, {e without} its lock — safe with one
+    caller thread, or once the cluster is {!shutdown} (the replay-audit
+    path in tests and benches). With concurrent callers use {!query}.
+    Mutating it directly bypasses the residency directory. *)

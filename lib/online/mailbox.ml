@@ -1,11 +1,10 @@
 (* A bounded multi-producer single-consumer queue over a circular
-   buffer, built on a mutex and two conditions — the command channel
-   between client threads and a shard worker domain. [send] blocking
-   while the buffer is full is the backpressure mechanism: a client
-   that outruns its shard parks on [not_full] instead of growing an
-   unbounded queue. Closing wakes everyone; the consumer drains what
-   was accepted before seeing end-of-stream, so a successful [send]
-   is never silently dropped. *)
+   buffer, built on a mutex and two conditions — a hosting domain's
+   spawn inbox. [send] blocking while the buffer is full is the
+   backpressure mechanism: a producer that outruns its consumer parks
+   on [not_full] instead of growing an unbounded queue. Closing wakes
+   everyone; the consumer drains what was accepted before seeing
+   end-of-stream, so a successful [send] is never silently dropped. *)
 
 type 'a t = {
   buf : 'a option array;

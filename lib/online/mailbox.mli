@@ -1,5 +1,6 @@
-(** A bounded multi-producer single-consumer mailbox — the command
-    channel between client threads and a shard worker domain.
+(** A bounded multi-producer single-consumer mailbox — the inbox
+    through which [Cluster.spawn] hands a thread's body to a hosting
+    domain.
 
     Backpressure is the point of the bound: {!send} blocks while the
     buffer is full, so a producer that outruns its consumer parks

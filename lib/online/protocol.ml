@@ -157,6 +157,7 @@ let help_lines =
     "OK   REMOVE <id>          retire a job";
     "OK   RESIZE <id> <size>   change a job's size";
     "OK   REBALANCE [<k>]      repair pass with move budget k (default: unbounded)";
+    "OK                        sharded: k per shard plus k transfers, at most (S+1)*k moves";
     "OK   STATS                engine telemetry";
     "OK   SHARDS               per-shard telemetry (sharded serve only)";
     "OK   HEALTH               per-shard health and failover counters (supervised serve only)";
@@ -332,7 +333,8 @@ let export_cluster c =
        "rebal_cluster_inter_moves_total")
     st.Cluster.inter_moves;
   if Cluster.domain_count c > 0 then
-    gauge "rebal_cluster_domains" "Worker domains serving the shards"
+    gauge "rebal_cluster_domains"
+      "Domains hosting session threads, whose shard work runs on them under shard locks"
       (float_of_int (Cluster.domain_count c))
 
 let export_target = function
@@ -351,10 +353,12 @@ let render_registry reg =
 let metrics_registry t =
   match cluster_of t with
   | Some c ->
-    (* The cluster's engines bind their handles in owner registries
-       (handle mutation is confined to one executor); exposition builds
-       a fresh registry each time — exported aggregates first, then
-       every owner registry and the main domain's merged in.
+    (* The cluster's engines bind their handles in per-shard registries
+       (handle mutation is confined to the shard's lock holder) and
+       sessions on hosting domains in those domains' registries;
+       exposition builds a fresh registry each time — exported
+       aggregates first, then every shard and hosting registry and the
+       main domain's merged in.
        Fresh-per-reply matters: merge adds counters, so folding twice
        into a reused registry would double count. *)
     let export = Metrics.Registry.create () in
@@ -374,8 +378,8 @@ let engine_journal_tail i e n =
   | None -> Error i
   | Some sink -> Ok (Rebal_obs.Journal.tail sink n)
 
-(* Tails are read on each shard's owner — a journal sink is
-   single-writer state, so the query fabric is the safe path in. *)
+(* Tails are read under each shard's lock — a journal sink is
+   single-writer state, so [Cluster.query] is the safe path in. *)
 let cluster_journal_lines c n =
   let parts =
     List.init (Cluster.shard_count c) (fun i ->
@@ -416,27 +420,20 @@ let snapshot_lines t =
   | Cluster c | Parallel c -> cluster_snapshot_lines c
   | Supervised sup -> cluster_snapshot_lines (Supervisor.cluster sup)
 
-(* TRACES: span trees for the last [n] slow ops, newest last. Spans
-   come from the calling domain's ring plus (in parallel serve) every
-   worker domain's — collected on the workers themselves, since rings
-   are domain-private. An op that outlived its spans (ring eviction, or
-   a slow-but-unsampled op whose children were never recorded) still
-   shows its header and whatever survives; truncation is visible, not
-   silent. *)
+(* TRACES: span trees for the last [n] slow ops, newest last, from
+   every domain's span ring. An op that outlived its spans (ring
+   eviction, or a slow-but-unsampled op whose children were never
+   recorded) still shows its header and whatever survives; truncation
+   is visible, not silent. *)
 let last n xs =
   let len = List.length xs in
   if len <= n then xs else List.filteri (fun i _ -> i >= len - n) xs
 
-let traces_lines t n =
+let traces_lines n =
   match last n (Optrace.slow_ops ()) with
   | [] -> [ "# no slow ops captured"; "# EOF" ]
   | slow ->
-    let worker_spans =
-      match cluster_of t with
-      | Some c -> ( try Cluster.recorded_spans c with Cluster.Shut_down -> [])
-      | None -> []
-    in
-    let trees = Optrace.assemble (Optrace.recorded () @ worker_spans) in
+    let trees = Optrace.assemble (Optrace.recorded ()) in
     List.concat_map
       (fun (op : Optrace.slow_op) ->
         pf "# trace %d verb=%s duration=%s" op.Optrace.slow_trace op.Optrace.slow_verb
@@ -502,7 +499,7 @@ let execute t = function
   | Snapshot_now -> snapshot_lines t
   | Metrics_dump -> metrics_lines t
   | Journal_tail n -> journal_lines t n
-  | Traces n -> traces_lines t n
+  | Traces n -> traces_lines n
   | Alerts_status -> alerts_status_lines ()
   | Tsdb_query { selector; window_s } -> tsdb_query_lines ~selector ~window_s
   | Help -> help_lines
@@ -529,7 +526,7 @@ let verb_name = function
 
 let session_hist verb =
   (* Interning the handle per call is deliberate — sessions are
-     systhreads sharing the control domain's registry, and
+     systhreads sharing their domain's current registry, and
      [Metrics.histogram] returns the existing handle on
      re-registration. *)
   Metrics.histogram
@@ -576,8 +573,8 @@ let command_op = function
    each op and before the next, so the value is exactly the
    intermediate makespan the one-by-one path reports. On a cluster
    results surface when the op's chunk completes, and the read folds
-   the per-shard values the executors published at the end of their
-   last task (no mailbox round trip): it covers the whole chunk, and
+   the per-shard values published at the end of each shard's last
+   task (no lock taken): it covers the whole chunk, and
    other sessions' completed ops — indistinguishable from the
    interleavings concurrent sessions already produce. *)
 let bulk_reply t op result =
@@ -645,7 +642,7 @@ let handle_lines ?(start_line = 1) t lines =
   go start_line lines;
   (List.rev !out, !verdict)
 
-(* [domains=] appears only when worker domains exist. *)
+(* [domains=] appears only when hosting domains exist. *)
 let cluster_banner c =
   pf "READY rebalance-serve shards=%d%s procs=%d jobs=%d makespan=%d" (Cluster.shard_count c)
     (if Cluster.domain_count c > 0 then pf " domains=%d" (Cluster.domain_count c) else "")

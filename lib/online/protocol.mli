@@ -81,12 +81,12 @@ type verdict =
 (** What the protocol operates: one engine, a sharded {!Cluster}, or a
     cluster under health supervision. [Cluster] and [Parallel] carry
     the same runtime and answer identically; [rebalance serve] builds
-    only [Cluster]. A cluster with worker domains adds [domains=<d>] to
-    the [READY] banner and [rebal_cluster_domains] plus the per-worker
-    latency histograms to [METRICS], and is safe to drive from many
-    sessions concurrently — every command is routed through the
-    cluster's owner-domain mailboxes. An inline cluster (no worker
-    domains) and a supervised target need their callers serialized. *)
+    only [Cluster]. A cluster with hosting domains adds [domains=<d>]
+    to the [READY] banner and [rebal_cluster_domains] to [METRICS]. A
+    cluster, at any domain count, is safe to drive from many sessions
+    concurrently — every shard task runs under that shard's lock. A
+    single engine and a supervised target need their callers
+    serialized. *)
 type target =
   | Single of Engine.t
   | Cluster of Cluster.t
@@ -146,8 +146,8 @@ val export_target : target -> unit
 
 val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
 (** The registry a metrics reply renders: for a cluster target a fresh
-    registry holding the exported aggregates plus the cluster's owner
-    registries and the default registry merged in (fresh each call —
+    registry holding the exported aggregates plus the cluster's shard
+    and hosting-domain registries and the default registry merged in (fresh each call —
     merging into a reused registry would double count); for {!Single}
     the current registry after {!export_target}. *)
 
@@ -160,10 +160,9 @@ val metrics_text : target -> string
 (** {!metrics_registry} rendered as one Prometheus text blob (no
     [# EOF] trailer) — the body of the HTTP [GET /metrics] scrape. *)
 
-val traces_lines : target -> int -> string list
-(** The [TRACES n] reply (see the header). Worker-domain spans are
-    collected on the workers via [Cluster.recorded_spans]; a shut-down
-    cluster contributes none rather than raising. *)
+val traces_lines : int -> string list
+(** The [TRACES n] reply (see the header), from every domain's span
+    ring. *)
 
 val greeting : target -> string
 (** The [READY ...] banner sent when a session opens. *)

@@ -1,13 +1,14 @@
 (* Cluster executor tests: the qcheck equivalence properties (a command
-   stream fanned across D worker domains must land in the same state as
-   the inline executor, D = 0, for D ∈ {1, 2, 8}, with every per-shard
-   journal byte-identical and individually replayable, and must draw
-   identical protocol replies, one line at a time and pipelined),
-   mailbox backpressure and close semantics, two-phase move crash
-   points, a genuinely concurrent multi-thread driver checked for
-   directory integrity, shutdown on both executors, and the
-   published-makespan contract (never waits on a worker, costs no
-   mailbox task). *)
+   stream driven from a thread spawned on one of D hosting domains must
+   land in the same state as the same stream on the calling thread with
+   no hosting domain, for D ∈ {1, 2, 8}, with every per-shard journal
+   byte-identical and individually replayable, and must draw identical
+   protocol replies, one line at a time and pipelined), mailbox
+   backpressure and close semantics (the hosts' spawn inbox), two-phase
+   move crash points, genuinely concurrent spawned drivers checked for
+   directory integrity and journal replay, shutdown at D ∈ {0, 2}, and
+   the published-makespan contract (never waits on a lock holder, costs
+   no shard task). *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
@@ -26,8 +27,8 @@ let ok = function
   | Error e -> Alcotest.failf "unexpected cluster error: %s" e
 
 (* Deterministic in-memory journals, one per shard: each Buffer and
-   fake clock is touched only by its shard's owner, which is exactly
-   the confinement the cluster promises its sinks. *)
+   fake clock is touched only by its shard's lock holder, which is
+   exactly the confinement the cluster promises its sinks. *)
 let buffer_journals shards =
   let bufs = Array.init shards (fun _ -> Buffer.create 512) in
   let journal_for i =
@@ -72,8 +73,8 @@ let apply_to_cluster c events =
       | `Rebalance k -> ignore (Cluster.rebalance c ~k))
     events
 
-(* Every per-shard journal of a shut-down (or inline) cluster replays
-   to the engine its executor left behind. *)
+(* Every per-shard journal of a shut-down (or quiescent) cluster
+   replays to the engine the cluster left behind. *)
 let journals_replay c bufs =
   Array.for_all
     (fun i ->
@@ -86,11 +87,18 @@ let journals_replay c bufs =
         && o.Replay.final_jobs = Engine.job_count eng)
     (Array.init (Cluster.shard_count c) Fun.id)
 
+(* Run [f] on a thread spawned on one of [c]'s hosting domains and
+   wait for it. *)
+let on_spawned c f =
+  let result = ref None in
+  Cluster.spawn c (fun () -> result := Some (f ())) ();
+  Option.get !result
+
 (* The tentpole property: a quiescent cluster is observationally the
-   inline executor, whatever the domain count — same loads, same
-   global peak, same directory, same repair decisions, byte-identical
-   journals — and every per-shard journal replays to the engine its
-   executor left behind. *)
+   same whatever domain its caller runs on and however many hosting
+   domains it has — same loads, same global peak, same directory, same
+   repair decisions, byte-identical journals — and every per-shard
+   journal replays to the engine the cluster left behind. *)
 let prop_cluster_matches_shard =
   QCheck2.Test.make
     ~name:"cluster = sequential shard router (inline, D=0) for D in {1,2,8}, journals replayable"
@@ -106,8 +114,11 @@ let prop_cluster_matches_shard =
            (fun domains ->
              let bufs, journal_for = buffer_journals shards in
              let c = Cluster.create ~journal_for ~m ~shards ~domains () in
-             apply_to_cluster c events;
-             let par_moves = Cluster.rebalance c ~k in
+             let par_moves =
+               on_spawned c (fun () ->
+                   apply_to_cluster c events;
+                   Cluster.rebalance c ~k)
+             in
              (* Before the consistency checks below, which journal. *)
              let journals_equal =
                Array.for_all2 (fun a b -> Buffer.contents a = Buffer.contents b) bufs seq_bufs
@@ -130,12 +141,13 @@ let prop_cluster_matches_shard =
            [ 1; 2; 8 ])
 
 (* The reply stream a client sees — every acknowledgement's [makespan=]
-   field included — is the inline executor's, line for line, whether
-   the script is sent one line at a time or pipelined (batched through
-   [Cluster.apply_bulk]). The READY banners differ only by the
-   [domains=] field worker domains add; they are compared with it
-   dropped, before the script and after it (a loaded cluster's banner
-   reports a non-trivial makespan). *)
+   field included — is the one a cluster without hosting domains gives
+   its calling thread, line for line, whether the script is sent one
+   line at a time or pipelined (batched through [Cluster.apply_bulk]),
+   when the session runs on a spawned thread. The READY banners differ
+   only by the [domains=] field hosting domains add; they are compared
+   with it dropped, before the script and after it (a loaded cluster's
+   banner reports a non-trivial makespan). *)
 let script_gen =
   let open QCheck2 in
   Gen.(
@@ -182,10 +194,10 @@ let prop_protocol_replies_match =
       List.for_all
         (fun domains ->
           let c = Cluster.create ~m ~shards ~domains () in
-          let got = transcript (Protocol.Parallel c) script in
+          let got = on_spawned c (fun () -> transcript (Protocol.Parallel c) script) in
           Cluster.shutdown c;
           let c = Cluster.create ~m ~shards ~domains () in
-          let got_piped = pipelined (Protocol.Parallel c) script in
+          let got_piped = on_spawned c (fun () -> pipelined (Protocol.Parallel c) script) in
           Cluster.shutdown c;
           got = expected && got_piped = expected_piped)
         [ 1; 2; 8 ])
@@ -349,8 +361,8 @@ let test_concurrent_drivers () =
     done;
     survivors.(t) <- !n
   in
-  let ts = Array.init threads (fun t -> Thread.create (driver t) ()) in
-  Array.iter Thread.join ts;
+  let joins = Array.init threads (fun t -> Cluster.spawn c (driver t)) in
+  Array.iter (fun join -> join ()) joins;
   check_int "no job lost or duplicated under contention"
     (Array.fold_left ( + ) 0 survivors)
     (Cluster.job_count c);
@@ -361,7 +373,63 @@ let test_concurrent_drivers () =
   Cluster.shutdown c;
   check_bool "every journal from the concurrent run replays" true (replayable bufs)
 
-(* Both executors refuse work and raise on inspection once shut down. *)
+(* Eight spawned threads over four hosting domains fight over one small
+   id space: adds, removes and resizes of the same ids, batches, cross-
+   shard moves and REBALANCE passes, all at once — every lane lock and
+   every reservation path contended. The drivers stop after 5 s of
+   wall time at the latest, and a lock cycle fails the test instead of
+   hanging the suite. Whatever interleaving happened, the directory must
+   agree with the engines and every shard journal must replay to its
+   engine. *)
+let test_overlapping_storm () =
+  let shards = 4 and threads = 8 in
+  let bufs, journal_for = buffer_journals shards in
+  let c = Cluster.create ~journal_for ~m:8 ~shards ~domains:4 () in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let finished = Atomic.make 0 in
+  let driver t () =
+    let rng = Random.State.make [| 4711; t |] in
+    let id () = Printf.sprintf "j%d" (Random.State.int rng 24) in
+    let size () = 1 + Random.State.int rng 40 in
+    let ops = ref 0 in
+    while !ops < 400 && Unix.gettimeofday () < deadline do
+      (match Random.State.int rng 10 with
+      | 0 | 1 | 2 -> ignore (Cluster.add_job c ~id:(id ()) ~size:(size ()))
+      | 3 -> ignore (Cluster.remove_job c ~id:(id ()))
+      | 4 -> ignore (Cluster.resize_job c ~id:(id ()) ~size:(size ()))
+      | 5 | 6 -> ignore (Cluster.move c ~id:(id ()) ~dst:(Random.State.int rng shards))
+      | 7 -> ignore (Cluster.rebalance c ~k:2)
+      | _ ->
+        Cluster.apply_bulk c
+          [|
+            Engine.Add { id = id (); size = size () };
+            Engine.Resize { id = id (); size = size () };
+            Engine.Remove { id = id () };
+          |]);
+      incr ops
+    done;
+    Atomic.incr finished
+  in
+  let joins = List.init threads (fun t -> Cluster.spawn c (driver t)) in
+  let give_up = deadline +. 10.0 in
+  while Atomic.get finished < threads && Unix.gettimeofday () < give_up do
+    Thread.delay 0.01
+  done;
+  if Atomic.get finished < threads then
+    Alcotest.failf "only %d of %d drivers finished: the lane locks deadlocked"
+      (Atomic.get finished) threads;
+  List.iter (fun join -> join ()) joins;
+  let resident = List.filter (Cluster.mem c) (List.init 24 (Printf.sprintf "j%d")) in
+  check_int "job_count is the resident ids" (List.length resident) (Cluster.job_count c);
+  check_int "engines hold the directory's jobs" (Cluster.job_count c)
+    (Array.fold_left ( + ) 0 (Array.map (fun st -> st.Engine.jobs) (Cluster.shard_stats c)));
+  check_bool "directory and engines agree after the storm" true
+    (Cluster.check_consistency c ~k:max_int);
+  Cluster.shutdown c;
+  check_bool "every shard journal replays to its engine" true (journals_replay c bufs)
+
+(* With and without hosting domains, a shut-down cluster refuses work,
+   raises on inspection and spawns no thread. *)
 let test_shutdown_semantics () =
   List.iter
     (fun domains ->
@@ -383,6 +451,8 @@ let test_shutdown_semantics () =
       Alcotest.check_raises "stats raise after shutdown" Cluster.Shut_down (fun () ->
           ignore (Cluster.stats c));
       check_int "makespan returns the final value after shutdown" 5 (Cluster.makespan c);
+      Alcotest.check_raises "no thread spawned after shutdown" Cluster.Shut_down (fun () ->
+          Cluster.spawn c ignore ());
       (* The engines themselves remain readable — the replay-audit path. *)
       check_int "post-shutdown engine access" 1
         (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1)))
@@ -390,10 +460,10 @@ let test_shutdown_semantics () =
 
 (* --- the published makespan --------------------------------------------- *)
 
-(* [makespan] reads the owners' published values, so it answers while
-   the only worker domain is parked inside a task; and because the
-   owner publishes before it fills the reply cell, the caller's next
-   read includes its own completed add. *)
+(* [makespan] reads the shards' published values, so it answers while
+   another thread holds a shard's lock inside a task; and because every
+   task publishes before it releases the lock, the caller's next read
+   includes its own completed add. *)
 let test_makespan_never_waits () =
   let c =
     ok
@@ -423,70 +493,80 @@ let test_makespan_never_waits () =
     done;
     cond ()
   in
-  let worker_parked = wait_for (fun () -> Atomic.get parked) in
+  let holder_parked = wait_for (fun () -> Atomic.get parked) in
   let read = Atomic.make None in
   let reader = Thread.create (fun () -> Atomic.set read (Some (Cluster.makespan c))) () in
-  let answered = worker_parked && wait_for (fun () -> Atomic.get read <> None) in
-  (* Release the worker whatever happened, so a regression fails here
-     instead of hanging the suite. *)
+  let answered = holder_parked && wait_for (fun () -> Atomic.get read <> None) in
+  (* Release the lock holder whatever happened, so a regression fails
+     here instead of hanging the suite. *)
   Mutex.unlock gate;
   Thread.join helper;
   Thread.join reader;
-  check_bool "worker parked inside the query" true worker_parked;
-  check_bool "makespan answered while the worker was parked" true answered;
+  check_bool "lock holder parked inside the query" true holder_parked;
+  check_bool "makespan answered while the lock holder was parked" true answered;
   check Alcotest.(option int) "pre-park value" (Some before) (Atomic.get read);
   ignore (ok (Cluster.add_job c ~id:"b" ~size:100));
   check_int "own add visible on the next read" 100 (Cluster.makespan c);
   Cluster.shutdown c
 
-(* Every worker observes [rebal_mailbox_wait_seconds] once per task it
-   dequeues, so the merged observation count is the number of mailbox
-   tasks. One-by-one ops each followed by a makespan read must cost one
-   task apiece: the read itself posts none. *)
-let mailbox_tasks c =
+(* Every shard task observes [rebal_mailbox_wait_seconds] once, in its
+   shard's registry, so the merged observation count is the number of
+   shard tasks. One-by-one ops each followed by a makespan read must
+   cost one task apiece — the read itself runs none — with and without
+   hosting domains, and with ops driven from a spawned thread. On an
+   uncontended lock the wait is observed as 0, so the mean stays
+   finite. *)
+let wait_histogram c =
   let into = Metrics.Registry.create () in
   Cluster.merge_metrics c ~into;
   List.fold_left
-    (fun acc (m : Metrics.metric) ->
+    (fun (n, sum) (m : Metrics.metric) ->
       match m.Metrics.kind with
       | Metrics.Histogram h when m.Metrics.name = "rebal_mailbox_wait_seconds" ->
-        acc + Metrics.Histogram.observations h
-      | _ -> acc)
-    0 (Metrics.Registry.metrics into)
+        (n + Metrics.Histogram.observations h, sum +. Metrics.Histogram.sum h)
+      | _ -> (n, sum))
+    (0, 0.0) (Metrics.Registry.metrics into)
 
 let test_mailbox_task_budget () =
-  let c = Cluster.create ~m:8 ~shards:4 ~domains:2 () in
-  let before = mailbox_tasks c in
-  let n = 90 in
-  let peak = ref 0 in
-  for i = 0 to n - 1 do
-    let id = Printf.sprintf "b%d" (i / 3) in
-    (match i mod 3 with
-    | 0 -> ignore (ok (Cluster.add_job c ~id ~size:(1 + (i mod 17))))
-    | 1 -> ignore (ok (Cluster.resize_job c ~id ~size:(2 + (i mod 13))))
-    | _ -> ignore (ok (Cluster.remove_job c ~id)));
-    peak := max !peak (Cluster.makespan c)
-  done;
-  check_bool "makespan reads saw the load" true (!peak > 0);
-  check_int "one mailbox task per op, none per makespan read" n (mailbox_tasks c - before);
-  Cluster.shutdown c
+  List.iter
+    (fun domains ->
+      let c = Cluster.create ~m:8 ~shards:4 ~domains () in
+      let before, _ = wait_histogram c in
+      let n = 90 in
+      let peak =
+        on_spawned c (fun () ->
+            let peak = ref 0 in
+            for i = 0 to n - 1 do
+              let id = Printf.sprintf "b%d" (i / 3) in
+              (match i mod 3 with
+              | 0 -> ignore (ok (Cluster.add_job c ~id ~size:(1 + (i mod 17))))
+              | 1 -> ignore (ok (Cluster.resize_job c ~id ~size:(2 + (i mod 13))))
+              | _ -> ignore (ok (Cluster.remove_job c ~id)));
+              peak := max !peak (Cluster.makespan c)
+            done;
+            !peak)
+      in
+      let after, sum = wait_histogram c in
+      check_bool "makespan reads saw the load" true (peak > 0);
+      check_int "one wait observation per op, none per makespan read" n (after - before);
+      check_bool "observed waits are finite" true (Float.is_finite (sum /. float_of_int after));
+      Cluster.shutdown c)
+    [ 0; 2 ]
 
 let test_create_validation () =
   Alcotest.check_raises "negative domains"
     (Invalid_argument "Cluster: negative domain count") (fun () ->
       ignore (Cluster.create ~m:4 ~shards:2 ~domains:(-1) ()));
-  (* Zero domains is the inline executor, and the default. *)
+  (* Zero hosting domains is the default. *)
   List.iter
     (fun c ->
-      check_int "inline: no worker domain" 0 (Cluster.domain_count c);
+      check_int "no hosting domain" 0 (Cluster.domain_count c);
       ignore (ok (Cluster.add_job c ~id:"x" ~size:3));
       check_int "inline cluster serves" 3 (Cluster.makespan c);
       Cluster.shutdown c)
     [ Cluster.create ~m:4 ~shards:2 ~domains:0 (); Cluster.create ~m:4 ~shards:2 () ];
-  Alcotest.check_raises "zero capacity"
-    (Invalid_argument "Cluster.create: need a positive mailbox capacity") (fun () ->
-      ignore (Cluster.create ~m:4 ~shards:2 ~mailbox_capacity:0 ()));
-  (* Domains clamp to the shard count; uneven splits go to the first shards. *)
+  (* Hosting domains clamp to the shard count; uneven splits go to the
+     first shards. *)
   let c = Cluster.create ~m:7 ~shards:3 ~domains:64 () in
   check_int "domains clamped to shards" 3 (Cluster.domain_count c);
   check_int "offsets partition" 3 (Cluster.offset c 1);
@@ -529,6 +609,7 @@ let () =
         [
           Alcotest.test_case "eight threads against four domains" `Quick
             test_concurrent_drivers;
+          Alcotest.test_case "overlapping ids, moves, repairs" `Quick test_overlapping_storm;
           Alcotest.test_case "shutdown semantics" `Quick test_shutdown_semantics;
           Alcotest.test_case "creation validation" `Quick test_create_validation;
         ] );

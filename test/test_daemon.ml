@@ -4,12 +4,13 @@
      its message (flag checks, journal resume, alert rules, the chaos
      driver's config and kill schedule);
    - whole sessions on each transport: stdin-shaped over a pipe pair,
-     TCP port 0 with two concurrent clients, a Unix domain socket, and
+     TCP port 0 with two concurrent clients (at 0, 1 and 2 hosting
+     domains), a Unix domain socket, and
      SHUTDOWN running the finalizer (final snapshot, replayable
      journals, metrics file, socket unlinked);
    - a model-based differential test: random scripts of pipelined
      batches, QUIT mid-batch, malformed lines and REBALANCE k run
-     against a single engine, an inline cluster, a two-domain cluster
+     against a single engine, clusters with 0, 1 and 2 hosting domains
      and a supervised cluster, and must agree with a pure model — the
      paper's GREEDY (least-loaded placement, Greedy.solve for repairs).
      Single-engine replies must match the model exactly; cluster
@@ -282,19 +283,25 @@ let two_clients_then_shutdown addr =
     replies;
   client addr [ "STATS"; "SHUTDOWN" ]
 
+(* At every hosting-domain count, sessions run without the op lock. *)
 let test_tcp_two_clients () =
-  let daemon =
-    ok (Daemon.create { Daemon.default with procs = 8; shards = 2; domains = 2; tcp = Some 0 })
-  in
-  let addr, finish = serve_in_background daemon in
-  (match addr with
-  | Unix.ADDR_INET (_, port) -> check_bool "port 0 resolved" true (port > 0)
-  | Unix.ADDR_UNIX _ -> Alcotest.fail "TCP daemon bound a Unix socket");
-  let control = two_clients_then_shutdown addr in
-  finish ();
-  check_bool "both clients' jobs live" true
-    (List.exists (starts_with "STATS shards=2 jobs=2 procs=8") control);
-  check_string "SHUTDOWN answers BYE" "BYE" (List.nth control (List.length control - 1))
+  List.iter
+    (fun domains ->
+      let daemon =
+        ok (Daemon.create { Daemon.default with procs = 8; shards = 2; domains; tcp = Some 0 })
+      in
+      let addr, finish = serve_in_background daemon in
+      (match addr with
+      | Unix.ADDR_INET (_, port) -> check_bool "port 0 resolved" true (port > 0)
+      | Unix.ADDR_UNIX _ -> Alcotest.fail "TCP daemon bound a Unix socket");
+      let control = two_clients_then_shutdown addr in
+      finish ();
+      check_bool
+        (Printf.sprintf "D=%d: both clients' jobs live" domains)
+        true
+        (List.exists (starts_with "STATS shards=2 jobs=2 procs=8") control);
+      check_string "SHUTDOWN answers BYE" "BYE" (List.nth control (List.length control - 1)))
+    [ 0; 1; 2 ]
 
 let test_unix_socket () =
   let path = temp_path ".sock" in
@@ -578,6 +585,7 @@ let shapes =
   [
     ("single", fun m -> { Daemon.default with procs = m });
     ("inline cluster", fun m -> { Daemon.default with procs = m; shards = 2 });
+    ("cluster D=1", fun m -> { Daemon.default with procs = m; shards = 2; domains = 1 });
     ("cluster D=2", fun m -> { Daemon.default with procs = m; shards = 2; domains = 2 });
     ("supervised", fun m -> { Daemon.default with procs = m; shards = 2; supervise = true });
   ]

@@ -1,13 +1,15 @@
-(* The sharded runtime on its inline executor (the default,
-   [~domains:0]): the qcheck stream property (every shard's
-   bounded-repair invariant plus directory integrity must hold for
-   S ∈ {1, 2, 8}), S=1 against a bare engine, sticky routing,
-   global-state accounting, the cross-shard move pass, and
-   construction/validation edges. The executors' equivalence lives in
-   the cluster suite. *)
+(* The sharded runtime driven from the calling thread, without hosting
+   domains (the default, [~domains:0]): the qcheck stream property
+   (every shard's bounded-repair invariant plus directory integrity
+   must hold for S ∈ {1, 2, 8}), S=1 against a bare engine, the move
+   bound of a sharded REBALANCE, sticky routing, global-state
+   accounting, the cross-shard move pass, and construction/validation
+   edges. Equivalence across hosting-domain counts lives in the
+   cluster suite. *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
+module Protocol = Rebal_online.Protocol
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -232,6 +234,37 @@ let test_aggregated_stats () =
   check_int "per-shard view has one entry per shard" 2
     (Array.length (Cluster.shard_stats sh))
 
+(* A sharded REBALANCE k spends a budget of k on every shard's own
+   repair plus up to k cross-shard transfers, so over S shards its
+   reply reports at most (S + 1) * k moves — more than k. HELP and the
+   README state this bound; one global budget of k would tighten it. *)
+let prop_sharded_rebalance_bound =
+  QCheck2.Test.make ~name:"sharded REBALANCE k reports at most (S+1)*k moves" ~count:100
+    QCheck2.Gen.(
+      let* shards = int_range 2 8 in
+      let* m = int_range shards 16 in
+      let* sizes = list_size (int_range 0 40) (int_range 1 100) in
+      let* grow = list_size (int_range 0 10) (pair (int_range 0 39) (int_range 100 400)) in
+      let* k = int_range 0 4 in
+      return (shards, m, sizes, grow, k))
+    (fun (shards, m, sizes, grow, k) ->
+      let target = Protocol.Cluster (Cluster.create ~m ~shards ()) in
+      let send line = fst (Protocol.handle_line target line) in
+      List.iteri (fun i size -> ignore (send (Printf.sprintf "ADD j%d %d" i size))) sizes;
+      (* Grown jobs leave their shards unbalanced, so repairs move. *)
+      List.iter (fun (i, size) -> ignore (send (Printf.sprintf "RESIZE j%d %d" i size))) grow;
+      let out = send (Printf.sprintf "REBALANCE %d" k) in
+      let move_lines = List.length (List.filter (String.starts_with ~prefix:"MOVE ") out) in
+      match List.rev out with
+      | last :: _ ->
+        Scanf.sscanf last "REBALANCED moves=%d makespan=%d" (fun moves _ ->
+            if moves <> move_lines then
+              QCheck2.Test.fail_reportf "moves=%d but %d MOVE lines" moves move_lines;
+            if moves > (shards + 1) * k then
+              QCheck2.Test.fail_reportf "moves=%d over %d shards at k=%d" moves shards k;
+            true)
+      | [] -> QCheck2.Test.fail_report "REBALANCE gave no reply")
+
 let () =
   Alcotest.run "rebal_inline_cluster"
     [
@@ -239,6 +272,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sharded_stream_consistent;
           QCheck_alcotest.to_alcotest prop_single_shard_matches_engine;
+          QCheck_alcotest.to_alcotest prop_sharded_rebalance_bound;
         ] );
       ( "routing",
         [

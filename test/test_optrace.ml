@@ -11,8 +11,8 @@ module Engine = Rebal_online.Engine
 module Protocol = Rebal_online.Protocol
 module Http = Rebal_net.Http
 
-(* Optrace state is global (knobs, id counters, slow ring) and
-   per-domain (span rings); every test runs inside this bracket so the
+(* Optrace state is global (knobs, id counters, slow ring, the list of
+   per-domain span rings); every test runs inside this bracket so the
    suite's tests cannot contaminate one another. *)
 let with_tracing ~sample ~slow_ns f =
   Optrace.reset ();
@@ -30,7 +30,7 @@ let with_tracing ~sample ~slow_ns f =
 
 (* One traced op around one two-phase move must assemble into the full
    causal chain: op root -> move -> reserve, the journaled remove on
-   the source worker, the journaled add on the destination worker, and
+   the source shard, the journaled add on the destination shard, and
    the directory commit. This is the tree the TRACES verb shows and the
    CI smoke greps for. *)
 let test_move_tree () =
@@ -45,7 +45,7 @@ let test_move_tree () =
   (match Optrace.with_op ~verb:"MOVE" (fun () -> Cluster.move c ~id:"mv" ~dst) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "move failed: %s" e);
-  let spans = Optrace.recorded () @ Cluster.recorded_spans c in
+  let spans = Optrace.recorded () in
   let trees = Optrace.assemble spans in
   let root =
     match List.filter (fun (t : Optrace.tree) -> t.span.name = "MOVE") trees with
@@ -62,7 +62,7 @@ let test_move_tree () =
     (fun expected ->
       Alcotest.(check bool) (expected ^ " present") true (List.mem expected kid_names))
     [ "move.reserve"; "shard.move.remove"; "shard.move.add"; "move.commit" ];
-  (* The two legs really ran on the two shards' workers. *)
+  (* The two legs really ran on the two shards. *)
   let shard_attr name =
     let t = List.find (fun (t : Optrace.tree) -> t.span.name = name) mv.Optrace.children in
     List.assoc "shard" t.Optrace.span.attrs
@@ -81,9 +81,9 @@ let test_move_tree () =
 (* ----- the repair pass is a span of the op that ran it ----- *)
 
 (* A sampled REBALANCE must show the engine's repair pass in its tree:
-   directly under the op root on the inline executors, under the
-   worker's [shard.rebalance] span with worker domains. The post-hoc
-   [moves] attribute lands on the repair span itself. *)
+   directly under the op root on a single engine, under the shard's
+   [shard.rebalance] span on a cluster. The post-hoc [moves] attribute
+   lands on the repair span itself. *)
 let test_repair_span () =
   let targets =
     [
@@ -101,14 +101,11 @@ let test_repair_span () =
       List.iter
         (fun line -> ignore (Protocol.handle_line target line))
         [ "ADD a 10"; "ADD b 10"; "ADD c 10"; "ADD d 10"; "RESIZE a 90"; "REBALANCE 3" ];
-      let worker_spans =
-        match Protocol.cluster_of target with Some c -> Cluster.recorded_spans c | None -> []
-      in
       let root =
         match
           List.filter
             (fun (t : Optrace.tree) -> t.span.name = "REBALANCE")
-            (Optrace.assemble (Optrace.recorded () @ worker_spans))
+            (Optrace.assemble (Optrace.recorded ()))
         with
         | [ t ] -> t
         | l -> Alcotest.failf "%s: expected one REBALANCE root, got %d" label (List.length l)
@@ -135,12 +132,12 @@ let test_repair_span () =
 
 (* ----- well-formed trees under concurrent drivers ----- *)
 
-(* Concurrent session threads over D worker domains, every op sampled:
-   whatever interleaving happens, the flat records must link up — every
-   span id unique, every non-root span's parent recorded in the same
-   trace. A context leak between session threads, or a carrier
-   mis-threaded through a mailbox, shows up here as a cross-trace
-   edge. *)
+(* Concurrent session threads spread over D hosting domains, every op
+   sampled: whatever interleaving happens, the flat records — spread
+   over every domain's ring — must link up: every span id unique, every
+   non-root span's parent recorded in the same trace. A context leak
+   between session threads shows up here as a cross-trace edge, a ring
+   the collection misses as an orphan. *)
 let prop_trees_well_formed =
   Test.make ~count:4 ~name:"sampled span trees are well-formed for domains in {1,2,8}"
     Gen.(int_range 0 1000)
@@ -151,7 +148,7 @@ let prop_trees_well_formed =
           let c = Cluster.create ~m:16 ~shards:8 ~domains () in
           let threads =
             List.init 4 (fun t ->
-                Thread.create
+                Cluster.spawn c
                   (fun () ->
                     let rng = Random.State.make [| seed; domains; t |] in
                     for i = 1 to 25 do
@@ -161,11 +158,10 @@ let prop_trees_well_formed =
                       if Random.State.bool rng then
                         Optrace.with_op ~verb:"MOVE" (fun () ->
                             ignore (Cluster.move c ~id ~dst:(Random.State.int rng 8)))
-                    done)
-                  ())
+                    done))
           in
-          List.iter Thread.join threads;
-          let spans = Optrace.recorded () @ Cluster.recorded_spans c in
+          List.iter (fun join -> join ()) threads;
+          let spans = Optrace.recorded () in
           Cluster.shutdown c;
           let by_id = Hashtbl.create 256 in
           List.iter (fun (sp : Optrace.span) -> Hashtbl.replace by_id sp.span_id sp) spans;

@@ -1,12 +1,11 @@
-(* Supervisor tests, each run over both cluster executors (inline and
-   two worker domains): the health state machine (probe streaks,
-   watchdog deadlines, recovery ramp), degraded mode, the qcheck
-   failover property — for S ∈ {2, 8}, evacuating a shard under an
-   adversarial stream conserves every job, keeps the directory
-   consistent, leaves every journal (evacuated shard included)
-   replaying to the live state, and the evacuated shard restores from
-   its own journal and readmits — and a supervised protocol transcript
-   that must not depend on the executor. *)
+(* Supervisor tests, each run with 0 and 2 hosting domains: the health
+   state machine (probe streaks, watchdog deadlines, recovery ramp),
+   degraded mode, the qcheck failover property — for S ∈ {2, 8},
+   evacuating a shard under an adversarial stream conserves every job,
+   keeps the directory consistent, leaves every journal (evacuated
+   shard included) replaying to the live state, and the evacuated shard
+   restores from its own journal and readmits — and a supervised
+   protocol transcript that must not depend on the domain count. *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
@@ -30,12 +29,12 @@ let health_eq =
     (fun ppf h -> Format.pp_print_string ppf (Supervisor.health_name h))
     ( = )
 
-(* The executors every case runs over: inline, and two worker domains. *)
+(* The hosting-domain counts every case runs over. *)
 let executors = [ 0; 2 ]
 
 (* A cluster whose every shard journals into a buffer, so tests can
    replay what the engines recorded. Each buffer is written only by its
-   shard's owner; the test reads it while the cluster is idle. *)
+   shard's lock holder; the test reads it while the cluster is idle. *)
 let journaled_cluster ~domains ~m ~shards =
   let buffers = Array.init shards (fun _ -> Buffer.create 1024) in
   let cluster =
@@ -45,8 +44,8 @@ let journaled_cluster ~domains ~m ~shards =
   in
   (cluster, buffers)
 
-(* Run [f] over a fresh journaled cluster on each executor, shutting it
-   down afterwards. *)
+(* Run [f] over a fresh journaled cluster at each hosting-domain count,
+   shutting it down afterwards. *)
 let over_executors ~m ~shards f =
   List.iter
     (fun domains ->
@@ -339,15 +338,15 @@ let test_all_down_refuses () =
   check_bool "stranded on a dead shard" true
     ((Supervisor.stats sup).Supervisor.stranded_jobs >= 1)
 
-(* ----- the supervised protocol over both executors ----- *)
+(* ----- the supervised protocol at both domain counts ----- *)
 
 (* A supervised session in three segments — load, then shard 1 marked
    down and evacuated, then shard 1 readmitted from its own journal and
-   ramped — answers the same lines whatever the executor. The banner
-   is compared without the [domains=] field worker domains add. *)
-let supervised_transcript domains =
-  let cluster, buffers = journaled_cluster ~domains ~m:8 ~shards:4 in
-  Fun.protect ~finally:(fun () -> Cluster.shutdown cluster) @@ fun () ->
+   ramped — answers the same lines whatever the hosting-domain count,
+   driven from a spawned thread as the daemon's sessions are. The
+   banner is compared without the [domains=] field hosting domains
+   add. *)
+let session cluster buffers =
   let sup = Supervisor.create cluster in
   let t = Protocol.Supervised sup in
   let banner () =
@@ -374,6 +373,13 @@ let supervised_transcript domains =
     run [ "ADD k3 14"; "ADD k4 2"; "REBALANCE 8"; "HEALTH"; "SHARDS"; "STATS" ]
   in
   (banner () :: load) @ evacuation @ degraded @ ramp @ recovered @ [ banner () ]
+
+let supervised_transcript domains =
+  let cluster, buffers = journaled_cluster ~domains ~m:8 ~shards:4 in
+  Fun.protect ~finally:(fun () -> Cluster.shutdown cluster) @@ fun () ->
+  let transcript = ref [] in
+  Cluster.spawn cluster (fun () -> transcript := session cluster buffers) ();
+  !transcript
 
 let test_transcript_executor_independent () =
   let inline = supervised_transcript 0 in
