@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.16.0"
+let version = "1.17.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -711,7 +711,8 @@ let serve_cmd =
       & info [ "supervise" ]
           ~doc:
             "Run the shard router under health supervision: per-shard health states, a \
-             watchdog on every operation, automatic evacuation of shards that go down and \
+             watchdog on every operation (a pipelined batch gets one deadline per shard, scaled \
+             by its op count), automatic evacuation of shards that go down and \
              degraded-mode serving from the survivors. Adds the HEALTH verb and health \
              fields to STATS/SHARDS. Requires --shards >= 2.")
   in

@@ -576,9 +576,6 @@ let resize_job t ~id ~size =
 
 (* ----- batched application ----- *)
 
-let op_id = function
-  | Engine.Add { id; _ } | Engine.Remove { id } | Engine.Resize { id; _ } -> id
-
 (* One batch of events, routed and dispatched as per-shard sub-batches:
    each involved shard gets a single task that runs [Engine.apply_bulk]
    over its share — one lock acquisition, one journal flush per shard
@@ -591,8 +588,12 @@ let op_id = function
    for a reservation; later ops are probed non-blockingly — so this
    call never waits while holding reservations of its own, and two
    concurrent batches over overlapping ids chunk around each other
-   instead of deadlocking. *)
-let apply_bulk t ?on_result ops =
+   instead of deadlocking.
+
+   [timed = (clock, report)] reads [clock] around each sub-batch task
+   and calls [report shard ops seconds] once the task returns; without
+   it no clock is read. *)
+let apply_bulk t ?on_result ?timed ops =
   let n = Array.length ops in
   let results = if on_result = None then [||] else Array.make n (Error "") in
   let record i r = if on_result <> None then results.(i) <- r in
@@ -619,7 +620,7 @@ let apply_bulk t ?on_result ops =
     (try
        while !hi < n do
          let i = !hi in
-         let id = op_id ops.(i) in
+         let id = Engine.op_id ops.(i) in
          if Hashtbl.mem seen id then raise Exit;
          let reserve () =
            match (ops.(i), settled t id) with
@@ -687,12 +688,15 @@ let apply_bulk t ?on_result ops =
         let idx = Array.of_list (List.rev rev_idx) in
         let sub = Array.map (fun i -> ops.(i)) idx in
         let sub_results = Array.make (Array.length sub) (Error "") in
+        let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
         let outcome =
           match
             run ~label:"apply_bulk" t s (fun e ->
                 Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)
           with
-          | () -> None
+          | () ->
+            Option.iter (fun (clock, report) -> report s (Array.length sub) (clock () -. t0)) timed;
+            None
           | exception e ->
             if !failure = None then failure := Some e;
             Some e
@@ -710,7 +714,7 @@ let apply_bulk t ?on_result ops =
               | Engine.Add _, true | Engine.Remove _, false -> None
               | Engine.Add _, false | Engine.Remove _, true | Engine.Resize _, _ -> Some s
             in
-            settle t ~id:(op_id ops.(i)) entries.(i - chunk_lo) settled_on;
+            settle t ~id:(Engine.op_id ops.(i)) entries.(i - chunk_lo) settled_on;
             record i res)
           idx)
       !by_shard;

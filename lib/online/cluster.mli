@@ -198,6 +198,7 @@ val resize_job : t -> id:string -> size:int -> (int * move list, string) result
 val apply_bulk :
   t ->
   ?on_result:(int -> Engine.op -> (int * move list, string) result -> unit) ->
+  ?timed:(unit -> float) * (int -> int -> float -> unit) ->
   Engine.op array ->
   unit
 (** Apply a batch of events, amortizing dispatch and journal flushing:
@@ -216,7 +217,11 @@ val apply_bulk :
     rather than race it. Only the first op of a chunk ever blocks on a
     foreign reservation, so two concurrent batches over overlapping
     ids chunk around each other instead of deadlocking. After
-    {!shutdown} every result is ["cluster is shut down"]. *)
+    {!shutdown} every result is ["cluster is shut down"].
+
+    [timed = (clock, report)] is the supervisor's watchdog hook: each
+    per-shard sub-batch task is timed with [clock], lock wait included,
+    and reported as [report shard ops seconds] after it returns. *)
 
 val move : ?on_removed:(unit -> unit) -> t -> id:string -> dst:int -> (move list, string) result
 (** Two-phase cross-shard transfer of one job (see the header). Moving

@@ -42,6 +42,8 @@ type op =
   | Remove of { id : string }
   | Resize of { id : string; size : int }
 
+let op_id = function Add { id; _ } | Remove { id } | Resize { id; _ } -> id
+
 type counters = {
   mutable events : int;
   mutable adds : int;

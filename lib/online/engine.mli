@@ -64,6 +64,9 @@ type op =
   | Remove of { id : string }
   | Resize of { id : string; size : int }
 
+val op_id : op -> string
+(** The job an op touches. *)
+
 type stats = {
   jobs : int;
   procs : int;

@@ -308,7 +308,8 @@ let export_supervisor sup =
   count "rebal_readmissions_total" "Shards readmitted after recovery" h.Supervisor.readmissions;
   count "rebal_probe_failures_total" "Failed liveness probes and failure reports"
     h.Supervisor.probe_failures;
-  count "rebal_watchdog_trips_total" "Supervised operations that blew the deadline"
+  count "rebal_watchdog_trips_total"
+    "Supervised operations, or per-shard shares of a batch, that blew the deadline"
     h.Supervisor.watchdog_trips;
   count "rebal_degraded_rejections_total" "Operations refused because of a down shard"
     h.Supervisor.degraded_rejections
@@ -576,7 +577,9 @@ let command_op = function
    the per-shard values published at the end of each shard's last
    task (no lock taken): it covers the whole chunk, and
    other sessions' completed ops — indistinguishable from the
-   interleavings concurrent sessions already produce. *)
+   interleavings concurrent sessions already produce. A supervised
+   batch delivers its results once the whole batch has run, so the
+   value covers the batch. *)
 let bulk_reply t op result =
   match result with
   | Error e -> [ "ERR " ^ e ]
@@ -590,7 +593,6 @@ let bulk_reply t op result =
     pf "%s %s %d makespan=%d" verb id p (makespan t) :: auto_lines t auto
 
 let handle_lines ?(start_line = 1) t lines =
-  let bulk_capable = match t with Supervised _ -> false | _ -> true in
   let out = ref [] in
   let push ls = out := List.rev_append ls !out in
   let pending = ref [] in
@@ -614,7 +616,7 @@ let handle_lines ?(start_line = 1) t lines =
           match t with
           | Single e -> Engine.apply_bulk e ~on_result ops
           | Cluster c | Parallel c -> Cluster.apply_bulk c ~on_result ops
-          | Supervised _ -> assert false (* never queued *));
+          | Supervised sup -> Supervisor.apply_bulk sup ~on_result ops);
       Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0)
   in
   let verdict = ref Continue in
@@ -627,7 +629,7 @@ let handle_lines ?(start_line = 1) t lines =
         push [ "ERR " ^ pf "line %d: " lineno ^ e ];
         go (lineno + 1) rest
       | Ok None -> go (lineno + 1) rest
-      | Ok (Some cmd) when bulk_capable && command_op cmd <> None ->
+      | Ok (Some cmd) when command_op cmd <> None ->
         pending := cmd :: !pending;
         go (lineno + 1) rest
       | Ok (Some cmd) -> begin

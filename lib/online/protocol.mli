@@ -117,16 +117,17 @@ val handle_line : ?line:int -> target -> string -> string list * verdict
 val handle_lines : ?start_line:int -> target -> string list -> string list * verdict
 (** {!handle_line} over a pipeline of lines, coalescing runs of
     consecutive mutating commands (ADD / REMOVE / RESIZE) into one
-    [Engine.apply_bulk] (a {!Single} target) or [Cluster.apply_bulk]
-    (a cluster target) call — one dispatch and one journal flush per
-    run instead of per line. Replies come back in line order and are
+    [Engine.apply_bulk] (a {!Single} target), [Cluster.apply_bulk]
+    (a cluster target) or [Supervisor.apply_bulk] (a {!Supervised}
+    target, whose watchdog then times the run per shard) call — one
+    dispatch and one journal flush per shard per run instead of per
+    line. Replies come back in line order and are
     identical to the one-by-one path, except that a cluster's
     [makespan=] fields report the value as of the end of the op's
     chunk; a run of a single mutation takes exactly the unbatched path
     (same per-verb latency series), while a genuine pipeline runs under
     one [BATCH] span and one [verb="batch"] latency observation.
-    {!Supervised} targets process every line individually (the
-    watchdog times each op). Processing stops at the
+    Processing stops at the
     first [QUIT]/[SHUTDOWN]; the returned verdict is that command's.
     [start_line] (default 1) numbers the first line for [ERR]
     prefixes. *)

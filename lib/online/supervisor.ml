@@ -225,71 +225,110 @@ let readmit t i build =
    [op_deadline]; a blown deadline counts as a failure signal against
    the shard that served the op (the transition itself happens
    synchronously via [note_failure] — a deadline blown hard enough to
-   cross [down_after] evacuates immediately). The op's own result is
-   returned either way; any moves an evacuation produces are appended
-   to the op's move list. *)
-let timed t f =
-  let t0 = t.clock () in
-  let result = f () in
-  (result, t.clock () -. t0)
-
-(* [served ()] names the shard that served the op; it is asked only
-   once the deadline is blown. *)
-let watchdog_check t served dt =
-  if dt <= t.config.op_deadline then []
-  else
-    match served () with
-    | None -> []
-    | Some i ->
-      t.watchdog_trips <- t.watchdog_trips + 1;
-      note_failure t i ~reason:"watchdog"
+   cross [down_after] evacuates immediately). Only acknowledged ops
+   are judged; any moves an evacuation produces are appended to the
+   op's move list. *)
+let watchdog_trip t i =
+  t.watchdog_trips <- t.watchdog_trips + 1;
+  note_failure t i ~reason:"watchdog"
 
 let reject t msg =
   t.degraded_rejections <- t.degraded_rejections + 1;
   Error msg
 
-let add_job t ~id ~size =
-  let serving = serving_shards t in
-  if serving = 0 then reject t "no serving shards"
-  else begin
-    (* Only a Down shard strands jobs, so a fully serving cluster skips
-       the directory lookup. *)
-    match if serving = shard_count t then None else Cluster.shard_of t.cluster id with
+(* The degraded-mode guard, [Some reason] when an op on [id] must be
+   refused: nothing serves, or the id is stranded on a Down shard (a
+   resident the evacuation budget did not cover). [serving] is
+   {!serving_shards}; only a Down shard strands jobs, so a fully
+   serving cluster skips the directory lookup. *)
+let refusal t ~serving id =
+  if serving = 0 then Some "no serving shards"
+  else if serving = shard_count t then None
+  else
+    match Cluster.shard_of t.cluster id with
     | Some s when t.states.(s).health = Down ->
-      (* A stranded duplicate: the id is resident on a dead shard the
-         evacuation budget did not cover. *)
-      reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-    | _ ->
-      (* Weight-aware routing never picks a Down shard while any
-         serving shard remains, so the home shard is safe to touch.
-         Attribution happens after the op — routing decides the shard
-         during the add. *)
-      let result, dt = timed t (fun () -> Cluster.add_job t.cluster ~id ~size) in
-      (match result with
-      | Error _ as e -> e
-      | Ok (p, moves) ->
-        Ok (p, moves @ watchdog_check t (fun () -> Cluster.shard_of t.cluster id) dt))
-  end
+      Some (Printf.sprintf "job %s is stranded on down shard %d" id s)
+    | _ -> None
+
+(* One op under the guard and the watchdog. Weight-aware routing never
+   picks a Down shard while any serving shard remains, so the home
+   shard is safe to touch. [served p] names the shard that served an
+   op acknowledged on global processor [p]; it is asked only once the
+   deadline is blown. *)
+let supervised t id ~served op =
+  match refusal t ~serving:(serving_shards t) id with
+  | Some msg -> reject t msg
+  | None -> (
+    let t0 = t.clock () in
+    match op () with
+    | Error _ as e -> e
+    | Ok (p, moves) ->
+      if t.clock () -. t0 <= t.config.op_deadline then Ok (p, moves)
+      else Ok (p, moves @ Option.fold ~none:[] ~some:(watchdog_trip t) (served p)))
+
+(* The shard owning global processor [p]. *)
+let shard_of_proc t p =
+  let rec go i =
+    if i + 1 < shard_count t && Cluster.offset t.cluster (i + 1) <= p then go (i + 1) else i
+  in
+  go 0
+
+(* Add and resize attribute through the directory after the op (routing
+   decides an add's shard during the add); a removed id is gone by
+   then, so a remove attributes through the processor it left. *)
+let served_by_home t id _ = Cluster.shard_of t.cluster id
+
+let add_job t ~id ~size =
+  supervised t id ~served:(served_by_home t id) (fun () -> Cluster.add_job t.cluster ~id ~size)
 
 let remove_job t ~id =
-  match Cluster.shard_of t.cluster id with
-  | Some s when t.states.(s).health = Down ->
-    reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-  | Some s ->
-    let result, dt = timed t (fun () -> Cluster.remove_job t.cluster ~id) in
-    let extra = watchdog_check t (fun () -> Some s) dt in
-    (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
-  | None -> Error (Printf.sprintf "job %s not found" id)
+  supervised t id
+    ~served:(fun p -> Some (shard_of_proc t p))
+    (fun () -> Cluster.remove_job t.cluster ~id)
 
 let resize_job t ~id ~size =
-  match Cluster.shard_of t.cluster id with
-  | Some s when t.states.(s).health = Down ->
-    reject t (Printf.sprintf "job %s is stranded on down shard %d" id s)
-  | Some s ->
-    let result, dt = timed t (fun () -> Cluster.resize_job t.cluster ~id ~size) in
-    let extra = watchdog_check t (fun () -> Some s) dt in
-    (match result with Ok (p, moves) -> Ok (p, moves @ extra) | Error _ as e -> e)
-  | None -> Error (Printf.sprintf "job %s not found" id)
+  supervised t id ~served:(served_by_home t id) (fun () ->
+      Cluster.resize_job t.cluster ~id ~size)
+
+(* A batch: the guard refuses ops up front, everything it admits goes
+   to one [Cluster.apply_bulk], and the watchdog checks each shard's
+   share of the batch against [ops × op_deadline] after the call. *)
+let apply_bulk t ?on_result ops =
+  let serving = serving_shards t in
+  let results = Array.make (Array.length ops) (Error "") in
+  let admitted = ref [] in
+  Array.iteri
+    (fun i op ->
+      match refusal t ~serving (Engine.op_id op) with
+      | Some msg -> results.(i) <- reject t msg
+      | None -> admitted := i :: !admitted)
+    ops;
+  let admitted = Array.of_list (List.rev !admitted) in
+  let shards = shard_count t in
+  let sub_ops = Array.make shards 0 and seconds = Array.make shards 0.0 in
+  Cluster.apply_bulk t.cluster
+    ~on_result:(fun j _ r -> results.(admitted.(j)) <- r)
+    ~timed:
+      ( t.clock,
+        fun s n dt ->
+          sub_ops.(s) <- sub_ops.(s) + n;
+          seconds.(s) <- seconds.(s) +. dt )
+    (Array.map (fun i -> ops.(i)) admitted);
+  let evacuated = ref [] in
+  for s = 0 to shards - 1 do
+    if seconds.(s) > float_of_int sub_ops.(s) *. t.config.op_deadline then
+      evacuated := !evacuated @ watchdog_trip t s
+  done;
+  (* The evacuation's moves ride on the last acknowledged op's reply. *)
+  (if !evacuated <> [] then
+     let rec last i =
+       if i >= 0 then
+         match results.(i) with
+         | Ok (p, moves) -> results.(i) <- Ok (p, moves @ !evacuated)
+         | Error _ -> last (i - 1)
+     in
+     last (Array.length ops - 1));
+  Option.iter (fun f -> Array.iteri (fun i r -> f i ops.(i) r) results) on_result
 
 let rebalance t ~k = Cluster.rebalance t.cluster ~k
 

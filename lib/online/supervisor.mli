@@ -1,8 +1,10 @@
 (** The self-healing layer: per-shard health supervision over a
     {!Cluster}, with automatic failover and re-admission. It runs over
     either executor: every engine access goes through the cluster's
-    own operations ({!Cluster.query} for the journal write), and its
-    mutations stay one op at a time, each under the watchdog.
+    own operations ({!Cluster.query} for the journal write). Single
+    mutations run one at a time under the watchdog; a pipelined run of
+    them goes through {!apply_bulk} as one batch, under one watchdog
+    check per shard.
 
     Each shard carries a health state machine
 
@@ -12,7 +14,8 @@
     {!tick} — in production a liveness check, in tests and the chaos
     harness a seeded fault plan) and a {e watchdog} on every supervised
     operation (an op slower than [op_deadline] counts against the shard
-    that served it). [suspect_after] consecutive failures mark a shard
+    that served it; a batch that sends [n] ops to one shard gives them
+    [n * op_deadline] together). [suspect_after] consecutive failures mark a shard
     Suspect (still serving, flagged in health reports); [down_after]
     mark it Down.
 
@@ -79,7 +82,7 @@ type stats = {
   stranded_jobs : int;  (** jobs left behind by budget or lack of survivors *)
   readmissions : int;
   probe_failures : int;  (** failed probes + external {!fail} reports *)
-  watchdog_trips : int;  (** ops that blew [op_deadline] *)
+  watchdog_trips : int;  (** ops, or per-shard shares of a batch, that blew their deadline *)
   degraded_rejections : int;  (** ops refused because of a Down shard *)
 }
 
@@ -137,10 +140,39 @@ val readmit : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) 
 
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
 (** {!Cluster.add_job} under the watchdog. Rejected when no shard is
-    serving or the id is stranded on a Down shard. *)
+    serving or the id is stranded on a Down shard. On a fully serving
+    cluster the guard makes no directory lookup; the shard is looked up
+    only when the op blew its deadline. The moves of an evacuation the
+    watchdog triggers are appended to the op's own. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
+(** {!Cluster.remove_job} under the same guard and watchdog; a blown
+    deadline is charged to the shard owning the processor the job
+    left. *)
+
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
+
+val apply_bulk :
+  t ->
+  ?on_result:(int -> Engine.op -> (int * move list, string) result -> unit) ->
+  Engine.op array ->
+  unit
+(** A batch of mutations, with the results {!add_job}, {!remove_job}
+    and {!resize_job} would give one by one, delivered to [on_result]
+    in batch order once the whole batch has run. Every op first meets
+    the degraded-mode guard (a refusal is its [Error] and counts in
+    [degraded_rejections]); the rest go to one {!Cluster.apply_bulk}
+    call, so each shard's journal is flushed once per sub-batch and
+    receives the same events in the same order as one by one.
+
+    The watchdog runs per batch: the ops the batch sends to one shard
+    (over all its chunks) get [n * op_deadline] together, timed around
+    the shard's sub-batch tasks. A shard over its deadline takes one
+    failure signal. The watchdog judges a batch after it has run, so
+    every op in the batch was applied before any transition it
+    triggers; the moves of a resulting evacuation are appended to the
+    reply of the batch's last acknowledged op (dropped from the replies
+    if no op was acknowledged; the journals still hold them). *)
 
 val rebalance : t -> k:int -> move list
 (** {!Cluster.rebalance} on the cluster (Down shards hold no weight and,

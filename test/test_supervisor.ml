@@ -4,8 +4,11 @@
    evacuating a shard under an adversarial stream conserves every job,
    keeps the directory consistent, leaves every journal (evacuated
    shard included) replaying to the live state, and the evacuated shard
-   restores from its own journal and readmits — and a supervised
-   protocol transcript that must not depend on the domain count. *)
+   restores from its own journal and readmits — a supervised
+   protocol transcript that must not depend on the domain count, and
+   the batched path: pipelined sessions answer, journal and count as
+   one-by-one ones do, and the watchdog gives a shard's share of a
+   batch [n * op_deadline]. *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
@@ -389,6 +392,209 @@ let test_transcript_executor_independent () =
     (List.exists (String.starts_with ~prefix:"HEALTH 1 down") inline);
   check Alcotest.(list string) "D=0 and D=2 transcripts" inline (supervised_transcript 2)
 
+(* ----- batches: pipelined ≡ one-by-one ----- *)
+
+(* A supervised session over a fresh journaled cluster whose journal
+   clock is constant, so the per-shard journal bytes of two runs are
+   comparable, and whose watchdog clock never advances (no trips). *)
+let constant_journal_cluster ?trigger ~domains ~m ~shards () =
+  let buffers = Array.init shards (fun _ -> Buffer.create 1024) in
+  let cluster =
+    Cluster.create ?trigger
+      ~journal_for:(fun i ->
+        Some (Journal.create ~clock_ns:(fun () -> 0L) ~write:(Buffer.add_string buffers.(i)) ()))
+      ~m ~shards ~domains ()
+  in
+  (cluster, buffers)
+
+(* Batched replies report [makespan=] as of the end of the batch, so
+   the comparison drops that field. *)
+let strip_makespan line =
+  String.split_on_char ' ' line
+  |> List.filter (fun w -> not (String.starts_with ~prefix:"makespan=" w))
+  |> String.concat " "
+
+let script_gen =
+  let open QCheck2 in
+  Gen.(
+    let id = map (Printf.sprintf "j%d") (int_range 0 24) in
+    let line =
+      frequency
+        [
+          (4, map2 (Printf.sprintf "ADD %s %d") id (int_range 1 60));
+          (2, map (Printf.sprintf "REMOVE %s") id);
+          (2, map2 (Printf.sprintf "RESIZE %s %d") id (int_range 1 60));
+          (1, map (Printf.sprintf "REBALANCE %d") (int_range 0 4));
+          (1, pure "STATS");
+        ]
+    in
+    let segments = list_size (int_range 1 3) (list_size (int_range 1 40) line) in
+    let* trigger =
+      oneofl [ Engine.Manual; Engine.Every_events { events = 7; k = 2 } ]
+    in
+    let* before = segments in
+    let* victim = int_range 0 1 in
+    let* budget = int_range 0 3 in
+    let* after = segments in
+    return (trigger, before, victim, budget, after))
+
+(* Load, mark [victim] down with an evacuation budget that may strand
+   jobs, keep serving. [run t lines] answers one segment. *)
+let scripted_session ~domains (trigger, before, victim, budget, after) run =
+  let cluster, buffers = constant_journal_cluster ~trigger ~domains ~m:8 ~shards:2 () in
+  Fun.protect ~finally:(fun () -> Cluster.shutdown cluster) @@ fun () ->
+  let sup =
+    Supervisor.create ~config:(config ~evac_budget:budget ()) ~clock:(fun () -> 0.0) cluster
+  in
+  let t = Protocol.Supervised sup in
+  let replies = List.concat_map (run t) before in
+  let evacuation = Supervisor.mark_down sup victim in
+  let replies = replies @ List.concat_map (run t) after in
+  ( List.map strip_makespan replies,
+    evacuation,
+    Array.map Buffer.contents buffers,
+    Supervisor.stats sup,
+    List.init 2 (Supervisor.health sup) )
+
+let prop_pipelined_matches_one_by_one =
+  QCheck2.Test.make
+    ~name:"supervised pipelined = one-by-one (replies, journals, stats) at D in {0,2}"
+    ~count:100 script_gen
+    (fun script ->
+      List.for_all
+        (fun domains ->
+          let pipelined = scripted_session ~domains script (fun t ls -> fst (Protocol.handle_lines t ls)) in
+          let one_by_one =
+            scripted_session ~domains script (fun t ls ->
+                List.concat_map (fun l -> fst (Protocol.handle_line t l)) ls)
+          in
+          pipelined = one_by_one)
+        executors)
+
+(* Stranded ids inside a batch are refused in line order, the rest of
+   the batch is applied, and each refusal counts. *)
+let test_batch_rejects_in_line_order () =
+  over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
+  let sup = Supervisor.create ~config:(config ~evac_budget:2 ()) cluster in
+  let t = Protocol.Supervised sup in
+  ignore (Protocol.handle_lines t (List.init 20 (fun i -> Printf.sprintf "ADD j%d %d" i (1 + (i mod 7)))));
+  ignore (Supervisor.mark_down sup 0);
+  let stranded =
+    Cluster.query cluster 0 (fun e -> Engine.fold_jobs e (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [])
+    |> List.sort compare
+  in
+  let a, b = match stranded with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "need 2 stranded jobs" in
+  let replies, _ =
+    Protocol.handle_lines t
+      [ "ADD n1 4"; "RESIZE " ^ a ^ " 9"; "ADD n2 5"; "REMOVE " ^ b; "ADD n3 6" ]
+  in
+  check
+    Alcotest.(list string)
+    "refusals in line order"
+    [
+      "PLACED n1";
+      Printf.sprintf "ERR job %s is stranded on down shard 0" a;
+      "PLACED n2";
+      Printf.sprintf "ERR job %s is stranded on down shard 0" b;
+      "PLACED n3";
+    ]
+    (List.map
+       (fun l ->
+         if String.starts_with ~prefix:"PLACED" l then
+           String.concat " " (List.filteri (fun i _ -> i < 2) (String.split_on_char ' ' l))
+         else l)
+       replies);
+  check_int "each refusal counted" 2 (Supervisor.stats sup).Supervisor.degraded_rejections;
+  check_int "admitted ops applied" 3
+    (List.length (List.filter (fun id -> Cluster.mem cluster id) [ "n1"; "n2"; "n3" ]))
+
+(* ----- the per-batch watchdog on a fake clock ----- *)
+
+(* A supervisor whose clock advances [!step] seconds per read: a
+   sub-batch task, timed by two reads, takes exactly [!step]. Loads
+   20 jobs with the clock still, and returns the ids on each shard. *)
+let stepped ?(down_after = 3) cluster =
+  let step = ref 0.0 and now = ref 0.0 in
+  let clock () =
+    now := !now +. !step;
+    !now
+  in
+  let sup = Supervisor.create ~config:(config ~op_deadline:1.0 ~down_after ()) ~clock cluster in
+  for i = 0 to 19 do
+    ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 7))))
+  done;
+  let on s =
+    List.filter
+      (fun id -> Cluster.shard_of cluster id = Some s)
+      (List.init 20 (Printf.sprintf "j%d"))
+  in
+  (sup, step, on)
+
+let resizes ids = Array.of_list (List.map (fun id -> Engine.Resize { id; size = 3 }) ids)
+let trips sup = (Supervisor.stats sup).Supervisor.watchdog_trips
+
+let take n xs = List.filteri (fun i _ -> i < n) xs
+
+let test_batch_deadline_scales () =
+  over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
+  let sup, step, on = stepped cluster in
+  let batch = take 3 (on 1) in
+  check_int "three jobs on shard 1" 3 (List.length batch);
+  (* 3 ops get 3 s together: 2.99 s would blow a per-op deadline, not this one. *)
+  step := 2.99;
+  Supervisor.apply_bulk sup (resizes batch);
+  check_int "just under 3 x op_deadline: no trip" 0 (trips sup);
+  step := 3.01;
+  Supervisor.apply_bulk sup (resizes batch);
+  check_int "just over: one trip" 1 (trips sup);
+  check health_eq "charged to shard 1" Supervisor.Suspect (Supervisor.health sup 1);
+  check health_eq "shard 0 untouched" Supervisor.Healthy (Supervisor.health sup 0);
+  (* A batch touching both shards: each shard's share has its own
+     deadline, so a 3 s task trips shard 1 (2 ops) but not shard 0 (4). *)
+  step := 3.0;
+  Supervisor.apply_bulk sup (resizes (take 4 (on 0) @ take 2 (on 1)));
+  check_int "only the short share trips" 2 (trips sup);
+  check health_eq "shard 0 still healthy" Supervisor.Healthy (Supervisor.health sup 0)
+
+let test_batch_watchdog_evacuates_into_reply () =
+  over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
+  let sup, step, on = stepped ~down_after:1 cluster in
+  let t = Protocol.Supervised sup in
+  let on1 = on 1 in
+  step := 10.0;
+  let replies, _ =
+    Protocol.handle_lines t (List.map (fun id -> Printf.sprintf "RESIZE %s 4" id) (take 2 on1))
+  in
+  check_int "one trip" 1 (trips sup);
+  check health_eq "shard 1 down" Supervisor.Down (Supervisor.health sup 1);
+  let moves = List.filter (String.starts_with ~prefix:"MOVE ") replies in
+  check_int "every evacuated job has its MOVE line" (List.length on1) (List.length moves);
+  (match replies with
+  | first :: second :: rest ->
+    check_bool "both ops acknowledged first" true
+      (String.starts_with ~prefix:"RESIZED" first
+      && String.starts_with ~prefix:"RESIZED" second);
+    check_bool "evacuation rides on the last ack" true
+      (List.for_all (String.starts_with ~prefix:"MOVE ") (take (List.length moves) rest));
+    check_bool "closed by the auto line" true
+      (List.exists
+         (String.starts_with ~prefix:(Printf.sprintf "REBALANCED auto moves=%d" (List.length moves)))
+         rest)
+  | _ -> Alcotest.fail "short reply");
+  check_int "nothing left on shard 1" 0 (jobs_on cluster 1);
+  check_bool "consistent after the batch evacuation" true (Cluster.check_consistency cluster ~k:8)
+
+(* A one-by-one remove has no id left to look up when its deadline is
+   blown: it is charged through the processor the job left. *)
+let test_remove_watchdog_attribution () =
+  over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
+  let sup, step, on = stepped cluster in
+  step := 2.0;
+  ignore (ok (Supervisor.remove_job sup ~id:(List.hd (on 1))));
+  check_int "one trip" 1 (trips sup);
+  check health_eq "charged to shard 1" Supervisor.Suspect (Supervisor.health sup 1);
+  check health_eq "shard 0 untouched" Supervisor.Healthy (Supervisor.health sup 0)
+
 let () =
   Alcotest.run "rebal_supervisor"
     [
@@ -411,5 +617,17 @@ let () =
         [
           Alcotest.test_case "supervised transcript: D=0 = D=2" `Quick
             test_transcript_executor_independent;
+        ] );
+      ( "batches",
+        [
+          QCheck_alcotest.to_alcotest prop_pipelined_matches_one_by_one;
+          Alcotest.test_case "stranded ids refused in line order" `Quick
+            test_batch_rejects_in_line_order;
+          Alcotest.test_case "deadline scales with the shard's share" `Quick
+            test_batch_deadline_scales;
+          Alcotest.test_case "watchdog evacuation rides on the reply" `Quick
+            test_batch_watchdog_evacuates_into_reply;
+          Alcotest.test_case "remove charged through its processor" `Quick
+            test_remove_watchdog_attribution;
         ] );
     ]
