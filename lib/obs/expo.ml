@@ -254,11 +254,6 @@ let find_sample samples name labels =
 
 type format = Prometheus | Json
 
-let format_of_string = function
-  | "prom" | "prometheus" -> Some Prometheus
-  | "json" -> Some Json
-  | _ -> None
-
 let render format reg =
   match format with Prometheus -> prometheus reg | Json -> json reg
 

@@ -44,9 +44,6 @@ val find_sample : sample list -> string -> (string * string) list -> sample opti
 
 type format = Prometheus | Json
 
-val format_of_string : string -> format option
-(** Recognizes ["prom"], ["prometheus"] and ["json"]. *)
-
 val render : format -> Metrics.Registry.t -> string
 
 val write : ?trailer:string -> format -> out_channel -> Metrics.Registry.t -> unit

@@ -55,9 +55,7 @@ let slow_threshold = Atomic.make (-1)
 let clock : (unit -> int64) Atomic.t = Atomic.make Timer.now_ns
 
 let set_sample_every n = Atomic.set sample_every (max 0 n)
-let sampling_every () = Atomic.get sample_every
 let set_slow_threshold_ns n = Atomic.set slow_threshold n
-let slow_threshold_ns () = Atomic.get slow_threshold
 let set_clock f = Atomic.set clock f
 let now () = (Atomic.get clock) ()
 

@@ -62,13 +62,9 @@ val set_sample_every : int -> unit
 (** Head-sample 1 op in [n]; [n <= 0] disables head sampling (the
     default). *)
 
-val sampling_every : unit -> int
-
 val set_slow_threshold_ns : int -> unit
 (** Capture ops slower than this into the slow-op ring; negative
     disables tail capture (the default). [0] captures every op. *)
-
-val slow_threshold_ns : unit -> int
 
 val set_ring_capacity : int -> unit
 (** Resize (and clear) the {e calling} domain's span ring (default

@@ -148,7 +148,7 @@ let run ?(on_step = ignore) t =
         let id = pf "c%d" !next_id in
         incr next_id;
         let size = Rng.int_range rng 1 100 in
-        match Supervisor.add_job sup ~id ~size with
+        match Supervisor.apply sup (Engine.Add { id; size }) with
         | Ok _ ->
           Hashtbl.replace model id size;
           push id
@@ -158,14 +158,14 @@ let run ?(on_step = ignore) t =
         let j = Rng.int rng !n_live in
         let id = !live_ids.(j) in
         if r < 0.85 then (
-          match Supervisor.remove_job sup ~id with
+          match Supervisor.apply sup (Engine.Remove { id }) with
           | Ok _ ->
             Hashtbl.remove model id;
             remove_at j
           | Error _ -> incr rejected)
         else begin
           let size = Rng.int_range rng 1 100 in
-          match Supervisor.resize_job sup ~id ~size with
+          match Supervisor.apply sup (Engine.Resize { id; size }) with
           | Ok _ -> Hashtbl.replace model id size
           | Error _ -> incr rejected
         end

@@ -509,70 +509,56 @@ let run_reserved ?label t ~id e ~restore s f =
 
 (* ----- the operations ----- *)
 
-let add_job t ~id ~size =
+(* Under [dir_mu], with [found] the id's settled entry: reserve [op]'s
+   id — a new entry on the routed shard for an add, the resident entry
+   otherwise — or say why the op cannot apply. *)
+let claim t op found =
+  match (op, found) with
+  | Engine.Add { id; _ }, Some _ -> Error (pf "job %s already present" id)
+  | (Engine.Remove { id } | Engine.Resize { id; _ }), None -> Error (pf "job %s not found" id)
+  | Engine.Add { id; _ }, None ->
+    let e = { at = route t id; reserved = true } in
+    Hashtbl.add t.directory id e;
+    Ok e
+  | (Engine.Remove _ | Engine.Resize _), Some e ->
+    e.reserved <- true;
+    Ok e
+
+(* Where a claimed id settles once its op ran on shard [s] — [applied]
+   or not: a placed add and a failed remove stay, a failed add and a
+   done remove leave, a resize stays either way. *)
+let home op s ~applied =
+  match (op, applied) with
+  | Engine.Add _, false | Engine.Remove _, true -> None
+  | Engine.Add _, true | Engine.Remove _, false | Engine.Resize _, _ -> Some s
+
+(* The span label of an op's shard task, as the [?label] argument. *)
+let label = function
+  | Engine.Add _ -> Some "add"
+  | Engine.Remove _ -> Some "remove"
+  | Engine.Resize _ -> Some "resize"
+
+let apply t ?timed op =
   try
-    let reserved =
-      with_dir t (fun () ->
-          match settled t id with
-          | Some _ -> None
-          | None ->
-            let e = { at = route t id; reserved = true } in
-            Hashtbl.add t.directory id e;
-            Some e)
-    in
-    match reserved with
-    | None -> Error (pf "job %s already present" id)
-    | Some entry -> (
-      let s = entry.at in
+    match with_dir t (fun () -> claim t op (settled t (Engine.op_id op))) with
+    | Error _ as e -> e
+    | Ok entry -> (
+      let id = Engine.op_id op and s = entry.at in
+      let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
       let res =
-        run_reserved ~label:"add" t ~id entry ~restore:None s (fun e -> Engine.add_job e ~id ~size)
+        run_reserved ?label:(label op) t ~id entry ~restore:(home op s ~applied:false) s (fun e ->
+            Engine.apply e op)
       in
-      settle t ~id entry (match res with Ok _ -> Some s | Error _ -> None);
+      (match timed with None -> () | Some (clock, report) -> report s 1 (clock () -. t0));
+      settle t ~id entry (home op s ~applied:(Result.is_ok res));
       match res with
       | Error _ as e -> e
       | Ok (p, moves) -> Ok (global t s p, translate t s moves))
   with Shut_down -> Error "cluster is shut down"
 
-(* Reserve a resident [id] for a remove or resize. *)
-let reserve t id =
-  with_dir t (fun () ->
-      match settled t id with
-      | None -> None
-      | Some e as found ->
-        e.reserved <- true;
-        found)
-
-let remove_job t ~id =
-  try
-    match reserve t id with
-    | None -> Error (pf "job %s not found" id)
-    | Some entry -> (
-      let s = entry.at in
-      let res =
-        run_reserved ~label:"remove" t ~id entry ~restore:(Some s) s (fun e ->
-            Engine.remove_job e ~id)
-      in
-      settle t ~id entry (match res with Ok _ -> None | Error _ -> Some s);
-      match res with
-      | Error _ as e -> e
-      | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-  with Shut_down -> Error "cluster is shut down"
-
-let resize_job t ~id ~size =
-  try
-    match reserve t id with
-    | None -> Error (pf "job %s not found" id)
-    | Some entry -> (
-      let s = entry.at in
-      let res =
-        run_reserved ~label:"resize" t ~id entry ~restore:(Some s) s (fun e ->
-            Engine.resize_job e ~id ~size)
-      in
-      settle t ~id entry (Some s);
-      match res with
-      | Error _ as e -> e
-      | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-  with Shut_down -> Error "cluster is shut down"
+let add_job t ~id ~size = apply t (Engine.Add { id; size })
+let remove_job t ~id = apply t (Engine.Remove { id })
+let resize_job t ~id ~size = apply t (Engine.Resize { id; size })
 
 (* ----- batched application ----- *)
 
@@ -623,20 +609,11 @@ let apply_bulk t ?on_result ?timed ops =
          let id = Engine.op_id ops.(i) in
          if Hashtbl.mem seen id then raise Exit;
          let reserve () =
-           match (ops.(i), settled t id) with
-           | Engine.Add _, Some _ ->
-             record i (Error (pf "job %s already present" id));
+           match claim t ops.(i) (settled t id) with
+           | Error _ as e ->
+             record i e;
              Some (-1)
-           | (Engine.Remove _ | Engine.Resize _), None ->
-             record i (Error (pf "job %s not found" id));
-             Some (-1)
-           | Engine.Add _, None ->
-             let e = { at = route t id; reserved = true } in
-             Hashtbl.add t.directory id e;
-             entries.(i - chunk_lo) <- e;
-             Some e.at
-           | (Engine.Remove _ | Engine.Resize _), Some e ->
-             e.reserved <- true;
+           | Ok e ->
              entries.(i - chunk_lo) <- e;
              Some e.at
          in
@@ -703,18 +680,14 @@ let apply_bulk t ?on_result ?timed ops =
         in
         Array.iteri
           (fun j i ->
-            let rolled_back, res =
+            let res =
               match (outcome, sub_results.(j)) with
-              | None, Ok (p, moves) -> (false, Ok (global t s p, translate t s moves))
-              | None, (Error _ as e) -> (true, e)
-              | Some _, _ -> (true, shut_down)
+              | None, Ok (p, moves) -> Ok (global t s p, translate t s moves)
+              | None, (Error _ as e) -> e
+              | Some _, _ -> shut_down
             in
-            let settled_on =
-              match (ops.(i), rolled_back) with
-              | Engine.Add _, true | Engine.Remove _, false -> None
-              | Engine.Add _, false | Engine.Remove _, true | Engine.Resize _, _ -> Some s
-            in
-            settle t ~id:(Engine.op_id ops.(i)) entries.(i - chunk_lo) settled_on;
+            settle t ~id:(Engine.op_id ops.(i)) entries.(i - chunk_lo)
+              (home ops.(i) s ~applied:(Result.is_ok res));
             record i res)
           idx)
       !by_shard;
@@ -762,11 +735,10 @@ let move ?(on_removed = fun () -> ()) t ~id ~dst =
         Optrace.with_span "move.reserve" @@ fun () ->
         with_dir t (fun () ->
             match settled t id with
-            | None -> Error (pf "job %s not found" id)
             | Some entry when entry.at = dst -> Ok None
-            | Some entry ->
-              entry.reserved <- true;
-              Ok (Some (entry.at, entry)))
+            | found ->
+              (* Claimed as its first half, a remove, would be. *)
+              Result.map (fun entry -> Some (entry.at, entry)) (claim t (Engine.Remove { id }) found))
       in
       match reserved with
       | Error _ as e -> e

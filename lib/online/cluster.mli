@@ -187,13 +187,33 @@ val set_weight : t -> int -> float -> unit
     supervisor's job, not the router's).
     @raise Invalid_argument if [w] is outside [[0, 1]] or not finite. *)
 
+val apply :
+  t ->
+  ?timed:(unit -> float) * (int -> int -> float -> unit) ->
+  Engine.op ->
+  (int * move list, string) result
+(** Apply one event. Claim the id in the directory (an [Add] is routed
+    by the weighted ring and refused if the id is present; a [Remove]
+    or [Resize] is refused if it is absent), run [Engine.apply] on the
+    owning shard under its lock (a [shard.add] / [shard.remove] /
+    [shard.resize] span when the op is traced), then settle the claim.
+    Returns the global processor and any automatic-repair moves. Blocks
+    while another thread holds the id or the shard's lock. One op takes
+    none of {!apply_bulk}'s chunk machinery, but the same claim and
+    settle steps, so the two paths validate and settle alike.
+
+    [timed] is {!apply_bulk}'s watchdog hook for a batch of one: the
+    shard task is timed with [clock] and reported as
+    [report shard 1 seconds] after it returns. *)
+
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** Route by the weighted ring, reserve, place greedily on the chosen
-    shard. Returns the global processor and any automatic-repair
-    moves. Blocks while another thread holds the shard's lock. *)
+(** [apply t (Add { id; size })]. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
+(** [apply t (Remove { id })]. *)
+
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
+(** [apply t (Resize { id; size })]. *)
 
 val apply_bulk :
   t ->
@@ -205,11 +225,11 @@ val apply_bulk :
     the batch is routed into per-shard sub-batches and each involved
     shard runs one [Engine.apply_bulk] task under its lock, so each
     shard's lock is taken and its journal flushed once per sub-batch
-    instead of once per event. Per-id
-    semantics match the one-by-one operations: ids are reserved in the
-    residency directory for the duration of their sub-batch, results
-    (global processor indices, auto-repair moves, engine error
-    strings) are identical, and [on_result] sees them in batch order.
+    instead of once per event. Per-id semantics match {!apply}: ids
+    are claimed and settled in the residency directory by the same
+    steps, held for the duration of their sub-batch, results (global
+    processor indices, auto-repair moves, error strings) are
+    identical, and [on_result] sees them in batch order.
 
     Ordering barriers are honored by chunking: a duplicate id inside
     the batch, or an id currently reserved by a concurrent client,

@@ -88,14 +88,14 @@ let make_obs () =
         "rebal_engine_moves_per_rebalance";
   }
 
-let timed hist f =
+let timed hist f a b =
   if Control.enabled () then begin
     let start = Timer.now_ns () in
-    let r = f () in
+    let r = f a b in
     Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) start);
     r
   end
-  else f ()
+  else f a b
 
 type stats = {
   jobs : int;
@@ -633,7 +633,7 @@ let repair ~auto t ~k =
       ]);
   moves
 
-let rebalance t ~k = timed t.obs.lat_rebalance (fun () -> repair ~auto:false t ~k)
+let rebalance t ~k = timed t.obs.lat_rebalance (fun t k -> repair ~auto:false t ~k) t k
 
 (* ----- trigger policy ----- *)
 
@@ -663,14 +663,14 @@ let after_event t =
           ("imbalance", Journal.Float (imbalance t));
           ("events_since_repair", Journal.Int t.events_since_repair);
         ]);
-    timed t.obs.lat_rebalance (fun () -> repair ~auto:true t ~k)
+    timed t.obs.lat_rebalance (fun t k -> repair ~auto:true t ~k) t k
 
-(* ----- single-event kernels, all O(log m) and allocation-free -----
+(* ----- single-event updates, all O(log m) and allocation-free -----
 
-   The kernels assume validated input (positive size, presence checked
-   by the caller), mutate the flat state, bump counters and journal;
-   the public wrappers and [apply_bulk] share them, so a batch leaves
-   state, stats and journal bytes identical to one-by-one application. *)
+   These assume validated input (positive size, presence checked by
+   [kernel] below), mutate the flat state, bump counters and journal.
+   Every mutation path goes through [kernel], so a batch leaves state,
+   stats and journal bytes identical to one-by-one application. *)
 
 let add_slot t id size =
   let seq = t.next_seq in
@@ -751,102 +751,74 @@ let resize_slot t slot size =
     Journal.Emit.finish sink);
   p
 
+(* ----- the validated kernel ----- *)
+
+(* Codes [kernel] returns for an op that cannot apply; every valid op
+   returns its processor, which is never negative. *)
+let bad_size = -1
+let present = -2
+let missing = -3
+
+(* One event, validated then applied: the processor, or an error code
+   with no state changed. Allocation-free — the quiet bulk loop calls
+   it directly. *)
+let kernel t = function
+  | Add { id; size } ->
+    if size <= 0 then bad_size
+    else if Flat_str_map.mem t.dir id then present
+    else add_slot t id size
+  | Remove { id } ->
+    let slot = Flat_str_map.find t.dir id in
+    if slot < 0 then missing else remove_slot t slot
+  | Resize { id; size } ->
+    if size <= 0 then bad_size
+    else begin
+      let slot = Flat_str_map.find t.dir id in
+      if slot < 0 then missing else resize_slot t slot size
+    end
+
+let error_message op code =
+  let id = op_id op in
+  if code = bad_size then Printf.sprintf "job %s: size must be positive" id
+  else if code = present then Printf.sprintf "job %s already present" id
+  else Printf.sprintf "job %s not found" id
+
+(* The kernel plus the trigger evaluation of an applied event, as a
+   result: the batch loop's per-op step when a consumer wants results. *)
+let step t op =
+  let p = kernel t op in
+  if p < 0 then Error (error_message op p) else Ok (p, after_event t)
+
 (* ----- public single-event updates ----- *)
 
-let add_job t ~id ~size =
-  timed t.obs.lat_add @@ fun () ->
-  if size <= 0 then Error (Printf.sprintf "job %s: size must be positive" id)
-  else if Flat_str_map.mem t.dir id then
-    Error (Printf.sprintf "job %s already present" id)
-  else begin
-    let p = add_slot t id size in
-    Ok (p, after_event t)
-  end
+let apply t op =
+  let hist =
+    match op with
+    | Add _ -> t.obs.lat_add
+    | Remove _ -> t.obs.lat_remove
+    | Resize _ -> t.obs.lat_resize
+  in
+  timed hist step t op
 
-let remove_job t ~id =
-  timed t.obs.lat_remove @@ fun () ->
-  let slot = Flat_str_map.find t.dir id in
-  if slot < 0 then Error (Printf.sprintf "job %s not found" id)
-  else begin
-    let p = remove_slot t slot in
-    Ok (p, after_event t)
-  end
-
-let resize_job t ~id ~size =
-  timed t.obs.lat_resize @@ fun () ->
-  if size <= 0 then Error (Printf.sprintf "job %s: size must be positive" id)
-  else begin
-    let slot = Flat_str_map.find t.dir id in
-    if slot < 0 then Error (Printf.sprintf "job %s not found" id)
-    else begin
-      let p = resize_slot t slot size in
-      Ok (p, after_event t)
-    end
-  end
+let add_job t ~id ~size = apply t (Add { id; size })
+let remove_job t ~id = apply t (Remove { id })
+let resize_job t ~id ~size = apply t (Resize { id; size })
 
 (* ----- batched application ----- *)
 
-let apply_op t op =
-  match op with
-  | Add { id; size } ->
-    if size <= 0 then Error (Printf.sprintf "job %s: size must be positive" id)
-    else if Flat_str_map.mem t.dir id then
-      Error (Printf.sprintf "job %s already present" id)
-    else begin
-      let p = add_slot t id size in
-      Ok (p, after_event t)
-    end
-  | Remove { id } ->
-    let slot = Flat_str_map.find t.dir id in
-    if slot < 0 then Error (Printf.sprintf "job %s not found" id)
-    else begin
-      let p = remove_slot t slot in
-      Ok (p, after_event t)
-    end
-  | Resize { id; size } ->
-    if size <= 0 then Error (Printf.sprintf "job %s: size must be positive" id)
-    else begin
-      let slot = Flat_str_map.find t.dir id in
-      if slot < 0 then Error (Printf.sprintf "job %s not found" id)
-      else begin
-        let p = resize_slot t slot size in
-        Ok (p, after_event t)
-      end
-    end
-
 (* The two loops differ only in whether per-op results are materialized:
    without a consumer, building [Ok (p, moves)] per op would be the one
-   remaining steady-state allocation. Invalid ops change no state in
-   either path (exactly like their one-by-one counterparts), so silently
-   skipping them in the quiet loop is state-identical. *)
+   remaining steady-state allocation. An invalid op changes no state in
+   either loop, so the quiet one skips it silently. *)
 let apply_bulk_loop t on_result ops =
   match on_result with
   | None ->
     for i = 0 to Array.length ops - 1 do
-      match ops.(i) with
-      | Add { id; size } ->
-        if size > 0 && Flat_str_map.find t.dir id < 0 then begin
-          let _p : int = add_slot t id size in
-          ignore (after_event t)
-        end
-      | Remove { id } ->
-        let slot = Flat_str_map.find t.dir id in
-        if slot >= 0 then begin
-          let _p : int = remove_slot t slot in
-          ignore (after_event t)
-        end
-      | Resize { id; size } ->
-        if size > 0 then begin
-          let slot = Flat_str_map.find t.dir id in
-          if slot >= 0 then begin
-            let _p : int = resize_slot t slot size in
-            ignore (after_event t)
-          end
-        end
+      if kernel t ops.(i) >= 0 then ignore (after_event t)
     done
   | Some f ->
     for i = 0 to Array.length ops - 1 do
-      f i ops.(i) (apply_op t ops.(i))
+      f i ops.(i) (step t ops.(i))
     done
 
 let apply_bulk t ?on_result ops =

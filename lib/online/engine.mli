@@ -56,9 +56,10 @@ type move = {
   dst : int;
 }
 
-(** One mutating event, for {!apply_bulk}. Mirrors {!add_job},
-    {!remove_job} and {!resize_job} exactly — validation, counters,
-    trigger evaluation and journal events included. *)
+(** One mutating event: a job arrives, leaves or changes size. This is
+    the only description of a mutation below the protocol parser —
+    {!apply}, {!apply_bulk} and every serving layer above ([Cluster],
+    [Supervisor], [Protocol]) take it. *)
 type op =
   | Add of { id : string; size : int }
   | Remove of { id : string }
@@ -167,22 +168,30 @@ val mem : t -> string -> bool
 val find : t -> string -> (int * int) option
 (** [(size, processor)] of a job, if present. *)
 
+val apply : t -> op -> (int * move list, string) result
+(** Apply one event. [Add] places a new job on the least-loaded
+    processor ([O(log m)] placement plus [O(log n)] heap bookkeeping);
+    [Remove] frees its processor's load; [Resize] changes the size in
+    place (the job stays on its processor until a repair pass decides
+    otherwise). Returns the job's processor and the moves of any
+    automatic repair the event triggered. [Error] — with no state
+    changed — when the size is not positive, an added id is already
+    present, or a removed or resized id is absent.
+
+    One validated kernel, returning the processor or an error code,
+    serves this, the wrappers below and {!apply_bulk}, so every path
+    validates, counts and journals alike. With
+    [Rebal_obs.Control.enabled ()] each call lands one observation in
+    [rebal_engine_op_latency_seconds{op="add"|"remove"|"resize"}]. *)
+
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** Place a new job on the least-loaded processor ([O(log m)] placement
-    plus [O(log n)] size-multiset bookkeeping). Returns
-    the chosen processor and any moves performed by an automatic repair
-    the event triggered. [Error] if the id is already present or the size
-    is not positive. *)
+(** [apply t (Add { id; size })]. *)
 
 val remove_job : t -> id:string -> (int * move list, string) result
-(** Remove a job, freeing its processor's load. Returns the processor it
-    was on, plus automatic-repair moves. [Error] if absent. *)
+(** [apply t (Remove { id })]. *)
 
 val resize_job : t -> id:string -> size:int -> (int * move list, string) result
-(** Change a job's size in place (it stays on its processor until a
-    repair pass decides otherwise). Returns its processor, plus
-    automatic-repair moves. [Error] if absent or the size is not
-    positive. *)
+(** [apply t (Resize { id; size })]. *)
 
 val apply_bulk :
   t ->
@@ -195,7 +204,7 @@ val apply_bulk :
     application would fire them), but the journal sink is written once
     for the whole batch and per-op latency histograms are skipped.
     State, stats and journal bytes are bit-identical to applying the
-    same ops through {!add_job} / {!remove_job} / {!resize_job}.
+    same ops one by one through {!apply}.
 
     [on_result] receives the batch index, the op and its result
     (including any auto-repair moves) as each op completes — protocol
@@ -228,10 +237,6 @@ val to_instance : t -> Rebal_core.Instance.t * string array
 (** Materialize the current state as a batch instance whose initial
     assignment is the live placement, with jobs in ascending id order.
     The array maps the instance's job indices back to engine ids. *)
-
-val copy : t -> t
-(** Deep, independent copy (used by {!check_consistency}; also handy for
-    what-if probes). *)
 
 val check_consistency : t -> k:int -> bool
 (** Does a repair pass with budget [k] reach exactly the makespan of

@@ -28,48 +28,19 @@ let create ~capacity =
     closed = false;
   }
 
-let capacity t = Array.length t.buf
-
-let length t =
-  Mutex.lock t.mu;
-  let n = t.size in
-  Mutex.unlock t.mu;
-  n
-
-let is_closed t =
-  Mutex.lock t.mu;
-  let c = t.closed in
-  Mutex.unlock t.mu;
-  c
-
-(* Under [t.mu], with room guaranteed. *)
-let push t v =
-  t.buf.((t.head + t.size) mod Array.length t.buf) <- Some v;
-  t.size <- t.size + 1;
-  Condition.signal t.not_empty
-
 let send t v =
   Mutex.lock t.mu;
   while t.size = Array.length t.buf && not t.closed do
     Condition.wait t.not_full t.mu
   done;
   let accepted = not t.closed in
-  if accepted then push t v;
+  if accepted then begin
+    t.buf.((t.head + t.size) mod Array.length t.buf) <- Some v;
+    t.size <- t.size + 1;
+    Condition.signal t.not_empty
+  end;
   Mutex.unlock t.mu;
   accepted
-
-let try_send t v =
-  Mutex.lock t.mu;
-  let r =
-    if t.closed then `Closed
-    else if t.size = Array.length t.buf then `Full
-    else begin
-      push t v;
-      `Sent
-    end
-  in
-  Mutex.unlock t.mu;
-  r
 
 let recv t =
   Mutex.lock t.mu;

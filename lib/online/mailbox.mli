@@ -22,9 +22,6 @@ val send : 'a t -> 'a -> bool
 (** Enqueue, blocking while full. [false] if the mailbox is (or
     becomes, while waiting) closed — the value was not enqueued. *)
 
-val try_send : 'a t -> 'a -> [ `Sent | `Full | `Closed ]
-(** Non-blocking {!send} — [`Full] instead of parking. *)
-
 val recv : 'a t -> 'a option
 (** Dequeue the oldest element, blocking while empty. [None] only
     after {!close} once every accepted element has been drained. *)
@@ -32,7 +29,3 @@ val recv : 'a t -> 'a option
 val close : 'a t -> unit
 (** Refuse further sends and wake all blocked senders and receivers.
     Idempotent. *)
-
-val length : 'a t -> int
-val capacity : 'a t -> int
-val is_closed : 'a t -> bool

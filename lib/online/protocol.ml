@@ -115,23 +115,11 @@ let makespan = function
   | Cluster c | Parallel c -> Cluster.makespan c
   | Supervised sup -> Cluster.makespan (Supervisor.cluster sup)
 
-let add_job t ~id ~size =
+let apply t op =
   match t with
-  | Single e -> Engine.add_job e ~id ~size
-  | Cluster c | Parallel c -> Cluster.add_job c ~id ~size
-  | Supervised sup -> Supervisor.add_job sup ~id ~size
-
-let remove_job t ~id =
-  match t with
-  | Single e -> Engine.remove_job e ~id
-  | Cluster c | Parallel c -> Cluster.remove_job c ~id
-  | Supervised sup -> Supervisor.remove_job sup ~id
-
-let resize_job t ~id ~size =
-  match t with
-  | Single e -> Engine.resize_job e ~id ~size
-  | Cluster c | Parallel c -> Cluster.resize_job c ~id ~size
-  | Supervised sup -> Supervisor.resize_job sup ~id ~size
+  | Single e -> Engine.apply e op
+  | Cluster c | Parallel c -> Cluster.apply c op
+  | Supervised sup -> Supervisor.apply sup op
 
 let rebalance t ~k =
   match t with
@@ -149,6 +137,28 @@ let auto_lines t = function
   | moves ->
     move_lines moves
     @ [ pf "REBALANCED auto moves=%d makespan=%d" (List.length moves) (makespan t) ]
+
+(* The reply to one mutation, one by one or batched. [makespan t] is
+   read when the result is rendered: right after the op on the one-by-one
+   path and on a [Single] batch, whose [on_result] fires after each op
+   and before the next. On a cluster batch results surface when the
+   op's chunk completes, and the read folds the per-shard values
+   published at the end of each shard's last task (no lock taken): it
+   covers the whole chunk, and other sessions' completed ops —
+   indistinguishable from the interleavings concurrent sessions
+   already produce. A supervised batch delivers its results once the
+   whole batch has run, so the value covers the batch. *)
+let op_reply t op = function
+  | Error e -> [ "ERR " ^ e ]
+  | Ok (p, auto) ->
+    let ms = makespan t in
+    (match op with
+    | Engine.Add { id; _ } -> pf "PLACED %s %d makespan=%d" id p ms
+    | Engine.Remove { id } -> pf "REMOVED %s %d makespan=%d" id p ms
+    | Engine.Resize { id; _ } -> pf "RESIZED %s %d makespan=%d" id p ms)
+    :: auto_lines t auto
+
+let mutate t op = op_reply t op (apply t op)
 
 let help_lines =
   [
@@ -277,8 +287,6 @@ let export_engine_stats ?(labels = []) (s : Engine.stats) =
   count "rebal_engine_consistency_failures_total" "Batch-consistency checks that failed"
     s.Engine.consistency_failures
 
-let export_metrics e = export_engine_stats (Engine.stats e)
-
 let export_supervisor sup =
   let h = Supervisor.stats sup in
   let c = Supervisor.cluster sup in
@@ -339,7 +347,7 @@ let export_cluster c =
       (float_of_int (Cluster.domain_count c))
 
 let export_target = function
-  | Single e -> export_metrics e
+  | Single e -> export_engine_stats (Engine.stats e)
   | Cluster c | Parallel c -> export_cluster c
   | Supervised sup ->
     export_cluster (Supervisor.cluster sup);
@@ -475,21 +483,9 @@ let tsdb_query_lines ~selector ~window_s =
     | Ok lines -> lines @ [ "# EOF" ])
 
 let execute t = function
-  | Add { id; size } -> begin
-    match add_job t ~id ~size with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "PLACED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
-  | Remove id -> begin
-    match remove_job t ~id with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "REMOVED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
-  | Resize { id; size } -> begin
-    match resize_job t ~id ~size with
-    | Error e -> [ "ERR " ^ e ]
-    | Ok (p, auto) -> pf "RESIZED %s %d makespan=%d" id p (makespan t) :: auto_lines t auto
-  end
+  | Add { id; size } -> mutate t (Engine.Add { id; size })
+  | Remove id -> mutate t (Engine.Remove { id })
+  | Resize { id; size } -> mutate t (Engine.Resize { id; size })
   | Rebalance k ->
     let moves = rebalance t ~k in
     move_lines moves
@@ -569,29 +565,6 @@ let command_op = function
   | Resize { id; size } -> Some (Engine.Resize { id; size })
   | _ -> None
 
-(* The reply for one batched mutation. [makespan t] is read inside the
-   batch's [on_result] callback: on a [Single] engine that fires after
-   each op and before the next, so the value is exactly the
-   intermediate makespan the one-by-one path reports. On a cluster
-   results surface when the op's chunk completes, and the read folds
-   the per-shard values published at the end of each shard's last
-   task (no lock taken): it covers the whole chunk, and
-   other sessions' completed ops — indistinguishable from the
-   interleavings concurrent sessions already produce. A supervised
-   batch delivers its results once the whole batch has run, so the
-   value covers the batch. *)
-let bulk_reply t op result =
-  match result with
-  | Error e -> [ "ERR " ^ e ]
-  | Ok (p, auto) ->
-    let verb, id =
-      match op with
-      | Engine.Add { id; _ } -> ("PLACED", id)
-      | Engine.Remove { id } -> ("REMOVED", id)
-      | Engine.Resize { id; _ } -> ("RESIZED", id)
-    in
-    pf "%s %s %d makespan=%d" verb id p (makespan t) :: auto_lines t auto
-
 let handle_lines ?(start_line = 1) t lines =
   let out = ref [] in
   let push ls = out := List.rev_append ls !out in
@@ -609,7 +582,7 @@ let handle_lines ?(start_line = 1) t lines =
     | cmds ->
       pending := [];
       let ops = Array.of_list (List.filter_map command_op cmds) in
-      let on_result _ op r = push (bulk_reply t op r) in
+      let on_result _ op r = push (op_reply t op r) in
       let hist = session_hist "batch" in
       let t0 = Timer.now_ns () in
       Optrace.with_op ~verb:"BATCH" (fun () ->
@@ -629,7 +602,7 @@ let handle_lines ?(start_line = 1) t lines =
         push [ "ERR " ^ pf "line %d: " lineno ^ e ];
         go (lineno + 1) rest
       | Ok None -> go (lineno + 1) rest
-      | Ok (Some cmd) when command_op cmd <> None ->
+      | Ok (Some ((Add _ | Remove _ | Resize _) as cmd)) ->
         pending := cmd :: !pending;
         go (lineno + 1) rest
       | Ok (Some cmd) -> begin

@@ -53,7 +53,13 @@
     summary line plus one [HEALTH <i> <state> weight=... jobs=...] line
     per shard. Mutations are routed through the supervisor's watchdog
     and degraded-mode guards, so an op touching a job stranded on a
-    down shard gets an [ERR] instead of reaching the dead engine. *)
+    down shard gets an [ERR] instead of reaching the dead engine.
+
+    Below the parser a mutation is an [Engine.op]: an [ADD], [REMOVE]
+    or [RESIZE] becomes one, and the target's one per-op function
+    ([Engine.apply], [Cluster.apply] or [Supervisor.apply]) or its
+    batch function applies it. One renderer writes the
+    [PLACED]/[REMOVED]/[RESIZED] reply for both paths. *)
 
 type command =
   | Add of { id : string; size : int }
@@ -102,11 +108,9 @@ val parse : string -> (command option, string) result
     request. Sizes must be positive and budgets non-negative — rejected
     here, before any engine is touched. *)
 
-val execute : target -> command -> string list
-(** Response lines for one command (never raises on user input). *)
-
 val handle_line : ?line:int -> target -> string -> string list * verdict
-(** [parse] + [execute], turning parse errors into [ERR] lines —
+(** [parse], then the response lines for the command (never raises on
+    user input), turning parse errors into [ERR] lines —
     prefixed ["line %d:"] when [line] (the 1-based session line number)
     is given. This is the op boundary: every parsed command runs under
     [Rebal_obs.Optrace.with_op] (head sampling plus slow-op tail
@@ -124,7 +128,7 @@ val handle_lines : ?start_line:int -> target -> string list -> string list * ver
     line. Replies come back in line order and are
     identical to the one-by-one path, except that a cluster's
     [makespan=] fields report the value as of the end of the op's
-    chunk; a run of a single mutation takes exactly the unbatched path
+    chunk (a supervised cluster's, the end of the batch); a run of a single mutation takes exactly the unbatched path
     (same per-verb latency series), while a genuine pipeline runs under
     one [BATCH] span and one [verb="batch"] latency observation.
     Processing stops at the
@@ -132,25 +136,15 @@ val handle_lines : ?start_line:int -> target -> string list -> string list * ver
     [start_line] (default 1) numbers the first line for [ERR]
     prefixes. *)
 
-val verb_name : command -> string
-(** Lowercase metric-label name of a command ([add], [traces], ...). *)
-
-val export_metrics : Engine.t -> unit
-(** Export one engine's live stats into the current metrics registry as
-    gauges and counters (idempotent — uses set, not add). *)
-
-val export_target : target -> unit
-(** {!export_metrics} for a whole target: a cluster exports per-shard
-    series labeled [shard="<i>"] plus [rebal_cluster_*] aggregates.
-    [METRICS] replies and the daemon's [--metrics-file] dump both run
-    this before rendering through [Rebal_obs.Expo]. *)
-
 val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
-(** The registry a metrics reply renders: for a cluster target a fresh
-    registry holding the exported aggregates plus the cluster's shard
-    and hosting-domain registries and the default registry merged in (fresh each call —
-    merging into a reused registry would double count); for {!Single}
-    the current registry after {!export_target}. *)
+(** The registry a metrics reply renders. The target's live stats are
+    first exported as gauges and counters (idempotent — set, not add):
+    a cluster exports per-shard series labeled [shard="<i>"] plus
+    [rebal_cluster_*] aggregates into a fresh registry, and the
+    cluster's shard and hosting-domain registries and the default
+    registry are merged in (fresh each call — merging into a reused
+    registry would double count); {!Single} exports into the current
+    registry and returns it. *)
 
 val metrics_lines : target -> string list
 (** The [METRICS] reply: {!metrics_registry} rendered as Prometheus
@@ -160,10 +154,6 @@ val metrics_lines : target -> string list
 val metrics_text : target -> string
 (** {!metrics_registry} rendered as one Prometheus text blob (no
     [# EOF] trailer) — the body of the HTTP [GET /metrics] scrape. *)
-
-val traces_lines : int -> string list
-(** The [TRACES n] reply (see the header), from every domain's span
-    ring. *)
 
 val greeting : target -> string
 (** The [READY ...] banner sent when a session opens. *)
@@ -176,10 +166,3 @@ val set_telemetry : ?alerts:Rebal_obs.Alerts.t -> Rebal_obs.Tsdb.t -> unit
     Without it both verbs answer [ERR telemetry not enabled]. *)
 
 val clear_telemetry : unit -> unit
-
-val alerts_status_lines : unit -> string list
-(** The [ALERTS] reply ([# EOF]-framed; an [ERR] line when telemetry or
-    rules are absent). Shared with the HTTP [/alerts] route. *)
-
-val tsdb_query_lines : selector:string -> window_s:float -> string list
-(** The [TSDB] reply, same contract. *)

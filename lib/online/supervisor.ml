@@ -95,7 +95,6 @@ let create ?(config = default_config) ?(probe = fun _ -> true) ?(clock = Unix.ge
   }
 
 let cluster t = t.cluster
-let config t = t.config
 let shard_count t = Array.length t.states
 
 let check_shard t i =
@@ -104,10 +103,6 @@ let check_shard t i =
 let health t i =
   check_shard t i;
   t.states.(i).health
-
-let is_serving t i =
-  check_shard t i;
-  t.states.(i).health <> Down
 
 let serving_shards t =
   Array.fold_left (fun acc s -> if s.health <> Down then acc + 1 else acc) 0 t.states
@@ -221,17 +216,6 @@ let readmit t i build =
       t.readmissions <- t.readmissions + 1;
       Ok ()
 
-(* The watchdog: every supervised operation is timed against
-   [op_deadline]; a blown deadline counts as a failure signal against
-   the shard that served the op (the transition itself happens
-   synchronously via [note_failure] — a deadline blown hard enough to
-   cross [down_after] evacuates immediately). Only acknowledged ops
-   are judged; any moves an evacuation produces are appended to the
-   op's move list. *)
-let watchdog_trip t i =
-  t.watchdog_trips <- t.watchdog_trips + 1;
-  note_failure t i ~reason:"watchdog"
-
 let reject t msg =
   t.degraded_rejections <- t.degraded_rejections + 1;
   Error msg
@@ -240,7 +224,9 @@ let reject t msg =
    refused: nothing serves, or the id is stranded on a Down shard (a
    resident the evacuation budget did not cover). [serving] is
    {!serving_shards}; only a Down shard strands jobs, so a fully
-   serving cluster skips the directory lookup. *)
+   serving cluster skips the directory lookup. Weight-aware routing
+   never picks a Down shard while any serving shard remains, so an op
+   the guard admits is safe to run. *)
 let refusal t ~serving id =
   if serving = 0 then Some "no serving shards"
   else if serving = shard_count t then None
@@ -250,49 +236,42 @@ let refusal t ~serving id =
       Some (Printf.sprintf "job %s is stranded on down shard %d" id s)
     | _ -> None
 
-(* One op under the guard and the watchdog. Weight-aware routing never
-   picks a Down shard while any serving shard remains, so the home
-   shard is safe to touch. [served p] names the shard that served an
-   op acknowledged on global processor [p]; it is asked only once the
-   deadline is blown. *)
-let supervised t id ~served op =
-  match refusal t ~serving:(serving_shards t) id with
+(* The watchdog, for one op and for a batch alike: [f] runs the
+   cluster call with a [timed] hook that sums, per shard, the ops it
+   served and the seconds its tasks took. Once the call has returned,
+   every shard whose [n] ops took longer than [n * op_deadline] takes
+   one failure signal ([note_failure] — a trip that crosses
+   [down_after] evacuates at once); the evacuations' moves come back
+   with [f]'s result. *)
+let watched t f =
+  let shards = shard_count t in
+  let ops = Array.make shards 0 and seconds = Array.make shards 0.0 in
+  let r =
+    f
+      ( t.clock,
+        fun s n dt ->
+          ops.(s) <- ops.(s) + n;
+          seconds.(s) <- seconds.(s) +. dt )
+  in
+  let evacuated = ref [] in
+  for s = 0 to shards - 1 do
+    if seconds.(s) > float_of_int ops.(s) *. t.config.op_deadline then begin
+      t.watchdog_trips <- t.watchdog_trips + 1;
+      evacuated := !evacuated @ note_failure t s ~reason:"watchdog"
+    end
+  done;
+  (r, !evacuated)
+
+let apply t op =
+  match refusal t ~serving:(serving_shards t) (Engine.op_id op) with
   | Some msg -> reject t msg
   | None -> (
-    let t0 = t.clock () in
-    match op () with
-    | Error _ as e -> e
-    | Ok (p, moves) ->
-      if t.clock () -. t0 <= t.config.op_deadline then Ok (p, moves)
-      else Ok (p, moves @ Option.fold ~none:[] ~some:(watchdog_trip t) (served p)))
-
-(* The shard owning global processor [p]. *)
-let shard_of_proc t p =
-  let rec go i =
-    if i + 1 < shard_count t && Cluster.offset t.cluster (i + 1) <= p then go (i + 1) else i
-  in
-  go 0
-
-(* Add and resize attribute through the directory after the op (routing
-   decides an add's shard during the add); a removed id is gone by
-   then, so a remove attributes through the processor it left. *)
-let served_by_home t id _ = Cluster.shard_of t.cluster id
-
-let add_job t ~id ~size =
-  supervised t id ~served:(served_by_home t id) (fun () -> Cluster.add_job t.cluster ~id ~size)
-
-let remove_job t ~id =
-  supervised t id
-    ~served:(fun p -> Some (shard_of_proc t p))
-    (fun () -> Cluster.remove_job t.cluster ~id)
-
-let resize_job t ~id ~size =
-  supervised t id ~served:(served_by_home t id) (fun () ->
-      Cluster.resize_job t.cluster ~id ~size)
+    match watched t (fun timed -> Cluster.apply t.cluster ~timed op) with
+    | Ok (p, moves), (_ :: _ as evacuated) -> Ok (p, moves @ evacuated)
+    | r, _ -> r)
 
 (* A batch: the guard refuses ops up front, everything it admits goes
-   to one [Cluster.apply_bulk], and the watchdog checks each shard's
-   share of the batch against [ops × op_deadline] after the call. *)
+   to one [Cluster.apply_bulk] under the watchdog. *)
 let apply_bulk t ?on_result ops =
   let serving = serving_shards t in
   let results = Array.make (Array.length ops) (Error "") in
@@ -304,27 +283,19 @@ let apply_bulk t ?on_result ops =
       | None -> admitted := i :: !admitted)
     ops;
   let admitted = Array.of_list (List.rev !admitted) in
-  let shards = shard_count t in
-  let sub_ops = Array.make shards 0 and seconds = Array.make shards 0.0 in
-  Cluster.apply_bulk t.cluster
-    ~on_result:(fun j _ r -> results.(admitted.(j)) <- r)
-    ~timed:
-      ( t.clock,
-        fun s n dt ->
-          sub_ops.(s) <- sub_ops.(s) + n;
-          seconds.(s) <- seconds.(s) +. dt )
-    (Array.map (fun i -> ops.(i)) admitted);
-  let evacuated = ref [] in
-  for s = 0 to shards - 1 do
-    if seconds.(s) > float_of_int sub_ops.(s) *. t.config.op_deadline then
-      evacuated := !evacuated @ watchdog_trip t s
-  done;
+  let (), evacuated =
+    watched t (fun timed ->
+        Cluster.apply_bulk t.cluster
+          ~on_result:(fun j _ r -> results.(admitted.(j)) <- r)
+          ~timed
+          (Array.map (fun i -> ops.(i)) admitted))
+  in
   (* The evacuation's moves ride on the last acknowledged op's reply. *)
-  (if !evacuated <> [] then
+  (if evacuated <> [] then
      let rec last i =
        if i >= 0 then
          match results.(i) with
-         | Ok (p, moves) -> results.(i) <- Ok (p, moves @ !evacuated)
+         | Ok (p, moves) -> results.(i) <- Ok (p, moves @ evacuated)
          | Error _ -> last (i - 1)
      in
      last (Array.length ops - 1));

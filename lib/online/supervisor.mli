@@ -1,10 +1,10 @@
 (** The self-healing layer: per-shard health supervision over a
     {!Cluster}, with automatic failover and re-admission. It runs over
     either executor: every engine access goes through the cluster's
-    own operations ({!Cluster.query} for the journal write). Single
-    mutations run one at a time under the watchdog; a pipelined run of
-    them goes through {!apply_bulk} as one batch, under one watchdog
-    check per shard.
+    own operations ({!Cluster.query} for the journal write). A single
+    mutation goes through {!apply}; a pipelined run of them goes
+    through {!apply_bulk} as one batch. Both pass the same guard and
+    the same watchdog rule.
 
     Each shard carries a health state machine
 
@@ -13,9 +13,9 @@
     driven by two failure signals: an injectable {e probe} (polled by
     {!tick} — in production a liveness check, in tests and the chaos
     harness a seeded fault plan) and a {e watchdog} on every supervised
-    operation (an op slower than [op_deadline] counts against the shard
-    that served it; a batch that sends [n] ops to one shard gives them
-    [n * op_deadline] together). [suspect_after] consecutive failures mark a shard
+    mutation: the [n] ops a call sends to one shard get
+    [n * op_deadline] together, and a shard over it takes one failure
+    signal (a single op is [n = 1]). [suspect_after] consecutive failures mark a shard
     Suspect (still serving, flagged in health reports); [down_after]
     mark it Down.
 
@@ -100,11 +100,8 @@ val cluster : t -> Cluster.t
 (** The supervised cluster. Mutating it directly bypasses health
     guards and the watchdog — use the supervised operations. *)
 
-val config : t -> config
 val shard_count : t -> int
 val health : t -> int -> health
-val is_serving : t -> int -> bool
-(** [true] unless Down. *)
 
 val serving_shards : t -> int
 
@@ -138,36 +135,34 @@ val readmit : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) 
     removes were journaled. [Error] if the shard is not Down, [build]
     fails, or the engine disagrees with the directory. *)
 
-val add_job : t -> id:string -> size:int -> (int * move list, string) result
-(** {!Cluster.add_job} under the watchdog. Rejected when no shard is
-    serving or the id is stranded on a Down shard. On a fully serving
-    cluster the guard makes no directory lookup; the shard is looked up
-    only when the op blew its deadline. The moves of an evacuation the
-    watchdog triggers are appended to the op's own. *)
-
-val remove_job : t -> id:string -> (int * move list, string) result
-(** {!Cluster.remove_job} under the same guard and watchdog; a blown
-    deadline is charged to the shard owning the processor the job
-    left. *)
-
-val resize_job : t -> id:string -> size:int -> (int * move list, string) result
+val apply : t -> Engine.op -> (int * move list, string) result
+(** {!Cluster.apply} under the degraded-mode guard and the watchdog.
+    The guard refuses the op — its [Error], counted in
+    [degraded_rejections] — when no shard is serving or the id is
+    stranded on a Down shard; on a fully serving cluster it makes no
+    directory lookup. The watchdog times the shard task that served
+    the op, lock wait included, against [op_deadline] and charges a
+    blown deadline to that shard once the op has returned. The moves
+    of an evacuation this triggers are appended to the op's own
+    (dropped from the reply if the op failed; the journals still hold
+    them). *)
 
 val apply_bulk :
   t ->
   ?on_result:(int -> Engine.op -> (int * move list, string) result -> unit) ->
   Engine.op array ->
   unit
-(** A batch of mutations, with the results {!add_job}, {!remove_job}
-    and {!resize_job} would give one by one, delivered to [on_result]
-    in batch order once the whole batch has run. Every op first meets
-    the degraded-mode guard (a refusal is its [Error] and counts in
-    [degraded_rejections]); the rest go to one {!Cluster.apply_bulk}
-    call, so each shard's journal is flushed once per sub-batch and
-    receives the same events in the same order as one by one.
+(** A batch of mutations, with the results {!apply} would give one by
+    one, delivered to [on_result] in batch order once the whole batch
+    has run. Every op first meets the degraded-mode guard (a refusal
+    is its [Error] and counts in [degraded_rejections]); the rest go to
+    one {!Cluster.apply_bulk} call, so each shard's journal is flushed
+    once per sub-batch and receives the same events in the same order
+    as one by one.
 
-    The watchdog runs per batch: the ops the batch sends to one shard
-    (over all its chunks) get [n * op_deadline] together, timed around
-    the shard's sub-batch tasks. A shard over its deadline takes one
+    The watchdog rule is {!apply}'s: the ops the batch sends to one
+    shard (over all its chunks) get [n * op_deadline] together, timed
+    around the shard's sub-batch tasks, and a shard over it takes one
     failure signal. The watchdog judges a batch after it has run, so
     every op in the batch was applied before any transition it
     triggers; the moves of a resulting evacuation are appended to the

@@ -211,13 +211,8 @@ let test_mailbox_backpressure () =
     (match Mailbox.create ~capacity:0 with
     | exception Invalid_argument _ -> Error "cap"
     | _ -> Ok ());
-  check_int "capacity reported" 2 (Mailbox.capacity mb);
   check_bool "send into space" true (Mailbox.send mb 1);
   check_bool "send fills" true (Mailbox.send mb 2);
-  (match Mailbox.try_send mb 3 with
-  | `Full -> ()
-  | `Sent | `Closed -> Alcotest.fail "full mailbox accepted a third element");
-  check_int "length is the fill" 2 (Mailbox.length mb);
   (* A blocked sender parks until the consumer makes room. *)
   let unblocked = ref false in
   let t =
@@ -241,11 +236,7 @@ let test_mailbox_close () =
   check_bool "accepted before close" true (Mailbox.send mb "b");
   Mailbox.close mb;
   Mailbox.close mb (* idempotent *);
-  check_bool "closed" true (Mailbox.is_closed mb);
   check_bool "send refused after close" false (Mailbox.send mb "c");
-  (match Mailbox.try_send mb "c" with
-  | `Closed -> ()
-  | `Sent | `Full -> Alcotest.fail "closed mailbox accepted a send");
   (* Everything accepted before close still drains, then end-of-stream. *)
   check Alcotest.(option string) "drains a" (Some "a") (Mailbox.recv mb);
   check Alcotest.(option string) "drains b" (Some "b") (Mailbox.recv mb);

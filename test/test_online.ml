@@ -786,6 +786,62 @@ let test_streaming_decode_allocation () =
             (a <= 32. *. frames))
         [ ("fold_file", Journal.fold_file path); ("fold_string", Journal.fold_string journal) ])
 
+(* The one-op path allocates its result and the op its wrapper builds,
+   nothing else. Steady state (slots reserved, no trigger, no journal,
+   latency histograms off), the three verbs measured 11 minor words per
+   [add_job], 11 per [resize_job] and 10 per [remove_job] (OCaml 5.1,
+   64-bit) before they shared one kernel: the result plus the timing
+   closure each verb built. Those are the ceilings. The quiet batch
+   loop must stay under bench E24's 0.5 words per op. *)
+let test_one_op_allocation () =
+  Rebal_obs.Control.with_enabled false @@ fun () ->
+  let eng = Engine.create ~m:8 () in
+  Engine.reserve eng ~jobs:4096;
+  let n = 1000 in
+  let ids = Array.init n (Printf.sprintf "j%d") in
+  let adds () =
+    for i = 0 to n - 1 do
+      ignore (Engine.add_job eng ~id:ids.(i) ~size:(1 + (i mod 97)))
+    done
+  in
+  let resizes () =
+    for i = 0 to n - 1 do
+      ignore (Engine.resize_job eng ~id:ids.(i) ~size:(1 + (i mod 13)))
+    done
+  in
+  let removes () =
+    for i = 0 to n - 1 do
+      ignore (Engine.remove_job eng ~id:ids.(i))
+    done
+  in
+  let words_per_op ops f =
+    let before = Gc.minor_words () in
+    f ();
+    (Gc.minor_words () -. before) /. float_of_int ops
+  in
+  for _ = 1 to 2 do
+    adds ();
+    resizes ();
+    removes ()
+  done;
+  List.iter
+    (fun (name, f, ceiling) ->
+      let w = words_per_op n f in
+      check_bool (Printf.sprintf "%s: %.1f minor words per op <= %.0f" name w ceiling) true
+        (w <= ceiling))
+    [ ("add_job", adds, 11.); ("resize_job", resizes, 11.); ("remove_job", removes, 10.) ];
+  let ops =
+    Array.concat
+      [
+        Array.mapi (fun i id -> Engine.Add { id; size = 1 + (i mod 97) }) ids;
+        Array.mapi (fun i id -> Engine.Resize { id; size = 1 + (i mod 13) }) ids;
+        Array.map (fun id -> Engine.Remove { id }) ids;
+      ]
+  in
+  Engine.apply_bulk eng ops;
+  let w = words_per_op (Array.length ops) (fun () -> Engine.apply_bulk eng ops) in
+  check_bool (Printf.sprintf "quiet apply_bulk: %.2f minor words per op <= 0.5" w) true (w <= 0.5)
+
 let () =
   Alcotest.run "rebal_online"
     [
@@ -794,6 +850,7 @@ let () =
           Alcotest.test_case "greedy placement vs brute force" `Quick test_greedy_placement;
           Alcotest.test_case "remove and resize" `Quick test_remove_resize;
           Alcotest.test_case "error cases" `Quick test_errors;
+          Alcotest.test_case "one-op allocation pinned" `Quick test_one_op_allocation;
         ] );
       ( "consistency",
         [

@@ -9,6 +9,7 @@ module Metrics = Rebal_obs.Metrics
 module Cluster = Rebal_online.Cluster
 module Engine = Rebal_online.Engine
 module Protocol = Rebal_online.Protocol
+module Supervisor = Rebal_online.Supervisor
 module Http = Rebal_net.Http
 
 (* Optrace state is global (knobs, id counters, slow ring, the list of
@@ -128,6 +129,79 @@ let test_repair_span () =
               (int_of_string_opt (List.assoc "moves" sp.attrs) <> None);
             Alcotest.(check int) (label ^ ": same trace") root.span.trace_id sp.trace_id)
           spans)
+    targets
+
+(* ----- per-verb observability on every target ----- *)
+
+(* With latency histograms on and every op sampled, a one-by-one
+   ADD / RESIZE / REMOVE lands exactly one observation in
+   [rebal_engine_op_latency_seconds] under its own [op] label — on a
+   single engine, a cluster at D in {0, 2} and a supervised cluster —
+   and on a cluster its shard task is a [shard.add] / [shard.resize] /
+   [shard.remove] span. A pipelined run's shard tasks are
+   [shard.apply_bulk] spans. *)
+let test_per_verb_observability () =
+  let cluster domains () = Cluster.create ~m:4 ~shards:2 ~domains () in
+  let targets =
+    [
+      ("single", fun () -> Protocol.Single (Engine.create ~m:4 ()));
+      ("cluster D=0", fun () -> Protocol.Cluster (cluster 0 ()));
+      ("cluster D=2", fun () -> Protocol.Cluster (cluster 2 ()));
+      ("supervised", fun () -> Protocol.Supervised (Supervisor.create (cluster 0 ())));
+    ]
+  in
+  let latency target op =
+    Metrics.Histogram.observations
+      (Metrics.histogram ~registry:(Protocol.metrics_registry target) ~labels:[ ("op", op) ]
+         "rebal_engine_op_latency_seconds")
+  in
+  let shard_spans () =
+    List.filter_map
+      (fun (sp : Optrace.span) ->
+        if String.starts_with ~prefix:"shard." sp.name then Some sp.name else None)
+      (Optrace.recorded ())
+  in
+  let no_err label replies =
+    List.iter
+      (fun l ->
+        if String.starts_with ~prefix:"ERR" l then Alcotest.failf "%s: %s" label l)
+      replies
+  in
+  List.iter
+    (fun (label, make) ->
+      with_tracing ~sample:1 ~slow_ns:(-1) @@ fun () ->
+      Rebal_obs.Control.with_enabled true @@ fun () ->
+      Metrics.Registry.with_registry (Metrics.Registry.create ()) @@ fun () ->
+      let target = make () in
+      let sharded = Protocol.cluster_of target <> None in
+      Fun.protect ~finally:(fun () -> Option.iter Cluster.shutdown (Protocol.cluster_of target))
+      @@ fun () ->
+      List.iter
+        (fun (line, op) ->
+          let before = List.map (fun o -> (o, latency target o)) [ "add"; "remove"; "resize" ] in
+          Optrace.reset ();
+          no_err label (fst (Protocol.handle_line target line));
+          List.iter
+            (fun (o, n) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s observes op=%s" label line o)
+                (if o = op then n + 1 else n)
+                (latency target o))
+            before;
+          if sharded then
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s: %s shard span" label line)
+              [ "shard." ^ op ] (shard_spans ()))
+        [ ("ADD a 5", "add"); ("ADD b 7", "add"); ("RESIZE a 9", "resize"); ("REMOVE b", "remove") ];
+      Optrace.reset ();
+      no_err label (fst (Protocol.handle_lines target [ "ADD c 3"; "ADD d 4"; "RESIZE c 8" ]));
+      if sharded then begin
+        let spans = shard_spans () in
+        Alcotest.(check bool) (label ^ ": pipelined run has shard spans") true (spans <> []);
+        List.iter
+          (fun name -> Alcotest.(check string) (label ^ ": pipelined span") "shard.apply_bulk" name)
+          spans
+      end)
     targets
 
 (* ----- well-formed trees under concurrent drivers ----- *)
@@ -292,6 +366,8 @@ let () =
           Alcotest.test_case "cross-shard move tree" `Quick test_move_tree;
           Alcotest.test_case "orphan promotion" `Quick test_orphan_promotion;
           Alcotest.test_case "REBALANCE shows engine.repair" `Quick test_repair_span;
+          Alcotest.test_case "one-by-one verbs observe per verb" `Quick
+            test_per_verb_observability;
           QCheck_alcotest.to_alcotest prop_trees_well_formed;
         ] );
       ("slow ring", [ QCheck_alcotest.to_alcotest prop_slow_ring_retention ]);

@@ -99,9 +99,9 @@ let apply_events sup events =
   List.iter
     (fun ev ->
       match ev with
-      | `Add (id, size) -> ignore (Supervisor.add_job sup ~id ~size)
-      | `Remove id -> ignore (Supervisor.remove_job sup ~id)
-      | `Resize (id, size) -> ignore (Supervisor.resize_job sup ~id ~size)
+      | `Add (id, size) -> ignore (Supervisor.apply sup (Engine.Add { id; size }))
+      | `Remove id -> ignore (Supervisor.apply sup (Engine.Remove { id }))
+      | `Resize (id, size) -> ignore (Supervisor.apply sup (Engine.Resize { id; size }))
       | `Rebalance k -> ignore (Supervisor.rebalance sup ~k))
     events
 
@@ -163,7 +163,7 @@ let test_probe_streaks () =
   let alive = [| true; true |] in
   let sup = Supervisor.create ~config:(config ()) ~probe:(fun i -> alive.(i)) cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 7))))
+    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   check health_eq "starts healthy" Supervisor.Healthy (Supervisor.health sup 1);
   alive.(1) <- false;
@@ -204,14 +204,14 @@ let test_watchdog_deadline () =
   let sup =
     Supervisor.create ~config:(config ~op_deadline:1.0 ~down_after:2 ()) ~clock cluster
   in
-  ignore (ok (Supervisor.add_job sup ~id:"a" ~size:5));
+  ignore (ok (Supervisor.apply sup (Engine.Add { id = "a"; size = 5 })));
   check_int "no trip under the deadline" 0 (Supervisor.stats sup).Supervisor.watchdog_trips;
   (* With down_after = 1 a single blown deadline downs the serving
      shard, whichever one the ring picked. *)
   let tight =
     Supervisor.create ~config:(config ~op_deadline:0.5 ~down_after:1 ()) ~clock cluster
   in
-  (match Supervisor.add_job tight ~id:"b" ~size:5 with
+  (match Supervisor.apply tight (Engine.Add { id = "b"; size = 5 }) with
   | Ok (_, _) -> ()
   | Error e -> Alcotest.failf "add under watchdog: %s" e);
   let h = Supervisor.stats tight in
@@ -231,7 +231,7 @@ let test_recovery_ramp () =
       cluster
   in
   for i = 0 to 15 do
-    ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + i)))
+    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + i })))
   done;
   alive.(0) <- false;
   ignore (Supervisor.tick sup);
@@ -264,7 +264,7 @@ let test_degraded_mode () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup = Supervisor.create ~config:(config ~evac_budget:3 ()) cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 7))))
+    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   let victim_jobs = jobs_on cluster 0 in
   Alcotest.(check bool) "victim holds more than the budget" true (victim_jobs > 3);
@@ -279,17 +279,17 @@ let test_degraded_mode () =
         Engine.fold_jobs e (fun _ ~id ~size:_ ~proc:_ -> Some id) None)
     |> Option.get
   in
-  (match Supervisor.remove_job sup ~id:stranded_id with
+  (match Supervisor.apply sup (Engine.Remove { id = stranded_id }) with
   | Ok _ -> Alcotest.fail "remove of a stranded job must be rejected"
   | Error e -> check_bool ("names the shard: " ^ e) true (String.length e > 0));
-  (match Supervisor.resize_job sup ~id:stranded_id ~size:9 with
+  (match Supervisor.apply sup (Engine.Resize { id = stranded_id; size = 9 }) with
   | Ok _ -> Alcotest.fail "resize of a stranded job must be rejected"
   | Error _ -> ());
   check_int "rejections counted" 2 (Supervisor.stats sup).Supervisor.degraded_rejections;
   (* New placements keep working and never land on the dead shard. *)
   for i = 100 to 199 do
     let id = Printf.sprintf "n%d" i in
-    ignore (ok (Supervisor.add_job sup ~id ~size:3));
+    ignore (ok (Supervisor.apply sup (Engine.Add { id; size = 3 })));
     check_int ("new job routed to the survivor: " ^ id) 1
       (Option.get (Cluster.shard_of cluster id))
   done;
@@ -302,7 +302,7 @@ let test_readmit_validation () =
   (match Supervisor.readmit sup 0 (fresh 4) with
   | Ok () -> Alcotest.fail "readmit of a healthy shard must fail"
   | Error e -> check_bool ("says not down: " ^ e) true (String.length e > 0));
-  ignore (ok (Supervisor.add_job sup ~id:"x" ~size:5));
+  ignore (ok (Supervisor.apply sup (Engine.Add { id = "x"; size = 5 })));
   ignore (Supervisor.mark_down sup 0);
   (* Wrong processor count and phantom jobs are both rejected. *)
   (match Supervisor.readmit sup 0 (fresh 3) with
@@ -329,11 +329,11 @@ let test_readmit_validation () =
 let test_all_down_refuses () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup = Supervisor.create cluster in
-  ignore (ok (Supervisor.add_job sup ~id:"x" ~size:5));
+  ignore (ok (Supervisor.apply sup (Engine.Add { id = "x"; size = 5 })));
   ignore (Supervisor.mark_down sup 0);
   ignore (Supervisor.mark_down sup 1);
   check_int "nothing serving" 0 (Supervisor.serving_shards sup);
-  (match Supervisor.add_job sup ~id:"y" ~size:1 with
+  (match Supervisor.apply sup (Engine.Add { id = "y"; size = 1 }) with
   | Ok _ -> Alcotest.fail "add with no serving shards must fail"
   | Error e -> check_bool ("refuses: " ^ e) true (String.length e > 0));
   (* The last evacuation had no survivors: the job stays stranded. *)
@@ -521,7 +521,7 @@ let stepped ?(down_after = 3) cluster =
   in
   let sup = Supervisor.create ~config:(config ~op_deadline:1.0 ~down_after ()) ~clock cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.add_job sup ~id:(Printf.sprintf "j%d" i) ~size:(1 + (i mod 7))))
+    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   let on s =
     List.filter
@@ -584,13 +584,13 @@ let test_batch_watchdog_evacuates_into_reply () =
   check_int "nothing left on shard 1" 0 (jobs_on cluster 1);
   check_bool "consistent after the batch evacuation" true (Cluster.check_consistency cluster ~k:8)
 
-(* A one-by-one remove has no id left to look up when its deadline is
-   blown: it is charged through the processor the job left. *)
+(* A one-by-one remove has no id left in the directory once it ran:
+   its blown deadline is charged to the shard whose task served it. *)
 let test_remove_watchdog_attribution () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup, step, on = stepped cluster in
   step := 2.0;
-  ignore (ok (Supervisor.remove_job sup ~id:(List.hd (on 1))));
+  ignore (ok (Supervisor.apply sup (Engine.Remove { id = List.hd (on 1) })));
   check_int "one trip" 1 (trips sup);
   check health_eq "charged to shard 1" Supervisor.Suspect (Supervisor.health sup 1);
   check health_eq "shard 0 untouched" Supervisor.Healthy (Supervisor.health sup 0)
