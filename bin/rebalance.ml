@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.18.0"
+let version = "1.19.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -562,9 +562,9 @@ let profile_cmd =
            (Assignment.makespan inst assignment)
            (Instance.initial_makespan inst));
       List.iter
-        (fun (op : Optrace.tree) ->
-          List.iter (fun sp -> Buffer.add_string b (Optrace.render_tree sp)) op.children)
-        (Optrace.assemble (Optrace.recorded ()));
+        (fun (op : Optrace.trace) ->
+          List.iter (fun sp -> Buffer.add_string b (Optrace.render_tree sp)) op.root.children)
+        (Optrace.traces ());
       Buffer.add_char b '\n';
       Buffer.add_string b (Rebal_harness.Table.render (counter_table reg));
       (match out with

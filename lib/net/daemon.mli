@@ -54,7 +54,7 @@ type t
 
 val create : config -> (t, string) result
 (** {!validate}, then resume or create the journals (refusing one
-    recorded over another processor count), assemble the target, open
+    recorded over another processor count), build the target, open
     the telemetry output and load the alert rules (refusing an
     unreadable, malformed or empty file); a file that cannot be opened
     is an [Error] too. Sets the process-wide tracing knobs. Logs each

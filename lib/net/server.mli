@@ -17,12 +17,12 @@
     many threads ({!Daemon} serializes sessions under its operation
     lock when it is not).
 
-    Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) or a
-    call to {!request_stop} (the SIGTERM path) stops the accept loop;
-    {!drain} then waits out live sessions for a grace period and shuts
-    down the sockets of any stragglers — reusing the daemon's ordinary
-    finalizer path (final snapshot, metrics dump, cluster shutdown)
-    after it returns. *)
+    Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) stops
+    the accept loop, as does the daemon's SIGTERM handler by raising in
+    the accepting thread; {!drain} then waits out live sessions for a
+    grace period and shuts down the sockets of any stragglers — reusing
+    the daemon's ordinary finalizer path (final snapshot, metrics dump,
+    cluster shutdown) after it returns. *)
 
 type t
 
@@ -41,17 +41,11 @@ val run :
 (** Accept until stopped. Each connection runs [session] on its own
     thread, started by [spawn]; a session's exceptions end only that
     session, and a connection [spawn] refuses (by raising) is closed.
-    Returns once a stop was requested (by a [Stop] verdict or
-    {!request_stop}); live sessions may still be running — follow with
-    {!drain}. *)
-
-val request_stop : t -> unit
-(** Stop accepting new connections (idempotent, callable from any
-    thread). In-flight sessions continue until {!drain}. *)
-
-val session_count : t -> int
+    Returns once a session answered [Stop]; live sessions may still be
+    running — follow with {!drain}. *)
 
 val drain : ?grace:float -> t -> unit
-(** {!request_stop}, wait up to [grace] seconds (default 5) for live
+(** Stop accepting new connections (idempotent, callable from any
+    thread), wait up to [grace] seconds (default 5) for live
     sessions to finish, force-shutdown the sockets of any that
     remain, and close the listener. *)

@@ -270,8 +270,7 @@ type rule_state = {
 type t = {
   tsdb : Tsdb.t;
   states : rule_state list;
-  ring : transition option array;
-  mutable ring_written : int;
+  log : transition Ring.t;
   sink : Journal.sink option;
   lock : Mutex.t;
 }
@@ -325,8 +324,9 @@ let create ?(transition_capacity = 256) ?registry ?sink ~rules tsdb =
   {
     tsdb;
     states;
-    ring = Array.make transition_capacity None;
-    ring_written = 0;
+    log =
+      Ring.create transition_capacity
+        { t_rule = ""; t_from = Inactive; t_to = Inactive; t_at_ns = 0; t_value = None; t_expr = "" };
     sink;
     lock = Mutex.create ();
   }
@@ -374,8 +374,7 @@ let record t rs ~from_ ~to_ ~now ~value =
       t_expr = expr_string rs.rule.condition;
     }
   in
-  t.ring.(t.ring_written mod Array.length t.ring) <- Some tr;
-  t.ring_written <- t.ring_written + 1;
+  Ring.push t.log tr;
   List.iter
     (fun (s, g) -> Metrics.Gauge.set g (if s = to_ then 1. else 0.))
     rs.state_gauges;
@@ -438,12 +437,7 @@ let firing t =
         (fun rs -> if rs.st = Firing then Some (rs.rule, rs.observed) else None)
         t.states)
 
-let transitions t =
-  locked t (fun () ->
-      let n = min t.ring_written (Array.length t.ring) in
-      List.filter_map
-        (fun i -> t.ring.((t.ring_written - n + i) mod Array.length t.ring))
-        (List.init n Fun.id))
+let transitions t = locked t (fun () -> Ring.to_list t.log)
 
 let fmt_value = function None -> "na" | Some v -> Printf.sprintf "%.9g" v
 
@@ -455,7 +449,7 @@ let status_lines t =
           "ALERTS rules=%d firing=%d pending=%d resolved=%d inactive=%d \
            transitions=%d"
           (List.length t.states) (count Firing) (count Pending) (count Resolved)
-          (count Inactive) t.ring_written
+          (count Inactive) (Ring.pushed t.log)
       in
       let rule_lines =
         List.map
@@ -469,17 +463,11 @@ let status_lines t =
               (expr_string rs.rule.condition))
           t.states
       in
-      let n = min t.ring_written (Array.length t.ring) in
       let trans_lines =
-        List.filter_map
-          (fun i ->
-            match t.ring.((t.ring_written - n + i) mod Array.length t.ring) with
-            | None -> None
-            | Some tr ->
-              Some
-                (Printf.sprintf "TRANS %s %s->%s at_ns=%d value=%s" tr.t_rule
-                   (state_name tr.t_from) (state_name tr.t_to) tr.t_at_ns
-                   (fmt_value tr.t_value)))
-          (List.init n Fun.id)
+        List.map
+          (fun tr ->
+            Printf.sprintf "TRANS %s %s->%s at_ns=%d value=%s" tr.t_rule
+              (state_name tr.t_from) (state_name tr.t_to) tr.t_at_ns (fmt_value tr.t_value))
+          (Ring.to_list t.log)
       in
       (summary :: rule_lines) @ trans_lines)

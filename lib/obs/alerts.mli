@@ -76,10 +76,6 @@ type rule = {
   suspect : int option;  (** shard to report against while firing *)
 }
 
-val expr_string : condition -> string
-(** Canonical expression text, e.g. ["rate(x{a="b"}[30s]) > 5"] —
-    the provenance recorded on transitions. *)
-
 val parse_rule : string -> (rule option, string) result
 (** One line; [Ok None] on blank/comment. *)
 
@@ -95,7 +91,9 @@ type transition = {
   t_to : state;
   t_at_ns : int;  (** the tick's {!Tsdb.last_sample_ns} *)
   t_value : float option;  (** observed value ([None]: no data) *)
-  t_expr : string;  (** {!expr_string} of the rule's condition *)
+  t_expr : string;
+      (** canonical text of the rule's condition, e.g.
+          ["rate(x{a="b"}[30s]) > 5"] — the transition's provenance *)
 }
 
 type t

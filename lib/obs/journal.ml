@@ -685,8 +685,7 @@ type sink = {
   mutable header_written : bool;
   (* Rendered JSONL lines, or binary frame payloads (length prefix
      stripped) — [tail] decodes the latter back to JSONL text. *)
-  ring : string array;
-  mutable ring_written : int;
+  ring : string Ring.t;
   scratch : Fb.t; (* encode scratch, reused per event *)
   batch : Buffer.t; (* deferred bytes while [batching > 0] *)
   mutable batching : int;
@@ -714,8 +713,7 @@ let create ?(format = Jsonl) ?(tail_capacity = 512) ?(start_seq = 0) ?header_wri
        corrupt it. Resuming right after a header with no events yet
        needs the explicit override, since start_seq is 0 there too. *)
     header_written = (match header_written with Some b -> b | None -> start_seq > 0);
-    ring = Array.make tail_capacity "";
-    ring_written = 0;
+    ring = Ring.create tail_capacity "";
     scratch = Fb.create 256;
     batch = Buffer.create 256;
     batching = 0;
@@ -792,8 +790,7 @@ let end_batch sink =
    buffer — same bytes, one copy fewer than building the framed string
    first. Unbatched sinks still get exactly one [write] per line. *)
 let push_line sink line =
-  sink.ring.(sink.ring_written mod Array.length sink.ring) <- line;
-  sink.ring_written <- sink.ring_written + 1;
+  Ring.push sink.ring line;
   if sink.batching > 0 then begin
     Buffer.add_string sink.batch line;
     Buffer.add_char sink.batch '\n'
@@ -801,8 +798,7 @@ let push_line sink line =
   else sink.write (line ^ "\n")
 
 let push_payload sink payload =
-  sink.ring.(sink.ring_written mod Array.length sink.ring) <- payload;
-  sink.ring_written <- sink.ring_written + 1;
+  Ring.push sink.ring payload;
   if sink.batching > 0 then begin
     Buffer.add_int32_le sink.batch (Int32.of_int (String.length payload));
     Buffer.add_string sink.batch payload
@@ -846,7 +842,7 @@ let stream_error sink msg =
   raise
     (Encode_error
        (Printf.sprintf "line %d (event seq %d, ev %S): %s"
-          (sink.ring_written + 1) sink.stream_seq sink.stream_kind msg))
+          (Ring.pushed sink.ring + 1) sink.stream_seq sink.stream_kind msg))
 
 module Emit = struct
   let start sink ~kind ~fields =
@@ -945,15 +941,12 @@ let emit sink ~kind fields =
 let events_written sink = sink.next_seq
 
 let tail sink n =
-  let cap = Array.length sink.ring in
-  let total = sink.ring_written in
-  let avail = min total cap in
-  let take = max 0 (min n avail) in
-  List.init take (fun j ->
-      let entry = sink.ring.((total - take + j) mod cap) in
+  List.map
+    (fun entry ->
       match sink.format with
       | Jsonl -> entry
       | Binary -> render_json (decode_payload entry))
+    (Ring.last sink.ring n)
 
 (* ----- reading journals -----
 

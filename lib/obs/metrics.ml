@@ -127,12 +127,6 @@ let default_buckets =
     1e-2; 2.5e-2; 5e-2; 0.1; 0.25; 0.5; 1.0;
   |]
 
-let exponential_buckets ~start ~factor ~count =
-  if count < 1 then invalid_arg "Metrics.exponential_buckets: count must be positive";
-  if start <= 0.0 then invalid_arg "Metrics.exponential_buckets: start must be positive";
-  if factor <= 1.0 then invalid_arg "Metrics.exponential_buckets: factor must exceed 1";
-  Array.init count (fun i -> start *. (factor ** float_of_int i))
-
 let check_buckets upper =
   if Array.length upper = 0 then invalid_arg "Metrics.histogram: no buckets";
   Array.iteri

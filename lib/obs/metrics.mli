@@ -96,12 +96,6 @@ val histogram :
     latency buckets 1 µs .. 1 s); an implicit +Inf bucket is appended.
     The bucket array is ignored when the histogram already exists. *)
 
-val default_buckets : float array
-
-val exponential_buckets : start:float -> factor:float -> count:int -> float array
-(** [start *. factor^i] for [i < count].
-    @raise Invalid_argument unless [start > 0], [factor > 1], [count >= 1]. *)
-
 module Counter : sig
   type t = counter
 

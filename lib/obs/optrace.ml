@@ -1,38 +1,37 @@
 module Timer = Rebal_harness.Timer
 
-(* The one span system. Protocol ops cross threads: a session systhread
-   opens the op, runs each shard task under that shard's lock, and a
-   two-phase move touches two shards. So spans are flat records
-   carrying explicit [trace_id]/[span_id]/[parent_id] links, recorded
-   into per-domain ring buffers (every domain's ring registered in one
-   global list) and stitched back into trees at exposition time —
-   recording never blocks on anything wider than one domain's ring
-   mutex. The solvers' phase spans ([greedy.*], [m_partition.*],
+(* The one span system. A sampled op's spans are nested calls on one
+   thread — the session thread that opened the op runs every shard task
+   itself — so the tree is built in place: each thread's innermost open
+   span sits in a table keyed by thread id, [with_span] links a child
+   under it, and when the op returns its finished tree goes whole into
+   one ring bounded in spans. An open span is written only by its own
+   thread; a tree is published under the ring mutex and never written
+   again. The solvers' phase spans ([greedy.*], [m_partition.*],
    [engine.repair]) are ordinary children of whatever op is open:
    [profile] opens one at sample-every-1.
 
    Cost model: head sampling (1-in-N at the op boundary) decides whether
    an op's spans are recorded at all; ops slower than the tail threshold
    are additionally captured into a bounded slow-op ring whether or not
-   they were sampled (an unsampled slow op keeps only its root span —
-   the children were never recorded). With both knobs off, [with_op] is
-   [f ()] behind two atomic loads; while no thread is inside a sampled
-   op, [with_span]/[add_attr] are behind one. *)
+   they were sampled (an unsampled slow op stores a root-only tree — the
+   children were never recorded). An unsampled op reads the clock twice
+   and builds nothing unless it turns out slow. With both knobs off,
+   [with_op] is [f ()] behind two atomic loads; while no thread is inside
+   a sampled op, [with_span]/[add_attr] are behind one. *)
 
 type span = {
-  trace_id : int;
-  span_id : int;
-  parent_id : int;  (* 0 when the span is a trace root *)
   name : string;
-  domain : int;  (* domain the span ran on *)
   start_ns : int64;
   mutable stop_ns : int64;
   mutable attrs : (string * string) list;
+  mutable children : span list; (* newest first until the span closes *)
 }
 
-type carrier = {
-  trace : int;
-  parent : int;
+type trace = {
+  trace_id : int;
+  spans : int;
+  root : span;
 }
 
 type slow_op = {
@@ -59,285 +58,181 @@ let set_slow_threshold_ns n = Atomic.set slow_threshold n
 let set_clock f = Atomic.set clock f
 let now () = (Atomic.get clock) ()
 
-(* ----- id allocation (globally unique across domains) ----- *)
-
 let trace_ids = Atomic.make 1
-let span_ids = Atomic.make 1
 let op_counter = Atomic.make 0
 
-let next_trace () = Atomic.fetch_and_add trace_ids 1
-let next_span () = Atomic.fetch_and_add span_ids 1
-
-(* ----- drop accounting ----- *)
-
-let count_dropped kind =
-  Metrics.Counter.inc
+let count_dropped kind n =
+  Metrics.Counter.add
     (Metrics.counter
        ~help:"Trace entries overwritten because a buffer wrapped"
        ~labels:[ ("kind", kind) ] "rebal_trace_dropped_total")
+    n
 
-(* ----- per-domain span rings ----- *)
+(* ----- the rings: op traces (bounded in spans) and slow ops ----- *)
 
-(* One ring per domain, in DLS, and every ring ever made in [rings], so
-   a reader on any domain sees every domain's spans. The mutex is not
-   redundant: the systhreads of one domain share its DLS slot, so
-   several threads record into one ring concurrently. *)
-type ring = {
-  ring_mu : Mutex.t;
-  mutable slots : span option array;
-  mutable written : int;
-}
+let leaf name start_ns stop_ns = { name; start_ns; stop_ns; attrs = []; children = [] }
 
 let rings_mu = Mutex.create ()
-let rings : ring list ref = ref []
 
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r = { ring_mu = Mutex.create (); slots = Array.make 4096 None; written = 0 } in
-      Mutex.protect rings_mu (fun () -> rings := r :: !rings);
-      r)
+(* Each trace holds at least one span, so a ring with one slot per
+   span of the bound never fills before the bound is reached. *)
+let no_trace = { trace_id = 0; spans = 0; root = leaf "" 0L 0L }
+let trace_ring = ref (Ring.create 4096 no_trace)
+let retained_spans = ref 0
 
-let ring () = Domain.DLS.get ring_key
-let all_rings () = Mutex.protect rings_mu (fun () -> List.rev !rings)
+let slow_ring =
+  Ring.create 256 { slow_trace = 0; slow_verb = ""; slow_duration_ns = 0L; slow_finished_ns = 0L }
 
 let set_ring_capacity n =
   if n < 1 then invalid_arg "Optrace.set_ring_capacity: need a positive capacity";
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  r.slots <- Array.make n None;
-  r.written <- 0;
-  Mutex.unlock r.ring_mu
+  Mutex.protect rings_mu (fun () ->
+      trace_ring := Ring.create n no_trace;
+      retained_spans := 0)
 
-let record sp =
-  let r = ring () in
-  Mutex.lock r.ring_mu;
-  let cap = Array.length r.slots in
-  let slot = r.written mod cap in
-  let dropped = r.slots.(slot) <> None in
-  r.slots.(slot) <- Some sp;
-  r.written <- r.written + 1;
-  Mutex.unlock r.ring_mu;
-  if dropped then count_dropped "op_span"
+(* Under [rings_mu]: evict whole traces, oldest first, until [need]
+   more spans fit; returns the spans evicted. *)
+let rec evict r need dropped =
+  if !retained_spans + need <= Ring.capacity r then dropped
+  else
+    match Ring.pop r with
+    | None -> dropped
+    | Some old ->
+      retained_spans := !retained_spans - old.spans;
+      evict r need (dropped + old.spans)
 
-let ring_spans r =
-  Mutex.lock r.ring_mu;
-  let buf = Array.copy r.slots in
-  let total = r.written in
-  Mutex.unlock r.ring_mu;
-  let cap = Array.length buf in
-  let start = max 0 (total - cap) in
-  List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
+(* A trace larger than the whole bound is dropped on arrival. *)
+let record_trace tr =
+  let dropped =
+    Mutex.protect rings_mu (fun () ->
+        let r = !trace_ring in
+        if tr.spans > Ring.capacity r then tr.spans
+        else begin
+          let dropped = evict r tr.spans 0 in
+          Ring.push r tr;
+          retained_spans := !retained_spans + tr.spans;
+          dropped
+        end)
+  in
+  if dropped > 0 then count_dropped "op_span" dropped
 
-let recorded () = List.concat_map ring_spans (all_rings ())
+let record_slow op =
+  let full =
+    Mutex.protect rings_mu (fun () ->
+        let full = Ring.is_full slow_ring in
+        Ring.push slow_ring op;
+        full)
+  in
+  if full then count_dropped "slow_op" 1
 
-(* ----- the slow-op ring (global: every domain's slow ops land here) ----- *)
+let traces () = Mutex.protect rings_mu (fun () -> Ring.to_list !trace_ring)
+let slow_ops () = Mutex.protect rings_mu (fun () -> Ring.to_list slow_ring)
 
-type slow_ring = {
-  slow_mu : Mutex.t;
-  mutable slow_slots : slow_op option array;
-  mutable slow_written : int;
-}
+let reset () =
+  Mutex.protect rings_mu (fun () ->
+      Ring.clear !trace_ring;
+      retained_spans := 0;
+      Ring.clear slow_ring);
+  Atomic.set op_counter 0
 
-let slow_ring =
-  { slow_mu = Mutex.create (); slow_slots = Array.make 256 None; slow_written = 0 }
+(* ----- the current span ----- *)
 
-let set_slow_capacity n =
-  if n < 1 then invalid_arg "Optrace.set_slow_capacity: need a positive capacity";
-  Mutex.lock slow_ring.slow_mu;
-  slow_ring.slow_slots <- Array.make n None;
-  slow_ring.slow_written <- 0;
-  Mutex.unlock slow_ring.slow_mu
-
-let record_slow e =
-  Mutex.lock slow_ring.slow_mu;
-  let cap = Array.length slow_ring.slow_slots in
-  let slot = slow_ring.slow_written mod cap in
-  let dropped = slow_ring.slow_slots.(slot) <> None in
-  slow_ring.slow_slots.(slot) <- Some e;
-  slow_ring.slow_written <- slow_ring.slow_written + 1;
-  Mutex.unlock slow_ring.slow_mu;
-  if dropped then count_dropped "slow_op"
-
-let slow_ops () =
-  Mutex.lock slow_ring.slow_mu;
-  let buf = Array.copy slow_ring.slow_slots in
-  let total = slow_ring.slow_written in
-  Mutex.unlock slow_ring.slow_mu;
-  let cap = Array.length buf in
-  let start = max 0 (total - cap) in
-  List.filter_map (fun i -> buf.(i mod cap)) (List.init (total - start) (fun j -> start + j))
-
-(* ----- the current trace context ----- *)
-
-(* The innermost open span of each thread inside a sampled op. Keyed
-   by (domain, thread), not plain DLS: the session systhreads of one
-   domain share its DLS, so a domain-local "current span" would leak one
-   session's context into another. The table only ever holds entries
-   for threads inside a sampled op, so it stays tiny and the lock is
-   uncontended unless tracing is busy. *)
+(* The innermost open span of each thread inside a sampled op, keyed by
+   thread id (unique across domains). The table only ever holds threads
+   inside a sampled op, so it stays tiny and the lock is uncontended
+   unless tracing is busy. *)
 let ctx_mu = Mutex.create ()
-let ctx : (int * int, span) Hashtbl.t = Hashtbl.create 64
+let ctx : (int, span) Hashtbl.t = Hashtbl.create 64
 
-(* [Hashtbl.length ctx], readable without [ctx_mu]. *)
+(* [Hashtbl.length ctx], readable without [ctx_mu]: while no thread is
+   inside a sampled op, the lookup is skipped outright. *)
 let contexts = Atomic.make 0
 
-let self_key () = ((Domain.self () :> int), Thread.id (Thread.self ()))
-
 let current_span () =
+  if Atomic.get contexts = 0 then None
+  else begin
+    let key = Thread.id (Thread.self ()) in
+    Mutex.lock ctx_mu;
+    let sp = Hashtbl.find_opt ctx key in
+    Mutex.unlock ctx_mu;
+    sp
+  end
+
+let active () = Option.is_some (current_span ())
+
+let set_current key sp =
   Mutex.lock ctx_mu;
-  let sp = Hashtbl.find_opt ctx (self_key ()) in
-  Mutex.unlock ctx_mu;
-  sp
-
-(* Context is set only inside a sampled op: while no thread is inside
-   one, the lookup (a mutex and a hash probe) is skipped outright, so
-   untraced callers pay one atomic load. *)
-let may_have_context () = Atomic.get contexts > 0
-
-let current_carrier () =
-  if may_have_context () then
-    Option.map (fun sp -> { trace = sp.trace_id; parent = sp.span_id }) (current_span ())
-  else None
-
-(* Run [f] with [sp] as the calling thread's innermost span, restoring
-   the previous one on the way out (removing the entry if there was
-   none — dead threads must not leave ghosts in the table). *)
-let with_ctx sp f =
-  let key = self_key () in
-  Mutex.lock ctx_mu;
-  let saved = Hashtbl.find_opt ctx key in
-  Hashtbl.replace ctx key sp;
+  (match sp with None -> Hashtbl.remove ctx key | Some sp -> Hashtbl.replace ctx key sp);
   Atomic.set contexts (Hashtbl.length ctx);
-  Mutex.unlock ctx_mu;
+  Mutex.unlock ctx_mu
+
+(* Run [f] with [sp] as the calling thread's innermost span, then close
+   [sp] — stamp its stop, put its children in start order — and restore
+   the previous span (dead threads must not leave ghosts in the table). *)
+let within sp f =
+  let key = Thread.id (Thread.self ()) in
+  let saved = current_span () in
+  set_current key (Some sp);
   Fun.protect f ~finally:(fun () ->
-      Mutex.lock ctx_mu;
-      (match saved with
-      | None -> Hashtbl.remove ctx key
-      | Some s -> Hashtbl.replace ctx key s);
-      Atomic.set contexts (Hashtbl.length ctx);
-      Mutex.unlock ctx_mu)
+      sp.stop_ns <- now ();
+      sp.children <- List.rev sp.children;
+      set_current key saved)
+
+let open_span name attrs =
+  let t = now () in
+  { name; start_ns = t; stop_ns = t; attrs; children = [] }
 
 (* ----- spans ----- *)
+
+let rec span_count sp = List.fold_left (fun n c -> n + span_count c) 1 sp.children
+
+(* Store the op's tree when it was sampled ([root] holds it) or slow (an
+   unsampled slow op stores its root alone). *)
+let close_op ~verb ~slow_t ~start_ns root =
+  let stop_ns = match root with Some sp -> sp.stop_ns | None -> now () in
+  let dur = Int64.sub stop_ns start_ns in
+  let slow = slow_t >= 0 && dur >= Int64.of_int slow_t in
+  if Option.is_some root || slow then begin
+    let trace_id = Atomic.fetch_and_add trace_ids 1 in
+    let root = match root with Some sp -> sp | None -> leaf verb start_ns stop_ns in
+    record_trace { trace_id; spans = span_count root; root };
+    if slow then
+      record_slow
+        { slow_trace = trace_id; slow_verb = verb; slow_duration_ns = dur; slow_finished_ns = stop_ns }
+  end
 
 let with_op ~verb f =
   let every = Atomic.get sample_every in
   let slow_t = Atomic.get slow_threshold in
   if every <= 0 && slow_t < 0 then f ()
   else begin
-    let sampled = every > 0 && Atomic.fetch_and_add op_counter 1 mod every = 0 in
-    let start_ns = now () in
-    let trace_id = next_trace () in
-    let span_id = next_span () in
-    let sp =
-      {
-        trace_id;
-        span_id;
-        parent_id = 0;
-        name = verb;
-        domain = (Domain.self () :> int);
-        start_ns;
-        stop_ns = start_ns;
-        attrs = [];
-      }
+    let root =
+      if every > 0 && Atomic.fetch_and_add op_counter 1 mod every = 0 then
+        Some (open_span verb [])
+      else None
     in
-    let finish () =
-      let stop = now () in
-      sp.stop_ns <- stop;
-      let dur = Int64.sub stop start_ns in
-      let is_slow = slow_t >= 0 && dur >= Int64.of_int slow_t in
-      if sampled || is_slow then record sp;
-      if is_slow then
-        record_slow
-          { slow_trace = trace_id; slow_verb = verb; slow_duration_ns = dur; slow_finished_ns = stop }
-    in
-    Fun.protect ~finally:finish @@ fun () ->
-    if sampled then with_ctx sp f else f ()
+    let start_ns = match root with Some sp -> sp.start_ns | None -> now () in
+    match (match root with Some sp -> within sp f | None -> f ()) with
+    | v ->
+      close_op ~verb ~slow_t ~start_ns root;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      close_op ~verb ~slow_t ~start_ns root;
+      Printexc.raise_with_backtrace e bt
   end
 
 let with_span ?(attrs = []) name f =
-  match current_carrier () with
+  match current_span () with
   | None -> f ()
-  | Some { trace; parent } ->
-    let span_id = next_span () in
-    let sp =
-      {
-        trace_id = trace;
-        span_id;
-        parent_id = parent;
-        name;
-        domain = (Domain.self () :> int);
-        start_ns = now ();
-        stop_ns = 0L;
-        attrs;
-      }
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        sp.stop_ns <- now ();
-        record sp)
-      (fun () -> with_ctx sp f)
+  | Some parent ->
+    let sp = open_span name attrs in
+    parent.children <- sp :: parent.children;
+    within sp f
 
-(* The span is the caller's own until it closes, and [record] runs only
-   after [f] returns, so the write never races a reader of the ring. *)
 let add_attr key v =
-  if may_have_context () then
-    match current_span () with
-    | Some sp -> sp.attrs <- sp.attrs @ [ (key, v) ]
-    | None -> ()
-
-let reset () =
-  List.iter
-    (fun r ->
-      Mutex.lock r.ring_mu;
-      Array.fill r.slots 0 (Array.length r.slots) None;
-      r.written <- 0;
-      Mutex.unlock r.ring_mu)
-    (all_rings ());
-  Mutex.lock slow_ring.slow_mu;
-  Array.fill slow_ring.slow_slots 0 (Array.length slow_ring.slow_slots) None;
-  slow_ring.slow_written <- 0;
-  Mutex.unlock slow_ring.slow_mu;
-  Atomic.set op_counter 0
-
-(* ----- assembly: flat records back into causal trees ----- *)
-
-type tree = {
-  span : span;
-  children : tree list;
-}
-
-let assemble spans =
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun sp -> Hashtbl.replace by_id sp.span_id sp) spans;
-  (* A span is a root when it says so (parent 0) — or when its parent
-     was evicted from a ring, or claims a different trace (which a
-     correct recorder never produces): orphans are promoted to roots
-     rather than silently dropped, so truncation is visible. *)
-  let is_root sp =
-    sp.parent_id = 0
-    ||
-    match Hashtbl.find_opt by_id sp.parent_id with
-    | Some p -> p.trace_id <> sp.trace_id
-    | None -> true
-  in
-  let kids = Hashtbl.create 64 in
-  List.iter
-    (fun sp ->
-      if not (is_root sp) then
-        Hashtbl.replace kids sp.parent_id
-          (sp :: Option.value ~default:[] (Hashtbl.find_opt kids sp.parent_id)))
-    spans;
-  let by_start l = List.sort (fun a b -> Int64.compare a.start_ns b.start_ns) l in
-  let rec node sp =
-    {
-      span = sp;
-      children =
-        List.map node (by_start (Option.value ~default:[] (Hashtbl.find_opt kids sp.span_id)));
-    }
-  in
-  List.map node (by_start (List.filter is_root spans))
-
-let trees_for ~trace_id trees = List.filter (fun t -> t.span.trace_id = trace_id) trees
+  match current_span () with
+  | Some sp -> sp.attrs <- sp.attrs @ [ (key, v) ]
+  | None -> ()
 
 (* ----- rendering ----- *)
 
@@ -356,12 +251,10 @@ let pp_attrs ppf = function
     Format.fprintf ppf " {%s}"
       (String.concat " " (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) attrs))
 
-let rec pp_node ppf ~indent t =
-  Format.fprintf ppf "%s%s%a  %a\n" indent t.span.name pp_attrs t.span.attrs pp_duration
-    (duration_ns t.span);
-  List.iter (fun c -> pp_node ppf ~indent:(indent ^ "  ") c) t.children
+let rec pp_node ~indent ppf sp =
+  Format.fprintf ppf "%s%s%a  %a\n" indent sp.name pp_attrs sp.attrs pp_duration
+    (duration_ns sp);
+  List.iter (pp_node ~indent:(indent ^ "  ") ppf) sp.children
 
-let pp_tree ppf t = pp_node ppf ~indent:"" t
-let render_tree t = Format.asprintf "%a" pp_tree t
-
+let render_tree sp = Format.asprintf "%a" (pp_node ~indent:"") sp
 let render_duration ns = Format.asprintf "%a" pp_duration ns

@@ -38,33 +38,14 @@ let merge_point older newer =
     samples = older.samples + newer.samples;
   }
 
-(* A ring of points. [written] counts every push, so slot [i mod cap]
-   holds push number i and eviction is oldest-first by construction. *)
-type ring = { cap : int; data : point array; mutable written : int }
-
-let ring_create cap = { cap; data = Array.make cap zero_point; written = 0 }
-
-let ring_push r p =
-  r.data.(r.written mod r.cap) <- p;
-  r.written <- r.written + 1
-
-let ring_retained r = min r.written r.cap
-
-(* Oldest retained first. *)
-let ring_points r =
-  let n = ring_retained r in
-  List.init n (fun i -> r.data.((r.written - n + i) mod r.cap))
-
-let ring_oldest_ns r =
-  if r.written = 0 then max_int
-  else r.data.((r.written - ring_retained r) mod r.cap).at_ns
+let ring_oldest_ns r = match Ring.oldest r with None -> max_int | Some p -> p.at_ns
 
 type series = {
   s_name : string;
   s_labels : Metrics.labels;
-  raw : ring;
-  mid : ring;
-  coarse : ring;
+  raw : point Ring.t;
+  mid : point Ring.t;
+  coarse : point Ring.t;
   mutable acc_mid : point;  (* pending mid aggregate; samples = 0 when empty *)
   mutable acc_coarse : point;
   mutable coarse_pending : int;  (* sealed mid points since last coarse seal *)
@@ -74,17 +55,17 @@ let mid_factor = 10
 let coarse_factor = 6 (* of mid points, i.e. 60 raw samples *)
 
 let series_push s p =
-  ring_push s.raw p;
+  Ring.push s.raw p;
   s.acc_mid <- (if s.acc_mid.samples = 0 then p else merge_point s.acc_mid p);
   if s.acc_mid.samples >= mid_factor then begin
     let sealed = s.acc_mid in
     s.acc_mid <- zero_point;
-    ring_push s.mid sealed;
+    Ring.push s.mid sealed;
     s.acc_coarse <-
       (if s.acc_coarse.samples = 0 then sealed else merge_point s.acc_coarse sealed);
     s.coarse_pending <- s.coarse_pending + 1;
     if s.coarse_pending >= coarse_factor then begin
-      ring_push s.coarse s.acc_coarse;
+      Ring.push s.coarse s.acc_coarse;
       s.acc_coarse <- zero_point;
       s.coarse_pending <- 0
     end
@@ -97,14 +78,14 @@ let series_window_points s ~start_ns =
   let raw_oldest = ring_oldest_ns s.raw in
   let mid_oldest = ring_oldest_ns s.mid in
   let in_range lo hi pts = List.filter (fun p -> p.at_ns >= lo && p.at_ns < hi) pts in
-  let raw_pts = List.filter (fun p -> p.at_ns >= start_ns) (ring_points s.raw) in
+  let raw_pts = List.filter (fun p -> p.at_ns >= start_ns) (Ring.to_list s.raw) in
   if raw_oldest <= start_ns then raw_pts
   else
-    let mid_pts = in_range start_ns raw_oldest (ring_points s.mid) in
+    let mid_pts = in_range start_ns raw_oldest (Ring.to_list s.mid) in
     if mid_oldest <= start_ns then mid_pts @ raw_pts
     else
       let coarse_pts =
-        in_range start_ns (min mid_oldest raw_oldest) (ring_points s.coarse)
+        in_range start_ns (min mid_oldest raw_oldest) (Ring.to_list s.coarse)
       in
       coarse_pts @ mid_pts @ raw_pts
 
@@ -159,9 +140,9 @@ let get_series t name labels =
       {
         s_name = name;
         s_labels = snd key;
-        raw = ring_create t.raw_cap;
-        mid = ring_create t.mid_cap;
-        coarse = ring_create t.coarse_cap;
+        raw = Ring.create t.raw_cap zero_point;
+        mid = Ring.create t.mid_cap zero_point;
+        coarse = Ring.create t.coarse_cap zero_point;
         acc_mid = zero_point;
         acc_coarse = zero_point;
         coarse_pending = 0;
@@ -247,7 +228,7 @@ let points_locked t name labels ~window_s =
   match find_series t name labels with
   | None -> []
   | Some s ->
-    if s.raw.written = 0 then []
+    if Ring.length s.raw = 0 then []
     else
       let end_ns = t.last_sample_ns in
       let w = window_ns_of_s window_s in

@@ -222,14 +222,13 @@ let locked_task t s l ~label ~queued_ns f =
   Metrics.Gauge.set l.depth (float_of_int (Atomic.get l.waiting));
   let start = Timer.now_ns () in
   match
-    match Optrace.current_carrier () with
-    | None -> on_shard t s f
-    | Some _ ->
+    if Optrace.active () then
       Optrace.with_span
         ~attrs:
           [ ("queue_us", pf "%.1f" (Int64.to_float queued_ns /. 1e3)); ("shard", string_of_int s) ]
         ("shard." ^ label)
         (fun () -> on_shard t s f)
+    else on_shard t s f
   with
   | v ->
     account t l start;
@@ -373,7 +372,7 @@ let host_count ~shards = function
     if d < 0 then invalid_arg "Cluster: negative domain count";
     min d shards
 
-let assemble ~engines ~lanes ~domains ~directory =
+let of_parts ~engines ~lanes ~domains ~directory =
   let offsets, m = offsets_of_engines engines in
   let shards = Array.length engines in
   {
@@ -410,7 +409,7 @@ let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
             let journal = match journal_for with None -> None | Some f -> f i in
             Engine.create ?trigger ?clock ?journal ~m:m_i ()))
   in
-  assemble ~engines ~lanes ~domains ~directory:(Hashtbl.create 256)
+  of_parts ~engines ~lanes ~domains ~directory:(Hashtbl.create 256)
 
 let of_engines ?domains ~shards build =
   if shards < 1 then Error "Cluster.of_engines: need at least one engine"
@@ -433,7 +432,7 @@ let of_engines ?domains ~shards build =
             ())
         engines
     with
-    | () -> Ok (assemble ~engines ~lanes ~domains ~directory)
+    | () -> Ok (of_parts ~engines ~lanes ~domains ~directory)
     | exception Dup id -> Error (pf "Cluster.of_engines: job %s lives in two shards" id)
   end
 

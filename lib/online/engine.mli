@@ -108,11 +108,6 @@ val trigger_name : trigger -> string
 (** The journal/exposition tag: ["manual"], ["every_events"],
     ["imbalance_above"] or ["every_seconds"]. *)
 
-val trigger_to_json : trigger -> Rebal_obs.Journal.json
-(** The full trigger configuration (kind plus its parameters) as a JSON
-    object — what journal headers and snapshots record so a replay can
-    re-arm the same policy. *)
-
 val trigger_of_json : Rebal_obs.Journal.json -> (trigger, string) result
 
 val trigger : t -> trigger
@@ -255,9 +250,6 @@ val check_consistency : t -> k:int -> bool
     Snapshots are the compaction record of the flight recorder: a
     ["snapshot"] journal event carries one in its ["state"] field, and
     replay resumes from it instead of genesis. *)
-
-val snapshot_version : int
-(** The snapshot format version this build writes (1). *)
 
 val snapshot : t -> Rebal_obs.Journal.json
 

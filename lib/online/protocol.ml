@@ -175,6 +175,8 @@ let help_lines =
     "OK   METRICS              Prometheus text exposition, ends with '# EOF'";
     "OK   JOURNAL [<n>]        last n flight-recorder events (default 10), ends with '# EOF'";
     "OK   TRACES [<n>]         span trees of the last n slow ops (default 10), ends with '# EOF'";
+    "OK   ALERTS               alert rule states and recent transitions (telemetry serve only), ends with '# EOF'";
+    "OK   TSDB <series> [<window>]  windowed points of a series name{label=\"v\"}, window like 30s (default 60s), ends with '# EOF'";
     "OK   HELP                 this text";
     "OK   QUIT                 end this session";
     "OK   SHUTDOWN             stop the daemon";
@@ -429,11 +431,10 @@ let snapshot_lines t =
   | Cluster c | Parallel c -> cluster_snapshot_lines c
   | Supervised sup -> cluster_snapshot_lines (Supervisor.cluster sup)
 
-(* TRACES: span trees for the last [n] slow ops, newest last, from
-   every domain's span ring. An op that outlived its spans (ring
-   eviction, or a slow-but-unsampled op whose children were never
-   recorded) still shows its header and whatever survives; truncation
-   is visible, not silent. *)
+(* TRACES: span trees for the last [n] slow ops, newest last, from the
+   op-trace ring. An op whose tree was evicted still shows its header;
+   a slow-but-unsampled op shows its root alone, since its children
+   were never recorded. *)
 let last n xs =
   let len = List.length xs in
   if len <= n then xs else List.filteri (fun i _ -> i >= len - n) xs
@@ -442,20 +443,17 @@ let traces_lines n =
   match last n (Optrace.slow_ops ()) with
   | [] -> [ "# no slow ops captured"; "# EOF" ]
   | slow ->
-    let trees = Optrace.assemble (Optrace.recorded ()) in
+    let traces = Optrace.traces () in
     List.concat_map
       (fun (op : Optrace.slow_op) ->
-        pf "# trace %d verb=%s duration=%s" op.Optrace.slow_trace op.Optrace.slow_verb
-          (Optrace.render_duration op.Optrace.slow_duration_ns)
+        pf "# trace %d verb=%s duration=%s" op.slow_trace op.slow_verb
+          (Optrace.render_duration op.slow_duration_ns)
         ::
-        (match Optrace.trees_for ~trace_id:op.Optrace.slow_trace trees with
-        | [] -> [ "# spans evicted" ]
-        | ts ->
-          List.concat_map
-            (fun tr ->
-              String.split_on_char '\n' (Optrace.render_tree tr)
-              |> List.filter (fun l -> l <> ""))
-            ts))
+        (match List.find_opt (fun (tr : Optrace.trace) -> tr.trace_id = op.slow_trace) traces with
+        | None -> [ "# spans evicted" ]
+        | Some tr ->
+          String.split_on_char '\n' (Optrace.render_tree tr.root)
+          |> List.filter (fun l -> l <> "")))
       slow
     @ [ "# EOF" ]
 

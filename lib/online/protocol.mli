@@ -40,9 +40,9 @@
     the same [# EOF]. [TRACES n] streams the causal span trees of the
     last [n] ops captured by the slow-op ring (see
     [Rebal_obs.Optrace]): per op a [# trace <id> verb=<v> duration=<d>]
-    header, then one indented line per span, [# EOF] framed. A span
-    whose records were evicted shows [# spans evicted] — truncation is
-    visible, never silent. Blank lines and lines starting with [#] are
+    header, then one indented line per span, [# EOF] framed. An op
+    whose tree was evicted from the op-trace ring shows
+    [# spans evicted] — truncation is visible, never silent. Blank lines and lines starting with [#] are
     ignored. The module is pure string-in/strings-out so the daemon loop
     and the tests share one implementation.
 

@@ -85,10 +85,6 @@ val same_state : Engine.t -> Engine.t -> bool
     a journal that resumes to an engine [same_state] as the live one
     recorded everything. *)
 
-val trigger_of_header : Journal.header -> (Engine.trigger, string) result
-(** The trigger config recorded in the header's [trigger_config] field;
-    [Manual] for journals that predate it. *)
-
 val compact :
   Journal.header * Journal.event list ->
   ((Journal.header * Journal.event list) * int * int, string) result

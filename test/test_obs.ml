@@ -9,6 +9,7 @@ module Metrics = Rebal_obs.Metrics
 module Optrace = Rebal_obs.Optrace
 module Expo = Rebal_obs.Expo
 module Journal = Rebal_obs.Journal
+module Ring = Rebal_obs.Ring
 open QCheck2
 
 (* ----- metric identity and registry scoping ----- *)
@@ -228,26 +229,67 @@ let test_json_renders () =
   in
   Alcotest.(check bool) "escaped quote" true (contains "v\\\"q" out)
 
+(* ----- the bounded ring ----- *)
+
+(* [Ring] against a list model: pushes past capacity evict oldest
+   first, [pop] takes the oldest, [last n] is the newest [n] oldest
+   first, and [pushed] counts every push since the last [clear]. *)
+let prop_ring_model =
+  Test.make ~count:300 ~name:"ring matches a bounded-queue model"
+    Gen.(pair (int_range 1 6) (list_size (int_range 0 60) (int_range 0 9)))
+    (fun (cap, script) ->
+      let r = Ring.create cap (-1) in
+      let model = ref [] and pushed = ref 0 in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | 0 ->
+            let expect = match !model with [] -> None | x :: _ -> Some x in
+            if Ring.pop r <> expect then Test.fail_reportf "pop at step %d" i;
+            model := (match !model with [] -> [] | _ :: tl -> tl)
+          | 1 ->
+            Ring.clear r;
+            model := [];
+            pushed := 0
+          | _ ->
+            Ring.push r i;
+            incr pushed;
+            model := !model @ [ i ];
+            if List.length !model > cap then model := List.tl !model);
+          let n = op mod 4 in
+          let len = List.length !model in
+          if Ring.to_list r <> !model then Test.fail_reportf "contents at step %d" i;
+          if Ring.length r <> len || Ring.is_full r <> (len = cap) then
+            Test.fail_reportf "length at step %d" i;
+          if Ring.pushed r <> !pushed then Test.fail_reportf "pushed at step %d" i;
+          if Ring.oldest r <> (match !model with [] -> None | x :: _ -> Some x) then
+            Test.fail_reportf "oldest at step %d" i;
+          if Ring.last r n <> List.filteri (fun j _ -> j >= len - n) !model then
+            Test.fail_reportf "last %d at step %d" n i)
+        script;
+      true)
+
 (* ----- span tracing ----- *)
 
-(* Optrace state is global (knobs, id counters) and per-domain (the span
-   ring); every tracing test runs inside this bracket. *)
+(* Optrace state is global (knobs, the op-trace and slow-op rings);
+   every tracing test runs inside this bracket. *)
 let with_sampling every f =
   Optrace.reset ();
   Optrace.set_sample_every every;
   Fun.protect
     ~finally:(fun () ->
       Optrace.set_sample_every 0;
+      Optrace.set_slow_threshold_ns (-1);
       Optrace.set_ring_capacity 4096;
       Optrace.reset ())
     f
 
-let span_name (t : Optrace.tree) = t.span.Optrace.name
+let span_name (sp : Optrace.span) = sp.name
 
 let the_op () =
-  match Optrace.assemble (Optrace.recorded ()) with
-  | [ op ] -> op
-  | trees -> Alcotest.failf "expected exactly one op tree, got %d" (List.length trees)
+  match Optrace.traces () with
+  | [ op ] -> op.root
+  | traces -> Alcotest.failf "expected exactly one op tree, got %d" (List.length traces)
 
 let test_span_nesting () =
   with_sampling 1 @@ fun () ->
@@ -264,18 +306,15 @@ let test_span_nesting () =
     Alcotest.(check string) "root name" "root" (span_name root);
     Alcotest.(check (list string)) "children in start order" [ "first"; "second" ]
       (List.map span_name root.children);
-    Alcotest.(check bool) "root attr kept" true
-      (List.mem_assoc "n" root.span.Optrace.attrs);
+    Alcotest.(check bool) "root attr kept" true (List.mem_assoc "n" root.attrs);
     let first = List.hd root.children in
     Alcotest.(check bool) "child attr attached to child" true
-      (List.assoc_opt "hit" first.span.Optrace.attrs = Some "true"
-      && not (List.mem_assoc "hit" root.span.Optrace.attrs));
-    Alcotest.(check bool) "durations non-negative" true
-      (Optrace.duration_ns root.span >= 0L);
+      (List.assoc_opt "hit" first.attrs = Some "true" && not (List.mem_assoc "hit" root.attrs));
+    Alcotest.(check bool) "durations non-negative" true (Optrace.duration_ns root >= 0L);
     Alcotest.(check bool) "root at least as long as children" true
-      (Optrace.duration_ns root.span
+      (Optrace.duration_ns root
       >= List.fold_left
-           (fun acc (c : Optrace.tree) -> Int64.add acc (Optrace.duration_ns c.span))
+           (fun acc (c : Optrace.span) -> Int64.add acc (Optrace.duration_ns c))
            0L root.children)
   | spans -> Alcotest.failf "expected exactly one root, got %d" (List.length spans)
 
@@ -288,7 +327,7 @@ let test_span_disabled_is_noop () =
             5))
   in
   Alcotest.(check int) "value passes through" 5 r;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Optrace.recorded ()))
+  Alcotest.(check int) "nothing recorded" 0 (List.length (Optrace.traces ()))
 
 let test_span_survives_exception () =
   with_sampling 1 @@ fun () ->
@@ -296,11 +335,11 @@ let test_span_survives_exception () =
      Optrace.with_op ~verb:"op" (fun () ->
          Optrace.with_span "boom" (fun () -> failwith "expected"))
    with Failure _ -> ());
-  Alcotest.(check bool) "context restored" true (Optrace.current_carrier () = None);
+  Alcotest.(check bool) "context restored" false (Optrace.active ());
   match (the_op ()).children with
   | [ sp ] ->
     Alcotest.(check string) "span closed on raise" "boom" (span_name sp);
-    Alcotest.(check bool) "stop stamped" true (sp.span.Optrace.stop_ns >= sp.span.start_ns)
+    Alcotest.(check bool) "stop stamped" true (sp.stop_ns >= sp.start_ns)
   | _ -> Alcotest.fail "span not recorded after exception"
 
 let test_ring_buffer_wrap () =
@@ -309,9 +348,20 @@ let test_ring_buffer_wrap () =
   for i = 0 to 5 do
     Optrace.with_op ~verb:(Printf.sprintf "e%d" i) (fun () -> ())
   done;
-  let names = List.map (fun (sp : Optrace.span) -> sp.name) (Optrace.recorded ()) in
+  let names = List.map (fun (tr : Optrace.trace) -> tr.root.name) (Optrace.traces ()) in
   Alcotest.(check (list string)) "keeps newest, oldest first" [ "e2"; "e3"; "e4"; "e5" ]
     names
+
+(* The [rebal_trace_dropped_total{kind}] count in [reg]. *)
+let trace_dropped reg kind =
+  match
+    List.find_opt
+      (fun (m : Metrics.metric) ->
+        m.Metrics.name = "rebal_trace_dropped_total" && m.Metrics.labels = [ ("kind", kind) ])
+      (Metrics.Registry.metrics reg)
+  with
+  | Some { Metrics.kind = Metrics.Counter c; _ } -> Metrics.Counter.value c
+  | _ -> 0
 
 let test_trace_dropped_counter () =
   (* Scoped registry: the wrap counter increments into whatever registry
@@ -323,19 +373,64 @@ let test_trace_dropped_counter () =
   for i = 0 to 9 do
     Optrace.with_op ~verb:(Printf.sprintf "d%d" i) (fun () -> ())
   done;
-  let dropped =
-    match
-      List.find_opt
-        (fun (m : Metrics.metric) ->
-          m.Metrics.name = "rebal_trace_dropped_total"
-          && m.Metrics.labels = [ ("kind", "op_span") ])
-        (Metrics.Registry.metrics reg)
-    with
-    | Some { Metrics.kind = Metrics.Counter c; _ } -> Metrics.Counter.value c
-    | _ -> 0
+  (* 10 spans into a 4-span ring: 6 evicted. *)
+  Alcotest.(check int) "overwrites counted" 6 (trace_dropped reg "op_span")
+
+(* The ring is bounded in spans, not ops: three-span traces into a
+   ten-span ring keep three whole traces (nine spans), evict the rest
+   oldest first and count every evicted span; a trace larger than the
+   whole bound is dropped on arrival and counted too. *)
+let test_ring_span_bound () =
+  let reg = Metrics.Registry.create () in
+  Metrics.Registry.with_registry reg @@ fun () ->
+  with_sampling 1 @@ fun () ->
+  Optrace.set_ring_capacity 10;
+  for i = 0 to 9 do
+    Optrace.with_op ~verb:(Printf.sprintf "op%d" i) (fun () ->
+        Optrace.with_span "a" (fun () -> ());
+        Optrace.with_span "b" (fun () -> ()))
+  done;
+  let kept = Optrace.traces () in
+  let spans = List.fold_left (fun n (tr : Optrace.trace) -> n + tr.spans) 0 kept in
+  Alcotest.(check (list string)) "newest whole traces kept" [ "op7"; "op8"; "op9" ]
+    (List.map (fun (tr : Optrace.trace) -> tr.root.name) kept);
+  Alcotest.(check int) "retained spans within the bound" 9 spans;
+  Alcotest.(check int) "evicted spans counted" 21 (trace_dropped reg "op_span");
+  Optrace.with_op ~verb:"huge" (fun () ->
+      for _ = 1 to 10 do
+        Optrace.with_span "s" (fun () -> ())
+      done);
+  Alcotest.(check int) "an oversized trace is dropped whole" 32 (trace_dropped reg "op_span");
+  Alcotest.(check int) "the ring is untouched by it" 3 (List.length (Optrace.traces ()))
+
+(* An unsampled fast op under the daemon's knobs (1-in-64 head
+   sampling, 10 ms tail) reads the clock twice — two boxed int64s — and
+   builds nothing else: 6 words, measured. The flat-record design drew
+   two ids and allocated a root span record, a finish closure and the
+   protect wrapper for every op: 34 words. *)
+let test_unsampled_op_allocation () =
+  with_sampling 64 @@ fun () ->
+  Optrace.set_slow_threshold_ns 10_000_000;
+  let f () = () in
+  let calib =
+    let a = Gc.minor_words () in
+    Gc.minor_words () -. a
   in
-  (* 10 spans into a 4-slot ring: 6 overwrites. *)
-  Alcotest.(check int) "overwrites counted" 6 dropped
+  let worst = ref 0. in
+  for _ = 1 to 5 do
+    Optrace.reset ();
+    (* op 0 of each 64 is sampled; ops 1..63 are not. *)
+    Optrace.with_op ~verb:"ADD" f;
+    let before = Gc.minor_words () in
+    for _ = 1 to 63 do
+      Optrace.with_op ~verb:"ADD" f
+    done;
+    let after = Gc.minor_words () in
+    worst := Float.max !worst ((after -. before -. calib) /. 63.)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "unsampled op allocates %.1f words (pinned at <= 6)" !worst)
+    true (!worst <= 6.)
 
 (* ----- the flight-recorder journal codec ----- *)
 
@@ -652,7 +747,11 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_span_survives_exception;
           Alcotest.test_case "ring buffer wrap" `Quick test_ring_buffer_wrap;
           Alcotest.test_case "dropped counter on wrap" `Quick test_trace_dropped_counter;
+          Alcotest.test_case "ring bound counts spans" `Quick test_ring_span_bound;
+          Alcotest.test_case "unsampled op allocation pinned" `Quick
+            test_unsampled_op_allocation;
           Alcotest.test_case "render tree" `Quick test_render_tree;
+          QCheck_alcotest.to_alcotest prop_ring_model;
         ] );
       ( "journal",
         [

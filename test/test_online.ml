@@ -437,6 +437,71 @@ let test_replay_rejects_corruption () =
     | Error e -> check_bool ("tamper detected: " ^ e) true (contains "diverged" e)
   end
 
+(* HELP and the parser agree: every verb [Protocol.parse] accepts has
+   a HELP line and every HELP line names a verb it accepts. The match
+   is exhaustive over [Protocol.command], so a new command does not
+   compile until it is named here with a request that parses to it;
+   [EXIT] is [QUIT]'s alias and shares its line. *)
+let test_protocol_help_lists_every_verb () =
+  let request : Protocol.command -> string * string = function
+    | Add _ -> ("ADD", "ADD a 1")
+    | Remove _ -> ("REMOVE", "REMOVE a")
+    | Resize _ -> ("RESIZE", "RESIZE a 2")
+    | Rebalance _ -> ("REBALANCE", "REBALANCE 1")
+    | Stats -> ("STATS", "STATS")
+    | Shards_info -> ("SHARDS", "SHARDS")
+    | Health -> ("HEALTH", "HEALTH")
+    | Snapshot_now -> ("SNAPSHOT", "SNAPSHOT")
+    | Metrics_dump -> ("METRICS", "METRICS")
+    | Journal_tail _ -> ("JOURNAL", "JOURNAL 3")
+    | Traces _ -> ("TRACES", "TRACES 3")
+    | Alerts_status -> ("ALERTS", "ALERTS")
+    | Tsdb_query _ -> ("TSDB", "TSDB x 30s")
+    | Help -> ("HELP", "HELP")
+    | Quit -> ("QUIT", "QUIT")
+    | Shutdown -> ("SHUTDOWN", "SHUTDOWN")
+  in
+  let commands : Protocol.command list =
+    [
+      Add { id = "a"; size = 1 };
+      Remove "a";
+      Resize { id = "a"; size = 2 };
+      Rebalance 1;
+      Stats;
+      Shards_info;
+      Health;
+      Snapshot_now;
+      Metrics_dump;
+      Journal_tail 3;
+      Traces 3;
+      Alerts_status;
+      Tsdb_query { selector = "x"; window_s = 30. };
+      Help;
+      Quit;
+      Shutdown;
+    ]
+  in
+  let parses line = match Protocol.parse line with Ok (Some c) -> Some c | _ -> None in
+  List.iter
+    (fun cmd ->
+      let _, line = request cmd in
+      check_bool (line ^ " parses to its command") true (parses line = Some cmd))
+    commands;
+  check_bool "EXIT is QUIT" true (parses "EXIT" = Some Protocol.Quit);
+  let help, _ = Protocol.handle_line (Protocol.Single (Engine.create ~m:2 ())) "HELP" in
+  let help_verbs =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | "OK" :: "" :: "" :: verb :: _ when verb <> "" -> Some verb
+        | _ -> None)
+      help
+  in
+  Alcotest.(check (list string))
+    "HELP lists exactly the parsed verbs"
+    (List.sort compare (List.map (fun c -> fst (request c)) commands))
+    (List.sort compare help_verbs)
+
 let test_protocol_journal_verb () =
   let bare = Engine.create ~m:2 () in
   (match Protocol.handle_line (Protocol.Single bare) "JOURNAL" with
@@ -873,6 +938,7 @@ let () =
           Alcotest.test_case "auto repair streams moves" `Quick test_protocol_auto_moves_stream;
           Alcotest.test_case "metrics exposition" `Quick test_protocol_metrics;
           Alcotest.test_case "journal tail verb" `Quick test_protocol_journal_verb;
+          Alcotest.test_case "HELP lists every verb" `Quick test_protocol_help_lists_every_verb;
         ] );
       ( "flight recorder",
         [

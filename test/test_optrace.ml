@@ -1,5 +1,5 @@
-(* Cross-domain tracing: well-formedness of assembled span trees under
-   concurrent drivers, the slow-op ring's retention contract (driven
+(* Op tracing: well-formedness of stored span trees under concurrent
+   drivers, the slow-op ring's retention contract (driven
    through the injectable clock), and the HTTP scrape endpoint's
    response shapes. *)
 
@@ -12,9 +12,9 @@ module Protocol = Rebal_online.Protocol
 module Supervisor = Rebal_online.Supervisor
 module Http = Rebal_net.Http
 
-(* Optrace state is global (knobs, id counters, slow ring, the list of
-   per-domain span rings); every test runs inside this bracket so the
-   suite's tests cannot contaminate one another. *)
+(* Optrace state is global (knobs, the op-trace and slow-op rings);
+   every test runs inside this bracket so the suite's tests cannot
+   contaminate one another. *)
 let with_tracing ~sample ~slow_ns f =
   Optrace.reset ();
   Optrace.set_sample_every sample;
@@ -27,10 +27,16 @@ let with_tracing ~sample ~slow_ns f =
       Optrace.reset ())
     f
 
+(* Every span of the tree under [sp], [sp] included, in start order. *)
+let rec flatten (sp : Optrace.span) = sp :: List.concat_map flatten sp.children
+
+let all_spans () =
+  List.concat_map (fun (tr : Optrace.trace) -> flatten tr.root) (Optrace.traces ())
+
 (* ----- the deterministic cross-shard move tree ----- *)
 
-(* One traced op around one two-phase move must assemble into the full
-   causal chain: op root -> move -> reserve, the journaled remove on
+(* One traced op around one two-phase move must record the full causal
+   chain: op root -> move -> reserve, the journaled remove on
    the source shard, the journaled add on the destination shard, and
    the directory commit. This is the tree the TRACES verb shows and the
    CI smoke greps for. *)
@@ -46,36 +52,35 @@ let test_move_tree () =
   (match Optrace.with_op ~verb:"MOVE" (fun () -> Cluster.move c ~id:"mv" ~dst) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "move failed: %s" e);
-  let spans = Optrace.recorded () in
-  let trees = Optrace.assemble spans in
   let root =
-    match List.filter (fun (t : Optrace.tree) -> t.span.name = "MOVE") trees with
-    | [ t ] -> t
-    | l -> Alcotest.failf "expected one MOVE root, got %d" (List.length l)
+    match Optrace.traces () with
+    | [ tr ] when tr.root.name = "MOVE" -> tr.root
+    | l -> Alcotest.failf "expected one MOVE trace, got %d traces" (List.length l)
   in
   let mv =
-    match root.Optrace.children with
-    | [ m ] when m.Optrace.span.name = "move" -> m
+    match root.children with
+    | [ m ] when m.name = "move" -> m
     | _ -> Alcotest.fail "MOVE root should have exactly the move child"
   in
-  let kid_names = List.map (fun (t : Optrace.tree) -> t.span.name) mv.Optrace.children in
+  let kid_names = List.map (fun (sp : Optrace.span) -> sp.name) mv.children in
   List.iter
     (fun expected ->
       Alcotest.(check bool) (expected ^ " present") true (List.mem expected kid_names))
     [ "move.reserve"; "shard.move.remove"; "shard.move.add"; "move.commit" ];
   (* The two legs really ran on the two shards. *)
   let shard_attr name =
-    let t = List.find (fun (t : Optrace.tree) -> t.span.name = name) mv.Optrace.children in
-    List.assoc "shard" t.Optrace.span.attrs
+    let sp = List.find (fun (sp : Optrace.span) -> sp.name = name) mv.children in
+    List.assoc "shard" sp.attrs
   in
   Alcotest.(check string) "remove leg on source" (string_of_int src)
     (shard_attr "shard.move.remove");
   Alcotest.(check string) "add leg on destination" (string_of_int dst)
     (shard_attr "shard.move.add");
-  (* All one trace, and every span closed. *)
+  (* Every span closed, and the tree's span count is right. *)
+  let spans = flatten root in
+  Alcotest.(check int) "span count" (List.length spans) (List.hd (Optrace.traces ())).spans;
   List.iter
     (fun (sp : Optrace.span) ->
-      Alcotest.(check int) "one trace" root.Optrace.span.trace_id sp.trace_id;
       Alcotest.(check bool) "span closed" true (sp.stop_ns >= sp.start_ns))
     spans
 
@@ -105,17 +110,13 @@ let test_repair_span () =
       let root =
         match
           List.filter
-            (fun (t : Optrace.tree) -> t.span.name = "REBALANCE")
-            (Optrace.assemble (Optrace.recorded ()))
+            (fun (tr : Optrace.trace) -> tr.root.name = "REBALANCE")
+            (Optrace.traces ())
         with
-        | [ t ] -> t
+        | [ tr ] -> tr.root
         | l -> Alcotest.failf "%s: expected one REBALANCE root, got %d" label (List.length l)
       in
-      let rec repairs (t : Optrace.tree) =
-        (if t.span.name = "engine.repair" then [ t.span ] else [])
-        @ List.concat_map repairs t.children
-      in
-      match repairs root with
+      match List.filter (fun (sp : Optrace.span) -> sp.name = "engine.repair") (flatten root) with
       | [] -> Alcotest.failf "%s: no engine.repair span under the REBALANCE root" label
       | spans ->
         List.iter
@@ -127,7 +128,7 @@ let test_repair_span () =
             Alcotest.(check string) (label ^ ": auto") "false" (List.assoc "auto" sp.attrs);
             Alcotest.(check bool) (label ^ ": moves is a count") true
               (int_of_string_opt (List.assoc "moves" sp.attrs) <> None);
-            Alcotest.(check int) (label ^ ": same trace") root.span.trace_id sp.trace_id)
+            Alcotest.(check bool) (label ^ ": closed") true (sp.stop_ns >= sp.start_ns))
           spans)
     targets
 
@@ -159,7 +160,7 @@ let test_per_verb_observability () =
     List.filter_map
       (fun (sp : Optrace.span) ->
         if String.starts_with ~prefix:"shard." sp.name then Some sp.name else None)
-      (Optrace.recorded ())
+      (all_spans ())
   in
   let no_err label replies =
     List.iter
@@ -207,11 +208,26 @@ let test_per_verb_observability () =
 (* ----- well-formed trees under concurrent drivers ----- *)
 
 (* Concurrent session threads spread over D hosting domains, every op
-   sampled: whatever interleaving happens, the flat records — spread
-   over every domain's ring — must link up: every span id unique, every
-   non-root span's parent recorded in the same trace. A context leak
-   between session threads shows up here as a cross-trace edge, a ring
-   the collection misses as an orphan. *)
+   sampled: whatever interleaving happens, each op must store exactly
+   one tree, and each tree must hold only its own op's spans — an ADD
+   its one [shard.add] task, a MOVE only the move chain — every span
+   closed and inside its parent's interval, children in start order.
+   A current-span leak between session threads shows up here as a
+   span in the wrong op's tree, a lost tree as a count mismatch. *)
+let move_spans = [ "move"; "move.reserve"; "shard.move.remove"; "shard.move.add"; "move.commit" ]
+
+let rec well_formed (sp : Optrace.span) =
+  if sp.stop_ns < sp.start_ns then Test.fail_reportf "span %s not closed" sp.name;
+  ignore
+    (List.fold_left
+       (fun prev (c : Optrace.span) ->
+         if c.start_ns < prev then Test.fail_reportf "children of %s out of start order" sp.name;
+         if c.start_ns < sp.start_ns || c.stop_ns > sp.stop_ns then
+           Test.fail_reportf "span %s outside its parent %s" c.name sp.name;
+         well_formed c;
+         c.start_ns)
+       sp.start_ns sp.children)
+
 let prop_trees_well_formed =
   Test.make ~count:4 ~name:"sampled span trees are well-formed for domains in {1,2,8}"
     Gen.(int_range 0 1000)
@@ -220,6 +236,7 @@ let prop_trees_well_formed =
         (fun domains ->
           with_tracing ~sample:1 ~slow_ns:(-1) @@ fun () ->
           let c = Cluster.create ~m:16 ~shards:8 ~domains () in
+          let ops = Atomic.make 0 in
           let threads =
             List.init 4 (fun t ->
                 Cluster.spawn c
@@ -227,33 +244,44 @@ let prop_trees_well_formed =
                     let rng = Random.State.make [| seed; domains; t |] in
                     for i = 1 to 25 do
                       let id = Printf.sprintf "t%d.%d" t i in
+                      Atomic.incr ops;
                       Optrace.with_op ~verb:"ADD" (fun () ->
                           ignore (Cluster.add_job c ~id ~size:(1 + Random.State.int rng 50)));
-                      if Random.State.bool rng then
+                      if Random.State.bool rng then begin
+                        Atomic.incr ops;
                         Optrace.with_op ~verb:"MOVE" (fun () ->
                             ignore (Cluster.move c ~id ~dst:(Random.State.int rng 8)))
+                      end
                     done))
           in
           List.iter (fun join -> join ()) threads;
-          let spans = Optrace.recorded () in
+          let traces = Optrace.traces () in
           Cluster.shutdown c;
-          let by_id = Hashtbl.create 256 in
-          List.iter (fun (sp : Optrace.span) -> Hashtbl.replace by_id sp.span_id sp) spans;
-          if Hashtbl.length by_id <> List.length spans then
-            Test.fail_reportf "duplicate span ids (%d spans, %d distinct)" (List.length spans)
-              (Hashtbl.length by_id);
+          if List.length traces <> Atomic.get ops then
+            Test.fail_reportf "%d ops stored %d traces" (Atomic.get ops) (List.length traces);
+          let ids = List.map (fun (tr : Optrace.trace) -> tr.trace_id) traces in
+          if List.length (List.sort_uniq compare ids) <> List.length ids then
+            Test.fail_reportf "duplicate trace ids";
           List.iter
-            (fun (sp : Optrace.span) ->
-              if sp.parent_id <> 0 then
-                match Hashtbl.find_opt by_id sp.parent_id with
-                | None ->
-                  Test.fail_reportf "span %d (%s) orphaned: parent %d not recorded" sp.span_id
-                    sp.name sp.parent_id
-                | Some p ->
-                  if p.trace_id <> sp.trace_id then
-                    Test.fail_reportf "cross-trace edge: span %d trace %d under parent trace %d"
-                      sp.span_id sp.trace_id p.trace_id)
-            spans;
+            (fun (tr : Optrace.trace) ->
+              well_formed tr.root;
+              let below = List.tl (flatten tr.root) in
+              if List.length below + 1 <> tr.spans then
+                Test.fail_reportf "trace %d counts %d spans, holds %d" tr.trace_id tr.spans
+                  (List.length below + 1);
+              match tr.root.name with
+              | "ADD" ->
+                if List.map (fun (sp : Optrace.span) -> sp.name) below <> [ "shard.add" ] then
+                  Test.fail_reportf "ADD trace %d holds [%s]" tr.trace_id
+                    (String.concat "; " (List.map (fun (sp : Optrace.span) -> sp.name) below))
+              | "MOVE" ->
+                List.iter
+                  (fun (sp : Optrace.span) ->
+                    if not (List.mem sp.name move_spans) then
+                      Test.fail_reportf "MOVE trace %d holds %s" tr.trace_id sp.name)
+                  below
+              | v -> Test.fail_reportf "unexpected root %s" v)
+            traces;
           true)
         [ 1; 2; 8 ])
 
@@ -287,39 +315,7 @@ let prop_slow_ring_retention =
             Test.fail_reportf "retained an op of %Ldns, under the threshold" s.slow_duration_ns)
         slow expected;
       (* Unsampled slow ops keep their root span (and only that). *)
-      List.length (Optrace.recorded ()) = List.length expected)
-
-(* ----- assembly promotes orphans instead of dropping them ----- *)
-
-let test_orphan_promotion () =
-  let sp ~trace_id ~span_id ~parent_id name =
-    {
-      Optrace.trace_id;
-      span_id;
-      parent_id;
-      name;
-      domain = 0;
-      start_ns = Int64.of_int span_id;
-      stop_ns = Int64.of_int (span_id + 1);
-      attrs = [];
-    }
-  in
-  (* Root evicted: the child must surface as a root, not vanish. *)
-  let trees = Optrace.assemble [ sp ~trace_id:7 ~span_id:2 ~parent_id:1 "orphan" ] in
-  Alcotest.(check int) "orphan promoted" 1 (List.length trees);
-  (* Intact parent/child keeps its shape, children in start order. *)
-  match
-    Optrace.assemble
-      [
-        sp ~trace_id:7 ~span_id:1 ~parent_id:0 "root";
-        sp ~trace_id:7 ~span_id:3 ~parent_id:1 "late";
-        sp ~trace_id:7 ~span_id:2 ~parent_id:1 "early";
-      ]
-  with
-  | [ { Optrace.span = { name = "root"; _ }; children = [ a; b ] } ] ->
-    Alcotest.(check string) "start order" "early" a.Optrace.span.name;
-    Alcotest.(check string) "start order" "late" b.Optrace.span.name
-  | _ -> Alcotest.fail "expected one root with two children"
+      List.length (all_spans ()) = List.length expected)
 
 (* ----- the HTTP scrape endpoint ----- *)
 
@@ -364,7 +360,6 @@ let () =
       ( "trees",
         [
           Alcotest.test_case "cross-shard move tree" `Quick test_move_tree;
-          Alcotest.test_case "orphan promotion" `Quick test_orphan_promotion;
           Alcotest.test_case "REBALANCE shows engine.repair" `Quick test_repair_span;
           Alcotest.test_case "one-by-one verbs observe per verb" `Quick
             test_per_verb_observability;
