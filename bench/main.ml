@@ -917,15 +917,20 @@ let e17 () =
   Table.add_row t
     [ "on (buffer sink)"; pf "%.2f us" (per_on *. 1e6); pf "%.0f" (1.0 /. per_on) ];
   Table.print t;
+  (* Gated on the added cost, as E24 gates the binary journal: the ratio
+     swings with the journal-off time it divides by, the difference does
+     not. 2.5 us/event is about 4x the 0.57-0.65 us measured on a 2-CPU
+     container, and 3x the 0.84 us an earlier, slower run of that host
+     read, so only a real regression trips it. *)
+  let added_us = (per_on -. per_off) *. 1e6 in
   Printf.printf
-    "journal captured %d events, %.1f MB of JSONL; overhead %.2fx per event\n\
-     (acceptance ceiling 2.0x: with no sink attached every emission site is a\n\
+    "journal captured %d events, %.1f MB of JSONL; overhead %.2fx, +%.3f us/event\n\
+     (gate: +2.5 us/event; with no sink attached every emission site is a\n\
      single None branch, so the cost only exists when a recording is wanted)\n"
     (Journal.events_written sink)
     (float_of_int (Buffer.length buf) /. 1e6)
-    overhead;
-  if overhead > 2.0 then
-    print_endline "WARNING: journal overhead above the 2.0x acceptance ceiling";
+    overhead added_us;
+  if added_us > 2.5 then failwith (pf "E17: JSONL journal adds %.3f us/event, gate 2.5" added_us);
   Some overhead
 
 (* ---------------------------------------------------------------------- *)
@@ -1111,7 +1116,7 @@ let e19 () =
       match Engine.journal_snapshot eng with Ok _ -> () | Error e -> failwith e
   done;
   let parsed =
-    match Journal.parse_string (Buffer.contents buf) with
+    match Journal.load_string (Buffer.contents buf) with
     | Ok p -> p
     | Error e -> failwith ("E19: journal does not parse: " ^ e)
   in
@@ -1307,7 +1312,7 @@ let audit_cluster ~what ~jobs cluster buffers =
     failwith (what ^ ": directory/engine consistency check failed");
   Cluster.shutdown cluster;
   let replayed i buf =
-    match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.resume with
+    match Result.bind (Journal.load_string (Buffer.contents buf)) Replay.resume with
     | Error e -> failwith (pf "%s: shard %d journal replay: %s" what i e)
     | Ok (eng, o) ->
       if not (Replay.same_state eng (Cluster.engine cluster i)) then
@@ -1577,7 +1582,7 @@ let e23 () =
         rules;
       if Alerts.last_value alerts "add_rate" = None then
         failwith "E23: add_rate rule saw no data";
-      (match Journal.parse_string (Buffer.contents telemetry_buf) with
+      (match Journal.load_string (Buffer.contents telemetry_buf) with
       | Error e -> failwith ("E23: telemetry journal: " ^ e)
       | Ok (hdr, events) ->
         if hdr.Journal.journal <> "rebal-telemetry" then

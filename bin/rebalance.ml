@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.19.0"
+let version = "1.20.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -1193,7 +1193,7 @@ let top_cmd =
       match format with
       | `Json ->
         let j_opt f = function None -> Journal.Null | Some v -> f v in
-        let j_num v = if Float.is_nan v then Journal.Null else Journal.Float v in
+        let j_num v = if Float.is_finite v then Journal.Float v else Journal.Null in
         print_endline
           (Journal.render_json
              (Journal.Obj

@@ -3,6 +3,9 @@
    and latency histograms are built from differences of [now_ns]. *)
 let now_ns () = Monotonic_clock.now ()
 
+(* The clock's result is unboxed, so the conversion allocates nothing. *)
+let now_int_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let ns_to_s ns = Int64.to_float ns *. 1e-9
 
 let time f =

@@ -9,6 +9,9 @@ val now_ns : unit -> int64
 (** Nanoseconds on the monotonic clock. Only differences are meaningful;
     the epoch is unspecified (typically boot time). *)
 
+val now_int_ns : unit -> int
+(** {!now_ns} as an immediate [int]: a read allocates nothing. *)
+
 val ns_to_s : int64 -> float
 (** Nanoseconds to seconds. *)
 

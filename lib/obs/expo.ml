@@ -7,27 +7,15 @@ let fmt_value f =
 
 let fmt_le u = if u = infinity then "+Inf" else Printf.sprintf "%.9g" u
 
-(* Label values: escape backslash, double quote and newline (the
-   Prometheus text-format rules). *)
-let escape_label s =
+(* The Prometheus text-format escapes: backslash and newline, and in
+   label values ([quote]) the double quote too. *)
+let escape ~quote s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* HELP text: escape backslash and newline only. *)
-let escape_help s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
+      | '"' when quote -> Buffer.add_string b "\\\""
       | '\n' -> Buffer.add_string b "\\n"
       | c -> Buffer.add_char b c)
     s;
@@ -39,7 +27,7 @@ let label_set labels =
   | labels ->
     "{"
     ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape_label v)) labels)
+        (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k (escape ~quote:true v)) labels)
     ^ "}"
 
 let kind_name = function
@@ -72,7 +60,7 @@ let prometheus reg =
       let first = List.hd ms in
       if first.Metrics.help <> "" then
         Buffer.add_string b
-          (Printf.sprintf "# HELP %s %s\n" name (escape_help first.Metrics.help));
+          (Printf.sprintf "# HELP %s %s\n" name (escape ~quote:false first.Metrics.help));
       Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name (kind_name first.Metrics.kind));
       List.iter
         (fun (m : Metrics.metric) ->
@@ -102,58 +90,48 @@ let prometheus reg =
     (families reg);
   Buffer.contents b
 
-(* ----- JSON ----- *)
+(* ----- JSON -----
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+   Built as a [Journal.json] and rendered by the journal's one JSON
+   writer. A non-finite value (a NaN gauge, an infinite sum) has no JSON
+   number, so it renders as [null]. *)
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+let json_num f =
+  if not (Float.is_finite f) then Journal.Null
+  else if Float.is_integer f && Float.abs f < 1e15 then Journal.Int (int_of_float f)
+  else Journal.Float f
 
 let json_of_metric (m : Metrics.metric) =
   let common =
-    Printf.sprintf "\"name\":\"%s\",\"type\":\"%s\",\"help\":\"%s\",\"labels\":%s"
-      (json_escape m.Metrics.name) (kind_name m.Metrics.kind) (json_escape m.Metrics.help)
-      (json_labels m.Metrics.labels)
+    [
+      ("name", Journal.Str m.Metrics.name);
+      ("type", Journal.Str (kind_name m.Metrics.kind));
+      ("help", Journal.Str m.Metrics.help);
+      ("labels", Journal.Obj (List.map (fun (k, v) -> (k, Journal.Str v)) m.Metrics.labels));
+    ]
   in
-  match m.Metrics.kind with
-  | Metrics.Counter c -> Printf.sprintf "{%s,\"value\":%d}" common (Metrics.Counter.value c)
-  | Metrics.Gauge g ->
-    Printf.sprintf "{%s,\"value\":%s}" common (fmt_value (Metrics.Gauge.value g))
-  | Metrics.Histogram h ->
-    let buckets =
-      String.concat ","
-        (List.map
-           (fun (upper, count) ->
-             Printf.sprintf "{\"le\":\"%s\",\"count\":%d}" (fmt_le upper) count)
-           (Metrics.Histogram.buckets h))
-    in
-    Printf.sprintf "{%s,\"sum\":%s,\"count\":%d,\"buckets\":[%s]}" common
-      (fmt_value (Metrics.Histogram.sum h))
-      (Metrics.Histogram.observations h)
-      buckets
+  Journal.Obj
+    (common
+    @
+    match m.Metrics.kind with
+    | Metrics.Counter c -> [ ("value", Journal.Int (Metrics.Counter.value c)) ]
+    | Metrics.Gauge g -> [ ("value", json_num (Metrics.Gauge.value g)) ]
+    | Metrics.Histogram h ->
+      [
+        ("sum", json_num (Metrics.Histogram.sum h));
+        ("count", Journal.Int (Metrics.Histogram.observations h));
+        ( "buckets",
+          Journal.List
+            (List.map
+               (fun (upper, count) ->
+                 Journal.Obj [ ("le", Journal.Str (fmt_le upper)); ("count", Journal.Int count) ])
+               (Metrics.Histogram.buckets h)) );
+      ])
 
 let json reg =
-  "{\"metrics\":["
-  ^ String.concat "," (List.map json_of_metric (Metrics.Registry.metrics reg))
-  ^ "]}"
+  Journal.render_json
+    (Journal.Obj
+       [ ("metrics", Journal.List (List.map json_of_metric (Metrics.Registry.metrics reg))) ])
 
 (* ----- parsing the text format back ----- *)
 

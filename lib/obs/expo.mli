@@ -7,9 +7,10 @@ val prometheus : Metrics.Registry.t -> string
     [_bucket{le=...}] series plus [_sum] and [_count]. *)
 
 val json : Metrics.Registry.t -> string
-(** One JSON object [{"metrics": [...]}]; histogram buckets are
-    non-cumulative with ["le"] rendered as a string (["+Inf"] for the
-    overflow bucket). *)
+(** One JSON object [{"metrics": [...]}], rendered by
+    {!Journal.render_json}; histogram buckets are non-cumulative with
+    ["le"] rendered as a string (["+Inf"] for the overflow bucket). A
+    non-finite gauge value or histogram sum renders as [null]. *)
 
 val fmt_le : float -> string
 (** A bucket upper bound as Prometheus renders it (["+Inf"] for

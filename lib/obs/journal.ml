@@ -64,11 +64,12 @@ module Fb = struct
     Bytes.unsafe_set t.b t.pos c;
     t.pos <- t.pos + 1
 
-  let put_string t s =
-    let len = String.length s in
+  let put_sub t s off len =
     ensure t len;
-    Bytes.blit_string s 0 t.b t.pos len;
+    Bytes.blit_string s off t.b t.pos len;
     t.pos <- t.pos + len
+
+  let put_string t s = put_sub t s 0 (String.length s)
 
   (* Decimal render without the [string_of_int] allocation; emits the
      same bytes. Digits are generated from the negative absolute value
@@ -187,189 +188,7 @@ let render_json v =
   render_into b v;
   Fb.contents b
 
-(* ----- parsing ----- *)
-
 exception Parse_error of string
-
-let parse_json_exn s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c =
-    if !pos >= n || s.[!pos] <> c then fail "expected %C at offset %d" c !pos;
-    advance ()
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail "bad literal at offset %d" !pos
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char b '"'
-        | '\\' -> Buffer.add_char b '\\'
-        | '/' -> Buffer.add_char b '/'
-        | 'n' -> Buffer.add_char b '\n'
-        | 't' -> Buffer.add_char b '\t'
-        | 'r' -> Buffer.add_char b '\r'
-        | 'b' -> Buffer.add_char b '\b'
-        | 'f' -> Buffer.add_char b '\012'
-        | 'u' ->
-          if !pos + 4 >= n then fail "truncated \\u escape";
-          let hex = String.sub s (!pos + 1) 4 in
-          let code =
-            match int_of_string_opt ("0x" ^ hex) with
-            | Some c -> c
-            | None -> fail "bad \\u escape %S" hex
-          in
-          (* The journal only ever escapes control characters this way;
-             decode the BMP code point as UTF-8 so foreign journals with
-             plain \uXXXX escapes still parse. *)
-          if code < 0x80 then Buffer.add_char b (Char.chr code)
-          else if code < 0x800 then begin
-            Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end
-          else begin
-            Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-            Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-            Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-          end;
-          pos := !pos + 4
-        | c -> fail "bad escape \\%c" c);
-        advance ();
-        loop ()
-      | c ->
-        Buffer.add_char b c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then advance ();
-    let is_float = ref false in
-    let digits () =
-      while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      is_float := true;
-      advance ();
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-      is_float := true;
-      advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-      digits ()
-    | _ -> ());
-    let text = String.sub s start (!pos - start) in
-    if !is_float then
-      match float_of_string_opt text with
-      | Some f -> Float f
-      | None -> fail "bad number %S" text
-    else begin
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> (
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail "bad number %S" text)
-    end
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}' at offset %d" !pos
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        List []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']' at offset %d" !pos
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail "unexpected character %C at offset %d" c !pos
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage at offset %d" !pos;
-  v
-
-let json_of_string s =
-  match parse_json_exn s with
-  | v -> Ok v
-  | exception Parse_error msg -> Error msg
 
 (* ----- headers and events ----- *)
 
@@ -455,12 +274,17 @@ let encode_int b i =
   Fb.put_byte b 0x02;
   put_uvarint b ((i lsl 1) lxor (i asr 62))
 
-let encode_float b f =
-  reject_non_finite f;
+(* Raw bits: the reader's transcoder keeps whatever float the text
+   spelled, [1e999] included; the encoders below refuse non-finite ones. *)
+let put_float_bits b f =
   Fb.ensure b 9;
   Fb.put_byte b 0x03;
   Bytes.set_int64_le b.Fb.b b.Fb.pos (Int64.bits_of_float f);
   b.Fb.pos <- b.Fb.pos + 8
+
+let encode_float b f =
+  reject_non_finite f;
+  put_float_bits b f
 
 let encode_str b s =
   Fb.ensure b 10;
@@ -468,19 +292,21 @@ let encode_str b s =
   put_uvarint b (String.length s);
   Fb.put_string b s
 
-let rec encode_value b = function
+(* [raw] writes non-finite floats instead of refusing them: a value
+   already read from a journal is re-encoded as it was read. *)
+let rec encode_json ~raw b = function
   | Null ->
     Fb.ensure b 1;
     Fb.put_byte b 0x00
   | Bool v -> encode_bool b v
   | Int i -> encode_int b i
-  | Float f -> encode_float b f
+  | Float f -> if raw then put_float_bits b f else encode_float b f
   | Str s -> encode_str b s
   | List xs ->
     Fb.ensure b 11;
     Fb.put_byte b 0x05;
     put_uvarint b (List.length xs);
-    List.iter (encode_value b) xs
+    List.iter (encode_json ~raw b) xs
   | Obj kvs ->
     Fb.ensure b 11;
     Fb.put_byte b 0x06;
@@ -488,8 +314,10 @@ let rec encode_value b = function
     List.iter
       (fun (k, v) ->
         put_key b k;
-        encode_value b v)
+        encode_json ~raw b v)
       kvs
+
+let encode_value b v = encode_json ~raw:false b v
 
 let frame_of_payload payload =
   let len = String.length payload in
@@ -497,6 +325,226 @@ let frame_of_payload payload =
   Bytes.set_int32_le b 0 (Int32.of_int len);
   Bytes.blit_string payload 0 b 4 len;
   Bytes.unsafe_to_string b
+
+(* ----- JSON text, transcoded into the binary codec -----
+
+   The one JSON parser. Text is read straight into a binary value in an
+   [Fb] — the bytes [encode_value] writes for the same JSON — so a JSONL
+   line becomes a frame payload in place and the frame reader takes it
+   from there. Floats go in as raw bits: [1e999] reads back as
+   [Float inf], as [float_of_string] spells it, and an integer literal
+   too large for [int] reads as a float. A container's count and a
+   string's length precede their contents, so each is written as one
+   byte and widened in place in the rare case it needs more. *)
+
+type text = {
+  s : string;
+  mutable at : int;
+  out : Fb.t;
+}
+
+let text_fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+let peek_is t c = t.at < String.length t.s && String.unsafe_get t.s t.at = c
+
+let skip_ws t =
+  while
+    t.at < String.length t.s
+    && match String.unsafe_get t.s t.at with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+  do
+    t.at <- t.at + 1
+  done
+
+let expect t c =
+  if not (peek_is t c) then text_fail "expected %C at offset %d" c t.at;
+  t.at <- t.at + 1
+
+let literal t word =
+  let l = String.length word in
+  let i = ref 0 in
+  while !i < l && t.at + !i < String.length t.s && t.s.[t.at + !i] = word.[!i] do
+    incr i
+  done;
+  if !i < l then text_fail "bad literal at offset %d" t.at;
+  t.at <- t.at + l
+
+let push_byte b v =
+  Fb.ensure b 1;
+  Fb.put_byte b v
+
+(* Reserve a one-byte count (or length) slot; its offset. *)
+let open_count b =
+  push_byte b 0;
+  b.Fb.pos - 1
+
+(* Fill the slot at [slot] with [n], widening it when [n] takes more
+   than one varint byte. *)
+let close_count b slot n =
+  let rec width n w = if n < 0x80 then w else width (n lsr 7) (w + 1) in
+  let extra = width n 1 - 1 in
+  if extra > 0 then begin
+    Fb.ensure b extra;
+    Bytes.blit b.Fb.b (slot + 1) b.Fb.b (slot + 1 + extra) (b.Fb.pos - slot - 1)
+  end;
+  let stop = b.Fb.pos + extra in
+  b.Fb.pos <- slot;
+  put_uvarint b n;
+  b.Fb.pos <- stop
+
+let put_utf8 b code =
+  (* The journal only ever escapes control characters as \uXXXX; decode
+     the BMP code point as UTF-8 so foreign journals still parse. *)
+  Fb.ensure b 3;
+  if code < 0x80 then Fb.put_byte b code
+  else if code < 0x800 then begin
+    Fb.put_byte b (0xC0 lor (code lsr 6));
+    Fb.put_byte b (0x80 lor (code land 0x3F))
+  end
+  else begin
+    Fb.put_byte b (0xE0 lor (code lsr 12));
+    Fb.put_byte b (0x80 lor ((code lsr 6) land 0x3F));
+    Fb.put_byte b (0x80 lor (code land 0x3F))
+  end
+
+(* The bytes of a string up to and past its closing quote, unescaped. *)
+let rec string_bytes t b =
+  let s = t.s and n = String.length t.s in
+  let run = t.at in
+  while t.at < n && (let c = String.unsafe_get s t.at in c <> '"' && c <> '\\') do
+    t.at <- t.at + 1
+  done;
+  Fb.put_sub b s run (t.at - run);
+  if t.at >= n then text_fail "unterminated string";
+  if s.[t.at] = '"' then t.at <- t.at + 1
+  else begin
+    t.at <- t.at + 1;
+    if t.at >= n then text_fail "unterminated escape";
+    (match s.[t.at] with
+    | ('"' | '\\' | '/') as c -> push_byte b (Char.code c)
+    | 'n' -> push_byte b 0x0a
+    | 't' -> push_byte b 0x09
+    | 'r' -> push_byte b 0x0d
+    | 'b' -> push_byte b 0x08
+    | 'f' -> push_byte b 0x0c
+    | 'u' ->
+      if t.at + 4 >= n then text_fail "truncated \\u escape";
+      let hex = String.sub s (t.at + 1) 4 in
+      (match int_of_string_opt ("0x" ^ hex) with
+      | Some code -> put_utf8 b code
+      | None -> text_fail "bad \\u escape %S" hex);
+      t.at <- t.at + 4
+    | c -> text_fail "bad escape \\%c" c);
+    t.at <- t.at + 1;
+    string_bytes t b
+  end
+
+(* A string's length, then its unescaped bytes. *)
+let text_string t =
+  expect t '"';
+  let b = t.out in
+  let slot = open_count b in
+  let start = b.Fb.pos in
+  string_bytes t b;
+  close_count b slot (b.Fb.pos - start)
+
+let is_digit c = c >= '0' && c <= '9'
+
+let skip_digits t =
+  while t.at < String.length t.s && is_digit (String.unsafe_get t.s t.at) do
+    t.at <- t.at + 1
+  done
+
+let text_number t =
+  let s = t.s in
+  let start = t.at in
+  if peek_is t '-' then t.at <- t.at + 1;
+  let d0 = t.at in
+  skip_digits t;
+  let d1 = t.at in
+  let is_float = peek_is t '.' || peek_is t 'e' || peek_is t 'E' in
+  if peek_is t '.' then begin
+    t.at <- t.at + 1;
+    skip_digits t
+  end;
+  if peek_is t 'e' || peek_is t 'E' then begin
+    t.at <- t.at + 1;
+    if peek_is t '+' || peek_is t '-' then t.at <- t.at + 1;
+    skip_digits t
+  end;
+  if (not is_float) && d1 > d0 && d1 - d0 <= 18 then begin
+    (* Eighteen digits always fit: no text copy on the common path. *)
+    let v = ref 0 in
+    for i = d0 to d1 - 1 do
+      v := (10 * !v) + Char.code (String.unsafe_get s i) - Char.code '0'
+    done;
+    encode_int t.out (if d0 > start then - !v else !v)
+  end
+  else begin
+    let text = String.sub s start (t.at - start) in
+    match if is_float then None else int_of_string_opt text with
+    | Some i -> encode_int t.out i
+    | None -> (
+      match float_of_string_opt text with
+      | Some f -> put_float_bits t.out f
+      | None -> text_fail "bad number %S" text)
+  end
+
+let rec text_value t =
+  skip_ws t;
+  if t.at >= String.length t.s then text_fail "unexpected end of input";
+  match t.s.[t.at] with
+  | '{' -> text_container t 0x06 '}'
+  | '[' -> text_container t 0x05 ']'
+  | '"' ->
+    push_byte t.out 0x04;
+    text_string t
+  | 't' ->
+    literal t "true";
+    encode_bool t.out true
+  | 'f' ->
+    literal t "false";
+    encode_bool t.out false
+  | 'n' ->
+    literal t "null";
+    push_byte t.out 0x00
+  | '-' | '0' .. '9' -> text_number t
+  | c -> text_fail "unexpected character %C at offset %d" c t.at
+
+(* An object (closed by '}', members are key: value) or a list. *)
+and text_container t tag close =
+  t.at <- t.at + 1;
+  push_byte t.out tag;
+  let slot = open_count t.out in
+  skip_ws t;
+  if peek_is t close then t.at <- t.at + 1
+  else begin
+    let count = ref 0 and more = ref true in
+    while !more do
+      if close = '}' then begin
+        skip_ws t;
+        text_string t;
+        skip_ws t;
+        expect t ':'
+      end;
+      text_value t;
+      skip_ws t;
+      incr count;
+      if peek_is t ',' then t.at <- t.at + 1
+      else if peek_is t close then begin
+        t.at <- t.at + 1;
+        more := false
+      end
+      else text_fail "expected ',' or %C at offset %d" close t.at
+    done;
+    close_count t.out slot !count
+  end
+
+(* Append the binary encoding of the JSON text [s] to [out].
+   @raise Parse_error *)
+let transcode out s =
+  let t = { s; at = 0; out } in
+  text_value t;
+  skip_ws t;
+  if t.at <> String.length s then text_fail "trailing garbage at offset %d" t.at
 
 (* ----- reading binary values in place -----
 
@@ -619,6 +667,12 @@ let decode_payload s =
   let v = decode_value c in
   check_consumed c;
   v
+
+let json_of_string s =
+  let b = Fb.create 64 in
+  match transcode b s with
+  | () -> Ok (decode_value { b = b.Fb.b; pos = 0; lim = b.Fb.pos })
+  | exception Parse_error msg -> Error msg
 
 let encode_payload json =
   let b = Fb.create 128 in
@@ -950,15 +1004,15 @@ let tail sink n =
 
 (* ----- reading journals -----
 
-   One reader per codec, both driving the same fold: the header goes to
-   [header], then each event, as a {!Frame.t}, to the step function.
-   The binary reader takes one length-prefixed frame at a time — in
-   place from a string, or from a channel through one reusable buffer —
-   and indexes the event object's members where they sit: the reserved
-   fields are decoded straight off the bytes, and the step reads the
-   rest by key on demand, comparing keys in place. The text reader
-   parses one line at a time into an [event]. The whole-journal parsers
-   are this fold accumulating {!Frame.to_event}. *)
+   One reader for both codecs. Every journal is read as a sequence of
+   binary frame payloads: a binary journal's frames in place, from a
+   string or from a channel through one reusable buffer; a JSONL line
+   transcoded into a reusable writer; an already-parsed event list
+   encoded one event at a time. The header frame goes to [header], and
+   each event frame is indexed where it sits — the reserved fields are
+   decoded straight off the bytes, and the step reads the rest by key on
+   demand, comparing keys in place. The whole-journal loaders are this
+   fold accumulating {!Frame.to_event}. *)
 
 exception Field_error of string
 
@@ -997,17 +1051,12 @@ let list_field e key =
   | Some (List v) -> Ok v
   | _ -> field_err e key "a list"
 
-type backing =
-  | Bin (* the payload in [c], indexed below *)
-  | Parsed of event
-
 type frame = {
   mutable line : int;
   mutable seq : int;
   mutable ts_ns : int;
   mutable kind : string;
-  mutable backing : backing;
-  c : cursor; (* [Bin]: the payload is [c.b] up to [c.lim] *)
+  c : cursor; (* the payload is [c.b] up to [c.lim] *)
   mutable n : int; (* members of the event object *)
   mutable koff : int array; (* member i's key starts here ... *)
   mutable klen : int array; (* ... and is this long; *)
@@ -1021,7 +1070,6 @@ let new_frame () =
     seq = 0;
     ts_ns = 0;
     kind = "";
-    backing = Bin;
     c = { b = Bytes.empty; pos = 0; lim = 0 };
     n = 0;
     koff = Array.make 8 0;
@@ -1029,13 +1077,6 @@ let new_frame () =
     voff = Array.make 8 0;
     kinds = [];
   }
-
-let set_parsed fr (ev : event) =
-  fr.line <- ev.line;
-  fr.seq <- ev.seq;
-  fr.ts_ns <- ev.ts_ns;
-  fr.kind <- ev.kind;
-  fr.backing <- Parsed ev
 
 let bytes_eq b off s =
   let len = String.length s in
@@ -1103,16 +1144,14 @@ let header_of_kvs kvs =
   | _, None -> raise (Parse_error "header is missing the \"version\" field")
   | _ -> raise (Parse_error "header \"journal\"/\"version\" fields have the wrong type")
 
-(* The reserved triple, checked alike by both codecs: a well-typed
-   [seq]/[ts_ns]/[ev] with the expected sequence number, or else the
-   first missing key, or else a wrong type. *)
-let check_seq ~expect_seq seq =
-  if seq <> expect_seq then
-    raise
-      (Parse_error
-         (Printf.sprintf "sequence number %d, expected %d (truncated or tampered journal)" seq
-            expect_seq))
+let read_header fr =
+  let v = decode_value fr.c in
+  check_consumed fr.c;
+  match v with Obj kvs -> header_of_kvs kvs | _ -> raise (Parse_error "expected an object frame")
 
+(* The reserved triple: a well-typed [seq]/[ts_ns]/[ev] with the
+   expected sequence number, or else the first missing key, or else a
+   wrong type. *)
 let reserved_error ~seq ~ts_ns ~ev =
   raise
     (Parse_error
@@ -1120,16 +1159,6 @@ let reserved_error ~seq ~ts_ns ~ev =
         else if not ts_ns then "event is missing the \"ts_ns\" field"
         else if not ev then "event is missing the \"ev\" field"
         else "event \"seq\"/\"ts_ns\"/\"ev\" fields have the wrong type"))
-
-let event_of_kvs ~line ~expect_seq kvs =
-  match (List.assoc_opt "seq" kvs, List.assoc_opt "ts_ns" kvs, List.assoc_opt "ev" kvs) with
-  | Some (Int seq), Some (Int ts_ns), Some (Str kind) ->
-    check_seq ~expect_seq seq;
-    let fields = List.filter (fun (k, _) -> not (List.mem k reserved)) kvs in
-    { seq; ts_ns; kind; fields; line }
-  | seq, ts_ns, ev ->
-    reserved_error ~seq:(Option.is_some seq) ~ts_ns:(Option.is_some ts_ns)
-      ~ev:(Option.is_some ev)
 
 let rec find_interned b off len = function
   | [] -> raise Not_found
@@ -1152,29 +1181,16 @@ let read_reserved fr ~expect_seq =
   then reserved_error ~seq:(si >= 0) ~ts_ns:(ti >= 0) ~ev:(ei >= 0);
   enter fr si;
   fr.seq <- get_zigzag fr.c;
-  check_seq ~expect_seq fr.seq;
+  if fr.seq <> expect_seq then
+    raise
+      (Parse_error
+         (Printf.sprintf "sequence number %d, expected %d (truncated or tampered journal)" fr.seq
+            expect_seq));
   enter fr ti;
   fr.ts_ns <- get_zigzag fr.c;
   enter fr ei;
   let len = get_uvarint fr.c in
-  fr.kind <- intern fr (advance fr.c len) len;
-  fr.backing <- Bin
-
-(* The cursor API reads no floats, so a non-finite one — parsed JSON can
-   hold it, the binary codec refuses it — may as well read as null. *)
-let rec finite_only = function
-  | Float f when not (Float.is_finite f) -> Null
-  | List l -> List (List.map finite_only l)
-  | Obj kvs -> Obj (List.map (fun (k, v) -> (k, finite_only v)) kvs)
-  | v -> v
-
-let cursor_of_json v =
-  let b = Fb.create 64 in
-  (try encode_value b v
-   with Encode_error _ ->
-     Fb.clear b;
-     encode_value b (finite_only v));
-  { b = b.Fb.b; pos = 0; lim = b.Fb.pos }
+  fr.kind <- intern fr (advance fr.c len) len
 
 module Cursor = struct
   type t = cursor
@@ -1191,28 +1207,34 @@ module Cursor = struct
 
   let list c = if tagged c 0x05 then get_count c else -1
   let obj c = if tagged c 0x06 then get_count c else -1
+  let int c = if tagged c 0x02 then get_zigzag c else raise Not_found
+  let str c = if tagged c 0x04 then get_str c else raise Not_found
+  let value = decode_value
 
   (* Reads a length-prefixed byte run whatever it holds. *)
-  let bytes_are c s =
+  let key_is c s =
     let len = get_uvarint c in
     let p = advance c len in
     len = String.length s && bytes_eq c.b p s
 
-  let key_is = bytes_are
-  let str_is c s = tagged c 0x04 && bytes_are c s
-  let int_is c v = tagged c 0x02 && get_zigzag c = v
+  let str_is c s = tagged c 0x04 && key_is c s
 
   let member c key =
     let n = obj c in
     let found = ref false and i = ref 0 in
     while (not !found) && !i < n do
-      if bytes_are c key then found := true
+      if key_is c key then found := true
       else begin
         skip_value c;
         incr i
       end
     done;
     !found
+
+  let of_json v =
+    let b = Fb.create 64 in
+    encode_json ~raw:true b v;
+    { b = b.Fb.b; pos = 0; lim = b.Fb.pos }
 end
 
 module Frame = struct
@@ -1223,8 +1245,8 @@ module Frame = struct
   let kind fr = fr.kind
   let missing fr key what = raise (Field_error (field_msg ~line:fr.line ~kind:fr.kind key what))
 
-  (* The member holding field [key] of a [Bin] frame, or -1: reserved
-     keys are not fields, as in [event.fields]. *)
+  (* The member holding field [key], or -1: reserved keys are not
+     fields, as in [event.fields]. *)
   let field_index fr key = if is_reserved key then -1 else member_index fr key
 
   let scalar fr key tag what =
@@ -1232,62 +1254,36 @@ module Frame = struct
     if i < 0 || tag_at fr i <> tag then missing fr key what;
     enter fr i
 
-  let get = function Ok v -> v | Error msg -> raise (Field_error msg)
-
   let int fr key =
-    match fr.backing with
-    | Parsed ev -> get (int_field ev key)
-    | Bin ->
-      scalar fr key 0x02 "an integer";
-      get_zigzag fr.c
+    scalar fr key 0x02 "an integer";
+    get_zigzag fr.c
 
   let str fr key =
-    match fr.backing with
-    | Parsed ev -> get (str_field ev key)
-    | Bin ->
-      scalar fr key 0x04 "a string";
-      get_str fr.c
+    scalar fr key 0x04 "a string";
+    get_str fr.c
 
   let bool fr key =
-    match fr.backing with
-    | Parsed ev -> get (bool_field ev key)
-    | Bin ->
-      scalar fr key 0x01 "a boolean";
-      get_byte fr.c <> 0
+    scalar fr key 0x01 "a boolean";
+    get_byte fr.c <> 0
 
-  let field fr key =
-    match fr.backing with
-    | Parsed ev -> field ev key
-    | Bin ->
-      let i = field_index fr key in
-      if i < 0 then None
-      else begin
-        fr.c.pos <- fr.voff.(i);
-        Some (decode_value fr.c)
-      end
-
-  let list fr key = match field fr key with Some (List l) -> l | _ -> missing fr key "a list"
+  let list fr key =
+    scalar fr key 0x05 "a list";
+    decode_values fr.c (get_count fr.c) []
 
   let cursor fr key =
-    match fr.backing with
-    | Parsed _ -> Option.map cursor_of_json (field fr key)
-    | Bin ->
-      let i = field_index fr key in
-      if i < 0 then None else Some { fr.c with pos = fr.voff.(i) }
+    let i = field_index fr key in
+    if i < 0 then None else Some { fr.c with pos = fr.voff.(i) }
 
   let to_event fr =
-    match fr.backing with
-    | Parsed ev -> ev
-    | Bin ->
-      let fields = ref [] in
-      for i = fr.n - 1 downto 0 do
-        if not (key_is_at fr i "seq" || key_is_at fr i "ts_ns" || key_is_at fr i "ev") then begin
-          let key = Bytes.sub_string fr.c.b fr.koff.(i) fr.klen.(i) in
-          fr.c.pos <- fr.voff.(i);
-          fields := (key, decode_value fr.c) :: !fields
-        end
-      done;
-      { seq = fr.seq; ts_ns = fr.ts_ns; kind = fr.kind; fields = !fields; line = fr.line }
+    let fields = ref [] in
+    for i = fr.n - 1 downto 0 do
+      if not (key_is_at fr i "seq" || key_is_at fr i "ts_ns" || key_is_at fr i "ev") then begin
+        let key = Bytes.sub_string fr.c.b fr.koff.(i) fr.klen.(i) in
+        fr.c.pos <- fr.voff.(i);
+        fields := (key, decode_value fr.c) :: !fields
+      end
+    done;
+    { seq = fr.seq; ts_ns = fr.ts_ns; kind = fr.kind; fields = !fields; line = fr.line }
 end
 
 (* Parse errors get the line they were found on; field errors carry it. *)
@@ -1297,67 +1293,80 @@ let with_line fr f =
   | exception Parse_error msg -> Error (Printf.sprintf "line %d: %s" fr.line msg)
   | exception Field_error msg -> Error msg
 
-(* The binary fold. [next] loads the next frame's payload into [fr.c],
-   or answers [false] at a clean end of input. A frame is a "line":
-   header 1, event seq [s] on line [s + 2], as in the JSONL rendering. *)
-let fold_frames fr next ~header step =
+(* The fold. [source fr] is the [next] function that loads the next
+   frame's payload into [fr.c] and sets [fr.line], or answers [false] at
+   a clean end of input; [empty] is the error for an input with no
+   header. *)
+let fold_frames source ~empty ~header step =
+  let fr = new_frame () in
+  let next = source fr in
   with_line fr (fun () ->
-      fr.line <- 1;
-      if not (next ()) then Error "empty journal: missing header frame"
+      if not (next ()) then Error empty
       else begin
-        let v = decode_value fr.c in
-        check_consumed fr.c;
-        let h =
-          match v with
-          | Obj kvs -> header_of_kvs kvs
-          | _ -> raise (Parse_error "expected an object frame")
-        in
-        let acc = ref (header h) in
-        fr.line <- 2;
+        let acc = ref (header (read_header fr)) in
+        let expect_seq = ref 0 in
         while next () do
           index_frame fr;
-          read_reserved fr ~expect_seq:(fr.line - 2);
+          read_reserved fr ~expect_seq:!expect_seq;
           acc := step !acc fr;
-          fr.line <- fr.line + 1
+          incr expect_seq
         done;
         Ok !acc
       end)
 
-(* The text fold over [next_line]'s lines; blank lines are skipped but
-   numbered. *)
-let fold_lines fr next_line ~header step =
-  let obj_of_line line =
-    match json_of_string line with
-    | Error msg -> raise (Parse_error msg)
-    | Ok (Obj kvs) -> kvs
-    | Ok _ -> raise (Parse_error "expected a JSON object")
-  in
-  let rec next_obj () =
+let load_payload fr b =
+  fr.c.b <- b.Fb.b;
+  fr.c.pos <- 0;
+  fr.c.lim <- b.Fb.pos
+
+(* JSONL: each non-blank line of [next_line] transcoded into one frame.
+   Blank lines are skipped but numbered. *)
+let line_frames next_line fr =
+  let b = Fb.create 256 in
+  let rec next () =
     match next_line () with
-    | None -> None
+    | None -> false
     | Some line ->
       fr.line <- fr.line + 1;
-      if String.trim line = "" then next_obj () else Some (obj_of_line line)
+      if String.trim line = "" then next ()
+      else begin
+        Fb.clear b;
+        transcode b line;
+        if Bytes.get b.Fb.b 0 <> '\x06' then raise (Parse_error "expected a JSON object");
+        load_payload fr b;
+        true
+      end
   in
-  with_line fr (fun () ->
-      fr.line <- 0;
-      match next_obj () with
-      | None -> Error "empty journal: missing header line"
-      | Some kvs ->
-        let acc = ref (header (header_of_kvs kvs)) in
-        let rec go expect_seq =
-          match next_obj () with
-          | None -> Ok !acc
-          | Some kvs ->
-            set_parsed fr (event_of_kvs ~line:fr.line ~expect_seq kvs);
-            acc := step !acc fr;
-            go (expect_seq + 1)
-        in
-        go 0)
+  next
 
-let starts_with_magic s =
-  String.length s >= String.length binary_magic
-  && String.sub s 0 (String.length binary_magic) = binary_magic
+let fold_lines next_line =
+  fold_frames (line_frames next_line) ~empty:"empty journal: missing header line"
+
+(* A parsed journal, each event encoded into one frame on its own line,
+   as [Emit] writes it: no event object is built. *)
+let fold_parsed ((h : header), evs) =
+  let source fr =
+    let b = Fb.create 256 and rest = ref None in
+    let load line = load_payload fr b; fr.line <- line; true in
+    fun () ->
+      Fb.clear b;
+      match !rest with
+      | None ->
+        rest := Some evs;
+        encode_json ~raw:true b (header_obj h);
+        load 1
+      | Some [] -> false
+      | Some ((e : event) :: tl) ->
+        rest := Some tl;
+        let fields = e.fields in
+        encode_event_prelude b ~seq:e.seq ~ts_ns:e.ts_ns ~kind:e.kind
+          ~count:(count_unreserved fields);
+        List.iter
+          (fun (k, v) -> if not (is_reserved k) then (put_key b k; encode_json ~raw:true b v))
+          fields;
+        load e.line
+  in
+  fold_frames source ~empty:"empty journal"
 
 (* A frame's u32 LE length; -1 past [Int32.max_int], which no frame
    can be. *)
@@ -1370,10 +1379,13 @@ let get_len b off =
   in
   if v > 0x7fffffff then -1 else v
 
-let string_frames fr s =
+(* Binary frames are numbered as lines: header 1, event seq [s] on line
+   [s + 2], as in the JSONL rendering. *)
+let string_frames s fr =
   let n = String.length s and b = Bytes.unsafe_of_string s in
   let pos = ref (String.length binary_magic) in
   fun () ->
+    fr.line <- fr.line + 1;
     if !pos >= n then false
     else if !pos + 4 > n then raise (Parse_error "truncated frame length")
     else begin
@@ -1400,7 +1412,7 @@ let rec input_full ic b off len =
    buffer only grows for a frame larger than itself. [left] bytes of the
    file are unread: a frame claiming more is truncated, which is found
    before any buffer is sized for it. *)
-let channel_frames fr ic ~left =
+let channel_frames ic ~left fr =
   let buf = ref (Bytes.create 65536) and lo = ref 0 and hi = ref 0 and left = ref left in
   (* [need] bytes from [lo] in the buffer, or [false] at end of file *)
   let fill need =
@@ -1418,6 +1430,7 @@ let channel_frames fr ic ~left =
     !hi - !lo >= need
   in
   fun () ->
+    fr.line <- fr.line + 1;
     if not (fill 4) then
       if !hi = !lo then false else raise (Parse_error "truncated frame length")
     else begin
@@ -1431,19 +1444,12 @@ let channel_frames fr ic ~left =
       true
     end
 
-let list_lines lines =
-  let rest = ref lines in
-  fun () ->
-    match !rest with
-    | [] -> None
-    | l :: tl ->
-      rest := tl;
-      Some l
+let binary_empty = "empty journal: missing header frame"
 
 let fold_string s ~header step =
-  let fr = new_frame () in
-  if starts_with_magic s then fold_frames fr (string_frames fr s) ~header step
-  else fold_lines fr (list_lines (String.split_on_char '\n' s)) ~header step
+  if String.starts_with ~prefix:binary_magic s then
+    fold_frames (string_frames s) ~empty:binary_empty ~header step
+  else fold_lines (Seq.to_dispenser (List.to_seq (String.split_on_char '\n' s))) ~header step
 
 let fold_file path ~header step =
   match open_in_bin path with
@@ -1457,44 +1463,26 @@ let fold_file path ~header step =
           (* A pipe can be neither measured nor rewound: read it whole. *)
           fold_string (In_channel.input_all ic) ~header step
         | size ->
-          let fr = new_frame () in
           let magic = String.length binary_magic in
           let head = Bytes.create magic in
           if input_full ic head 0 magic = magic && Bytes.to_string head = binary_magic then
-            fold_frames fr (channel_frames fr ic ~left:(size - magic)) ~header step
+            fold_frames (channel_frames ic ~left:(size - magic)) ~empty:binary_empty ~header step
           else begin
             seek_in ic 0;
-            fold_lines fr (fun () -> In_channel.input_line ic) ~header step
+            fold_lines (fun () -> In_channel.input_line ic) ~header step
           end)
 
-let fold_events (h, evs) ~header step =
-  let fr = new_frame () in
-  with_line fr (fun () ->
-      Ok
-        (List.fold_left
-           (fun acc ev ->
-             set_parsed fr ev;
-             step acc fr)
-           (header h) evs))
-
-(* ----- whole-journal parsing: the folds, accumulating events ----- *)
+(* ----- loading whole journals: the folds, accumulating events ----- *)
 
 let collect fold =
   Result.map
     (fun (h, rev) -> (h, List.rev rev))
     (fold ~header:(fun h -> (h, [])) (fun (h, rev) fr -> (h, Frame.to_event fr :: rev)))
 
-let parse_lines lines = collect (fold_lines (new_frame ()) (list_lines lines))
-let parse_string s = parse_lines (String.split_on_char '\n' s)
-
-let parse_binary_string s =
-  if starts_with_magic s then collect (fold_string s) else Error "not a binary journal (bad magic)"
-
 module Binary = struct
   let magic = binary_magic
   let encode_header h = frame_of_payload (encode_payload (header_obj h))
   let encode_event e = frame_of_payload (encode_payload (event_obj e))
-  let parse_string = parse_binary_string
 end
 
 (* Auto-detecting loaders: a binary journal announces itself with the
@@ -1507,15 +1495,12 @@ let load_file path = collect (fold_file path)
 (* ----- whole-journal files ----- *)
 
 let sniff_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> Jsonl
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        match really_input_string ic (String.length binary_magic) with
-        | head when starts_with_magic head -> Binary
-        | _ | (exception End_of_file) -> Jsonl)
+  match
+    In_channel.with_open_bin path (fun ic ->
+        In_channel.really_input_string ic (String.length binary_magic))
+  with
+  | Some head when head = binary_magic -> Binary
+  | _ | (exception Sys_error _) -> Jsonl
 
 let encode format (h, evs) =
   let b = Buffer.create 4096 in

@@ -1,11 +1,12 @@
-(** The flight recorder: a structured, versioned JSONL event journal.
+(** The flight recorder: a structured, versioned event journal, as
+    JSONL text or length-prefixed binary frames.
 
     A journal is one JSON object per line. The first line is a header
     ([{"journal": <producer>, "version": 1, ...metadata}]); every later
     line is an event carrying a monotonically increasing sequence
     number, a monotonic nanosecond timestamp and a producer-defined
     kind plus fields ([{"seq": 0, "ts_ns": ..., "ev": "add", ...}]).
-    Producers append through a {!sink}; consumers parse whole journals
+    Producers append through a {!sink}; consumers load whole journals
     back, or fold over them as they are read, with line-numbered errors
     in the [Rebal_core.Io] style, so a corrupted or truncated recording
     points at the offending line.
@@ -42,7 +43,9 @@ val render_json : json -> string
 val json_of_string : string -> (json, string) result
 (** Strict parser for the subset {!render_json} emits (which is plain
     JSON: objects, arrays, strings with escapes, numbers, booleans,
-    null). Rejects trailing garbage. *)
+    null). Rejects trailing garbage. The text is transcoded into the
+    binary codec, then decoded: an out-of-range float such as [1e999]
+    reads as [Float inf], an integer too large for [int] as a float. *)
 
 val current_version : int
 (** The journal format version this library writes (1). *)
@@ -193,14 +196,6 @@ val tail : sink -> int -> string list
 val render_header : header -> string
 val render_event : event -> string
 
-val parse_lines : string list -> (header * event list, string) result
-(** Parse a whole journal. Errors are ["line %d: ..."]: malformed JSON,
-    a missing or malformed header, non-contiguous sequence numbers
-    (evidence of truncation or tampering) and wrong-type reserved
-    fields are all rejected. Blank lines are ignored. *)
-
-val parse_string : string -> (header * event list, string) result
-
 (** The length-prefixed binary frame codec: magic ["RBJB\x01\n"], then
     [u32 LE length | payload] frames, each payload one tag-prefixed
     value (null 0x00, bool 0x01, zigzag-varint int 0x02, 8-byte IEEE 754
@@ -215,44 +210,47 @@ module Binary : sig
 
   val encode_event : event -> string
   (** @raise Encode_error on non-finite floats. *)
-
-  val parse_string : string -> (header * event list, string) result
-  (** Same guarantees as the text {!parse_lines}: header first,
-      contiguous sequence numbers, ["line %d: ..."] errors (a frame is a
-      "line": header 1, first event 2 — matching the JSONL numbering). *)
 end
 
 val load_string : string -> (header * event list, string) result
+(** Parse a whole journal held in memory, auto-detecting its codec: a
+    leading {!Binary.magic} selects the binary frames, anything else is
+    read as JSONL text. Errors are ["line %d: ..."] — a binary frame is
+    a "line", header 1 and first event 2, matching the JSONL numbering:
+    malformed JSON or frames, a missing or malformed header,
+    non-contiguous sequence numbers (evidence of truncation or
+    tampering) and wrong-type reserved fields are all rejected. Blank
+    JSONL lines are skipped but numbered. *)
 
 val load_file : string -> (header * event list, string) result
-(** Auto-detect: a leading {!Binary.magic} selects the binary parser,
-    anything else is parsed as JSONL text. What every consumer of
+(** {!load_string} on the journal at a path. What every consumer of
     user-supplied journal paths (replay, snapshot, compact, explain,
     serve resume, convert) should call, unless it can consume the
     journal as it is read: then see {!fold_file}. *)
 
 (** {2 Streaming}
 
-    The parsers above are these folds accumulating every event; used
+    The loaders above are these folds accumulating every event; used
     directly, the folds hand each event to the caller as it is read,
-    and no list is built. There is one reader per codec underneath
-    both. A binary journal is read one length-prefixed frame at a time
-    through a reusable buffer: the event object's members are indexed
-    where they sit, and fields are read by key on demand. A JSONL
-    journal is read one line at a time. Every check and
-    ["line %d: ..."] error of the whole-journal parsers applies, but a
-    fold stops at the first bad line, so a journal with a corrupt tail
-    has had its head folded. *)
+    and no list is built. There is one reader underneath all of them,
+    and it reads binary frames: a binary journal's frames in place,
+    from a string or through one reusable buffer; each JSONL line
+    transcoded straight into a frame; each event of a parsed journal
+    encoded into one. The event object's members are indexed where they
+    sit, and fields are read by key on demand. Every check and
+    ["line %d: ..."] error of the loaders applies, but a fold stops at
+    the first bad line, so a journal with a corrupt tail has had its
+    head folded. *)
 
 exception Field_error of string
 (** Raised by the {!Frame} field readers with {!int_field}'s message; a
     fold returns it as its [Error]. *)
 
 (** A cursor over one binary-encoded value, for walking large nested
-    values (a snapshot's jobs) without decoding them. Each reader
-    consumes what it reads and answers [false] (or [-1]) when the value
-    here is not of the expected shape, after which the position is
-    unspecified: {!seek} back. *)
+    values (a snapshot's jobs) without building them. Each reader
+    consumes what it reads and answers [false] or [-1], or raises
+    [Not_found], when the value here is not of the expected shape,
+    after which the position is unspecified: {!seek} back. *)
 module Cursor : sig
   type t
 
@@ -269,12 +267,21 @@ module Cursor : sig
   val key_is : t -> string -> bool
   (** Reads an object key; [true] when it equals the string. *)
 
-  val int_is : t -> int -> bool
+  val int : t -> int
+  val str : t -> string
+
   val str_is : t -> string -> bool
+  (** A string here, compared in place with the given one. *)
+
+  val value : t -> json
+  (** The value here, decoded whole. *)
 
   val member : t -> string -> bool
   (** An object here: move to the value of its first member with this
       key, as [List.assoc] would find it. *)
+
+  val of_json : json -> t
+  (** A cursor over the encoding of a value built in memory. *)
 end
 
 (** One event of a journal being folded. Only valid during the step
@@ -296,13 +303,14 @@ module Frame : sig
   val bool : t -> string -> bool
 
   val list : t -> string -> json list
-  (** Decoded on demand, like {!field}. *)
-
-  val field : t -> string -> json option
-  (** Any field, decoded on demand. Reserved keys are not fields. *)
+  (** Decoded on demand. *)
 
   val cursor : t -> string -> Cursor.t option
-  (** A field's value, to walk without decoding it. *)
+  (** A field's value, to walk without decoding it. Reserved keys are
+      not fields. *)
+
+  val to_event : t -> event
+  (** The whole event, every field decoded. *)
 end
 
 val fold_file :
@@ -317,11 +325,12 @@ val fold_string :
   string -> header:(header -> 'a) -> ('a -> Frame.t -> 'a) -> ('a, string) result
 (** {!fold_file} over a journal held in memory, read in place. *)
 
-val fold_events :
+val fold_parsed :
   header * event list -> header:(header -> 'a) -> ('a -> Frame.t -> 'a) -> ('a, string) result
-(** The same fold over an already-parsed journal, so one step function
-    serves both. The events are taken as they are: hand-built lists are
-    not checked for contiguous sequence numbers. *)
+(** The same fold over an already-parsed journal, each event encoded
+    into a binary frame and read like any other, so one step function
+    serves every source. Errors name each event's own [line]; the
+    events must be numbered from 0 like a journal on disk. *)
 
 val sniff_file : string -> format
 (** The on-disk format of a journal file: [Binary] when it opens with

@@ -16,7 +16,7 @@ module Timer = Rebal_harness.Timer
    are additionally captured into a bounded slow-op ring whether or not
    they were sampled (an unsampled slow op stores a root-only tree — the
    children were never recorded). An unsampled op reads the clock twice
-   and builds nothing unless it turns out slow. With both knobs off,
+   and allocates nothing unless it turns out slow. With both knobs off,
    [with_op] is [f ()] behind two atomic loads; while no thread is inside
    a sampled op, [with_span]/[add_attr] are behind one. *)
 
@@ -49,9 +49,10 @@ let sample_every = Atomic.make 0
 (* Negative = tail capture off; otherwise the threshold in ns. *)
 let slow_threshold = Atomic.make (-1)
 
-(* Injectable clock: the slow-ring property tests drive op durations
-   deterministically through this hook. *)
-let clock : (unit -> int64) Atomic.t = Atomic.make Timer.now_ns
+(* Injectable clock, in nanoseconds: the slow-ring property tests drive
+   op durations deterministically through this hook. An [int], so an
+   unsampled op's two reads allocate nothing. *)
+let clock : (unit -> int) Atomic.t = Atomic.make Timer.now_int_ns
 
 let set_sample_every n = Atomic.set sample_every (max 0 n)
 let set_slow_threshold_ns n = Atomic.set slow_threshold n
@@ -173,12 +174,12 @@ let within sp f =
   let saved = current_span () in
   set_current key (Some sp);
   Fun.protect f ~finally:(fun () ->
-      sp.stop_ns <- now ();
+      sp.stop_ns <- Int64.of_int (now ());
       sp.children <- List.rev sp.children;
       set_current key saved)
 
 let open_span name attrs =
-  let t = now () in
+  let t = Int64.of_int (now ()) in
   { name; start_ns = t; stop_ns = t; attrs; children = [] }
 
 (* ----- spans ----- *)
@@ -188,14 +189,16 @@ let rec span_count sp = List.fold_left (fun n c -> n + span_count c) 1 sp.childr
 (* Store the op's tree when it was sampled ([root] holds it) or slow (an
    unsampled slow op stores its root alone). *)
 let close_op ~verb ~slow_t ~start_ns root =
-  let stop_ns = match root with Some sp -> sp.stop_ns | None -> now () in
-  let dur = Int64.sub stop_ns start_ns in
-  let slow = slow_t >= 0 && dur >= Int64.of_int slow_t in
+  let stop_ns = match root with Some sp -> Int64.to_int sp.stop_ns | None -> now () in
+  let dur = stop_ns - start_ns in
+  let slow = slow_t >= 0 && dur >= slow_t in
   if Option.is_some root || slow then begin
     let trace_id = Atomic.fetch_and_add trace_ids 1 in
+    let start_ns = Int64.of_int start_ns and stop_ns = Int64.of_int stop_ns in
     let root = match root with Some sp -> sp | None -> leaf verb start_ns stop_ns in
     record_trace { trace_id; spans = span_count root; root };
     if slow then
+      let dur = Int64.of_int dur in
       record_slow
         { slow_trace = trace_id; slow_verb = verb; slow_duration_ns = dur; slow_finished_ns = stop_ns }
   end
@@ -210,7 +213,7 @@ let with_op ~verb f =
         Some (open_span verb [])
       else None
     in
-    let start_ns = match root with Some sp -> sp.start_ns | None -> now () in
+    let start_ns = match root with Some sp -> Int64.to_int sp.start_ns | None -> now () in
     match (match root with Some sp -> within sp f | None -> f ()) with
     | v ->
       close_op ~verb ~slow_t ~start_ns root;

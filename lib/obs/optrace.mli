@@ -18,8 +18,8 @@
     bounded slow-op ring whether or not they were sampled — an
     unsampled slow op stores a root-only tree, since its children were
     never recorded. With both knobs off (the default) [with_op] is
-    [f ()] behind two atomic loads; an unsampled op reads the clock
-    twice and allocates nothing else. While no thread is inside a
+    [f ()] behind two atomic loads; an unsampled op that is not slow
+    reads the clock twice and allocates nothing. While no thread is inside a
     sampled op, {!with_span} and {!add_attr} are [f ()] / a no-op
     behind one atomic load.
 
@@ -73,9 +73,9 @@ val set_ring_capacity : int -> unit
 (** Resize (and clear) the op-trace ring, in spans (default 4096).
     @raise Invalid_argument if not positive. *)
 
-val set_clock : (unit -> int64) -> unit
-(** Test hook: replace the monotonic clock (global, all domains).
-    Restore with [set_clock Rebal_harness.Timer.now_ns]. *)
+val set_clock : (unit -> int) -> unit
+(** Test hook: replace the monotonic nanosecond clock (global, all
+    domains). Restore with [set_clock Rebal_harness.Timer.now_int_ns]. *)
 
 (** {2 Recording} *)
 

@@ -80,7 +80,7 @@ type report = {
 }
 
 let replay_matches cluster i journal =
-  match Result.bind (Journal.parse_string journal) Replay.resume with
+  match Result.bind (Journal.load_string journal) Replay.resume with
   | Error msg -> Error (pf "shard %d journal replay: %s" i msg)
   | Ok (eng, _) ->
     if Cluster.query cluster i (Replay.same_state eng) then Ok ()
@@ -134,7 +134,7 @@ let run ?(on_step = ignore) t =
         let restore () =
           Result.map fst
             (Result.bind
-               (Journal.parse_string (Buffer.contents buf))
+               (Journal.load_string (Buffer.contents buf))
                (Replay.resume_appending ~write:(Buffer.add_string buf)))
         in
         match Supervisor.readmit sup i restore with

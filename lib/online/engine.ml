@@ -976,20 +976,56 @@ let restore_slot t ~id ~seq ~size ~proc =
   t.total_size <- t.total_size + size;
   t.live <- t.live + 1
 
-let of_snapshot ?trigger ?clock ?journal json =
+(* ----- reading a recorded snapshot in place -----
+
+   One walk over the encoded snapshot at a cursor serves both readers:
+   [of_snapshot] restores an engine from it, [snapshot_differs] compares
+   it with a live one. Neither builds a tree of the jobs. *)
+
+module C = Journal.Cursor
+
+(* [read] on the member [key] of the object at [top], when it has one
+   that [read] accepts. *)
+let read_member c top key read =
+  C.seek c top;
+  match if C.member c key then read c else raise Not_found with
+  | v -> Some v
+  | exception Not_found -> None
+
+let int_member c top key = read_member c top key C.int
+
+(* The next [n] jobs, each exactly {id, seq, size, proc} in that order
+   as [snapshot] writes it, handed to [job] in recorded order with
+   whatever [id] reads off the id (which is a string). Stops at the
+   first malformed job or the first [false] from [job]: [true] when all
+   [n] were read and accepted. Reads nothing into the heap itself. *)
+let walk_jobs c n ~id job =
+  let int key = if C.key_is c key then C.int c else raise Not_found in
+  let rec go i =
+    i = n
+    || C.obj c = 4
+       && C.key_is c "id"
+       &&
+       let id = id c in
+       let seq = int "seq" in
+       let size = int "size" in
+       job id ~seq ~size ~proc:(int "proc") && go (i + 1)
+  in
+  try go 0 with Not_found -> false
+
+let of_snapshot ?trigger ?clock ?journal c =
   let ( let* ) = Result.bind in
-  let fields = match json with Journal.Obj fields -> fields | _ -> [] in
+  let top = C.pos c in
   let int name =
-    match List.assoc_opt name fields with
-    | Some (Journal.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "snapshot: missing integer field %S" name)
+    match int_member c top name with
+    | Some i -> Ok i
+    | None -> Error (Printf.sprintf "snapshot: missing integer field %S" name)
   in
   let* () =
-    match List.assoc_opt "snapshot" fields with
-    | Some (Journal.Str "rebal-engine") -> Ok ()
-    | Some (Journal.Str other) ->
-      Error (Printf.sprintf "snapshot: producer %S, wanted \"rebal-engine\"" other)
-    | _ -> Error "snapshot: not a rebal-engine snapshot object"
+    match read_member c top "snapshot" C.str with
+    | Some "rebal-engine" -> Ok ()
+    | Some other -> Error (Printf.sprintf "snapshot: producer %S, wanted \"rebal-engine\"" other)
+    | None -> Error "snapshot: not a rebal-engine snapshot object"
   in
   let* version = int "version" in
   let* () =
@@ -999,105 +1035,79 @@ let of_snapshot ?trigger ?clock ?journal json =
   let* m = int "m" in
   let* () = if m >= 1 then Ok () else Error "snapshot: need at least one processor" in
   let* recorded_trigger =
-    match List.assoc_opt "trigger" fields with
+    match read_member c top "trigger" C.value with
     | Some json -> trigger_of_json json
     | None -> Error "snapshot: missing trigger"
   in
   let* next_seq = int "next_seq" in
   let* events_since_repair = int "events_since_repair" in
-  let* jobs =
-    match List.assoc_opt "jobs" fields with
-    | Some (Journal.List jobs) -> Ok jobs
-    | _ -> Error "snapshot: missing jobs list"
-  in
+  (* The job list's length, the cursor at its first job. *)
+  let n = Option.value (read_member c top "jobs" C.list) ~default:(-1) in
+  let* () = if n >= 0 then Ok () else Error "snapshot: missing jobs list" in
   let trigger = match trigger with Some t -> t | None -> recorded_trigger in
   let t = create ~trigger ?clock ?journal ~m () in
-  let seen_seq = Hashtbl.create 64 in
+  (* Sized once for the recorded jobs: no growth copies while restoring. *)
+  grow_slots_to t (pow2_above initial_cap n);
+  Flat_str_map.reserve t.dir n;
+  let seen_seq = Hashtbl.create (max 16 n) in
+  let error = ref None in
+  let reject fmt = Printf.ksprintf (fun msg -> error := Some msg; false) fmt in
+  let restore id ~seq ~size ~proc =
+    if size <= 0 then reject "snapshot job %s: size must be positive" id
+    else if proc < 0 || proc >= m then reject "snapshot job %s: processor %d out of range" id proc
+    else if seq < 0 || seq >= next_seq then reject "snapshot job %s: seq %d out of range" id seq
+    else if Flat_str_map.mem t.dir id then reject "snapshot job %s: duplicate id" id
+    else if Hashtbl.mem seen_seq seq then reject "snapshot job %s: duplicate seq %d" id seq
+    else begin
+      Hashtbl.replace seen_seq seq ();
+      restore_slot t ~id ~seq ~size ~proc;
+      true
+    end
+  in
   let* () =
-    List.fold_left
-      (fun acc job ->
-        let* () = acc in
-        let jf = match job with Journal.Obj jf -> jf | _ -> [] in
-        let jint name =
-          match List.assoc_opt name jf with
-          | Some (Journal.Int i) -> Ok i
-          | _ -> Error (Printf.sprintf "snapshot job: missing integer field %S" name)
-        in
-        let* id =
-          match List.assoc_opt "id" jf with
-          | Some (Journal.Str id) -> Ok id
-          | _ -> Error "snapshot job: missing id"
-        in
-        let* seq = jint "seq" in
-        let* size = jint "size" in
-        let* proc = jint "proc" in
-        if size <= 0 then Error (Printf.sprintf "snapshot job %s: size must be positive" id)
-        else if proc < 0 || proc >= m then
-          Error (Printf.sprintf "snapshot job %s: processor %d out of range" id proc)
-        else if seq < 0 || seq >= next_seq then
-          Error (Printf.sprintf "snapshot job %s: seq %d out of range" id seq)
-        else if Flat_str_map.mem t.dir id then
-          Error (Printf.sprintf "snapshot job %s: duplicate id" id)
-        else if Hashtbl.mem seen_seq seq then
-          Error (Printf.sprintf "snapshot job %s: duplicate seq %d" id seq)
-        else begin
-          Hashtbl.replace seen_seq seq ();
-          restore_slot t ~id ~seq ~size ~proc;
-          Ok ()
-        end)
-      (Ok ()) jobs
+    if walk_jobs c n ~id:C.str restore then Ok ()
+    else
+      Error
+        (match !error with
+        | Some msg -> msg
+        | None -> Printf.sprintf "snapshot job %d: not an {id, seq, size, proc} object" t.live)
   in
   t.next_seq <- next_seq;
   t.events_since_repair <- events_since_repair;
-  (match List.assoc_opt "counters" fields with
-  | Some (Journal.Obj cf) ->
-    let get name dflt =
-      match List.assoc_opt name cf with Some (Journal.Int i) -> i | _ -> dflt
-    in
-    t.c.events <- get "events" 0;
-    t.c.adds <- get "adds" 0;
-    t.c.removes <- get "removes" 0;
-    t.c.resizes <- get "resizes" 0;
-    t.c.rebalances <- get "rebalances" 0;
-    t.c.auto_rebalances <- get "auto_rebalances" 0;
-    t.c.trigger_firings <- get "trigger_firings" 0;
-    t.c.moved <- get "moved" 0;
-    t.c.last_rebalance_moves <- get "last_rebalance_moves" 0;
-    t.c.consistency_checks <- get "consistency_checks" 0;
-    t.c.consistency_failures <- get "consistency_failures" 0
-  | _ -> ());
+  Option.iter
+    (fun counters ->
+      let get name = Option.value (int_member c counters name) ~default:0 in
+      t.c.events <- get "events";
+      t.c.adds <- get "adds";
+      t.c.removes <- get "removes";
+      t.c.resizes <- get "resizes";
+      t.c.rebalances <- get "rebalances";
+      t.c.auto_rebalances <- get "auto_rebalances";
+      t.c.trigger_firings <- get "trigger_firings";
+      t.c.moved <- get "moved";
+      t.c.last_rebalance_moves <- get "last_rebalance_moves";
+      t.c.consistency_checks <- get "consistency_checks";
+      t.c.consistency_failures <- get "consistency_failures")
+    (read_member c top "counters" C.pos);
   Ok t
 
 let snapshot_differs t c =
-  let module C = Journal.Cursor in
   let top = C.pos c in
-  let int_member key v =
-    C.seek c top;
-    C.member c key && C.int_is c v
-  in
-  (* Each recorded job must be exactly {id, seq, size, proc}, in that
-     order, as [snapshot] writes it. *)
-  let same_job s =
-    C.obj c = 4
-    && C.key_is c "id"
-    && C.str_is c t.job_ext.(s)
-    && C.key_is c "seq"
-    && C.int_is c t.job_seq.(s)
-    && C.key_is c "size"
-    && C.int_is c t.job_size.(s)
-    && C.key_is c "proc"
-    && C.int_is c t.job_proc.(s)
-  in
-  if not (int_member "m" t.m) then Some "m"
-  else if not (int_member "next_seq" t.next_seq) then Some "next_seq"
-  else if not (int_member "events_since_repair" t.events_since_repair) then
-    Some "events_since_repair"
+  let differs key v = int_member c top key <> Some v in
+  if differs "m" t.m then Some "m"
+  else if differs "next_seq" t.next_seq then Some "next_seq"
+  else if differs "events_since_repair" t.events_since_repair then Some "events_since_repair"
   else begin
-    C.seek c top;
     let slots = slots_by_seq t in
-    if C.member c "jobs" && C.list c = Array.length slots && Array.for_all same_job slots
-    then None
-    else Some "jobs"
+    let i = ref 0 in
+    let same_id c = C.str_is c t.job_ext.(slots.(!i)) in
+    let same same_id ~seq ~size ~proc =
+      let s = slots.(!i) in
+      incr i;
+      same_id && seq = t.job_seq.(s) && size = t.job_size.(s) && proc = t.job_proc.(s)
+    in
+    let n = Option.value (read_member c top "jobs" C.list) ~default:(-1) in
+    if n = Array.length slots && walk_jobs c n ~id:same_id same then None else Some "jobs"
   end
 
 let journal_snapshot t =

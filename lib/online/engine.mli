@@ -257,22 +257,26 @@ val of_snapshot :
   ?trigger:trigger ->
   ?clock:(unit -> float) ->
   ?journal:Rebal_obs.Journal.sink ->
-  Rebal_obs.Journal.json ->
+  Rebal_obs.Journal.Cursor.t ->
   (t, string) result
-(** Rebuild an engine from a snapshot. [trigger] overrides the recorded
-    trigger config (replay passes [Manual] so recorded auto-repairs are
+(** Rebuild an engine from the encoded snapshot at the cursor — a
+    journal frame's ["state"] field ({!Rebal_obs.Journal.Frame.cursor}),
+    or [Journal.Cursor.of_json (snapshot t)] — walked in place, so no
+    tree of the jobs is built. [trigger] overrides the recorded trigger
+    config (replay passes [Manual] so recorded auto-repairs are
     re-applied explicitly rather than re-fired); by default the recorded
     config is armed. Validates version, processor ranges, positive
-    sizes, and id/seq uniqueness. *)
+    sizes, and id/seq uniqueness; each job must be exactly
+    [{id, seq, size, proc}], in that order, as {!snapshot} writes it. *)
 
 val snapshot_differs : t -> Rebal_obs.Journal.Cursor.t -> string option
 (** [snapshot_differs t c] compares a recorded snapshot (the value at
     [c]) with {!snapshot}[ t] on the structural fields ["m"],
     ["next_seq"], ["events_since_repair"] and ["jobs"], in that order,
     and names the first that is not equal, as [List.assoc] on the two
-    objects would see it. The recorded jobs are walked in place against
-    the engine's jobs in sequence order: no snapshot tree is built on
-    either side. Trigger and counters are not compared. *)
+    objects would see it. The recorded jobs are read by the same walk as
+    {!of_snapshot}, against the engine's jobs in sequence order. Trigger
+    and counters are not compared. *)
 
 val journal_snapshot : t -> (int, string) result
 (** Emit a ["snapshot"] event carrying the current state into the

@@ -127,15 +127,15 @@ let apply st f =
   st.events <- st.events + 1;
   (match Frame.kind f with
   | "snapshot" ->
+    let state =
+      match Frame.cursor f "state" with
+      | Some state -> state
+      | None -> failf f "snapshot event: missing state"
+    in
     if Frame.seq f = 0 then begin
       (* A compacted journal: the snapshot replaces genesis. Replay on a
          Manual engine — recorded auto-repairs are re-applied explicitly
          below, never re-fired. *)
-      let state =
-        match Frame.field f "state" with
-        | Some state -> state
-        | None -> failf f "snapshot event: missing state"
-      in
       match Engine.of_snapshot ~trigger:Engine.Manual state with
       | Error msg -> failf f "snapshot event: %s" msg
       | Ok resumed_eng ->
@@ -145,11 +145,7 @@ let apply st f =
         st.eng <- resumed_eng;
         st.resumed <- true
     end
-    else begin
-      match Frame.cursor f "state" with
-      | Some state -> verify_snapshot eng f state
-      | None -> failf f "snapshot event: missing state"
-    end;
+    else verify_snapshot eng f state;
     st.snapshots <- st.snapshots + 1
   | "add" ->
     let id = Frame.str f "id" in
@@ -236,7 +232,7 @@ let finish st =
    over a file, or over an already-parsed journal. *)
 let replay fold = try Result.map finish (fold ~header:start apply) with Fail msg -> Error msg
 
-let resume parsed = replay (Journal.fold_events parsed)
+let resume parsed = replay (Journal.fold_parsed parsed)
 let run parsed = Result.map snd (resume parsed)
 
 let append_to ?format ~write (eng, (outcome : outcome)) =

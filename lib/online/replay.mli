@@ -21,9 +21,10 @@
     re-armed on the replayed engine, so a journal recorded under
     [--auto-*] does not silently come back as [Manual].
 
-    One step function applies each event, whether it comes from a parsed
-    event list ({!resume}) or straight off a journal file as it is read
-    ({!resume_file}, which builds no list).
+    One step function applies each event, read by the journal's one
+    frame reader, whether it comes from a parsed event list ({!resume},
+    each event encoded into a frame) or straight off a journal file as
+    it is read ({!resume_file}, which builds no list).
 
     The [explain_*] functions are the other consumer: they render
     decision provenance straight from the parsed journal, no engine
@@ -55,7 +56,9 @@ val resume :
   Journal.header * Journal.event list -> (Engine.t * outcome, string) result
 (** Like {!run}, but also hands back the replayed engine — verified,
     trigger re-armed, journal-detached — ready to be put back into
-    service. *)
+    service. The list is read through {!Journal.fold_parsed}: errors
+    name each event's own [line], and sequence numbers must run from 0
+    without a gap. *)
 
 val resume_appending :
   ?format:Journal.format ->

@@ -71,7 +71,7 @@ let floats_of_event (e : Journal.event) =
 let test_float_round_trip_jsonl () =
   let ev = event_with_floats boundary_floats in
   let text = Journal.render_header header ^ "\n" ^ Journal.render_event ev ^ "\n" in
-  match Journal.parse_string text with
+  match Journal.load_string text with
   | Error e -> Alcotest.failf "jsonl parse failed: %s" e
   | Ok (_, [ ev' ]) ->
     List.iter2
@@ -86,7 +86,7 @@ let test_float_round_trip_binary () =
     Journal.Binary.magic ^ Journal.Binary.encode_header header
     ^ Journal.Binary.encode_event ev
   in
-  match Journal.Binary.parse_string blob with
+  match Journal.load_string blob with
   | Error e -> Alcotest.failf "binary parse failed: %s" e
   | Ok (_, [ ev' ]) ->
     List.iter2
@@ -100,7 +100,7 @@ let test_negative_zero_stays_negative () =
      bit explicitly in both codecs. *)
   let ev = event_with_floats [ -0. ] in
   let via_jsonl =
-    match Journal.parse_string (Journal.render_header header ^ "\n" ^ Journal.render_event ev) with
+    match Journal.load_string (Journal.render_header header ^ "\n" ^ Journal.render_event ev) with
     | Ok (_, [ e ]) -> List.hd (floats_of_event e)
     | _ -> Alcotest.fail "jsonl round trip failed"
   in
@@ -144,7 +144,7 @@ let test_emit_rejection_burns_no_seq () =
   (* The rejected event consumed no sequence number: the next emit is
      seq 1 and the journal parses as contiguous. *)
   Journal.emit sink ~kind:"ok" [ ("v", Journal.Int 2) ];
-  match Journal.parse_string (Buffer.contents buf) with
+  match Journal.load_string (Buffer.contents buf) with
   | Error e -> Alcotest.failf "journal not contiguous after rejection: %s" e
   | Ok (_, events) ->
     check_int "two events" 2 (List.length events);
@@ -182,9 +182,9 @@ let binary_of (h, events) =
 
 let test_convert_equivalence () =
   let text = sample_journal () in
-  let parsed = match Journal.parse_string text with Ok p -> p | Error e -> Alcotest.fail e in
+  let parsed = match Journal.load_string text with Ok p -> p | Error e -> Alcotest.fail e in
   let blob = binary_of parsed in
-  (match Journal.Binary.parse_string blob with
+  (match Journal.load_string blob with
   | Error e -> Alcotest.failf "binary re-parse: %s" e
   | Ok (h', events') ->
     let h, events = parsed in
@@ -204,20 +204,20 @@ let test_convert_equivalence () =
 
 let test_binary_truncation_rejected () =
   let text = sample_journal () in
-  let parsed = match Journal.parse_string text with Ok p -> p | Error e -> Alcotest.fail e in
+  let parsed = match Journal.load_string text with Ok p -> p | Error e -> Alcotest.fail e in
   let blob = binary_of parsed in
   (* chop mid-frame: every proper prefix that ends inside a frame must
      be rejected, and the error must name a frame ("line"). *)
   let truncated = String.sub blob 0 (String.length blob - 3) in
-  (match Journal.Binary.parse_string truncated with
+  (match Journal.load_string truncated with
   | Ok _ -> Alcotest.fail "truncated journal accepted"
   | Error e -> check_bool "truncation error names a line" true (contains e "line"));
   (* a frame whose payload opens with an invalid tag byte *)
   let corrupt = blob ^ "\x01\x00\x00\x00\xff" in
-  (match Journal.Binary.parse_string corrupt with
+  (match Journal.load_string corrupt with
   | Ok _ -> Alcotest.fail "corrupted journal accepted"
   | Error _ -> ());
-  match Journal.Binary.parse_string "RBXX" with
+  match Journal.load_string "RBXX" with
   | Ok _ -> Alcotest.fail "bad magic accepted"
   | Error _ -> ()
 

@@ -79,7 +79,7 @@ let journals_replay c bufs =
   Array.for_all
     (fun i ->
       let eng = Cluster.engine c i in
-      match Result.bind (Journal.parse_string (Buffer.contents bufs.(i))) Replay.run with
+      match Result.bind (Journal.load_string (Buffer.contents bufs.(i))) Replay.run with
       | Error _ -> false
       | Ok o ->
         o.Replay.consistency_ok
@@ -261,7 +261,7 @@ let two_shard_cluster () =
 let replayable bufs =
   Array.for_all
     (fun (buf : Buffer.t) ->
-      match Result.bind (Journal.parse_string (Buffer.contents buf)) Replay.run with
+      match Result.bind (Journal.load_string (Buffer.contents buf)) Replay.run with
       | Ok o -> o.Replay.consistency_ok
       | Error e -> Alcotest.failf "journal did not replay: %s" e)
     bufs

@@ -338,7 +338,7 @@ let prop_replay_reconstructs =
       apply_events eng events;
       ignore (Engine.rebalance eng ~k);
       ignore (Engine.check_consistency eng ~k:5);
-      match Journal.parse_string (Buffer.contents buf) with
+      match Journal.load_string (Buffer.contents buf) with
       | Error _ -> false
       | Ok j -> begin
         match Replay.run j with
@@ -356,7 +356,7 @@ let prop_replay_deterministic =
       let eng, buf = journaled_engine m in
       apply_events eng events;
       ignore (Engine.rebalance eng ~k);
-      match Journal.parse_string (Buffer.contents buf) with
+      match Journal.load_string (Buffer.contents buf) with
       | Error _ -> false
       | Ok j -> begin
         match (Replay.run j, Replay.run j) with
@@ -376,7 +376,7 @@ let test_auto_trigger_session_replays () =
   List.iteri
     (fun i size -> ignore (add eng (Printf.sprintf "j%d" i) size))
     [ 60; 50; 10; 5; 40; 8 ];
-  (match Journal.parse_string (Buffer.contents buf) with
+  (match Journal.load_string (Buffer.contents buf) with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok (_, evs) ->
     check_bool "trigger events recorded" true
@@ -384,7 +384,7 @@ let test_auto_trigger_session_replays () =
   match Replay.run_file "/nonexistent/journal.jsonl" with
   | Ok _ -> Alcotest.fail "missing file must be an error"
   | Error _ -> begin
-    match Replay.run (Result.get_ok (Journal.parse_string (Buffer.contents buf))) with
+    match Replay.run (Result.get_ok (Journal.load_string (Buffer.contents buf))) with
     | Error e -> Alcotest.failf "replay failed: %s" e
     | Ok o ->
       check_int "makespan reconstructed" (Engine.makespan eng) o.Replay.final_makespan;
@@ -413,7 +413,7 @@ let test_replay_rejects_corruption () =
   let lines = String.split_on_char '\n' text |> List.filter (fun l -> l <> "") in
   (* Truncation in the middle: the sequence gap names the first bad line. *)
   let dropped = List.filteri (fun i _ -> i <> 2) lines in
-  (match Journal.parse_lines dropped with
+  (match Journal.load_string (String.concat "\n" dropped) with
   | Ok _ -> Alcotest.fail "sequence gap accepted"
   | Error e ->
     check_bool ("gap names line 3: " ^ e) true (contains "line 3" e);
@@ -422,14 +422,14 @@ let test_replay_rejects_corruption () =
   let mangled =
     List.mapi (fun i l -> if i = 1 then String.sub l 0 (String.length l - 3) else l) lines
   in
-  (match Journal.parse_lines mangled with
+  (match Journal.load_string (String.concat "\n" mangled) with
   | Ok _ -> Alcotest.fail "malformed JSON accepted"
   | Error e -> check_bool ("malformed names line 2: " ^ e) true (contains "line 2" e));
   (* A value tamper that parses fine must still fail replay: the recorded
      load_after no longer matches the re-executed engine. *)
   let tampered = replace_once ~sub:{|"size":20|} ~by:{|"size":21|} text in
   check_bool "tamper changed the text" true (tampered <> text);
-  match Journal.parse_string tampered with
+  match Journal.load_string tampered with
   | Error e -> Alcotest.failf "tampered journal should still parse: %s" e
   | Ok j -> begin
     match Replay.run j with
@@ -530,7 +530,7 @@ let prop_snapshot_roundtrip =
       apply_events eng events;
       ignore (Engine.rebalance eng ~k);
       let s = Engine.snapshot eng in
-      match Engine.of_snapshot s with
+      match Engine.of_snapshot (Journal.Cursor.of_json s) with
       | Error _ -> false
       | Ok eng' ->
         Engine.loads eng' = Engine.loads eng
@@ -558,7 +558,7 @@ let prop_compacted_replay_equals_full =
       (match Engine.journal_snapshot eng with Ok _ -> () | Error e -> failwith e);
       apply_events eng (List.filteri (fun i _ -> i >= half) events);
       ignore (Engine.rebalance eng ~k);
-      let parsed = Result.get_ok (Journal.parse_string (Buffer.contents buf)) in
+      let parsed = Result.get_ok (Journal.load_string (Buffer.contents buf)) in
       match (Replay.run parsed, Replay.compact parsed) with
       | Ok full, Ok (compacted, dropped, kept) -> begin
         match Journal.load_string (Journal.encode Journal.Jsonl compacted) with
@@ -584,7 +584,7 @@ let test_trigger_rearm_from_header () =
   let trigger = Engine.Every_events { events = 3; k = 2 } in
   let eng, buf = journaled_engine ~trigger 4 in
   List.iteri (fun i size -> ignore (add eng (Printf.sprintf "j%d" i) size)) [ 60; 50; 10; 5 ];
-  let parsed = Result.get_ok (Journal.parse_string (Buffer.contents buf)) in
+  let parsed = Result.get_ok (Journal.load_string (Buffer.contents buf)) in
   (match Replay.run parsed with
   | Error e -> Alcotest.failf "replay failed: %s" e
   | Ok o ->
@@ -636,7 +636,7 @@ let test_protocol_snapshot_verb () =
   | [ msg ] -> check_bool ("acknowledged: " ^ msg) true (starts_with "SNAPSHOTTED seq=" msg)
   | _ -> Alcotest.fail "SNAPSHOT must answer one line");
   (* The snapshot lands in the journal and compaction collapses to it. *)
-  let parsed = Result.get_ok (Journal.parse_string (Buffer.contents buf)) in
+  let parsed = Result.get_ok (Journal.load_string (Buffer.contents buf)) in
   match Replay.compact parsed with
   | Error e -> Alcotest.failf "compact failed: %s" e
   | Ok (((_, evs) as compacted), dropped, kept) ->
@@ -781,7 +781,7 @@ let test_overlong_varint_rejected () =
   let event = "\x06\x01\x03seq\x02" ^ String.make 10 '\x80' ^ "\x01" in
   let blob = Journal.Binary.magic ^ header ^ frame_of_payload event in
   let want = "line 2: malformed varint" in
-  (match Journal.Binary.parse_string blob with
+  (match Journal.load_string blob with
   | Ok _ -> Alcotest.fail "over-long varint accepted"
   | Error e -> check Alcotest.string "list parser" want e);
   with_journal_file blob (fun path ->
@@ -850,6 +850,115 @@ let test_streaming_decode_allocation () =
           check_bool (Printf.sprintf "%s: %.1f minor words per frame <= 32" name (a /. frames)) true
             (a <= 32. *. frames))
         [ ("fold_file", Journal.fold_file path); ("fold_string", Journal.fold_string journal) ])
+
+(* --- one reader for every codec ------------------------------------------- *)
+
+(* A session recording every kind of event replay reads: adds, removes
+   and resizes, rebalances with move lists, checks, mid-journal
+   snapshots and a supervisor's evacuation record. *)
+let rich_session ?(snapshot_at = -1) (m, events, k) =
+  let eng, buf = journaled_engine m in
+  let sink = Option.get (Engine.journal eng) in
+  let snapshot_here i = if i = snapshot_at then ignore (Engine.journal_snapshot eng) in
+  List.iteri
+    (fun i ev ->
+      snapshot_here i;
+      apply_events eng [ ev ];
+      match i mod 7 with
+      | 2 -> ignore (Engine.check_consistency eng ~k)
+      | 4 -> ignore (Engine.journal_snapshot eng)
+      | 5 ->
+        Journal.emit sink ~kind:"evacuation"
+          Journal.
+            [
+              ("shard", Int 0);
+              ("reason", Str "probe");
+              ("jobs", Int i);
+              ("leftover", Int 0);
+              ("budget", Int k);
+            ]
+      | _ -> ())
+    events;
+  snapshot_here (List.length events);
+  ignore (Engine.rebalance eng ~k);
+  (eng, Buffer.contents buf)
+
+(* Everything a step can read off each frame: kind, seq, line, the whole
+   event, and every field once more through its cursor. *)
+let frame_reads fold =
+  Result.map
+    (fun (h, rev) -> (h, List.rev rev))
+    (fold
+       ~header:(fun h -> (h, []))
+       (fun (h, rev) f ->
+         let ev = Journal.Frame.to_event f in
+         let cursors =
+           List.map
+             (fun (key, _) -> (key, Option.map Journal.Cursor.value (Journal.Frame.cursor f key)))
+             ev.Journal.fields
+         in
+         (h, (Journal.Frame.kind f, Journal.Frame.seq f, Journal.Frame.line f, ev, cursors) :: rev)))
+
+let prop_codecs_read_alike =
+  QCheck2.Test.make ~name:"JSONL, binary and parsed journals read alike" ~count:150
+    event_sequence_gen
+    (fun ((m, _, _) as session) ->
+      let _, jsonl = rich_session session in
+      let parsed = Result.get_ok (Journal.load_string jsonl) in
+      let binary = Journal.encode Journal.Binary parsed in
+      let reads = frame_reads (Journal.fold_string jsonl) in
+      let outcome = Replay.resume parsed in
+      let same_outcome = function
+        | Ok (e, o) -> (
+          match outcome with
+          | Ok (e', o') -> o = o' && Replay.same_state e e'
+          | Error _ -> false)
+        | Error msg -> outcome = Error msg
+      in
+      (match reads with
+      | Ok (_, frames) ->
+        List.for_all
+          (fun (_, _, _, (ev : Journal.event), cursors) ->
+            cursors = List.map (fun (k, v) -> (k, Some v)) ev.fields)
+          frames
+      | Error _ -> false)
+      && frame_reads (Journal.fold_string binary) = reads
+      && frame_reads (Journal.fold_parsed parsed) = reads
+      && Journal.encode Journal.Jsonl parsed = jsonl
+      && Result.is_ok outcome
+      && (match outcome with Ok (_, o) -> o.Replay.m = m | Error _ -> false)
+      && List.for_all
+           (fun journal ->
+             with_journal_file journal (fun path ->
+                 frame_reads (Journal.fold_file path) = reads
+                 && same_outcome (Replay.resume_file path)
+                 && same_outcome (Result.bind (Journal.load_file path) Replay.resume)))
+           [ jsonl; binary ])
+
+(* Compacted at any recorded snapshot, a journal opens with it at seq 0,
+   and resume walks it in place; the result is the engine a replay from
+   genesis builds: the same jobs, seqs, counters and next seq. *)
+let prop_snapshot_resume_equals_genesis =
+  QCheck2.Test.make ~name:"seq-0 snapshot resume equals genesis replay" ~count:150
+    QCheck2.Gen.(triple event_sequence_gen (int_range 0 60) bool)
+    (fun (((_, events, _) as session), at, binary) ->
+      let snapshot_at = min at (List.length events) in
+      let _, jsonl = rich_session ~snapshot_at session in
+      let parsed = Result.get_ok (Journal.load_string jsonl) in
+      let compacted, _, _ = Result.get_ok (Replay.compact parsed) in
+      let format = if binary then Journal.Binary else Journal.Jsonl in
+      let document eng = Journal.render_json (Engine.snapshot eng) in
+      match (Replay.resume parsed, Journal.load_string (Journal.encode format compacted)) with
+      | Ok (genesis, g), Ok compacted -> (
+        match Replay.resume compacted with
+        | Ok (resumed, r) ->
+          r.Replay.resumed
+          && Replay.same_state genesis resumed
+          && Engine.stats genesis = Engine.stats resumed
+          && document genesis = document resumed
+          && r.Replay.final_makespan = g.Replay.final_makespan
+        | Error e -> QCheck2.Test.fail_reportf "compacted resume: %s" e)
+      | _ -> false)
 
 (* The one-op path allocates its result and the op its wrapper builds,
    nothing else. Steady state (slots reserved, no trigger, no journal,
@@ -966,5 +1075,10 @@ let () =
           Alcotest.test_case "over-long varint rejected" `Quick test_overlong_varint_rejected;
           Alcotest.test_case "journal from a pipe" `Quick test_resume_from_pipe;
           Alcotest.test_case "decode allocation pinned" `Quick test_streaming_decode_allocation;
+        ] );
+      ( "codecs",
+        [
+          QCheck_alcotest.to_alcotest prop_codecs_read_alike;
+          QCheck_alcotest.to_alcotest prop_snapshot_resume_equals_genesis;
         ] );
     ]

@@ -23,7 +23,7 @@ let with_tracing ~sample ~slow_ns f =
     ~finally:(fun () ->
       Optrace.set_sample_every 0;
       Optrace.set_slow_threshold_ns (-1);
-      Optrace.set_clock Rebal_harness.Timer.now_ns;
+      Optrace.set_clock Rebal_harness.Timer.now_int_ns;
       Optrace.reset ())
     f
 
@@ -295,12 +295,11 @@ let prop_slow_ring_retention =
     Gen.(list_size (int_range 0 40) (int_range 0 2000))
     (fun durations ->
       with_tracing ~sample:0 ~slow_ns:1000 @@ fun () ->
-      let fake = ref 0L in
+      let fake = ref 0 in
       Optrace.set_clock (fun () -> !fake);
       List.iter
         (fun d ->
-          Optrace.with_op ~verb:(string_of_int d) (fun () ->
-              fake := Int64.add !fake (Int64.of_int d)))
+          Optrace.with_op ~verb:(string_of_int d) (fun () -> fake := !fake + d))
         durations;
       let slow = Optrace.slow_ops () in
       let expected = List.filter (fun d -> d >= 1000) durations in

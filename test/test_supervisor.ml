@@ -63,7 +63,7 @@ let jobs_on cluster i = Cluster.query cluster i Engine.job_count
 let restore buffers i () =
   Result.map fst
     (Result.bind
-       (Journal.parse_string (Buffer.contents buffers.(i)))
+       (Journal.load_string (Buffer.contents buffers.(i)))
        (Replay.resume_appending ~write:(Buffer.add_string buffers.(i))))
 
 let replay_matches cluster buffers i =

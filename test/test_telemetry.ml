@@ -462,7 +462,7 @@ let test_sink_writes_samples_and_alerts () =
   now := Int64.add !now sec_ns;
   Tsdb.sample tsdb;
   ignore (Alerts.eval alerts);
-  match Journal.parse_string (Buffer.contents buf) with
+  match Journal.load_string (Buffer.contents buf) with
   | Error e -> Alcotest.fail e
   | Ok (header, events) ->
     Alcotest.(check string) "journal tag" "rebal-telemetry" header.Journal.journal;
