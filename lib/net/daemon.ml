@@ -346,12 +346,13 @@ let close t =
    the daemon.
 
    I/O runs through Lineio on the raw descriptors: EINTR is retried (a
-   SIGTERM mid-drain does not kill live sessions), and the reader's
-   inspectable buffer lets the session coalesce every already-arrived
-   line into one [Protocol.handle_lines] dispatch — a pipelining client
-   gets its run of mutations executed as a single engine batch. The
-   first read of each round still blocks (an idle session costs
-   nothing); only the gather loop after it is non-blocking. *)
+   SIGTERM mid-drain does not kill live sessions), and [read_lines]
+   hands over every already-arrived line at once, for one
+   [Protocol.handle_lines_into] dispatch — a pipelining client gets its
+   run of mutations executed as a single engine batch. Only the wait
+   for the first line of a round blocks (an idle session costs
+   nothing). The replies of a round are rendered into one buffer the
+   session owns and written with one call. *)
 let session t ic oc =
   try
     (* Channels may hold buffered output from a previous owner of this
@@ -360,26 +361,17 @@ let session t ic oc =
     let fd_out = Unix.descr_of_out_channel oc in
     Lineio.write_string fd_out (Protocol.greeting t.target ^ "\n");
     let r = Lineio.reader (Unix.descr_of_in_channel ic) in
+    let out = Buffer.create 4096 in
     let rec loop lineno =
-      match Lineio.read_line r with
-      | None -> Protocol.Close
-      | Some first -> (
-        let rec gather acc =
-          match if Lineio.has_line r then Lineio.read_line r else None with
-          | Some l -> gather (l :: acc)
-          | None -> List.rev acc
+      match Lineio.read_lines r with
+      | [] -> Protocol.Close
+      | lines -> (
+        Buffer.clear out;
+        let verdict =
+          with_op_lock t (fun () ->
+              Protocol.handle_lines_into ~start_line:lineno t.target out lines)
         in
-        let lines = first :: gather [] in
-        let out, verdict =
-          with_op_lock t (fun () -> Protocol.handle_lines ~start_line:lineno t.target lines)
-        in
-        let buf = Buffer.create 256 in
-        List.iter
-          (fun l ->
-            Buffer.add_string buf l;
-            Buffer.add_char buf '\n')
-          out;
-        Lineio.write_string fd_out (Buffer.contents buf);
+        Lineio.write_string fd_out (Buffer.contents out);
         match verdict with
         | Protocol.Continue -> loop (lineno + List.length lines)
         | v -> v)

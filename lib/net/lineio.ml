@@ -3,9 +3,10 @@
    OCaml channels hide their buffer: there is no way to ask "is a
    complete line already buffered?", which the batched protocol session
    needs (it coalesces every already-arrived line into one
-   [Protocol.handle_lines] call without ever blocking mid-batch). This
-   reader owns its buffer, so [has_line] is an exact, syscall-free
-   answer — and every syscall in the module retries [EINTR] and waits
+   [Protocol.handle_lines_into] call without ever blocking mid-batch).
+   This reader owns its buffer, so [read_lines] takes exactly the lines
+   already there and [has_line] is an exact, syscall-free answer — and
+   every syscall in the module retries [EINTR] and waits
    out [EAGAIN]/[EWOULDBLOCK], so a SIGTERM landing mid-drain (or a
    socket with a receive timeout) never tears down a session that the
    peer has not actually closed. *)
@@ -56,11 +57,11 @@ let rec refill r =
     refill r
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> r.eof <- true
 
-let newline_at r =
-  let stop = r.start + r.len in
-  let rec scan i = if i >= stop then -1 else if Bytes.get r.buf i = '\n' then i else scan (i + 1) in
-  scan r.start
+(* The first '\n' in [buf.[i .. stop - 1]], or -1. *)
+let rec scan buf i stop =
+  if i >= stop then -1 else if Bytes.unsafe_get buf i = '\n' then i else scan buf (i + 1) stop
 
+let newline_at r = scan r.buf r.start (r.start + r.len)
 let has_line r = newline_at r >= 0 || (r.eof && r.len > 0)
 
 let take r stop consume =
@@ -69,17 +70,44 @@ let take r stop consume =
   r.start <- consume;
   line
 
+(* The unconsumed bytes as a final line, once EOF is known. *)
+let take_rest r = take r (r.start + r.len) (r.start + r.len)
+
 let rec read_line r =
   match newline_at r with
   | i when i >= 0 -> Some (take r i (i + 1))
   | _ ->
-    if r.eof then
-      if r.len > 0 then Some (take r (r.start + r.len) (r.start + r.len))
-      else None
+    if r.eof then if r.len > 0 then Some (take_rest r) else None
     else begin
       refill r;
       read_line r
     end
+
+(* Every line already buffered, in order. Each scan starts where the
+   previous line ended, so every byte is scanned once. *)
+let[@tail_mod_cons] rec take_lines r =
+  match newline_at r with
+  | i when i >= 0 ->
+    let line = take r i (i + 1) in
+    line :: take_lines r
+  | _ -> if r.eof && r.len > 0 then [ take_rest r ] else []
+
+(* Refill until a line is complete; [seen] unconsumed bytes are already
+   known to hold no '\n', so only the new bytes are scanned. *)
+let rec read_lines_from r seen =
+  match scan r.buf (r.start + seen) (r.start + r.len) with
+  | i when i >= 0 ->
+    let line = take r i (i + 1) in
+    line :: take_lines r
+  | _ ->
+    if r.eof then if r.len > 0 then [ take_rest r ] else []
+    else begin
+      let seen = r.len in
+      refill r;
+      read_lines_from r seen
+    end
+
+let read_lines r = read_lines_from r 0
 
 (* ----- writing ----- *)
 

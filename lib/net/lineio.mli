@@ -1,9 +1,10 @@
 (** Signal-safe line I/O over raw file descriptors.
 
     The protocol session's read/write layer: a buffered line reader
-    whose buffer is inspectable ({!has_line} — what lets the session
-    coalesce every already-arrived line into one batched dispatch
-    without risking a blocking read mid-batch), and writers that
+    whose buffer is inspectable ({!read_lines} takes every
+    already-arrived line in one scan — what lets the session coalesce
+    them into one batched dispatch without risking a blocking read
+    mid-batch; {!has_line} asks without taking), and writers that
     survive signals. Every syscall here retries [EINTR] and waits out
     [EAGAIN]/[EWOULDBLOCK], so a SIGTERM delivered during drain never
     tears down a session whose peer is still connected. *)
@@ -21,6 +22,13 @@ val read_line : reader -> string option
     final unterminated line is returned as-is; [None] means EOF with
     nothing buffered. [EINTR] is retried, [EAGAIN] waited out,
     [ECONNRESET] reads as EOF; other [Unix_error]s propagate. *)
+
+val read_lines : reader -> string list
+(** The session's next batch: blocks as {!read_line} does until one
+    line is complete (or EOF), then also takes every further complete
+    line already buffered, in order, scanning each buffered byte once.
+    At EOF an unterminated remainder is the last line; [[]] means EOF
+    with nothing buffered. Errors as {!read_line}. *)
 
 val has_line : reader -> bool
 (** Whether {!read_line} would return without blocking: a complete

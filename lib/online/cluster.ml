@@ -485,15 +485,18 @@ let set_weight t i w =
 (* Under [dir_mu]. *)
 let route t id = ring_lookup ~weights:t.weights t.ring (hash32 id)
 
-(* Settle [id] (whose entry is [e]) on a shard, or drop it with
-   [None], and wake every waiter. *)
+(* Under [dir_mu]: settle [id] (whose entry is [e]) on a shard, or drop
+   it with [None]. *)
+let release t ~id e = function
+  | None -> Hashtbl.remove t.directory id
+  | Some s ->
+    e.at <- s;
+    e.reserved <- false
+
+(* [release] under its own [dir_mu] hold, waking every waiter. *)
 let settle t ~id e shard =
   with_dir t (fun () ->
-      (match shard with
-      | None -> Hashtbl.remove t.directory id
-      | Some s ->
-        e.at <- s;
-        e.reserved <- false);
+      release t ~id e shard;
       Condition.broadcast t.dir_settled)
 
 (* Run the engine half of an op whose id is reserved; on any exception
@@ -537,11 +540,20 @@ let label = function
   | Engine.Remove _ -> Some "remove"
   | Engine.Resize _ -> Some "resize"
 
+let shut_down = Error "cluster is shut down"
+
+(* Shard [s]'s result in global processor indices; shard 0's are
+   already global. *)
+let global_result t s r =
+  match r with
+  | Ok (p, moves) when t.offsets.(s) <> 0 -> Ok (global t s p, translate t s moves)
+  | r -> r
+
 let apply t ?timed op =
   try
     match with_dir t (fun () -> claim t op (settled t (Engine.op_id op))) with
     | Error _ as e -> e
-    | Ok entry -> (
+    | Ok entry ->
       let id = Engine.op_id op and s = entry.at in
       let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
       let res =
@@ -550,10 +562,8 @@ let apply t ?timed op =
       in
       (match timed with None -> () | Some (clock, report) -> report s 1 (clock () -. t0));
       settle t ~id entry (home op s ~applied:(Result.is_ok res));
-      match res with
-      | Error _ as e -> e
-      | Ok (p, moves) -> Ok (global t s p, translate t s moves))
-  with Shut_down -> Error "cluster is shut down"
+      global_result t s res
+  with Shut_down -> shut_down
 
 let add_job t ~id ~size = apply t (Engine.Add { id; size })
 let remove_job t ~id = apply t (Engine.Remove { id })
@@ -561,139 +571,137 @@ let resize_job t ~id ~size = apply t (Engine.Resize { id; size })
 
 (* ----- batched application ----- *)
 
+let no_entry = { at = -1; reserved = false }
+
 (* One batch of events, routed and dispatched as per-shard sub-batches:
    each involved shard gets a single task that runs [Engine.apply_bulk]
    over its share — one lock acquisition, one journal flush per shard
    per chunk. Results are delivered to [on_result] in batch order.
 
-   The batch is processed in chunks. A chunk ends where per-id ordering
-   or deadlock-freedom demands a barrier: at a duplicate id (the second
-   op must observe the first's effect), or at an id another client
-   currently holds reserved. Only the first op of a chunk may *wait*
-   for a reservation; later ops are probed non-blockingly — so this
-   call never waits while holding reservations of its own, and two
-   concurrent batches over overlapping ids chunk around each other
-   instead of deadlocking.
+   The batch runs in chunks, and a chunk holds [dir_mu] twice: once to
+   reserve its ids, once to settle them all with one broadcast. The
+   first op of a chunk may wait in [settled] for a foreign reservation
+   (the call holds none of its own yet). After it, any op whose id is
+   already reserved — by an earlier op of this chunk, whose effect it
+   must observe, or by another client — ends the chunk. So this call
+   never waits while holding reservations, and two concurrent batches
+   over overlapping ids chunk around each other instead of
+   deadlocking. An op that fails validation reserves nothing and
+   changes no state, so a later op on its id stays in the chunk and
+   meets the directory as it would one by one.
+
+   Between the two holds, a counting sort groups the chunk's reserved
+   ops by shard into [order], and each involved shard runs one task
+   under its lane lock. A task that raises leaves its ops not applied:
+   their results read "cluster is shut down" and their reservations
+   are restored. The first such exception other than [Shut_down] is
+   re-raised once the chunk is settled and delivered.
 
    [timed = (clock, report)] reads [clock] around each sub-batch task
    and calls [report shard ops seconds] once the task returns; without
    it no clock is read. *)
 let apply_bulk t ?on_result ?timed ops =
-  let n = Array.length ops in
-  let results = if on_result = None then [||] else Array.make n (Error "") in
-  let record i r = if on_result <> None then results.(i) <- r in
-  let emit lo hi =
-    match on_result with
-    | None -> ()
-    | Some f ->
-      for i = lo to hi - 1 do
-        f i ops.(i) results.(i)
-      done
+  let n = Array.length ops and shards = shard_count t in
+  (* Per batch, indexed by op: its result, the shard it was reserved on
+     (-1 when it is not dispatched) and its directory entry. *)
+  let results = Array.make n shut_down in
+  let shard_for = Array.make n (-1) in
+  let entries = Array.make n no_entry in
+  (* The counting sort: shard s's ops are [order.(starts.(s)) ..
+     order.(starts.(s + 1) - 1)], in batch order. *)
+  let order = Array.make n 0 in
+  let starts = Array.make (shards + 1) 0 and fill = Array.make shards 0 in
+  (* Ops [lo, hi) are reserved or refused under one hold; returns [hi]. *)
+  let reserve lo =
+    with_dir t (fun () ->
+        let hi = ref lo in
+        (try
+           while !hi < n do
+             let i = !hi in
+             let id = Engine.op_id ops.(i) in
+             let found =
+               if i = lo then settled t id
+               else if Atomic.get t.stopped then raise Shut_down
+               else Hashtbl.find_opt t.directory id
+             in
+             match found with
+             | Some { reserved = true; _ } -> raise Exit
+             | _ ->
+               (match claim t ops.(i) found with
+               | Error _ as e -> results.(i) <- e
+               | Ok e ->
+                 entries.(i) <- e;
+                 shard_for.(i) <- e.at);
+               incr hi
+           done
+         with
+        | Exit -> ()
+        | Shut_down -> hi := n);
+        !hi)
   in
-  let shut_down = Error "cluster is shut down" in
+  let dispatch s failure =
+    let first = starts.(s) and len = starts.(s + 1) - starts.(s) in
+    if len > 0 then begin
+      let sub = Array.init len (fun j -> ops.(order.(first + j))) in
+      let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
+      match
+        run ~label:"apply_bulk" t s (fun e ->
+            Engine.apply_bulk e
+              ~on_result:(fun j _ r -> results.(order.(first + j)) <- global_result t s r)
+              sub)
+      with
+      | () -> Option.iter (fun (clock, report) -> report s len (clock () -. t0)) timed
+      | exception e ->
+        for k = first to first + len - 1 do
+          results.(order.(k)) <- shut_down
+        done;
+        if !failure = None then failure := Some e
+    end
+  in
   let lo = ref 0 in
   while !lo < n do
     let chunk_lo = !lo in
-    (* Reservation phase: claim ids until a barrier. [shard_for.(j)] is
-       the shard op [chunk_lo + j] was reserved on, -1 when the op
-       failed validation (already present / not found / shut down) and
-       must not be dispatched. *)
-    let seen = Hashtbl.create 64 in
-    let shard_for = Array.make (n - chunk_lo) (-1) in
-    let entries = Array.make (n - chunk_lo) { at = -1; reserved = false } in
-    let hi = ref chunk_lo in
-    (try
-       while !hi < n do
-         let i = !hi in
-         let id = Engine.op_id ops.(i) in
-         if Hashtbl.mem seen id then raise Exit;
-         let reserve () =
-           match claim t ops.(i) (settled t id) with
-           | Error _ as e ->
-             record i e;
-             Some (-1)
-           | Ok e ->
-             entries.(i - chunk_lo) <- e;
-             Some e.at
-         in
-         (* First op of the chunk: wait out any foreign reservation
-            (we hold none of our own yet). Later ops: probe without
-            blocking — a busy id just ends the chunk. *)
-         let reserved =
-           with_dir t (fun () ->
-               if i = chunk_lo then reserve ()
-               else if Atomic.get t.stopped then raise Shut_down
-               else
-                 match Hashtbl.find_opt t.directory id with
-                 | Some { reserved = true; _ } -> None
-                 | Some { reserved = false; _ } | None -> reserve ())
-         in
-         match reserved with
-         | None -> raise Exit
-         | Some s ->
-           shard_for.(i - chunk_lo) <- s;
-           Hashtbl.add seen id ();
-           incr hi
-       done
-     with
-    | Exit -> ()
-    | Shut_down ->
-      for i = !hi to n - 1 do
-        record i shut_down
-      done;
-      hi := n);
-    (* The first op of a chunk always makes progress: it is either
-       reserved or its validation failure is recorded before any Exit. *)
-    let chunk_hi = max !hi (chunk_lo + 1) in
-    (* Dispatch phase: one [Engine.apply_bulk] task per involved shard,
-       each under its own lane lock, one after another. Its results are
-       translated to global processor indices and every reservation is
-       settled — success or failure, no id is left in a transient
-       state. *)
-    let module M = Map.Make (Int) in
-    let by_shard = ref M.empty in
+    (* The first op always makes progress: it is reserved, refused or
+       shut down before anything can end the chunk. *)
+    let chunk_hi = reserve chunk_lo in
+    Array.fill starts 0 (shards + 1) 0;
     for i = chunk_lo to chunk_hi - 1 do
-      let s = shard_for.(i - chunk_lo) in
-      if s >= 0 then
-        by_shard :=
-          M.update s (function None -> Some [ i ] | Some l -> Some (i :: l)) !by_shard
+      let s = shard_for.(i) in
+      if s >= 0 then starts.(s + 1) <- starts.(s + 1) + 1
+    done;
+    for s = 1 to shards do
+      starts.(s) <- starts.(s) + starts.(s - 1)
+    done;
+    Array.blit starts 0 fill 0 shards;
+    for i = chunk_lo to chunk_hi - 1 do
+      let s = shard_for.(i) in
+      if s >= 0 then begin
+        order.(fill.(s)) <- i;
+        fill.(s) <- fill.(s) + 1
+      end
     done;
     let failure = ref None in
-    M.iter
-      (fun s rev_idx ->
-        let idx = Array.of_list (List.rev rev_idx) in
-        let sub = Array.map (fun i -> ops.(i)) idx in
-        let sub_results = Array.make (Array.length sub) (Error "") in
-        let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
-        let outcome =
-          match
-            run ~label:"apply_bulk" t s (fun e ->
-                Engine.apply_bulk e ~on_result:(fun j _ r -> sub_results.(j) <- r) sub)
-          with
-          | () ->
-            Option.iter (fun (clock, report) -> report s (Array.length sub) (clock () -. t0)) timed;
-            None
-          | exception e ->
-            if !failure = None then failure := Some e;
-            Some e
-        in
-        Array.iteri
-          (fun j i ->
-            let res =
-              match (outcome, sub_results.(j)) with
-              | None, Ok (p, moves) -> Ok (global t s p, translate t s moves)
-              | None, (Error _ as e) -> e
-              | Some _, _ -> shut_down
-            in
-            settle t ~id:(Engine.op_id ops.(i)) entries.(i - chunk_lo)
-              (home ops.(i) s ~applied:(Result.is_ok res));
-            record i res)
-          idx)
-      !by_shard;
-    emit chunk_lo chunk_hi;
-    (match !failure with
-    | Some Shut_down | None -> ()
-    | Some e -> raise e);
+    for s = 0 to shards - 1 do
+      dispatch s failure
+    done;
+    (* Settle every reservation — success or failure, no id is left in
+       a transient state — and wake the waiters once. *)
+    if starts.(shards) > 0 then
+      with_dir t (fun () ->
+          for i = chunk_lo to chunk_hi - 1 do
+            let s = shard_for.(i) in
+            if s >= 0 then
+              release t ~id:(Engine.op_id ops.(i)) entries.(i)
+                (home ops.(i) s ~applied:(Result.is_ok results.(i)))
+          done;
+          Condition.broadcast t.dir_settled);
+    (match on_result with
+    | None -> ()
+    | Some f ->
+      for i = chunk_lo to chunk_hi - 1 do
+        f i ops.(i) results.(i)
+      done);
+    (match !failure with Some Shut_down | None -> () | Some e -> raise e);
     lo := chunk_hi
   done
 
@@ -948,7 +956,12 @@ let replace_engine t i build =
 
 (* No lock: each shard's value is the one published at the end of its
    last completed task. *)
-let makespan t = Array.fold_left (fun acc p -> max acc (Atomic.get p)) 0 t.peaks
+let makespan t =
+  Array.fold_left
+    (fun acc p ->
+      let v = Atomic.get p in
+      if v > acc then v else acc)
+    0 t.peaks
 
 let loads t =
   let out = Array.make t.m 0 in

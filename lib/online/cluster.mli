@@ -231,12 +231,14 @@ val apply_bulk :
     processor indices, auto-repair moves, error strings) are
     identical, and [on_result] sees them in batch order.
 
-    Ordering barriers are honored by chunking: a duplicate id inside
-    the batch, or an id currently reserved by a concurrent client,
-    ends the current chunk — later ops wait for the earlier effect
-    rather than race it. Only the first op of a chunk ever blocks on a
-    foreign reservation, so two concurrent batches over overlapping
-    ids chunk around each other instead of deadlocking. After
+    Ordering barriers are honored by chunking. A chunk takes the
+    directory lock once to reserve its ids and once to settle them all.
+    Its first op may block on a foreign reservation; after it, any op
+    whose id is already reserved — by an earlier op of the chunk (a
+    duplicate id, which must see that op's effect) or by a concurrent
+    client — ends the chunk. So two concurrent batches over overlapping
+    ids chunk around each other instead of deadlocking, and an op that
+    failed validation (it reserves nothing) does not end a chunk. After
     {!shutdown} every result is ["cluster is shut down"].
 
     [timed = (clock, report)] is the supervisor's watchdog hook: each

@@ -42,73 +42,170 @@ let cluster_of = function
 
 let pf = Printf.sprintf
 
-let tokens line =
-  String.split_on_char ' ' (String.trim line)
-  |> List.filter (fun s -> s <> "")
+(* ----- the parser ----- *)
 
-let int_arg what s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (pf "%s must be an integer, got %S" what s)
+(* A line is read by index, in place. Its tokens are the runs of
+   non-space bytes between its first and last byte that is not
+   whitespace ([String.trim]'s: space, tab, newline, carriage return,
+   form feed); inside that range only a space separates tokens, so a tab
+   in mid-line belongs to its token. A mutation comes out as the
+   [Engine.op] the target applies, with no intermediate command. *)
+type parsed =
+  | Blank
+  | Mutation of Engine.op
+  | Command of command
+  | Malformed of string
+
+exception Malformed_line of string
+
+let is_trim_space = function ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+
+(* The first index in [i, hi) whose byte is not a space, or [hi]. *)
+let rec skip_spaces line i hi = if i < hi && line.[i] = ' ' then skip_spaces line (i + 1) hi else i
+
+(* The end of the token starting at [i]. *)
+let rec token_end line i hi = if i < hi && line.[i] <> ' ' then token_end line (i + 1) hi else i
+
+(* Whether [line.[a ..]] spells the upper-case keyword [kw] from its
+   [i]-th byte on, ignoring case. *)
+let rec spells line a kw i =
+  i >= String.length kw
+  || (Char.uppercase_ascii line.[a + i] = kw.[i] && spells line a kw (i + 1))
+
+let keywords =
+  [| "ADD"; "REMOVE"; "RESIZE"; "REBALANCE"; "STATS"; "SHARDS"; "HEALTH"; "SNAPSHOT"; "METRICS";
+     "JOURNAL"; "TRACES"; "ALERTS"; "TSDB"; "HELP"; "QUIT"; "EXIT"; "SHUTDOWN" |]
+
+(* The keyword [line.[a .. b - 1]] spells, ignoring case, or [""]. *)
+let rec keyword line a b i =
+  if i >= Array.length keywords then ""
+  else
+    let kw = keywords.(i) in
+    if b - a = String.length kw && spells line a kw 0 then kw else keyword line a b (i + 1)
+
+let token line a b = String.sub line a (b - a)
+
+let rec all_digits line i b =
+  i >= b || (line.[i] >= '0' && line.[i] <= '9' && all_digits line (i + 1) b)
+
+let rec decimal line i b acc =
+  if i >= b then acc else decimal line (i + 1) b ((acc * 10) + Char.code line.[i] - 48)
+
+(* Up to 18 plain digits cannot overflow and are read in place; any
+   other spelling goes through [int_of_string_opt], so [0x1f], [1_000],
+   [+5] and [-3] read as OCaml reads them and an out-of-range value is
+   refused. *)
+let int_arg what line a b =
+  if b - a <= 18 && all_digits line a b then decimal line a b 0
+  else
+    let s = token line a b in
+    match int_of_string_opt s with
+    | Some v -> v
+    | None -> raise (Malformed_line (pf "%s must be an integer, got %S" what s))
 
 (* Validation is done here, at parse time, so an invalid request is a
    protocol error naming the offending line — it never reaches an
    engine. *)
-let positive_arg what s =
-  Result.bind (int_arg what s) (fun v ->
-      if v > 0 then Ok v else Error (pf "%s must be positive, got %d" what v))
+let positive_arg what line a b =
+  let v = int_arg what line a b in
+  if v > 0 then v else raise (Malformed_line (pf "%s must be positive, got %d" what v))
 
-let non_negative_arg what s =
-  Result.bind (int_arg what s) (fun v ->
-      if v >= 0 then Ok v else Error (pf "%s must be non-negative, got %d" what v))
+let non_negative_arg what line a b =
+  let v = int_arg what line a b in
+  if v >= 0 then v else raise (Malformed_line (pf "%s must be non-negative, got %d" what v))
 
-let parse line =
-  match tokens line with
-  | [] -> Ok None
-  | word :: _ when String.length word > 0 && word.[0] = '#' -> Ok None
-  | verb :: args -> begin
-    match (String.uppercase_ascii verb, args) with
-    | "ADD", [ id; size ] ->
-      Result.map (fun size -> Some (Add { id; size })) (positive_arg "size" size)
-    | "ADD", _ -> Error "usage: ADD <id> <size>"
-    | "REMOVE", [ id ] -> Ok (Some (Remove id))
-    | "REMOVE", _ -> Error "usage: REMOVE <id>"
-    | "RESIZE", [ id; size ] ->
-      Result.map (fun size -> Some (Resize { id; size })) (positive_arg "size" size)
-    | "RESIZE", _ -> Error "usage: RESIZE <id> <size>"
-    | "REBALANCE", [ k ] -> Result.map (fun k -> Some (Rebalance k)) (non_negative_arg "k" k)
-    | "REBALANCE", [] -> Ok (Some (Rebalance max_int))
-    | "REBALANCE", _ -> Error "usage: REBALANCE [<k>]"
-    | "STATS", [] -> Ok (Some Stats)
-    | "SHARDS", [] -> Ok (Some Shards_info)
-    | "SHARDS", _ -> Error "usage: SHARDS"
-    | "HEALTH", [] -> Ok (Some Health)
-    | "HEALTH", _ -> Error "usage: HEALTH"
-    | "SNAPSHOT", [] -> Ok (Some Snapshot_now)
-    | "SNAPSHOT", _ -> Error "usage: SNAPSHOT"
-    | "METRICS", [] -> Ok (Some Metrics_dump)
-    | "METRICS", _ -> Error "usage: METRICS"
-    | "JOURNAL", [] -> Ok (Some (Journal_tail 10))
-    | "JOURNAL", [ n ] -> Result.map (fun n -> Some (Journal_tail n)) (non_negative_arg "n" n)
-    | "JOURNAL", _ -> Error "usage: JOURNAL [<n>]"
-    | "TRACES", [] -> Ok (Some (Traces 10))
-    | "TRACES", [ n ] -> Result.map (fun n -> Some (Traces n)) (positive_arg "n" n)
-    | "TRACES", _ -> Error "usage: TRACES [<n>]"
-    | "ALERTS", [] -> Ok (Some Alerts_status)
-    | "ALERTS", _ -> Error "usage: ALERTS"
-    | "TSDB", [ selector ] -> Ok (Some (Tsdb_query { selector; window_s = 60. }))
-    | "TSDB", [ selector; window ] ->
-      Result.map
-        (fun window_s -> Some (Tsdb_query { selector; window_s }))
-        (Rebal_obs.Tsdb.parse_duration window)
-    | "TSDB", _ -> Error "usage: TSDB <series> [<window>]"
-    | "HELP", [] -> Ok (Some Help)
-    | "QUIT", [] | "EXIT", [] -> Ok (Some Quit)
-    | "SHUTDOWN", [] -> Ok (Some Shutdown)
-    | v, _ -> Error (pf "unknown command %S (try HELP)" v)
+let usage u = raise (Malformed_line ("usage: " ^ u))
+let bare args cmd u = if args = 0 then cmd else usage u
+
+let unknown line a b =
+  raise
+    (Malformed_line (pf "unknown command %S (try HELP)" (String.uppercase_ascii (token line a b))))
+
+let parse_line line =
+  let hi = ref (String.length line) and v0 = ref 0 in
+  while !v0 < !hi && is_trim_space line.[!v0] do
+    incr v0
+  done;
+  while !hi > !v0 && is_trim_space line.[!hi - 1] do
+    decr hi
+  done;
+  let hi = !hi and v0 = !v0 in
+  if v0 >= hi || line.[v0] = '#' then Blank
+  else begin
+    (* The verb [v0, v1), the first two arguments [a0, a1) and [b0, b1),
+       and whether a third argument follows. *)
+    let v1 = token_end line v0 hi in
+    let a0 = skip_spaces line v1 hi in
+    let a1 = token_end line a0 hi in
+    let b0 = skip_spaces line a1 hi in
+    let b1 = token_end line b0 hi in
+    let args =
+      if a0 >= hi then 0
+      else if b0 >= hi then 1
+      else if skip_spaces line b1 hi >= hi then 2
+      else 3
+    in
+    try
+      match keyword line v0 v1 0 with
+      | "ADD" ->
+        if args <> 2 then usage "ADD <id> <size>"
+        else
+          let size = positive_arg "size" line b0 b1 in
+          Mutation (Engine.Add { id = token line a0 a1; size })
+      | "REMOVE" ->
+        if args <> 1 then usage "REMOVE <id>"
+        else Mutation (Engine.Remove { id = token line a0 a1 })
+      | "RESIZE" ->
+        if args <> 2 then usage "RESIZE <id> <size>"
+        else
+          let size = positive_arg "size" line b0 b1 in
+          Mutation (Engine.Resize { id = token line a0 a1; size })
+      | "REBALANCE" -> (
+        match args with
+        | 0 -> Command (Rebalance max_int)
+        | 1 -> Command (Rebalance (non_negative_arg "k" line a0 a1))
+        | _ -> usage "REBALANCE [<k>]")
+      | "STATS" -> if args = 0 then Command Stats else unknown line v0 v1
+      | "SHARDS" -> Command (bare args Shards_info "SHARDS")
+      | "HEALTH" -> Command (bare args Health "HEALTH")
+      | "SNAPSHOT" -> Command (bare args Snapshot_now "SNAPSHOT")
+      | "METRICS" -> Command (bare args Metrics_dump "METRICS")
+      | "JOURNAL" -> (
+        match args with
+        | 0 -> Command (Journal_tail 10)
+        | 1 -> Command (Journal_tail (non_negative_arg "n" line a0 a1))
+        | _ -> usage "JOURNAL [<n>]")
+      | "TRACES" -> (
+        match args with
+        | 0 -> Command (Traces 10)
+        | 1 -> Command (Traces (positive_arg "n" line a0 a1))
+        | _ -> usage "TRACES [<n>]")
+      | "ALERTS" -> Command (bare args Alerts_status "ALERTS")
+      | "TSDB" -> (
+        match args with
+        | 1 -> Command (Tsdb_query { selector = token line a0 a1; window_s = 60. })
+        | 2 -> (
+          match Rebal_obs.Tsdb.parse_duration (token line b0 b1) with
+          | Ok window_s -> Command (Tsdb_query { selector = token line a0 a1; window_s })
+          | Error e -> Malformed e)
+        | _ -> usage "TSDB <series> [<window>]")
+      | "HELP" -> if args = 0 then Command Help else unknown line v0 v1
+      | "QUIT" | "EXIT" -> if args = 0 then Command Quit else unknown line v0 v1
+      | "SHUTDOWN" -> if args = 0 then Command Shutdown else unknown line v0 v1
+      | _ -> unknown line v0 v1
+    with Malformed_line e -> Malformed e
   end
 
-(* ----- dispatch over the two serving shapes ----- *)
+let parse line =
+  match parse_line line with
+  | Blank -> Ok None
+  | Mutation (Engine.Add { id; size }) -> Ok (Some (Add { id; size }))
+  | Mutation (Engine.Remove { id }) -> Ok (Some (Remove id))
+  | Mutation (Engine.Resize { id; size }) -> Ok (Some (Resize { id; size }))
+  | Command cmd -> Ok (Some cmd)
+  | Malformed e -> Error e
+
+(* ----- dispatch over the serving shapes ----- *)
 
 let makespan = function
   | Single e -> Engine.makespan e
@@ -121,22 +218,66 @@ let apply t op =
   | Cluster c | Parallel c -> Cluster.apply c op
   | Supervised sup -> Supervisor.apply sup op
 
+let apply_bulk t ~on_result ops =
+  match t with
+  | Single e -> Engine.apply_bulk e ~on_result ops
+  | Cluster c | Parallel c -> Cluster.apply_bulk c ~on_result ops
+  | Supervised sup -> Supervisor.apply_bulk sup ~on_result ops
+
 let rebalance t ~k =
   match t with
   | Single e -> Engine.rebalance e ~k
   | Cluster c | Parallel c -> Cluster.rebalance c ~k
   | Supervised sup -> Supervisor.rebalance sup ~k
 
-let move_lines moves =
-  List.map (fun mv -> pf "MOVE %s %d %d" mv.Engine.id mv.Engine.src mv.Engine.dst) moves
+(* ----- the reply renderer ----- *)
 
-(* Automatic repairs fired by the engine's trigger policy ride along with
-   the event acknowledgement that caused them. *)
-let auto_lines t = function
-  | [] -> []
-  | moves ->
-    move_lines moves
-    @ [ pf "REBALANCED auto moves=%d makespan=%d" (List.length moves) (makespan t) ]
+(* Replies are written line by line, each ended by '\n', into a buffer
+   the caller owns; numbers are written digit by digit, so a mutation's
+   reply allocates nothing of its own. *)
+
+(* [n <= 0]: its digits, most significant first. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
+let add_line b s =
+  Buffer.add_string b s;
+  Buffer.add_char b '\n'
+
+let rec add_lines b = function
+  | [] -> ()
+  | l :: rest ->
+    add_line b l;
+    add_lines b rest
+
+let rec add_moves b = function
+  | [] -> ()
+  | mv :: rest ->
+    Buffer.add_string b "MOVE ";
+    Buffer.add_string b mv.Engine.id;
+    Buffer.add_char b ' ';
+    add_int b mv.Engine.src;
+    Buffer.add_char b ' ';
+    add_int b mv.Engine.dst;
+    Buffer.add_char b '\n';
+    add_moves b rest
+
+(* A repair's reply: its moves, then the summary. *)
+let add_repair b t ~auto moves =
+  add_moves b moves;
+  Buffer.add_string b (if auto then "REBALANCED auto moves=" else "REBALANCED moves=");
+  add_int b (List.length moves);
+  Buffer.add_string b " makespan=";
+  add_int b (makespan t);
+  Buffer.add_char b '\n'
 
 (* The reply to one mutation, one by one or batched. [makespan t] is
    read when the result is rendered: right after the op on the one-by-one
@@ -147,18 +288,27 @@ let auto_lines t = function
    covers the whole chunk, and other sessions' completed ops —
    indistinguishable from the interleavings concurrent sessions
    already produce. A supervised batch delivers its results once the
-   whole batch has run, so the value covers the batch. *)
-let op_reply t op = function
-  | Error e -> [ "ERR " ^ e ]
-  | Ok (p, auto) ->
+   whole batch has run, so the value covers the batch. Automatic repairs
+   fired by the engine's trigger policy ride along with the
+   acknowledgement of the event that caused them. *)
+let add_op_reply b t op = function
+  | Error e ->
+    Buffer.add_string b "ERR ";
+    add_line b e
+  | Ok (p, auto) -> (
     let ms = makespan t in
-    (match op with
-    | Engine.Add { id; _ } -> pf "PLACED %s %d makespan=%d" id p ms
-    | Engine.Remove { id } -> pf "REMOVED %s %d makespan=%d" id p ms
-    | Engine.Resize { id; _ } -> pf "RESIZED %s %d makespan=%d" id p ms)
-    :: auto_lines t auto
-
-let mutate t op = op_reply t op (apply t op)
+    Buffer.add_string b
+      (match op with
+      | Engine.Add _ -> "PLACED "
+      | Engine.Remove _ -> "REMOVED "
+      | Engine.Resize _ -> "RESIZED ");
+    Buffer.add_string b (Engine.op_id op);
+    Buffer.add_char b ' ';
+    add_int b p;
+    Buffer.add_string b " makespan=";
+    add_int b ms;
+    Buffer.add_char b '\n';
+    match auto with [] -> () | moves -> add_repair b t ~auto:true moves)
 
 let help_lines =
   [
@@ -348,7 +498,25 @@ let export_cluster c =
       "Domains hosting session threads, whose shard work runs on them under shard locks"
       (float_of_int (Cluster.domain_count c))
 
-let export_target = function
+(* Process-wide GC counters, read from [Gc.quick_stat] when the metrics
+   are rendered. *)
+let export_gc () =
+  let st = Gc.quick_stat () in
+  let count name help v = Metrics.Counter.set (Metrics.counter ~help name) v in
+  count "rebal_gc_minor_words_total" "Words allocated in the minor heap"
+    (int_of_float st.Gc.minor_words);
+  count "rebal_gc_promoted_words_total" "Words promoted from the minor heap to the major heap"
+    (int_of_float st.Gc.promoted_words);
+  count "rebal_gc_minor_collections_total" "Minor collections" st.Gc.minor_collections;
+  count "rebal_gc_major_collections_total" "Major collection cycles completed"
+    st.Gc.major_collections;
+  Metrics.Gauge.set
+    (Metrics.gauge ~help:"Words in the major heap" "rebal_gc_heap_words")
+    (float_of_int st.Gc.heap_words)
+
+let export_target t =
+  export_gc ();
+  match t with
   | Single e -> export_engine_stats (Engine.stats e)
   | Cluster c | Parallel c -> export_cluster c
   | Supervised sup ->
@@ -480,44 +648,48 @@ let tsdb_query_lines ~selector ~window_s =
     | Error e -> [ "ERR " ^ e ]
     | Ok lines -> lines @ [ "# EOF" ])
 
-let execute t = function
-  | Add { id; size } -> mutate t (Engine.Add { id; size })
-  | Remove id -> mutate t (Engine.Remove { id })
-  | Resize { id; size } -> mutate t (Engine.Resize { id; size })
-  | Rebalance k ->
-    let moves = rebalance t ~k in
-    move_lines moves
-    @ [ pf "REBALANCED moves=%d makespan=%d" (List.length moves) (makespan t) ]
-  | Stats -> [ stats_line t ]
-  | Shards_info -> shards_lines t
-  | Health -> health_lines t
-  | Snapshot_now -> snapshot_lines t
-  | Metrics_dump -> metrics_lines t
-  | Journal_tail n -> journal_lines t n
-  | Traces n -> traces_lines n
-  | Alerts_status -> alerts_status_lines ()
-  | Tsdb_query { selector; window_s } -> tsdb_query_lines ~selector ~window_s
-  | Help -> help_lines
-  | Quit -> [ "BYE" ]
-  | Shutdown -> [ "BYE" ]
+let mutate b t op = add_op_reply b t op (apply t op)
 
-let verb_name = function
-  | Add _ -> "add"
-  | Remove _ -> "remove"
-  | Resize _ -> "resize"
-  | Rebalance _ -> "rebalance"
-  | Stats -> "stats"
-  | Shards_info -> "shards"
-  | Health -> "health"
-  | Snapshot_now -> "snapshot"
-  | Metrics_dump -> "metrics"
-  | Journal_tail _ -> "journal"
-  | Traces _ -> "traces"
-  | Alerts_status -> "alerts"
-  | Tsdb_query _ -> "tsdb"
-  | Help -> "help"
-  | Quit -> "quit"
-  | Shutdown -> "shutdown"
+let execute b t = function
+  | Add { id; size } -> mutate b t (Engine.Add { id; size })
+  | Remove id -> mutate b t (Engine.Remove { id })
+  | Resize { id; size } -> mutate b t (Engine.Resize { id; size })
+  | Rebalance k -> add_repair b t ~auto:false (rebalance t ~k)
+  | Stats -> add_line b (stats_line t)
+  | Shards_info -> add_lines b (shards_lines t)
+  | Health -> add_lines b (health_lines t)
+  | Snapshot_now -> add_lines b (snapshot_lines t)
+  | Metrics_dump -> add_lines b (metrics_lines t)
+  | Journal_tail n -> add_lines b (journal_lines t n)
+  | Traces n -> add_lines b (traces_lines n)
+  | Alerts_status -> add_lines b (alerts_status_lines ())
+  | Tsdb_query { selector; window_s } -> add_lines b (tsdb_query_lines ~selector ~window_s)
+  | Help -> add_lines b help_lines
+  | Quit | Shutdown -> add_line b "BYE"
+
+(* A command's latency-series label and its span verb. *)
+let verb_names = function
+  | Add _ -> ("add", "ADD")
+  | Remove _ -> ("remove", "REMOVE")
+  | Resize _ -> ("resize", "RESIZE")
+  | Rebalance _ -> ("rebalance", "REBALANCE")
+  | Stats -> ("stats", "STATS")
+  | Shards_info -> ("shards", "SHARDS")
+  | Health -> ("health", "HEALTH")
+  | Snapshot_now -> ("snapshot", "SNAPSHOT")
+  | Metrics_dump -> ("metrics", "METRICS")
+  | Journal_tail _ -> ("journal", "JOURNAL")
+  | Traces _ -> ("traces", "TRACES")
+  | Alerts_status -> ("alerts", "ALERTS")
+  | Tsdb_query _ -> ("tsdb", "TSDB")
+  | Help -> ("help", "HELP")
+  | Quit -> ("quit", "QUIT")
+  | Shutdown -> ("shutdown", "SHUTDOWN")
+
+let op_verb_names = function
+  | Engine.Add _ -> ("add", "ADD")
+  | Engine.Remove _ -> ("remove", "REMOVE")
+  | Engine.Resize _ -> ("resize", "RESIZE")
 
 let session_hist verb =
   (* Interning the handle per call is deliberate — sessions are
@@ -529,91 +701,99 @@ let session_hist verb =
     ~help:"Protocol op service time at the session boundary (seconds)"
     "rebal_session_latency_seconds"
 
-(* The op boundary: every parsed command opens a trace (subject to
-   head sampling and tail capture) and lands one latency observation
-   in the session histogram. *)
-let run_command t cmd =
-  let verb = verb_name cmd in
+(* The op boundary: every parsed command, and every pipelined run of
+   mutations, opens a trace (subject to head sampling and tail capture)
+   and lands one latency observation in the session histogram. *)
+let timed (verb, upper) f =
   let hist = session_hist verb in
   let t0 = Timer.now_ns () in
-  let reply =
-    Optrace.with_op ~verb:(String.uppercase_ascii verb) (fun () -> execute t cmd)
-  in
-  Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0);
-  reply
+  Optrace.with_op ~verb:upper f;
+  Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0)
+
+let run_command b t cmd = timed (verb_names cmd) (fun () -> execute b t cmd)
+let run_op b t op = timed (op_verb_names op) (fun () -> mutate b t op)
+
+let run_batch b t ops =
+  timed ("batch", "BATCH") (fun () -> apply_bulk t ~on_result:(fun _ op r -> add_op_reply b t op r) ops)
 
 let verdict_of = function
   | Quit -> Close
   | Shutdown -> Stop
   | _ -> Continue
 
-let handle_line ?line:lineno t line =
-  match parse line with
-  | Error e ->
-    let where = match lineno with None -> "" | Some n -> pf "line %d: " n in
-    ([ "ERR " ^ where ^ e ], Continue)
-  | Ok None -> ([], Continue)
-  | Ok (Some cmd) -> (run_command t cmd, verdict_of cmd)
+let add_error b ?line e =
+  Buffer.add_string b "ERR ";
+  (match line with
+  | None -> ()
+  | Some n ->
+    Buffer.add_string b "line ";
+    add_int b n;
+    Buffer.add_string b ": ");
+  add_line b e
+
+(* The lines a renderer wrote, without their '\n's. *)
+let lines_of b =
+  let n = Buffer.length b in
+  if n = 0 then [] else String.split_on_char '\n' (Buffer.sub b 0 (n - 1))
+
+(* One parsed line, answered on its own. *)
+let handle_parsed ?line t b = function
+  | Blank -> Continue
+  | Malformed e ->
+    add_error b ?line e;
+    Continue
+  | Mutation op ->
+    run_op b t op;
+    Continue
+  | Command cmd ->
+    run_command b t cmd;
+    verdict_of cmd
+
+let handle_line ?line t s =
+  let b = Buffer.create 64 in
+  let verdict = handle_parsed ?line t b (parse_line s) in
+  (lines_of b, verdict)
 
 (* ----- batched sessions ----- *)
 
-let command_op = function
-  | Add { id; size } -> Some (Engine.Add { id; size })
-  | Remove id -> Some (Engine.Remove { id })
-  | Resize { id; size } -> Some (Engine.Resize { id; size })
-  | _ -> None
+let no_op = Engine.Remove { id = "" }
 
-let handle_lines ?(start_line = 1) t lines =
-  let out = ref [] in
-  let push ls = out := List.rev_append ls !out in
-  let pending = ref [] in
+let handle_lines_into ?(start_line = 1) t b lines =
+  let pending = Array.make (List.length lines) no_op and queued = ref 0 in
   (* Apply the queued run of mutations. A run of one goes through
-     [run_command] — byte- and metric-identical to the unbatched path;
+     [run_op] — byte- and metric-identical to the unbatched path;
      only a genuine pipeline (>= 2) pays the batch machinery, under one
      BATCH span and one batch-verb latency observation. *)
-  let flush_pending () =
-    match List.rev !pending with
-    | [] -> ()
-    | [ cmd ] ->
-      pending := [];
-      push (run_command t cmd)
-    | cmds ->
-      pending := [];
-      let ops = Array.of_list (List.filter_map command_op cmds) in
-      let on_result _ op r = push (op_reply t op r) in
-      let hist = session_hist "batch" in
-      let t0 = Timer.now_ns () in
-      Optrace.with_op ~verb:"BATCH" (fun () ->
-          match t with
-          | Single e -> Engine.apply_bulk e ~on_result ops
-          | Cluster c | Parallel c -> Cluster.apply_bulk c ~on_result ops
-          | Supervised sup -> Supervisor.apply_bulk sup ~on_result ops);
-      Metrics.Histogram.observe_ns hist (Int64.sub (Timer.now_ns ()) t0)
+  let flush () =
+    let k = !queued in
+    queued := 0;
+    if k = 1 then run_op b t pending.(0)
+    else if k > 1 then
+      run_batch b t (if k = Array.length pending then pending else Array.sub pending 0 k)
   in
-  let verdict = ref Continue in
   let rec go lineno = function
-    | [] -> flush_pending ()
-    | line :: rest -> begin
-      match parse line with
-      | Error e ->
-        flush_pending ();
-        push [ "ERR " ^ pf "line %d: " lineno ^ e ];
+    | [] ->
+      flush ();
+      Continue
+    | line :: rest -> (
+      match parse_line line with
+      | Blank -> go (lineno + 1) rest
+      | Mutation op ->
+        pending.(!queued) <- op;
+        incr queued;
         go (lineno + 1) rest
-      | Ok None -> go (lineno + 1) rest
-      | Ok (Some ((Add _ | Remove _ | Resize _) as cmd)) ->
-        pending := cmd :: !pending;
-        go (lineno + 1) rest
-      | Ok (Some cmd) -> begin
-        flush_pending ();
-        push (run_command t cmd);
-        match verdict_of cmd with
+      | (Malformed _ | Command _) as parsed -> (
+        flush ();
+        match handle_parsed ~line:lineno t b parsed with
         | Continue -> go (lineno + 1) rest
-        | v -> verdict := v (* drop anything pipelined after QUIT/SHUTDOWN *)
-      end
-    end
+        | v -> v (* drop anything pipelined after QUIT/SHUTDOWN *)))
   in
-  go start_line lines;
-  (List.rev !out, !verdict)
+  go start_line lines
+
+let handle_lines ?start_line t lines =
+  let b = Buffer.create 256 in
+  let verdict = handle_lines_into ?start_line t b lines in
+  (lines_of b, verdict)
 
 (* [domains=] appears only when hosting domains exist. *)
 let cluster_banner c =

@@ -58,8 +58,13 @@
     Below the parser a mutation is an [Engine.op]: an [ADD], [REMOVE]
     or [RESIZE] becomes one, and the target's one per-op function
     ([Engine.apply], [Cluster.apply] or [Supervisor.apply]) or its
-    batch function applies it. One renderer writes the
-    [PLACED]/[REMOVED]/[RESIZED] reply for both paths. *)
+    batch function applies it. The parser reads a line by index, in
+    place, and builds a pipelined run's [Engine.op] array directly. One
+    renderer writes every reply with [Buffer] writes — the
+    [PLACED]/[REMOVED]/[RESIZED] acknowledgements, automatic [MOVE] and
+    [REBALANCED] lines and [ERR] — for both paths. [METRICS] also
+    exports the process's GC counters ([rebal_gc_*], from
+    [Gc.quick_stat] at render time). *)
 
 type command =
   | Add of { id : string; size : int }
@@ -135,6 +140,12 @@ val handle_lines : ?start_line:int -> target -> string list -> string list * ver
     first [QUIT]/[SHUTDOWN]; the returned verdict is that command's.
     [start_line] (default 1) numbers the first line for [ERR]
     prefixes. *)
+
+val handle_lines_into : ?start_line:int -> target -> Buffer.t -> string list -> verdict
+(** {!handle_lines}, with every reply line appended to the buffer, each
+    ended by ['\n']: the renderer the daemon session uses, writing into
+    one buffer it owns and writes once per round. {!handle_line} and
+    {!handle_lines} render into a fresh buffer and split it into lines. *)
 
 val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
 (** The registry a metrics reply renders. The target's live stats are

@@ -200,18 +200,21 @@ let apply st f =
   | kind -> failf f "unknown event kind %S" kind);
   st
 
-(* After the last event: the full-budget consistency check against the
-   batch solver, then the recorded trigger re-armed — a journal recorded
-   under --auto-* must not silently come back as Manual when the
-   replayed engine is put back into service. *)
-let finish st =
+(* After the last event: the recorded trigger re-armed — a journal
+   recorded under --auto-* must not silently come back as Manual when
+   the replayed engine is put back into service — then [settled] sees
+   the replayed state, and the full-budget consistency check against
+   the batch solver runs last, counted in the engine's
+   [consistency_checks]. *)
+let finish ?(settled = ignore) st =
   let eng = st.eng in
+  let trigger = get (trigger_of_header st.header) in
+  Engine.set_trigger eng trigger;
+  settled eng;
   let final_jobs = Engine.job_count eng in
   let consistency_ok = final_jobs = 0 || Engine.check_consistency eng ~k:final_jobs in
   if not consistency_ok then
     fail "replayed state fails check_consistency against the batch solver";
-  let trigger = get (trigger_of_header st.header) in
-  Engine.set_trigger eng trigger;
   ( eng,
     {
       header = st.header;
@@ -230,7 +233,8 @@ let finish st =
 
 (* One replay, whatever the source: [fold] is one of [Journal]'s folds
    over a file, or over an already-parsed journal. *)
-let replay fold = try Result.map finish (fold ~header:start apply) with Fail msg -> Error msg
+let replay ?settled fold =
+  try Result.map (finish ?settled) (fold ~header:start apply) with Fail msg -> Error msg
 
 let resume parsed = replay (Journal.fold_parsed parsed)
 let run parsed = Result.map snd (resume parsed)
@@ -289,10 +293,15 @@ let compact (header, evs) =
   end
   else
     (* No snapshot recorded: replay (verifying the whole journal) and
-       compact to a single snapshot of the final state. *)
-    match resume (header, evs) with
+       compact to a single snapshot of the final state, taken before the
+       replay's own final check — that check belongs to the replay, not
+       to the recording, so the snapshot's [consistency_checks] is the
+       recording engine's. *)
+    let state = ref None in
+    let settled eng = state := Some (Engine.snapshot eng) in
+    match replay ~settled (Journal.fold_parsed (header, evs)) with
     | Error msg -> Error msg
-    | Ok (eng, _) ->
+    | Ok _ ->
       let ts_ns =
         match List.rev evs with [] -> 0 | last :: _ -> last.Journal.ts_ns
       in
@@ -301,7 +310,7 @@ let compact (header, evs) =
           Journal.seq = 0;
           ts_ns;
           kind = "snapshot";
-          fields = [ ("state", Engine.snapshot eng) ];
+          fields = [ ("state", Option.get !state) ];
           line = 0;
         }
       in

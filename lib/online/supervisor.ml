@@ -271,24 +271,27 @@ let apply t op =
     | r, _ -> r)
 
 (* A batch: the guard refuses ops up front, everything it admits goes
-   to one [Cluster.apply_bulk] under the watchdog. *)
+   to one [Cluster.apply_bulk] under the watchdog. [admitted.(j)] is the
+   batch index of the j-th admitted op; when the guard refuses nothing
+   the batch goes down as it is. *)
 let apply_bulk t ?on_result ops =
+  let n = Array.length ops in
   let serving = serving_shards t in
-  let results = Array.make (Array.length ops) (Error "") in
-  let admitted = ref [] in
-  Array.iteri
-    (fun i op ->
-      match refusal t ~serving (Engine.op_id op) with
-      | Some msg -> results.(i) <- reject t msg
-      | None -> admitted := i :: !admitted)
-    ops;
-  let admitted = Array.of_list (List.rev !admitted) in
+  let results = Array.make n (Error "") in
+  let admitted = Array.make n 0 and count = ref 0 in
+  for i = 0 to n - 1 do
+    match refusal t ~serving (Engine.op_id ops.(i)) with
+    | Some msg -> results.(i) <- reject t msg
+    | None ->
+      admitted.(!count) <- i;
+      incr count
+  done;
+  let sub = if !count = n then ops else Array.init !count (fun j -> ops.(admitted.(j))) in
   let (), evacuated =
     watched t (fun timed ->
         Cluster.apply_bulk t.cluster
           ~on_result:(fun j _ r -> results.(admitted.(j)) <- r)
-          ~timed
-          (Array.map (fun i -> ops.(i)) admitted))
+          ~timed sub)
   in
   (* The evacuation's moves ride on the last acknowledged op's reply. *)
   (if evacuated <> [] then
@@ -298,8 +301,13 @@ let apply_bulk t ?on_result ops =
          | Ok (p, moves) -> results.(i) <- Ok (p, moves @ evacuated)
          | Error _ -> last (i - 1)
      in
-     last (Array.length ops - 1));
-  Option.iter (fun f -> Array.iteri (fun i r -> f i ops.(i) r) results) on_result
+     last (n - 1));
+  Option.iter
+    (fun f ->
+      for i = 0 to n - 1 do
+        f i ops.(i) results.(i)
+      done)
+    on_result
 
 let rebalance t ~k = Cluster.rebalance t.cluster ~k
 

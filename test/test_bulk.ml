@@ -462,7 +462,34 @@ let test_lineio_has_line_batching_probe () =
   check_bool "partial is not a line" false (Lineio.has_line r);
   ignore (Unix.write_substring b "ee\n" 0 3);
   check_bool "completed line" true (Lineio.read_line r = Some "three");
+  (* [read_lines] takes every complete line already buffered, in order,
+     and leaves an unterminated tail for the next round. *)
+  ignore (Unix.write_substring b "4\n5\r\n\n6\n7" 0 9);
+  check_bool "batch of buffered lines" true (Lineio.read_lines r = [ "4"; "5\r"; ""; "6" ]);
+  check_bool "tail is not a line" false (Lineio.has_line r);
+  (* A round whose first line is split across reads waits for the rest
+     through a rain of signals (EINTR retried), then takes what
+     followed it. *)
+  let previous = Sys.signal Sys.sigusr1 (Sys.Signal_handle (fun _ -> ())) in
+  Fun.protect ~finally:(fun () -> ignore (Sys.signal Sys.sigusr1 previous))
+  @@ fun () ->
+  let got = ref [] in
+  let t = Thread.create (fun () -> got := Lineio.read_lines r) () in
+  for _ = 1 to 10 do
+    Unix.kill (Unix.getpid ()) Sys.sigusr1;
+    Thread.delay 0.002
+  done;
+  ignore (Unix.write_substring b "7\n8\n" 0 4);
+  Thread.join t;
+  let late = if !got = [ "77" ] then Lineio.read_lines r else [] in
+  check_bool "split first line joins, later lines follow" true (!got @ late = [ "77"; "8" ]);
+  (* EOF in mid-line: the remainder is the last line, then EOF. The
+     first round does not block again to learn of the EOF. *)
+  ignore (Unix.write_substring b "9\nlast" 0 6);
   Unix.close b;
+  check_bool "lines before eof" true (Lineio.read_lines r = [ "9" ]);
+  check_bool "eof mid-line" true (Lineio.read_lines r = [ "last" ]);
+  check_bool "eof after batch" true (Lineio.read_lines r = []);
   (* EOF with empty buffer *)
   check_bool "eof" true (Lineio.read_line r = None)
 
