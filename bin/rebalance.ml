@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.21.0"
+let version = "1.22.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -643,9 +643,8 @@ let serve_cmd =
             "Listen on 127.0.0.1:$(docv) and serve many clients concurrently, one session \
              thread per connection (pipelining allowed; ERR lines stay numbered per \
              session). Port 0 picks a free port (printed on stdout). With --shards above 1 \
-             or --domains above 0, and without --supervise, the sessions run concurrently \
-             under per-shard locks; otherwise they are serialized under one operation \
-             lock.")
+             or --domains above 0, supervised or not, the sessions run concurrently under \
+             per-shard locks; a single engine serializes them under one operation lock.")
   in
   let auto_events =
     Arg.(
@@ -711,8 +710,8 @@ let serve_cmd =
       & info [ "supervise" ]
           ~doc:
             "Run the shard router under health supervision: per-shard health states, a \
-             watchdog on every operation (a pipelined batch gets one deadline per shard, scaled \
-             by its op count), automatic evacuation of shards that go down and \
+             watchdog on every operation (the ops one pipelined chunk sends to a shard share one \
+             deadline, scaled by their count), automatic evacuation of shards that go down and \
              degraded-mode serving from the survivors. Adds the HEALTH verb and health \
              fields to STATS/SHARDS. Requires --shards >= 2.")
   in

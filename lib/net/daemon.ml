@@ -238,13 +238,10 @@ let create c =
           Some (tsdb, alerts)
       end
     in
-    (* An unsupervised cluster is internally thread-safe at any domain
-       count; a single engine and the supervisor serialize their
-       callers. *)
+    (* A cluster, supervised or not, is internally thread-safe at any
+       domain count; only a single engine serializes its callers. *)
     let op_lock =
-      match target with
-      | Protocol.Cluster _ | Protocol.Parallel _ -> None
-      | Protocol.Single _ | Protocol.Supervised _ -> Some (Mutex.create ())
+      match target with Protocol.Single _ -> Some (Mutex.create ()) | _ -> None
     in
     let sampler_stop = Atomic.make false in
     { config = c; target; op_lock; telemetry; opened = !opened; sampler_stop; sampler = None; closed = false }
@@ -256,12 +253,11 @@ let create c =
     List.iter close_out_noerr !opened;
     Error msg
 
-(* The sampler thread: one tick per interval, under the op lock. *)
+(* The sampler thread: one tick per interval, under a single engine's op lock. *)
 let start_sampler t =
   match t.telemetry with
   | None -> ()
   | Some (tsdb, alerts) ->
-    let sup = match t.target with Protocol.Supervised s -> Some s | _ -> None in
     let tick () =
       Tsdb.sample tsdb;
       Option.iter
@@ -273,15 +269,16 @@ let start_sampler t =
              tip it Down through the ordinary evacuation path, with the
              rule's name as the journaled provenance. *)
           Option.iter
-            (fun sup ->
-              List.iter
-                (fun ((r : Alerts.rule), _) ->
-                  match r.Alerts.suspect with
-                  | Some i when i >= 0 && i < Supervisor.shard_count sup ->
-                    ignore (Supervisor.fail ~reason:("alert:" ^ r.Alerts.rule_name) sup i)
-                  | _ -> ())
-                (Alerts.firing a))
-            sup)
+            (fun c ->
+              if Cluster.supervised c then
+                List.iter
+                  (fun ((r : Alerts.rule), _) ->
+                    match r.Alerts.suspect with
+                    | Some i when i >= 0 && i < Cluster.shard_count c ->
+                      ignore (Supervisor.fail ~reason:("alert:" ^ r.Alerts.rule_name) c i)
+                    | _ -> ())
+                  (Alerts.firing a))
+            (Protocol.cluster_of t.target))
         alerts
     in
     (* Sleep in short slices so shutdown never waits out an interval. *)
@@ -382,8 +379,9 @@ let session t ic oc =
 (* A TCP connection whose first bytes sniff as an HTTP request gets one
    GET /metrics-style answer and closes; everything else is a
    line-protocol session. The sniff peeks without consuming, so the
-   protocol stream is untouched. A scrape reads the target under the op
-   lock, as the sampler tick does. *)
+   protocol stream is untouched. A scrape of a single engine reads it
+   under the op lock, as the sampler tick does; a cluster's takes no
+   lock. *)
 let http_or_session t ic oc =
   if not (Http.sniff (Unix.descr_of_in_channel ic)) then session t ic oc
   else begin
@@ -407,7 +405,7 @@ let http_or_session t ic oc =
   end
 
 (* TCP or Unix domain socket: both run through Server, so both get
-   concurrent sessions (under the op lock where there is one), SHUTDOWN
+   concurrent sessions (under the op lock of a single engine), SHUTDOWN
    and the SIGTERM drain. A stale socket path is unlinked before
    binding. *)
 let listen t =

@@ -13,11 +13,12 @@
 
     On a cluster, socket sessions start through [Cluster.spawn], so they
     run on its hosting domains. Every thread that touches a single
-    engine or a supervised cluster — sessions, the telemetry sampler,
-    a metrics scrape — runs under one operation lock; an unsupervised
-    cluster takes none, at any domain count, since each of its shards
-    is guarded by its own lock. Blocking reads happen outside the lock,
-    so an idle session never starves the others. *)
+    engine — sessions, the telemetry sampler, a metrics scrape — runs
+    under one operation lock; a cluster, supervised or not, takes none,
+    at any domain count, since each of its shards is guarded by its own
+    lock and its directory, weights and health by the directory lock.
+    Blocking reads happen outside the lock, so an idle session never
+    starves the others. *)
 
 module Journal = Rebal_obs.Journal
 

@@ -14,8 +14,8 @@
     [Cluster.spawn], so sessions spread over its hosting domains and
     run their shard work themselves, under shard locks. The server
     itself assumes the target behind [session] is safe to drive from
-    many threads ({!Daemon} serializes sessions under its operation
-    lock when it is not).
+    many threads ({!Daemon} serializes a single engine's sessions
+    under its operation lock).
 
     Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) stops
     the accept loop, as does the daemon's SIGTERM handler by raising in

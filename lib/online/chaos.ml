@@ -43,8 +43,7 @@ let kill_schedule c ~down_for kills =
 type t = {
   config : config;
   live : int -> int -> bool;
-  cluster : Cluster.t;
-  sup : Supervisor.t;
+  cluster : Cluster.t;  (** supervised *)
   buffers : Buffer.t array;
   time : int ref;  (** the step the supervisor's probe asks about *)
 }
@@ -61,10 +60,10 @@ let create ~live config =
   let sup_config =
     { Supervisor.default_config with suspect_after = 1; down_after = 2; recovery_steps = 4; evac_budget }
   in
-  let sup = Supervisor.create ~config:sup_config ~probe:(fun i -> live i !time) cluster in
-  { config; live; cluster; sup; buffers; time }
+  ignore (Supervisor.create ~config:sup_config ~probe:(fun i -> live i !time) cluster);
+  { config; live; cluster; buffers; time }
 
-let supervisor t = t.sup
+let supervisor t = t.cluster
 
 type report = {
   rejected : int;
@@ -88,7 +87,7 @@ let replay_matches cluster i journal =
 
 let run ?(on_step = ignore) t =
   let { shards; horizon; ops_per_step; period; k; seed; _ } = t.config in
-  let sup = t.sup and cluster = t.cluster in
+  let cluster = t.cluster in
   (* Reference model: what the workload believes is live. Anything the
      cluster accepted must survive every kill and recovery. *)
   let model = Hashtbl.create 1024 in
@@ -117,9 +116,9 @@ let run ?(on_step = ignore) t =
   let failf fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   for step = 0 to horizon - 1 do
     t.time := step;
-    ignore (Supervisor.tick sup);
+    ignore (Supervisor.tick cluster);
     for i = 0 to shards - 1 do
-      (match Supervisor.health sup i with
+      (match Supervisor.health cluster i with
       | Supervisor.Down when down_at.(i) < 0 -> down_at.(i) <- step
       | Supervisor.Healthy when down_at.(i) >= 0 ->
         recoveries := (i, down_at.(i), step) :: !recoveries;
@@ -129,7 +128,7 @@ let run ?(on_step = ignore) t =
          engine from its own journal — the evacuation removes were
          recorded, so the restored engine agrees with the directory —
          and let the supervisor ramp it back in. *)
-      if Supervisor.health sup i = Supervisor.Down && t.live i step then begin
+      if Supervisor.health cluster i = Supervisor.Down && t.live i step then begin
         let buf = t.buffers.(i) in
         let restore () =
           Result.map fst
@@ -137,7 +136,7 @@ let run ?(on_step = ignore) t =
                (Journal.load_string (Buffer.contents buf))
                (Replay.resume_appending ~write:(Buffer.add_string buf)))
         in
-        match Supervisor.readmit sup i restore with
+        match Supervisor.readmit cluster i restore with
         | Ok () -> ()
         | Error msg -> failf "shard %d: readmission failed: %s" i msg
       end
@@ -148,7 +147,7 @@ let run ?(on_step = ignore) t =
         let id = pf "c%d" !next_id in
         incr next_id;
         let size = Rng.int_range rng 1 100 in
-        match Supervisor.apply sup (Engine.Add { id; size }) with
+        match Cluster.apply cluster (Engine.Add { id; size }) with
         | Ok _ ->
           Hashtbl.replace model id size;
           push id
@@ -158,24 +157,24 @@ let run ?(on_step = ignore) t =
         let j = Rng.int rng !n_live in
         let id = !live_ids.(j) in
         if r < 0.85 then (
-          match Supervisor.apply sup (Engine.Remove { id }) with
+          match Cluster.apply cluster (Engine.Remove { id }) with
           | Ok _ ->
             Hashtbl.remove model id;
             remove_at j
           | Error _ -> incr rejected)
         else begin
           let size = Rng.int_range rng 1 100 in
-          match Supervisor.apply sup (Engine.Resize { id; size }) with
+          match Cluster.apply cluster (Engine.Resize { id; size }) with
           | Ok _ -> Hashtbl.replace model id size
           | Error _ -> incr rejected
         end
       end
     done;
-    if (step + 1) mod period = 0 then ignore (Supervisor.rebalance sup ~k);
+    if (step + 1) mod period = 0 then ignore (Cluster.rebalance cluster ~k);
     (* Downtime-weighted makespan, the chaos scoring rule: a step served
        with dead shards counts its makespan once per missing shard on
        top of the base weight. *)
-    let serving = Supervisor.serving_shards sup in
+    let serving = Supervisor.serving_shards cluster in
     downtime_weighted :=
       !downtime_weighted
       +. (float_of_int (Cluster.makespan cluster) *. float_of_int (1 + shards - serving));
@@ -207,7 +206,7 @@ let run ?(on_step = ignore) t =
     journals;
   let still_down =
     List.filter_map
-      (fun i -> if down_at.(i) >= 0 then Some (i, Supervisor.health sup i, down_at.(i)) else None)
+      (fun i -> if down_at.(i) >= 0 then Some (i, Supervisor.health cluster i, down_at.(i)) else None)
       (List.init shards Fun.id)
   in
   {
@@ -215,7 +214,7 @@ let run ?(on_step = ignore) t =
     recoveries = List.rev !recoveries;
     still_down;
     downtime_weighted = !downtime_weighted;
-    stats = Supervisor.stats sup;
+    stats = Supervisor.stats cluster;
     jobs = Cluster.job_count cluster;
     makespan = Cluster.makespan cluster;
     journals;

@@ -8,6 +8,57 @@ type move = Engine.move = {
   dst : int;
 }
 
+exception Shut_down
+
+(* The supervision vocabulary, re-exported by [Supervisor]. *)
+module Health = struct
+  type health =
+    | Healthy
+    | Suspect
+    | Down
+    | Recovering
+
+  let health_name = function
+    | Healthy -> "healthy"
+    | Suspect -> "suspect"
+    | Down -> "down"
+    | Recovering -> "recovering"
+
+  type config = {
+    suspect_after : int;
+    down_after : int;
+    op_deadline : float;
+    evac_budget : int;
+    recovery_steps : int;
+  }
+
+  let default_config =
+    {
+      suspect_after = 1;
+      down_after = 3;
+      op_deadline = 1.0;
+      evac_budget = max_int;
+      recovery_steps = 4;
+    }
+
+  type stats = {
+    shards : int;
+    healthy : int;
+    suspect : int;
+    down : int;
+    recovering : int;
+    evacuations : int;
+    evacuated_jobs : int;
+    stranded_jobs : int;
+    readmissions : int;
+    probe_failures : int;
+    watchdog_trips : int;
+    degraded_rejections : int;
+  }
+end
+
+open Health
+
 type stats = {
   shards : int;
   jobs : int;
@@ -28,7 +79,25 @@ type stats = {
   consistency_failures : int;
 }
 
-exception Shut_down
+(* Shard availability under a supervision policy. Every mutable part is
+   read and written under [dir_mu], next to the routing weights, so one
+   hold changes a shard's health and its weight together, and the
+   thread whose signal flips a shard Down is the only one that runs its
+   failover. *)
+type supervision = {
+  policy : config;
+  probe : int -> bool;
+  clock : unit -> float;
+  health : health array;
+  fails : int array;  (* consecutive failure signals since the last success *)
+  ramp : int array;  (* recovery progress, 0..recovery_steps *)
+  (* Reservations in flight that touch the shard: an op's on its shard,
+     a transfer's on its source and its destination. A failover waits
+     for its shard's count to reach 0 before it lists the jobs. *)
+  pinned : int array;
+  in_flux : bool array;  (* the shard's failover is running *)
+  mutable counts : Health.stats;  (* the counters; [stats] fills in the census *)
+}
 
 (* What the residency directory knows about an id: the shard it lives
    on (for an add in flight, the shard it is being added to; for a
@@ -104,6 +173,9 @@ type t = {
   directory : (string, entry) Hashtbl.t;
   mutable inter_moves : int;  (* under dir_mu *)
   stopped : bool Atomic.t;  (* set under dir_mu; read under lane locks too *)
+  (* Installed once, by [supervise], before the cluster serves; an
+     unsupervised cluster pays one [None] test per op. *)
+  mutable supervision : supervision option;
 }
 
 let pf = Printf.sprintf
@@ -392,6 +464,7 @@ let of_parts ~engines ~lanes ~domains ~directory =
     directory;
     inter_moves = 0;
     stopped = Atomic.make false;
+    supervision = None;
   }
 
 let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
@@ -485,9 +558,20 @@ let set_weight t i w =
 (* Under [dir_mu]. *)
 let route t id = ring_lookup ~weights:t.weights t.ring (hash32 id)
 
+(* Under [dir_mu]: count a reservation touching shard [s] in ([d = 1])
+   or out ([d = -1]). Only a supervised cluster keeps the count. *)
+let pin t s d =
+  match t.supervision with None -> () | Some v -> v.pinned.(s) <- v.pinned.(s) + d
+
+(* Under [dir_mu]: whether shard [s] is Down; how many shards are not. *)
+let is_down t s = match t.supervision with Some v -> v.health.(s) = Down | None -> false
+let serving v = Array.fold_left (fun n h -> if h = Down then n else n + 1) 0 v.health
+
 (* Under [dir_mu]: settle [id] (whose entry is [e]) on a shard, or drop
-   it with [None]. *)
-let release t ~id e = function
+   it with [None], and unpin the shard it was reserved on. *)
+let release t ~id e home =
+  pin t e.at (-1);
+  match home with
   | None -> Hashtbl.remove t.directory id
   | Some s ->
     e.at <- s;
@@ -511,20 +595,36 @@ let run_reserved ?label t ~id e ~restore s f =
 
 (* ----- the operations ----- *)
 
+(* Under [dir_mu]: a refusal of the degraded-mode guard, counted. *)
+let refuse v msg =
+  v.counts <- { v.counts with degraded_rejections = v.counts.degraded_rejections + 1 };
+  Error msg
+
 (* Under [dir_mu], with [found] the id's settled entry: reserve [op]'s
    id — a new entry on the routed shard for an add, the resident entry
-   otherwise — or say why the op cannot apply. *)
+   otherwise — or say why the op cannot apply. On a supervised cluster
+   the degraded-mode guard speaks first. Routing skips Down shards
+   (weight 0) while any shard has positive weight, so an add it admits
+   lands on a serving shard. *)
 let claim t op found =
-  match (op, found) with
-  | Engine.Add { id; _ }, Some _ -> Error (pf "job %s already present" id)
-  | (Engine.Remove { id } | Engine.Resize { id; _ }), None -> Error (pf "job %s not found" id)
-  | Engine.Add { id; _ }, None ->
-    let e = { at = route t id; reserved = true } in
-    Hashtbl.add t.directory id e;
-    Ok e
-  | (Engine.Remove _ | Engine.Resize _), Some e ->
-    e.reserved <- true;
-    Ok e
+  let id = Engine.op_id op in
+  match (t.supervision, found) with
+  | Some v, _ when serving v = 0 -> refuse v "no serving shards"
+  | Some v, Some e when v.health.(e.at) = Down ->
+    refuse v (pf "job %s is stranded on down shard %d" id e.at)
+  | _ -> (
+    match (op, found) with
+    | Engine.Add _, Some _ -> Error (pf "job %s already present" id)
+    | (Engine.Remove _ | Engine.Resize _), None -> Error (pf "job %s not found" id)
+    | Engine.Add _, None ->
+      let e = { at = route t id; reserved = true } in
+      Hashtbl.add t.directory id e;
+      pin t e.at 1;
+      Ok e
+    | (Engine.Remove _ | Engine.Resize _), Some e ->
+      e.reserved <- true;
+      pin t e.at 1;
+      Ok e)
 
 (* Where a claimed id settles once its op ran on shard [s] — [applied]
    or not: a placed add and a failed remove stay, a failed add and a
@@ -549,20 +649,283 @@ let global_result t s r =
   | Ok (p, moves) when t.offsets.(s) <> 0 -> Ok (global t s p, translate t s moves)
   | r -> r
 
-let apply t ?timed op =
+(* The two-phase cross-shard transfer — the only cross-shard write
+   path, and deliberately stop-the-world-free. Phase 0 reserves the id
+   (concurrent ops on it park; everything else proceeds). Phase 1 lifts
+   it off [src] through the ordinary journaled remove; phase 2 lands it
+   on [dst] through the ordinary journaled add; then the directory
+   commits to [dst]. Each half is a plain single-shard
+   event on that shard's own journal, so every per-shard journal stays
+   individually replayable — replay never needs to order one shard's
+   events against another's. If phase 2 fails (or [on_removed], the
+   crash-injection hook for tests, raises between the phases), the job
+   is re-added to [src] through the same journaled path and the
+   reservation rolls back — again an ordinary event on src's journal.
+
+   On a supervised cluster no transfer lands on a Down shard, and only
+   a failover's own ([evacuation]) lifts a job off one. *)
+let transfer ~evacuation ?(on_removed = fun () -> ()) t ~id ~dst =
+  if dst < 0 || dst >= shard_count t then Error (pf "Cluster.move: no such shard %d" dst)
+  else
+    (* The whole transfer is one span on the calling thread; the two
+       engine halves become [shard.move.remove] / [shard.move.add]
+       child spans, each under its own lane lock, and the directory
+       steps bracket them — so a traced cross-shard move reads
+       reserve → remove → add → commit. *)
+    Optrace.with_span ~attrs:[ ("id", id); ("dst", string_of_int dst) ] "move"
+    @@ fun () ->
+    try
+      let reserved =
+        Optrace.with_span "move.reserve" @@ fun () ->
+        with_dir t (fun () ->
+            match settled t id with
+            | Some entry when entry.at = dst -> Ok None
+            | None -> Error (pf "job %s not found" id)
+            | Some entry ->
+              if is_down t dst then Error (pf "shard %d is down" dst)
+              else if (not evacuation) && is_down t entry.at then
+                Error (pf "job %s is stranded on down shard %d" id entry.at)
+              else begin
+                entry.reserved <- true;
+                pin t entry.at 1;
+                pin t dst 1;
+                Ok (Some (entry.at, entry))
+              end)
+      in
+      match reserved with
+      | Error _ as e -> e
+      | Ok None -> Ok [] (* already resident on [dst] *)
+      | Ok (Some (src, entry)) -> (
+        (* Settle the id and unpin both shards under one hold. *)
+        let finish ?(commit = false) home =
+          with_dir t (fun () ->
+              release t ~id entry home;
+              pin t dst (-1);
+              if commit then t.inter_moves <- t.inter_moves + 1;
+              Condition.broadcast t.dir_settled)
+        in
+        (* Phase 1: size lookup + remove, in one task on src. *)
+        let lifted =
+          match
+            run ~label:"move.remove" t src (fun e ->
+                match Engine.find e id with
+                | None -> Error (pf "job %s missing from shard %d" id src)
+                | Some (size, _) -> (
+                  match Engine.remove_job e ~id with
+                  | Error _ as err -> err
+                  | Ok (p, auto) -> Ok (size, p, auto)))
+          with
+          | r -> r
+          | exception ex ->
+            finish (Some src);
+            raise ex
+        in
+        match lifted with
+        | Error e ->
+          finish (Some src);
+          Error e
+        | Ok (size, psrc, auto_src) -> (
+          (* Phase 2: land on dst. The hook fires at the crash point
+             between the two halves. *)
+          let landed =
+            match
+              on_removed ();
+              run ~label:"move.add" t dst (fun e -> Engine.add_job e ~id ~size)
+            with
+            | r -> r
+            | exception e -> Error (Printexc.to_string e)
+          in
+          match landed with
+          | Ok (pdst, auto_dst) ->
+            Optrace.with_span "move.commit" (fun () -> finish ~commit:true (Some dst));
+            Ok
+              (translate t src auto_src
+              @ ({ id; src = global t src psrc; dst = global t dst pdst }
+                :: translate t dst auto_dst))
+          | Error err -> (
+            (* Roll back: re-add on src through the ordinary journaled
+               path (placement there may differ from the original
+               processor — that is fine, the journal records what
+               actually happened). *)
+            match run ~label:"move.rollback" t src (fun e -> Engine.add_job e ~id ~size) with
+            | Ok _ ->
+              finish (Some src);
+              Error (pf "move of %s rolled back: %s" id err)
+            | Error e2 ->
+              finish None;
+              Error (pf "move of %s failed (%s) and rollback failed (%s): job dropped" id err e2)
+            | exception e2 ->
+              finish None;
+              raise e2)))
+    with Shut_down -> Error "cluster is shut down"
+
+let move ?on_removed t ~id ~dst = transfer ~evacuation:false ?on_removed t ~id ~dst
+
+(* The shards taking part in routing and repair: positive weight. *)
+let routable t = with_dir t (fun () -> Array.map (fun w -> w > 0.0) t.weights)
+
+(* The shard holding the least-loaded processor among [eligible]
+   shards (lowest index on ties), from a fresh probe; -1 if none. *)
+let least_loaded t eligible =
+  let mins = run_all ~label:"probe" t (fun _ e -> snd (Engine.min_load e)) in
+  let b = ref (-1) in
+  Array.iteri (fun i l -> if eligible i && (!b < 0 || l < mins.(!b)) then b := i) mins;
+  !b
+
+(* Re-home up to [budget] jobs off shard [from] as two-phase transfers,
+   so each half is an ordinary journaled event on its engine, every
+   surviving journal stays replayable and the directory stays
+   authoritative. Jobs leave largest-first (the jobs that hurt the
+   makespan most if stranded); each lands on the routable survivor
+   holding the globally least-loaded processor, i.e. exactly where the
+   batch GREEDY would put it. Returns the moves, how many jobs moved
+   and how many the shard held when listed; the rest stay, stranded. *)
+let evacuate t ~from ~budget =
+  let jobs =
+    run ~label:"evacuate" t from (fun e ->
+        Engine.fold_jobs e (fun acc ~id ~size ~proc:_ -> (id, size) :: acc) [])
+    |> List.sort (fun (ida, sa) (idb, sb) -> if sa <> sb then compare sb sa else compare ida idb)
+  in
+  let moves = ref [] and moved = ref 0 in
+  (try
+     List.iter
+       (fun (id, _) ->
+         let routable = routable t in
+         let survivor i = i <> from && routable.(i) in
+         if !moved >= budget || not (List.exists survivor (List.init (shard_count t) Fun.id))
+         then raise Exit;
+         match transfer ~evacuation:true t ~id ~dst:(least_loaded t survivor) with
+         | Ok mvs ->
+           incr moved;
+           moves := List.rev_append mvs !moves
+         | Error _ -> () (* left behind: counted with the stranded *))
+       jobs
+   with Exit -> ());
+  (List.rev !moves, !moved, List.length jobs)
+
+(* ----- supervision: health, the failover, the watchdog ----- *)
+
+(* Under [dir_mu]: shard [i] goes Down — out of the ring and out of
+   service, and in flux until its failover has run. [true]: the
+   caller's signal flipped it, so the caller runs the failover. *)
+let go_down t v i =
+  v.health.(i) <- Down;
+  v.ramp.(i) <- 0;
+  t.weights.(i) <- 0.0;
+  v.in_flux.(i) <- true;
+  true
+
+(* The failover of shard [i], run outside [dir_mu] by the thread whose
+   signal flipped it Down. From the flip on, no new reservation touches
+   the shard but the failover's own transfers, so once those in flight
+   have settled, [evacuate]'s listing is final. The ["evacuation"] event
+   goes into the shard's own journal; replay ignores it. *)
+let failover t v i ~reason =
+  let budget = v.policy.evac_budget in
+  try
+    with_dir t (fun () ->
+        while v.pinned.(i) > 0 do
+          if Atomic.get t.stopped then raise Shut_down;
+          Condition.wait t.dir_settled t.dir_mu
+        done);
+    let moves, moved, listed = evacuate t ~from:i ~budget in
+    run ~label:"query" t i (fun e ->
+        match Engine.journal e with
+        | None -> ()
+        | Some sink ->
+          Rebal_obs.Journal.(
+            emit sink ~kind:"evacuation"
+              [
+                ("shard", Int i);
+                ("reason", Str reason);
+                ("jobs", Int moved);
+                ("leftover", Int (listed - moved));
+                ("budget", Int (if budget = max_int then -1 else budget));
+              ]));
+    with_dir t (fun () ->
+        let c = v.counts in
+        v.in_flux.(i) <- false;
+        v.counts <-
+          { c with
+            evacuations = c.evacuations + 1;
+            evacuated_jobs = c.evacuated_jobs + moved;
+            stranded_jobs = c.stranded_jobs + listed - moved;
+          });
+    moves
+  with Shut_down ->
+    with_dir t (fun () -> v.in_flux.(i) <- false);
+    []
+
+(* Under [dir_mu]: one failure signal against shard [i]; [true] when it
+   flips the shard Down. A Recovering shard goes straight back Down. *)
+let note_failure t v i =
+  match v.health.(i) with
+  | Down -> false
+  | Recovering -> go_down t v i
+  | Healthy | Suspect ->
+    v.fails.(i) <- v.fails.(i) + 1;
+    if v.fails.(i) >= v.policy.down_after then go_down t v i
+    else begin
+      if v.fails.(i) >= v.policy.suspect_after then v.health.(i) <- Suspect;
+      false
+    end
+
+(* Under [dir_mu]: one success — a Suspect shard heals, a Recovering one
+   ramps its weight one step back. *)
+let note_success t v i =
+  match v.health.(i) with
+  | Down -> ()
+  | Healthy | Suspect ->
+    v.fails.(i) <- 0;
+    v.health.(i) <- Healthy
+  | Recovering ->
+    let steps = v.policy.recovery_steps in
+    v.fails.(i) <- 0;
+    v.ramp.(i) <- min steps (v.ramp.(i) + 1);
+    t.weights.(i) <- float_of_int v.ramp.(i) /. float_of_int steps;
+    if v.ramp.(i) >= steps then v.health.(i) <- Healthy
+
+(* A failure signal, counted by [count] under the same hold; the moves
+   of the failover it triggers. *)
+let signal_failure t v i ~reason count =
+  if with_dir t (fun () -> count v; note_failure t v i) then failover t v i ~reason else []
+
+let count_trip v = v.counts <- { v.counts with watchdog_trips = v.counts.watchdog_trips + 1 }
+
+let count_probe_failure v =
+  v.counts <- { v.counts with probe_failures = v.counts.probe_failures + 1 }
+
+(* The watchdog's clock, read around each shard task of an op. *)
+let clock t = match t.supervision with None -> 0.0 | Some v -> v.clock ()
+
+(* A failover's moves ride on an acknowledged op's reply. *)
+let with_moves r evacuated =
+  match (r, evacuated) with Ok (p, moves), _ :: _ -> Ok (p, moves @ evacuated) | r, _ -> r
+
+(* ----- single ops ----- *)
+
+(* The watchdog judges an op once its reservation has settled, since a
+   failover waits on the reservations touching its shard: an op whose
+   task ran longer than [op_deadline] is one failure signal against the
+   shard that served it. *)
+let apply t op =
   try
     match with_dir t (fun () -> claim t op (settled t (Engine.op_id op))) with
     | Error _ as e -> e
     | Ok entry ->
       let id = Engine.op_id op and s = entry.at in
-      let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
+      let t0 = clock t in
       let res =
         run_reserved ?label:(label op) t ~id entry ~restore:(home op s ~applied:false) s (fun e ->
             Engine.apply e op)
       in
-      (match timed with None -> () | Some (clock, report) -> report s 1 (clock () -. t0));
+      let dt = clock t -. t0 in
       settle t ~id entry (home op s ~applied:(Result.is_ok res));
-      global_result t s res
+      let res = global_result t s res in
+      match t.supervision with
+      | Some v when dt > v.policy.op_deadline ->
+        with_moves res (signal_failure t v s ~reason:"watchdog" count_trip)
+      | _ -> res
   with Shut_down -> shut_down
 
 let add_job t ~id ~size = apply t (Engine.Add { id; size })
@@ -597,10 +960,12 @@ let no_entry = { at = -1; reserved = false }
    are restored. The first such exception other than [Shut_down] is
    re-raised once the chunk is settled and delivered.
 
-   [timed = (clock, report)] reads [clock] around each sub-batch task
-   and calls [report shard ops seconds] once the task returns; without
-   it no clock is read. *)
-let apply_bulk t ?on_result ?timed ops =
+   On a supervised cluster the watchdog judges each chunk after its
+   reservations are settled and before its results are delivered: a
+   shard whose task of [n] ops ran longer than [n * op_deadline] takes
+   one failure signal, and the moves of a failover it triggers ride on
+   the reply of the chunk's last acknowledged op. *)
+let apply_bulk t ?on_result ops =
   let n = Array.length ops and shards = shard_count t in
   (* Per batch, indexed by op: its result, the shard it was reserved on
      (-1 when it is not dispatched) and its directory entry. *)
@@ -611,6 +976,9 @@ let apply_bulk t ?on_result ?timed ops =
      order.(starts.(s + 1) - 1)], in batch order. *)
   let order = Array.make n 0 in
   let starts = Array.make (shards + 1) 0 and fill = Array.make shards 0 in
+  (* The watchdog's per-shard task seconds in the current chunk. *)
+  let supervised = Option.is_some t.supervision in
+  let seconds = Array.make (if supervised then shards else 0) 0.0 in
   (* Ops [lo, hi) are reserved or refused under one hold; returns [hi]. *)
   let reserve lo =
     with_dir t (fun () ->
@@ -643,20 +1011,39 @@ let apply_bulk t ?on_result ?timed ops =
     let first = starts.(s) and len = starts.(s + 1) - starts.(s) in
     if len > 0 then begin
       let sub = Array.init len (fun j -> ops.(order.(first + j))) in
-      let t0 = match timed with None -> 0.0 | Some (clock, _) -> clock () in
+      let t0 = clock t in
       match
         run ~label:"apply_bulk" t s (fun e ->
             Engine.apply_bulk e
               ~on_result:(fun j _ r -> results.(order.(first + j)) <- global_result t s r)
               sub)
       with
-      | () -> Option.iter (fun (clock, report) -> report s len (clock () -. t0)) timed
+      | () -> if supervised then seconds.(s) <- clock t -. t0
       | exception e ->
         for k = first to first + len - 1 do
           results.(order.(k)) <- shut_down
         done;
         if !failure = None then failure := Some e
     end
+  in
+  (* The chunk [lo, hi)'s watchdog: a failure signal against each shard
+     whose task blew its share's deadline, shard by shard; the moves of
+     the failovers they trigger ride on the chunk's last acknowledged
+     op. *)
+  let watch v lo hi =
+    let evacuated = ref [] in
+    for s = 0 to shards - 1 do
+      let len = starts.(s + 1) - starts.(s) in
+      if len > 0 && seconds.(s) > float_of_int len *. v.policy.op_deadline then
+        evacuated := !evacuated @ signal_failure t v s ~reason:"watchdog" count_trip
+    done;
+    let rec last i =
+      if i >= lo then
+        match results.(i) with
+        | Ok _ -> results.(i) <- with_moves results.(i) !evacuated
+        | Error _ -> last (i - 1)
+    in
+    if !evacuated <> [] then last (hi - 1)
   in
   let lo = ref 0 in
   while !lo < n do
@@ -680,6 +1067,7 @@ let apply_bulk t ?on_result ?timed ops =
         fill.(s) <- fill.(s) + 1
       end
     done;
+    Array.fill seconds 0 (Array.length seconds) 0.0;
     let failure = ref None in
     for s = 0 to shards - 1 do
       dispatch s failure
@@ -695,6 +1083,7 @@ let apply_bulk t ?on_result ?timed ops =
                 (home ops.(i) s ~applied:(Result.is_ok results.(i)))
           done;
           Condition.broadcast t.dir_settled);
+    (match t.supervision with Some v -> watch v chunk_lo chunk_hi | None -> ());
     (match on_result with
     | None -> ()
     | Some f ->
@@ -715,108 +1104,6 @@ let find t id =
       | Some (size, p) -> Some (size, global t s p))
   with Shut_down -> None
 
-(* The two-phase cross-shard transfer — the only cross-shard write
-   path, and deliberately stop-the-world-free. Phase 0 reserves the id
-   (concurrent ops on it park; everything else proceeds). Phase 1 lifts
-   it off [src] through the ordinary journaled remove; phase 2 lands it
-   on [dst] through the ordinary journaled add; then the directory
-   commits to [dst]. Each half is a plain single-shard
-   event on that shard's own journal, so every per-shard journal stays
-   individually replayable — replay never needs to order one shard's
-   events against another's. If phase 2 fails (or [on_removed], the
-   crash-injection hook for tests, raises between the phases), the job
-   is re-added to [src] through the same journaled path and the
-   reservation rolls back — again an ordinary event on src's journal. *)
-let move ?(on_removed = fun () -> ()) t ~id ~dst =
-  if dst < 0 || dst >= shard_count t then Error (pf "Cluster.move: no such shard %d" dst)
-  else
-    (* The whole transfer is one span on the calling thread; the two
-       engine halves become [shard.move.remove] / [shard.move.add]
-       child spans, each under its own lane lock, and the directory
-       steps bracket them — so a traced cross-shard move reads
-       reserve → remove → add → commit. *)
-    Optrace.with_span ~attrs:[ ("id", id); ("dst", string_of_int dst) ] "move"
-    @@ fun () ->
-    try
-      let reserved =
-        Optrace.with_span "move.reserve" @@ fun () ->
-        with_dir t (fun () ->
-            match settled t id with
-            | Some entry when entry.at = dst -> Ok None
-            | found ->
-              (* Claimed as its first half, a remove, would be. *)
-              Result.map (fun entry -> Some (entry.at, entry)) (claim t (Engine.Remove { id }) found))
-      in
-      match reserved with
-      | Error _ as e -> e
-      | Ok None -> Ok [] (* already resident on [dst] *)
-      | Ok (Some (src, entry)) -> (
-        (* Phase 1: size lookup + remove, in one task on src. *)
-        let lifted =
-          run_reserved ~label:"move.remove" t ~id entry ~restore:(Some src) src
-            (fun e ->
-              match Engine.find e id with
-              | None -> Error (pf "job %s missing from shard %d" id src)
-              | Some (size, _) -> (
-                match Engine.remove_job e ~id with
-                | Error _ as err -> err
-                | Ok (p, auto) -> Ok (size, p, auto)))
-        in
-        match lifted with
-        | Error e ->
-          settle t ~id entry (Some src);
-          Error e
-        | Ok (size, psrc, auto_src) -> (
-          (* Phase 2: land on dst. The hook fires at the crash point
-             between the two halves. *)
-          let landed =
-            match
-              on_removed ();
-              run ~label:"move.add" t dst (fun e -> Engine.add_job e ~id ~size)
-            with
-            | r -> r
-            | exception e -> Error (Printexc.to_string e)
-          in
-          match landed with
-          | Ok (pdst, auto_dst) ->
-            Optrace.with_span "move.commit" (fun () ->
-                with_dir t (fun () ->
-                    entry.at <- dst;
-                    entry.reserved <- false;
-                    t.inter_moves <- t.inter_moves + 1;
-                    Condition.broadcast t.dir_settled));
-            Ok
-              (translate t src auto_src
-              @ ({ id; src = global t src psrc; dst = global t dst pdst }
-                :: translate t dst auto_dst))
-          | Error err -> (
-            (* Roll back: re-add on src through the ordinary journaled
-               path (placement there may differ from the original
-               processor — that is fine, the journal records what
-               actually happened). *)
-            match run ~label:"move.rollback" t src (fun e -> Engine.add_job e ~id ~size) with
-            | Ok _ ->
-              settle t ~id entry (Some src);
-              Error (pf "move of %s rolled back: %s" id err)
-            | Error e2 ->
-              settle t ~id entry None;
-              Error (pf "move of %s failed (%s) and rollback failed (%s): job dropped" id err e2)
-            | exception e2 ->
-              settle t ~id entry None;
-              raise e2)))
-    with Shut_down -> Error "cluster is shut down"
-
-(* The shards taking part in routing and repair: positive weight. *)
-let routable t = with_dir t (fun () -> Array.map (fun w -> w > 0.0) t.weights)
-
-(* The shard holding the least-loaded processor among [eligible]
-   shards (lowest index on ties), from a fresh probe; -1 if none. *)
-let least_loaded t eligible =
-  let mins = run_all ~label:"probe" t (fun _ e -> snd (Engine.min_load e)) in
-  let b = ref (-1) in
-  Array.iteri (fun i l -> if eligible i && (!b < 0 || l < mins.(!b)) then b := i) mins;
-  !b
-
 (* Every routable shard's own bounded GREEDY repair first — shards are
    independent, each repair is one task under its own lane — then up to
    [k] cross-shard transfers, each picked from a fresh probe of all
@@ -826,16 +1113,19 @@ let least_loaded t eligible =
    peak held by a shard whose every processor is hot; the transfers
    can. Zero-weight shards sit the whole pass out: a Down shard neither
    receives transfers (it stopped taking routes) nor gives any up (its
-   engine is presumed unreachable; [evacuate] is the sanctioned drain).
+   engine is presumed unreachable; a failover is the sanctioned drain).
    A transfer beaten by a concurrent client op (the job vanished or
    moved) is skipped, not fatal; the next iteration re-probes. *)
 let rebalance t ~k =
   if k < 0 then invalid_arg "Cluster.rebalance: negative k";
   try
     let routable = routable t in
+    (* Each shard's weight is read again right before its task, so a
+       shard gone Down since is not repaired. *)
     let internal =
-      run_all ~label:"rebalance" t (fun s e ->
-          if routable.(s) then translate t s (Engine.rebalance e ~k) else [])
+      run_all ~label:"rebalance" t (fun s ->
+          let live = weight t s > 0.0 in
+          fun e -> if live then translate t s (Engine.rebalance e ~k) else [])
       |> Array.to_list
       |> List.concat
     in
@@ -874,45 +1164,6 @@ let rebalance t ~k =
     internal @ List.rev !inter
   with Shut_down -> []
 
-(* Failover: re-home up to [budget] jobs off a dead shard as two-phase
-   moves, so each half is an ordinary journaled event on its engine,
-   every surviving journal stays replayable and the directory stays
-   authoritative. Jobs leave largest-first (the jobs that hurt the
-   makespan most if stranded); each lands on the routable survivor
-   holding the globally least-loaded processor, i.e. exactly where the
-   batch GREEDY would put it. *)
-let evacuate t ~from ~budget =
-  if from < 0 || from >= shard_count t then Error "Cluster.evacuate: no such shard"
-  else if budget < 0 then Error "Cluster.evacuate: negative budget"
-  else
-    try
-      let jobs =
-        run ~label:"evacuate" t from (fun e ->
-            Engine.fold_jobs e (fun acc ~id ~size ~proc:_ -> (id, size) :: acc) [])
-        |> List.sort (fun (ida, sa) (idb, sb) ->
-               if sa <> sb then compare sb sa else compare ida idb)
-      in
-      let routable = routable t in
-      let survivor i = i <> from && routable.(i) in
-      if jobs <> [] && not (List.exists survivor (List.init (shard_count t) Fun.id)) then
-        Error "Cluster.evacuate: no routable surviving shard"
-      else begin
-        let moves = ref [] and moved = ref 0 in
-        (try
-           List.iter
-             (fun (id, _) ->
-               if !moved >= budget then raise Exit;
-               match move t ~id ~dst:(least_loaded t survivor) with
-               | Ok mvs ->
-                 incr moved;
-                 moves := List.rev_append mvs !moves
-               | Error _ -> () (* left behind: counted with the stranded *))
-             jobs
-         with Exit -> ());
-        Ok (List.rev !moves, List.length jobs - !moved)
-      end
-    with Shut_down -> Error "cluster is shut down"
-
 (* Re-admission: swap a fresh engine (restored from the shard's own
    snapshot + journal tail) in behind the directory. It is built in the
    shard's registry, as [of_engines] builders are, and swapped in by a
@@ -923,34 +1174,139 @@ let evacuate t ~from ~budget =
    so a journal-restored engine (whose journal recorded the evacuation
    removes) passes. *)
 let replace_engine t i build =
-  if i < 0 || i >= shard_count t then Error "Cluster.replace_engine: no such shard"
-  else
-    try
-      match Metrics.Registry.with_registry t.lanes.(i).registry build with
-      | Error _ as e -> e
-      | Ok eng ->
-        let owned = Engine.m t.engines.(i) in
-        if Engine.m eng <> owned then
+  try
+    match Metrics.Registry.with_registry t.lanes.(i).registry build with
+    | Error _ as e -> e
+    | Ok eng ->
+      let owned = Engine.m t.engines.(i) in
+      if Engine.m eng <> owned then
+        Error
+          (pf "Cluster.replace_engine: engine has %d processors, shard %d owns %d" (Engine.m eng)
+             i owned)
+      else begin
+        let expected =
+          with_dir t (fun () ->
+              Hashtbl.fold
+                (fun id e acc -> if e.at = i && not e.reserved then id :: acc else acc)
+                t.directory [])
+        in
+        let actual = Engine.fold_jobs eng (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [] in
+        if List.sort compare expected <> List.sort compare actual then
           Error
-            (pf "Cluster.replace_engine: engine has %d processors, shard %d owns %d"
-               (Engine.m eng) i owned)
-        else begin
-          let expected =
-            with_dir t (fun () ->
-                Hashtbl.fold
-                  (fun id e acc -> if e.at = i && not e.reserved then id :: acc else acc)
-                  t.directory [])
-          in
-          let actual = Engine.fold_jobs eng (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [] in
-          if List.sort compare expected <> List.sort compare actual then
-            Error
-              (pf
-                 "Cluster.replace_engine: engine holds %d job(s) but the directory maps %d \
-                  to shard %d"
-                 (List.length actual) (List.length expected) i)
-          else Ok (run ~label:"replace" t i (fun _ -> t.engines.(i) <- eng))
-        end
-    with Shut_down -> Error "cluster is shut down"
+            (pf
+               "Cluster.replace_engine: engine holds %d job(s) but the directory maps %d to \
+                shard %d"
+               (List.length actual) (List.length expected) i)
+        else Ok (run ~label:"replace" t i (fun _ -> t.engines.(i) <- eng))
+      end
+  with Shut_down -> Error "cluster is shut down"
+
+(* ----- supervision: the policy and its signals ----- *)
+
+let supervise t policy ~probe ~clock =
+  let bad msg = invalid_arg ("Cluster.supervise: " ^ msg) in
+  if policy.suspect_after < 1 then bad "suspect_after must be >= 1";
+  if policy.down_after < policy.suspect_after then bad "down_after must be >= suspect_after";
+  if not (Float.is_finite policy.op_deadline) || policy.op_deadline <= 0.0 then
+    bad "op_deadline must be positive";
+  if policy.evac_budget < 0 then bad "evac_budget must be >= 0";
+  if policy.recovery_steps < 1 then bad "recovery_steps must be >= 1";
+  let shards = shard_count t in
+  with_dir t (fun () ->
+      if Option.is_some t.supervision then bad "a policy is already installed";
+      t.supervision <-
+        Some
+          {
+            policy;
+            probe;
+            clock;
+            health = Array.make shards Healthy;
+            fails = Array.make shards 0;
+            ramp = Array.make shards 0;
+            pinned = Array.make shards 0;
+            in_flux = Array.make shards false;
+            counts =
+              { shards; healthy = shards; suspect = 0; down = 0; recovering = 0; evacuations = 0;
+                evacuated_jobs = 0; stranded_jobs = 0; readmissions = 0; probe_failures = 0;
+                watchdog_trips = 0; degraded_rejections = 0 };
+          })
+
+let supervised t = Option.is_some t.supervision
+
+(* The policy, and [shard] (default 0) checked as a shard index. *)
+let policy_of ?(shard = 0) t =
+  if shard < 0 || shard >= shard_count t then invalid_arg "Cluster: no such shard";
+  match t.supervision with
+  | Some v -> v
+  | None -> invalid_arg "Cluster: no supervision policy installed"
+
+(* The signals and the census; [Supervisor] re-exports them. *)
+module Supervision = struct
+  let health t i =
+    let v = policy_of ~shard:i t in
+    with_dir t (fun () -> v.health.(i))
+
+  let serving_shards t =
+    let v = policy_of t in
+    with_dir t (fun () -> serving v)
+
+  (* The probe runs outside every cluster lock. *)
+  let tick t =
+    let v = policy_of t in
+    let moves = ref [] in
+    for i = 0 to shard_count t - 1 do
+      if not (with_dir t (fun () -> v.health.(i) = Down)) then
+        if v.probe i then with_dir t (fun () -> note_success t v i)
+        else
+          moves :=
+            List.rev_append (signal_failure t v i ~reason:"probe" count_probe_failure) !moves
+    done;
+    List.rev !moves
+
+  let fail ?(reason = "report") t i =
+    signal_failure t (policy_of ~shard:i t) i ~reason count_probe_failure
+
+  let mark_down t i =
+    let v = policy_of ~shard:i t in
+    if with_dir t (fun () -> v.health.(i) <> Down && go_down t v i) then
+      failover t v i ~reason:"manual"
+    else []
+
+  (* Not while the shard's failover runs: the swap would race its
+     transfers. *)
+  let readmit t i build =
+    let v = policy_of ~shard:i t in
+    match
+      with_dir t (fun () ->
+          if v.health.(i) <> Down then
+            Error (pf "shard %d is %s, not down" i (health_name v.health.(i)))
+          else if v.in_flux.(i) then Error (pf "shard %d is still failing over" i)
+          else Ok ())
+    with
+    | Error _ as e -> e
+    | Ok () ->
+      let swapped = replace_engine t i build in
+      with_dir t (fun () ->
+          if Result.is_ok swapped && v.health.(i) = Down then begin
+            v.health.(i) <- Recovering;
+            v.fails.(i) <- 0;
+            v.ramp.(i) <- 0;
+            t.weights.(i) <- 0.0;
+            v.counts <- { v.counts with readmissions = v.counts.readmissions + 1 }
+          end);
+      swapped
+
+  let stats t =
+    let v = policy_of t in
+    with_dir t (fun () ->
+        let count h = Array.fold_left (fun acc x -> if x = h then acc + 1 else acc) 0 v.health in
+        { v.counts with
+          healthy = count Healthy;
+          suspect = count Suspect;
+          down = count Down;
+          recovering = count Recovering;
+        })
+end
 
 (* ----- inspection ----- *)
 

@@ -46,7 +46,7 @@
     point — there is no global stop-the-world.
 
     {b Two-phase moves.} Cross-shard transfers ({!move}, {!rebalance}'s
-    inter-shard pass and {!evacuate}) reserve the id, lift it off the
+    inter-shard pass and a failover's evacuation) reserve the id, lift it off the
     source through the ordinary journaled remove, land it on the
     destination through the ordinary journaled add, then commit the
     directory. Each half is a plain single-shard event on that shard's
@@ -60,13 +60,60 @@
     repair (each shard's makespan then bit-matches the batch GREEDY on
     its sub-instance), then a bounded top-k pass migrates the globally
     heaviest liftable job to the least-loaded processor of another
-    shard whenever that lands below the current global peak. *)
+    shard whenever that lands below the current global peak.
+
+    {b Supervision.} A cluster may carry a policy
+    ({!section:supervision}); supervised or not, it is mutated through
+    the same {!apply} and {!apply_bulk}, safe from many threads. *)
 
 type move = Engine.move = {
   id : string;
   src : int;
   dst : int;
 }
+
+(** The supervision vocabulary; {!Supervisor} re-exports it. *)
+module Health : sig
+  type health =
+    | Healthy
+    | Suspect  (** failing signals, still serving *)
+    | Down  (** weight 0, evacuated, refusing its ids *)
+    | Recovering  (** readmitted, ramping its weight back *)
+
+  val health_name : health -> string
+  (** Lowercase wire name: ["healthy"], ["suspect"], ["down"],
+      ["recovering"]. *)
+
+  type config = {
+    suspect_after : int;  (** consecutive failures before Suspect (>= 1) *)
+    down_after : int;  (** consecutive failures before Down (>= suspect_after) *)
+    op_deadline : float;  (** watchdog limit per op, seconds *)
+    evac_budget : int;  (** max jobs re-homed per evacuation *)
+    recovery_steps : int;  (** successful probes to ramp weight 0 -> 1 *)
+  }
+
+  val default_config : config
+  (** [suspect_after = 1], [down_after = 3], [op_deadline = 1.0],
+      [evac_budget = max_int], [recovery_steps = 4]. *)
+
+  (** The health census and the failover counters. The counters count
+      this process's signals and transitions: they start at 0 when a
+      daemon resumes its journals. *)
+  type stats = {
+    shards : int;
+    healthy : int;
+    suspect : int;
+    down : int;
+    recovering : int;
+    evacuations : int;  (** Down transitions that ran an evacuation *)
+    evacuated_jobs : int;  (** jobs re-homed across all evacuations *)
+    stranded_jobs : int;  (** jobs left behind by budget or lack of survivors *)
+    readmissions : int;
+    probe_failures : int;  (** failed probes + external failure reports *)
+    watchdog_trips : int;  (** ops, or per-shard shares of a chunk, that blew their deadline *)
+    degraded_rejections : int;  (** ops refused because of a Down shard *)
+  }
+end
 
 type stats = {
   shards : int;
@@ -84,7 +131,9 @@ type stats = {
   auto_rebalances : int;
   trigger_firings : int;
   moved : int;  (** intra-shard repair relocations, summed *)
-  inter_moves : int;  (** cross-shard transfers committed by this cluster *)
+  inter_moves : int;
+      (** cross-shard transfers committed by this cluster object — per
+          process: a daemon that resumes its journals starts it at 0 *)
   consistency_checks : int;
   consistency_failures : int;
 }
@@ -187,11 +236,7 @@ val set_weight : t -> int -> float -> unit
     supervisor's job, not the router's).
     @raise Invalid_argument if [w] is outside [[0, 1]] or not finite. *)
 
-val apply :
-  t ->
-  ?timed:(unit -> float) * (int -> int -> float -> unit) ->
-  Engine.op ->
-  (int * move list, string) result
+val apply : t -> Engine.op -> (int * move list, string) result
 (** Apply one event. Claim the id in the directory (an [Add] is routed
     by the weighted ring and refused if the id is present; a [Remove]
     or [Resize] is refused if it is absent), run [Engine.apply] on the
@@ -200,11 +245,9 @@ val apply :
     Returns the global processor and any automatic-repair moves. Blocks
     while another thread holds the id or the shard's lock. One op takes
     none of {!apply_bulk}'s chunk machinery, but the same claim and
-    settle steps, so the two paths validate and settle alike.
-
-    [timed] is {!apply_bulk}'s watchdog hook for a batch of one: the
-    shard task is timed with [clock] and reported as
-    [report shard 1 seconds] after it returns. *)
+    settle steps, so the two paths validate and settle alike. On a
+    supervised cluster the op first meets the degraded-mode guard and
+    its task is watched (see {!supervise}). *)
 
 val add_job : t -> id:string -> size:int -> (int * move list, string) result
 (** [apply t (Add { id; size })]. *)
@@ -218,7 +261,6 @@ val resize_job : t -> id:string -> size:int -> (int * move list, string) result
 val apply_bulk :
   t ->
   ?on_result:(int -> Engine.op -> (int * move list, string) result -> unit) ->
-  ?timed:(unit -> float) * (int -> int -> float -> unit) ->
   Engine.op array ->
   unit
 (** Apply a batch of events, amortizing dispatch and journal flushing:
@@ -241,9 +283,9 @@ val apply_bulk :
     failed validation (it reserves nothing) does not end a chunk. After
     {!shutdown} every result is ["cluster is shut down"].
 
-    [timed = (clock, report)] is the supervisor's watchdog hook: each
-    per-shard sub-batch task is timed with [clock], lock wait included,
-    and reported as [report shard ops seconds] after it returns. *)
+
+    On a supervised cluster every op first meets the degraded-mode
+    guard, and the watchdog judges each chunk (see {!supervise}). *)
 
 val move : ?on_removed:(unit -> unit) -> t -> id:string -> dst:int -> (move list, string) result
 (** Two-phase cross-shard transfer of one job (see the header). Moving
@@ -265,28 +307,103 @@ val rebalance : t -> k:int -> move list
     transfers never target them.
     @raise Invalid_argument if [k < 0]. *)
 
-val evacuate : t -> from:int -> budget:int -> (move list * int, string) result
-(** Re-home up to [budget] jobs off shard [from] onto the other
-    positive-weight shards as two-phase moves, largest job first, each
-    landing on the shard holding the globally least-loaded processor
-    (lowest index on ties). Both halves are journaled on their engines,
-    the directory is updated and each transfer counts in
-    [inter_moves]. Returns the moves (global indices) and how many jobs
-    were {e left} on [from]. Typically called with weight 0 already set
-    on [from] (the supervisor's Down transition), but this function
-    does not require or change weights. [Error] if [from] is out of
-    range, [budget] is negative, or jobs remain and no other shard has
-    positive weight. *)
+(** {2:supervision Supervision}
 
-val replace_engine : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) result
-(** Swap shard [i]'s backing engine for the one [build ()] returns —
-    the re-admission path: a Recovering shard restores an engine from
-    its latest snapshot plus journal tail. [build] runs under the
-    shard's registry, as {!of_engines} builders do, and the swap is a
-    task under the shard's lock. Refuses (leaving the cluster untouched) unless
-    the engine has the same processor count and holds exactly the jobs
-    the directory maps to shard [i] (after a full evacuation, both are
-    empty); [build]'s own [Error] is passed through. *)
+    Each shard of a supervised cluster carries a health state machine
+
+    {v Healthy -> Suspect -> Down -> Recovering -> Healthy v}
+
+    driven by two failure signals: an injectable {e probe}, polled by
+    {!Supervision.tick} outside every cluster lock (in production a
+    liveness check, in tests and the chaos harness a seeded fault
+    plan), and a {e watchdog} on every op: the [n] ops one chunk of
+    {!apply_bulk} sends to one shard get [n * op_deadline] together,
+    timed around the shard's task with its lock wait, and a shard over
+    it takes one failure signal (an {!apply} op is [n = 1]).
+    [suspect_after] consecutive failures mark a shard Suspect (still
+    serving, flagged in health reports); [down_after] mark it Down.
+
+    The Down transition is the failover. One directory-lock hold marks
+    the shard Down and drops its routing weight to 0, so new placements
+    stop landing there; the thread whose signal did so waits for the
+    reservations in flight on the shard to settle, then re-homes up to
+    [evac_budget] of its jobs and writes an informational
+    ["evacuation"] event into the shard's journal: the trigger
+    ([probe], [watchdog], [report], [manual] or [alert:<rule>]), the
+    job count, the leftover and the budget — provenance for the burst
+    of removes before it. A watchdog failover's moves ride on the reply
+    of the last acknowledged op of the chunk that tripped it.
+
+    Re-admission reverses it: the operator restores an engine from the
+    shard's latest snapshot plus journal tail ({!Replay.resume}) in the
+    builder it hands to {!Supervision.readmit}; the shard re-enters as
+    Recovering and each successful probe ramps its weight back by
+    [1 / recovery_steps] until it is Healthy at full weight. A failure
+    mid-ramp sends it straight back Down.
+
+    Degraded mode: while a shard is Down the cluster serves from the
+    survivors. An op on a job stranded there (left behind by the
+    budget, or still there while its evacuation runs) is refused, and
+    counted, rather than routed into the corpse; so is every op when
+    no shard serves.
+
+    All of this state — health, failure streaks, ramps, counters —
+    lives under the directory lock next to the routing weights; an
+    unsupervised cluster pays one [None] test per op. *)
+
+val supervise : t -> Health.config -> probe:(int -> bool) -> clock:(unit -> float) -> unit
+(** Install a supervision policy, every shard Healthy — before the
+    cluster serves. [probe i] answers whether shard [i] looks live;
+    [clock] feeds the watchdog, read exactly twice per shard task of an
+    op. From then on every {!apply}/{!apply_bulk} op meets the
+    degraded-mode guard and the watchdog, and no {!move} or
+    {!rebalance} transfer touches a Down shard.
+    @raise Invalid_argument on a nonsensical config, or if a policy is
+    already installed. *)
+
+val supervised : t -> bool
+
+(** The signals and the census of a supervised cluster; {!Supervisor}
+    re-exports them. Each raises [Invalid_argument] on a cluster
+    without a policy, or on a shard index out of range. *)
+module Supervision : sig
+  val health : t -> int -> Health.health
+  val serving_shards : t -> int
+
+  val tick : t -> move list
+  (** One supervision round: probe every non-Down shard and apply the
+      state machine. A probe success resets the failure streak (Suspect
+      heals to Healthy; Recovering ramps one step). A probe failure
+      counts toward Suspect/Down; the moves of any failover this
+      triggers are returned. Call it from the serving loop's idle path
+      or a timer. *)
+
+  val fail : ?reason:string -> t -> int -> move list
+  (** An external failure report against shard [i] — same effect as
+      one failed probe (returns the failover's moves if it tips the
+      shard Down). [reason] (default ["report"]) is the provenance the
+      evacuation event records — the telemetry loop passes
+      ["alert:<rule>"] here, so a post-mortem can tie the evacuation
+      back to the alert that caused it. *)
+
+  val mark_down : t -> int -> move list
+  (** Operator override: force shard [i] Down now (no effect if
+      already Down), returning the failover's moves. *)
+
+  val readmit : t -> int -> (unit -> (Engine.t, string) result) -> (unit, string) result
+  (** Swap the engine [build ()] restores in for Down shard [i] and
+      start the recovery ramp at weight 0. [build] runs under the
+      shard's registry, as {!of_engines} builders do, and the swap is a
+      task under the shard's lock. The engine must have the shard's
+      processor count and hold exactly the jobs the directory still
+      maps to shard [i] — an engine resumed from the shard's own
+      journal does, because the evacuation removes were journaled.
+      [Error] (the cluster untouched) if the shard is not Down, its
+      failover is still running, [build] fails, or the engine
+      disagrees with the directory. *)
+
+  val stats : t -> Health.stats
+end
 
 val stats : t -> stats
 val shard_stats : t -> Engine.stats array

@@ -32,13 +32,12 @@ type target =
   | Supervised of Supervisor.t
   | Parallel of Cluster.t
 
-(* Read-only paths (stats, journals, snapshots, metrics, spans) see a
-   supervised cluster as the cluster underneath; only mutations and
-   the health report go through the supervisor. *)
+(* The three sharded constructors carry one [Cluster.t]; whether it is
+   supervised is the cluster's own business, and the health parts of
+   the replies appear when it carries a policy. *)
 let cluster_of = function
   | Single _ -> None
-  | Cluster c | Parallel c -> Some c
-  | Supervised sup -> Some (Supervisor.cluster sup)
+  | Cluster c | Parallel c | Supervised c -> Some c
 
 let pf = Printf.sprintf
 
@@ -209,26 +208,22 @@ let parse line =
 
 let makespan = function
   | Single e -> Engine.makespan e
-  | Cluster c | Parallel c -> Cluster.makespan c
-  | Supervised sup -> Cluster.makespan (Supervisor.cluster sup)
+  | Cluster c | Parallel c | Supervised c -> Cluster.makespan c
 
 let apply t op =
   match t with
   | Single e -> Engine.apply e op
-  | Cluster c | Parallel c -> Cluster.apply c op
-  | Supervised sup -> Supervisor.apply sup op
+  | Cluster c | Parallel c | Supervised c -> Cluster.apply c op
 
 let apply_bulk t ~on_result ops =
   match t with
   | Single e -> Engine.apply_bulk e ~on_result ops
-  | Cluster c | Parallel c -> Cluster.apply_bulk c ~on_result ops
-  | Supervised sup -> Supervisor.apply_bulk sup ~on_result ops
+  | Cluster c | Parallel c | Supervised c -> Cluster.apply_bulk c ~on_result ops
 
 let rebalance t ~k =
   match t with
   | Single e -> Engine.rebalance e ~k
-  | Cluster c | Parallel c -> Cluster.rebalance c ~k
-  | Supervised sup -> Supervisor.rebalance sup ~k
+  | Cluster c | Parallel c | Supervised c -> Cluster.rebalance c ~k
 
 (* ----- the reply renderer ----- *)
 
@@ -287,8 +282,7 @@ let add_repair b t ~auto moves =
    published at the end of each shard's last task (no lock taken): it
    covers the whole chunk, and other sessions' completed ops —
    indistinguishable from the interleavings concurrent sessions
-   already produce. A supervised batch delivers its results once the
-   whole batch has run, so the value covers the batch. Automatic repairs
+   already produce. Automatic repairs
    fired by the engine's trigger policy ride along with the
    acknowledgement of the event that caused them. *)
 let add_op_reply b t op = function
@@ -353,63 +347,58 @@ let cluster_stats_line st =
     st.Cluster.trigger_firings st.Cluster.moved st.Cluster.inter_moves
     st.Cluster.consistency_checks st.Cluster.consistency_failures
 
-(* The supervised STATS line is the cluster line with health fields
-   appended — consumers matching on the existing prefix keep working. *)
+(* The health census and failover counters, as STATS appends them and
+   HEALTH reports them. *)
+let health_fields (h : Supervisor.stats) =
+  pf
+    " healthy=%d suspect=%d down=%d recovering=%d evacuations=%d evacuated=%d stranded=%d \
+     readmissions=%d probe_failures=%d watchdog_trips=%d rejections=%d"
+    h.healthy h.suspect h.down h.recovering h.evacuations h.evacuated_jobs h.stranded_jobs
+    h.readmissions h.probe_failures h.watchdog_trips h.degraded_rejections
+
+(* A supervised cluster's STATS line is the cluster line with health
+   fields appended — consumers matching on the existing prefix keep
+   working. *)
 let stats_line = function
   | Single e -> "STATS " ^ engine_stats_line (Engine.stats e)
-  | Cluster c | Parallel c -> cluster_stats_line (Cluster.stats c)
-  | Supervised sup ->
-    let h = Supervisor.stats sup in
-    cluster_stats_line (Cluster.stats (Supervisor.cluster sup))
-    ^ pf
-        " healthy=%d suspect=%d down=%d recovering=%d evacuations=%d evacuated=%d \
-         stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d rejections=%d"
-        h.Supervisor.healthy h.Supervisor.suspect h.Supervisor.down h.Supervisor.recovering
-        h.Supervisor.evacuations h.Supervisor.evacuated_jobs h.Supervisor.stranded_jobs
-        h.Supervisor.readmissions h.Supervisor.probe_failures h.Supervisor.watchdog_trips
-        h.Supervisor.degraded_rejections
+  | Cluster c | Parallel c | Supervised c ->
+    let line = cluster_stats_line (Cluster.stats c) in
+    if Cluster.supervised c then line ^ health_fields (Supervisor.stats c) else line
 
 let shard_line ~offset i (st : Engine.stats) =
   pf "SHARD %d offset=%d procs=%d jobs=%d makespan=%d imbalance=%.3f" i offset
     st.Engine.procs st.Engine.jobs st.Engine.makespan st.Engine.imbalance
 
-let cluster_shard_lines c =
-  Array.to_list
-    (Array.mapi (fun i st -> shard_line ~offset:(Cluster.offset c i) i st) (Cluster.shard_stats c))
-
+(* A supervised cluster's SHARD lines have health and routing weight
+   appended. *)
 let shards_lines = function
   | Single _ -> [ "ERR not sharded (serve started without --shards)" ]
-  | Cluster c | Parallel c -> cluster_shard_lines c
-  | Supervised sup ->
-    (* Same SHARD lines, with health and routing weight appended. *)
-    let c = Supervisor.cluster sup in
-    List.mapi
-      (fun i line ->
-        line
-        ^ pf " health=%s weight=%.2f"
-            (Supervisor.health_name (Supervisor.health sup i))
-            (Cluster.weight c i))
-      (cluster_shard_lines c)
+  | Cluster c | Parallel c | Supervised c ->
+    let health i =
+      if not (Cluster.supervised c) then ""
+      else
+        pf " health=%s weight=%.2f"
+          (Supervisor.health_name (Supervisor.health c i))
+          (Cluster.weight c i)
+    in
+    Cluster.shard_stats c
+    |> Array.mapi (fun i st -> shard_line ~offset:(Cluster.offset c i) i st ^ health i)
+    |> Array.to_list
+
+let not_supervised = [ "ERR not supervised (serve started without --supervise)" ]
 
 let health_lines = function
-  | Single _ | Cluster _ | Parallel _ ->
-    [ "ERR not supervised (serve started without --supervise)" ]
-  | Supervised sup ->
-    let h = Supervisor.stats sup in
-    let c = Supervisor.cluster sup in
-    let per_shard = Cluster.shard_stats c in
-    pf
-      "HEALTH shards=%d healthy=%d suspect=%d down=%d recovering=%d evacuations=%d \
-       evacuated=%d stranded=%d readmissions=%d probe_failures=%d watchdog_trips=%d \
-       rejections=%d"
-      h.Supervisor.shards h.Supervisor.healthy h.Supervisor.suspect h.Supervisor.down
-      h.Supervisor.recovering h.Supervisor.evacuations h.Supervisor.evacuated_jobs
-      h.Supervisor.stranded_jobs h.Supervisor.readmissions h.Supervisor.probe_failures
-      h.Supervisor.watchdog_trips h.Supervisor.degraded_rejections
-    :: List.init (Supervisor.shard_count sup) (fun i ->
-           pf "HEALTH %d %s weight=%.2f jobs=%d" i
-             (Supervisor.health_name (Supervisor.health sup i))
-             (Cluster.weight c i) per_shard.(i).Engine.jobs)
+  | Single _ -> not_supervised
+  | Cluster c | Parallel c | Supervised c ->
+    if not (Cluster.supervised c) then not_supervised
+    else
+      let h = Supervisor.stats c in
+      let per_shard = Cluster.shard_stats c in
+      pf "HEALTH shards=%d%s" h.Supervisor.shards (health_fields h)
+      :: List.init (Cluster.shard_count c) (fun i ->
+             pf "HEALTH %d %s weight=%.2f jobs=%d" i
+               (Supervisor.health_name (Supervisor.health c i))
+               (Cluster.weight c i) per_shard.(i).Engine.jobs)
 
 (* Engine counters live in the engine record, not the registry; METRICS
    exports them into the current registry right before rendering — the
@@ -439,13 +428,12 @@ let export_engine_stats ?(labels = []) (s : Engine.stats) =
   count "rebal_engine_consistency_failures_total" "Batch-consistency checks that failed"
     s.Engine.consistency_failures
 
-let export_supervisor sup =
-  let h = Supervisor.stats sup in
-  let c = Supervisor.cluster sup in
+let export_supervisor c =
+  let h = Supervisor.stats c in
   (* One 0/1 gauge per (shard, state) pair plus the routing weight, so
      dashboards can plot a health timeline without value decoding. *)
-  for i = 0 to Supervisor.shard_count sup - 1 do
-    let current = Supervisor.health_name (Supervisor.health sup i) in
+  for i = 0 to Cluster.shard_count c - 1 do
+    let current = Supervisor.health_name (Supervisor.health c i) in
     List.iter
       (fun state ->
         Metrics.Gauge.set
@@ -461,18 +449,17 @@ let export_supervisor sup =
       (Cluster.weight c i)
   done;
   let count name help v = Metrics.Counter.set (Metrics.counter ~help name) v in
-  count "rebal_evacuations_total" "Down transitions that ran an evacuation" h.Supervisor.evacuations;
-  count "rebal_evacuated_jobs_total" "Jobs re-homed off dead shards" h.Supervisor.evacuated_jobs;
+  count "rebal_evacuations_total" "Down transitions that ran an evacuation" h.evacuations;
+  count "rebal_evacuated_jobs_total" "Jobs re-homed off dead shards" h.evacuated_jobs;
   count "rebal_stranded_jobs_total" "Jobs left on dead shards by budget or lack of survivors"
-    h.Supervisor.stranded_jobs;
-  count "rebal_readmissions_total" "Shards readmitted after recovery" h.Supervisor.readmissions;
-  count "rebal_probe_failures_total" "Failed liveness probes and failure reports"
-    h.Supervisor.probe_failures;
+    h.stranded_jobs;
+  count "rebal_readmissions_total" "Shards readmitted after recovery" h.readmissions;
+  count "rebal_probe_failures_total" "Failed liveness probes and failure reports" h.probe_failures;
   count "rebal_watchdog_trips_total"
     "Supervised operations, or per-shard shares of a batch, that blew the deadline"
-    h.Supervisor.watchdog_trips;
+    h.watchdog_trips;
   count "rebal_degraded_rejections_total" "Operations refused because of a down shard"
-    h.Supervisor.degraded_rejections
+    h.degraded_rejections
 
 (* One labeled series per shard plus cluster-level aggregates; a
    sum() over the shard label reproduces the additive aggregates. *)
@@ -518,10 +505,9 @@ let export_target t =
   export_gc ();
   match t with
   | Single e -> export_engine_stats (Engine.stats e)
-  | Cluster c | Parallel c -> export_cluster c
-  | Supervised sup ->
-    export_cluster (Supervisor.cluster sup);
-    export_supervisor sup
+  | Cluster c | Parallel c | Supervised c ->
+    export_cluster c;
+    if Cluster.supervised c then export_supervisor c
 
 let render_registry reg =
   let text = Expo.prometheus reg in
@@ -581,8 +567,7 @@ let journal_lines t n =
     | Error _ -> [ "ERR no journal attached (start serve with --journal FILE)" ]
     | Ok lines -> lines @ [ "# EOF" ]
   end
-  | Cluster c | Parallel c -> cluster_journal_lines c n
-  | Supervised sup -> cluster_journal_lines (Supervisor.cluster sup) n
+  | Cluster c | Parallel c | Supervised c -> cluster_journal_lines c n
 
 let cluster_snapshot_lines c =
   match Cluster.journal_snapshot c with
@@ -596,8 +581,7 @@ let snapshot_lines t =
     | Error e -> [ "ERR " ^ e ^ " (start serve with --journal FILE)" ]
     | Ok seq -> [ pf "SNAPSHOTTED seq=%d" seq ]
   end
-  | Cluster c | Parallel c -> cluster_snapshot_lines c
-  | Supervised sup -> cluster_snapshot_lines (Supervisor.cluster sup)
+  | Cluster c | Parallel c | Supervised c -> cluster_snapshot_lines c
 
 (* TRACES: span trees for the last [n] slow ops, newest last, from the
    op-trace ring. An op whose tree was evicted still shows its header;
@@ -805,6 +789,6 @@ let greeting = function
   | Single e ->
     pf "READY rebalance-serve procs=%d jobs=%d makespan=%d" (Engine.m e)
       (Engine.job_count e) (Engine.makespan e)
-  | Cluster c | Parallel c -> cluster_banner c
-  | Supervised sup ->
-    cluster_banner (Supervisor.cluster sup) ^ pf " serving=%d" (Supervisor.serving_shards sup)
+  | Cluster c | Parallel c | Supervised c ->
+    cluster_banner c
+    ^ if Cluster.supervised c then pf " serving=%d" (Supervisor.serving_shards c) else ""

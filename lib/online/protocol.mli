@@ -46,19 +46,19 @@
     ignored. The module is pure string-in/strings-out so the daemon loop
     and the tests share one implementation.
 
-    A supervised serve ({!Supervised}) extends the replies
+    A supervised cluster ({!Supervisor}) extends the replies
     {e append-only}: [STATS] gains health and failover counters after
     the cluster fields, each [SHARD] line gains [health=... weight=...],
     the [READY] banner gains [serving=<n>], and [HEALTH] answers a
     summary line plus one [HEALTH <i> <state> weight=... jobs=...] line
-    per shard. Mutations are routed through the supervisor's watchdog
-    and degraded-mode guards, so an op touching a job stranded on a
-    down shard gets an [ERR] instead of reaching the dead engine.
+    per shard. Its mutations meet the cluster's watchdog and
+    degraded-mode guard, so an op touching a job stranded on a down
+    shard gets an [ERR] instead of reaching the dead engine.
 
     Below the parser a mutation is an [Engine.op]: an [ADD], [REMOVE]
     or [RESIZE] becomes one, and the target's one per-op function
-    ([Engine.apply], [Cluster.apply] or [Supervisor.apply]) or its
-    batch function applies it. The parser reads a line by index, in
+    ([Engine.apply] or [Cluster.apply]) or its batch function applies
+    it. The parser reads a line by index, in
     place, and builds a pipelined run's [Engine.op] array directly. One
     renderer writes every reply with [Buffer] writes — the
     [PLACED]/[REMOVED]/[RESIZED] acknowledgements, automatic [MOVE] and
@@ -89,15 +89,14 @@ type verdict =
   | Close  (** end this client session *)
   | Stop  (** end the session and shut the daemon down *)
 
-(** What the protocol operates: one engine, a sharded {!Cluster}, or a
-    cluster under health supervision. [Cluster] and [Parallel] carry
-    the same runtime and answer identically; [rebalance serve] builds
-    only [Cluster]. A cluster with hosting domains adds [domains=<d>]
-    to the [READY] banner and [rebal_cluster_domains] to [METRICS]. A
-    cluster, at any domain count, is safe to drive from many sessions
-    concurrently — every shard task runs under that shard's lock. A
-    single engine and a supervised target need their callers
-    serialized. *)
+(** What the protocol operates: one engine or a sharded {!Cluster}.
+    [Cluster], [Supervised] and [Parallel] carry the same [Cluster.t]
+    and answer identically: the health parts of the replies appear
+    when the cluster carries a supervision policy, and a cluster with
+    hosting domains adds [domains=<d>] to the [READY] banner and
+    [rebal_cluster_domains] to [METRICS]. A cluster, supervised or not,
+    at any domain count, is safe to drive from many sessions
+    concurrently; a single engine needs its callers serialized. *)
 type target =
   | Single of Engine.t
   | Cluster of Cluster.t
@@ -105,8 +104,7 @@ type target =
   | Parallel of Cluster.t
 
 val cluster_of : target -> Cluster.t option
-(** The cluster underneath a sharded target (supervised or not);
-    [None] for {!Single}. *)
+(** The cluster of a sharded target; [None] for {!Single}. *)
 
 val parse : string -> (command option, string) result
 (** [Ok None] for blank/comment lines; [Error] explains a malformed
@@ -126,14 +124,13 @@ val handle_line : ?line:int -> target -> string -> string list * verdict
 val handle_lines : ?start_line:int -> target -> string list -> string list * verdict
 (** {!handle_line} over a pipeline of lines, coalescing runs of
     consecutive mutating commands (ADD / REMOVE / RESIZE) into one
-    [Engine.apply_bulk] (a {!Single} target), [Cluster.apply_bulk]
-    (a cluster target) or [Supervisor.apply_bulk] (a {!Supervised}
-    target, whose watchdog then times the run per shard) call — one
-    dispatch and one journal flush per shard per run instead of per
-    line. Replies come back in line order and are
-    identical to the one-by-one path, except that a cluster's
+    [Engine.apply_bulk] (a {!Single} target) or [Cluster.apply_bulk]
+    (a cluster target, whose watchdog, when supervised, times each
+    chunk per shard) call — one dispatch and one journal flush per
+    shard per run instead of per line. Replies come back in line order
+    and are identical to the one-by-one path, except that a cluster's
     [makespan=] fields report the value as of the end of the op's
-    chunk (a supervised cluster's, the end of the batch); a run of a single mutation takes exactly the unbatched path
+    chunk; a run of a single mutation takes exactly the unbatched path
     (same per-verb latency series), while a genuine pipeline runs under
     one [BATCH] span and one [verb="batch"] latency observation.
     Processing stops at the

@@ -5,7 +5,7 @@
      driver's config and kill schedule);
    - whole sessions on each transport: stdin-shaped over a pipe pair,
      TCP port 0 with two concurrent clients (at 0, 1 and 2 hosting
-     domains), a Unix domain socket, and
+     domains, and a supervised cluster at 2), a Unix domain socket, and
      SHUTDOWN running the finalizer (final snapshot, replayable
      journals, metrics file, socket unlinked);
    - a model-based differential test: random scripts of pipelined
@@ -256,7 +256,7 @@ let client addr lines =
   ignore (Unix.write_substring fd out 0 (String.length out));
   read_all fd
 
-let two_clients_then_shutdown addr =
+let two_clients_then_shutdown ?(control = [ "STATS"; "SHUTDOWN" ]) addr =
   let replies = Array.make 2 [] in
   let clients =
     List.init 2 (fun c ->
@@ -281,7 +281,7 @@ let two_clients_then_shutdown addr =
         [ "READY"; "PLACED"; "PLACED"; "RESIZED"; "REMOVED"; "BYE" ]
         verbs)
     replies;
-  client addr [ "STATS"; "SHUTDOWN" ]
+  client addr control
 
 (* At every hosting-domain count, sessions run without the op lock. *)
 let test_tcp_two_clients () =
@@ -302,6 +302,29 @@ let test_tcp_two_clients () =
         (List.exists (starts_with "STATS shards=2 jobs=2 procs=8") control);
       check_string "SHUTDOWN answers BYE" "BYE" (List.nth control (List.length control - 1)))
     [ 0; 1; 2 ]
+
+(* A supervised cluster's sessions run without the op lock too, over
+   two hosting domains. *)
+let test_tcp_two_clients_supervised () =
+  let daemon =
+    ok
+      (Daemon.create
+         { Daemon.default with procs = 8; shards = 2; domains = 2; supervise = true; tcp = Some 0 })
+  in
+  let addr, finish = serve_in_background daemon in
+  let control = two_clients_then_shutdown ~control:[ "STATS"; "HEALTH"; "SHUTDOWN" ] addr in
+  finish ();
+  let healthy =
+    "healthy=2 suspect=0 down=0 recovering=0 evacuations=0 evacuated=0 stranded=0 \
+     readmissions=0 probe_failures=0 watchdog_trips=0 rejections=0"
+  in
+  check_bool "both clients' jobs live, health appended" true
+    (List.exists
+       (fun l ->
+         starts_with "STATS shards=2 jobs=2 procs=8" l && String.ends_with ~suffix:healthy l)
+       control);
+  check_bool "HEALTH answers" true (List.mem ("HEALTH shards=2 " ^ healthy) control);
+  check_string "SHUTDOWN answers BYE" "BYE" (List.nth control (List.length control - 1))
 
 let test_unix_socket () =
   let path = temp_path ".sock" in
@@ -646,6 +669,7 @@ let () =
         [
           Alcotest.test_case "stdin pipe session" `Quick test_stdio_session;
           Alcotest.test_case "tcp two clients" `Quick test_tcp_two_clients;
+          Alcotest.test_case "tcp two clients, supervised" `Quick test_tcp_two_clients_supervised;
           Alcotest.test_case "unix socket" `Quick test_unix_socket;
           Alcotest.test_case "shutdown finalizer" `Quick test_shutdown_runs_finalizer;
         ] );

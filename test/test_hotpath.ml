@@ -181,9 +181,9 @@ let replays bufs =
     (fun b -> Result.is_ok (Result.bind (Journal.load_string (Buffer.contents b)) Replay.run))
     bufs
 
-let bulk_results c ?timed ops =
+let bulk_results c ops =
   let results = Array.make (Array.length ops) (Error "never delivered") in
-  Cluster.apply_bulk c ?timed ~on_result:(fun i _ r -> results.(i) <- r) ops;
+  Cluster.apply_bulk c ~on_result:(fun i _ r -> results.(i) <- r) ops;
   results
 
 (* [ops] as one batch and one by one, from the same state: equal
@@ -236,9 +236,11 @@ let prop_random_batches =
       got = want && journals bulk_bufs = journals seq_bufs && replays bulk_bufs)
 
 (* The cluster shuts down right after the first shard task of the
-   batch's first chunk returns: that task's ops applied, every other op
-   reads "cluster is shut down". The applied ops, one by one in batch
-   order on a fresh cluster, give the same results and journals. *)
+   batch's first chunk returns — injected through a supervised
+   cluster's watchdog clock, whose second read follows that task: that
+   task's ops applied, every other op reads "cluster is shut down". The
+   applied ops, one by one in batch order on a fresh cluster, give the
+   same results and journals. *)
 let test_shutdown_mid_batch () =
   let ops =
     Array.init 40 (fun i ->
@@ -246,14 +248,14 @@ let test_shutdown_mid_batch () =
         else resize (Printf.sprintf "s%d" (i - 30)) 9)
   in
   let c, bufs = cluster () in
-  let tasks = ref 0 in
-  let timed =
-    ( (fun () -> 0.0),
-      fun _ _ _ ->
-        incr tasks;
-        if !tasks = 1 then Cluster.shutdown c )
+  let reads = ref 0 in
+  let clock () =
+    incr reads;
+    if !reads = 2 then Cluster.shutdown c;
+    0.0
   in
-  let got = bulk_results c ~timed ops in
+  ignore (Supervisor.create ~clock c);
+  let got = bulk_results c ops in
   let down = Error "cluster is shut down" in
   let applied = List.filter (fun i -> got.(i) <> down) (List.init 40 Fun.id) in
   check_bool "some ops applied" true (applied <> []);

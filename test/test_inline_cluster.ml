@@ -9,6 +9,7 @@
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
+module Supervisor = Rebal_online.Supervisor
 module Protocol = Rebal_online.Protocol
 
 let check = Alcotest.check
@@ -179,17 +180,23 @@ let test_weights () =
   let sh = skewed () in
   Cluster.set_weight sh 0 0.0;
   check_int "a zero-weight source gives nothing up" 0 (List.length (Cluster.rebalance sh ~k:8));
+  (* A failover drains through the same transfers: largest first,
+     onto a positive-weight survivor, within its budget. *)
   let sh = skewed () in
+  let sup =
+    Supervisor.create ~config:{ Supervisor.default_config with evac_budget = 1 } sh
+  in
   Cluster.set_weight sh 1 0.0;
-  (match Cluster.evacuate sh ~from:0 ~budget:1 with
-  | Ok (_, leftover) -> check_int "the budget leaves one job behind" 1 leftover
-  | Error e -> Alcotest.failf "evacuate: %s" e);
+  ignore (Supervisor.mark_down sup 0);
+  check_int "the budget leaves one job behind" 1 (Supervisor.stats sup).stranded_jobs;
   check Alcotest.(option int) "largest first, onto a positive-weight survivor" (Some 2)
     (Cluster.shard_of sh "big");
+  let sh = skewed () in
+  let sup = Supervisor.create sh in
+  Cluster.set_weight sh 1 0.0;
   Cluster.set_weight sh 2 0.0;
-  (match Cluster.evacuate sh ~from:0 ~budget:8 with
-  | Ok _ -> Alcotest.fail "evacuated with no routable survivor"
-  | Error e -> check_bool ("refuses: " ^ e) true (String.length e > 0));
+  ignore (Supervisor.mark_down sup 0);
+  check_int "no routable survivor: every job stays" 2 (Supervisor.stats sup).stranded_jobs;
   check_bool "still consistent" true (Cluster.check_consistency sh ~k:8)
 
 let test_of_engines_rejects_duplicates () =

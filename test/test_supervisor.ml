@@ -8,7 +8,10 @@
    protocol transcript that must not depend on the domain count, and
    the batched path: pipelined sessions answer, journal and count as
    one-by-one ones do, and the watchdog gives a shard's share of a
-   batch [n * op_deadline]. *)
+   batch [n * op_deadline]; and supervision without a lock: workers
+   and a control thread failing, ticking and readmitting shards drive
+   one cluster concurrently, audited against a shadow and the
+   journals. *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
@@ -99,10 +102,10 @@ let apply_events sup events =
   List.iter
     (fun ev ->
       match ev with
-      | `Add (id, size) -> ignore (Supervisor.apply sup (Engine.Add { id; size }))
-      | `Remove id -> ignore (Supervisor.apply sup (Engine.Remove { id }))
-      | `Resize (id, size) -> ignore (Supervisor.apply sup (Engine.Resize { id; size }))
-      | `Rebalance k -> ignore (Supervisor.rebalance sup ~k))
+      | `Add (id, size) -> ignore (Cluster.apply sup (Engine.Add { id; size }))
+      | `Remove id -> ignore (Cluster.apply sup (Engine.Remove { id }))
+      | `Resize (id, size) -> ignore (Cluster.apply sup (Engine.Resize { id; size }))
+      | `Rebalance k -> ignore (Cluster.rebalance sup ~k))
     events
 
 let prop_failover_conserves_work =
@@ -163,7 +166,7 @@ let test_probe_streaks () =
   let alive = [| true; true |] in
   let sup = Supervisor.create ~config:(config ()) ~probe:(fun i -> alive.(i)) cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
+    ignore (ok (Cluster.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   check health_eq "starts healthy" Supervisor.Healthy (Supervisor.health sup 1);
   alive.(1) <- false;
@@ -204,14 +207,17 @@ let test_watchdog_deadline () =
   let sup =
     Supervisor.create ~config:(config ~op_deadline:1.0 ~down_after:2 ()) ~clock cluster
   in
-  ignore (ok (Supervisor.apply sup (Engine.Add { id = "a"; size = 5 })));
+  ignore (ok (Cluster.apply sup (Engine.Add { id = "a"; size = 5 })));
   check_int "no trip under the deadline" 0 (Supervisor.stats sup).Supervisor.watchdog_trips;
   (* With down_after = 1 a single blown deadline downs the serving
-     shard, whichever one the ring picked. *)
+     shard, whichever one the ring picked — on a second cluster, since a
+     cluster carries one policy. *)
+  let fresh = Cluster.create ~m:8 ~shards:2 ~domains:(Cluster.domain_count cluster) () in
+  Fun.protect ~finally:(fun () -> Cluster.shutdown fresh) @@ fun () ->
   let tight =
-    Supervisor.create ~config:(config ~op_deadline:0.5 ~down_after:1 ()) ~clock cluster
+    Supervisor.create ~config:(config ~op_deadline:0.5 ~down_after:1 ()) ~clock fresh
   in
-  (match Supervisor.apply tight (Engine.Add { id = "b"; size = 5 }) with
+  (match Cluster.apply tight (Engine.Add { id = "b"; size = 5 }) with
   | Ok (_, _) -> ()
   | Error e -> Alcotest.failf "add under watchdog: %s" e);
   let h = Supervisor.stats tight in
@@ -219,7 +225,7 @@ let test_watchdog_deadline () =
   check_int "the slow shard went down" 1 h.Supervisor.down;
   check_bool "evacuation ran" true (h.Supervisor.evacuations >= 1);
   check_bool "cluster consistent after watchdog evacuation" true
-    (Cluster.check_consistency cluster ~k:8)
+    (Cluster.check_consistency fresh ~k:8)
 
 let test_recovery_ramp () =
   over_executors ~m:8 ~shards:2 @@ fun cluster buffers ->
@@ -231,7 +237,7 @@ let test_recovery_ramp () =
       cluster
   in
   for i = 0 to 15 do
-    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + i })))
+    ignore (ok (Cluster.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + i })))
   done;
   alive.(0) <- false;
   ignore (Supervisor.tick sup);
@@ -264,7 +270,7 @@ let test_degraded_mode () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup = Supervisor.create ~config:(config ~evac_budget:3 ()) cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
+    ignore (ok (Cluster.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   let victim_jobs = jobs_on cluster 0 in
   Alcotest.(check bool) "victim holds more than the budget" true (victim_jobs > 3);
@@ -279,17 +285,17 @@ let test_degraded_mode () =
         Engine.fold_jobs e (fun _ ~id ~size:_ ~proc:_ -> Some id) None)
     |> Option.get
   in
-  (match Supervisor.apply sup (Engine.Remove { id = stranded_id }) with
+  (match Cluster.apply sup (Engine.Remove { id = stranded_id }) with
   | Ok _ -> Alcotest.fail "remove of a stranded job must be rejected"
   | Error e -> check_bool ("names the shard: " ^ e) true (String.length e > 0));
-  (match Supervisor.apply sup (Engine.Resize { id = stranded_id; size = 9 }) with
+  (match Cluster.apply sup (Engine.Resize { id = stranded_id; size = 9 }) with
   | Ok _ -> Alcotest.fail "resize of a stranded job must be rejected"
   | Error _ -> ());
   check_int "rejections counted" 2 (Supervisor.stats sup).Supervisor.degraded_rejections;
   (* New placements keep working and never land on the dead shard. *)
   for i = 100 to 199 do
     let id = Printf.sprintf "n%d" i in
-    ignore (ok (Supervisor.apply sup (Engine.Add { id; size = 3 })));
+    ignore (ok (Cluster.apply sup (Engine.Add { id; size = 3 })));
     check_int ("new job routed to the survivor: " ^ id) 1
       (Option.get (Cluster.shard_of cluster id))
   done;
@@ -302,7 +308,7 @@ let test_readmit_validation () =
   (match Supervisor.readmit sup 0 (fresh 4) with
   | Ok () -> Alcotest.fail "readmit of a healthy shard must fail"
   | Error e -> check_bool ("says not down: " ^ e) true (String.length e > 0));
-  ignore (ok (Supervisor.apply sup (Engine.Add { id = "x"; size = 5 })));
+  ignore (ok (Cluster.apply sup (Engine.Add { id = "x"; size = 5 })));
   ignore (Supervisor.mark_down sup 0);
   (* Wrong processor count and phantom jobs are both rejected. *)
   (match Supervisor.readmit sup 0 (fresh 3) with
@@ -329,11 +335,11 @@ let test_readmit_validation () =
 let test_all_down_refuses () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup = Supervisor.create cluster in
-  ignore (ok (Supervisor.apply sup (Engine.Add { id = "x"; size = 5 })));
+  ignore (ok (Cluster.apply sup (Engine.Add { id = "x"; size = 5 })));
   ignore (Supervisor.mark_down sup 0);
   ignore (Supervisor.mark_down sup 1);
   check_int "nothing serving" 0 (Supervisor.serving_shards sup);
-  (match Supervisor.apply sup (Engine.Add { id = "y"; size = 1 }) with
+  (match Cluster.apply sup (Engine.Add { id = "y"; size = 1 }) with
   | Ok _ -> Alcotest.fail "add with no serving shards must fail"
   | Error e -> check_bool ("refuses: " ^ e) true (String.length e > 0));
   (* The last evacuation had no survivors: the job stays stranded. *)
@@ -359,7 +365,7 @@ let session cluster buffers =
   in
   let run lines = fst (Protocol.handle_lines t lines) in
   let move_lines =
-    List.map (fun (mv : Supervisor.move) -> Printf.sprintf "MOVE %s %d %d" mv.id mv.src mv.dst)
+    List.map (fun (mv : Cluster.move) -> Printf.sprintf "MOVE %s %d %d" mv.id mv.src mv.dst)
   in
   let load =
     run
@@ -407,7 +413,7 @@ let constant_journal_cluster ?trigger ~domains ~m ~shards () =
   in
   (cluster, buffers)
 
-(* Batched replies report [makespan=] as of the end of the batch, so
+(* Batched replies report [makespan=] as of the end of the op's chunk, so
    the comparison drops that field. *)
 let strip_makespan line =
   String.split_on_char ' ' line
@@ -521,7 +527,7 @@ let stepped ?(down_after = 3) cluster =
   in
   let sup = Supervisor.create ~config:(config ~op_deadline:1.0 ~down_after ()) ~clock cluster in
   for i = 0 to 19 do
-    ignore (ok (Supervisor.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
+    ignore (ok (Cluster.apply sup (Engine.Add { id = Printf.sprintf "j%d" i; size = 1 + (i mod 7) })))
   done;
   let on s =
     List.filter
@@ -542,17 +548,17 @@ let test_batch_deadline_scales () =
   check_int "three jobs on shard 1" 3 (List.length batch);
   (* 3 ops get 3 s together: 2.99 s would blow a per-op deadline, not this one. *)
   step := 2.99;
-  Supervisor.apply_bulk sup (resizes batch);
+  Cluster.apply_bulk sup (resizes batch);
   check_int "just under 3 x op_deadline: no trip" 0 (trips sup);
   step := 3.01;
-  Supervisor.apply_bulk sup (resizes batch);
+  Cluster.apply_bulk sup (resizes batch);
   check_int "just over: one trip" 1 (trips sup);
   check health_eq "charged to shard 1" Supervisor.Suspect (Supervisor.health sup 1);
   check health_eq "shard 0 untouched" Supervisor.Healthy (Supervisor.health sup 0);
   (* A batch touching both shards: each shard's share has its own
      deadline, so a 3 s task trips shard 1 (2 ops) but not shard 0 (4). *)
   step := 3.0;
-  Supervisor.apply_bulk sup (resizes (take 4 (on 0) @ take 2 (on 1)));
+  Cluster.apply_bulk sup (resizes (take 4 (on 0) @ take 2 (on 1)));
   check_int "only the short share trips" 2 (trips sup);
   check health_eq "shard 0 still healthy" Supervisor.Healthy (Supervisor.health sup 0)
 
@@ -590,10 +596,179 @@ let test_remove_watchdog_attribution () =
   over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
   let sup, step, on = stepped cluster in
   step := 2.0;
-  ignore (ok (Supervisor.apply sup (Engine.Remove { id = List.hd (on 1) })));
+  ignore (ok (Cluster.apply sup (Engine.Remove { id = List.hd (on 1) })));
   check_int "one trip" 1 (trips sup);
   check health_eq "charged to shard 1" Supervisor.Suspect (Supervisor.health sup 1);
   check health_eq "shard 0 untouched" Supervisor.Healthy (Supervisor.health sup 0)
+
+(* ----- supervision without a lock ----- *)
+
+(* Shard [i]'s evacuation events, audited against the job set its own
+   journal builds: from a Down transition on, no op or foreign transfer
+   touches the shard, so the [jobs] job-set changes right before the
+   event are the evacuation's removes, the shard held [jobs + leftover]
+   before them, and the [leftover] jobs are its residents at the event.
+   Returns the number of events, or what went wrong. *)
+let audit_evacuations journal =
+  let _, events = ok (Journal.load_string journal) in
+  let live = Hashtbl.create 64 in
+  (* Newest first: (whether the change was a remove, residents before it). *)
+  let changes = ref [] in
+  let change ev ~remove =
+    let id = ok (Journal.str_field ev "id") in
+    changes := (remove, Hashtbl.length live) :: !changes;
+    if remove then Hashtbl.remove live id else Hashtbl.replace live id ()
+  in
+  List.fold_left
+    (fun acc (ev : Journal.event) ->
+      match (acc, ev.kind) with
+      | Error _, _ -> acc
+      | Ok _, "add" -> change ev ~remove:false; acc
+      | Ok _, "remove" -> change ev ~remove:true; acc
+      | Ok n, "evacuation" ->
+        let jobs = ok (Journal.int_field ev "jobs")
+        and left = ok (Journal.int_field ev "leftover") in
+        let evacuation = take jobs !changes in
+        let held =
+          match List.rev evacuation with (_, before) :: _ -> before | [] -> Hashtbl.length live
+        in
+        if List.length evacuation <> jobs || not (List.for_all fst evacuation) then
+          Error (Printf.sprintf "event %d: its %d removes are not the last changes" ev.seq jobs)
+        else if held <> jobs + left then
+          Error (Printf.sprintf "event %d: held %d, jobs + leftover = %d" ev.seq held (jobs + left))
+        else if Hashtbl.length live <> left then
+          Error
+            (Printf.sprintf "event %d: %d residents, leftover %d" ev.seq (Hashtbl.length live) left)
+        else Ok (n + 1)
+      | Ok _, _ -> acc)
+    (Ok 0) events
+
+(* Three workers run random ADD/REMOVE/RESIZE batches, single ops and
+   REBALANCE over 40 shared ids, on the cluster's hosting domains, while
+   a control thread fails, marks down, ticks and readmits shards 1..3
+   (shard 0 always serves). The audit: the job set is the shadow of
+   the acknowledged ops, the directory agrees with the engines, every
+   journal replays to its live engine, the health census sums to S,
+   and each Down transition wrote exactly one evacuation event that
+   accounts for what its shard held. *)
+let test_concurrent_supervision domains () =
+  let shards = 4 and ids = 40 and workers = 3 in
+  let cluster, buffers = journaled_cluster ~domains ~m:16 ~shards in
+  Fun.protect ~finally:(fun () -> Cluster.shutdown cluster) @@ fun () ->
+  let alive = Array.make shards true in
+  let sup =
+    Supervisor.create
+      ~config:(config ~down_after:2 ~evac_budget:4 ())
+      ~probe:(fun i -> alive.(i))
+      ~clock:(fun () -> 0.0)
+      cluster
+  in
+  let adds = Array.make ids 0 and removes = Array.make ids 0 and sizes = Array.make ids [] in
+  let mu = Mutex.create () in
+  let acknowledged op r =
+    match (op, r) with
+    | _, Error _ -> ()
+    | op, Ok _ ->
+      Mutex.protect mu (fun () ->
+          let id = Engine.op_id op in
+          let i = int_of_string (String.sub id 1 (String.length id - 1)) in
+          match op with
+          | Engine.Add { size; _ } ->
+            adds.(i) <- adds.(i) + 1;
+            sizes.(i) <- size :: sizes.(i)
+          | Engine.Remove _ -> removes.(i) <- removes.(i) + 1
+          | Engine.Resize { size; _ } -> sizes.(i) <- size :: sizes.(i))
+  in
+  let finished = Atomic.make 0 and controlled = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let worker w () =
+    let rng = Random.State.make [| 27; w |] in
+    let op () =
+      let id = "x" ^ string_of_int (Random.State.int rng ids) in
+      match Random.State.int rng 3 with
+      | 0 -> Engine.Add { id; size = 1 + Random.State.int rng 30 }
+      | 1 -> Engine.Remove { id }
+      | _ -> Engine.Resize { id; size = 1 + Random.State.int rng 30 }
+    in
+    let rounds = ref 0 in
+    while (not (Atomic.get controlled)) && !rounds < 50_000 && Unix.gettimeofday () < deadline do
+      (match Random.State.int rng 8 with
+      | 0 -> ignore (Cluster.rebalance cluster ~k:(Random.State.int rng 4))
+      | 1 | 2 ->
+        let o = op () in
+        acknowledged o (Cluster.apply cluster o)
+      | _ ->
+        Cluster.apply_bulk cluster
+          ~on_result:(fun _ o r -> acknowledged o r)
+          (Array.init (1 + Random.State.int rng 12) (fun _ -> op ())));
+      incr rounds
+    done;
+    Atomic.incr finished
+  in
+  (* Only the control thread changes health, so it sees every Down
+     transition as the difference between two of its own reads. *)
+  let downs = Array.make shards 0 in
+  let control () =
+    let rng = Random.State.make [| 28; domains |] in
+    let rounds = ref 0 in
+    while !rounds < 120 && Unix.gettimeofday () < deadline do
+      let before = Array.init shards (Supervisor.health sup) in
+      let i = 1 + Random.State.int rng (shards - 1) in
+      (match Random.State.int rng 4 with
+      | 0 -> ignore (Supervisor.fail sup i)
+      | 1 -> ignore (Supervisor.mark_down sup i)
+      | 2 ->
+        alive.(i) <- Random.State.bool rng;
+        ignore (Supervisor.tick sup)
+      | _ ->
+        if before.(i) = Supervisor.Down then
+          ok (Supervisor.readmit sup i (restore buffers i)));
+      Array.iteri
+        (fun s h ->
+          if h <> Supervisor.Down && Supervisor.health sup s = Supervisor.Down then
+            downs.(s) <- downs.(s) + 1)
+        before;
+      incr rounds;
+      Thread.delay 0.0005
+    done;
+    Atomic.set controlled true;
+    Atomic.incr finished
+  in
+  let joins =
+    Cluster.spawn cluster control :: List.init workers (fun w -> Cluster.spawn cluster (worker w))
+  in
+  while Atomic.get finished < workers + 1 && Unix.gettimeofday () < deadline +. 10.0 do
+    Thread.delay 0.01
+  done;
+  if Atomic.get finished < workers + 1 then
+    Alcotest.fail "the workers and the control thread deadlocked";
+  List.iter (fun join -> join ()) joins;
+  for i = 0 to ids - 1 do
+    let id = "x" ^ string_of_int i in
+    let d = adds.(i) - removes.(i) in
+    check_bool (id ^ ": adds and removes alternate") true (d = 0 || d = 1);
+    check_bool (id ^ ": resident as the shadow says") (d = 1) (Cluster.mem cluster id);
+    match Cluster.find cluster id with
+    | None -> ()
+    | Some (size, _) -> check_bool (id ^ ": size was set by an op") true (List.mem size sizes.(i))
+  done;
+  check_bool "directory and engines agree" true (Cluster.check_consistency cluster ~k:8);
+  List.iter
+    (fun i ->
+      check_bool (Printf.sprintf "shard %d journal replays" i) true
+        (replay_matches cluster buffers i))
+    (List.init shards Fun.id);
+  let h = Supervisor.stats sup in
+  check_int "the census sums to S" shards (h.healthy + h.suspect + h.down + h.recovering);
+  check_bool "some shard went down" true (h.evacuations > 0);
+  check_bool "ops met the degraded-mode guard" true (h.degraded_rejections > 0);
+  check_int "one evacuation per Down transition" (Array.fold_left ( + ) 0 downs) h.evacuations;
+  Array.iteri
+    (fun i journal ->
+      match audit_evacuations journal with
+      | Ok n -> check_int (Printf.sprintf "shard %d: one event per Down transition" i) downs.(i) n
+      | Error e -> Alcotest.failf "shard %d: %s" i e)
+    (Array.map Buffer.contents buffers)
 
 let () =
   Alcotest.run "rebal_supervisor"
@@ -630,4 +805,10 @@ let () =
           Alcotest.test_case "remove charged through its processor" `Quick
             test_remove_watchdog_attribution;
         ] );
+      ( "concurrency",
+        List.map
+          (fun d ->
+            Alcotest.test_case (Printf.sprintf "supervision without a lock, D=%d" d) `Quick
+              (test_concurrent_supervision d))
+          executors );
     ]
