@@ -1239,15 +1239,44 @@ let journaled_cluster ~m ~shards ~domains =
   let journal_for i = Some (Journal.create ~write:(Buffer.add_string buffers.(i)) ()) in
   (Rebal_online.Cluster.create ~journal_for ~m ~shards ~domains (), buffers)
 
-(* [threads] client threads, started through [Cluster.spawn] so they
-   spread over the cluster's hosting domains as the serve daemon's
-   sessions do, push the 60/25/15 add/remove/resize mix straight into
-   [cluster] (the calls the TCP sessions make, minus the sockets), each over [sessions] private id universes so every command
-   is valid and an error is a cluster bug, not noise; thread 0 also
-   rebalances (k = 8) every 500 ops. [wrap verb f] runs each op (E22
-   puts the session-boundary span there). Every op is timed. Returns
-   the wall time, the jobs the clients left live and the sorted
-   per-op latencies in seconds. *)
+(* Run [bodies] as systhreads spread over [cluster]'s session domains
+   the way the serve daemon spreads its sessions — body [i] on domain
+   [i mod D], each domain under its registry from
+   [Cluster.domain_registries] — or on this domain when there are none,
+   and wait for them all. A body's exception is re-raised once all are
+   done. *)
+let run_on_domains cluster bodies =
+  let registries = Rebal_online.Cluster.domain_registries cluster in
+  let d = Array.length registries and n = Array.length bodies in
+  let failure = Atomic.make None in
+  let threads indices =
+    List.map
+      (fun i ->
+        Thread.create
+          (fun () ->
+            try bodies.(i) () with e -> ignore (Atomic.compare_and_set failure None (Some e)))
+          ())
+      indices
+  in
+  (if d = 0 then List.iter Thread.join (threads (List.init n Fun.id))
+   else
+     List.init (min d n) (fun k ->
+         let mine = List.filter (fun i -> i mod d = k) (List.init n Fun.id) in
+         Domain.spawn (fun () ->
+             Metrics.Registry.with_registry registries.(k) (fun () ->
+                 List.iter Thread.join (threads mine))))
+     |> List.iter Domain.join);
+  Option.iter raise (Atomic.get failure)
+
+(* [threads] client threads, spread over the cluster's session domains
+   by [run_on_domains] as the serve daemon's sessions are, push the
+   60/25/15 add/remove/resize mix straight into [cluster] (the calls the
+   TCP sessions make, minus the sockets), each over [sessions] private
+   id universes so every command is valid and an error is a cluster
+   bug, not noise; thread 0 also rebalances (k = 8) every 500 ops.
+   [wrap verb f] runs each op (E22 puts the session-boundary span
+   there). Every op is timed. Returns the wall time, the jobs the
+   clients left live and the sorted per-op latencies in seconds. *)
 let drive_clients ?(wrap = fun _ f -> f ()) ?(sessions = 1) ~what ~seed ~id ~threads ~ops
     cluster =
   let module Cluster = Rebal_online.Cluster in
@@ -1288,10 +1317,16 @@ let drive_clients ?(wrap = fun _ f -> f ()) ?(sessions = 1) ~what ~seed ~id ~thr
     survivors.(t) <- !n
   in
   Gc.compact ();
-  let (), wall =
-    Timer.time (fun () ->
-        Array.iter (fun join -> join ()) (Array.init threads (fun t -> Cluster.spawn cluster (client t))))
-  in
+  (* The wall time ends with the last client, not with the domain
+     joins: a domain's teardown waits out its systhreads' tick thread,
+     up to 50 ms, which is no serving time. *)
+  let ends = Array.make threads 0L in
+  let start = Timer.now_ns () in
+  run_on_domains cluster
+    (Array.init threads (fun t () ->
+         client t ();
+         ends.(t) <- Timer.now_ns ()));
+  let wall = Int64.to_float (Int64.sub (Array.fold_left max start ends) start) /. 1e9 in
   Array.sort compare latencies;
   (wall, Array.fold_left ( + ) 0 survivors, latencies)
 
@@ -1322,20 +1357,20 @@ let audit_cluster ~what ~jobs cluster buffers =
   Array.fold_left ( + ) 0 (Array.mapi replayed buffers)
 
 (* ---------------------------------------------------------------------- *)
-(* E21 — parallel serving: throughput and p99 vs hosting domain count.    *)
+(* E21 — parallel serving: throughput and p99 vs session domain count.     *)
 (* ---------------------------------------------------------------------- *)
 
 let e21 () =
-  header "E21: parallel serving throughput (sessions over hosting domains, 1024 sessions)";
+  header "E21: parallel serving throughput (sessions over D domains, 1024 sessions)";
   let module Cluster = Rebal_online.Cluster in
   let shards = 8 and m = 32 in
   let driver_threads = 8 and sessions_per_thread = 128 in
   let ops_per_thread = 3_000 in
   let total_sessions = driver_threads * sessions_per_thread in
   let total_ops = driver_threads * ops_per_thread in
-  (* One driver, parameterized by hosting domain count: 1024 logical
+  (* One driver, parameterized by session domain count: 1024 logical
      loadgen sessions multiplexed over 8 client threads, spread over
-     the hosting domains, submit the 60/25/15 add/remove/resize mix
+     the session domains, submit the 60/25/15 add/remove/resize mix
      straight into the cluster (the same calls the TCP sessions make,
      minus the sockets), each op running on its client thread under the
      shard's lock. Every op is timed; every run is audited the same way
@@ -1383,12 +1418,12 @@ let e21 () =
   let speedup = tput4 /. tput1 in
   let cores = Domain.recommended_domain_count () in
   Printf.printf
-    "sessions on 4 hosting domains served %.2fx the single-domain throughput (%d cores available);\n\
+    "sessions on 4 session domains served %.2fx the single-domain throughput (%d cores available);\n\
      both runs audited: no job lost, directories consistent, all %d journals replay\n\
      with zero divergence\n"
     speedup cores shards;
   (* The parallel-speedup acceptance bound (>= 2x at 4 domains) is a
-     claim about parallel hardware: on fewer than 4 cores the hosting
+     claim about parallel hardware: on fewer than 4 cores the session
      domains time-slice one another and the honest expectation is
      parity, so there the guard only rejects collapse. The correctness
      audits above hold unconditionally either way. *)
@@ -1474,7 +1509,7 @@ let e22 () =
      divergence with tracing enabled\n"
     ratio cores shards;
   (* Like E21's speedup bound, the 10%% overhead budget is a claim about
-     parallel hardware: with fewer than 4 cores the hosting domains
+     parallel hardware: with fewer than 4 cores the session domains
      time-slice one another and run-to-run scheduling noise exceeds the
      budget being measured, so there the guard only rejects collapse.
      The correctness audits above hold unconditionally either way. *)
@@ -1523,9 +1558,9 @@ let e23 () =
   if List.length rules <> 10 then failwith "E23: expected 10 rules";
   (* The E21/E22 driver mix, with [Control] (latency histograms) on in
      BOTH arms so the ratio isolates exactly what this PR added: the
-     sampler walking a merged snapshot of every shard and hosting registry into the
-     ring store, ten rule evaluations per tick and the JSONL telemetry
-     sink. 50 Hz is 50x the production 1 s cadence — headroom, not
+     sampler walking a merged snapshot of every shard and session-domain
+     registry into the ring store, ten rule evaluations per tick and the
+     JSONL telemetry sink. 50 Hz is 50x the production 1 s cadence — headroom, not
      flattery. Both arms keep the full audit: nothing lost, directory
      consistent, every shard journal replays with zero divergence. *)
   let drive ~telemetry () =

@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.22.0"
+let version = "1.23.0"
 
 (* ----- shared argument parsing ----- *)
 
@@ -627,8 +627,10 @@ let serve_cmd =
       & opt int d.domains
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Run --tcp and --socket sessions on $(docv) domains (clamped to --shards), \
-             round robin; 0, the default, runs them on the main domain. Every session \
+            "Run --tcp and --socket sessions on $(docv) domains (clamped to --shards): \
+             each domain accepts on the shared listener and runs the sessions it \
+             accepts, so the kernel's accept wake-up spreads them; 0, the default, runs \
+             them on the main domain. Every session \
              runs its own shard work, holding that shard's lock, so each shard's engine, \
              journal and metrics have one writer at a time; cross-shard rebalancing uses \
              journaled two-phase transfers, so per-shard journals stay individually \

@@ -325,8 +325,8 @@ let close t =
     (* Order matters: the sampler stops first (it holds handles into the
        target and the telemetry sink); the snapshot and the metrics
        merge need the cluster alive; the journal channels are closed
-       only after the cluster has shut down and its hosting domains
-       have joined. *)
+       only after the cluster has shut down (the server has joined its
+       session threads by then). *)
     Atomic.set t.sampler_stop true;
     Option.iter Thread.join t.sampler;
     if t.telemetry <> None then Protocol.clear_telemetry ();
@@ -434,17 +434,8 @@ let listen t =
         c.shards);
     Ok (srv, session)
 
-(* A cluster starts each session on its next hosting domain (on this
-   domain when it has none); a single engine's sessions run here. *)
-let spawn t f =
-  match Protocol.cluster_of t.target with
-  | Some cl ->
-    let (_join : unit -> unit) = Cluster.spawn cl f in
-    ()
-  | None -> ignore (Thread.create f ())
-
-(* Raised from the SIGTERM/SIGINT handler at the next safe point: it
-   unwinds the blocking read or accept, and the finalizer runs. *)
+(* Raised from the SIGTERM/SIGINT handler in stdin mode, at the next
+   safe point: it unwinds the blocking read, and the finalizer runs. *)
 exception Terminated
 
 let run ?(io = (stdin, stdout)) ?(on_listen = ignore) t =
@@ -454,7 +445,19 @@ let run ?(io = (stdin, stdout)) ?(on_listen = ignore) t =
   in
   if t.config.metrics_file <> None then
     install Sys.sigusr1 (Sys.Signal_handle (fun _ -> dump_metrics t));
-  let terminate = Sys.Signal_handle (fun _ -> raise Terminated) in
+  (* Once the server listens, a signal only requests its stop: the
+     handler may run on any thread of any domain, one holding the
+     server's lock included, so it takes no lock and raises nothing. *)
+  let serving = Atomic.make None and terminated = Atomic.make false in
+  let terminate =
+    Sys.Signal_handle
+      (fun _ ->
+        match Atomic.get serving with
+        | None -> raise Terminated
+        | Some srv ->
+          Atomic.set terminated true;
+          Server.stop srv)
+  in
   install Sys.sigterm terminate;
   install Sys.sigint terminate;
   Fun.protect
@@ -473,12 +476,15 @@ let run ?(io = (stdin, stdout)) ?(on_listen = ignore) t =
         (fun (srv, session) ->
           (* A client hanging up mid-response ends just its session. *)
           install Sys.sigpipe Sys.Signal_ignore;
+          Atomic.set serving (Some srv);
           on_listen (Server.bound_addr srv);
-          (* SIGTERM lands as Terminated in this accepting thread. *)
-          (try Server.run srv ~spawn:(spawn t) ~session
-           with Terminated ->
-             Printf.eprintf "rebalance serve: caught termination signal, draining\n%!");
-          Server.drain ~grace:5.0 srv)
+          let domains =
+            Option.fold ~none:[||] ~some:Cluster.domain_registries (Protocol.cluster_of t.target)
+          in
+          Fun.protect ~finally:(fun () -> Server.drain ~grace:5.0 srv) @@ fun () ->
+          Server.run srv ~domains ~session;
+          if Atomic.get terminated then
+            Printf.eprintf "rebalance serve: caught termination signal, draining\n%!")
         (listen t)
   with Terminated ->
     Printf.eprintf "rebalance serve: caught termination signal, shutting down\n%!";

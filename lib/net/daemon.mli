@@ -2,17 +2,18 @@
     {!config} record.
 
     {!create} checks the flags and builds the serving target — one
-    engine, a sharded {!Rebal_online.Cluster} (with [domains] hosting
-    domains for its sessions), or a cluster under
-    {!Rebal_online.Supervisor} — resuming
+    engine, a sharded {!Rebal_online.Cluster} (with [domains] session
+    domains), or a cluster under {!Rebal_online.Supervisor} — resuming
     every shard from its journal when one exists, and wires the
     telemetry store and alert rules. {!run} serves the line protocol on
     stdin/stdout, or through {!Server} on a TCP port or a Unix domain
     socket, until the input ends, a client sends [SHUTDOWN], or
     SIGTERM/SIGINT arrives; then it runs the finalizer ({!close}).
 
-    On a cluster, socket sessions start through [Cluster.spawn], so they
-    run on its hosting domains. Every thread that touches a single
+    With [domains = D > 0], {!Server} accepts on [D] domains, each under
+    the cluster's registry for it, and runs each socket session on the
+    domain that accepted it; at [D = 0] sessions run on the main domain.
+    Every thread that touches a single
     engine — sessions, the telemetry sampler, a metrics scrape — runs
     under one operation lock; a cluster, supervised or not, takes none,
     at any domain count, since each of its shards is guarded by its own
@@ -71,7 +72,9 @@ val run :
     [rebalance serve: listening on ...] line, call [on_listen] with the
     bound address and serve concurrent sessions; on TCP a connection
     that opens with an HTTP request gets the scrape routes instead.
-    SIGTERM/SIGINT drain live sessions for up to 5 s; the previous
+    SIGTERM/SIGINT stop the server — the handler takes no lock, since
+    it may run on any thread of any domain — and live sessions drain
+    for up to 5 s; in stdin mode they end the session. The previous
     signal handlers are restored on return. [Error] only when the
     address cannot be bound. *)
 

@@ -1,11 +1,15 @@
 module Protocol = Rebal_online.Protocol
+module Metrics = Rebal_obs.Metrics
 
 type t = {
   sock : Unix.file_descr;
+  (* Set once, without a lock: a signal handler may request the stop
+     on a thread that holds [mu]. *)
+  stopping : bool Atomic.t;
   mu : Mutex.t;
   mutable live : Unix.file_descr list;  (* fds of active sessions *)
   mutable sessions : int;
-  mutable stopping : bool;
+  mutable acceptors : unit Domain.t list;  (* started by [run], joined by [drain] *)
 }
 
 let create ?(backlog = 64) ~addr () =
@@ -17,7 +21,14 @@ let create ?(backlog = 64) ~addr () =
    with e ->
      (try Unix.close sock with Unix.Unix_error _ -> ());
      raise e);
-  { sock; mu = Mutex.create (); live = []; sessions = 0; stopping = false }
+  {
+    sock;
+    stopping = Atomic.make false;
+    mu = Mutex.create ();
+    live = [];
+    sessions = 0;
+    acceptors = [];
+  }
 
 let bound_addr t = Unix.getsockname t.sock
 
@@ -25,23 +36,14 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let stopping t = locked t (fun () -> t.stopping)
 let session_count t = locked t (fun () -> t.sessions)
 
-let request_stop t =
-  let first =
-    locked t (fun () ->
-        if t.stopping then false
-        else begin
-          t.stopping <- true;
-          true
-        end)
-  in
-  if first then
-    (* shutdown, not close: closing an fd another thread is blocked in
-       accept(2) on does not reliably wake it; shutdown makes the
-       accept fail immediately (EINVAL on Linux). The fd itself is
-       closed at the end of [drain]. *)
+let stop t =
+  if Atomic.compare_and_set t.stopping false true then
+    (* shutdown, not close: closing an fd other threads are blocked in
+       accept(2) on does not reliably wake them; shutdown makes every
+       accept fail at once (EINVAL on Linux). The fd itself is closed at
+       the end of [drain]. *)
     try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 
 let register t fd =
@@ -65,20 +67,21 @@ let handle t session fd =
   let verdict = try session ic oc with _ -> Protocol.Close in
   (try close_out oc with Sys_error _ -> ());
   unregister t fd;
-  if verdict = Protocol.Stop then request_stop t
+  if verdict = Protocol.Stop then stop t
 
-let run t ~spawn ~session =
+(* The accept loop, the same on every domain that runs it: each
+   connection gets a systhread on the accepting domain. *)
+let accept_loop t session =
   let rec loop () =
-    if stopping t then ()
-    else
+    if not (Atomic.get t.stopping) then
       match Unix.accept t.sock with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
       | exception Unix.Unix_error ((Unix.EINVAL | Unix.EBADF | Unix.ECONNABORTED), _, _) ->
         () (* listener shut down underneath us: a stop request *)
       | fd, _ ->
         register t fd;
-        (match spawn (fun () -> handle t session fd) with
-        | () -> ()
+        (match Thread.create (fun () -> handle t session fd) () with
+        | (_ : Thread.t) -> ()
         | exception _ ->
           (* No thread to run the session: drop the connection. *)
           (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -87,8 +90,34 @@ let run t ~spawn ~session =
   in
   loop ()
 
+let run t ~domains ~session =
+  if Array.length domains = 0 then accept_loop t session
+  else begin
+    (* A session still running after its domain's loop has ended
+       records into the default registry, which exposition merges
+       too. If a domain cannot be started, the ones that were are
+       stopped (and [drain] joins them). *)
+    Array.iter
+      (fun registry ->
+        match
+          Domain.spawn (fun () ->
+              Metrics.Registry.with_registry registry (fun () -> accept_loop t session))
+        with
+        | d -> t.acceptors <- d :: t.acceptors
+        | exception e ->
+          stop t;
+          raise e)
+      domains;
+    (* Polled, not blocked on: a thread parked in a blocking wait never
+       runs the OCaml signal handlers, and a SIGTERM must be able to
+       land on this one. *)
+    while not (Atomic.get t.stopping) do
+      Thread.delay 0.02
+    done
+  end
+
 let drain ?(grace = 5.0) t =
-  request_stop t;
+  stop t;
   (* Grace period: let in-flight sessions finish what they are doing
      (OCaml's Condition has no timed wait, so this polls — drain is a
      once-per-process path, 20ms granularity is plenty). *)
@@ -105,4 +134,8 @@ let drain ?(grace = 5.0) t =
   while session_count t > 0 && Unix.gettimeofday () < hard do
     Thread.delay 0.02
   done;
+  (* Joining an acceptor domain waits for the session threads it
+     started, so nothing of a session outlives [drain]. *)
+  List.iter Domain.join t.acceptors;
+  t.acceptors <- [];
   try Unix.close t.sock with Unix.Unix_error _ -> ()

@@ -132,15 +132,6 @@ type lane = {
   mutable busy_ns : int;  (* under [mu] *)
 }
 
-(* A domain that hosts threads: [spawn] posts a thread's body to its
-   inbox and the domain starts the thread, under its own registry. A
-   host is started by the first [spawn] that picks it. *)
-type host = {
-  inbox : (unit -> unit) Mailbox.t;
-  domain : unit Domain.t;
-  host_registry : Metrics.Registry.t;
-}
-
 type t = {
   engines : Engine.t array;
   offsets : int array;  (* shard i owns global procs [offsets.(i), ...) *)
@@ -157,12 +148,11 @@ type t = {
      affected — only where a *new* id lands. *)
   weights : float array;
   (* The executor: one lane per shard. Shard work runs on the calling
-     thread under the shard's lane lock; the hosts only decide which
-     domain a spawned thread runs on. *)
+     thread under the shard's lane lock. *)
   lanes : lane array;
-  hosts : host option array;  (* under hosts_mu *)
-  hosts_mu : Mutex.t;
-  next_host : int Atomic.t;
+  (* One metrics registry per session domain; the server runs each of
+     its acceptor domains under one. *)
+  domain_registries : Metrics.Registry.t array;
   started_ns : int64;  (* the utilization gauges' wall-clock origin *)
   (* Shard i's [Engine.makespan] as of its last completed task, stored
      before the lane lock is released — so [makespan] is a fold over
@@ -217,7 +207,8 @@ let active_replicas w =
 
 (* Binary search for the first point with hash >= h, wrapping to the
    first point past the top of the ring, then walk forward (wrapping)
-   past points whose shard has deactivated that replica. *)
+   past points whose shard has deactivated that replica; -1 when every
+   shard is weighted to zero. *)
 let ring_lookup ~weights ring h =
   let n = Array.length ring in
   let lo = ref 0 and hi = ref n in
@@ -236,14 +227,7 @@ let ring_lookup ~weights ring h =
       decr remaining
     end
   done;
-  if !found >= 0 then !found
-  else begin
-    (* Every shard weighted to zero: fall back to the unweighted ring
-       so routing still answers (refusing service on an all-down
-       cluster is the supervisor's job). *)
-    let _, s, _ = ring.(start) in
-    s
-  end
+  !found
 
 (* ----- the executor: lane locks on the calling thread ----- *)
 
@@ -336,67 +320,6 @@ let run ?(label = "task") t s f =
 (* [f s] on every shard, one lane at a time. *)
 let run_all ?label t f = Array.init (Array.length t.engines) (fun s -> run ?label t s (f s))
 
-(* ----- hosting domains ----- *)
-
-let host_loop registry inbox =
-  Metrics.Registry.with_registry registry @@ fun () ->
-  let rec loop () =
-    match Mailbox.recv inbox with
-    | Some body ->
-      ignore (Thread.create body ());
-      loop ()
-    | None -> ()
-  in
-  loop ()
-
-let start_host () =
-  let inbox = Mailbox.create ~capacity:64 and host_registry = Metrics.Registry.create () in
-  { inbox; host_registry; domain = Domain.spawn (fun () -> host_loop host_registry inbox) }
-
-let started_hosts t =
-  Mutex.protect t.hosts_mu (fun () -> List.filter_map Fun.id (Array.to_list t.hosts))
-
-(* [f] runs on a fresh systhread of host [next_host mod D] (started
-   here if it is the host's first), or of the caller's domain when there
-   are no hosts; the returned join waits for [f]'s outcome. *)
-let spawn t f =
-  let mu = Mutex.create () and finished = Condition.create () in
-  let outcome = ref None in
-  let body () =
-    let r = match f () with () -> Ok () | exception e -> Error e in
-    Mutex.protect mu (fun () ->
-        outcome := Some r;
-        Condition.broadcast finished)
-  in
-  let n = Array.length t.hosts in
-  if n = 0 then begin
-    if Atomic.get t.stopped then raise Shut_down;
-    ignore (Thread.create body ())
-  end
-  else begin
-    let i = Atomic.fetch_and_add t.next_host 1 mod n in
-    let host =
-      Mutex.protect t.hosts_mu (fun () ->
-          if Atomic.get t.stopped then raise Shut_down;
-          match t.hosts.(i) with
-          | Some h -> h
-          | None ->
-            let h = start_host () in
-            t.hosts.(i) <- Some h;
-            h)
-    in
-    if not (Mailbox.send host.inbox body) then raise Shut_down
-  end;
-  fun () ->
-    let r =
-      Mutex.protect mu (fun () ->
-          while !outcome = None do
-            Condition.wait finished mu
-          done;
-          Option.get !outcome)
-    in
-    match r with Ok () -> () | Error e -> raise e
-
 (* ----- construction ----- *)
 
 let offsets_of_engines engines =
@@ -435,10 +358,10 @@ let make_lane s =
     busy_ns = 0;
   }
 
-(* [domains] (default 0) hosting domains, clamped to [shards]: at most
-   [shards] threads can hold lane locks at once, so more hosts add no
+(* [domains] (default 0) session domains, clamped to [shards]: at most
+   [shards] threads can hold lane locks at once, so more domains add no
    parallel engine work. *)
-let host_count ~shards = function
+let domain_count_of ~shards = function
   | None -> 0
   | Some d ->
     if d < 0 then invalid_arg "Cluster: negative domain count";
@@ -454,9 +377,7 @@ let of_parts ~engines ~lanes ~domains ~directory =
     ring = make_ring shards;
     weights = Array.make shards 1.0;
     lanes;
-    hosts = Array.make domains None;
-    hosts_mu = Mutex.create ();
-    next_host = Atomic.make 0;
+    domain_registries = Array.init domains (fun _ -> Metrics.Registry.create ());
     started_ns = Timer.now_ns ();
     peaks = Array.map (fun e -> Atomic.make (Engine.makespan e)) engines;
     dir_mu = Mutex.create ();
@@ -470,7 +391,7 @@ let of_parts ~engines ~lanes ~domains ~directory =
 let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
   if shards < 1 then invalid_arg "Cluster.create: need at least one shard";
   if m < shards then invalid_arg "Cluster.create: need at least one processor per shard";
-  let domains = host_count ~shards domains in
+  let domains = domain_count_of ~shards domains in
   let lanes = Array.init shards make_lane in
   let engines =
     Array.init shards (fun i ->
@@ -487,7 +408,7 @@ let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
 let of_engines ?domains ~shards build =
   if shards < 1 then Error "Cluster.of_engines: need at least one engine"
   else begin
-    let domains = host_count ~shards domains in
+    let domains = domain_count_of ~shards domains in
     let lanes = Array.init shards make_lane in
     let engines =
       Array.init shards (fun i ->
@@ -512,7 +433,8 @@ let of_engines ?domains ~shards build =
 (* ----- simple accessors ----- *)
 
 let shard_count t = Array.length t.engines
-let domain_count t = Array.length t.hosts
+let domain_count t = Array.length t.domain_registries
+let domain_registries t = t.domain_registries
 let m t = t.m
 let offset t i = t.offsets.(i)
 let global t i p = t.offsets.(i) + p
@@ -555,7 +477,8 @@ let set_weight t i w =
     invalid_arg "Cluster.set_weight: weight must be in [0, 1]";
   with_dir t (fun () -> t.weights.(i) <- w)
 
-(* Under [dir_mu]. *)
+(* Under [dir_mu]: the shard a new [id] lands on, -1 if none is
+   routable. *)
 let route t id = ring_lookup ~weights:t.weights t.ring (hash32 id)
 
 (* Under [dir_mu]: count a reservation touching shard [s] in ([d = 1])
@@ -603,9 +526,9 @@ let refuse v msg =
 (* Under [dir_mu], with [found] the id's settled entry: reserve [op]'s
    id — a new entry on the routed shard for an add, the resident entry
    otherwise — or say why the op cannot apply. On a supervised cluster
-   the degraded-mode guard speaks first. Routing skips Down shards
-   (weight 0) while any shard has positive weight, so an add it admits
-   lands on a serving shard. *)
+   the degraded-mode guard speaks first. Routing skips zero-weight
+   shards (Down ones, and Recovering ones at ramp 0), so an add lands
+   on a routable shard or is refused. *)
 let claim t op found =
   let id = Engine.op_id op in
   match (t.supervision, found) with
@@ -617,10 +540,17 @@ let claim t op found =
     | Engine.Add _, Some _ -> Error (pf "job %s already present" id)
     | (Engine.Remove _ | Engine.Resize _), None -> Error (pf "job %s not found" id)
     | Engine.Add _, None ->
-      let e = { at = route t id; reserved = true } in
-      Hashtbl.add t.directory id e;
-      pin t e.at 1;
-      Ok e
+      let s = route t id in
+      if s < 0 then
+        match t.supervision with
+        | Some v -> refuse v "no routable shards"
+        | None -> Error "no routable shards"
+      else begin
+        let e = { at = s; reserved = true } in
+        Hashtbl.add t.directory id e;
+        pin t s 1;
+        Ok e
+      end
     | (Engine.Remove _ | Engine.Resize _), Some e ->
       e.reserved <- true;
       pin t e.at 1;
@@ -1411,7 +1341,7 @@ let query t s f =
 
 let merge_metrics t ~into =
   Array.iter (fun l -> Metrics.merge ~into l.registry) t.lanes;
-  List.iter (fun h -> Metrics.merge ~into h.host_registry) (started_hosts t)
+  Array.iter (fun r -> Metrics.merge ~into r) t.domain_registries
 
 (* ----- shutdown ----- *)
 
@@ -1427,16 +1357,9 @@ let shutdown t =
           true
         end)
   in
-  if first then begin
-    (* A task that took its lane lock before [stopped] was set finishes
-       before this passes its lane; every later one refuses. No host
-       starts once [stopped] is set; the started ones stop taking
-       threads, and joining a host waits for the threads it started. *)
-    Array.iter (fun l -> Mutex.protect l.mu ignore) t.lanes;
-    let hosts = started_hosts t in
-    List.iter (fun h -> Mailbox.close h.inbox) hosts;
-    List.iter (fun h -> Domain.join h.domain) hosts
-  end
+  (* A task that took its lane lock before [stopped] was set finishes
+     before this passes its lane; every later one refuses. *)
+  if first then Array.iter (fun l -> Mutex.protect l.mu ignore) t.lanes
 
 let engine t i =
   if i < 0 || i >= shard_count t then invalid_arg "Cluster.engine: no such shard";

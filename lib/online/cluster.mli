@@ -22,13 +22,12 @@
     bit-identically whatever drives it — the equivalence property the
     test suite checks.
 
-    {b Hosting domains.} [~domains:D] (default 0) starts [D] domains
-    that {e host threads}: {!spawn} starts a systhread on the next one,
-    round robin (on the caller's domain when [D = 0]); each starts with
-    its first thread. The serve daemon
-    runs its TCP and Unix-socket sessions there, so sessions spread over
-    [D] domains while their shard work stays on the session thread.
-    Each hosting domain runs under its own metrics registry.
+    {b Session domains.} [~domains:D] (default 0, clamped to [S])
+    names how many domains the serve daemon accepts and runs its TCP
+    and Unix-socket sessions on; the cluster itself starts no domain
+    and no thread. It owns one metrics registry per session domain
+    ({!domain_registries}), so {!merge_metrics} folds in what those
+    sessions record, and [D] shows in the [READY] banner.
 
     {b Routing and weights.} A new id lands on the shard owning the
     first ring point at or after its hash (64 virtual nodes per shard,
@@ -159,11 +158,10 @@ val create :
     (the first [m mod shards] shards get one extra); [trigger] and
     [clock] are handed to every engine, [journal_for i] supplies shard
     [i]'s flight-recorder sink. Each engine is bound (metric handles
-    and all) to its shard's private registry. [domains], the hosting
+    and all) to its shard's private registry. [domains], the session
     domain count, defaults to 0 and is clamped to [shards] (at most
-    [shards] threads can hold shard locks at once). A hosting domain
-    starts with the first thread {!spawn} puts on it; pair with
-    {!shutdown}.
+    [shards] threads can hold shard locks at once); it creates one
+    registry per domain and starts nothing. Pair with {!shutdown}.
     @raise Invalid_argument on a negative domain count, [shards < 1] or
     [m < shards]. *)
 
@@ -183,14 +181,12 @@ val of_engines :
 val shard_count : t -> int
 
 val domain_count : t -> int
-(** Hosting domains, started or not (0 unless [~domains] was given). *)
+(** Session domains (0 unless [~domains] was given). *)
 
-val spawn : t -> (unit -> unit) -> unit -> unit
-(** [spawn t f] starts a systhread running [f] on the next hosting
-    domain, round robin, or on the caller's domain when there are none.
-    The result joins it: it waits for [f] to return and re-raises what
-    [f] raised.
-    @raise Shut_down after {!shutdown}. *)
+val domain_registries : t -> Rebal_obs.Metrics.Registry.t array
+(** One registry per session domain, [domain_count] of them: run a
+    domain's session threads under its registry and {!merge_metrics}
+    folds their metrics in. *)
 
 val m : t -> int
 (** Total processors across all shards. *)
@@ -231,9 +227,8 @@ val set_weight : t -> int -> float -> unit
     out of the ring and out of {!rebalance} — a Down shard stops
     receiving routes; a Recovering shard ramps back gradually.
     Residency and lookups of jobs already placed are never affected.
-    When {e every} shard is weighted to 0, routing falls back to the
-    unweighted ring (refusing service on an all-down cluster is the
-    supervisor's job, not the router's).
+    When {e every} shard is weighted to 0, a new id routes nowhere and
+    {!apply} refuses its add with ["no routable shards"].
     @raise Invalid_argument if [w] is outside [[0, 1]] or not finite. *)
 
 val apply : t -> Engine.op -> (int * move list, string) result
@@ -242,7 +237,9 @@ val apply : t -> Engine.op -> (int * move list, string) result
     or [Resize] is refused if it is absent), run [Engine.apply] on the
     owning shard under its lock (a [shard.add] / [shard.remove] /
     [shard.resize] span when the op is traced), then settle the claim.
-    Returns the global processor and any automatic-repair moves. Blocks
+    Returns the global processor and any automatic-repair moves; an
+    [Add] while every shard's weight is 0 is refused with ["no routable
+    shards"] (a degraded-mode rejection when supervised). Blocks
     while another thread holds the id or the shard's lock. One op takes
     none of {!apply_bulk}'s chunk machinery, but the same claim and
     settle steps, so the two paths validate and settle alike. On a
@@ -426,16 +423,14 @@ val query : t -> int -> (Engine.t -> 'a) -> 'a
     @raise Shut_down after {!shutdown}. *)
 
 val merge_metrics : t -> into:Rebal_obs.Metrics.Registry.t -> unit
-(** Fold every shard registry and every hosting domain's registry into
+(** Fold every shard registry and every session domain's registry into
     [into] — call at exposition time with a fresh registry (merging
     twice into the same registry double-counts). The caller's own
     domain's registry is not included. *)
 
 val shutdown : t -> unit
 (** Stop accepting work: tasks already holding a shard lock finish,
-    later ones refuse. Then join the started hosting domains, which
-    waits for every thread {!spawn} started on them — so call it from
-    a thread the cluster did not spawn. Idempotent from one thread;
+    later ones refuse. Idempotent;
     afterwards operations report ["cluster is shut down"] and
     inspection raises {!Shut_down}, except {!makespan}, which keeps
     returning the final value. *)

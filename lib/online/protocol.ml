@@ -456,7 +456,7 @@ let export_supervisor c =
   count "rebal_readmissions_total" "Shards readmitted after recovery" h.readmissions;
   count "rebal_probe_failures_total" "Failed liveness probes and failure reports" h.probe_failures;
   count "rebal_watchdog_trips_total"
-    "Supervised operations, or per-shard shares of a batch, that blew the deadline"
+    "Supervised operations, or per-shard shares of a batch chunk, that blew the deadline"
     h.watchdog_trips;
   count "rebal_degraded_rejections_total" "Operations refused because of a down shard"
     h.degraded_rejections
@@ -520,10 +520,10 @@ let metrics_registry t =
   | Some c ->
     (* The cluster's engines bind their handles in per-shard registries
        (handle mutation is confined to the shard's lock holder) and
-       sessions on hosting domains in those domains' registries;
-       exposition builds a fresh registry each time — exported
-       aggregates first, then every shard and hosting registry and the
-       main domain's merged in.
+       sessions on the server's acceptor domains in the cluster's
+       per-domain registries; exposition builds a fresh registry each
+       time — exported aggregates first, then every shard and domain
+       registry and the default one merged in.
        Fresh-per-reply matters: merge adds counters, so folding twice
        into a reused registry would double count. *)
     let export = Metrics.Registry.create () in
@@ -779,7 +779,7 @@ let handle_lines ?start_line t lines =
   let verdict = handle_lines_into ?start_line t b lines in
   (lines_of b, verdict)
 
-(* [domains=] appears only when hosting domains exist. *)
+(* [domains=] appears only when the cluster has session domains. *)
 let cluster_banner c =
   pf "READY rebalance-serve shards=%d%s procs=%d jobs=%d makespan=%d" (Cluster.shard_count c)
     (if Cluster.domain_count c > 0 then pf " domains=%d" (Cluster.domain_count c) else "")

@@ -93,7 +93,7 @@ type verdict =
     [Cluster], [Supervised] and [Parallel] carry the same [Cluster.t]
     and answer identically: the health parts of the replies appear
     when the cluster carries a supervision policy, and a cluster with
-    hosting domains adds [domains=<d>] to the [READY] banner and
+    session domains adds [domains=<d>] to the [READY] banner and
     [rebal_cluster_domains] to [METRICS]. A cluster, supervised or not,
     at any domain count, is safe to drive from many sessions
     concurrently; a single engine needs its callers serialized. *)
@@ -149,7 +149,7 @@ val metrics_registry : target -> Rebal_obs.Metrics.Registry.t
     first exported as gauges and counters (idempotent — set, not add):
     a cluster exports per-shard series labeled [shard="<i>"] plus
     [rebal_cluster_*] aggregates into a fresh registry, and the
-    cluster's shard and hosting-domain registries and the default
+    cluster's shard and session-domain registries and the default
     registry are merged in (fresh each call — merging into a reused
     registry would double count); {!Single} exports into the current
     registry and returns it. *)

@@ -1,18 +1,16 @@
 (* Cluster executor tests: the qcheck equivalence properties (a command
-   stream driven from a thread spawned on one of D hosting domains must
-   land in the same state as the same stream on the calling thread with
-   no hosting domain, for D ∈ {1, 2, 8}, with every per-shard journal
-   byte-identical and individually replayable, and must draw identical
-   protocol replies, one line at a time and pipelined), mailbox
-   backpressure and close semantics (the hosts' spawn inbox), two-phase
-   move crash points, genuinely concurrent spawned drivers checked for
-   directory integrity and journal replay, shutdown at D ∈ {0, 2}, and
-   the published-makespan contract (never waits on a lock holder, costs
-   no shard task). *)
+   stream driven from a thread on one of D session domains must land in
+   the same state as the same stream on the calling thread of a cluster
+   with no session domain, for D ∈ {1, 2, 8}, with every per-shard
+   journal byte-identical and individually replayable, and must draw
+   identical protocol replies, one line at a time and pipelined),
+   two-phase move crash points, genuinely concurrent drivers spread over
+   the session domains checked for directory integrity and journal
+   replay, shutdown at D ∈ {0, 2}, and the published-makespan contract
+   (never waits on a lock holder, costs no shard task). *)
 
 module Engine = Rebal_online.Engine
 module Cluster = Rebal_online.Cluster
-module Mailbox = Rebal_online.Mailbox
 module Replay = Rebal_online.Replay
 module Protocol = Rebal_online.Protocol
 module Journal = Rebal_obs.Journal
@@ -87,15 +85,8 @@ let journals_replay c bufs =
         && o.Replay.final_jobs = Engine.job_count eng)
     (Array.init (Cluster.shard_count c) Fun.id)
 
-(* Run [f] on a thread spawned on one of [c]'s hosting domains and
-   wait for it. *)
-let on_spawned c f =
-  let result = ref None in
-  Cluster.spawn c (fun () -> result := Some (f ())) ();
-  Option.get !result
-
 (* The tentpole property: a quiescent cluster is observationally the
-   same whatever domain its caller runs on and however many hosting
+   same whatever domain its caller runs on and however many session
    domains it has — same loads, same global peak, same directory, same
    repair decisions, byte-identical journals — and every per-shard
    journal replays to the engine the cluster left behind. *)
@@ -115,7 +106,7 @@ let prop_cluster_matches_shard =
              let bufs, journal_for = buffer_journals shards in
              let c = Cluster.create ~journal_for ~m ~shards ~domains () in
              let par_moves =
-               on_spawned c (fun () ->
+               On_domains.call c (fun () ->
                    apply_to_cluster c events;
                    Cluster.rebalance c ~k)
              in
@@ -141,11 +132,11 @@ let prop_cluster_matches_shard =
            [ 1; 2; 8 ])
 
 (* The reply stream a client sees — every acknowledgement's [makespan=]
-   field included — is the one a cluster without hosting domains gives
+   field included — is the one a cluster without session domains gives
    its calling thread, line for line, whether the script is sent one
    line at a time or pipelined (batched through [Cluster.apply_bulk]),
-   when the session runs on a spawned thread. The READY banners differ
-   only by the [domains=] field hosting domains add; they are compared
+   when the session runs on a session domain. The READY banners differ
+   only by the [domains=] field session domains add; they are compared
    with it dropped, before the script and after it (a loaded cluster's
    banner reports a non-trivial makespan). *)
 let script_gen =
@@ -194,62 +185,13 @@ let prop_protocol_replies_match =
       List.for_all
         (fun domains ->
           let c = Cluster.create ~m ~shards ~domains () in
-          let got = on_spawned c (fun () -> transcript (Protocol.Parallel c) script) in
+          let got = On_domains.call c (fun () -> transcript (Protocol.Parallel c) script) in
           Cluster.shutdown c;
           let c = Cluster.create ~m ~shards ~domains () in
-          let got_piped = on_spawned c (fun () -> pipelined (Protocol.Parallel c) script) in
+          let got_piped = On_domains.call c (fun () -> pipelined (Protocol.Parallel c) script) in
           Cluster.shutdown c;
           got = expected && got_piped = expected_piped)
         [ 1; 2; 8 ])
-
-(* --- mailbox ------------------------------------------------------------- *)
-
-let test_mailbox_backpressure () =
-  let mb = Mailbox.create ~capacity:2 in
-  check Alcotest.(result unit string) "capacity validated"
-    (Error "cap")
-    (match Mailbox.create ~capacity:0 with
-    | exception Invalid_argument _ -> Error "cap"
-    | _ -> Ok ());
-  check_bool "send into space" true (Mailbox.send mb 1);
-  check_bool "send fills" true (Mailbox.send mb 2);
-  (* A blocked sender parks until the consumer makes room. *)
-  let unblocked = ref false in
-  let t =
-    Thread.create
-      (fun () ->
-        ignore (Mailbox.send mb 3);
-        unblocked := true)
-      ()
-  in
-  Thread.delay 0.02;
-  check_bool "sender is parked while full" false !unblocked;
-  check Alcotest.(option int) "fifo order" (Some 1) (Mailbox.recv mb);
-  Thread.join t;
-  check_bool "sender woke after recv" true !unblocked;
-  check Alcotest.(option int) "fifo order" (Some 2) (Mailbox.recv mb);
-  check Alcotest.(option int) "fifo order" (Some 3) (Mailbox.recv mb)
-
-let test_mailbox_close () =
-  let mb = Mailbox.create ~capacity:4 in
-  check_bool "accepted before close" true (Mailbox.send mb "a");
-  check_bool "accepted before close" true (Mailbox.send mb "b");
-  Mailbox.close mb;
-  Mailbox.close mb (* idempotent *);
-  check_bool "send refused after close" false (Mailbox.send mb "c");
-  (* Everything accepted before close still drains, then end-of-stream. *)
-  check Alcotest.(option string) "drains a" (Some "a") (Mailbox.recv mb);
-  check Alcotest.(option string) "drains b" (Some "b") (Mailbox.recv mb);
-  check Alcotest.(option string) "end of stream" None (Mailbox.recv mb);
-  (* close wakes a sender blocked on a full mailbox. *)
-  let full = Mailbox.create ~capacity:1 in
-  ignore (Mailbox.send full 0);
-  let refused = ref None in
-  let t = Thread.create (fun () -> refused := Some (Mailbox.send full 1)) () in
-  Thread.delay 0.02;
-  Mailbox.close full;
-  Thread.join t;
-  check Alcotest.(option bool) "blocked sender refused on close" (Some false) !refused
 
 (* --- two-phase moves ----------------------------------------------------- *)
 
@@ -352,8 +294,7 @@ let test_concurrent_drivers () =
     done;
     survivors.(t) <- !n
   in
-  let joins = Array.init threads (fun t -> Cluster.spawn c (driver t)) in
-  Array.iter (fun join -> join ()) joins;
+  On_domains.run c (List.init threads driver);
   check_int "no job lost or duplicated under contention"
     (Array.fold_left ( + ) 0 survivors)
     (Cluster.job_count c);
@@ -364,7 +305,7 @@ let test_concurrent_drivers () =
   Cluster.shutdown c;
   check_bool "every journal from the concurrent run replays" true (replayable bufs)
 
-(* Eight spawned threads over four hosting domains fight over one small
+(* Eight threads over four session domains fight over one small
    id space: adds, removes and resizes of the same ids, batches, cross-
    shard moves and REBALANCE passes, all at once — every lane lock and
    every reservation path contended. The drivers stop after 5 s of
@@ -401,7 +342,7 @@ let test_overlapping_storm () =
     done;
     Atomic.incr finished
   in
-  let joins = List.init threads (fun t -> Cluster.spawn c (driver t)) in
+  let join = On_domains.start c (List.init threads driver) in
   let give_up = deadline +. 10.0 in
   while Atomic.get finished < threads && Unix.gettimeofday () < give_up do
     Thread.delay 0.01
@@ -409,7 +350,7 @@ let test_overlapping_storm () =
   if Atomic.get finished < threads then
     Alcotest.failf "only %d of %d drivers finished: the lane locks deadlocked"
       (Atomic.get finished) threads;
-  List.iter (fun join -> join ()) joins;
+  join ();
   let resident = List.filter (Cluster.mem c) (List.init 24 (Printf.sprintf "j%d")) in
   check_int "job_count is the resident ids" (List.length resident) (Cluster.job_count c);
   check_int "engines hold the directory's jobs" (Cluster.job_count c)
@@ -419,8 +360,8 @@ let test_overlapping_storm () =
   Cluster.shutdown c;
   check_bool "every shard journal replays to its engine" true (journals_replay c bufs)
 
-(* With and without hosting domains, a shut-down cluster refuses work,
-   raises on inspection and spawns no thread. *)
+(* With and without session domains, a shut-down cluster refuses work
+   and raises on inspection. *)
 let test_shutdown_semantics () =
   List.iter
     (fun domains ->
@@ -442,8 +383,6 @@ let test_shutdown_semantics () =
       Alcotest.check_raises "stats raise after shutdown" Cluster.Shut_down (fun () ->
           ignore (Cluster.stats c));
       check_int "makespan returns the final value after shutdown" 5 (Cluster.makespan c);
-      Alcotest.check_raises "no thread spawned after shutdown" Cluster.Shut_down (fun () ->
-          Cluster.spawn c ignore ());
       (* The engines themselves remain readable — the replay-audit path. *)
       check_int "post-shutdown engine access" 1
         (Engine.job_count (Cluster.engine c 0) + Engine.job_count (Cluster.engine c 1)))
@@ -504,7 +443,7 @@ let test_makespan_never_waits () =
    shard's registry, so the merged observation count is the number of
    shard tasks. One-by-one ops each followed by a makespan read must
    cost one task apiece — the read itself runs none — with and without
-   hosting domains, and with ops driven from a spawned thread. On an
+   session domains, the ops driven from a session domain's thread. On an
    uncontended lock the wait is observed as 0, so the mean stays
    finite. *)
 let wait_histogram c =
@@ -525,7 +464,7 @@ let test_mailbox_task_budget () =
       let before, _ = wait_histogram c in
       let n = 90 in
       let peak =
-        on_spawned c (fun () ->
+        On_domains.call c (fun () ->
             let peak = ref 0 in
             for i = 0 to n - 1 do
               let id = Printf.sprintf "b%d" (i / 3) in
@@ -548,18 +487,19 @@ let test_create_validation () =
   Alcotest.check_raises "negative domains"
     (Invalid_argument "Cluster: negative domain count") (fun () ->
       ignore (Cluster.create ~m:4 ~shards:2 ~domains:(-1) ()));
-  (* Zero hosting domains is the default. *)
+  (* Zero session domains is the default. *)
   List.iter
     (fun c ->
-      check_int "no hosting domain" 0 (Cluster.domain_count c);
+      check_int "no session domain" 0 (Cluster.domain_count c);
       ignore (ok (Cluster.add_job c ~id:"x" ~size:3));
       check_int "inline cluster serves" 3 (Cluster.makespan c);
       Cluster.shutdown c)
     [ Cluster.create ~m:4 ~shards:2 ~domains:0 (); Cluster.create ~m:4 ~shards:2 () ];
-  (* Hosting domains clamp to the shard count; uneven splits go to the
+  (* Session domains clamp to the shard count; uneven splits go to the
      first shards. *)
   let c = Cluster.create ~m:7 ~shards:3 ~domains:64 () in
   check_int "domains clamped to shards" 3 (Cluster.domain_count c);
+  check_int "one registry per session domain" 3 (Array.length (Cluster.domain_registries c));
   check_int "offsets partition" 3 (Cluster.offset c 1);
   check_int "offsets partition" 5 (Cluster.offset c 2);
   (match Cluster.journal_snapshot c with
@@ -582,12 +522,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_cluster_matches_shard;
           QCheck_alcotest.to_alcotest prop_protocol_replies_match;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "backpressure blocks and wakes" `Quick
-            test_mailbox_backpressure;
-          Alcotest.test_case "close refuses, drains, wakes" `Quick test_mailbox_close;
         ] );
       ( "two-phase moves",
         [

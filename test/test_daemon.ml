@@ -326,6 +326,90 @@ let test_tcp_two_clients_supervised () =
   check_bool "HEALTH answers" true (List.mem ("HEALTH shards=2 " ^ healthy) control);
   check_string "SHUTDOWN answers BYE" "BYE" (List.nth control (List.length control - 1))
 
+(* The body of a GET /metrics scrape: the lines after the blank line
+   ending the HTTP header. *)
+let scrape addr =
+  let rec body = function [] -> [] | "\r" :: rest | "" :: rest -> rest | _ :: rest -> body rest in
+  body (client addr [ "GET /metrics HTTP/1.0"; "" ])
+
+(* [rebal_session_latency_seconds_count] summed over its [verb] label. *)
+let session_ops metrics =
+  List.fold_left
+    (fun acc line ->
+      if starts_with "rebal_session_latency_seconds_count{" line then
+        acc + int_of_float (float_of_string (List.nth (String.split_on_char ' ' line) 1))
+      else acc)
+    0 metrics
+
+(* Each exposed series as its name and label set, without its value. *)
+let series metrics =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun line ->
+         if line = "" || line.[0] = '#' then None
+         else Some (List.hd (String.split_on_char ' ' line)))
+       metrics)
+
+(* Sessions on acceptor domains record their latency in the registries
+   the cluster keeps for those domains, and every scrape merges all of
+   them: two concurrent unpipelined clients at --domains 2 (connected
+   one after the other, so the kernel's accept wake-up gives them one
+   domain each) send N ops, and the session latency count grows by
+   exactly N. The scraped series, names and label sets, are those a
+   --domains 0 run of the same traffic exposes, bar the domain-count
+   gauge only D > 0 exports. *)
+let test_metrics_merged_from_every_domain () =
+  let per_client = 12 in
+  let run domains =
+    let daemon =
+      ok (Daemon.create { Daemon.default with procs = 8; shards = 2; domains; tcp = Some 0 })
+    in
+    let addr, finish = serve_in_background daemon in
+    let before = session_ops (scrape addr) in
+    let connect () =
+      let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+      Unix.connect fd addr;
+      let ic = Unix.in_channel_of_descr fd in
+      check_bool "READY banner" true (starts_with "READY " (input_line ic));
+      (fd, ic)
+    in
+    let conns = List.init 2 (fun _ -> connect ()) in
+    let replies = Array.make 2 [] in
+    let request_reply c (fd, ic) () =
+      for i = 0 to per_client - 1 do
+        let id = Printf.sprintf "c%d.%d" c (i / 3) in
+        let line =
+          match i mod 3 with
+          | 0 -> Printf.sprintf "ADD %s %d\n" id (1 + i)
+          | 1 -> Printf.sprintf "RESIZE %s %d\n" id (2 + i)
+          | _ -> Printf.sprintf "REMOVE %s\n" id
+        in
+        ignore (Unix.write_substring fd line 0 (String.length line));
+        replies.(c) <- input_line ic :: replies.(c)
+      done;
+      close_in ic
+    in
+    List.iter Thread.join (List.mapi (fun c conn -> Thread.create (request_reply c conn) ()) conns);
+    Array.iter
+      (fun r ->
+        check_bool "every op acknowledged" true (not (List.exists (starts_with "ERR") r)))
+      replies;
+    (* A session observes an op's latency before it writes the reply,
+       so every op is counted by now. *)
+    let metrics = scrape addr in
+    ignore (client addr [ "SHUTDOWN" ]);
+    finish ();
+    (session_ops metrics - before, series metrics)
+  in
+  let ops2, series2 = run 2 in
+  check_int "D=2: the session latency count is every op sent" (2 * per_client) ops2;
+  let ops0, series0 = run 0 in
+  check_int "D=0: the session latency count is every op sent" (2 * per_client) ops0;
+  check_bool "the scrape exposes the session series" true
+    (List.exists (starts_with "rebal_session_latency_seconds_count{") series0);
+  check_lines "the D=2 series are the D=0 series" series0
+    (List.filter (fun s -> s <> "rebal_cluster_domains") series2)
+
 let test_unix_socket () =
   let path = temp_path ".sock" in
   write_file path "stale";
@@ -670,6 +754,8 @@ let () =
           Alcotest.test_case "stdin pipe session" `Quick test_stdio_session;
           Alcotest.test_case "tcp two clients" `Quick test_tcp_two_clients;
           Alcotest.test_case "tcp two clients, supervised" `Quick test_tcp_two_clients_supervised;
+          Alcotest.test_case "metrics merged from every domain" `Quick
+            test_metrics_merged_from_every_domain;
           Alcotest.test_case "unix socket" `Quick test_unix_socket;
           Alcotest.test_case "shutdown finalizer" `Quick test_shutdown_runs_finalizer;
         ] );

@@ -309,12 +309,12 @@ let test_two_batchers domains () =
     done;
     Atomic.incr finished
   in
-  let joins = List.init 2 (fun t -> Cluster.spawn c (batcher t)) in
+  let join = On_domains.start c (List.init 2 batcher) in
   while Atomic.get finished < 2 && Unix.gettimeofday () < deadline +. 10.0 do
     Thread.delay 0.01
   done;
   if Atomic.get finished < 2 then Alcotest.fail "the batchers deadlocked";
-  List.iter (fun join -> join ()) joins;
+  join ();
   for i = 0 to ids - 1 do
     let id = "o" ^ string_of_int i in
     let d = adds.(i) - removes.(i) in

@@ -197,7 +197,22 @@ let test_weights () =
   Cluster.set_weight sh 2 0.0;
   ignore (Supervisor.mark_down sup 0);
   check_int "no routable survivor: every job stays" 2 (Supervisor.stats sup).stranded_jobs;
-  check_bool "still consistent" true (Cluster.check_consistency sh ~k:8)
+  check_bool "still consistent" true (Cluster.check_consistency sh ~k:8);
+  (* Every weight at 0: a new id routes nowhere, one by one or batched. *)
+  let sh = Cluster.create ~m:4 ~shards:2 () in
+  Cluster.set_weight sh 0 0.0;
+  Cluster.set_weight sh 1 0.0;
+  check Alcotest.(result unit string) "no routable shard refuses the add"
+    (Error "no routable shards")
+    (Result.map ignore (Cluster.add_job sh ~id:"n" ~size:1));
+  let batched = ref [] in
+  Cluster.apply_bulk sh
+    ~on_result:(fun _ _ r -> batched := Result.map ignore r :: !batched)
+    [| Engine.Add { id = "n"; size = 1 }; Engine.Add { id = "m"; size = 2 } |];
+  check Alcotest.(list (result unit string)) "and the batched adds"
+    [ Error "no routable shards"; Error "no routable shards" ]
+    !batched;
+  check_int "nothing placed" 0 (Cluster.job_count sh)
 
 let test_of_engines_rejects_duplicates () =
   let e0 = Engine.create ~m:1 () and e1 = Engine.create ~m:1 () in

@@ -207,7 +207,7 @@ let test_per_verb_observability () =
 
 (* ----- well-formed trees under concurrent drivers ----- *)
 
-(* Concurrent session threads spread over D hosting domains, every op
+(* Concurrent session threads spread over D session domains, every op
    sampled: whatever interleaving happens, each op must store exactly
    one tree, and each tree must hold only its own op's spans — an ADD
    its one [shard.add] task, a MOVE only the move chain — every span
@@ -237,24 +237,20 @@ let prop_trees_well_formed =
           with_tracing ~sample:1 ~slow_ns:(-1) @@ fun () ->
           let c = Cluster.create ~m:16 ~shards:8 ~domains () in
           let ops = Atomic.make 0 in
-          let threads =
-            List.init 4 (fun t ->
-                Cluster.spawn c
-                  (fun () ->
-                    let rng = Random.State.make [| seed; domains; t |] in
-                    for i = 1 to 25 do
-                      let id = Printf.sprintf "t%d.%d" t i in
-                      Atomic.incr ops;
-                      Optrace.with_op ~verb:"ADD" (fun () ->
-                          ignore (Cluster.add_job c ~id ~size:(1 + Random.State.int rng 50)));
-                      if Random.State.bool rng then begin
-                        Atomic.incr ops;
-                        Optrace.with_op ~verb:"MOVE" (fun () ->
-                            ignore (Cluster.move c ~id ~dst:(Random.State.int rng 8)))
-                      end
-                    done))
-          in
-          List.iter (fun join -> join ()) threads;
+          On_domains.run c
+            (List.init 4 (fun t () ->
+                 let rng = Random.State.make [| seed; domains; t |] in
+                 for i = 1 to 25 do
+                   let id = Printf.sprintf "t%d.%d" t i in
+                   Atomic.incr ops;
+                   Optrace.with_op ~verb:"ADD" (fun () ->
+                       ignore (Cluster.add_job c ~id ~size:(1 + Random.State.int rng 50)));
+                   if Random.State.bool rng then begin
+                     Atomic.incr ops;
+                     Optrace.with_op ~verb:"MOVE" (fun () ->
+                         ignore (Cluster.move c ~id ~dst:(Random.State.int rng 8)))
+                   end
+                 done));
           let traces = Optrace.traces () in
           Cluster.shutdown c;
           if List.length traces <> Atomic.get ops then

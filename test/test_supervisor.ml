@@ -1,4 +1,4 @@
-(* Supervisor tests, each run with 0 and 2 hosting domains: the health
+(* Supervisor tests, each run with 0 and 2 session domains: the health
    state machine (probe streaks, watchdog deadlines, recovery ramp),
    degraded mode, the qcheck failover property — for S ∈ {2, 8},
    evacuating a shard under an adversarial stream conserves every job,
@@ -35,7 +35,7 @@ let health_eq =
     (fun ppf h -> Format.pp_print_string ppf (Supervisor.health_name h))
     ( = )
 
-(* The hosting-domain counts every case runs over. *)
+(* The session-domain counts every case runs over. *)
 let executors = [ 0; 2 ]
 
 (* A cluster whose every shard journals into a buffer, so tests can
@@ -50,7 +50,7 @@ let journaled_cluster ~domains ~m ~shards =
   in
   (cluster, buffers)
 
-(* Run [f] over a fresh journaled cluster at each hosting-domain count,
+(* Run [f] over a fresh journaled cluster at each session-domain count,
    shutting it down afterwards. *)
 let over_executors ~m ~shards f =
   List.iter
@@ -347,13 +347,42 @@ let test_all_down_refuses () =
   check_bool "stranded on a dead shard" true
     ((Supervisor.stats sup).Supervisor.stranded_jobs >= 1)
 
+(* Both shards Down, then shard 1 readmitted at ramp 0: a shard serves,
+   so the guard admits, but no shard is routable — every add is refused
+   and counted, none lands on the Down shard. The first tick ramps
+   shard 1 up, and then every add lands there. *)
+let test_ramp_zero_routes_nowhere () =
+  over_executors ~m:8 ~shards:2 @@ fun cluster _ ->
+  let sup = Supervisor.create cluster in
+  ignore (Supervisor.mark_down sup 0);
+  ignore (Supervisor.mark_down sup 1);
+  ok (Supervisor.readmit sup 1 (fun () -> Ok (Engine.create ~m:4 ())));
+  check_int "the readmitted shard serves" 1 (Supervisor.serving_shards sup);
+  let ids prefix = List.init 20 (Printf.sprintf "%s%d" prefix) in
+  List.iter
+    (fun id ->
+      check Alcotest.(result unit string) (id ^ " refused") (Error "no routable shards")
+        (Result.map ignore (Cluster.apply sup (Engine.Add { id; size = 3 }))))
+    (ids "n");
+  check_int "nothing placed" 0 (Cluster.job_count cluster);
+  check_int "nothing on the Down shard" 0 (jobs_on cluster 0);
+  check_int "each refusal counted" 20 (Supervisor.stats sup).Supervisor.degraded_rejections;
+  ignore (Supervisor.tick sup);
+  List.iter
+    (fun id ->
+      ignore (ok (Cluster.apply sup (Engine.Add { id; size = 3 })));
+      check Alcotest.(option int) (id ^ " lands on the ramping shard") (Some 1)
+        (Cluster.shard_of cluster id))
+    (ids "r");
+  check_int "still nothing on the Down shard" 0 (jobs_on cluster 0)
+
 (* ----- the supervised protocol at both domain counts ----- *)
 
 (* A supervised session in three segments — load, then shard 1 marked
    down and evacuated, then shard 1 readmitted from its own journal and
-   ramped — answers the same lines whatever the hosting-domain count,
-   driven from a spawned thread as the daemon's sessions are. The
-   banner is compared without the [domains=] field hosting domains
+   ramped — answers the same lines whatever the session-domain count,
+   driven from a session domain's thread as the daemon's sessions are.
+   The banner is compared without the [domains=] field session domains
    add. *)
 let session cluster buffers =
   let sup = Supervisor.create cluster in
@@ -386,9 +415,7 @@ let session cluster buffers =
 let supervised_transcript domains =
   let cluster, buffers = journaled_cluster ~domains ~m:8 ~shards:4 in
   Fun.protect ~finally:(fun () -> Cluster.shutdown cluster) @@ fun () ->
-  let transcript = ref [] in
-  Cluster.spawn cluster (fun () -> transcript := session cluster buffers) ();
-  !transcript
+  On_domains.call cluster (fun () -> session cluster buffers)
 
 let test_transcript_executor_independent () =
   let inline = supervised_transcript 0 in
@@ -644,7 +671,7 @@ let audit_evacuations journal =
     (Ok 0) events
 
 (* Three workers run random ADD/REMOVE/RESIZE batches, single ops and
-   REBALANCE over 40 shared ids, on the cluster's hosting domains, while
+   REBALANCE over 40 shared ids, on the cluster's session domains, while
    a control thread fails, marks down, ticks and readmits shards 1..3
    (shard 0 always serves). The audit: the job set is the shadow of
    the acknowledged ops, the directory agrees with the engines, every
@@ -734,15 +761,13 @@ let test_concurrent_supervision domains () =
     Atomic.set controlled true;
     Atomic.incr finished
   in
-  let joins =
-    Cluster.spawn cluster control :: List.init workers (fun w -> Cluster.spawn cluster (worker w))
-  in
+  let join = On_domains.start cluster (control :: List.init workers worker) in
   while Atomic.get finished < workers + 1 && Unix.gettimeofday () < deadline +. 10.0 do
     Thread.delay 0.01
   done;
   if Atomic.get finished < workers + 1 then
     Alcotest.fail "the workers and the control thread deadlocked";
-  List.iter (fun join -> join ()) joins;
+  join ();
   for i = 0 to ids - 1 do
     let id = "x" ^ string_of_int i in
     let d = adds.(i) - removes.(i) in
@@ -787,6 +812,8 @@ let () =
           Alcotest.test_case "budgeted evacuation strands loudly" `Quick test_degraded_mode;
           Alcotest.test_case "readmission validation" `Quick test_readmit_validation;
           Alcotest.test_case "all shards down refuses service" `Quick test_all_down_refuses;
+          Alcotest.test_case "ramp 0 everywhere routes nowhere" `Quick
+            test_ramp_zero_routes_nowhere;
         ] );
       ( "executors",
         [
