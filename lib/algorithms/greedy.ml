@@ -34,7 +34,7 @@ let metric_comparisons () =
    processor. Each processor consumes its descending-sorted job view in
    order, so a cursor per processor suffices; the most-loaded processor is
    the minimum of a heap keyed by negated load. Returns the removed jobs
-   in removal order and the resulting loads. *)
+   in removal order (an exact-length array) and the resulting loads. *)
 let removal_phase inst ~k =
   if k < 0 then invalid_arg "Greedy: negative k";
   let m = Instance.m inst in
@@ -48,25 +48,25 @@ let removal_phase inst ~k =
     Indexed_heap.set heap p (-load.(p));
     incr pushes
   done;
-  let removed = ref [] in
+  let removed = Array.make (min k (Instance.n inst)) 0 in
+  let r = ref 0 in
   (try
-     for _ = 1 to min k (Instance.n inst) do
+     while !r < Array.length removed do
        let p, neg = Indexed_heap.min_exn heap in
        incr pops;
        if neg = 0 then raise Exit;
        let v = views.(p) in
-       let job = Sorted_jobs.id v cursor.(p) in
-       let size = Sorted_jobs.size v cursor.(p) in
+       removed.(!r) <- Sorted_jobs.id v cursor.(p);
+       load.(p) <- load.(p) - Sorted_jobs.size v cursor.(p);
        cursor.(p) <- cursor.(p) + 1;
-       load.(p) <- load.(p) - size;
        Indexed_heap.set heap p (-load.(p));
        incr pushes;
-       removed := (job, size) :: !removed
+       incr r
      done
    with Exit -> ());
   Metrics.Counter.add (metric_heap_pops ()) !pops;
   Metrics.Counter.add (metric_heap_pushes ()) !pushes;
-  (List.rev !removed, load)
+  (Array.sub removed 0 !r, load)
 
 let removal_phase_makespan inst ~k =
   let _, load = removal_phase inst ~k in
@@ -85,27 +85,24 @@ let solve ?(order = Descending) inst ~k =
       let removed, load =
         Optrace.with_span "greedy.removal" (fun () ->
             let removed, load = removal_phase inst ~k in
-            Optrace.add_attr "removed" (string_of_int (List.length removed));
+            Optrace.add_attr "removed" (string_of_int (Array.length removed));
             (removed, load))
       in
       Optrace.with_span "greedy.reinsert" (fun () ->
           let comparisons = ref 0 in
-          let removed =
-            match order with
-            | As_removed -> removed
-            | Ascending ->
-              List.stable_sort
-                (fun (_, s1) (_, s2) ->
-                  incr comparisons;
-                  compare s1 s2)
-                removed
-            | Descending ->
-              List.stable_sort
-                (fun (_, s1) (_, s2) ->
-                  incr comparisons;
-                  compare s2 s1)
-                removed
+          let size = Instance.size inst in
+          (* A stable sort by size keeps equal sizes in removal order. *)
+          let by_size cmp =
+            Array.stable_sort
+              (fun j1 j2 ->
+                incr comparisons;
+                cmp (size j1) (size j2))
+              removed
           in
+          (match order with
+          | As_removed -> ()
+          | Ascending -> by_size Int.compare
+          | Descending -> by_size (fun s1 s2 -> Int.compare s2 s1));
           let m = Instance.m inst in
           let heap = Indexed_heap.create m in
           let pops = ref 0 and pushes = ref 0 in
@@ -115,12 +112,12 @@ let solve ?(order = Descending) inst ~k =
               incr pushes)
             load;
           let assign = Instance.initial_assignment inst in
-          List.iter
-            (fun (job, size) ->
+          Array.iter
+            (fun job ->
               let p, l = Indexed_heap.min_exn heap in
               incr pops;
               assign.(job) <- p;
-              Indexed_heap.set heap p (l + size);
+              Indexed_heap.set heap p (l + size job);
               incr pushes)
             removed;
           Metrics.Counter.add (metric_comparisons ()) !comparisons;

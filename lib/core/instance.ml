@@ -56,10 +56,16 @@ let jobs_on t p =
   done;
   Array.of_list !jobs
 
+(* One counting pass buckets the job ids by processor, ascending within
+   each bucket; each bucket array becomes its view's id array. *)
 let sorted_views t =
-  let buckets = Array.make t.m [] in
-  for j = Array.length t.sizes - 1 downto 0 do
-    let p = t.initial.(j) in
-    buckets.(p) <- (j, t.sizes.(j)) :: buckets.(p)
-  done;
-  Array.map (fun jobs -> Rebal_ds.Sorted_jobs.of_assoc (Array.of_list jobs)) buckets
+  let count = Array.make t.m 0 in
+  Array.iter (fun p -> count.(p) <- count.(p) + 1) t.initial;
+  let buckets = Array.map (fun c -> Array.make c 0) count in
+  let fill = Array.make t.m 0 in
+  Array.iteri
+    (fun j p ->
+      buckets.(p).(fill.(p)) <- j;
+      fill.(p) <- fill.(p) + 1)
+    t.initial;
+  Array.map (Rebal_ds.Sorted_jobs.of_ids ~sizes:t.sizes) buckets

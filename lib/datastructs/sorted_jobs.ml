@@ -4,24 +4,25 @@ type t = {
   pre : int array; (* pre.(l) = sum of the l largest sizes; length q+1 *)
 }
 
-let of_assoc jobs =
-  let q = Array.length jobs in
-  let order = Array.copy jobs in
-  Array.sort
-    (fun (id1, s1) (id2, s2) ->
-      if s1 <> s2 then compare s2 s1 else compare id1 id2)
-    order;
-  let ids = Array.make q 0 in
-  let sizes = Array.make q 0 in
+let of_ids ~sizes ids =
+  Array.iter
+    (fun id -> if sizes.(id) < 0 then invalid_arg "Sorted_jobs.of_ids: negative size")
+    ids;
+  (* Ties in size are broken by id, so the view is deterministic. *)
+  Array.stable_sort
+    (fun a b ->
+      let sa = sizes.(a) and sb = sizes.(b) in
+      if sa <> sb then Int.compare sb sa else Int.compare a b)
+    ids;
+  let q = Array.length ids in
+  let sorted = Array.make q 0 in
   let pre = Array.make (q + 1) 0 in
-  Array.iteri
-    (fun i (id, s) ->
-      if s < 0 then invalid_arg "Sorted_jobs.of_assoc: negative size";
-      ids.(i) <- id;
-      sizes.(i) <- s;
-      pre.(i + 1) <- pre.(i) + s)
-    order;
-  { ids; sizes; pre }
+  for i = 0 to q - 1 do
+    let s = sizes.(ids.(i)) in
+    sorted.(i) <- s;
+    pre.(i + 1) <- pre.(i) + s
+  done;
+  { ids; sizes = sorted; pre }
 
 let length t = Array.length t.ids
 let id t i = t.ids.(i)

@@ -19,11 +19,12 @@
 
 type t
 
-val of_assoc : (int * int) array -> t
-(** [of_assoc jobs] builds a view from [(job_id, size)] pairs. The input
-    array is not modified. Ties in size are broken by job id so the view
-    is deterministic.
-    @raise Invalid_argument if any size is negative. *)
+val of_ids : sizes:int array -> int array -> t
+(** [of_ids ~sizes ids] builds the view of the jobs [ids], distinct
+    indices into [sizes]. [ids] is sorted in place, by size then id (so
+    the view is deterministic), and kept as the view's id array: the
+    caller hands it over.
+    @raise Invalid_argument if any of those sizes is negative. *)
 
 val length : t -> int
 (** Number of jobs in the view. *)

@@ -340,7 +340,9 @@ let close t =
 (* One client session: read commands line by line, stream responses. A
    dropped connection — EOF (even mid-line) on the read side, a closed
    pipe (Sys_error / EPIPE) on either side — ends the session, never
-   the daemon.
+   the daemon. A client's EOF ends its last line, which runs; an EOF
+   [cut] says the server's drain imposed may have split a line in
+   transit, so its unterminated remainder is dropped unexecuted.
 
    I/O runs through Lineio on the raw descriptors: EINTR is retried (a
    SIGTERM mid-drain does not kill live sessions), and [read_lines]
@@ -350,14 +352,14 @@ let close t =
    for the first line of a round blocks (an idle session costs
    nothing). The replies of a round are rendered into one buffer the
    session owns and written with one call. *)
-let session t ic oc =
+let session ?cut t ic oc =
   try
     (* Channels may hold buffered output from a previous owner of this
        fd pair; push it before switching to raw-fd writes. *)
     flush oc;
     let fd_out = Unix.descr_of_out_channel oc in
     Lineio.write_string fd_out (Protocol.greeting t.target ^ "\n");
-    let r = Lineio.reader (Unix.descr_of_in_channel ic) in
+    let r = Lineio.reader ?cut (Unix.descr_of_in_channel ic) in
     let out = Buffer.create 4096 in
     let rec loop lineno =
       match Lineio.read_lines r with
@@ -382,8 +384,8 @@ let session t ic oc =
    protocol stream is untouched. A scrape of a single engine reads it
    under the op lock, as the sampler tick does; a cluster's takes no
    lock. *)
-let http_or_session t ic oc =
-  if not (Http.sniff (Unix.descr_of_in_channel ic)) then session t ic oc
+let http_or_session ~cut t ic oc =
+  if not (Http.sniff (Unix.descr_of_in_channel ic)) then session ~cut t ic oc
   else begin
     let alerts =
       match t.telemetry with
@@ -413,11 +415,11 @@ let listen t =
   let where, addr, session =
     match (c.tcp, c.socket) with
     | Some port, _ ->
-      (pf "127.0.0.1:%d" port, Unix.ADDR_INET (Unix.inet_addr_loopback, port), http_or_session t)
+      (pf "127.0.0.1:%d" port, Unix.ADDR_INET (Unix.inet_addr_loopback, port), http_or_session)
     | None, path ->
       let path = Option.get path in
       (try Unix.unlink path with Unix.Unix_error _ -> ());
-      (path, Unix.ADDR_UNIX path, session t)
+      (path, Unix.ADDR_UNIX path, fun ~cut -> session ~cut)
   in
   match Server.create ~addr () with
   | exception Unix.Unix_error (e, _, _) ->
@@ -432,7 +434,7 @@ let listen t =
     | Unix.ADDR_UNIX path ->
       Printf.printf "rebalance serve: listening on %s (procs=%d, shards=%d)\n%!" path c.procs
         c.shards);
-    Ok (srv, session)
+    Ok (srv, session ~cut:(fun () -> Server.draining srv) t)
 
 (* Raised from the SIGTERM/SIGINT handler in stdin mode, at the next
    safe point: it unwinds the blocking read, and the finalizer runs. *)

@@ -17,11 +17,19 @@ type reader = {
   mutable start : int; (* first unconsumed byte *)
   mutable len : int; (* unconsumed bytes from [start] *)
   mutable eof : bool;
+  cut : unit -> bool;  (* asked at EOF: did this side impose it? *)
+  mutable rest_is_line : bool;  (* at EOF: the unterminated remainder is a line *)
 }
 
-let reader ?(initial_size = 4096) fd =
+let reader ?(initial_size = 4096) ?(cut = fun () -> false) fd =
   if initial_size < 1 then invalid_arg "Lineio.reader: need a positive buffer size";
-  { fd; buf = Bytes.create initial_size; start = 0; len = 0; eof = false }
+  { fd; buf = Bytes.create initial_size; start = 0; len = 0; eof = false; cut; rest_is_line = true }
+
+(* EOF the peer sent ends its last line; EOF this side imposed cuts the
+   line it was in the middle of, and a cut line is never returned. *)
+let hit_eof r =
+  r.eof <- true;
+  r.rest_is_line <- not (r.cut ())
 
 (* Wait until [fd] is readable/writable, retrying interrupted selects. *)
 let rec wait_fd ~read fd =
@@ -49,20 +57,22 @@ let rec refill r =
   end;
   let off = r.start + r.len in
   match Unix.read r.fd r.buf off (Bytes.length r.buf - off) with
-  | 0 -> r.eof <- true
+  | 0 -> hit_eof r
   | n -> r.len <- r.len + n
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     wait_fd ~read:true r.fd;
     refill r
-  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> r.eof <- true
+  | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> hit_eof r
 
 (* The first '\n' in [buf.[i .. stop - 1]], or -1. *)
 let rec scan buf i stop =
   if i >= stop then -1 else if Bytes.unsafe_get buf i = '\n' then i else scan buf (i + 1) stop
 
 let newline_at r = scan r.buf r.start (r.start + r.len)
-let has_line r = newline_at r >= 0 || (r.eof && r.len > 0)
+(* At EOF, whether the unconsumed bytes make a last line. *)
+let final r = r.eof && r.len > 0 && r.rest_is_line
+let has_line r = newline_at r >= 0 || final r
 
 let take r stop consume =
   let line = Bytes.sub_string r.buf r.start (stop - r.start) in
@@ -70,14 +80,14 @@ let take r stop consume =
   r.start <- consume;
   line
 
-(* The unconsumed bytes as a final line, once EOF is known. *)
+(* The unconsumed bytes as a final line, once [final] holds. *)
 let take_rest r = take r (r.start + r.len) (r.start + r.len)
 
 let rec read_line r =
   match newline_at r with
   | i when i >= 0 -> Some (take r i (i + 1))
   | _ ->
-    if r.eof then if r.len > 0 then Some (take_rest r) else None
+    if r.eof then if final r then Some (take_rest r) else None
     else begin
       refill r;
       read_line r
@@ -90,7 +100,7 @@ let[@tail_mod_cons] rec take_lines r =
   | i when i >= 0 ->
     let line = take r i (i + 1) in
     line :: take_lines r
-  | _ -> if r.eof && r.len > 0 then [ take_rest r ] else []
+  | _ -> if final r then [ take_rest r ] else []
 
 (* Refill until a line is complete; [seen] unconsumed bytes are already
    known to hold no '\n', so only the new bytes are scanned. *)
@@ -100,7 +110,7 @@ let rec read_lines_from r seen =
     let line = take r i (i + 1) in
     line :: take_lines r
   | _ ->
-    if r.eof then if r.len > 0 then [ take_rest r ] else []
+    if r.eof then if final r then [ take_rest r ] else []
     else begin
       let seen = r.len in
       refill r;

@@ -11,10 +11,16 @@
 
 type reader
 
-val reader : ?initial_size:int -> Unix.file_descr -> reader
+val reader : ?initial_size:int -> ?cut:(unit -> bool) -> Unix.file_descr -> reader
 (** A buffered reader over [fd] (buffer grows as needed from
     [initial_size], default 4096). The reader owns the stream: do not
-    mix it with channel reads on the same descriptor. *)
+    mix it with channel reads on the same descriptor.
+
+    [cut] is asked once, when the reader meets EOF. [true] says this
+    side imposed the EOF (it shut the socket's read side down) rather
+    than the peer sending it: an unterminated remainder is then a line
+    cut off in transit, and it is dropped, never returned as a final
+    line. Default: never, so every EOF ends the peer's last line. *)
 
 val read_line : reader -> string option
 (** The next line, without its ['\n'] (a ['\r'] is preserved, matching
@@ -27,13 +33,14 @@ val read_lines : reader -> string list
 (** The session's next batch: blocks as {!read_line} does until one
     line is complete (or EOF), then also takes every further complete
     line already buffered, in order, scanning each buffered byte once.
-    At EOF an unterminated remainder is the last line; [[]] means EOF
-    with nothing buffered. Errors as {!read_line}. *)
+    At EOF an unterminated remainder is the last line, unless [cut]
+    says the EOF cut it; [[]] means EOF with no line left. Errors as
+    {!read_line}. *)
 
 val has_line : reader -> bool
-(** Whether {!read_line} would return without blocking: a complete
-    line is already buffered (or EOF makes the remainder a line). No
-    syscall — this is the batching probe. *)
+(** Whether {!read_line} would return a line without blocking: a
+    complete line is already buffered (or a peer's EOF makes the
+    remainder a line). No syscall — this is the batching probe. *)
 
 val write_string : Unix.file_descr -> string -> unit
 (** Write the whole string: short writes resumed, [EINTR] retried,

@@ -6,6 +6,8 @@ type t = {
   (* Set once, without a lock: a signal handler may request the stop
      on a thread that holds [mu]. *)
   stopping : bool Atomic.t;
+  (* Set by [drain] before it shuts any session's read side down. *)
+  draining : bool Atomic.t;
   mu : Mutex.t;
   mutable live : Unix.file_descr list;  (* fds of active sessions *)
   mutable sessions : int;
@@ -24,6 +26,7 @@ let create ?(backlog = 64) ~addr () =
   {
     sock;
     stopping = Atomic.make false;
+    draining = Atomic.make false;
     mu = Mutex.create ();
     live = [];
     sessions = 0;
@@ -37,6 +40,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let session_count t = locked t (fun () -> t.sessions)
+let draining t = Atomic.get t.draining
 
 let stop t =
   if Atomic.compare_and_set t.stopping false true then
@@ -118,9 +122,20 @@ let run t ~domains ~session =
 
 let drain ?(grace = 5.0) t =
   stop t;
-  (* Grace period: let in-flight sessions finish what they are doing
-     (OCaml's Condition has no timed wait, so this polls — drain is a
-     once-per-process path, 20ms granularity is plenty). *)
+  (* Stop reading: a session blocked in read with nothing unread sees
+     EOF and ends now. Bytes already received are still read first, and
+     replies can still be written, so a session inside an op, or with
+     lines waiting, finishes and replies before it sees the EOF. The
+     flag goes up first, so every session that meets this EOF knows a
+     line it was reading was cut by it, not ended by the client. *)
+  Atomic.set t.draining true;
+  List.iter
+    (fun fd -> try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+    (locked t (fun () -> t.live));
+  (* Grace period: only a session that cannot deliver its replies (its
+     client is not reading) is still here after that (OCaml's Condition
+     has no timed wait, so this polls — drain is a once-per-process
+     path, 20ms granularity is plenty). *)
   let deadline = Unix.gettimeofday () +. grace in
   while session_count t > 0 && Unix.gettimeofday () < deadline do
     Thread.delay 0.02

@@ -21,9 +21,10 @@
 
     Shutdown: a session returning [Stop] (the [SHUTDOWN] verb) or a
     {!stop} request — the daemon's SIGTERM handler makes one — ends
-    every accept loop and returns {!run}; {!drain} then waits out live
-    sessions for a grace period, shuts down the sockets of any
-    stragglers and joins the acceptor domains, before the daemon's
+    every accept loop and returns {!run}; {!drain} then stops reading
+    on every session (an idle one ends at once), waits out the rest for
+    a grace period, shuts down the sockets of any stragglers and joins
+    the acceptor domains, before the daemon's
     ordinary finalizer (final snapshot, metrics dump, cluster shutdown)
     runs. *)
 
@@ -56,8 +57,20 @@ val stop : t -> unit
     no lock, so a signal handler may call it on any thread;
     idempotent. *)
 
+val draining : t -> bool
+(** Whether {!drain} has begun shutting sessions' read sides down. A
+    session that meets EOF once this holds may have had a line cut in
+    transit: it must drop an unterminated remainder, not execute it
+    ({!Lineio.reader}'s [cut]). *)
+
 val drain : ?grace:float -> t -> unit
-(** {!stop}, wait up to [grace] seconds (default 5) for live sessions
-    to finish, force-shutdown the sockets of any that remain, join the
+(** {!stop}, raise {!draining}, shut down the receiving side of every
+    live session — a session blocked reading with nothing unread sees
+    EOF and ends at once, while one inside an op or with bytes already
+    received reads them, replies and then sees EOF (a line still
+    arriving is cut, and dropped) — wait up to [grace] seconds
+    (default 5) for the sessions to finish, which only one whose client
+    is not reading its replies can outlast, force-shutdown the sockets
+    of any that remain, join the
     acceptor domains (which waits for their session threads) and close
     the listener. Call it from the thread that called {!run}. *)

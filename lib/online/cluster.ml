@@ -414,7 +414,10 @@ let of_engines ?domains ~shards build =
       Array.init shards (fun i ->
           Metrics.Registry.with_registry lanes.(i).registry (fun () -> build i))
     in
-    let directory = Hashtbl.create 256 in
+    (* Sized for the resumed jobs, so filling it resizes nothing: a
+       Hashtbl grows once it holds two entries per bucket. *)
+    let jobs = Array.fold_left (fun n e -> n + Engine.job_count e) 0 engines in
+    let directory = Hashtbl.create (max 256 (jobs / 2)) in
     let exception Dup of string in
     match
       Array.iteri

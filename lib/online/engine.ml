@@ -514,23 +514,69 @@ let reserve t ~jobs =
 
 (* ----- the bounded-move repair pass ----- *)
 
-let repair ~auto t ~k =
-  if k < 0 then invalid_arg "Engine.rebalance: negative k";
-  Optrace.with_span "engine.repair"
-    ~attrs:[ ("k", string_of_int k); ("auto", string_of_bool auto) ]
-  @@ fun () ->
-  (* Decision-time context for the journal, captured before any load
-     changes. Both reads are O(1); skipped entirely when not journaling. *)
-  let decision =
-    match t.journal with
-    | None -> None
-    | Some sink -> Some (sink, makespan t, imbalance t)
+(* Sort the lift indices [scr_ord.(0 .. n - 1)] into placement order:
+   size desc, then lift order. A total order, so any sort yields exactly
+   the permutation of a stable sort by size. A merge sort, so a lift
+   order far from size order (small jobs lifted before larger ones)
+   still costs O(n log n); runs of at most [small] and already-ordered
+   halves cost what an insertion sort costs, so a lift order that is
+   nearly by size (the common case) stays near-linear. The left half of
+   a merge is parked in [tmp], allocated per pass: a buffer kept with
+   the scratch would hold half the engine's capacity for its lifetime. *)
+let sort_placements t n =
+  let ord = t.scr_ord and tmp = Array.make (n / 2) 0 in
+  let before a b =
+    let sa = t.job_size.(t.scr_slot.(a)) and sb = t.job_size.(t.scr_slot.(b)) in
+    sa > sb || (sa = sb && a < b)
   in
-  let journaling = match decision with None -> false | Some _ -> true in
-  (* Removal phase = GREEDY step 1 on the live state: k times, take the
-     largest job off the most-loaded processor (ties: smaller index).
-     Each lift records where the job came from and the source load
-     before/after — the "why this job" half of the provenance. *)
+  let small = 16 in
+  let rec sort lo hi =
+    if hi - lo <= small then
+      for i = lo + 1 to hi - 1 do
+        let o = ord.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && before o ord.(!j) do
+          ord.(!j + 1) <- ord.(!j);
+          decr j
+        done;
+        ord.(!j + 1) <- o
+      done
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      sort lo mid;
+      sort mid hi;
+      if before ord.(mid) ord.(mid - 1) then begin
+        let left = mid - lo in
+        Array.blit ord lo tmp 0 left;
+        (* [i] walks the parked left half, [j] the right half in place;
+           the write position never passes [j]. *)
+        let i = ref 0 and j = ref mid and w = ref lo in
+        while !i < left && !j < hi do
+          if before ord.(!j) tmp.(!i) then begin
+            ord.(!w) <- ord.(!j);
+            incr j
+          end
+          else begin
+            ord.(!w) <- tmp.(!i);
+            incr i
+          end;
+          incr w
+        done;
+        Array.blit tmp !i ord !w (left - !i)
+      end
+    end
+  in
+  sort 0 n
+
+(* GREEDY on the live state, and nothing else: no move list, journal,
+   counters or telemetry, so the consistency probe runs exactly this.
+   Removal phase = GREEDY step 1: k times, take the largest job off the
+   most-loaded processor (ties: smaller index), recording in lift order
+   its slot, source and the source's load before. Reinsertion = step 2:
+   descending size, ties in lift order, onto the least-loaded processor;
+   [scr_ord.(i)] is the lift index of the i-th placement and [job_proc]
+   the destination. Returns the number of jobs lifted. *)
+let lift_and_place t ~k =
   let lifted = ref 0 in
   let limit = min k t.live in
   (try
@@ -538,10 +584,9 @@ let repair ~auto t ~k =
        let p = Indexed_heap.min_key_exn t.max_heap in
        if t.load.(p) = 0 then raise Exit;
        let slot = t.pheap.(p).(0) in
-       let size = t.job_size.(slot) in
        pheap_remove t p slot;
        let src_before = t.load.(p) in
-       set_load t p (src_before - size);
+       set_load t p (src_before - t.job_size.(slot));
        t.scr_slot.(!lifted) <- slot;
        t.scr_src.(!lifted) <- p;
        t.scr_before.(!lifted) <- src_before;
@@ -550,72 +595,67 @@ let repair ~auto t ~k =
      done
    with Exit -> ());
   let lifted = !lifted in
-  (* Reinsertion phase = GREEDY step 2: descending size, stable in
-     removal order, onto the least-loaded processor. The (size desc,
-     removal-order asc) key is a total order, so this in-place insertion
-     sort yields exactly the permutation the old stable sort did. *)
-  for i = 1 to lifted - 1 do
-    let slot = t.scr_slot.(i)
-    and src = t.scr_src.(i)
-    and before = t.scr_before.(i)
-    and ord = t.scr_ord.(i) in
-    let size = t.job_size.(slot) in
-    let j = ref (i - 1) in
-    while
-      !j >= 0
-      &&
-      let sj = t.job_size.(t.scr_slot.(!j)) in
-      sj < size || (sj = size && t.scr_ord.(!j) > ord)
-    do
-      t.scr_slot.(!j + 1) <- t.scr_slot.(!j);
-      t.scr_src.(!j + 1) <- t.scr_src.(!j);
-      t.scr_before.(!j + 1) <- t.scr_before.(!j);
-      t.scr_ord.(!j + 1) <- t.scr_ord.(!j);
-      decr j
-    done;
-    t.scr_slot.(!j + 1) <- slot;
-    t.scr_src.(!j + 1) <- src;
-    t.scr_before.(!j + 1) <- before;
-    t.scr_ord.(!j + 1) <- ord
-  done;
-  let moves = ref [] in
-  let provenance = ref [] in
+  sort_placements t lifted;
   for i = 0 to lifted - 1 do
-    let slot = t.scr_slot.(i) in
-    let size = t.job_size.(slot) in
+    let slot = t.scr_slot.(t.scr_ord.(i)) in
     let p = Indexed_heap.min_key_exn t.min_heap in
-    let l = t.load.(p) in
     pheap_push t p slot;
-    set_load t p (l + size);
-    if p <> t.job_proc.(slot) then begin
-      moves := { id = t.job_ext.(slot); src = t.job_proc.(slot); dst = p } :: !moves;
-      if journaling then
+    set_load t p (t.load.(p) + t.job_size.(slot));
+    t.job_proc.(slot) <- p
+  done;
+  lifted
+
+(* A repair pass as the engine's history records it: [lift_and_place],
+   then the moves, the counters and the journal's provenance. Both the
+   move list and the provenance are built from the last placement back,
+   walking the destination loads back to what each placement saw. *)
+let repair ~auto t ~k =
+  if k < 0 then invalid_arg "Engine.rebalance: negative k";
+  (* Decision-time context for the journal, captured before any load
+     changes. Both reads are O(1); skipped entirely when not journaling. *)
+  let decision =
+    match t.journal with
+    | None -> None
+    | Some sink -> Some (sink, makespan t, imbalance t)
+  in
+  let journaling = Option.is_some decision in
+  let lifted = lift_and_place t ~k in
+  let dst_load = if journaling then Array.copy t.load else [||] in
+  let moves = ref [] and n_moves = ref 0 and provenance = ref [] in
+  for i = lifted - 1 downto 0 do
+    let j = t.scr_ord.(i) in
+    let slot = t.scr_slot.(j) in
+    let src = t.scr_src.(j) and dst = t.job_proc.(slot) in
+    if src <> dst then begin
+      moves := { id = t.job_ext.(slot); src; dst } :: !moves;
+      incr n_moves
+    end;
+    if journaling then begin
+      let size = t.job_size.(slot) in
+      let after = dst_load.(dst) in
+      dst_load.(dst) <- after - size;
+      if src <> dst then
         provenance :=
           Journal.Obj
             [
               ("id", Journal.Str t.job_ext.(slot));
               ("size", Journal.Int size);
-              ("src", Journal.Int t.scr_src.(i));
-              ("dst", Journal.Int p);
-              ("src_load_before", Journal.Int t.scr_before.(i));
-              ("src_load_after", Journal.Int (t.scr_before.(i) - size));
-              ("dst_load_before", Journal.Int l);
-              ("dst_load_after", Journal.Int (l + size));
+              ("src", Journal.Int src);
+              ("dst", Journal.Int dst);
+              ("src_load_before", Journal.Int t.scr_before.(j));
+              ("src_load_after", Journal.Int (t.scr_before.(j) - size));
+              ("dst_load_before", Journal.Int (after - size));
+              ("dst_load_after", Journal.Int after);
             ]
-          :: !provenance;
-      t.job_proc.(slot) <- p
+          :: !provenance
     end
   done;
-  let moves = List.rev !moves in
-  let n_moves = List.length moves in
+  let n_moves = !n_moves in
   t.c.rebalances <- t.c.rebalances + 1;
   if auto then t.c.auto_rebalances <- t.c.auto_rebalances + 1;
   t.c.moved <- t.c.moved + n_moves;
   t.c.last_rebalance_moves <- n_moves;
-  Metrics.Histogram.observe t.obs.moves_per_rebalance (float_of_int n_moves);
-  Optrace.add_attr "moves" (string_of_int n_moves);
   t.events_since_repair <- 0;
-  t.last_repair <- t.clock ();
   (match decision with
   | None -> ()
   | Some (sink, makespan_before, imbalance_before) ->
@@ -629,11 +669,27 @@ let repair ~auto t ~k =
         ("makespan_after", Journal.Int (makespan t));
         ("lifted", Journal.Int lifted);
         ("n_moves", Journal.Int n_moves);
-        ("moves", Journal.List (List.rev !provenance));
+        ("moves", Journal.List !provenance);
       ]);
-  moves
+  !moves
 
-let rebalance t ~k = timed t.obs.lat_rebalance (fun t k -> repair ~auto:false t ~k) t k
+(* A served repair: [repair] plus the trigger epoch, the span and the
+   histograms. *)
+let served_repair ~auto t ~k =
+  timed t.obs.lat_rebalance
+    (fun t k ->
+      Optrace.with_span "engine.repair"
+        ~attrs:[ ("k", string_of_int k); ("auto", string_of_bool auto) ]
+      @@ fun () ->
+      let moves = repair ~auto t ~k in
+      let n_moves = t.c.last_rebalance_moves in
+      Metrics.Histogram.observe t.obs.moves_per_rebalance (float_of_int n_moves);
+      Optrace.add_attr "moves" (string_of_int n_moves);
+      t.last_repair <- t.clock ();
+      moves)
+    t k
+
+let rebalance t ~k = served_repair ~auto:false t ~k
 
 (* ----- trigger policy ----- *)
 
@@ -663,7 +719,7 @@ let after_event t =
           ("imbalance", Journal.Float (imbalance t));
           ("events_since_repair", Journal.Int t.events_since_repair);
         ]);
-    timed t.obs.lat_rebalance (fun t k -> repair ~auto:true t ~k) t k
+    served_repair ~auto:true t ~k
 
 (* ----- single-event updates, all O(log m) and allocation-free -----
 
@@ -854,59 +910,64 @@ let stats t =
     consistency_failures = t.c.consistency_failures;
   }
 
-let live_slots t =
-  let slots = ref [] in
-  for slot = t.hw - 1 downto 0 do
-    if t.job_proc.(slot) >= 0 then slots := slot :: !slots
+(* The live slots in slot order. *)
+let live_slot_array t =
+  let slots = Array.make t.live 0 in
+  let n = ref 0 in
+  for slot = 0 to t.hw - 1 do
+    if t.job_proc.(slot) >= 0 then begin
+      slots.(!n) <- slot;
+      incr n
+    end
   done;
-  !slots
+  slots
 
 let to_instance t =
-  let slots =
-    List.sort
-      (fun a b -> compare t.job_ext.(a) t.job_ext.(b))
-      (live_slots t)
-  in
-  let ids = Array.of_list (List.map (fun s -> t.job_ext.(s)) slots) in
-  let sizes = Array.of_list (List.map (fun s -> t.job_size.(s)) slots) in
-  let initial = Array.of_list (List.map (fun s -> t.job_proc.(s)) slots) in
+  let slots = live_slot_array t in
+  Array.stable_sort (fun a b -> String.compare t.job_ext.(a) t.job_ext.(b)) slots;
+  let ids = Array.map (fun s -> t.job_ext.(s)) slots in
+  let sizes = Array.map (fun s -> t.job_size.(s)) slots in
+  let initial = Array.map (fun s -> t.job_proc.(s)) slots in
   (Instance.create ~sizes ~m:t.m initial, ids)
 
-let copy t =
-  let dir = Flat_str_map.create (max initial_cap t.live) in
+(* The live state as a batch instance in slot order, in one pass. Jobs
+   are numbered differently from [to_instance]'s, which leaves GREEDY's
+   makespan unchanged: the loads evolve alike under any numbering, only
+   which of two equal-size jobs moves differs. *)
+let slot_instance t =
+  let sizes = Array.make t.live 0 and initial = Array.make t.live 0 in
+  let j = ref 0 in
   for slot = 0 to t.hw - 1 do
-    if t.job_proc.(slot) >= 0 then Flat_str_map.set dir t.job_ext.(slot) slot
+    if t.job_proc.(slot) >= 0 then begin
+      sizes.(!j) <- t.job_size.(slot);
+      initial.(!j) <- t.job_proc.(slot);
+      incr j
+    end
   done;
+  Instance.create ~sizes ~m:t.m initial
+
+(* An engine to run [lift_and_place] on without touching [t]: fresh
+   copies of what it writes (placements, heap positions, processor
+   heaps and loads), shared references to what it only reads (sizes,
+   sequence numbers, ids, the directory). It shares [t]'s repair
+   scratch too, whose contents mean nothing between passes. It never
+   journals, counts or observes. *)
+let probe t =
   let min_heap = Indexed_heap.create t.m in
   let max_heap = Indexed_heap.create t.m in
   for p = 0 to t.m - 1 do
     Indexed_heap.set min_heap p t.load.(p);
     Indexed_heap.set max_heap p (-t.load.(p))
   done;
-  (* The copy never journals: a probe repair (check_consistency) writing
-     into the original's journal would record a rebalance that never
-     happened to the live engine and break replay. *)
   {
     t with
-    dir;
-    job_ext = Array.copy t.job_ext;
-    job_size = Array.copy t.job_size;
-    job_seq = Array.copy t.job_seq;
-    job_proc = Array.copy t.job_proc;
-    job_hpos = Array.copy t.job_hpos;
-    job_gpos = Array.copy t.job_gpos;
-    free = Array.copy t.free;
+    job_proc = Array.sub t.job_proc 0 t.hw;
+    job_hpos = Array.sub t.job_hpos 0 t.hw;
     pheap = Array.map Array.copy t.pheap;
     plen = Array.copy t.plen;
-    gheap = Array.copy t.gheap;
     load = Array.copy t.load;
     min_heap;
     max_heap;
-    scr_slot = Array.copy t.scr_slot;
-    scr_src = Array.copy t.scr_src;
-    scr_before = Array.copy t.scr_before;
-    scr_ord = Array.copy t.scr_ord;
-    c = { t.c with events = t.c.events };
     journal = None;
   }
 
@@ -918,8 +979,8 @@ let snapshot_version = 1
    so the (size, seq) repair tie-breaks — hence future move lists —
    survive the round trip bit-exactly. *)
 let slots_by_seq t =
-  let slots = Array.of_list (live_slots t) in
-  Array.sort (fun a b -> compare t.job_seq.(a) t.job_seq.(b)) slots;
+  let slots = live_slot_array t in
+  Array.stable_sort (fun a b -> Int.compare t.job_seq.(a) t.job_seq.(b)) slots;
   slots
 
 let snapshot t =
@@ -1119,11 +1180,12 @@ let journal_snapshot t =
     Ok seq
 
 let check_consistency t ~k =
-  let inst, _ = to_instance t in
+  let inst = slot_instance t in
   let batch = Assignment.makespan inst (Rebal_algo.Greedy.solve inst ~k) in
-  let probe = copy t in
-  ignore (repair ~auto:false probe ~k);
-  let ok = makespan probe = batch in
+  let probe = probe t in
+  ignore (lift_and_place probe ~k);
+  let repaired = makespan probe in
+  let ok = repaired = batch in
   t.c.consistency_checks <- t.c.consistency_checks + 1;
   if not ok then t.c.consistency_failures <- t.c.consistency_failures + 1;
   (match t.journal with
@@ -1134,6 +1196,11 @@ let check_consistency t ~k =
         ("k", Journal.Int k);
         ("ok", Journal.Bool ok);
         ("batch_makespan", Journal.Int batch);
-        ("repair_makespan", Journal.Int (makespan probe));
+        ("repair_makespan", Journal.Int repaired);
       ]);
   ok
+
+(* ----- replay ----- *)
+
+let replay_apply = step
+let replay_rebalance t ~k = repair ~auto:false t ~k

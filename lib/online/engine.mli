@@ -18,11 +18,14 @@
     Observability: every engine binds histogram handles
     ([rebal_engine_op_latency_seconds{op=...}],
     [rebal_engine_moves_per_rebalance]) in the registry current at
-    {!create} time. Moves-per-rebalance is always observed (no clock
+    {!create} time. They count served work only: moves-per-rebalance is
+    observed on every {!rebalance} and automatic repair (no clock
     involved); per-op latency needs two monotonic clock reads and is
-    recorded only while [Rebal_obs.Control.enabled ()] is true. Each
-    repair pass is an [engine.repair] [Rebal_obs.Optrace] span
-    (attributes [k], [auto], [moves]) under the sampled op that ran it.
+    recorded only while [Rebal_obs.Control.enabled ()] is true. Replay
+    ({!replay_apply}, {!replay_rebalance}) and the consistency probe
+    record nothing. Each served repair pass is an [engine.repair]
+    [Rebal_obs.Optrace] span (attributes [k], [auto], [moves]) under the
+    sampled op that ran it.
 
     The flight recorder: attach a [Rebal_obs.Journal] sink (at {!create}
     or with {!set_journal}) and the engine writes a ["rebal-engine"]
@@ -221,9 +224,11 @@ val rebalance : t -> k:int -> move list
 (** The bounded-move repair pass: remove (up to) the [k] largest jobs
     from the most-loaded processors exactly as GREEDY's removal phase
     does, then reinsert them in descending size order onto the
-    least-loaded processors. [O((k + m) log m + k log k)] — no
-    from-scratch solve. Returns the jobs that actually changed processor.
-    Resets the trigger epoch.
+    least-loaded processors. [O((k + m) log m)] plus an [O(k log k)]
+    merge sort of the lifted jobs, near-linear when they come off in
+    near size order — no from-scratch solve.
+    Returns the jobs that actually changed processor. Resets the trigger
+    epoch.
     @raise Invalid_argument if [k < 0]. *)
 
 val stats : t -> stats
@@ -235,9 +240,27 @@ val to_instance : t -> Rebal_core.Instance.t * string array
 
 val check_consistency : t -> k:int -> bool
 (** Does a repair pass with budget [k] reach exactly the makespan of
-    [Rebal_algo.Greedy.solve ~k] on the materialized instance? Runs on a
-    copy — the engine itself is not perturbed — and records the outcome
-    in the [consistency_checks] / [consistency_failures] counters. *)
+    [Rebal_algo.Greedy.solve ~k] on the materialized instance? The
+    instance is the live jobs in slot order (GREEDY's makespan does not
+    depend on how jobs are numbered), and the repair runs on a probe
+    that copies only what a repair writes — the engine itself is not
+    perturbed, and the probe builds no move list and records no
+    telemetry. The outcome lands in the [consistency_checks] /
+    [consistency_failures] counters and, when journaling, a [check]
+    event. *)
+
+(** {2 Replay}
+
+    History re-executed at a restart is not served work: these are
+    {!apply} and {!rebalance} with no clock read, no histogram
+    observation and no span, so the op-latency and moves-per-rebalance
+    histograms count only what this process served. State, counters and
+    journal events are exactly those of {!apply} and {!rebalance}. A
+    replayed repair does not restart the trigger epoch; {!set_trigger}
+    does, once replay is done. *)
+
+val replay_apply : t -> op -> (int * move list, string) result
+val replay_rebalance : t -> k:int -> move list
 
 (** {2 State snapshots}
 

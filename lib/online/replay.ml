@@ -151,16 +151,19 @@ let apply st f =
     let id = Frame.str f "id" in
     let size = Frame.int f "size" in
     let want_proc = Frame.int f "proc" in
-    verify_placement eng f ~id ~want_proc ~verb:"placed on" (Engine.add_job eng ~id ~size)
+    verify_placement eng f ~id ~want_proc ~verb:"placed on"
+      (Engine.replay_apply eng (Engine.Add { id; size }))
   | "remove" ->
     let id = Frame.str f "id" in
     let want_proc = Frame.int f "proc" in
-    verify_placement eng f ~id ~want_proc ~verb:"removed from" (Engine.remove_job eng ~id)
+    verify_placement eng f ~id ~want_proc ~verb:"removed from"
+      (Engine.replay_apply eng (Engine.Remove { id }))
   | "resize" ->
     let id = Frame.str f "id" in
     let size = Frame.int f "size" in
     let want_proc = Frame.int f "proc" in
-    verify_placement eng f ~id ~want_proc ~verb:"resized on" (Engine.resize_job eng ~id ~size)
+    verify_placement eng f ~id ~want_proc ~verb:"resized on"
+      (Engine.replay_apply eng (Engine.Resize { id; size }))
   | "trigger" ->
     (* Informational: the recorded rebalance that follows carries the
        budget. Replay never re-evaluates trigger policies — that is what
@@ -176,7 +179,7 @@ let apply st f =
     let line = Frame.line f in
     let k = Frame.int f "k" in
     let want_moves = List.map (move_of_json line) (Frame.list f "moves") in
-    let got_moves = Engine.rebalance eng ~k in
+    let got_moves = Engine.replay_rebalance eng ~k in
     if List.length got_moves <> List.length want_moves then
       faill line "replay diverged: repair made %d moves, journal recorded %d"
         (List.length got_moves) (List.length want_moves);

@@ -21,6 +21,12 @@
     re-armed on the replayed engine, so a journal recorded under
     [--auto-*] does not silently come back as [Manual].
 
+    Replay re-executes through {!Engine.replay_apply} and
+    {!Engine.replay_rebalance}, and the final check's probe observes
+    nothing either: a replay reads no clock and records nothing into the
+    engine's op-latency and moves-per-rebalance histograms, which count
+    served work only. Its [consistency_checks] still count.
+
     One step function applies each event, read by the journal's one
     frame reader, whether it comes from a parsed event list ({!resume},
     each event encoded into a frame) or straight off a journal file as

@@ -28,6 +28,7 @@ module Daemon = Rebal_net.Daemon
 module Instance = Rebal_core.Instance
 module Assignment = Rebal_core.Assignment
 module Greedy = Rebal_algo.Greedy
+module Metrics = Rebal_obs.Metrics
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -459,6 +460,165 @@ let test_shutdown_runs_finalizer () =
            (Protocol.greeting (Daemon.target again)));
       Daemon.close again)
 
+(* The value of every exposed sample of [series] (a metric name with
+   its [_count] or [_sum] suffix), summed over label sets. *)
+let sample_sum series metrics =
+  List.fold_left
+    (fun acc line ->
+      match String.split_on_char ' ' line with
+      | [ name; v ] when name = series || starts_with (series ^ "{") name ->
+        acc + int_of_float (float_of_string v)
+      | _ -> acc)
+    0 metrics
+
+(* The lines of each METRICS reply in a session's replies. *)
+let metrics_replies replies =
+  let rec go acc cur = function
+    | [] -> List.rev acc
+    | "# EOF" :: rest -> go (List.rev cur :: acc) [] rest
+    | l :: rest -> go acc (l :: cur) rest
+  in
+  go [] [] replies
+
+(* Observations of the histogram [name] (all label sets) that the
+   process-wide default registry holds. *)
+let default_observations name =
+  List.fold_left
+    (fun acc (mtr : Metrics.metric) ->
+      match mtr.Metrics.kind with
+      | Metrics.Histogram h when mtr.Metrics.name = name -> acc + Metrics.Histogram.observations h
+      | _ -> acc)
+    0
+    (Metrics.Registry.metrics Metrics.Registry.default)
+
+(* Replayed history is not served work: a restarted daemon's op-latency
+   and moves-per-rebalance histograms gain nothing from the restart
+   (replay re-executes every event and repair, and the final check
+   probes a repair, yet none of it is observed), the first ADD counts
+   one, and STATS still counts the final checks — one per shard that
+   holds jobs. Every scrape also merges the default registry, which
+   earlier sessions in this process recorded into, so the counts are
+   taken relative to it: a fresh process starts it at zero. *)
+let test_restart_records_no_telemetry () =
+  List.iter
+    (fun (config, history, stats_prefix) ->
+      let base = temp_path ".journal" in
+      let config = { config with Daemon.journal = Some base } in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter remove_noerr (base :: List.init config.Daemon.shards (Printf.sprintf "%s.%d" base)))
+        (fun () ->
+          ignore (stdio_session (ok (Daemon.create config)) (history @ [ "QUIT" ]));
+          let count0 = default_observations "rebal_engine_op_latency_seconds" in
+          let moves0 = default_observations "rebal_engine_moves_per_rebalance" in
+          let replies =
+            stdio_session (ok (Daemon.create config)) [ "METRICS"; "STATS"; "ADD z 1"; "METRICS"; "QUIT" ]
+          in
+          match metrics_replies replies with
+          | [ before; after ] ->
+            let count = "rebal_engine_op_latency_seconds_count" in
+            let moves = "rebal_engine_moves_per_rebalance_count" in
+            check_int "no op latency observed by the restart" count0 (sample_sum count before);
+            check_int "no repair observed by the restart" moves0 (sample_sum moves before);
+            check_int "one ADD, one observation" (count0 + 1) (sample_sum count after);
+            check_int "still no repair observed" moves0 (sample_sum moves after);
+            check_bool "STATS counts the final checks" true
+              (List.exists (starts_with stats_prefix) replies)
+          | _ -> Alcotest.fail "wanted two METRICS replies"))
+    [
+      ( { Daemon.default with procs = 4 },
+        [ "ADD a 5"; "ADD b 3"; "ADD c 2" ],
+        "STATS jobs=3 procs=4 makespan=5 total=10 imbalance=1.000 events=3 adds=3 removes=0 \
+         resizes=0 rebalances=0 auto=0 auto_triggers=0 moved=0 last_rebalance_moves=0 checks=1 \
+         failures=0" );
+      ( { Daemon.default with procs = 8; shards = 4; supervise = true },
+        [ "ADD a 5"; "ADD b 3"; "ADD c 2"; "ADD d 9"; "ADD e 4"; "RESIZE a 6"; "REMOVE b"; "REBALANCE 2" ],
+        "STATS shards=4 jobs=4 procs=8" );
+    ]
+
+(* An idle session (blocked reading, nothing unread) does not hold up
+   the drain: with one connected and silent, SHUTDOWN from a second
+   client stops the daemon within a second, and the idle client reads
+   EOF after its READY banner. *)
+let test_idle_session_drains_at_once () =
+  List.iter
+    (fun domains ->
+      let daemon =
+        ok (Daemon.create { Daemon.default with procs = 8; shards = 2; domains; tcp = Some 0 })
+      in
+      let addr, finish = serve_in_background daemon in
+      let idle = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+      Unix.connect idle addr;
+      let idle_ic = Unix.in_channel_of_descr idle in
+      check_bool "idle client greeted" true (starts_with "READY " (input_line idle_ic));
+      let start = Unix.gettimeofday () in
+      check_string "SHUTDOWN answers BYE" "BYE" (List.nth (client addr [ "SHUTDOWN" ]) 1);
+      finish ();
+      let took = Unix.gettimeofday () -. start in
+      check_bool (Printf.sprintf "D=%d: exited in %.2f s, under 1 s" domains took) true (took < 1.0);
+      check_bool "the idle client sees EOF" true
+        (match input_line idle_ic with _ -> false | exception End_of_file -> true);
+      close_in idle_ic)
+    [ 0; 2 ]
+
+(* A drain that cuts a line in transit never executes the fragment: a
+   client has its "RESIZE a 100" only as far as "RESIZE a 1" when
+   SHUTDOWN from a second client starts the drain. The size stays put,
+   no resize reaches the journal, and the final snapshot (so a restart)
+   holds the job at its old size. A client's own EOF still ends its
+   last line, which runs: "ADD b 3" without a newline is placed. *)
+let test_drain_drops_cut_line () =
+  List.iter
+    (fun (shards, domains) ->
+      let base = temp_path ".journal" in
+      let journals =
+        if shards = 1 then [ base ] else List.init shards (Printf.sprintf "%s.%d" base)
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter remove_noerr journals)
+        (fun () ->
+          let config =
+            { Daemon.default with procs = 4; shards; domains; tcp = Some 0; journal = Some base }
+          in
+          let addr, finish = serve_in_background (ok (Daemon.create config)) in
+          let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+          Unix.connect fd addr;
+          let ic = Unix.in_channel_of_descr fd in
+          let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+          check_bool "greeted" true (starts_with "READY " (input_line ic));
+          send "ADD a 50\n";
+          check_bool "a placed" true (starts_with "PLACED a " (input_line ic));
+          send "RESIZE a 1";
+          (* Let the session read the fragment before the drain starts. *)
+          Thread.delay 0.1;
+          check_string "SHUTDOWN answers BYE" "BYE" (List.nth (client addr [ "SHUTDOWN" ]) 1);
+          finish ();
+          check_bool "the cut line gets no reply" true
+            (match input_line ic with _ -> false | exception End_of_file -> true);
+          close_in ic;
+          List.iter
+            (fun path ->
+              let _, evs = ok (Journal.load_file path) in
+              check_bool (path ^ " journals no resize") false
+                (List.exists (fun ev -> ev.Journal.kind = "resize") evs))
+            journals;
+          let again = ok (Daemon.create { config with tcp = None }) in
+          let banner = String.split_on_char ' ' (Protocol.greeting (Daemon.target again)) in
+          check_bool "the restart holds a at its old size" true
+            (List.mem "jobs=1" banner && List.mem "makespan=50" banner);
+          Daemon.close again;
+          (* A client that closes mid-line ends the line itself. *)
+          let addr, finish = serve_in_background (ok (Daemon.create config)) in
+          let fd = Unix.socket ~cloexec:true (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
+          Unix.connect fd addr;
+          ignore (Unix.write_substring fd "ADD b 3" 0 7);
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          check_bool "the client's last line runs" true
+            (List.exists (starts_with "PLACED b ") (read_all fd));
+          ignore (client addr [ "SHUTDOWN" ]);
+          finish ()))
+    [ (1, 0); (2, 2) ]
+
 (* ----- the differential test ----- *)
 
 (* A script line and what the model makes of it. *)
@@ -758,6 +918,10 @@ let () =
             test_metrics_merged_from_every_domain;
           Alcotest.test_case "unix socket" `Quick test_unix_socket;
           Alcotest.test_case "shutdown finalizer" `Quick test_shutdown_runs_finalizer;
+          Alcotest.test_case "restart records no telemetry" `Quick
+            test_restart_records_no_telemetry;
+          Alcotest.test_case "idle session drains at once" `Quick test_idle_session_drains_at_once;
+          Alcotest.test_case "drain drops a cut line" `Quick test_drain_drops_cut_line;
         ] );
       ("differential", [ QCheck_alcotest.to_alcotest prop_differential ]);
     ]

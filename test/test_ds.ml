@@ -119,7 +119,7 @@ let test_sorted_jobs_structure () =
   for _ = 1 to 200 do
     let q = Rng.int_range rng 0 30 in
     let jobs = Array.init q (fun i -> (i, Rng.int_range rng 1 50)) in
-    let v = Sorted_jobs.of_assoc jobs in
+    let v = Sorted_jobs.of_ids ~sizes:(Array.map snd jobs) (Array.init q Fun.id) in
     check_int "length" q (Sorted_jobs.length v);
     let total = Array.fold_left (fun acc (_, s) -> acc + s) 0 jobs in
     check_int "total" total (Sorted_jobs.total v);
@@ -141,7 +141,7 @@ let test_sorted_jobs_large_count () =
   for _ = 1 to 200 do
     let q = Rng.int_range rng 0 25 in
     let jobs = Array.init q (fun i -> (i, Rng.int_range rng 1 40)) in
-    let v = Sorted_jobs.of_assoc jobs in
+    let v = Sorted_jobs.of_ids ~sizes:(Array.map snd jobs) (Array.init q Fun.id) in
     for t = 0 to 90 do
       let expected =
         Array.fold_left (fun acc (_, s) -> if 2 * s > t then acc + 1 else acc) 0 jobs
@@ -155,7 +155,7 @@ let test_sorted_jobs_min_removals () =
   for _ = 1 to 200 do
     let q = Rng.int_range rng 0 20 in
     let jobs = Array.init q (fun i -> (i, Rng.int_range rng 1 30)) in
-    let v = Sorted_jobs.of_assoc jobs in
+    let v = Sorted_jobs.of_ids ~sizes:(Array.map snd jobs) (Array.init q Fun.id) in
     let from_ = if q = 0 then 0 else Rng.int rng (q + 1) in
     let cap = Rng.int_range rng 0 200 in
     let r = Sorted_jobs.min_removals_to_cap v ~from_ ~cap in

@@ -546,6 +546,169 @@ let prop_snapshot_roundtrip =
         && Engine.rebalance eng' ~k = Engine.rebalance eng ~k
         && Engine.check_consistency eng' ~k:max_int)
 
+(* The snapshot without its counters: the state a check must not touch. *)
+let state_doc eng =
+  match Engine.snapshot eng with
+  | Journal.Obj fields -> Journal.render_json (Journal.Obj (List.remove_assoc "counters" fields))
+  | other -> Journal.render_json other
+
+let clone eng = Result.get_ok (Engine.of_snapshot (Journal.Cursor.of_json (Engine.snapshot eng)))
+
+(* [check_consistency] pinned against a reference built from public
+   functions only — [to_instance] plus [Greedy.solve] for the batch
+   side, [rebalance] on an [of_snapshot] clone for the repair side — at
+   the generated budget and at 0, 1, n/2, n and n+5. Its verdict and the
+   makespans its [check] event journals must equal the reference's; the
+   checked engine's state and stats (bar the check counters) must not
+   move; and a later REBALANCE on it must make the moves a twin that
+   never ran a check makes, so the probe's shared scratch is harmless. *)
+let prop_check_consistency_pinned =
+  QCheck2.Test.make ~name:"check_consistency = public reference, engine untouched" ~count:300
+    event_sequence_gen
+    (fun (m, events, k) ->
+      let eng, buf = journaled_engine m in
+      apply_events eng events;
+      let twin = clone eng in
+      let n = Engine.job_count eng in
+      let checked kk =
+        let inst, _ = Engine.to_instance eng in
+        let batch = Assignment.makespan inst (Greedy.solve inst ~k:kk) in
+        let probe = clone eng in
+        ignore (Engine.rebalance probe ~k:kk);
+        let repair = Engine.makespan probe in
+        let state = state_doc eng and stats = Engine.stats eng in
+        let ok = Engine.check_consistency eng ~k:kk in
+        let after = Engine.stats eng in
+        let journaled =
+          match Journal.load_string (Buffer.contents buf) with
+          | Error e -> QCheck2.Test.fail_reportf "journal: %s" e
+          | Ok (_, evs) ->
+            let ev = List.nth evs (List.length evs - 1) in
+            ( ev.Journal.kind,
+              Journal.int_field ev "k",
+              Journal.bool_field ev "ok",
+              Journal.int_field ev "batch_makespan",
+              Journal.int_field ev "repair_makespan" )
+        in
+        ok = (batch = repair)
+        && journaled = ("check", Ok kk, Ok ok, Ok batch, Ok repair)
+        && state_doc eng = state
+        && after.Engine.consistency_checks = stats.Engine.consistency_checks + 1
+        && { after with Engine.consistency_checks = 0; consistency_failures = 0 }
+           = { stats with Engine.consistency_checks = 0; consistency_failures = 0 }
+      in
+      List.for_all checked [ k; 0; 1; n / 2; n; n + 5 ]
+      && Engine.rebalance eng ~k = Engine.rebalance twin ~k
+      && state_doc eng = state_doc twin)
+
+(* The repair pass as the paper's GREEDY, from public state alone: the
+   snapshot's jobs with their sequence numbers. k times, lift the largest
+   job (earliest sequence on ties) off the most-loaded processor
+   (smallest index on ties); stable-sort the lifted jobs by size desc;
+   place each on the least-loaded processor (smallest index on ties). The
+   moves are the placements that changed processor, in placement order. *)
+let reference_moves eng ~k =
+  let jobs =
+    match Engine.snapshot eng with
+    | Journal.Obj fields -> (
+      match List.assoc "jobs" fields with
+      | Journal.List jobs ->
+        List.map
+          (function
+            | Journal.Obj
+                [
+                  ("id", Journal.Str id);
+                  ("seq", Journal.Int seq);
+                  ("size", Journal.Int size);
+                  ("proc", Journal.Int proc);
+                ] -> (id, seq, size, proc)
+            | _ -> Alcotest.fail "snapshot job shape")
+          jobs
+      | _ -> Alcotest.fail "snapshot jobs")
+    | _ -> Alcotest.fail "snapshot shape"
+  in
+  let m = Engine.m eng in
+  let load = Engine.loads eng in
+  let on = Array.make m [] in
+  List.iter (fun ((_, _, _, p) as j) -> on.(p) <- j :: on.(p)) jobs;
+  let order (_, q1, s1, _) (_, q2, s2, _) = if s1 <> s2 then compare s2 s1 else compare q1 q2 in
+  Array.iteri (fun p js -> on.(p) <- List.sort order js) on;
+  let best better =
+    let b = ref 0 in
+    Array.iteri (fun p l -> if better l load.(!b) then b := p) load;
+    !b
+  in
+  let rec lift n acc =
+    let p = best ( > ) in
+    if n = 0 || load.(p) = 0 then List.rev acc
+    else
+      match on.(p) with
+      | [] -> List.rev acc
+      | ((_, _, size, _) as j) :: rest ->
+        on.(p) <- rest;
+        load.(p) <- load.(p) - size;
+        lift (n - 1) (j :: acc)
+  in
+  let lifted = List.stable_sort (fun (_, _, s1, _) (_, _, s2, _) -> compare s2 s1) (lift k []) in
+  List.filter_map
+    (fun (id, _, size, src) ->
+      let dst = best ( < ) in
+      load.(dst) <- load.(dst) + size;
+      if dst <> src then Some { Engine.id; src; dst } else None)
+    lifted
+
+(* Few distinct sizes, so lifts and placements meet ties. *)
+let tied_events_gen =
+  let open QCheck2 in
+  Gen.(
+    let* m = int_range 1 5 in
+    let id = map (fun i -> Printf.sprintf "j%d" i) (int_range 0 24) in
+    let* events =
+      list_size (int_range 0 80)
+        (frequency
+           [
+             (5, map2 (fun id size -> `Add (id, size)) id (int_range 1 4));
+             (1, map (fun id -> `Remove id) id);
+             (1, map2 (fun id size -> `Resize (id, size)) id (int_range 1 4));
+             (1, map (fun k -> `Rebalance k) (int_range 0 6));
+           ])
+    in
+    let* k = int_range 0 30 in
+    return (m, events, k))
+
+let prop_repair_moves_pinned =
+  QCheck2.Test.make ~name:"rebalance moves = GREEDY from the snapshot" ~count:400 tied_events_gen
+    (fun (m, events, k) ->
+      let eng = Engine.create ~m () in
+      apply_events eng events;
+      let want = reference_moves eng ~k in
+      Engine.rebalance eng ~k = want)
+
+(* A lift order far from size order: one processor holds [a] jobs of
+   size 2, the other [2a] of size 1, so the full-budget pass lifts
+   2,1,1,2,1,1,... and every size-2 job must pass every size-1 job lifted
+   before it. The placement order (hence the moves) still equals
+   GREEDY's, the full-budget check agrees, and the sort stays
+   O(n log n): a quadratic one would need ~a^2 steps here. *)
+let test_repair_adversarial_lift_order () =
+  let a = 2000 in
+  let eng = Engine.create ~m:2 () in
+  let add id size = ignore (Result.get_ok (Engine.add_job eng ~id ~size)) in
+  add "x" (2 * a);
+  for i = 1 to 2 * a do
+    add (Printf.sprintf "one%d" i) 1
+  done;
+  ignore (Result.get_ok (Engine.remove_job eng ~id:"x"));
+  for i = 1 to a do
+    add (Printf.sprintf "two%d" i) 2
+  done;
+  check_int "proc 0 holds the twos" (2 * a) (Engine.load eng 0);
+  check_int "proc 1 holds the ones" (2 * a) (Engine.load eng 1);
+  let n = Engine.job_count eng in
+  check_bool "the full-budget check agrees" true (Engine.check_consistency eng ~k:n);
+  let want = reference_moves eng ~k:n in
+  check_bool "moves = GREEDY's" true (Engine.rebalance eng ~k:n = want)
+
 let prop_compacted_replay_equals_full =
   QCheck2.Test.make ~name:"compacted-journal replay equals full-journal replay" ~count:200
     event_sequence_gen
@@ -1061,6 +1224,10 @@ let () =
       ( "snapshots",
         [
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest prop_check_consistency_pinned;
+          QCheck_alcotest.to_alcotest prop_repair_moves_pinned;
+          Alcotest.test_case "repair, adversarial lift order" `Quick
+            test_repair_adversarial_lift_order;
           QCheck_alcotest.to_alcotest prop_compacted_replay_equals_full;
           Alcotest.test_case "trigger re-armed from header" `Quick
             test_trigger_rearm_from_header;

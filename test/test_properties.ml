@@ -46,8 +46,8 @@ let prop_sorted_jobs_partition_identity =
   Test.make ~name:"sorted view: prefix + suffix = total" ~count
     Gen.(list_size (int_range 0 40) (int_range 1 100))
     (fun sizes ->
-      let jobs = Array.of_list (List.mapi (fun i s -> (i, s)) sizes) in
-      let v = Sorted_jobs.of_assoc jobs in
+      let sizes = Array.of_list sizes in
+      let v = Sorted_jobs.of_ids ~sizes (Array.init (Array.length sizes) Fun.id) in
       let q = Sorted_jobs.length v in
       List.for_all
         (fun l -> Sorted_jobs.prefix v l + Sorted_jobs.suffix v l = Sorted_jobs.total v)
@@ -60,8 +60,8 @@ let prop_sorted_jobs_large_prefix =
       let* threshold = int_range 0 220 in
       return (sizes, threshold))
     (fun (sizes, threshold) ->
-      let jobs = Array.of_list (List.mapi (fun i s -> (i, s)) sizes) in
-      let v = Sorted_jobs.of_assoc jobs in
+      let sizes = Array.of_list sizes in
+      let v = Sorted_jobs.of_ids ~sizes (Array.init (Array.length sizes) Fun.id) in
       let lc = Sorted_jobs.large_count v ~threshold in
       let ok = ref true in
       for i = 0 to Sorted_jobs.length v - 1 do
@@ -158,6 +158,135 @@ let prop_makespan_monotone_in_k_for_exact =
       Exact.opt_makespan_exn inst ~budget:(Budget.Moves k)
       >= Exact.opt_makespan_exn inst ~budget:(Budget.Moves (k + 1)))
 
+(* --- the batch solver over int arrays -------------------------------------- *)
+
+module Indexed_heap = Rebal_ds.Indexed_heap
+
+(* The per-processor views as [Instance.sorted_views] built them: (job,
+   size) lists bucketed by processor, each sorted by size desc then job,
+   as [(job, size)] arrays. *)
+let list_sorted_views inst =
+  let buckets = Array.make (Instance.m inst) [] in
+  for j = Instance.n inst - 1 downto 0 do
+    let p = Instance.initial inst j in
+    buckets.(p) <- (j, Instance.size inst j) :: buckets.(p)
+  done;
+  Array.map
+    (fun jobs ->
+      Array.of_list
+        (List.sort (fun (j1, s1) (j2, s2) -> if s1 <> s2 then compare s2 s1 else compare j1 j2) jobs))
+    buckets
+
+(* [Greedy.solve] as it was over (job, size) tuple lists with a list
+   stable sort: the reference its int-array form must match exactly. *)
+let list_greedy ~order inst ~k =
+  let m = Instance.m inst in
+  let views = list_sorted_views inst in
+  let cursor = Array.make m 0 and load = Array.make m 0 in
+  let heap = Indexed_heap.create m in
+  for p = 0 to m - 1 do
+    load.(p) <- Array.fold_left (fun acc (_, s) -> acc + s) 0 views.(p);
+    Indexed_heap.set heap p (-load.(p))
+  done;
+  let removed = ref [] in
+  (try
+     for _ = 1 to min k (Instance.n inst) do
+       let p, neg = Indexed_heap.min_exn heap in
+       if neg = 0 then raise Exit;
+       let job, size = views.(p).(cursor.(p)) in
+       cursor.(p) <- cursor.(p) + 1;
+       load.(p) <- load.(p) - size;
+       Indexed_heap.set heap p (-load.(p));
+       removed := (job, size) :: !removed
+     done
+   with Exit -> ());
+  let removed = List.rev !removed in
+  let removed =
+    match order with
+    | Greedy.As_removed -> removed
+    | Greedy.Ascending -> List.stable_sort (fun (_, s1) (_, s2) -> compare s1 s2) removed
+    | Greedy.Descending -> List.stable_sort (fun (_, s1) (_, s2) -> compare s2 s1) removed
+  in
+  let heap = Indexed_heap.create m in
+  Array.iteri (fun p l -> Indexed_heap.set heap p l) load;
+  let assign = Instance.initial_assignment inst in
+  List.iter
+    (fun (job, size) ->
+      let p, l = Indexed_heap.min_exn heap in
+      assign.(job) <- p;
+      Indexed_heap.set heap p (l + size))
+    removed;
+  assign
+
+(* Few distinct sizes, so equal sizes (the tie-breaks) are common. *)
+let tied_instance_gen =
+  Gen.(
+    let* n = int_range 0 80 in
+    let* m = int_range 1 8 in
+    let* sizes = array_size (return n) (int_range 1 6) in
+    let* initial = array_size (return n) (int_range 0 (m - 1)) in
+    return (Instance.create ~sizes ~m initial))
+
+let budgets inst =
+  let n = Instance.n inst in
+  [ 0; 1; n / 2; n; n + 5 ]
+
+let orders = [ Greedy.As_removed; Greedy.Ascending; Greedy.Descending ]
+
+(* A view holds exactly the reference's jobs, in order, with its prefix
+   sums. *)
+let same_view v jobs =
+  let q = Array.length jobs in
+  Sorted_jobs.length v = q
+  && Array.for_all Fun.id
+       (Array.mapi (fun i (j, s) -> Sorted_jobs.id v i = j && Sorted_jobs.size v i = s) jobs)
+  && Sorted_jobs.prefix v 0 = 0
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i (_, s) -> Sorted_jobs.prefix v (i + 1) = Sorted_jobs.prefix v i + s)
+          jobs)
+
+let prop_sorted_views_unchanged =
+  Test.make ~name:"sorted_views = the (job, size) list build" ~count:300 tied_instance_gen
+    (fun inst ->
+      let a = Instance.sorted_views inst and b = list_sorted_views inst in
+      Array.length a = Array.length b && Array.for_all2 same_view a b)
+
+let prop_greedy_unchanged =
+  Test.make ~name:"greedy: int arrays = tuple lists, every order and budget" ~count:300
+    tied_instance_gen (fun inst ->
+      List.for_all
+        (fun order ->
+          List.for_all
+            (fun k ->
+              Assignment.to_array (Greedy.solve ~order inst ~k) = list_greedy ~order inst ~k)
+            (budgets inst))
+        orders)
+
+(* The fact the engine's slot-order check instance rests on. *)
+let prop_greedy_makespan_permutation_invariant =
+  Test.make ~name:"greedy: makespan invariant under job permutation" ~count:300
+    Gen.(pair tied_instance_gen (list_size (return 80) (int_bound 1_000_000)))
+    (fun (inst, keys) ->
+      let n = Instance.n inst in
+      let keys = Array.of_list keys in
+      let perm = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) perm;
+      let permuted =
+        Instance.create
+          ~sizes:(Array.map (Instance.size inst) perm)
+          ~m:(Instance.m inst)
+          (Array.map (Instance.initial inst) perm)
+      in
+      List.for_all
+        (fun order ->
+          List.for_all
+            (fun k ->
+              Assignment.makespan inst (Greedy.solve ~order inst ~k)
+              = Assignment.makespan permuted (Greedy.solve ~order permuted ~k))
+            (budgets inst))
+        orders)
+
 (* --- simulator policy invariants ------------------------------------------ *)
 
 module Policy = Rebal_sim.Policy
@@ -245,6 +374,13 @@ let () =
             prop_greedy_opt_ratio_tiny;
             prop_exact_within_bounds_tiny;
             prop_makespan_monotone_in_k_for_exact;
+          ] );
+      ( "batch",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_sorted_views_unchanged;
+            prop_greedy_unchanged;
+            prop_greedy_makespan_permutation_invariant;
           ] );
       ( "policies",
         List.map QCheck_alcotest.to_alcotest
