@@ -1,19 +1,20 @@
-(** Open-addressing string -> int hash map with tombstone deletion and a
-    preallocated same-size rehash buffer: once the table has grown to
-    its working-set size, any interleaving of {!set} and {!remove} at
-    constant population runs without allocating. Values must be
-    non-negative — [-1] is the "absent" return of {!find}.
+(** Open-addressing string -> int hash map: linear probing over two
+    parallel arrays (keys, values), with backward-shift deletion instead
+    of tombstones, so probe runs hold live entries only and no purge
+    (nor a spare buffer for one) is ever needed. Once the table has
+    grown to its working-set size, any interleaving of {!set} and
+    {!remove} at constant population runs without allocating. Values
+    must be non-negative — [-1] is the "absent" return of {!find}.
 
-    Built for {!Rebal_online.Engine}'s id -> slot directory, where the
-    per-event budget excludes the minor heap entirely; the per-proc and
-    global orderings live in flat heaps, and this map is the only
-    string-keyed structure left on the hot path. *)
+    Built for {!Rebal_online.Engine}'s id -> slot directory and
+    {!Rebal_online.Cluster}'s id -> residency directory, where the
+    per-event budget excludes the minor heap entirely. *)
 
 type t
 
 val create : int -> t
-(** [create n] sizes the table for about [n] live entries (capacity is
-    the next power of two above [2n], minimum 8).
+(** [create n] sizes the table for [n] live entries (capacity is the
+    least power of two at or above [2n], minimum 8).
     @raise Invalid_argument if [n < 0]. *)
 
 val length : t -> int
@@ -34,7 +35,8 @@ val set : t -> string -> int -> unit
     from "absent". *)
 
 val remove : t -> string -> unit
-(** Unbind a key; no-op when absent. Allocation-free. *)
+(** Unbind a key; no-op when absent. Allocation-free: the entries after
+    it in its probe run shift back over the hole. *)
 
 val reserve : t -> int -> unit
 (** [reserve t n] grows the table (if needed) so [n] live entries fit

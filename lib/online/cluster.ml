@@ -1,3 +1,4 @@
+module Flat_str_map = Rebal_ds.Flat_str_map
 module Metrics = Rebal_obs.Metrics
 module Optrace = Rebal_obs.Optrace
 module Timer = Rebal_harness.Timer
@@ -96,23 +97,34 @@ type supervision = {
      for its shard's count to reach 0 before it lists the jobs. *)
   pinned : int array;
   in_flux : bool array;  (* the shard's failover is running *)
+  mutable serving : int;  (* shards not Down *)
   mutable counts : Health.stats;  (* the counters; [stats] fills in the census *)
 }
 
-(* What the residency directory knows about an id: the shard it lives
-   on (for an add in flight, the shard it is being added to; for a
-   cross-shard transfer in flight, the source) and whether an operation
-   holds it reserved. Every mutating operation reserves its id before
-   touching an engine and settles it afterwards, so two clients (or a
-   client and the cross-shard mover) can never race the same id onto
-   two shards; operations arriving while an id is reserved wait on
-   [dir_settled] — per-id linearization without any global
-   stop-the-world. Both fields are immediates mutated in place under
-   [dir_mu], so reserving and settling cost no hash lookup beyond the
-   one that found the id. *)
-type entry = {
-  mutable at : int;
-  mutable reserved : bool;
+(* What the residency directory knows about an id, packed into one
+   int: the shard it lives on (for an add in flight, the shard it is
+   being added to; for a cross-shard transfer in flight, the source),
+   shifted left by one, and in the low bit whether an operation holds it
+   reserved. Every mutating operation reserves its id before touching
+   an engine and settles it afterwards, so two clients (or a client and
+   the cross-shard mover) can never race the same id onto two shards;
+   operations arriving while an id is reserved wait on [dir_settled] —
+   per-id linearization without any global stop-the-world. The
+   directory is a [Flat_str_map], like each engine's id -> slot map:
+   reserving and settling each re-probe the id under [dir_mu], and
+   neither allocates. *)
+let settled_on s = s lsl 1
+let reserved_on s = (s lsl 1) lor 1
+let is_reserved v = v > 0 && v land 1 = 1
+
+(* The consistent-hash ring as parallel arrays sorted by point: a new id
+   routes to the first point at or after its hash (wrapping). Point
+   [j]'s shard is [owner.(j)] and [replica.(j)] is its index among that
+   shard's virtual nodes, so a weight can activate a prefix of them. *)
+type ring = {
+  points : int array;
+  owner : int array;
+  replica : int array;
 }
 
 (* The executor state of one shard. Its lock is the only thing that
@@ -136,11 +148,7 @@ type t = {
   engines : Engine.t array;
   offsets : int array;  (* shard i owns global procs [offsets.(i), ...) *)
   m : int;
-  (* Consistent-hash ring: sorted (point, shard, replica) triples; a
-     new id routes to the first point at or after its hash (wrapping).
-     The replica index lets a weight activate a prefix of a shard's
-     virtual nodes. *)
-  ring : (int * int * int) array;
+  ring : ring;
   (* Routing weight per shard in [0, 1], under dir_mu: the fraction of
      its virtual nodes accepting new placements. 0 takes a shard out of
      the ring and out of the repair passes (a Down shard); a Recovering
@@ -160,7 +168,7 @@ type t = {
   peaks : int Atomic.t array;
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
-  directory : (string, entry) Hashtbl.t;
+  directory : Flat_str_map.t;  (* id -> [settled_on] / [reserved_on] shard *)
   mutable inter_moves : int;  (* under dir_mu *)
   stopped : bool Atomic.t;  (* set under dir_mu; read under lane locks too *)
   (* Installed once, by [supervise], before the cluster serves; an
@@ -179,22 +187,29 @@ let pf = Printf.sprintf
    vnode arcs and the job placement; the finalizer disperses them. *)
 let hash32 s =
   let h = ref 0x811c9dc5 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xFFFFFFFF) s;
-  let h = ref (!h lxor (!h lsr 16)) in
-  h := !h * 0x85ebca6b land 0xFFFFFFFF;
-  h := !h lxor (!h lsr 13);
-  h := !h * 0xc2b2ae35 land 0xFFFFFFFF;
-  !h lxor (!h lsr 16)
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193 land 0xFFFFFFFF
+  done;
+  let h = !h lxor (!h lsr 16) in
+  let h = h * 0x85ebca6b land 0xFFFFFFFF in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land 0xFFFFFFFF in
+  h lxor (h lsr 16)
 
 let ring_points_per_shard = 64
 
 let make_ring shards =
-  let points = Array.init (shards * ring_points_per_shard) (fun i ->
-      let shard = i / ring_points_per_shard and replica = i mod ring_points_per_shard in
-      (hash32 (pf "shard:%d:%d" shard replica), shard, replica))
+  let triples =
+    Array.init (shards * ring_points_per_shard) (fun i ->
+        let shard = i / ring_points_per_shard and replica = i mod ring_points_per_shard in
+        (hash32 (pf "shard:%d:%d" shard replica), shard, replica))
   in
-  Array.sort compare points;
-  points
+  Array.sort compare triples;
+  {
+    points = Array.map (fun (p, _, _) -> p) triples;
+    owner = Array.map (fun (_, s, _) -> s) triples;
+    replica = Array.map (fun (_, _, r) -> r) triples;
+  }
 
 (* A shard with weight [w] keeps its first [ceil (w * 64)] replicas
    active: weight 1 is the full ring, weight 0 is none. Activating a
@@ -210,18 +225,17 @@ let active_replicas w =
    past points whose shard has deactivated that replica; -1 when every
    shard is weighted to zero. *)
 let ring_lookup ~weights ring h =
-  let n = Array.length ring in
+  let n = Array.length ring.points in
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let p, _, _ = ring.(mid) in
-    if p < h then lo := mid + 1 else hi := mid
+    if ring.points.(mid) < h then lo := mid + 1 else hi := mid
   done;
   let start = if !lo = n then 0 else !lo in
   let i = ref start and found = ref (-1) and remaining = ref n in
   while !found < 0 && !remaining > 0 do
-    let _, s, replica = ring.(!i) in
-    if replica < active_replicas weights.(s) then found := s
+    let s = ring.owner.(!i) in
+    if ring.replica.(!i) < active_replicas weights.(s) then found := s
     else begin
       i := if !i + 1 = n then 0 else !i + 1;
       decr remaining
@@ -403,7 +417,7 @@ let create ?trigger ?clock ?journal_for ?domains ~m ~shards () =
             let journal = match journal_for with None -> None | Some f -> f i in
             Engine.create ?trigger ?clock ?journal ~m:m_i ()))
   in
-  of_parts ~engines ~lanes ~domains ~directory:(Hashtbl.create 256)
+  of_parts ~engines ~lanes ~domains ~directory:(Flat_str_map.create 256)
 
 let of_engines ?domains ~shards build =
   if shards < 1 then Error "Cluster.of_engines: need at least one engine"
@@ -414,18 +428,17 @@ let of_engines ?domains ~shards build =
       Array.init shards (fun i ->
           Metrics.Registry.with_registry lanes.(i).registry (fun () -> build i))
     in
-    (* Sized for the resumed jobs, so filling it resizes nothing: a
-       Hashtbl grows once it holds two entries per bucket. *)
+    (* Sized for the resumed jobs, so filling it grows nothing. *)
     let jobs = Array.fold_left (fun n e -> n + Engine.job_count e) 0 engines in
-    let directory = Hashtbl.create (max 256 (jobs / 2)) in
+    let directory = Flat_str_map.create (max 256 jobs) in
     let exception Dup of string in
     match
       Array.iteri
         (fun i e ->
           Engine.fold_jobs e
             (fun () ~id ~size:_ ~proc:_ ->
-              if Hashtbl.mem directory id then raise (Dup id);
-              Hashtbl.replace directory id { at = i; reserved = false })
+              if Flat_str_map.mem directory id then raise (Dup id);
+              Flat_str_map.set directory id (settled_on i))
             ())
         engines
     with
@@ -455,22 +468,25 @@ let with_dir t f =
     Mutex.unlock t.dir_mu;
     raise e
 
-(* Under [dir_mu]: wait until [id] is not reserved; its entry, if any. *)
+(* Under [dir_mu]: wait until [id] is not reserved; its shard, -1 when
+   it is absent. *)
 let rec settled t id =
   if Atomic.get t.stopped then raise Shut_down;
-  match Hashtbl.find_opt t.directory id with
-  | Some { reserved = true; _ } ->
+  let v = Flat_str_map.find t.directory id in
+  if is_reserved v then begin
     Condition.wait t.dir_settled t.dir_mu;
     settled t id
-  | found -> found
+  end
+  else v asr 1
 
-let job_count t = with_dir t (fun () -> Hashtbl.length t.directory)
+let job_count t = with_dir t (fun () -> Flat_str_map.length t.directory)
 
-let mem t id =
-  try with_dir t (fun () -> settled t id) <> None with Shut_down -> false
+let mem t id = try with_dir t (fun () -> settled t id) >= 0 with Shut_down -> false
 
 let shard_of t id =
-  try with_dir t (fun () -> match settled t id with Some e -> Some e.at | None -> None)
+  try
+    let s = with_dir t (fun () -> settled t id) in
+    if s < 0 then None else Some s
   with Shut_down -> None
 
 let weight t i = with_dir t (fun () -> t.weights.(i))
@@ -489,34 +505,31 @@ let route t id = ring_lookup ~weights:t.weights t.ring (hash32 id)
 let pin t s d =
   match t.supervision with None -> () | Some v -> v.pinned.(s) <- v.pinned.(s) + d
 
-(* Under [dir_mu]: whether shard [s] is Down; how many shards are not. *)
+(* Under [dir_mu]: whether shard [s] is Down. *)
 let is_down t s = match t.supervision with Some v -> v.health.(s) = Down | None -> false
-let serving v = Array.fold_left (fun n h -> if h = Down then n else n + 1) 0 v.health
 
-(* Under [dir_mu]: settle [id] (whose entry is [e]) on a shard, or drop
-   it with [None], and unpin the shard it was reserved on. *)
-let release t ~id e home =
-  pin t e.at (-1);
-  match home with
-  | None -> Hashtbl.remove t.directory id
-  | Some s ->
-    e.at <- s;
-    e.reserved <- false
+(* Under [dir_mu]: settle [id], reserved on shard [at], on shard [home],
+   or drop it when [home < 0], and unpin [at]. *)
+let release t ~id ~at home =
+  pin t at (-1);
+  if home < 0 then Flat_str_map.remove t.directory id
+  else Flat_str_map.set t.directory id (settled_on home)
 
 (* [release] under its own [dir_mu] hold, waking every waiter. *)
-let settle t ~id e shard =
+let settle t ~id ~at home =
   with_dir t (fun () ->
-      release t ~id e shard;
+      release t ~id ~at home;
       Condition.broadcast t.dir_settled)
 
-(* Run the engine half of an op whose id is reserved; on any exception
-   (a raising task, shutdown mid-flight) roll the reservation back to
-   [restore] so waiters are not stranded on a ghost reservation. *)
-let run_reserved ?label t ~id e ~restore s f =
+(* Run the engine half of an op whose id is reserved on shard [s]; on
+   any exception (a raising task, shutdown mid-flight) roll the
+   reservation back to [restore] so waiters are not stranded on a ghost
+   reservation. *)
+let run_reserved ?label t ~id ~restore s f =
   match run ?label t s f with
   | r -> r
   | exception ex ->
-    settle t ~id e restore;
+    settle t ~id ~at:s restore;
     raise ex
 
 (* ----- the operations ----- *)
@@ -526,46 +539,48 @@ let refuse v msg =
   v.counts <- { v.counts with degraded_rejections = v.counts.degraded_rejections + 1 };
   Error msg
 
-(* Under [dir_mu], with [found] the id's settled entry: reserve [op]'s
-   id — a new entry on the routed shard for an add, the resident entry
-   otherwise — or say why the op cannot apply. On a supervised cluster
-   the degraded-mode guard speaks first. Routing skips zero-weight
-   shards (Down ones, and Recovering ones at ramp 0), so an add lands
-   on a routable shard or is refused. *)
+(* Under [dir_mu]: reserve [id] on shard [s]. *)
+let reserve_on t id s =
+  Flat_str_map.set t.directory id (reserved_on s);
+  pin t s 1
+
+(* Under [dir_mu], with [found] the id's settled shard (-1 when absent):
+   reserve [op]'s id — on the routed shard for an add, on its resident
+   shard otherwise — and return that shard, or say why the op cannot
+   apply. On a supervised cluster the degraded-mode guard speaks first.
+   Routing skips zero-weight shards (Down ones, and Recovering ones at
+   ramp 0), so an add lands on a routable shard or is refused. *)
 let claim t op found =
   let id = Engine.op_id op in
-  match (t.supervision, found) with
-  | Some v, _ when serving v = 0 -> refuse v "no serving shards"
-  | Some v, Some e when v.health.(e.at) = Down ->
-    refuse v (pf "job %s is stranded on down shard %d" id e.at)
+  match t.supervision with
+  | Some v when v.serving = 0 -> refuse v "no serving shards"
+  | Some v when found >= 0 && v.health.(found) = Down ->
+    refuse v (pf "job %s is stranded on down shard %d" id found)
   | _ -> (
-    match (op, found) with
-    | Engine.Add _, Some _ -> Error (pf "job %s already present" id)
-    | (Engine.Remove _ | Engine.Resize _), None -> Error (pf "job %s not found" id)
-    | Engine.Add _, None ->
+    match op with
+    | Engine.Add _ when found >= 0 -> Error (pf "job %s already present" id)
+    | Engine.Add _ ->
       let s = route t id in
       if s < 0 then
         match t.supervision with
         | Some v -> refuse v "no routable shards"
         | None -> Error "no routable shards"
       else begin
-        let e = { at = s; reserved = true } in
-        Hashtbl.add t.directory id e;
-        pin t s 1;
-        Ok e
+        reserve_on t id s;
+        Ok s
       end
-    | (Engine.Remove _ | Engine.Resize _), Some e ->
-      e.reserved <- true;
-      pin t e.at 1;
-      Ok e)
+    | (Engine.Remove _ | Engine.Resize _) when found < 0 -> Error (pf "job %s not found" id)
+    | Engine.Remove _ | Engine.Resize _ ->
+      reserve_on t id found;
+      Ok found)
 
 (* Where a claimed id settles once its op ran on shard [s] — [applied]
    or not: a placed add and a failed remove stay, a failed add and a
-   done remove leave, a resize stays either way. *)
+   done remove leave (-1), a resize stays either way. *)
 let home op s ~applied =
   match (op, applied) with
-  | Engine.Add _, false | Engine.Remove _, true -> None
-  | Engine.Add _, true | Engine.Remove _, false | Engine.Resize _, _ -> Some s
+  | Engine.Add _, false | Engine.Remove _, true -> -1
+  | Engine.Add _, true | Engine.Remove _, false | Engine.Resize _, _ -> s
 
 (* The span label of an op's shard task, as the [?label] argument. *)
 let label = function
@@ -611,28 +626,26 @@ let transfer ~evacuation ?(on_removed = fun () -> ()) t ~id ~dst =
       let reserved =
         Optrace.with_span "move.reserve" @@ fun () ->
         with_dir t (fun () ->
-            match settled t id with
-            | Some entry when entry.at = dst -> Ok None
-            | None -> Error (pf "job %s not found" id)
-            | Some entry ->
-              if is_down t dst then Error (pf "shard %d is down" dst)
-              else if (not evacuation) && is_down t entry.at then
-                Error (pf "job %s is stranded on down shard %d" id entry.at)
-              else begin
-                entry.reserved <- true;
-                pin t entry.at 1;
-                pin t dst 1;
-                Ok (Some (entry.at, entry))
-              end)
+            let src = settled t id in
+            if src = dst then Ok None
+            else if src < 0 then Error (pf "job %s not found" id)
+            else if is_down t dst then Error (pf "shard %d is down" dst)
+            else if (not evacuation) && is_down t src then
+              Error (pf "job %s is stranded on down shard %d" id src)
+            else begin
+              reserve_on t id src;
+              pin t dst 1;
+              Ok (Some src)
+            end)
       in
       match reserved with
       | Error _ as e -> e
       | Ok None -> Ok [] (* already resident on [dst] *)
-      | Ok (Some (src, entry)) -> (
+      | Ok (Some src) -> (
         (* Settle the id and unpin both shards under one hold. *)
         let finish ?(commit = false) home =
           with_dir t (fun () ->
-              release t ~id entry home;
+              release t ~id ~at:src home;
               pin t dst (-1);
               if commit then t.inter_moves <- t.inter_moves + 1;
               Condition.broadcast t.dir_settled)
@@ -650,12 +663,12 @@ let transfer ~evacuation ?(on_removed = fun () -> ()) t ~id ~dst =
           with
           | r -> r
           | exception ex ->
-            finish (Some src);
+            finish src;
             raise ex
         in
         match lifted with
         | Error e ->
-          finish (Some src);
+          finish src;
           Error e
         | Ok (size, psrc, auto_src) -> (
           (* Phase 2: land on dst. The hook fires at the crash point
@@ -670,7 +683,7 @@ let transfer ~evacuation ?(on_removed = fun () -> ()) t ~id ~dst =
           in
           match landed with
           | Ok (pdst, auto_dst) ->
-            Optrace.with_span "move.commit" (fun () -> finish ~commit:true (Some dst));
+            Optrace.with_span "move.commit" (fun () -> finish ~commit:true dst);
             Ok
               (translate t src auto_src
               @ ({ id; src = global t src psrc; dst = global t dst pdst }
@@ -682,13 +695,13 @@ let transfer ~evacuation ?(on_removed = fun () -> ()) t ~id ~dst =
                actually happened). *)
             match run ~label:"move.rollback" t src (fun e -> Engine.add_job e ~id ~size) with
             | Ok _ ->
-              finish (Some src);
+              finish src;
               Error (pf "move of %s rolled back: %s" id err)
             | Error e2 ->
-              finish None;
+              finish (-1);
               Error (pf "move of %s failed (%s) and rollback failed (%s): job dropped" id err e2)
             | exception e2 ->
-              finish None;
+              finish (-1);
               raise e2)))
     with Shut_down -> Error "cluster is shut down"
 
@@ -743,6 +756,7 @@ let evacuate t ~from ~budget =
    caller's signal flipped it, so the caller runs the failover. *)
 let go_down t v i =
   v.health.(i) <- Down;
+  v.serving <- v.serving - 1;
   v.ramp.(i) <- 0;
   t.weights.(i) <- 0.0;
   v.in_flux.(i) <- true;
@@ -845,15 +859,15 @@ let apply t op =
   try
     match with_dir t (fun () -> claim t op (settled t (Engine.op_id op))) with
     | Error _ as e -> e
-    | Ok entry ->
-      let id = Engine.op_id op and s = entry.at in
+    | Ok s ->
+      let id = Engine.op_id op in
       let t0 = clock t in
       let res =
-        run_reserved ?label:(label op) t ~id entry ~restore:(home op s ~applied:false) s (fun e ->
+        run_reserved ?label:(label op) t ~id ~restore:(home op s ~applied:false) s (fun e ->
             Engine.apply e op)
       in
       let dt = clock t -. t0 in
-      settle t ~id entry (home op s ~applied:(Result.is_ok res));
+      settle t ~id ~at:s (home op s ~applied:(Result.is_ok res));
       let res = global_result t s res in
       match t.supervision with
       | Some v when dt > v.policy.op_deadline ->
@@ -866,8 +880,6 @@ let remove_job t ~id = apply t (Engine.Remove { id })
 let resize_job t ~id ~size = apply t (Engine.Resize { id; size })
 
 (* ----- batched application ----- *)
-
-let no_entry = { at = -1; reserved = false }
 
 (* One batch of events, routed and dispatched as per-shard sub-batches:
    each involved shard gets a single task that runs [Engine.apply_bulk]
@@ -900,11 +912,10 @@ let no_entry = { at = -1; reserved = false }
    the reply of the chunk's last acknowledged op. *)
 let apply_bulk t ?on_result ops =
   let n = Array.length ops and shards = shard_count t in
-  (* Per batch, indexed by op: its result, the shard it was reserved on
-     (-1 when it is not dispatched) and its directory entry. *)
+  (* Per batch, indexed by op: its result and the shard it was reserved
+     on (-1 when it is not dispatched). *)
   let results = Array.make n shut_down in
   let shard_for = Array.make n (-1) in
-  let entries = Array.make n no_entry in
   (* The counting sort: shard s's ops are [order.(starts.(s)) ..
      order.(starts.(s + 1) - 1)], in batch order. *)
   let order = Array.make n 0 in
@@ -923,17 +934,16 @@ let apply_bulk t ?on_result ops =
              let found =
                if i = lo then settled t id
                else if Atomic.get t.stopped then raise Shut_down
-               else Hashtbl.find_opt t.directory id
+               else begin
+                 let v = Flat_str_map.find t.directory id in
+                 if is_reserved v then raise Exit;
+                 v asr 1
+               end
              in
-             match found with
-             | Some { reserved = true; _ } -> raise Exit
-             | _ ->
-               (match claim t ops.(i) found with
-               | Error _ as e -> results.(i) <- e
-               | Ok e ->
-                 entries.(i) <- e;
-                 shard_for.(i) <- e.at);
-               incr hi
+             (match claim t ops.(i) found with
+             | Error _ as e -> results.(i) <- e
+             | Ok s -> shard_for.(i) <- s);
+             incr hi
            done
          with
         | Exit -> ()
@@ -1012,7 +1022,7 @@ let apply_bulk t ?on_result ops =
           for i = chunk_lo to chunk_hi - 1 do
             let s = shard_for.(i) in
             if s >= 0 then
-              release t ~id:(Engine.op_id ops.(i)) entries.(i)
+              release t ~id:(Engine.op_id ops.(i)) ~at:s
                 (home ops.(i) s ~applied:(Result.is_ok results.(i)))
           done;
           Condition.broadcast t.dir_settled);
@@ -1119,9 +1129,11 @@ let replace_engine t i build =
       else begin
         let expected =
           with_dir t (fun () ->
-              Hashtbl.fold
-                (fun id e acc -> if e.at = i && not e.reserved then id :: acc else acc)
-                t.directory [])
+              let ids = ref [] in
+              Flat_str_map.iter
+                (fun id v -> if v = settled_on i then ids := id :: !ids)
+                t.directory;
+              !ids)
         in
         let actual = Engine.fold_jobs eng (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [] in
         if List.sort compare expected <> List.sort compare actual then
@@ -1158,6 +1170,7 @@ let supervise t policy ~probe ~clock =
             ramp = Array.make shards 0;
             pinned = Array.make shards 0;
             in_flux = Array.make shards false;
+            serving = shards;
             counts =
               { shards; healthy = shards; suspect = 0; down = 0; recovering = 0; evacuations = 0;
                 evacuated_jobs = 0; stranded_jobs = 0; readmissions = 0; probe_failures = 0;
@@ -1181,7 +1194,7 @@ module Supervision = struct
 
   let serving_shards t =
     let v = policy_of t in
-    with_dir t (fun () -> serving v)
+    with_dir t (fun () -> v.serving)
 
   (* The probe runs outside every cluster lock. *)
   let tick t =
@@ -1222,6 +1235,7 @@ module Supervision = struct
       with_dir t (fun () ->
           if Result.is_ok swapped && v.health.(i) = Down then begin
             v.health.(i) <- Recovering;
+            v.serving <- v.serving + 1;
             v.fails.(i) <- 0;
             v.ramp.(i) <- 0;
             t.weights.(i) <- 0.0;
@@ -1275,7 +1289,9 @@ let stats t =
       float_of_int makespan /. bound
     end
   in
-  let jobs, inter_moves = with_dir t (fun () -> (Hashtbl.length t.directory, t.inter_moves)) in
+  let jobs, inter_moves =
+    with_dir t (fun () -> (Flat_str_map.length t.directory, t.inter_moves))
+  in
   {
     shards = shard_count t;
     jobs;
@@ -1303,15 +1319,15 @@ let check_consistency t ~k =
     run_all ~label:"check" t (fun _ e ->
         Engine.fold_jobs e (fun acc ~id ~size:_ ~proc:_ -> id :: acc) [])
   in
-  let resident = Hashtbl.create 256 in
-  Array.iteri (fun s l -> List.iter (fun id -> Hashtbl.replace resident id s) l) ids;
+  let resident = Flat_str_map.create 256 in
+  Array.iteri (fun s l -> List.iter (fun id -> Flat_str_map.set resident id (settled_on s)) l) ids;
   let directory_ok =
     with_dir t (fun () ->
-        Hashtbl.length t.directory = Hashtbl.length resident
-        && Hashtbl.fold
-             (fun id e acc ->
-               acc && (not e.reserved) && Hashtbl.find_opt resident id = Some e.at)
-             t.directory true)
+        let agree = ref (Flat_str_map.length t.directory = Flat_str_map.length resident) in
+        Flat_str_map.iter
+          (fun id v -> if Flat_str_map.find resident id <> v then agree := false)
+          t.directory;
+        !agree)
   in
   directory_ok
   && Array.for_all Fun.id (run_all ~label:"check" t (fun _ e -> Engine.check_consistency e ~k))

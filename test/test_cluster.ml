@@ -515,6 +515,96 @@ let test_create_validation () =
     Alcotest.fail "duplicate residency accepted"
   | Error e -> check_bool ("names the duplicate: " ^ e) true (String.length e > 0)
 
+(* --- routing and residency --------------------------------------------- *)
+
+(* The shard each of a fixed list of 1,200 new ids lands on at S = 4,
+   recorded from the tuple-array ring and the [String.iter] FNV-1a hash
+   that preceded the int-array ring and the loop hash: first with every
+   weight at 1, then with shard 0 at 0 and shard 2 at 0.25 (its first 16
+   of 64 virtual nodes active). One digit per id, in list order. *)
+let routed_ids =
+  List.init 1200 (fun i ->
+      match i mod 3 with
+      | 0 -> Printf.sprintf "j%d" i
+      | 1 -> Printf.sprintf "job-%05d" i
+      | _ -> Printf.sprintf "%x" (i * 2654435761 land 0xFFFFFF))
+
+let routes_even =
+  String.concat ""
+    [
+      "233112202103112110112223323203233212121322032202011223101123312022211212111221001201102302311230";
+      "030200133000212311330100210103122113321330320212031331221120333221203030231312013313012303302103";
+      "220123120110031203301321022133130121231120102201021233133100312111222032121120131331121113232303";
+      "323031211031321203310013001211133032000133233301032031021023221013333123311311010330021313110031";
+      "331222011312322220313212333222230210212100212012132221113000303323312103311323002310333122331112";
+      "103231223002130332013231102020233013312121000323021212010232213122201033113010331203233010031300";
+      "101000130021320300002020010022000101233300222303311131332112201320131133220301202313232021230113";
+      "222312331320331223003100133111120113322200013001101130203111231202013003211321031312221313231121";
+      "131022311100110011132302312010233103213221101321213131303102133121222230313112102201311221310101";
+      "113221003230110303312133322202121313110222013233231021130110110231332010212020221012013020333130";
+      "321332232320312022322303210121323202001202110102200030133332031211112022210022232020213101012112";
+      "303303131211002132031110111110123303310223312320100120202121023202230012312133303131010023312320";
+      "113131312122310300013323231113332012000112020110";
+    ]
+
+let routes_weighted =
+  String.concat ""
+    [
+      "233112332133111113111233323233233111121321132233111333131133312321111212111121121311132332311231";
+      "331211133133111311331112213113121113331332312111331331221113333321233333331311113313313323311113";
+      "121123113113131133321321122133133121331111131211321333133131312111211333121111131331111113232333";
+      "323331111131311213312313131211133332213133333311233231321313231213333133311311311333321313113131";
+      "331221111311332231313212333113231213113113312312131321113311333323312113311333332311333132331112";
+      "113231123113133333113231121323133213313121213313211213113231313111111133113112331133233211131311";
+      "131113133321312312322311211111132111233321222333311131331111131333131133121311233313231111133113";
+      "121312331323331123313131133111121113331322313131111132213111331211313123311311231311221313331121";
+      "131113311133112111132311311311333133313231111331213131333121133111222233313113111131311311313111";
+      "113321113232111313311133312212111313113213313133231131133111113231332112211311131211213223333131";
+      "311332232331311312332313211111323132121332113111231331133333331111111133311221331311213111112112";
+      "333323131211331133231111111111123323311123312322123123232111223132233311311133313131312223312323";
+      "113131312122312331113313131113332112213113123112";
+    ]
+
+let routes_under weights =
+  let c = Cluster.create ~m:4 ~shards:4 () in
+  Array.iteri (Cluster.set_weight c) weights;
+  let b = Buffer.create 1200 in
+  List.iter
+    (fun id ->
+      ignore (ok (Cluster.add_job c ~id ~size:1));
+      match Cluster.shard_of c id with
+      | Some s -> Buffer.add_char b (Char.chr (Char.code '0' + s))
+      | None -> Alcotest.failf "%s placed but not resident" id)
+    routed_ids;
+  Cluster.shutdown c;
+  Buffer.contents b
+
+let test_routes_pinned () =
+  check Alcotest.string "every weight 1" routes_even (routes_under [| 1.; 1.; 1.; 1. |]);
+  check Alcotest.string "shard 0 at 0, shard 2 at 0.25" routes_weighted
+    (routes_under [| 0.; 1.; 0.25; 1. |])
+
+(* A restart whose journals disagree about residency is refused: four
+   ADDs over two shards with binary journals, then shard 0's journal
+   copied over shard 1's, so the job shard 0 holds resumes on both. *)
+let test_duplicate_journals_refused () =
+  let bufs = Array.init 2 (fun _ -> Buffer.create 256) in
+  let journal_for i =
+    Some (Journal.create ~format:Journal.Binary ~write:(Buffer.add_string bufs.(i)) ())
+  in
+  let c = Cluster.create ~journal_for ~m:4 ~shards:2 () in
+  List.iteri (fun i id -> ignore (ok (Cluster.add_job c ~id ~size:(3 + i)))) [ "a"; "b"; "c"; "d" ];
+  Cluster.shutdown c;
+  let shard0 = Buffer.contents bufs.(0) in
+  let resume _ = fst (ok (Result.bind (Journal.load_string shard0) Replay.resume)) in
+  check Alcotest.(list string) "shard 0's journal resumes b" [ "b" ]
+    (Engine.fold_jobs (resume 0) (fun acc ~id ~size:_ ~proc:_ -> id :: acc) []);
+  match Cluster.of_engines ~shards:2 resume with
+  | Ok c ->
+    Cluster.shutdown c;
+    Alcotest.fail "duplicate residency accepted"
+  | Error e -> check Alcotest.string "refusal" "Cluster.of_engines: job b lives in two shards" e
+
 let () =
   Alcotest.run "rebal_cluster"
     [
@@ -543,5 +633,10 @@ let () =
           Alcotest.test_case "makespan never waits on a worker" `Quick
             test_makespan_never_waits;
           Alcotest.test_case "one mailbox task per op" `Quick test_mailbox_task_budget;
+        ] );
+      ( "routing and residency",
+        [
+          Alcotest.test_case "routes pinned, S=4" `Quick test_routes_pinned;
+          Alcotest.test_case "duplicate journals refused" `Quick test_duplicate_journals_refused;
         ] );
     ]

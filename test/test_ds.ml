@@ -1,6 +1,8 @@
-(* Data-structure tests: indexed-heap decrease-key behaviour, and the
-   Sorted_jobs binary searches against a brute-force reference. *)
+(* Data-structure tests: indexed-heap decrease-key behaviour, the
+   Sorted_jobs binary searches against a brute-force reference, and the
+   flat string map against [Hashtbl]. *)
 
+module Flat_str_map = Rebal_ds.Flat_str_map
 module Indexed_heap = Rebal_ds.Indexed_heap
 module Sorted_jobs = Rebal_ds.Sorted_jobs
 module Rng = Rebal_workloads.Rng
@@ -172,6 +174,114 @@ let test_sorted_jobs_min_removals () =
     if r > 0 then Alcotest.(check bool) "minimal" true (remaining (r - 1) > cap)
   done
 
+(* ----- Flat_str_map ----- *)
+
+(* A small keyspace ("" included) over tables created tiny, so probe
+   runs wrap past the end of the arrays and a removal shifts entries
+   back across the wrap; every step compares the whole observable state
+   with a [Hashtbl] model. *)
+let prop_flat_str_map_model =
+  let open QCheck2 in
+  let keys = Array.append [| "" |] (Array.init 23 (Printf.sprintf "k%d")) in
+  let key = Gen.map (Array.get keys) (Gen.int_range 0 (Array.length keys - 1)) in
+  let op_gen =
+    Gen.(
+      frequency
+        [
+          (6, map2 (fun k v -> `Set (k, v)) key (int_range 0 1000));
+          (5, map (fun k -> `Remove k) key);
+          (1, return `Clear);
+          (1, map (fun n -> `Reserve n) (int_range 0 40));
+        ])
+  in
+  let show = function
+    | `Set (k, v) -> Printf.sprintf "set %S %d" k v
+    | `Remove k -> Printf.sprintf "remove %S" k
+    | `Clear -> "clear"
+    | `Reserve n -> Printf.sprintf "reserve %d" n
+  in
+  Test.make ~name:"flat string map vs Hashtbl model" ~count:500
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "create %d; %s" n (String.concat "; " (List.map show ops)))
+    Gen.(pair (int_range 0 3) (list_size (int_range 0 200) op_gen))
+    (fun (n, ops) ->
+      let t = Flat_str_map.create n and model = Hashtbl.create 8 in
+      let agrees () =
+        let bound = ref [] in
+        Flat_str_map.iter (fun k v -> bound := (k, v) :: !bound) t;
+        Flat_str_map.length t = Hashtbl.length model
+        && List.sort compare !bound
+           = List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])
+        && Array.for_all
+             (fun k ->
+               let want = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+               Flat_str_map.find t k = want && Flat_str_map.mem t k = (want >= 0))
+             keys
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Set (k, v) ->
+            Flat_str_map.set t k v;
+            Hashtbl.replace model k v
+          | `Remove k ->
+            Flat_str_map.remove t k;
+            Hashtbl.remove model k
+          | `Clear ->
+            Flat_str_map.clear t;
+            Hashtbl.reset model
+          | `Reserve n ->
+            let cap = Flat_str_map.capacity t in
+            Flat_str_map.reserve t n;
+            if Flat_str_map.capacity t < max cap (2 * n) then
+              Test.fail_reportf "reserve %d left capacity %d" n (Flat_str_map.capacity t));
+          agrees () || Test.fail_reportf "diverged after %s" (show op))
+        ops)
+
+(* Keys chosen by home slot so one probe run covers the last two slots
+   and the first two: removing its head shifts the three others back
+   across the wrap, and each stays findable. *)
+let test_flat_str_map_wrap () =
+  let t = Flat_str_map.create 3 in
+  let cap = Flat_str_map.capacity t in
+  let homed h =
+    List.filter
+      (fun k -> Hashtbl.hash k land (cap - 1) = h)
+      (List.init 1000 (Printf.sprintf "w%d"))
+  in
+  let a, b = match homed (cap - 2) with a :: b :: _ -> (a, b) | _ -> assert false in
+  let c = List.hd (homed (cap - 1)) and d = List.hd (homed 0) in
+  List.iteri (fun v k -> Flat_str_map.set t k v) [ a; b; c; d ];
+  check_int "no growth" cap (Flat_str_map.capacity t);
+  Flat_str_map.remove t a;
+  check_int "head removed" (-1) (Flat_str_map.find t a);
+  List.iter
+    (fun (k, v) -> check_int ("shifted " ^ k) v (Flat_str_map.find t k))
+    [ (b, 1); (c, 2); (d, 3) ];
+  Flat_str_map.remove t c;
+  List.iter (fun (k, v) -> check_int ("kept " ^ k) v (Flat_str_map.find t k)) [ (b, 1); (d, 3) ];
+  check_int "two left" 2 (Flat_str_map.length t)
+
+(* Once grown to its working set, a set/remove churn at constant
+   population allocates nothing. *)
+let test_flat_str_map_churn_allocation () =
+  let live = 1000 in
+  let pool = Array.init (2 * live) (Printf.sprintf "c%d") in
+  let t = Flat_str_map.create 0 in
+  let churn steps =
+    for j = 0 to steps - 1 do
+      Flat_str_map.remove t pool.(j mod (2 * live));
+      Flat_str_map.set t pool.((j + live) mod (2 * live)) j
+    done
+  in
+  Array.iteri (fun i k -> if i < live then Flat_str_map.set t k i) pool;
+  churn (4 * live);
+  let before = Gc.minor_words () in
+  churn (20 * live);
+  let words = Gc.minor_words () -. before in
+  check_int "population" live (Flat_str_map.length t);
+  Alcotest.(check (float 0.)) "minor words over the churn" 0. words
+
 let () =
   Alcotest.run "rebal_ds"
     [
@@ -186,5 +296,12 @@ let () =
           Alcotest.test_case "prefix/suffix structure" `Quick test_sorted_jobs_structure;
           Alcotest.test_case "large_count" `Quick test_sorted_jobs_large_count;
           Alcotest.test_case "min_removals_to_cap" `Quick test_sorted_jobs_min_removals;
+        ] );
+      ( "flat_str_map",
+        [
+          QCheck_alcotest.to_alcotest prop_flat_str_map_model;
+          Alcotest.test_case "runs wrap and shift back" `Quick test_flat_str_map_wrap;
+          Alcotest.test_case "constant-population churn allocates nothing" `Quick
+            test_flat_str_map_churn_allocation;
         ] );
     ]

@@ -393,8 +393,8 @@ let test_apply_bulk_words () =
   let ops = List.fold_left (fun n -> function Some b -> n + Array.length b | None -> n) 0 steady in
   let words = words_per (fun () -> run steady) ops in
   Cluster.shutdown c;
-  check_bool (Printf.sprintf "apply_bulk allocates %.1f words per op (pinned at <= 40)" words) true
-    (words <= 40.)
+  check_bool (Printf.sprintf "apply_bulk allocates %.1f words per op (pinned at <= 25)" words) true
+    (words <= 25.)
 
 let test_protocol_words () =
   let preload, steady = stream () in
@@ -426,8 +426,8 @@ let test_protocol_words () =
   let words = words_per (fun () -> feed steady) lines in
   check_int "batches with an ERR reply" 0 !errors;
   Cluster.shutdown c;
-  check_bool (Printf.sprintf "Protocol allocates %.1f words per op (pinned at <= 100)" words) true
-    (words <= 100.)
+  check_bool (Printf.sprintf "Protocol allocates %.1f words per op (pinned at <= 65)" words) true
+    (words <= 65.)
 
 (* ----- GC counters on METRICS ----- *)
 
