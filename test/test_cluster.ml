@@ -634,7 +634,7 @@ let () =
             test_makespan_never_waits;
           Alcotest.test_case "one mailbox task per op" `Quick test_mailbox_task_budget;
         ] );
-      ( "routing and residency",
+      ( "routing",
         [
           Alcotest.test_case "routes pinned, S=4" `Quick test_routes_pinned;
           Alcotest.test_case "duplicate journals refused" `Quick test_duplicate_journals_refused;
