@@ -1068,7 +1068,7 @@ let e19 () =
     Journal.create
       ~clock_ns:(fun () ->
         incr tick;
-        Int64.of_int !tick)
+        !tick)
       ~write:(Buffer.add_string buf) ()
   in
   let eng = Engine.create ~journal:sink ~m () in

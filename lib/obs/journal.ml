@@ -725,6 +725,112 @@ let render_event_prelude b ~seq ~ts_ns ~kind =
   Fb.put_string b ",\"ev\":";
   escape_string b kind
 
+(* ----- the tail: the last frames, in one byte ring -----
+
+   A sink keeps its last [cap] frames (JSONL lines without the newline,
+   binary payloads without the length prefix) for {!tail}, copied into
+   one circular byte buffer. A steady stream of frames allocates
+   nothing; the buffer grows only when the kept frames outgrow it (one
+   large [rebalance] frame), and halves again once they fill a quarter
+   of it, so that frame is not kept alive for ever. *)
+module Tail = struct
+  type t = {
+    cap : int; (* frames kept *)
+    off : int array; (* frame slot i starts at byte [off.(i)] of [buf] ... *)
+    len : int array; (* ... and holds [len.(i)] bytes, wrapping at the end *)
+    mutable buf : Bytes.t;
+    min_bytes : int;
+    mutable first : int; (* slot of the oldest kept frame *)
+    mutable count : int;
+    mutable used : int; (* bytes the kept frames hold *)
+    mutable pushed : int;
+  }
+
+  (* Room for [cap] frames of 128 bytes (a binary op event is ~110, its
+     JSONL line ~150), up to 64 KiB; larger frames grow it. *)
+  let create cap =
+    let min_bytes = max 256 (min (128 * cap) (1 lsl 16)) in
+    {
+      cap;
+      off = Array.make cap 0;
+      len = Array.make cap 0;
+      buf = Bytes.create min_bytes;
+      min_bytes;
+      first = 0;
+      count = 0;
+      used = 0;
+      pushed = 0;
+    }
+
+  let pushed t = t.pushed
+
+  (* The slot [i] places after the oldest, for [0 <= i <= cap]. *)
+  let slot t i =
+    let s = t.first + i in
+    if s >= t.cap then s - t.cap else s
+
+  let blit_out t pos dst dst_off n =
+    let a = min n (Bytes.length t.buf - pos) in
+    Bytes.blit t.buf pos dst dst_off a;
+    if a < n then Bytes.blit t.buf 0 dst (dst_off + a) (n - a)
+
+  (* Copy the kept frames, oldest first, to the start of a buffer of
+     [size] bytes. *)
+  let resize t size =
+    let nb = Bytes.create size in
+    let p = ref 0 in
+    for i = 0 to t.count - 1 do
+      let s = slot t i in
+      blit_out t t.off.(s) nb !p t.len.(s);
+      t.off.(s) <- !p;
+      p := !p + t.len.(s)
+    done;
+    t.buf <- nb
+
+  let push t src src_off n =
+    if t.count = t.cap then begin
+      t.used <- t.used - t.len.(t.first);
+      t.first <- slot t 1;
+      t.count <- t.count - 1
+    end;
+    let size = Bytes.length t.buf in
+    if t.used + n > size then begin
+      let size = ref (2 * size) in
+      while !size < t.used + n do
+        size := 2 * !size
+      done;
+      resize t !size
+    end
+    else if size > t.min_bytes && 4 * (t.used + n) <= size then resize t (size / 2);
+    let size = Bytes.length t.buf in
+    let pos =
+      if t.count = 0 then 0
+      else begin
+        let l = slot t (t.count - 1) in
+        let e = t.off.(l) + t.len.(l) in
+        if e >= size then e - size else e
+      end
+    in
+    let a = min n (size - pos) in
+    Bytes.blit src src_off t.buf pos a;
+    if a < n then Bytes.blit src (src_off + a) t.buf 0 (n - a);
+    let s = slot t t.count in
+    t.off.(s) <- pos;
+    t.len.(s) <- n;
+    t.count <- t.count + 1;
+    t.used <- t.used + n;
+    t.pushed <- t.pushed + 1
+
+  (* The newest [n] frames (all of them when fewer), oldest first. *)
+  let last t n =
+    let n = max 0 (min n t.count) in
+    List.init n (fun i ->
+        let s = slot t (t.count - n + i) in
+        let b = Bytes.create t.len.(s) in
+        blit_out t t.off.(s) b 0 t.len.(s);
+        Bytes.unsafe_to_string b)
+end
+
 (* ----- sinks ----- *)
 
 type format =
@@ -734,13 +840,16 @@ type format =
 type sink = {
   format : format;
   write : string -> unit;
-  clock_ns : unit -> int64;
+  clock_ns : unit -> int;
   mutable next_seq : int;
   mutable header_written : bool;
   (* Rendered JSONL lines, or binary frame payloads (length prefix
      stripped) — [tail] decodes the latter back to JSONL text. *)
-  ring : string Ring.t;
-  scratch : Fb.t; (* encode scratch, reused per event *)
+  ring : Tail.t;
+  (* The frame being encoded, exactly as it goes to disk: a binary
+     frame's 4-byte length prefix (patched when the event is complete)
+     and payload, or a JSONL line and its newline. Reused per event. *)
+  scratch : Fb.t;
   batch : Buffer.t; (* deferred bytes while [batching > 0] *)
   mutable batching : int;
   (* One streamed event (see [Emit]) may be open at a time; it owns
@@ -756,7 +865,7 @@ let create ?(format = Jsonl) ?(tail_capacity = 512) ?(start_seq = 0) ?header_wri
     ?clock_ns ~write () =
   if tail_capacity < 1 then invalid_arg "Journal.create: need a positive tail capacity";
   if start_seq < 0 then invalid_arg "Journal.create: negative start_seq";
-  let clock_ns = match clock_ns with Some c -> c | None -> Timer.now_ns in
+  let clock_ns = match clock_ns with Some c -> c | None -> Timer.now_int_ns in
   {
     format;
     write;
@@ -767,7 +876,7 @@ let create ?(format = Jsonl) ?(tail_capacity = 512) ?(start_seq = 0) ?header_wri
        corrupt it. Resuming right after a header with no events yet
        needs the explicit override, since start_seq is 0 there too. *)
     header_written = (match header_written with Some b -> b | None -> start_seq > 0);
-    ring = Ring.create tail_capacity "";
+    ring = Tail.create tail_capacity;
     scratch = Fb.create 256;
     batch = Buffer.create 256;
     batching = 0;
@@ -790,8 +899,8 @@ let to_channel ?format ?tail_capacity ?start_seq ?header_written ?(line_flush = 
    session, long after anyone can handle it sensibly. [resilient]
    wraps a raw write with bounded retry-with-exponential-backoff;
    when the retries are exhausted the line is dropped from durable
-   storage (it is still in the sink's tail ring — [push_line] records
-   it before the write runs) and the drop is counted in
+   storage (it is still in the sink's tail ring — [commit_frame]
+   records it before the write runs) and the drop is counted in
    [rebal_journal_dropped_total{journal=...}] so the gap is loud.
    This is a fail-open policy: serving continues, and the hole in the
    on-disk journal is detected by replay's contiguous-seq check. *)
@@ -840,24 +949,35 @@ let end_batch sink =
     end
   end
 
-(* When a batch is open the line/frame bytes go straight into the batch
-   buffer — same bytes, one copy fewer than building the framed string
-   first. Unbatched sinks still get exactly one [write] per line. *)
-let push_line sink line =
-  Ring.push sink.ring line;
-  if sink.batching > 0 then begin
-    Buffer.add_string sink.batch line;
-    Buffer.add_char sink.batch '\n'
-  end
-  else sink.write (line ^ "\n")
+(* Open a frame in the scratch writer: a binary frame starts with room
+   for its length prefix. *)
+let open_frame sink =
+  let b = sink.scratch in
+  Fb.clear b;
+  match sink.format with
+  | Jsonl -> ()
+  | Binary ->
+    Fb.ensure b 4;
+    b.Fb.pos <- 4
 
-let push_payload sink payload =
-  Ring.push sink.ring payload;
-  if sink.batching > 0 then begin
-    Buffer.add_int32_le sink.batch (Int32.of_int (String.length payload));
-    Buffer.add_string sink.batch payload
-  end
-  else sink.write (frame_of_payload payload)
+(* Close the frame in the scratch writer and hand it on: its bytes are
+   copied once into the tail ring and once into the batch buffer, or,
+   unbatched, into the one string [write] receives per frame. *)
+let commit_frame sink =
+  let b = sink.scratch in
+  (match sink.format with
+  | Jsonl ->
+    Tail.push sink.ring b.Fb.b 0 b.Fb.pos;
+    Fb.ensure b 1;
+    Fb.put_char b '\n'
+  | Binary ->
+    let n = b.Fb.pos - 4 in
+    for i = 0 to 3 do
+      Bytes.unsafe_set b.Fb.b i (Char.unsafe_chr ((n lsr (8 * i)) land 0xff))
+    done;
+    Tail.push sink.ring b.Fb.b 4 n);
+  if sink.batching > 0 then Buffer.add_subbytes sink.batch b.Fb.b 0 b.Fb.pos
+  else sink.write (Fb.contents b)
 
 let write_header sink ~journal meta =
   if sink.stream_open then
@@ -865,13 +985,13 @@ let write_header sink ~journal meta =
   if not sink.header_written then begin
     sink.header_written <- true;
     let h = { journal; version = current_version; meta } in
-    match sink.format with
-    | Jsonl -> push_line sink (render_header h)
+    open_frame sink;
+    (match sink.format with
+    | Jsonl -> render_into sink.scratch (header_obj h)
     | Binary ->
       sink_out sink binary_magic;
-      Fb.clear sink.scratch;
-      encode_value sink.scratch (header_obj h);
-      push_payload sink (Fb.contents sink.scratch)
+      encode_value sink.scratch (header_obj h));
+    commit_frame sink
   end
 
 (* ----- emission -----
@@ -879,10 +999,10 @@ let write_header sink ~journal meta =
    One encode path per codec. [Emit] writes fields straight into the
    sink's scratch writer — the caller declares the field count up front
    (it goes in the binary object header) and then pushes each field
-   with a monomorphic call, so a steady-state event allocates nothing
-   but the final payload string. [emit] is the same protocol driven
-   from a field list: [Emit.start], one [Emit.value] per unreserved
-   field, [Emit.finish].
+   with a monomorphic call, so a steady-state event in a batch
+   allocates nothing (unbatched, only the string [write] receives).
+   [emit] is the same protocol driven from a field list:
+   [Emit.start], one [Emit.value] per unreserved field, [Emit.finish].
 
    Contract: [start] .. exactly [fields] field calls .. [finish].
    Misuse (double start, wrong arity, reserved key) raises
@@ -896,7 +1016,7 @@ let stream_error sink msg =
   raise
     (Encode_error
        (Printf.sprintf "line %d (event seq %d, ev %S): %s"
-          (Ring.pushed sink.ring + 1) sink.stream_seq sink.stream_kind msg))
+          (Tail.pushed sink.ring + 1) sink.stream_seq sink.stream_kind msg))
 
 module Emit = struct
   let start sink ~kind ~fields =
@@ -907,9 +1027,9 @@ module Emit = struct
     sink.stream_left <- fields;
     sink.stream_seq <- sink.next_seq;
     sink.stream_kind <- kind;
-    let ts_ns = Int64.to_int (sink.clock_ns ()) in
+    let ts_ns = sink.clock_ns () in
+    open_frame sink;
     let b = sink.scratch in
-    Fb.clear b;
     match sink.format with
     | Binary ->
       encode_event_prelude b ~seq:sink.stream_seq ~ts_ns ~kind ~count:fields
@@ -980,11 +1100,8 @@ module Emit = struct
       Fb.ensure b 1;
       Fb.put_char b '}'
     | Binary -> ());
-    let payload = Fb.contents b in
     sink.next_seq <- sink.stream_seq + 1;
-    match sink.format with
-    | Jsonl -> push_line sink payload
-    | Binary -> push_payload sink payload
+    commit_frame sink
 end
 
 let emit sink ~kind fields =
@@ -1000,7 +1117,7 @@ let tail sink n =
       match sink.format with
       | Jsonl -> entry
       | Binary -> render_json (decode_payload entry))
-    (Ring.last sink.ring n)
+    (Tail.last sink.ring n)
 
 (* ----- reading journals -----
 

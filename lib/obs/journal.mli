@@ -81,15 +81,18 @@ val create :
   ?tail_capacity:int ->
   ?start_seq:int ->
   ?header_written:bool ->
-  ?clock_ns:(unit -> int64) ->
+  ?clock_ns:(unit -> int) ->
   write:(string -> unit) ->
   unit ->
   sink
 (** A sink calling [write] with each rendered line (trailing newline
-    included). [clock_ns] defaults to the monotonic
-    [Rebal_harness.Timer.now_ns]; inject a fake for deterministic
-    tests. The sink keeps the last [tail_capacity] (default 512)
-    rendered lines in a ring for {!tail}. [start_seq] (default 0)
+    included) or binary frame (length prefix included), one string per
+    line or frame, or one string per outermost {!end_batch}.
+    [clock_ns] defaults to the monotonic
+    [Rebal_harness.Timer.now_int_ns], an immediate [int] read; inject a
+    fake for deterministic tests. The sink keeps the last
+    [tail_capacity] (default 512) lines or frames in a byte ring for
+    {!tail}. [start_seq] (default 0)
     resumes an existing journal: the first event gets that sequence
     number, and when it is positive the sink considers the header
     already written (it is on disk), so {!write_header} is a no-op;
@@ -159,7 +162,8 @@ val end_batch : sink -> unit
     [start], one {!Emit.value} per unreserved field, then [finish].
     The typed writers ([int], [str], [bool], [float]) skip the boxed
     [json] per field, so a steady-state event on a per-op hot site
-    allocates nothing but the payload string.
+    allocates nothing inside a {!begin_batch} bracket, and only the
+    string handed to [write] outside one.
 
     Protocol: [start sink ~kind ~fields:n], then exactly [n] field
     calls, then [finish]. The produced bytes equal

@@ -1,8 +1,9 @@
 (** A bounded FIFO over a fixed array: pushing onto a full ring evicts
-    the oldest element. Every bounded log in [Rebal_obs] is one of
-    these — the journal sink's tail, the alert transition log, the
-    time-series tiers, and the op-trace and slow-op rings. Not
-    synchronized: callers hold their own lock. *)
+    the oldest element. Every bounded log of values in [Rebal_obs] is
+    one of these — the alert transition log, the time-series tiers,
+    and the op-trace and slow-op rings. (The journal sink's tail keeps
+    frames as bytes, in a byte ring of its own.) Not synchronized:
+    callers hold their own lock. *)
 
 type 'a t
 

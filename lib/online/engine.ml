@@ -154,7 +154,10 @@ type t = {
   mutable total_size : int;
   mutable events_since_repair : int;
   mutable last_repair : float;
-  (* repair scratch, sized [cap] so the removal phase never allocates *)
+  (* Repair scratch: the lifted slots, their sources and source loads,
+     and the placement order. Sized by the largest budget a pass has
+     used ([min k live]), never by the slot capacity, so a served
+     repair of k = 32 on a 100k-job engine holds 4 x 32 words. *)
   mutable scr_slot : int array;
   mutable scr_src : int array;
   mutable scr_before : int array;
@@ -267,10 +270,10 @@ let create ?(trigger = Manual) ?(clock = Unix.gettimeofday) ?journal ~m () =
     total_size = 0;
     events_since_repair = 0;
     last_repair = clock ();
-    scr_slot = Array.make initial_cap 0;
-    scr_src = Array.make initial_cap 0;
-    scr_before = Array.make initial_cap 0;
-    scr_ord = Array.make initial_cap 0;
+    scr_slot = [||];
+    scr_src = [||];
+    scr_before = [||];
+    scr_ord = [||];
     c =
       {
         events = 0;
@@ -475,10 +478,6 @@ let grow_slots_to t cap =
     t.job_gpos <- grown t.job_gpos;
     t.free <- grown t.free;
     t.gheap <- grown t.gheap;
-    t.scr_slot <- Array.make cap 0;
-    t.scr_src <- Array.make cap 0;
-    t.scr_before <- Array.make cap 0;
-    t.scr_ord <- Array.make cap 0;
     t.cap <- cap
   end
 
@@ -496,10 +495,12 @@ let alloc_slot t =
 
 let rec pow2_above k n = if k >= n then k else pow2_above (k * 2) n
 
-(* Pre-size every structure for [jobs] live jobs so that no later
-   operation allocates even in the worst placement skew (all jobs on one
-   processor). Latency-sensitive callers and the allocation benchmark
-   use this to take growth out of the measured window. *)
+(* Pre-size the slot arrays, the directory and every processor heap for
+   [jobs] live jobs so that no later add, remove or resize allocates
+   even in the worst placement skew (all jobs on one processor).
+   Latency-sensitive callers and the allocation benchmark use this to
+   take growth out of the measured window. The repair scratch is not
+   presized: the first pass at a budget grows it. *)
 let reserve t ~jobs =
   if jobs < 0 then invalid_arg "Engine.reserve: negative job count";
   grow_slots_to t (pow2_above initial_cap jobs);
@@ -522,7 +523,8 @@ let reserve t ~jobs =
    halves cost what an insertion sort costs, so a lift order that is
    nearly by size (the common case) stays near-linear. The left half of
    a merge is parked in [tmp], allocated per pass: a buffer kept with
-   the scratch would hold half the engine's capacity for its lifetime. *)
+   the scratch would hold half the largest budget ever used for the
+   engine's lifetime. *)
 let sort_placements t n =
   let ord = t.scr_ord and tmp = Array.make (n / 2) 0 in
   let before a b =
@@ -575,10 +577,18 @@ let sort_placements t n =
    its slot, source and the source's load before. Reinsertion = step 2:
    descending size, ties in lift order, onto the least-loaded processor;
    [scr_ord.(i)] is the lift index of the i-th placement and [job_proc]
-   the destination. Returns the number of jobs lifted. *)
+   the destination. Returns the number of jobs lifted. The scratch grows
+   to the pass's budget and keeps it; its contents mean nothing between
+   passes, so growth copies nothing. *)
 let lift_and_place t ~k =
   let lifted = ref 0 in
   let limit = min k t.live in
+  if Array.length t.scr_slot < limit then begin
+    t.scr_slot <- Array.make limit 0;
+    t.scr_src <- Array.make limit 0;
+    t.scr_before <- Array.make limit 0;
+    t.scr_ord <- Array.make limit 0
+  end;
   (try
      while !lifted < limit do
        let p = Indexed_heap.min_key_exn t.max_heap in
@@ -949,9 +959,10 @@ let slot_instance t =
 (* An engine to run [lift_and_place] on without touching [t]: fresh
    copies of what it writes (placements, heap positions, processor
    heaps and loads), shared references to what it only reads (sizes,
-   sequence numbers, ids, the directory). It shares [t]'s repair
-   scratch too, whose contents mean nothing between passes. It never
-   journals, counts or observes. *)
+   sequence numbers, ids, the directory). Its repair scratch starts
+   empty and is its own: a full-budget check grows it to the live job
+   count, and it goes with the probe instead of staying with [t]. It
+   never journals, counts or observes. *)
 let probe t =
   let min_heap = Indexed_heap.create t.m in
   let max_heap = Indexed_heap.create t.m in
@@ -968,6 +979,10 @@ let probe t =
     load = Array.copy t.load;
     min_heap;
     max_heap;
+    scr_slot = [||];
+    scr_src = [||];
+    scr_before = [||];
+    scr_ord = [||];
     journal = None;
   }
 

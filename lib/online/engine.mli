@@ -214,10 +214,13 @@ val apply_bulk :
     silently. *)
 
 val reserve : t -> jobs:int -> unit
-(** Pre-size every internal structure for [jobs] live jobs (worst-case
-    skew included), so later operations never grow an array. Takes
-    warm-up allocation out of latency-sensitive windows; the allocation
-    benchmark (E24) calls this before measuring.
+(** Pre-size the per-job slot arrays, the id directory and every
+    processor's heap for [jobs] live jobs (worst-case skew included), so
+    later adds, removes and resizes never grow an array. Takes warm-up
+    allocation out of latency-sensitive windows; the allocation
+    benchmark (E24) calls this before measuring. The repair scratch is
+    not presized: it grows to [min k (job_count t)] on the first
+    {!rebalance} with budget [k] and keeps that size.
     @raise Invalid_argument if [jobs < 0]. *)
 
 val rebalance : t -> k:int -> move list
@@ -245,7 +248,9 @@ val check_consistency : t -> k:int -> bool
     depend on how jobs are numbered), and the repair runs on a probe
     that copies only what a repair writes — the engine itself is not
     perturbed, and the probe builds no move list and records no
-    telemetry. The outcome lands in the [consistency_checks] /
+    telemetry. The probe's repair scratch is its own and is dropped
+    with it, so a full-budget check leaves nothing job-count-sized
+    behind in [t]. The outcome lands in the [consistency_checks] /
     [consistency_failures] counters and, when journaling, a [check]
     event. *)
 
@@ -271,8 +276,11 @@ val replay_rebalance : t -> k:int -> move list
     [of_snapshot (snapshot t)] reconstructs an engine that bit-matches
     [t]: same loads, makespan, stats and future repair decisions.
     Snapshots are the compaction record of the flight recorder: a
-    ["snapshot"] journal event carries one in its ["state"] field, and
-    replay resumes from it instead of genesis. *)
+    ["snapshot"] journal event carries one in its ["state"] field.
+    Replay resumes from a snapshot only at seq 0, which a journal has
+    after [rebalance compact]; a snapshot later in a journal (a
+    [SNAPSHOT] verb, the daemon's shutdown snapshot) is compared with
+    the state replayed up to it, and replay goes on from genesis. *)
 
 val snapshot : t -> Rebal_obs.Journal.json
 

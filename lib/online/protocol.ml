@@ -497,9 +497,10 @@ let export_gc () =
   count "rebal_gc_minor_collections_total" "Minor collections" st.Gc.minor_collections;
   count "rebal_gc_major_collections_total" "Major collection cycles completed"
     st.Gc.major_collections;
-  Metrics.Gauge.set
-    (Metrics.gauge ~help:"Words in the major heap" "rebal_gc_heap_words")
-    (float_of_int st.Gc.heap_words)
+  let gauge name help v = Metrics.Gauge.set (Metrics.gauge ~help name) (float_of_int v) in
+  gauge "rebal_gc_heap_words" "Words in the major heap" st.Gc.heap_words;
+  gauge "rebal_gc_top_heap_words" "Largest size the major heap has reached, in words"
+    st.Gc.top_heap_words
 
 let export_target t =
   export_gc ();

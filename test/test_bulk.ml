@@ -128,7 +128,7 @@ let test_non_finite_rejected () =
 let test_emit_rejection_burns_no_seq () =
   let buf = Buffer.create 256 in
   let sink =
-    Journal.create ~clock_ns:(fun () -> 7L) ~write:(Buffer.add_string buf) ()
+    Journal.create ~clock_ns:(fun () -> 7) ~write:(Buffer.add_string buf) ()
   in
   Journal.write_header sink ~journal:"test" [];
   Journal.emit sink ~kind:"ok" [ ("v", Journal.Int 1) ];
@@ -159,7 +159,7 @@ let sample_journal () =
     Journal.create
       ~clock_ns:(fun () ->
         incr tick;
-        Int64.of_int (!tick * 1000))
+        !tick * 1000)
       ~write:(Buffer.add_string buf) ()
   in
   Journal.write_header sink ~journal:"sample" [ ("m", Journal.Int 4) ];
@@ -259,7 +259,7 @@ let engine_with_buffer ~trigger m =
     Journal.create
       ~clock_ns:(fun () ->
         incr jtick;
-        Int64.of_int (!jtick * 1000))
+        !jtick * 1000)
       ~write:(Buffer.add_string buf) ()
   in
   let eng =

@@ -35,7 +35,7 @@ let buffer_journals shards =
       (Journal.create
          ~clock_ns:(fun () ->
            incr tick;
-           Int64.of_int (!tick * 1000))
+           !tick * 1000)
          ~write:(Buffer.add_string bufs.(i))
          ())
   in

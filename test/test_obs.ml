@@ -504,7 +504,7 @@ let prop_journal_round_trip =
         Journal.create
           ~clock_ns:(fun () ->
             incr tick;
-            Int64.of_int (!tick * 17))
+            !tick * 17)
           ~write:(Buffer.add_string buf) ()
       in
       Journal.write_header sink ~journal:"qcheck" [ ("m", Journal.Int 4) ];
@@ -662,7 +662,7 @@ let prop_json_text_round_trip =
          = Ok (Journal.List [ v; v ]))
 
 let test_journal_tail () =
-  let sink = Journal.create ~tail_capacity:3 ~clock_ns:(fun () -> 0L) ~write:(fun _ -> ()) () in
+  let sink = Journal.create ~tail_capacity:3 ~clock_ns:(fun () -> 0) ~write:(fun _ -> ()) () in
   Journal.write_header sink ~journal:"t" [];
   for i = 0 to 5 do
     Journal.emit sink ~kind:"e" [ ("i", Journal.Int i) ]
@@ -743,7 +743,7 @@ let ticking_clock () =
   let tick = ref 0 in
   fun () ->
     incr tick;
-    Int64.of_int (!tick * 31)
+    !tick * 31
 
 let emit_streamed sink ~kind fields =
   Journal.Emit.start sink ~kind ~fields:(List.length fields);
@@ -784,7 +784,7 @@ let prop_emit_paths_agree =
                    let e =
                      {
                        Journal.seq;
-                       ts_ns = Int64.to_int (clock ());
+                       ts_ns = clock ();
                        kind;
                        fields;
                        line = 0;

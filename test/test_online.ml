@@ -169,6 +169,71 @@ let prop_state_matches_materialization =
       && Instance.initial_makespan inst = Engine.makespan eng
       && Array.for_all (fun id -> Engine.mem eng id) ids)
 
+(* qcheck: the consistency probe's repair scratch is its own. A stream
+   of events with [check_consistency] at budgets up to the job count
+   interleaved gives the same replies, placements, makespans and journal
+   as the same stream without the checks: a probe that grew scratch the
+   engine then read (or the other way round) would show up as a
+   different move list, a different journal line or an index out of
+   bounds. Journals are compared with their [check] lines dropped and
+   each line's [seq] cut off, since the checks take sequence numbers. *)
+let checked_stream_gen =
+  let open QCheck2 in
+  Gen.(
+    let* m = int_range 1 6 in
+    let* auto = bool in
+    let id = map (fun i -> Printf.sprintf "j%d" i) (int_range 0 29) in
+    let* events =
+      list_size (int_range 0 120)
+        (frequency
+           [
+             (4, map2 (fun id size -> `Add (id, size)) id (int_range 1 60));
+             (1, map (fun id -> `Remove id) id);
+             (1, map2 (fun id size -> `Resize (id, size)) id (int_range 1 60));
+             (1, map (fun k -> `Rebalance k) (int_range 0 30));
+             (2, map (fun k -> `Check k) (int_range 0 40));
+           ])
+    in
+    return (m, auto, events))
+
+let prop_checks_leave_no_trace =
+  QCheck2.Test.make ~name:"check_consistency leaves no trace in the engine" ~count:300
+    checked_stream_gen
+    (fun (m, auto, events) ->
+      let trigger = if auto then Some (Engine.Every_events { events = 5; k = 6 }) else None in
+      let run ~checks =
+        let buf = Buffer.create 1024 in
+        let sink = Journal.create ~clock_ns:(fun () -> 0) ~write:(Buffer.add_string buf) () in
+        let eng = Engine.create ?trigger ~journal:sink ~m () in
+        let replies =
+          List.filter_map
+            (fun ev ->
+              let reply =
+                match ev with
+                | `Add (id, size) -> Some (Engine.add_job eng ~id ~size)
+                | `Remove id -> Some (Engine.remove_job eng ~id)
+                | `Resize (id, size) -> Some (Engine.resize_job eng ~id ~size)
+                | `Rebalance k -> Some (Ok (-1, Engine.rebalance eng ~k))
+                | `Check k ->
+                  if checks && not (Engine.check_consistency eng ~k) then
+                    QCheck2.Test.fail_reportf "check_consistency ~k:%d failed" k;
+                  None
+              in
+              Option.map (fun r -> (r, Engine.loads eng, Engine.makespan eng)) reply)
+            events
+        in
+        let lines =
+          String.split_on_char '\n' (Buffer.contents buf)
+          |> List.filter (fun l -> not (contains "\"ev\":\"check\"" l))
+          |> List.map (fun l ->
+                 match String.index_opt l ',' with
+                 | Some i when starts_with "{\"seq\":" l -> String.sub l i (String.length l - i)
+                 | _ -> l)
+        in
+        (replies, lines)
+      in
+      run ~checks:true = run ~checks:false)
+
 (* --- trigger policies ---------------------------------------------------- *)
 
 let test_trigger_event_count () =
@@ -324,10 +389,75 @@ let journaled_engine ?format ?trigger m =
     Journal.create ?format
       ~clock_ns:(fun () ->
         incr tick;
-        Int64.of_int (!tick * 1000))
+        !tick * 1000)
       ~write:(Buffer.add_string buf) ()
   in
   (Engine.create ?trigger ~journal:sink ~m (), buf)
+
+(* The tail ring keeps frames as bytes in both codecs; a binary sink's
+   tail decodes them back to JSONL text. One stream through a JSONL and
+   a binary sink must give the same [tail] for every n, before and after
+   the ring wraps, across batches, and around a [rebalance] frame many
+   times the size of the others (it grows the byte ring; once evicted,
+   the ring shrinks back). The JSONL lines written are the reference. *)
+let test_one_tail_for_both_codecs () =
+  let cap = 16 in
+  let sink format buf =
+    Journal.create ~format ~tail_capacity:cap ~clock_ns:(fun () -> 0)
+      ~write:(Buffer.add_string buf) ()
+  in
+  let text = Buffer.create 4096 and bin = Buffer.create 4096 in
+  let jsonl = Engine.create ~journal:(sink Journal.Jsonl text) ~m:4 ()
+  and binary = Engine.create ~journal:(sink Journal.Binary bin) ~m:4 () in
+  let both f = f jsonl; f binary in
+  let written () =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents text))
+  in
+  let last n l = List.filteri (fun i _ -> i >= List.length l - n) l in
+  let tails_agree what =
+    let lines = written () in
+    List.iter
+      (fun n ->
+        let tail e = Journal.tail (Option.get (Engine.journal e)) n in
+        let expected = last (min n cap) lines in
+        check Alcotest.(list string) (Printf.sprintf "%s: JSONL tail %d" what n) expected (tail jsonl);
+        check Alcotest.(list string) (Printf.sprintf "%s: binary tail %d" what n) expected
+          (tail binary))
+      [ 0; 1; 5; cap - 1; cap; cap + 1; 10 * cap ]
+  in
+  tails_agree "header only";
+  for i = 0 to 9 do
+    both (fun e -> ignore (add e (Printf.sprintf "t%d" i) (1 + (i mod 7))))
+  done;
+  tails_agree "before the ring fills";
+  for i = 10 to 14 do
+    both (fun e -> ignore (add e (Printf.sprintf "t%d" i) (1 + (i mod 7))))
+  done;
+  check_int "the header and 15 adds fill the ring" cap (List.length (written ()));
+  tails_agree "at capacity";
+  for i = 15 to 119 do
+    both (fun e -> ignore (add e (Printf.sprintf "t%d" i) (1 + (i * 13 mod 50))))
+  done;
+  tails_agree "wrapped";
+  (* Skew every job onto one processor's worth of load, then repair. *)
+  both (fun e ->
+      let sink = Option.get (Engine.journal e) in
+      Journal.begin_batch sink;
+      for i = 0 to 39 do
+        ignore (Engine.resize_job e ~id:(Printf.sprintf "t%d" (3 * i)) ~size:(100 + i))
+      done;
+      Journal.end_batch sink);
+  tails_agree "after a batch";
+  both (fun e -> ignore (Engine.rebalance e ~k:max_int));
+  let lines = written () in
+  let big = String.length (List.nth lines (List.length lines - 1)) in
+  let avg = List.fold_left (fun a l -> a + String.length l) 0 lines / List.length lines in
+  check_bool (Printf.sprintf "rebalance line %d bytes, average %d" big avg) true (big > 10 * avg);
+  tails_agree "after the rebalance frame";
+  for i = 0 to (2 * cap) - 1 do
+    both (fun e -> ignore (Engine.resize_job e ~id:(Printf.sprintf "t%d" i) ~size:(1 + i)));
+    if i = cap / 2 || i = cap || i = (2 * cap) - 1 then tails_agree (Printf.sprintf "%d frames later" i)
+  done
 
 let prop_replay_reconstructs =
   QCheck2.Test.make
@@ -1196,6 +1326,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_full_repair_matches_batch;
           QCheck_alcotest.to_alcotest prop_bounded_repair_matches_batch;
           QCheck_alcotest.to_alcotest prop_state_matches_materialization;
+          QCheck_alcotest.to_alcotest prop_checks_leave_no_trace;
         ] );
       ( "triggers",
         [
@@ -1220,6 +1351,7 @@ let () =
             test_auto_trigger_session_replays;
           Alcotest.test_case "corruption rejected with line numbers" `Quick
             test_replay_rejects_corruption;
+          Alcotest.test_case "one tail for both codecs" `Quick test_one_tail_for_both_codecs;
         ] );
       ( "snapshots",
         [

@@ -435,7 +435,7 @@ let constant_journal_cluster ?trigger ~domains ~m ~shards () =
   let cluster =
     Cluster.create ?trigger
       ~journal_for:(fun i ->
-        Some (Journal.create ~clock_ns:(fun () -> 0L) ~write:(Buffer.add_string buffers.(i)) ()))
+        Some (Journal.create ~clock_ns:(fun () -> 0) ~write:(Buffer.add_string buffers.(i)) ()))
       ~m ~shards ~domains ()
   in
   (cluster, buffers)
