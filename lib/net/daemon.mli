@@ -59,7 +59,8 @@ val create : config -> (t, string) result
     recorded over another processor count), build the target, open
     the telemetry output and load the alert rules (refusing an
     unreadable, malformed or empty file); a file that cannot be opened
-    is an [Error] too. Sets the process-wide tracing knobs. Logs each
+    is an [Error] too. Sets the process-wide tracing knobs and the GC's
+    [space_overhead] (80, where the runtime's default is 120). Logs each
     resumed journal and the loaded rules on stderr. On [Error]
     everything opened so far is released. *)
 
