@@ -1,6 +1,5 @@
 module Instance = Rebal_core.Instance
 module Assignment = Rebal_core.Assignment
-module Indexed_heap = Rebal_ds.Indexed_heap
 module Knapsack = Rebal_knapsack.Knapsack
 
 type knapsack_mode =
@@ -101,22 +100,11 @@ let full_plan mode inst ~threshold =
   else begin
     let buckets = jobs_by_proc inst in
     let plans = Array.map (fun jobs -> proc_plan mode jobs ~threshold) buckets in
-    let order = Array.init m (fun p -> p) in
-    Array.sort
-      (fun p1 p2 ->
-        let c1 = plans.(p1).a_cost - plans.(p1).b_cost in
-        let c2 = plans.(p2).a_cost - plans.(p2).b_cost in
-        if c1 <> c2 then compare c1 c2
-        else begin
-          let l1 = if plans.(p1).has_large then 0 else 1 in
-          let l2 = if plans.(p2).has_large then 0 else 1 in
-          if l1 <> l2 then compare l1 l2 else compare p1 p2
-        end)
-      order;
-    let selected = Array.make m false in
-    for i = 0 to !large_total - 1 do
-      selected.(order.(i)) <- true
-    done;
+    let selected =
+      Partition.select ~m ~count:!large_total
+        ~cost:(fun p -> plans.(p).a_cost - plans.(p).b_cost)
+        ~has_large:(fun p -> plans.(p).has_large)
+    in
     let cost = ref 0 in
     for p = 0 to m - 1 do
       cost := !cost + (if selected.(p) then plans.(p).a_cost else plans.(p).b_cost)
@@ -140,50 +128,23 @@ let build inst plans selected ~threshold =
   for j = 0 to n - 1 do
     if not removed.(j) then load.(assign.(j)) <- load.(assign.(j)) + Instance.size inst j
   done;
-  (* Split the removed jobs by the threshold classification. *)
-  let larges = ref [] and smalls = ref [] in
-  for j = n - 1 downto 0 do
-    if removed.(j) then begin
-      if 2 * Instance.size inst j > threshold then larges := j :: !larges
-      else smalls := j :: !smalls
-    end
-  done;
-  (* Removed large jobs go one each to selected processors keeping no
-     large job; the §3.2 counting argument guarantees enough of them
-     (unselected processors may legitimately keep one large job, which
-     only frees more slots). *)
-  let frees = ref [] in
-  for p = m - 1 downto 0 do
-    if selected.(p) && not plans.(p).has_large then frees := p :: !frees
-  done;
-  let rec place_large jobs frees =
-    match (jobs, frees) with
-    | [], _ -> ()
-    | j :: jobs', p :: frees' ->
-      assign.(j) <- p;
-      load.(p) <- load.(p) + Instance.size inst j;
-      place_large jobs' frees'
-    | _ :: _, [] ->
-      invalid_arg "Budgeted_partition.build: not enough large-free processors"
+  (* Split the removed jobs by the threshold classification, each in
+     ascending id order. Removed large jobs go one each to selected
+     processors keeping no large job; the §3.2 counting argument
+     guarantees enough of them (unselected processors may legitimately
+     keep one large job, which only frees more slots). *)
+  let removed_ids large =
+    Array.of_list
+      (List.filter
+         (fun j -> removed.(j) && (2 * Instance.size inst j > threshold) = large)
+         (List.init n Fun.id))
   in
-  place_large !larges !frees;
-  (* Removed small jobs go, largest first, to the least loaded processor. *)
-  let smalls =
-    List.sort
-      (fun j1 j2 ->
-        let s1 = Instance.size inst j1 and s2 = Instance.size inst j2 in
-        if s1 <> s2 then compare s2 s1 else compare j1 j2)
-      !smalls
+  let frees =
+    Array.of_list
+      (List.filter (fun p -> selected.(p) && not plans.(p).has_large) (List.init m Fun.id))
   in
-  let heap = Indexed_heap.create m in
-  Array.iteri (fun p l -> Indexed_heap.set heap p l) load;
-  List.iter
-    (fun j ->
-      let p, l = Indexed_heap.min_exn heap in
-      assign.(j) <- p;
-      Indexed_heap.set heap p (l + Instance.size inst j))
-    smalls;
-  Assignment.of_array ~m assign
+  Partition.replace inst ~assign ~load ~larges:(removed_ids true) ~frees
+    ~smalls:(removed_ids false)
 
 let guess_grid ~alpha ~lb ~ub =
   let rec next acc t =

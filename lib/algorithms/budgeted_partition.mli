@@ -21,7 +21,12 @@
     any [t >=] optimum costs no more than the optimum's own relocation
     cost — the paper's Lemma 7), so the result is a
     [1.5 (1 + alpha)]-approximation, plus the knapsack error [epsilon]
-    when the FPTAS replaces the exact DP. *)
+    when the FPTAS replaces the exact DP.
+
+    Only the knapsack removal sets are this module's own: the selection
+    and the re-placement are PARTITION's ({!Partition.select},
+    {!Partition.replace}), with removed large jobs paired in ascending id
+    order. *)
 
 type knapsack_mode =
   | Auto

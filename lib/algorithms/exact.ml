@@ -13,12 +13,8 @@ let solve ?(node_limit = 20_000_000) inst ~budget =
     | Budget.Moves _ -> 1
     | Budget.Cost _ -> Instance.cost inst j
   in
-  let order = Array.init n (fun j -> j) in
-  Array.sort
-    (fun j1 j2 ->
-      let s1 = Instance.size inst j1 and s2 = Instance.size inst j2 in
-      if s1 <> s2 then compare s2 s1 else compare j1 j2)
-    order;
+  let order = Array.init n Fun.id in
+  Rebal_core.Greedy_steps.by_size_descending ~size:(Instance.size inst) order;
   let avg_lb = (Instance.total_size inst + m - 1) / m in
   (* Incumbent: the initial assignment is always within budget; GREEDY
      usually improves on it when the budget is a move count. *)

@@ -10,7 +10,11 @@
     [O(n log n)] time. The approximation guarantee holds for {e any}
     insertion order in step 2; the order still matters in practice
     (descending is best; ascending exhibits the tight [2 - 1/m] example
-    of Theorem 1, where the one huge job is re-placed last). *)
+    of Theorem 1, where the one huge job is re-placed last).
+
+    Both steps are {!Rebal_core.Greedy_steps}: step 1 is
+    [remove_largest] (Lemma 1's removal, also behind
+    [Lower_bounds.g1]), step 2 is [list_schedule]. *)
 
 type insertion_order =
   | As_removed  (** FIFO over the removal sequence — the paper's default *)
@@ -22,7 +26,3 @@ val solve : ?order:insertion_order -> Rebal_core.Instance.t -> k:int -> Rebal_co
     [Descending]. The returned assignment always moves at most [k] jobs
     (a removed job re-placed on its own processor counts as no move).
     @raise Invalid_argument if [k < 0]. *)
-
-val removal_phase_makespan : Rebal_core.Instance.t -> k:int -> int
-(** Makespan after step 1 only — the quantity [G1] of Lemma 1, exposed
-    for the test-suite (it must equal [Lower_bounds.g1]). *)

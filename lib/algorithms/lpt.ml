@@ -1,25 +1,7 @@
 module Instance = Rebal_core.Instance
 module Assignment = Rebal_core.Assignment
-module Indexed_heap = Rebal_ds.Indexed_heap
 
 let solve inst =
-  let n = Instance.n inst in
   let m = Instance.m inst in
-  let order = Array.init n (fun j -> j) in
-  Array.sort
-    (fun j1 j2 ->
-      let s1 = Instance.size inst j1 and s2 = Instance.size inst j2 in
-      if s1 <> s2 then compare s2 s1 else compare j1 j2)
-    order;
-  let heap = Indexed_heap.create m in
-  for p = 0 to m - 1 do
-    Indexed_heap.set heap p 0
-  done;
-  let assign = Array.make n 0 in
-  Array.iter
-    (fun j ->
-      let p, load = Indexed_heap.min_exn heap in
-      assign.(j) <- p;
-      Indexed_heap.set heap p (load + Instance.size inst j))
-    order;
-  Assignment.of_array ~m assign
+  Assignment.of_array ~m
+    (Rebal_core.Greedy_steps.lpt ~size:(Instance.size inst) ~n:(Instance.n inst) ~m)

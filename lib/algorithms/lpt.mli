@@ -3,7 +3,7 @@
     assignment entirely and therefore serves as the "unbounded moves"
     reference point in the benchmark tables: the makespan a rebalancer
     could reach if relocation were free, at the price of moving almost
-    every job. *)
+    every job. The placement is {!Rebal_core.Greedy_steps.lpt}. *)
 
 val solve : Rebal_core.Instance.t -> Rebal_core.Assignment.t
 (** Assign jobs to processors from scratch, largest first, each on the

@@ -1,7 +1,7 @@
 module Instance = Rebal_core.Instance
 module Assignment = Rebal_core.Assignment
 module Sorted_jobs = Rebal_ds.Sorted_jobs
-module Indexed_heap = Rebal_ds.Indexed_heap
+module Greedy_steps = Rebal_core.Greedy_steps
 
 type plan = {
   threshold : int;
@@ -37,6 +37,26 @@ let b_value v ~lc ~threshold =
     1 + Sorted_jobs.min_removals_to_cap v ~from_:lc ~cap:threshold
   else Sorted_jobs.min_removals_to_cap v ~from_:0 ~cap:threshold
 
+(* Step 2 ((c) in partition.mli): the [count] processors of smallest
+   [cost]; ties prefer processors holding a large job (this tie-break is
+   what guarantees every unselected processor with a large job has
+   b >= 1), then the smaller index. *)
+let select ~m ~count ~cost ~has_large =
+  let order = Array.init m Fun.id in
+  Array.sort
+    (fun p1 p2 ->
+      let c1 = cost p1 and c2 = cost p2 in
+      if c1 <> c2 then Int.compare c1 c2
+      else
+        let l1 = has_large p1 and l2 = has_large p2 in
+        if l1 <> l2 then Bool.compare l2 l1 else Int.compare p1 p2)
+    order;
+  let selected = Array.make m false in
+  for i = 0 to count - 1 do
+    selected.(order.(i)) <- true
+  done;
+  selected
+
 let plan inst ~views ~threshold =
   if threshold < 0 then invalid_arg "Partition.plan: negative threshold";
   let m = Instance.m inst in
@@ -52,24 +72,11 @@ let plan inst ~views ~threshold =
       a.(p) <- a_value views.(p) ~lc:lc.(p) ~threshold;
       b.(p) <- b_value views.(p) ~lc:lc.(p) ~threshold
     done;
-    (* Select the L_T processors of smallest c = a - b; ties prefer
-       processors holding a large job (this tie-break is what guarantees
-       every unselected processor with a large job has b >= 1). *)
-    let order = Array.init m (fun p -> p) in
-    Array.sort
-      (fun p1 p2 ->
-        let c1 = a.(p1) - b.(p1) and c2 = a.(p2) - b.(p2) in
-        if c1 <> c2 then compare c1 c2
-        else begin
-          let l1 = if lc.(p1) > 0 then 0 else 1 in
-          let l2 = if lc.(p2) > 0 then 0 else 1 in
-          if l1 <> l2 then compare l1 l2 else compare p1 p2
-        end)
-      order;
-    let selected = Array.make m false in
-    for i = 0 to large_total - 1 do
-      selected.(order.(i)) <- true
-    done;
+    let selected =
+      select ~m ~count:large_total
+        ~cost:(fun p -> a.(p) - b.(p))
+        ~has_large:(fun p -> lc.(p) > 0)
+    in
     (* Step-1 removals contribute L_E; selected processors then pay a,
        unselected processors pay b. *)
     let moves = ref large_extra in
@@ -79,83 +86,78 @@ let plan inst ~views ~threshold =
     Some { threshold; moves = !moves; large_total; large_extra; selected; a; b }
   end
 
-let build inst ~views { threshold; selected; a; b; _ } =
+(* Steps 5 and 6 ((e) in partition.mli): removed large job [larges.(i)]
+   goes to processor [frees.(i)]; then the removed small jobs, largest
+   first, are list scheduled. Any small-job order satisfies Theorem 2;
+   largest first is simply the best practical choice. *)
+let replace inst ~assign ~load ~larges ~frees ~smalls =
+  if Array.length larges > Array.length frees then
+    invalid_arg "Partition.replace: not enough large-free processors";
+  let size = Instance.size inst in
+  Array.iteri
+    (fun i j ->
+      let p = frees.(i) in
+      assign.(j) <- p;
+      load.(p) <- load.(p) + size j)
+    larges;
+  Greedy_steps.by_size_descending ~size smalls;
+  Greedy_steps.list_schedule ~size ~load smalls ~assign;
+  Assignment.of_array ~m:(Instance.m inst) assign
+
+let build inst ~views { threshold; moves; selected; a; b; _ } =
   let m = Instance.m inst in
   let lc = large_counts views ~threshold in
   let assign = Instance.initial_assignment inst in
-  let removed_large = ref [] in
-  let removed_small = ref [] in
   let load = Array.make m 0 in
+  (* The plan's [moves] removals, split by kind; large jobs are kept in
+     the order they are found. *)
+  let larges = Array.make moves 0 and nl = ref 0 in
+  let smalls = Array.make moves 0 and ns = ref 0 in
   for p = 0 to m - 1 do
-    let v = views.(p) in
+    let v = views.(p) and l = lc.(p) in
+    let gone = ref 0 in
+    let take jobs count i =
+      jobs.(!count) <- Sorted_jobs.id v i;
+      incr count;
+      gone := !gone + Sorted_jobs.size v i
+    in
     (* Step 1: all large jobs but the smallest one leave processor p. *)
-    let step1 = Sorted_jobs.ids_in_range v 0 (max 0 (lc.(p) - 1)) in
-    List.iter (fun j -> removed_large := j :: !removed_large) step1;
-    let gone = ref (Sorted_jobs.prefix v (max 0 (lc.(p) - 1))) in
-    if selected.(p) then begin
+    for i = 0 to l - 2 do
+      take larges nl i
+    done;
+    if selected.(p) then
       (* Step 3: the a.(p) largest small jobs leave. *)
-      let smalls = Sorted_jobs.ids_in_range v lc.(p) (lc.(p) + a.(p)) in
-      List.iter
-        (fun j -> removed_small := (j, Instance.size inst j) :: !removed_small)
-        smalls;
-      gone := !gone + (Sorted_jobs.prefix v (lc.(p) + a.(p)) - Sorted_jobs.prefix v lc.(p))
-    end
-    else if lc.(p) >= 1 then begin
+      for i = l to l + a.(p) - 1 do
+        take smalls ns i
+      done
+    else if l >= 1 then begin
       (* Step 4 on a processor that still holds its one large job: the
          large job must leave (b >= 1 is guaranteed by the tie-break; see
          Partition.mli) together with the b-1 largest small jobs. *)
       assert (b.(p) >= 1);
-      removed_large := Sorted_jobs.id v (lc.(p) - 1) :: !removed_large;
-      gone := !gone + Sorted_jobs.size v (lc.(p) - 1);
-      let smalls = Sorted_jobs.ids_in_range v lc.(p) (lc.(p) + b.(p) - 1) in
-      List.iter
-        (fun j -> removed_small := (j, Instance.size inst j) :: !removed_small)
-        smalls;
-      gone := !gone + (Sorted_jobs.prefix v (lc.(p) + b.(p) - 1) - Sorted_jobs.prefix v lc.(p))
+      take larges nl (l - 1);
+      for i = l to l + b.(p) - 2 do
+        take smalls ns i
+      done
     end
-    else begin
+    else
       (* Step 4, no large job: the b.(p) largest jobs leave. *)
-      let smalls = Sorted_jobs.ids_in_range v 0 b.(p) in
-      List.iter
-        (fun j -> removed_small := (j, Instance.size inst j) :: !removed_small)
-        smalls;
-      gone := !gone + Sorted_jobs.prefix v b.(p)
-    end;
+      for i = 0 to b.(p) - 1 do
+        take smalls ns i
+      done;
     load.(p) <- Sorted_jobs.total v - !gone
   done;
-  (* Step 5: every removed large job goes to a distinct selected processor
-     that has no large job. The counting argument in §3 of the paper makes
-     the two lists the same length. *)
-  let large_free =
-    List.filter (fun p -> selected.(p) && lc.(p) = 0) (List.init m Fun.id)
+  (* Step 5 gives every removed large job a distinct selected processor
+     that has no large job, pairing the last large job found with the
+     first such processor. The counting argument in §3 of the paper makes
+     the two the same length. *)
+  let larges = Array.init !nl (fun i -> larges.(!nl - 1 - i)) in
+  let frees =
+    Array.of_list (List.filter (fun p -> selected.(p) && lc.(p) = 0) (List.init m Fun.id))
   in
-  let rec place_large jobs frees =
-    match (jobs, frees) with
-    | [], [] -> ()
-    | j :: jobs', p :: frees' ->
-      assign.(j) <- p;
-      load.(p) <- load.(p) + Instance.size inst j;
-      place_large jobs' frees'
-    | _ -> invalid_arg "Partition.build: large job / large-free processor mismatch"
-  in
-  place_large !removed_large large_free;
-  (* Step 6: removed small jobs go, largest first, to the least loaded
-     processor. Any order satisfies Theorem 2; descending is simply the
-     best practical choice. *)
-  let smalls =
-    List.sort
-      (fun (j1, s1) (j2, s2) -> if s1 <> s2 then compare s2 s1 else compare j1 j2)
-      !removed_small
-  in
-  let heap = Indexed_heap.create m in
-  Array.iteri (fun p l -> Indexed_heap.set heap p l) load;
-  List.iter
-    (fun (j, s) ->
-      let p, l = Indexed_heap.min_exn heap in
-      assign.(j) <- p;
-      Indexed_heap.set heap p (l + s))
-    smalls;
-  Assignment.of_array ~m assign
+  if Array.length larges <> Array.length frees then
+    invalid_arg "Partition.build: large job / large-free processor mismatch";
+  replace inst ~assign ~load ~larges ~frees ~smalls:(Array.sub smalls 0 !ns)
 
 let solve inst ~opt_guess =
   let views = Instance.sorted_views inst in

@@ -18,7 +18,11 @@
     The number of removals is minimal over all ways of reaching a
     "half-optimal" configuration (Lemma 3/4), hence at most the number of
     moves the optimum uses when [t >= OPT]; the resulting makespan is at
-    most [1.5 t] (Theorem 2). *)
+    most [1.5 t] (Theorem 2).
+
+    Step (c) is {!select} and step (e) is {!replace}; the budgeted
+    variant ([Budgeted_partition], §3.2) reuses both. Step (e) places
+    small jobs with {!Rebal_core.Greedy_steps.list_schedule}. *)
 
 type plan = {
   threshold : int;
@@ -36,6 +40,26 @@ val plan :
     structurally infeasible (more large jobs than processors, which
     cannot happen for [threshold >= OPT]). [O(m log n)] given the views.
     @raise Invalid_argument if [threshold < 0]. *)
+
+val select :
+  m:int -> count:int -> cost:(int -> int) -> has_large:(int -> bool) -> bool array
+(** Step (c): mark the [count] processors of smallest [cost p]
+    ([c_p = a_p - b_p]); ties prefer processors with [has_large p], then
+    the smaller index. *)
+
+val replace :
+  Rebal_core.Instance.t ->
+  assign:int array ->
+  load:int array ->
+  larges:int array ->
+  frees:int array ->
+  smalls:int array ->
+  Rebal_core.Assignment.t
+(** Step (e), on the job-to-processor map [assign] and the loads [load]
+    left by the removals (both updated in place): removed large job
+    [larges.(i)] goes to processor [frees.(i)], then the removed jobs
+    [smalls] are sorted largest first and list-scheduled.
+    @raise Invalid_argument if [frees] is shorter than [larges]. *)
 
 val build :
   Rebal_core.Instance.t -> views:Rebal_ds.Sorted_jobs.t array -> plan -> Rebal_core.Assignment.t

@@ -263,14 +263,9 @@ let solve_guess inst ~cost_of ~guess ~delta =
       assign.(j) <- !best;
       small_load.(!best) <- small_load.(!best) + s
     in
-    let pool =
-      List.sort
-        (fun j1 j2 ->
-          let s1 = Instance.size inst j1 and s2 = Instance.size inst j2 in
-          if s1 <> s2 then compare s2 s1 else compare j1 j2)
-        !small_pool
-    in
-    List.iter place_small pool;
+    let pool = Array.of_list !small_pool in
+    Rebal_core.Greedy_steps.by_size_descending ~size:(Instance.size inst) pool;
+    Array.iter place_small pool;
     Some (Assignment.of_array ~m assign, total_cost, Hashtbl.length memo, nclasses)
   end
 

@@ -21,5 +21,3 @@ let within inst assignment budget =
 let limit = function
   | Moves k -> k
   | Cost b -> b
-
-let unlimited inst = Moves (Instance.n inst)

@@ -17,6 +17,3 @@ val within : Instance.t -> Assignment.t -> t -> bool
 
 val limit : t -> int
 (** The numeric bound carried by the budget. *)
-
-val unlimited : Instance.t -> t
-(** A [Moves] budget large enough to never bind ([k = n]). *)

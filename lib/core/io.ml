@@ -115,7 +115,3 @@ let assignment_of_string ~m s =
     let arr = Array.of_list (List.map Option.get parsed) in
     try Ok (Assignment.of_array ~m arr) with Invalid_argument msg -> Error msg
   end
-
-let read_assignment ~m ic =
-  let contents = lines_of_channel ic |> String.concat " " in
-  assignment_of_string ~m contents

@@ -24,5 +24,4 @@ val instance_of_string : string -> (Instance.t, string) result
 val write_assignment : out_channel -> Assignment.t -> unit
 val assignment_to_string : Assignment.t -> string
 
-val read_assignment : m:int -> in_channel -> (Assignment.t, string) result
 val assignment_of_string : m:int -> string -> (Assignment.t, string) result

@@ -5,36 +5,9 @@ let average inst =
 
 let max_size = Instance.max_size
 
-(* Lemma 1: repeatedly deleting the largest job from the most-loaded
-   processor is the optimal way to delete k jobs to minimize the maximum
-   load; the resulting maximum load G1 is a lower bound on OPT. The
-   most-loaded processor is tracked with a max-heap (priorities negated)
-   and each processor consumes its descending-sorted jobs in order. *)
+(* Lemma 1: the maximum load left by GREEDY's removal step. *)
 let g1 inst ~k =
-  if k < 0 then invalid_arg "Lower_bounds.g1: negative k";
-  let m = Instance.m inst in
-  let views = Instance.sorted_views inst in
-  let cursor = Array.make m 0 in
-  let load = Array.make m 0 in
-  let heap = Rebal_ds.Indexed_heap.create m in
-  for p = 0 to m - 1 do
-    load.(p) <- Rebal_ds.Sorted_jobs.total views.(p);
-    Rebal_ds.Indexed_heap.set heap p (-load.(p))
-  done;
-  let steps = min k (Instance.n inst) in
-  (try
-     for _ = 1 to steps do
-       let p, neg = Rebal_ds.Indexed_heap.min_exn heap in
-       if neg = 0 then raise Exit (* every processor is already empty *);
-       let v = views.(p) in
-       if cursor.(p) >= Rebal_ds.Sorted_jobs.length v then raise Exit
-       else begin
-         load.(p) <- load.(p) - Rebal_ds.Sorted_jobs.size v cursor.(p);
-         cursor.(p) <- cursor.(p) + 1;
-         Rebal_ds.Indexed_heap.set heap p (-load.(p))
-       end
-     done
-   with Exit -> ());
+  let _, load = Greedy_steps.remove_largest inst ~k in
   Array.fold_left max 0 load
 
 let best inst ~budget =

@@ -10,7 +10,8 @@
       the currently most-loaded processor minimizes the makespan over all
       ways of deleting [k] jobs {e without reassigning them}; since the
       optimum must additionally place the removed jobs somewhere,
-      [G1 <= OPT]. Only valid for the [Moves k] budget. *)
+      [G1 <= OPT]. Only valid for the [Moves k] budget. The removal is
+      {!Greedy_steps.remove_largest}, GREEDY's own first step. *)
 
 val average : Instance.t -> int
 val max_size : Instance.t -> int

@@ -15,7 +15,6 @@ let fresh_counters () =
 
 let hook : counters option ref = ref None
 let install_counters c = hook := Some c
-let installed_counters () = !hook
 let remove_counters () = hook := None
 
 type t = {

@@ -28,7 +28,6 @@ type counters = {
 
 val fresh_counters : unit -> counters
 val install_counters : counters -> unit
-val installed_counters : unit -> counters option
 val remove_counters : unit -> unit
 
 val create : int -> t

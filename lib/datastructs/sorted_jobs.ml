@@ -61,9 +61,3 @@ let min_removals_to_cap t ~from_ ~cap =
     end
   in
   search 0 (q - from_)
-
-let ids_in_range t lo hi =
-  let rec collect i acc =
-    if i < lo then acc else collect (i - 1) (t.ids.(i) :: acc)
-  in
-  collect (hi - 1) []

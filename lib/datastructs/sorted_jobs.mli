@@ -56,6 +56,3 @@ val min_removals_to_cap : t -> from_:int -> cap:int -> int
     optimal for minimizing the count, so this is exact. [O(log q)].
     @raise Invalid_argument if no [r] suffices, which can only happen when
     [cap < 0]. *)
-
-val ids_in_range : t -> int -> int -> int list
-(** [ids_in_range t lo hi] are the job ids at positions [lo .. hi-1]. *)

@@ -47,7 +47,3 @@ let summarize xs =
   }
 
 let ratio a b = if b = 0 then 1.0 else float_of_int a /. float_of_int b
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.4f min=%.4f p50=%.4f p95=%.4f max=%.4f" s.count
-    s.mean s.min s.p50 s.p95 s.max

@@ -22,5 +22,3 @@ type summary = {
 val summarize : float array -> summary
 val ratio : int -> int -> float
 (** [ratio a b = a /. b] as floats, 1.0 when [b = 0]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -182,9 +182,12 @@ let parse_label_body s =
         incr p)
     done;
     out := (key, Buffer.contents buf) :: !out;
-    i := (if !p < n && s.[!p] = ',' then !p + 1 else !p)
+    if !p < n && s.[!p] <> ',' then raise (Bad "expected ',' after a label value");
+    i := !p + 1
   done;
   List.rev !out
+
+let parse_labels body = try Ok (parse_label_body body) with Bad e -> Error e
 
 let parse_sample line =
   let sp =

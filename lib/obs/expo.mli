@@ -34,6 +34,14 @@ val parse : string -> (sample list, string) result
     values may contain spaces. [Error] names the offending sample
     line. *)
 
+val label_set : (string * string) list -> string
+(** [{k="v",...}] with the label-value escapes {!prometheus} uses
+    (backslash, quote, newline), or [""] for no labels. *)
+
+val parse_labels : string -> ((string * string) list, string) result
+(** The inverse of {!label_set} on the text between the braces: pairs in
+    the order written, escapes decoded. *)
+
 val find_sample : sample list -> string -> (string * string) list -> sample option
 (** Lookup by name and label set (any label order). *)
 

@@ -152,12 +152,7 @@ let get_series t name labels =
     t.order <- s :: t.order;
     s
 
-let selector_string name labels =
-  match labels with
-  | [] -> name
-  | ls ->
-    let pairs = List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) ls in
-    Printf.sprintf "%s{%s}" name (String.concat "," pairs)
+let selector_string name labels = name ^ Expo.label_set labels
 
 (* One scalar reading per metric: counters and gauges directly,
    histograms as the Prometheus-shaped cumulative bucket / sum / count
@@ -327,32 +322,6 @@ let valid_name s =
          || c = '_' || c = ':')
        s
 
-let parse_labels body =
-  (* k="v",k2="v2" — values are quoted, no escape support needed for the
-     label values the registry produces (shard indices, verbs, paths). *)
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let n = String.length body in
-  let rec pairs i acc =
-    if i >= n then Ok (List.rev acc)
-    else
-      match String.index_from_opt body i '=' with
-      | None -> err "label at %d: missing '='" i
-      | Some eq ->
-        let k = String.sub body i (eq - i) in
-        if not (valid_name k) then err "invalid label name %S" k
-        else if eq + 1 >= n || body.[eq + 1] <> '"' then
-          err "label %s: value must be quoted" k
-        else (
-          match String.index_from_opt body (eq + 2) '"' with
-          | None -> err "label %s: unterminated value" k
-          | Some close ->
-            let v = String.sub body (eq + 2) (close - eq - 2) in
-            if close + 1 >= n then Ok (List.rev ((k, v) :: acc))
-            else if body.[close + 1] = ',' then pairs (close + 2) ((k, v) :: acc)
-            else err "label %s: expected ',' after value" k)
-  in
-  pairs 0 []
-
 let parse_selector s =
   let s = String.trim s in
   match String.index_opt s '{' with
@@ -365,9 +334,12 @@ let parse_selector s =
     else if s.[String.length s - 1] <> '}' then Error "selector: missing '}'"
     else
       let body = String.sub s (lb + 1) (String.length s - lb - 2) in
-      (match parse_labels body with
-      | Ok labels -> Ok (name, List.sort_uniq compare labels)
-      | Error e -> Error e)
+      match Expo.parse_labels body with
+      | Error e -> Error ("selector: " ^ e)
+      | Ok labels -> (
+        match List.find_opt (fun (k, _) -> not (valid_name k)) labels with
+        | Some (k, _) -> Error (Printf.sprintf "invalid label name %S" k)
+        | None -> Ok (name, List.sort_uniq compare labels))
 
 let parse_duration s =
   let s = String.trim s in

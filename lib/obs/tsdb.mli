@@ -113,9 +113,13 @@ val quantile :
     protocol verb and [GET /tsdb]. *)
 
 val parse_selector : string -> (string * Metrics.labels, string) result
-(** [name] or [name{k="v",...}] (labels end up canonically sorted). *)
+(** [name] or [name{k="v",...}] (labels end up canonically sorted). A
+    value takes the [METRICS] escapes for a quote, a backslash and a
+    newline. *)
 
 val selector_string : string -> Metrics.labels -> string
+(** The inverse of {!parse_selector}, rendered as [METRICS] renders a
+    series ({!Expo.label_set}). *)
 
 val parse_duration : string -> (float, string) result
 (** Seconds from ["250ms"], ["30s"], ["5m"], ["1h"] or a bare number

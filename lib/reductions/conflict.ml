@@ -20,7 +20,6 @@ let create ~jobs ~machines ~conflicts =
 let jobs t = t.jobs
 let machines t = t.machines
 let conflicts t = t.conflicts
-let conflicted t u v = t.matrix.(u).(v)
 
 (* Feasibility is m-coloring of the conflict graph. Jobs are coloured in
    decreasing-degree order (helps pruning) and a job may only open one new

@@ -18,9 +18,6 @@ val jobs : t -> int
 val machines : t -> int
 val conflicts : t -> (int * int) list
 
-val conflicted : t -> int -> int -> bool
-(** Whether two jobs conflict. *)
-
 val feasible : t -> int array option
 (** A machine per job such that no conflicting pair shares one, if any
     exists. Backtracking with machine-symmetry breaking; exponential. *)

@@ -102,7 +102,6 @@ let live_count t ~m ~time =
   done;
   !c
 
-let crashes_at t ~time = List.filter_map (fun (tm, s) -> if tm = time then Some s else None) t.events
 let crash_events t = t.events
 let lag t = t.lag
 

@@ -59,9 +59,6 @@ val is_live : t -> server:int -> time:int -> bool
 val live_count : t -> m:int -> time:int -> int
 (** Number of live servers among [0 .. m-1] at [time]; always >= 1. *)
 
-val crashes_at : t -> time:int -> int list
-(** Servers that transition from up to down exactly at [time],
-    ascending. *)
 
 val crash_events : t -> (int * int) list
 (** All [(time, server)] crash transitions, in time order. *)

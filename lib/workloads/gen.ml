@@ -56,35 +56,12 @@ let skewed rng ~n ~m ~dist ~skew ?(cost = Unit) () =
   let initial = Array.init n (fun _ -> pick ()) in
   Instance.create ~costs ~sizes ~m initial
 
-(* Longest-processing-time-first placement used as the balanced starting
-   point of [drifted]; re-implemented locally because the workloads library
-   sits below the algorithms library. *)
-let lpt_placement sizes m =
-  let n = Array.length sizes in
-  let order = Array.init n (fun j -> j) in
-  Array.sort
-    (fun j1 j2 ->
-      if sizes.(j1) <> sizes.(j2) then compare sizes.(j2) sizes.(j1)
-      else compare j1 j2)
-    order;
-  let heap = Rebal_ds.Indexed_heap.create m in
-  for p = 0 to m - 1 do
-    Rebal_ds.Indexed_heap.set heap p 0
-  done;
-  let placement = Array.make n 0 in
-  Array.iter
-    (fun j ->
-      let p, load = Rebal_ds.Indexed_heap.min_exn heap in
-      placement.(j) <- p;
-      Rebal_ds.Indexed_heap.set heap p (load + sizes.(j)))
-    order;
-  placement
-
 let drifted rng ~n ~m ~dist ~drift ?(cost = Unit) () =
   if drift < 0.0 || drift > 1.0 then invalid_arg "Gen.drifted: drift outside [0,1]";
   let sizes = Dist.sample_many dist rng n in
   let costs = costs_of rng cost sizes in
-  let initial = lpt_placement sizes m in
+  (* The balanced start: LPT over the sampled sizes. *)
+  let initial = Rebal_core.Greedy_steps.lpt ~size:(Array.get sizes) ~n ~m in
   for j = 0 to n - 1 do
     if Rng.float rng 1.0 < drift then initial.(j) <- Rng.int rng m
   done;

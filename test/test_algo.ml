@@ -71,15 +71,6 @@ let test_greedy_tight_instance () =
       (ms * t.Tight.opt / t.Tight.opt)
   done
 
-let test_greedy_removal_phase_is_g1 () =
-  let rng = Rng.create 44 in
-  for _ = 1 to iterations do
-    let inst, k = random_small rng in
-    check_int "G1 agree"
-      (Lower_bounds.g1 inst ~k)
-      (Greedy.removal_phase_makespan inst ~k)
-  done
-
 let test_greedy_two_tier_optimal () =
   List.iter
     (fun pairs ->
@@ -411,7 +402,6 @@ let () =
           Alcotest.test_case "respects move budget" `Quick test_greedy_respects_budget;
           Alcotest.test_case "2 - 1/m approximation vs exact" `Quick test_greedy_two_approx;
           Alcotest.test_case "Theorem 1 tight instance" `Quick test_greedy_tight_instance;
-          Alcotest.test_case "removal phase equals G1" `Quick test_greedy_removal_phase_is_g1;
           Alcotest.test_case "two-tier family solved exactly" `Quick test_greedy_two_tier_optimal;
         ] );
       ( "partition",

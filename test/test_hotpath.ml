@@ -11,7 +11,8 @@
    - Allocation pins on the restart-sharded stream: words per op through
      [Cluster.apply_bulk] and through [Protocol] on a supervised target
      with binary journals; words per event of a batched binary sink;
-     live words per job of a loaded cluster.
+     live words per job of a loaded cluster; words per job of GREEDY's
+     two steps.
    - [METRICS] exports the process's GC counters, the heap's peak
      included.
    - [Replay.compact] keeps the recording's consistency-check count. *)
@@ -459,6 +460,35 @@ let test_binary_sink_words () =
   check_bool (Printf.sprintf "a batched binary sink allocates %.2f words per event (pinned at 0)" words)
     true (words < 0.01)
 
+(* GREEDY's two steps run inside every shard's full-budget check at
+   restart ([Greedy.solve ~k:n]): past their fixed arrays, neither loop
+   allocates per job. The removal's words are counted net of the sorted
+   views it builds first, which allocate the same either way. *)
+let test_greedy_steps_words () =
+  let n = 20_000 and m = 16 in
+  let inst =
+    Rebal_core.Instance.create
+      ~sizes:(Array.init n (fun j -> 1 + (j * 7919 mod 1000)))
+      ~m
+      (Array.init n (fun j -> j * 31 mod m))
+  in
+  let views = words_per (fun () -> ignore (Rebal_core.Instance.sorted_views inst)) n in
+  let removal =
+    words_per (fun () -> ignore (Rebal_core.Greedy_steps.remove_largest inst ~k:n)) n -. views
+  in
+  let order = Array.init n Fun.id and assign = Array.make n 0 in
+  let placement =
+    words_per
+      (fun () ->
+        Rebal_core.Greedy_steps.list_schedule ~size:(Rebal_core.Instance.size inst)
+          ~load:(Array.make m 0) order ~assign)
+      n
+  in
+  check_bool (Printf.sprintf "the removal allocates %.4f words per job (pinned at 0)" removal)
+    true (removal < 0.01);
+  check_bool (Printf.sprintf "list scheduling allocates %.4f words per job (pinned at 0)" placement)
+    true (placement < 0.01)
+
 (* Live words per job of a loaded cluster, ids included: the engines'
    slot arrays and heaps, the id maps and the directory, nothing sized
    by slot capacity beyond those. Measured at 100,000 jobs after one
@@ -553,6 +583,7 @@ let () =
           Alcotest.test_case "Protocol words per op" `Quick test_protocol_words;
           Alcotest.test_case "binary sink words per event" `Quick test_binary_sink_words;
           Alcotest.test_case "live words per job" `Quick test_live_words;
+          Alcotest.test_case "GREEDY steps words per job" `Quick test_greedy_steps_words;
         ] );
       ("metrics", [ Alcotest.test_case "GC counters" `Quick test_gc_metrics ]);
       ("compact", [ Alcotest.test_case "checks= kept" `Quick test_compact_checks ]);

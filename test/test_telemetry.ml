@@ -552,6 +552,20 @@ let test_selector_round_trip () =
   in
   check "plain_series";
   check "with_labels{a=\"1\",b=\"two\"}";
+  (* Label values holding a quote, a backslash and a newline use the
+     METRICS escapes, in both directions. *)
+  check {|rebal_journal_dropped_total{journal="say \"hi\".log"}|};
+  check {|escapes{a="C:\\logs\\j",b="two\nlines"}|};
+  (match Tsdb.parse_selector {|escapes{a="q\"",b="b\\",c="n\n"}|} with
+  | Ok (_, labels) ->
+    Alcotest.(check (list (pair string string)))
+      "decoded values"
+      [ ("a", "q\""); ("b", "b\\"); ("c", "n\n") ]
+      labels
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string)
+    "rendered escapes" {|s{v="\"\\\n"}|}
+    (Tsdb.selector_string "s" [ ("v", "\"\\\n") ]);
   (match Tsdb.parse_selector "bad{unclosed" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unclosed selector accepted");
