@@ -1863,21 +1863,46 @@ let experiments =
    experiment's wall seconds against a previous --json dump and fails
    the run when one slowed down more than 2x (plus 50ms of absolute
    slack, so microsecond-scale experiments don't trip on scheduler
-   noise). CI runs the smoke subset against the committed
+   noise). It also fails when a solver counter ([rebal_solver_*]) the
+   dump recorded for a deterministic experiment differs from the run's:
+   those counts are exact, so a changed one means changed work, and a
+   stale dump shows. CI runs the smoke subset against the committed
    BENCH_online.json. *)
+
+(* E1..E13 solve fixed seeded instances, all but E3: its counters count
+   however many repetitions Bechamel's time quota ran. *)
+let counters_exact name =
+  List.mem name [ "E1"; "E2"; "E4"; "E5"; "E6"; "E7"; "E8"; "E9"; "E10"; "E11"; "E12"; "E13" ]
+
+(* "name{k=v,...}", the key a --json dump files a metric under. *)
+let metric_key (m : Metrics.metric) =
+  match m.Metrics.labels with
+  | [] -> m.Metrics.name
+  | ls -> pf "%s{%s}" m.Metrics.name (String.concat "," (List.map (fun (k, v) -> pf "%s=%s" k v) ls))
 
 let read_baseline path =
   let contents = In_channel.with_open_text path In_channel.input_all in
   match Journal.json_of_string contents with
   | Error e -> Error (pf "%s: %s" path e)
   | Ok (Journal.List entries) ->
+    let counters fields =
+      match List.assoc_opt "metrics" fields with
+      | Some (Journal.Obj ms) ->
+        List.filter_map
+          (function
+            | key, Journal.Int v when String.starts_with ~prefix:"rebal_solver_" key -> Some (key, v)
+            | _ -> None)
+          ms
+      | _ -> []
+    in
     Ok
       (List.filter_map
          (function
            | Journal.Obj fields -> begin
              match (List.assoc_opt "name" fields, List.assoc_opt "seconds" fields) with
-             | Some (Journal.Str name), Some (Journal.Float s) -> Some (name, s)
-             | Some (Journal.Str name), Some (Journal.Int s) -> Some (name, float_of_int s)
+             | Some (Journal.Str name), Some (Journal.Float s) -> Some (name, (s, counters fields))
+             | Some (Journal.Str name), Some (Journal.Int s) ->
+               Some (name, (float_of_int s, counters fields))
              | _ -> None
            end
            | _ -> None)
@@ -1909,35 +1934,53 @@ let check_baseline path results =
       List.filter_map
         (fun (name, _, secs, _) ->
           match List.assoc_opt name base with
-          | Some b when secs > (2.0 *. b) +. 0.05 -> Some (name, b, secs)
+          | Some (b, _) when secs > (2.0 *. b) +. 0.05 -> Some (name, b, secs)
           | _ -> None)
         results
     in
-    (match regressions with
-    | [] ->
-      Printf.printf "baseline %s: no regressions among %d guarded experiment(s) (threshold 2x + 50ms slack)\n"
-        path
-        (List.length results - List.length missing)
-    | rs ->
-      List.iter
-        (fun (name, b, s) ->
-          Printf.eprintf "REGRESSION %s: %.3fs vs baseline %.3fs (limit %.3fs)\n" name s b
-            ((2.0 *. b) +. 0.05))
-        rs;
-      exit 1)
+    let counter_drift =
+      List.concat_map
+        (fun (name, _, _, metrics) ->
+          match List.assoc_opt name base with
+          | Some (_, recorded) when counters_exact name ->
+            let ran (m : Metrics.metric) =
+              match m.Metrics.kind with
+              | Metrics.Counter c -> Some (metric_key m, Metrics.Counter.value c)
+              | _ -> None
+            in
+            let ran = List.filter_map ran metrics in
+            List.filter_map
+              (fun (key, want) ->
+                match List.assoc_opt key ran with
+                | Some got when got = want -> None
+                | got -> Some (name, key, want, got))
+              recorded
+          | _ -> [])
+        results
+    in
+    List.iter
+      (fun (name, b, s) ->
+        Printf.eprintf "REGRESSION %s: %.3fs vs baseline %.3fs (limit %.3fs)\n" name s b
+          ((2.0 *. b) +. 0.05))
+      regressions;
+    List.iter
+      (fun (name, key, want, got) ->
+        Printf.eprintf "COUNTER %s: %s = %s vs baseline %d\n" name key
+          (match got with Some v -> string_of_int v | None -> "absent")
+          want)
+      counter_drift;
+    if regressions <> [] || counter_drift <> [] then exit 1;
+    Printf.printf
+      "baseline %s: no regressions among %d guarded experiment(s) (threshold 2x + 50ms slack; \
+       solver counters exact)\n"
+      path
+      (List.length results - List.length missing)
 
 (* One "name{labels}": value pair per metric the experiment produced;
    histograms are summarized as count/sum. *)
 let metric_json_pairs ms =
   List.map
     (fun (m : Metrics.metric) ->
-      let key =
-        match m.Metrics.labels with
-        | [] -> m.Metrics.name
-        | ls ->
-          pf "%s{%s}" m.Metrics.name
-            (String.concat "," (List.map (fun (k, v) -> pf "%s=%s" k v) ls))
-      in
       let value =
         match m.Metrics.kind with
         | Metrics.Counter c -> string_of_int (Metrics.Counter.value c)
@@ -1946,7 +1989,7 @@ let metric_json_pairs ms =
           pf "{\"count\": %d, \"sum\": %g}" (Metrics.Histogram.observations h)
             (Metrics.Histogram.sum h)
       in
-      pf "\"%s\": %s" key value)
+      pf "\"%s\": %s" (metric_key m) value)
     ms
 
 let write_json path results =

@@ -21,7 +21,7 @@ open Cmdliner
 
 (* The one version string: cmdliner's --version, the CHANGELOG and the
    rebal_build_info metric all report it. *)
-let version = "1.27.0"
+let version = "1.28.0"
 
 (* ----- shared argument parsing ----- *)
 

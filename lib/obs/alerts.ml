@@ -207,11 +207,7 @@ let parse_rule line =
     | Some i -> String.sub line 0 i
     | None -> line
   in
-  match
-    String.split_on_char ' ' (String.trim line)
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun t -> t <> "")
-  with
+  match Tsdb.words ~sep:(function ' ' | '\t' -> true | _ -> false) (String.trim line) with
   | [] -> Ok None
   | kind :: name :: rest when valid_rule_name name -> (
     match String.lowercase_ascii kind with

@@ -341,6 +341,26 @@ let parse_selector s =
         | Some (k, _) -> Error (Printf.sprintf "invalid label name %S" k)
         | None -> Ok (name, List.sort_uniq compare labels))
 
+(* Split at bytes where [sep] holds, but never inside a [{...}] label
+   set: its quoted values may hold any byte, and a backslash escapes the
+   next one as in [METRICS]. *)
+let words ~sep s =
+  let n = String.length s in
+  let cut a b acc = if b > a then String.sub s a (b - a) :: acc else acc in
+  let rec go a i state acc =
+    if i >= n then List.rev (cut a n acc)
+    else
+      match (state, s.[i]) with
+      | `Quoted, '\\' -> go a (i + 2) `Quoted acc
+      | `Quoted, '"' -> go a (i + 1) `Labels acc
+      | `Labels, '"' -> go a (i + 1) `Quoted acc
+      | `Labels, '}' -> go a (i + 1) `Outside acc
+      | `Outside, '{' -> go a (i + 1) `Labels acc
+      | `Outside, c when sep c -> go (i + 1) (i + 1) `Outside (cut a i acc)
+      | _ -> go a (i + 1) state acc
+  in
+  go 0 0 `Outside []
+
 let parse_duration s =
   let s = String.trim s in
   let num part =

@@ -162,10 +162,12 @@ type t = {
      its acceptor domains under one. *)
   domain_registries : Metrics.Registry.t array;
   started_ns : int64;  (* the utilization gauges' wall-clock origin *)
-  (* Shard i's [Engine.makespan] as of its last completed task, stored
-     before the lane lock is released — so [makespan] is a fold over
-     these, with no lock at all. *)
+  (* Shard i's [Engine.makespan] and [Engine.min_load] as of its last
+     completed task, stored before the lane lock is released — so
+     [makespan] is a fold over the peaks, and the cross-shard passes
+     pick their shards from both, with no lock at all. *)
   peaks : int Atomic.t array;
+  lows : int Atomic.t array;
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
   directory : Flat_str_map.t;  (* id -> [settled_on] / [reserved_on] shard *)
@@ -258,11 +260,14 @@ let ring_lookup ~weights ring h =
    Task bodies are engine calls and never call back into the cluster,
    so neither can arise from inside a task. *)
 
-(* Run [f] on shard [s]'s engine and publish the shard's makespan before
-   the lock is released, so a caller that has its result always sees
-   its own op's effect in [makespan]. The engine is re-read for the
-   publish: a [replace_engine] task swaps it. *)
-let publish t s = Atomic.set t.peaks.(s) (Engine.makespan t.engines.(s))
+(* Run [f] on shard [s]'s engine and publish the shard's makespan and
+   least load before the lock is released, so a caller that has its
+   result always sees its own op's effect in them. The engine is re-read
+   for the publish: a [replace_engine] task swaps it. *)
+let publish t s =
+  let e = t.engines.(s) in
+  Atomic.set t.peaks.(s) (Engine.makespan e);
+  Atomic.set t.lows.(s) (Engine.min_load e)
 
 let on_shard t s f =
   match f t.engines.(s) with
@@ -394,6 +399,7 @@ let of_parts ~engines ~lanes ~domains ~directory =
     domain_registries = Array.init domains (fun _ -> Metrics.Registry.create ());
     started_ns = Timer.now_ns ();
     peaks = Array.map (fun e -> Atomic.make (Engine.makespan e)) engines;
+    lows = Array.map (fun e -> Atomic.make (Engine.min_load e)) engines;
     dir_mu = Mutex.create ();
     dir_settled = Condition.create ();
     directory;
@@ -710,12 +716,13 @@ let move ?on_removed t ~id ~dst = transfer ~evacuation:false ?on_removed t ~id ~
 (* The shards taking part in routing and repair: positive weight. *)
 let routable t = with_dir t (fun () -> Array.map (fun w -> w > 0.0) t.weights)
 
-(* The shard holding the least-loaded processor among [eligible]
-   shards (lowest index on ties), from a fresh probe; -1 if none. *)
-let least_loaded t eligible =
-  let mins = run_all ~label:"probe" t (fun _ e -> snd (Engine.min_load e)) in
+(* The [eligible] shard whose published value ([t.peaks] or [t.lows])
+   is best by [better], lowest index on ties; -1 if none. *)
+let pick values eligible better =
   let b = ref (-1) in
-  Array.iteri (fun i l -> if eligible i && (!b < 0 || l < mins.(!b)) then b := i) mins;
+  Array.iteri
+    (fun i v -> if eligible i && (!b < 0 || better (Atomic.get v) (Atomic.get values.(!b))) then b := i)
+    values;
   !b
 
 (* Re-home up to [budget] jobs off shard [from] as two-phase transfers,
@@ -740,7 +747,7 @@ let evacuate t ~from ~budget =
          let survivor i = i <> from && routable.(i) in
          if !moved >= budget || not (List.exists survivor (List.init (shard_count t) Fun.id))
          then raise Exit;
-         match transfer ~evacuation:true t ~id ~dst:(least_loaded t survivor) with
+         match transfer ~evacuation:true t ~id ~dst:(pick t.lows survivor ( < )) with
          | Ok mvs ->
            incr moved;
            moves := List.rev_append mvs !moves
@@ -1049,16 +1056,17 @@ let find t id =
 
 (* Every routable shard's own bounded GREEDY repair first — shards are
    independent, each repair is one task under its own lane — then up to
-   [k] cross-shard transfers, each picked from a fresh probe of all
-   shards (the globally heaviest liftable job to the shard holding the
-   least-loaded processor, only when it lands below the current peak)
-   and executed as a two-phase [move]. Per-shard repair cannot lower a
-   peak held by a shard whose every processor is hot; the transfers
-   can. Zero-weight shards sit the whole pass out: a Down shard neither
-   receives transfers (it stopped taking routes) nor gives any up (its
-   engine is presumed unreachable; a failover is the sanctioned drain).
-   A transfer beaten by a concurrent client op (the job vanished or
-   moved) is skipped, not fatal; the next iteration re-probes. *)
+   [k] cross-shard transfers, each picked from the published state: the
+   largest job on the shard with the highest peak, read by one task on
+   that shard, to the shard holding the least-loaded processor, only
+   when it lands below that peak; each is a two-phase [move]. Per-shard
+   repair cannot lower a peak held by a shard whose every processor is
+   hot; the transfers can. Zero-weight shards sit the whole pass out: a
+   Down shard neither receives transfers (it stopped taking routes) nor
+   gives any up (its engine is presumed unreachable; a failover is the
+   sanctioned drain). A transfer beaten by a concurrent client op (the
+   job vanished or moved) is skipped, not fatal; the next iteration
+   reads the published state again. *)
 let rebalance t ~k =
   if k < 0 then invalid_arg "Cluster.rebalance: negative k";
   try
@@ -1075,33 +1083,16 @@ let rebalance t ~k =
     let inter = ref [] in
     (try
        for _ = 1 to k do
-         let probes =
-           run_all ~label:"probe" t (fun _ e ->
-               (Engine.makespan e, Engine.peek_heaviest e, Engine.min_load e))
-         in
-         let ms i = let m, _, _ = probes.(i) in m in
-         let a = ref (-1) in
-         Array.iteri (fun i _ -> if routable.(i) && (!a < 0 || ms i > ms !a) then a := i) probes;
-         if !a < 0 then raise Exit;
-         let a = !a in
-         let lmax = ms a in
-         if lmax = 0 then raise Exit;
-         match (let _, h, _ = probes.(a) in h) with
-         | None -> raise Exit
-         | Some (id, size, _) ->
-           let b = ref (-1) and best = ref max_int in
-           Array.iteri
-             (fun i (_, _, (_, l)) ->
-               if i <> a && routable.(i) && l < !best then begin
-                 b := i;
-                 best := l
-               end)
-             probes;
-           if !b < 0 then raise Exit;
-           if !best + size >= lmax then raise Exit;
-           (match move t ~id ~dst:!b with
+         let a = pick t.peaks (Array.get routable) ( > ) in
+         if a < 0 then raise Exit;
+         match run ~label:"peek" t a (fun e -> (Engine.makespan e, Engine.peek_heaviest e)) with
+         | 0, _ | _, None -> raise Exit
+         | lmax, Some (id, size, _) ->
+           let b = pick t.lows (fun i -> i <> a && routable.(i)) ( < ) in
+           if b < 0 || Atomic.get t.lows.(b) + size >= lmax then raise Exit;
+           (match move t ~id ~dst:b with
            | Ok mvs -> inter := List.rev_append mvs !inter
-           | Error _ -> () (* lost to a concurrent op; re-probe *))
+           | Error _ -> () (* lost to a concurrent op; read again *))
        done
      with Exit -> ());
     internal @ List.rev !inter
@@ -1266,6 +1257,8 @@ let makespan t =
       if v > acc then v else acc)
     0 t.peaks
 
+let published t i = (Atomic.get t.peaks.(i), Atomic.get t.lows.(i))
+
 let loads t =
   let out = Array.make t.m 0 in
   let per_shard = run_all ~label:"loads" t (fun _ e -> Engine.loads e) in
@@ -1278,17 +1271,8 @@ let stats t =
   let makespan = Array.fold_left (fun acc (s, _) -> max acc s.Engine.makespan) 0 agg in
   let max_job_size = Array.fold_left (fun acc (_, mx) -> max acc mx) 0 agg in
   let total_size = sum (fun s -> s.Engine.total_size) in
-  (* Same ratio as [Engine.imbalance], over the global state: makespan
-     / max (average load across all m processors, largest live job). *)
-  let imbalance =
-    if total_size = 0 then 1.0
-    else begin
-      let bound =
-        Float.max (float_of_int total_size /. float_of_int t.m) (float_of_int max_job_size)
-      in
-      float_of_int makespan /. bound
-    end
-  in
+  (* [Engine.imbalance]'s ratio over the global state. *)
+  let imbalance = Engine.imbalance_of ~m:t.m ~makespan ~total_size ~max_job_size in
   let jobs, inter_moves =
     with_dir t (fun () -> (Flat_str_map.length t.directory, t.inter_moves))
   in

@@ -207,6 +207,10 @@ val makespan : t -> int
     exactly the maximum [Engine.makespan]. After {!shutdown} it returns
     the final value (it does not raise). *)
 
+val published : t -> int -> int * int
+(** Shard [i]'s makespan and least load as its last task published
+    them, with no lock: on a quiescent cluster, its engine's. *)
+
 val loads : t -> int array
 (** Global load vector (length [m]), shard ranges concatenated. *)
 
@@ -294,12 +298,12 @@ val move : ?on_removed:(unit -> unit) -> t -> id:string -> dst:int -> (move list
 val rebalance : t -> k:int -> move list
 (** Per-shard bounded GREEDY repair (budget [k] each, one task per
     shard), then up to [k] two-phase cross-shard transfers, each chosen
-    from a fresh probe of every shard. Returns all moves in global
+    from the {!published} values. Returns all moves in global
     indices, intra-shard repairs first — so one call over [S] shards
     makes at most [(S + 1) * k] moves. Quiescent, every domain count
     makes the same decisions in the same order; under
     concurrent traffic a transfer beaten by a client operation is
-    skipped and the next iteration re-probes. Zero-weight shards are
+    skipped and the next iteration reads the values again. Zero-weight shards are
     skipped entirely — their engines are presumed unreachable, and
     transfers never target them.
     @raise Invalid_argument if [k < 0]. *)

@@ -17,9 +17,8 @@ module Timer = Rebal_harness.Timer
 
    - one per-processor heap ordered (size desc, seq asc), whose root is
      exactly the element [Job_set.max_elt] used to yield — the largest
-     job, smallest sequence number on ties;
-   - one global heap in the same order, whose root gives the largest
-     live job for the imbalance lower bound;
+     job, smallest sequence number on ties; the largest of the m roots
+     is the largest live job, for the imbalance lower bound;
    - the two [Indexed_heap]s over processor loads, unchanged.
 
    The id -> slot directory is an open-addressing [Flat_str_map], the
@@ -132,7 +131,6 @@ type t = {
   mutable job_seq : int array;
   mutable job_proc : int array; (* -1 marks a free slot *)
   mutable job_hpos : int array; (* position in its processor's heap *)
-  mutable job_gpos : int array; (* position in the global size heap *)
   mutable free : int array; (* stack of recycled slots below [hw] *)
   mutable free_len : int;
   mutable hw : int; (* slots ever handed out (the scan bound) *)
@@ -140,9 +138,6 @@ type t = {
   (* per-processor heaps of slots, ordered (size desc, seq asc) *)
   pheap : int array array;
   plen : int array;
-  (* global size heap in the same order — replaces the size multiset *)
-  mutable gheap : int array;
-  mutable glen : int;
   load : int array;
   (* Two views of the same load vector: [min_heap] keyed by load answers
      "least-loaded processor" for greedy placement, [max_heap] keyed by
@@ -254,15 +249,12 @@ let create ?(trigger = Manual) ?(clock = Unix.gettimeofday) ?journal ~m () =
     job_seq = Array.make initial_cap 0;
     job_proc = Array.make initial_cap (-1);
     job_hpos = Array.make initial_cap 0;
-    job_gpos = Array.make initial_cap 0;
     free = Array.make initial_cap 0;
     free_len = 0;
     hw = 0;
     live = 0;
     pheap = Array.init m (fun _ -> Array.make 8 0);
     plen = Array.make m 0;
-    gheap = Array.make initial_cap 0;
-    glen = 0;
     load = Array.make m 0;
     min_heap;
     max_heap;
@@ -314,24 +306,31 @@ let job_count t = t.live
 let makespan t = -Indexed_heap.min_prio_exn t.max_heap
 let loads t = Array.copy t.load
 let load t p = t.load.(p)
-let max_job_size t = if t.glen = 0 then 0 else t.job_size.(t.gheap.(0))
+(* The largest job sits at the root of some processor's heap. *)
+let max_job_size t =
+  let best = ref 0 in
+  for p = 0 to t.m - 1 do
+    if t.plen.(p) > 0 then best := Int.max !best t.job_size.(t.pheap.(p).(0))
+  done;
+  !best
+
+let average_load ~m ~total_size = float_of_int total_size /. float_of_int m
 
 (* Makespan over the batch lower bound max(average load, largest job) —
    the same ratio Verify reports. Using the average alone would make a
    single oversized job read as permanent imbalance no repair can fix,
    and an imbalance trigger would thrash on it. *)
-let imbalance t =
-  if t.total_size = 0 then 1.0
-  else begin
-    let bound =
-      Float.max
-        (float_of_int t.total_size /. float_of_int t.m)
-        (float_of_int (max_job_size t))
-    in
-    float_of_int (makespan t) /. bound
-  end
+let imbalance_of ~m ~makespan ~total_size ~max_job_size =
+  if total_size = 0 then 1.0
+  else
+    float_of_int makespan
+    /. Float.max (average_load ~m ~total_size) (float_of_int max_job_size)
 
-let min_load t = Indexed_heap.min_exn t.min_heap
+let imbalance t =
+  imbalance_of ~m:t.m ~makespan:(makespan t) ~total_size:t.total_size
+    ~max_job_size:(max_job_size t)
+
+let min_load t = Indexed_heap.min_prio_exn t.min_heap
 
 let peek_heaviest t =
   let p = Indexed_heap.min_key_exn t.max_heap in
@@ -434,29 +433,6 @@ let pheap_reorder t p slot ~up =
   if up then jsift_up t h t.job_hpos t.job_hpos.(slot)
   else jsift_down t h t.job_hpos t.plen.(p) t.job_hpos.(slot)
 
-let gheap_push t slot =
-  let n = t.glen in
-  t.gheap.(n) <- slot;
-  t.job_gpos.(slot) <- n;
-  t.glen <- n + 1;
-  jsift_up t t.gheap t.job_gpos n
-
-let gheap_remove t slot =
-  let i = t.job_gpos.(slot) in
-  let last = t.glen - 1 in
-  t.glen <- last;
-  if i < last then begin
-    let moved = t.gheap.(last) in
-    t.gheap.(i) <- moved;
-    t.job_gpos.(moved) <- i;
-    jsift_up t t.gheap t.job_gpos i;
-    jsift_down t t.gheap t.job_gpos last i
-  end
-
-let gheap_reorder t slot ~up =
-  if up then jsift_up t t.gheap t.job_gpos t.job_gpos.(slot)
-  else jsift_down t t.gheap t.job_gpos t.glen t.job_gpos.(slot)
-
 (* ----- slot allocation ----- *)
 
 let grow_slots_to t cap =
@@ -475,9 +451,7 @@ let grow_slots_to t cap =
     Array.blit t.job_proc 0 procs 0 t.cap;
     t.job_proc <- procs;
     t.job_hpos <- grown t.job_hpos;
-    t.job_gpos <- grown t.job_gpos;
     t.free <- grown t.free;
-    t.gheap <- grown t.gheap;
     t.cap <- cap
   end
 
@@ -708,7 +682,17 @@ let trigger_budget t =
   | Manual -> None
   | Every_events { events; k } ->
     if t.events_since_repair >= events then Some k else None
-  | Imbalance_above { threshold; k } -> if imbalance t > threshold then Some k else None
+  | Imbalance_above { threshold; k } ->
+    (* The bound is at least the average and division is monotonic, so
+       a ratio to the average within the threshold leaves [imbalance]
+       within it too: the O(m) scan runs only when the trigger may fire. *)
+    if
+      t.total_size > 0
+      && float_of_int (makespan t) /. average_load ~m:t.m ~total_size:t.total_size
+         <= threshold
+    then None
+    else if imbalance t > threshold then Some k
+    else None
   | Every_seconds { seconds; k } ->
     if t.clock () -. t.last_repair >= seconds then Some k else None
 
@@ -750,7 +734,6 @@ let add_slot t id size =
   t.job_proc.(slot) <- p;
   Flat_str_map.set t.dir id slot;
   pheap_push t p slot;
-  gheap_push t slot;
   set_load t p (l + size);
   t.total_size <- t.total_size + size;
   t.live <- t.live + 1;
@@ -773,7 +756,6 @@ let remove_slot t slot =
   let size = t.job_size.(slot) in
   let p = t.job_proc.(slot) in
   pheap_remove t p slot;
-  gheap_remove t slot;
   set_load t p (t.load.(p) - size);
   t.total_size <- t.total_size - size;
   Flat_str_map.remove t.dir id;
@@ -800,7 +782,6 @@ let resize_slot t slot size =
   let old_size = t.job_size.(slot) in
   t.job_size.(slot) <- size;
   pheap_reorder t p slot ~up:(size > old_size);
-  gheap_reorder t slot ~up:(size > old_size);
   set_load t p (t.load.(p) - old_size + size);
   t.total_size <- t.total_size - old_size + size;
   t.c.resizes <- t.c.resizes + 1;
@@ -1047,7 +1028,6 @@ let restore_slot t ~id ~seq ~size ~proc =
   t.job_proc.(slot) <- proc;
   Flat_str_map.set t.dir id slot;
   pheap_push t proc slot;
-  gheap_push t slot;
   set_load t proc (t.load.(proc) + size);
   t.total_size <- t.total_size + size;
   t.live <- t.live + 1

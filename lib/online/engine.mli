@@ -140,18 +140,21 @@ val load : t -> int -> int
 (** [load t p]: processor [p]'s load, [O(1)] with no copy. *)
 
 val max_job_size : t -> int
-(** Largest live job size (0 when empty), maintained incrementally. *)
+(** Largest live job size (0 when empty): the largest root of the
+    processor heaps, read in [O(m)]. *)
 
 val imbalance : t -> float
 (** The trigger metric: makespan divided by the batch lower bound
     [max (average load, largest job)] — the same ratio [Verify] reports.
     Dividing by the average alone would make one oversized job read as
     permanent imbalance no repair can fix, and a threshold trigger would
-    thrash on it. 1.0 when no jobs. *)
+    thrash on it. 1.0 when no jobs. [O(m)], like {!max_job_size}. *)
 
-val min_load : t -> int * int
-(** [(processor, load)] of the least-loaded processor (ties: smallest
-    index) — [O(1)]. Where the next arrival would be placed. *)
+val imbalance_of : m:int -> makespan:int -> total_size:int -> max_job_size:int -> float
+(** {!imbalance}'s ratio from its inputs (a cluster's global one). *)
+
+val min_load : t -> int
+(** The least processor load, where the next arrival goes — [O(1)]. *)
 
 val peek_heaviest : t -> (string * int * int) option
 (** [(id, size, processor)] of the largest job on the most-loaded

@@ -181,11 +181,12 @@ let parse_line line =
         | _ -> usage "TRACES [<n>]")
       | "ALERTS" -> Command (bare args Alerts_status "ALERTS")
       | "TSDB" -> (
-        match args with
-        | 1 -> Command (Tsdb_query { selector = token line a0 a1; window_s = 60. })
-        | 2 -> (
-          match Rebal_obs.Tsdb.parse_duration (token line b0 b1) with
-          | Ok window_s -> Command (Tsdb_query { selector = token line a0 a1; window_s })
+        (* Re-split: a label value in the selector may hold a space. *)
+        match Rebal_obs.Tsdb.words ~sep:(Char.equal ' ') (token line a0 hi) with
+        | [ selector ] -> Command (Tsdb_query { selector; window_s = 60. })
+        | [ selector; window ] -> (
+          match Rebal_obs.Tsdb.parse_duration window with
+          | Ok window_s -> Command (Tsdb_query { selector; window_s })
           | Error e -> Malformed e)
         | _ -> usage "TSDB <series> [<window>]")
       | "HELP" -> if args = 0 then Command Help else unknown line v0 v1

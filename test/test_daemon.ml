@@ -536,6 +536,27 @@ let test_restart_records_no_telemetry () =
         "STATS shards=4 jobs=4 procs=8" );
     ]
 
+(* A TSDB query names a series whose label value holds a space — the
+   journal's file name — and gets its SERIES reply, not a usage error. *)
+let test_tsdb_label_with_space () =
+  let base = temp_path " b.log" in
+  let label = Filename.basename base in
+  let config = { Daemon.default with procs = 2; journal = Some base; telemetry_interval = Some 0.2 } in
+  Fun.protect
+    ~finally:(fun () -> remove_noerr base)
+    (fun () ->
+      let selector = Printf.sprintf "rebal_journal_dropped_total{journal=%S}" label in
+      match
+        stdio_session (ok (Daemon.create config)) [ "ADD a 1"; "TSDB " ^ selector ^ " 30s"; "QUIT" ]
+      with
+      | _ready :: _placed :: series :: rest ->
+        let want = Printf.sprintf "SERIES %s window=30s points=" selector in
+        check_bool (Printf.sprintf "%S answers the query" series) true (starts_with want series);
+        (* The sampler may have recorded points by the time of the query. *)
+        let points = List.filter (starts_with "POINT ") rest in
+        check_lines "reply ends" (points @ [ "# EOF"; "BYE" ]) rest
+      | replies -> Alcotest.failf "unexpected replies:\n%s" (String.concat "\n" replies))
+
 (* An idle session (blocked reading, nothing unread) does not hold up
    the drain: with one connected and silent, SHUTDOWN from a second
    client stops the daemon within a second, and the idle client reads
@@ -920,6 +941,7 @@ let () =
           Alcotest.test_case "shutdown finalizer" `Quick test_shutdown_runs_finalizer;
           Alcotest.test_case "restart records no telemetry" `Quick
             test_restart_records_no_telemetry;
+          Alcotest.test_case "TSDB label value with a space" `Quick test_tsdb_label_with_space;
           Alcotest.test_case "idle session drains at once" `Quick test_idle_session_drains_at_once;
           Alcotest.test_case "drain drops a cut line" `Quick test_drain_drops_cut_line;
         ] );

@@ -287,6 +287,136 @@ let prop_sharded_rebalance_bound =
             true)
       | [] -> QCheck2.Test.fail_report "REBALANCE gave no reply")
 
+(* Move lists pinned from the sequential cluster: [rebalance] at
+   k in {1, 8, 64} and a supervised [mark_down] evacuation, on seeded
+   streams over S in {2, 4}. Each list is pinned as its length and the
+   digest of its "id src dst" lines, so a changed transfer choice, tie
+   or order shows. Sizes round up to a multiple of [grain]: at grain
+   200, shard peaks and least loads tie, so the tie-breaks are pinned
+   too. *)
+let seeded_cluster ~grain ~shards =
+  let rng = Rebal_workloads.Rng.create (1000 + shards) in
+  let sh = Cluster.create ~m:12 ~shards () in
+  let size () =
+    let v =
+      if Rebal_workloads.Rng.int rng 8 = 0 then Rebal_workloads.Rng.int_range rng 200 600
+      else Rebal_workloads.Rng.int_range rng 1 100
+    in
+    grain * ((v + grain - 1) / grain)
+  in
+  let id i = Printf.sprintf "j%d" i in
+  for i = 0 to 119 do
+    ignore (ok (Cluster.add_job sh ~id:(id i) ~size:(size ())))
+  done;
+  for _ = 1 to 40 do
+    ignore (ok (Cluster.resize_job sh ~id:(id (Rebal_workloads.Rng.int rng 120)) ~size:(size ())))
+  done;
+  for i = 0 to 19 do
+    ignore (ok (Cluster.remove_job sh ~id:(id (6 * i))))
+  done;
+  (* Shard 0 runs hot, so the cross-shard pass has work at every S. *)
+  for i = 0 to 119 do
+    if Cluster.shard_of sh (id i) = Some 0 && i mod 3 = 1 then
+      ignore (ok (Cluster.resize_job sh ~id:(id i) ~size:(size () + 150)))
+  done;
+  sh
+
+let move_digest moves =
+  ( List.length moves,
+    List.map (fun mv -> Printf.sprintf "%s %d %d" mv.Cluster.id mv.Cluster.src mv.Cluster.dst) moves
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex )
+
+let pinned_rebalances =
+  [
+    (1, 2, 1, (3, "99939398b3e44fbb85d95f58ae687d95"));
+    (1, 2, 8, (20, "d5149f27d4e0045330f97841f67a622a"));
+    (1, 2, 64, (92, "e3b28c13797ff2ec6d20ef913822878c"));
+    (1, 4, 1, (4, "bcf19eeadc776574aecda9153aaaf40b"));
+    (1, 4, 8, (31, "ce0f78be310d4fcd3fa916531137aff9"));
+    (1, 4, 64, (75, "0ac42a230220722c3cabffe766b62ce4"));
+    (200, 2, 1, (3, "e75bca9a9e2446339fd3d549e42354de"));
+    (200, 2, 8, (16, "f11f2910fc76356bbc749dea9f050834"));
+    (200, 2, 64, (91, "e148d57f0bdfa281241e57514995776e"));
+    (200, 4, 1, (5, "3fdd1daf5f7692d4a6f9890180eaba80"));
+    (200, 4, 8, (27, "a1cd15c505569e9a0c39ad56be96d3b4"));
+    (200, 4, 64, (38, "da39616cc2df6b11abaff4ff49e6e0c5"));
+  ]
+
+let pinned_evacuations =
+  [
+    (1, 2, (52, "425ec8af1b85670ff067d5ab67c5bcba"));
+    (1, 4, (36, "05ddb08c80a472f9e7572695329d1500"));
+    (200, 2, (52, "c4f40756dbfad46e6104fb135c5b387c"));
+    (200, 4, (36, "b779ec904717f616e5a60e93b5dbdcf2"));
+  ]
+
+let test_pinned_move_lists () =
+  List.iter
+    (fun (grain, shards, k, want) ->
+      let sh = seeded_cluster ~grain ~shards in
+      let got = move_digest (Cluster.rebalance sh ~k) in
+      check Alcotest.(pair int string)
+        (Printf.sprintf "grain %d, S=%d REBALANCE %d" grain shards k)
+        want got;
+      check_bool "the cross-shard pass moved" true ((Cluster.stats sh).Cluster.inter_moves > 0);
+      check_bool "consistent after" true (Cluster.check_consistency sh ~k:max_int))
+    pinned_rebalances;
+  List.iter
+    (fun (grain, shards, want) ->
+      let sh = seeded_cluster ~grain ~shards in
+      let sup = Supervisor.create sh in
+      let got = move_digest (Supervisor.mark_down sup 1) in
+      check Alcotest.(pair int string) (Printf.sprintf "grain %d, S=%d mark_down 1" grain shards) want got;
+      check_int "nothing stranded" 0 (Supervisor.stats sup).stranded_jobs)
+    pinned_evacuations
+
+(* After every sequential op, each shard's published peak and least
+   load are its engine's [makespan] and [min_load]: through adds,
+   removes, resizes, [rebalance]'s cross-shard transfers, a supervised
+   failover's evacuation, and a readmission that swaps an engine in. *)
+let prop_published_loads =
+  QCheck2.Test.make ~name:"published peaks and least loads match the engines" ~count:150
+    QCheck2.Gen.(
+      let* shards = int_range 2 4 in
+      let* m, events, _ = stream_gen in
+      let* downs = list_size (int_range 0 6) (pair (int_range 0 (List.length events)) (int_range 0 3)) in
+      return (shards, m, events, downs))
+    (fun (shards, m, events, downs) ->
+      let sh = Cluster.create ~m ~shards () in
+      let sup = Supervisor.create ~clock:(fun () -> 0.0) sh in
+      let published_ok what =
+        for i = 0 to shards - 1 do
+          let e = Cluster.engine sh i in
+          if Cluster.published sh i <> (Engine.makespan e, Engine.min_load e) then
+            QCheck2.Test.fail_reportf "after %s: shard %d published (%d, %d), engine (%d, %d)" what i
+              (fst (Cluster.published sh i)) (snd (Cluster.published sh i)) (Engine.makespan e)
+              (Engine.min_load e)
+        done
+      in
+      published_ok "create";
+      List.iteri
+        (fun step ev ->
+          List.iter
+            (fun (at, s) ->
+              if at = step && s < shards then
+                if Supervisor.health sup s = Supervisor.Down then begin
+                  ignore
+                    (Supervisor.readmit sup s (fun () ->
+                         Ok (Engine.create ~m:(Engine.m (Cluster.engine sh s)) ())));
+                  published_ok "readmit"
+                end
+                else begin
+                  ignore (Supervisor.mark_down sup s);
+                  published_ok "mark_down"
+                end)
+            downs;
+          apply_events sh [ ev ];
+          published_ok "an op")
+        events;
+      ignore (Cluster.rebalance sh ~k:8);
+      published_ok "rebalance";
+      true)
+
 let () =
   Alcotest.run "rebal_inline_cluster"
     [
@@ -295,12 +425,14 @@ let () =
           QCheck_alcotest.to_alcotest prop_sharded_stream_consistent;
           QCheck_alcotest.to_alcotest prop_single_shard_matches_engine;
           QCheck_alcotest.to_alcotest prop_sharded_rebalance_bound;
+          QCheck_alcotest.to_alcotest prop_published_loads;
         ] );
       ( "routing",
         [
           Alcotest.test_case "directory is sticky and global" `Quick test_routing_is_sticky;
           Alcotest.test_case "cross-shard move pass" `Quick test_inter_shard_move;
           Alcotest.test_case "weights gate routing and repair" `Quick test_weights;
+          Alcotest.test_case "move lists pinned" `Quick test_pinned_move_lists;
         ] );
       ( "construction",
         [

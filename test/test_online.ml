@@ -268,6 +268,132 @@ let test_trigger_imbalance () =
   check_bool "repair moved something" true (moves <> []);
   check_int "levelled" 10 (Engine.makespan eng)
 
+(* qcheck: the lower bound's facts against a model. The model keeps
+   each live job's size, applies exactly the ops the engine accepts, and
+   reads placements from [fold_jobs]. After every step the engine's
+   [max_job_size] and [imbalance] must equal the model's, bit for bit.
+   Beside the manual engine runs a twin whose [Imbalance_above]
+   threshold is re-set before each op: to the ratio the op will leave
+   (which must not fire), to the float just below it (which must), or to
+   a fixed value. The twin fires on exactly the ops where the model's
+   ratio exceeds the threshold, and its repair is the manual engine's
+   [rebalance] at the same budget. A [`Snapshot] step swaps both
+   engines for their [of_snapshot] copies. *)
+let model_stream_gen =
+  let open QCheck2 in
+  Gen.(
+    let* m = int_range 1 6 in
+    let* k = int_range 0 8 in
+    let id = map (fun i -> Printf.sprintf "j%d" i) (int_range 0 14) in
+    let size = oneof [ int_range 1 8; int_range 1 60 ] in
+    let* events =
+      list_size (int_range 0 80)
+        (frequency
+           [
+             (4, map2 (fun id size -> `Add (id, size)) id size);
+             (2, map (fun id -> `Remove id) id);
+             (3, map2 (fun id size -> `Resize (id, size)) id size);
+             (1, map (fun k -> `Rebalance k) (int_range 0 8));
+             (1, return `Snapshot);
+           ])
+    in
+    let* thresholds = list_repeat (List.length events) (int_range 0 3) in
+    return (m, k, List.combine events thresholds))
+
+let model_ratio m sizes loads =
+  let total = Hashtbl.fold (fun _ s acc -> acc + s) sizes 0 in
+  let largest = Hashtbl.fold (fun _ s acc -> max acc s) sizes 0 in
+  let makespan = Array.fold_left max 0 loads in
+  if total = 0 then 1.0
+  else
+    float_of_int makespan
+    /. Float.max (float_of_int total /. float_of_int m) (float_of_int largest)
+
+let prop_lower_bound_model =
+  QCheck2.Test.make ~name:"lower-bound facts match a model" ~count:400 model_stream_gen
+    (fun (m, k, events) ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let sizes = Hashtbl.create 16 in
+      let restore ?trigger e =
+        Result.get_ok (Engine.of_snapshot ?trigger (Journal.Cursor.of_json (Engine.snapshot e)))
+      in
+      let eng = ref (Engine.create ~m ()) in
+      let trig = ref (Engine.create ~trigger:(Engine.Imbalance_above { threshold = 1.0; k }) ~m ()) in
+      let placed e =
+        let loads = Array.make m 0 and largest = ref 0 and n = ref 0 in
+        Engine.fold_jobs e
+          (fun () ~id ~size ~proc ->
+            if Hashtbl.find_opt sizes id <> Some size then fail "job %s: size %d off the model" id size;
+            loads.(proc) <- loads.(proc) + size;
+            largest := max !largest size;
+            incr n)
+          ();
+        if !n <> Hashtbl.length sizes then fail "%d jobs, model has %d" !n (Hashtbl.length sizes);
+        (loads, !largest)
+      in
+      let check_facts e =
+        let loads, largest = placed e in
+        if Engine.max_job_size e <> largest then
+          fail "max_job_size %d, largest in fold_jobs %d" (Engine.max_job_size e) largest;
+        let want = model_ratio m sizes loads in
+        if not (Float.equal (Engine.imbalance e) want) then
+          fail "imbalance %h, model %h" (Engine.imbalance e) want
+      in
+      let same_state () =
+        if Engine.loads !eng <> Engine.loads !trig then fail "twin loads diverged"
+      in
+      List.iter
+        (fun (ev, mode) ->
+          (match ev with
+          | `Snapshot ->
+            eng := restore !eng;
+            trig := restore ~trigger:(Engine.trigger !trig) !trig
+          | `Rebalance k ->
+            let a = Engine.rebalance !eng ~k and b = Engine.rebalance !trig ~k in
+            if a <> b then fail "REBALANCE %d: twin moved differently" k
+          | (`Add _ | `Remove _ | `Resize _) as ev ->
+            let op =
+              match ev with
+              | `Add (id, size) -> Engine.Add { id; size }
+              | `Remove id -> Engine.Remove { id }
+              | `Resize (id, size) -> Engine.Resize { id; size }
+            in
+            let valid =
+              match ev with
+              | `Add (id, _) -> not (Hashtbl.mem sizes id)
+              | `Remove id | `Resize (id, _) -> Hashtbl.mem sizes id
+            in
+            let reply = Engine.apply !eng op in
+            if Result.is_ok reply <> valid then fail "%s: validity off the model" (Engine.op_id op);
+            (match ev with
+            | `Add (id, size) | `Resize (id, size) -> if valid then Hashtbl.replace sizes id size
+            | `Remove id -> Hashtbl.remove sizes id);
+            let ratio = model_ratio m sizes (fst (placed !eng)) in
+            let threshold =
+              match mode with
+              | 0 -> ratio
+              | 1 -> Float.pred ratio
+              | 2 -> 1.25
+              | _ -> 1.5
+            in
+            Engine.set_trigger !trig (Engine.Imbalance_above { threshold; k });
+            let firings () = (Engine.stats !trig).Engine.trigger_firings in
+            let before = firings () in
+            let twin_reply = Engine.apply !trig op in
+            let fired = firings () > before in
+            if fired <> (valid && ratio > threshold) then
+              fail "%s at ratio %h, threshold %h: fired=%b" (Engine.op_id op) ratio threshold fired;
+            (match (reply, twin_reply) with
+            | Ok (p, []), Ok (q, auto) when p = q ->
+              if fired && Engine.rebalance !eng ~k <> auto then fail "auto repair moves differ"
+            | Error _, Error _ -> ()
+            | _ -> fail "%s: twin replied differently" (Engine.op_id op)));
+          same_state ();
+          check_facts !eng;
+          check_facts !trig)
+        events;
+      true)
+
 let test_trigger_wall_clock () =
   let now = ref 0.0 in
   let eng =
@@ -1333,6 +1459,7 @@ let () =
           Alcotest.test_case "event count epoch" `Quick test_trigger_event_count;
           Alcotest.test_case "imbalance threshold" `Quick test_trigger_imbalance;
           Alcotest.test_case "wall clock" `Quick test_trigger_wall_clock;
+          QCheck_alcotest.to_alcotest prop_lower_bound_model;
         ] );
       ( "protocol",
         [

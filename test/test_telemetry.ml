@@ -367,6 +367,48 @@ let test_parse_burnrate () =
       Alcotest.(check (float 1e-9)) "long" 3600.0 long_s
     | _ -> Alcotest.fail "wrong condition shape")
 
+(* A label value may hold a space (a journal's file name does): the rule
+   parses, and the canonical expression ALERTS prints parses back to the
+   same condition. *)
+let test_parse_label_with_space () =
+  let parse line =
+    match Alerts.parse_rule line with
+    | Ok (Some r) -> r
+    | Ok None -> Alcotest.failf "parsed as blank: %s" line
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  let r = parse "alert x value(rebal_journal_dropped_total{journal=\"a b.log\"}) > 0 for 1s" in
+  (match r.Alerts.condition with
+  | Alerts.Threshold { series; labels; _ } ->
+    Alcotest.(check string) "series" "rebal_journal_dropped_total" series;
+    Alcotest.(check (list (pair string string))) "labels" [ ("journal", "a b.log") ] labels
+  | _ -> Alcotest.fail "wrong condition shape");
+  let _, tsdb, _ = make_store () in
+  let alerts = Alerts.create ~registry:(Metrics.Registry.create ()) ~rules:[ r ] tsdb in
+  let expr =
+    match List.filter (fun l -> String.starts_with ~prefix:"ALERT x " l) (Alerts.status_lines alerts) with
+    | [ line ] ->
+      let marker = " expr=\"" in
+      let rec find i =
+        if String.sub line i (String.length marker) = marker then i + String.length marker
+        else find (i + 1)
+      in
+      let start = find 0 in
+      String.sub line start (String.length line - start - 1)
+    | _ -> Alcotest.fail "wanted one ALERT line"
+  in
+  Alcotest.(check string) "canonical text"
+    "value(rebal_journal_dropped_total{journal=\"a b.log\"}) > 0" expr;
+  let again = parse ("alert x " ^ expr ^ " for 1s") in
+  Alcotest.(check bool) "round trip" true (again.Alerts.condition = r.Alerts.condition);
+  match
+    (parse "burnrate y bad=errs_total{shard=\"a b\"} total=ops_total budget=0.01 factor=2 short=5m long=1h")
+      .Alerts.condition
+  with
+  | Alerts.Burnrate { bad = (_, bl); _ } ->
+    Alcotest.(check (list (pair string string))) "burnrate labels" [ ("shard", "a b") ] bl
+  | _ -> Alcotest.fail "wrong condition shape"
+
 let test_parse_rejects () =
   let bad line =
     match Alerts.parse_rule line with
@@ -591,6 +633,7 @@ let () =
           Alcotest.test_case "threshold grammar" `Quick test_parse_threshold;
           Alcotest.test_case "burnrate grammar" `Quick test_parse_burnrate;
           Alcotest.test_case "grammar rejections" `Quick test_parse_rejects;
+          Alcotest.test_case "label value with a space" `Quick test_parse_label_with_space;
           Alcotest.test_case "burnrate fires and resolves" `Quick
             test_burnrate_fires_and_resolves;
         ] );
