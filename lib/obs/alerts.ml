@@ -202,12 +202,8 @@ let valid_rule_name s =
        s
 
 let parse_rule line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  match Tsdb.words ~sep:(function ' ' | '\t' -> true | _ -> false) (String.trim line) with
+  let sep = function ' ' | '\t' -> true | _ -> false in
+  match Tsdb.words ~sep ~stop:(Char.equal '#') (String.trim line) with
   | [] -> Ok None
   | kind :: name :: rest when valid_rule_name name -> (
     match String.lowercase_ascii kind with

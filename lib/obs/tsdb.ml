@@ -341,10 +341,11 @@ let parse_selector s =
         | Some (k, _) -> Error (Printf.sprintf "invalid label name %S" k)
         | None -> Ok (name, List.sort_uniq compare labels))
 
-(* Split at bytes where [sep] holds, but never inside a [{...}] label
-   set: its quoted values may hold any byte, and a backslash escapes the
-   next one as in [METRICS]. *)
-let words ~sep s =
+(* Split at bytes where [sep] holds and end at the first byte where
+   [stop] holds, but never inside a [{...}] label set: its quoted values
+   may hold any byte, and a backslash escapes the next one as in
+   [METRICS]. *)
+let words ~sep ~stop s =
   let n = String.length s in
   let cut a b acc = if b > a then String.sub s a (b - a) :: acc else acc in
   let rec go a i state acc =
@@ -356,6 +357,7 @@ let words ~sep s =
       | `Labels, '"' -> go a (i + 1) `Quoted acc
       | `Labels, '}' -> go a (i + 1) `Outside acc
       | `Outside, '{' -> go a (i + 1) `Labels acc
+      | `Outside, c when stop c -> List.rev (cut a i acc)
       | `Outside, c when sep c -> go (i + 1) (i + 1) `Outside (cut a i acc)
       | _ -> go a (i + 1) state acc
   in

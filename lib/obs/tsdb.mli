@@ -117,10 +117,11 @@ val parse_selector : string -> (string * Metrics.labels, string) result
     value takes the [METRICS] escapes for a quote, a backslash and a
     newline. *)
 
-val words : sep:(char -> bool) -> string -> string list
+val words : sep:(char -> bool) -> stop:(char -> bool) -> string -> string list
 (** The non-empty words of a query or a rule, split where [sep] holds
-    but never inside a [{...}] label set (with {!parse_selector}'s
-    escapes), so a label value may hold a space. *)
+    and ending where [stop] first holds (a rule's [#] comment), but
+    never inside a [{...}] label set (with {!parse_selector}'s
+    escapes), so a label value may hold a space or a [#]. *)
 
 val selector_string : string -> Metrics.labels -> string
 (** The inverse of {!parse_selector}, rendered as [METRICS] renders a

@@ -165,9 +165,12 @@ type t = {
   (* Shard i's [Engine.makespan] and [Engine.min_load] as of its last
      completed task, stored before the lane lock is released — so
      [makespan] is a fold over the peaks, and the cross-shard passes
-     pick their shards from both, with no lock at all. *)
+     pick their shards from both, with no lock at all. Only the peaks
+     are atomic: [makespan] promises a caller its own op's effect. The
+     passes already tolerate a stale low, so a plain store (no fence on
+     every task) serves. *)
   peaks : int Atomic.t array;
-  lows : int Atomic.t array;
+  lows : int array;
   dir_mu : Mutex.t;
   dir_settled : Condition.t;
   directory : Flat_str_map.t;  (* id -> [settled_on] / [reserved_on] shard *)
@@ -267,7 +270,7 @@ let ring_lookup ~weights ring h =
 let publish t s =
   let e = t.engines.(s) in
   Atomic.set t.peaks.(s) (Engine.makespan e);
-  Atomic.set t.lows.(s) (Engine.min_load e)
+  t.lows.(s) <- Engine.min_load e
 
 let on_shard t s f =
   match f t.engines.(s) with
@@ -399,7 +402,7 @@ let of_parts ~engines ~lanes ~domains ~directory =
     domain_registries = Array.init domains (fun _ -> Metrics.Registry.create ());
     started_ns = Timer.now_ns ();
     peaks = Array.map (fun e -> Atomic.make (Engine.makespan e)) engines;
-    lows = Array.map (fun e -> Atomic.make (Engine.min_load e)) engines;
+    lows = Array.map Engine.min_load engines;
     dir_mu = Mutex.create ();
     dir_settled = Condition.create ();
     directory;
@@ -716,13 +719,16 @@ let move ?on_removed t ~id ~dst = transfer ~evacuation:false ?on_removed t ~id ~
 (* The shards taking part in routing and repair: positive weight. *)
 let routable t = with_dir t (fun () -> Array.map (fun w -> w > 0.0) t.weights)
 
-(* The [eligible] shard whose published value ([t.peaks] or [t.lows])
-   is best by [better], lowest index on ties; -1 if none. *)
-let pick values eligible better =
+let peak t i = Atomic.get t.peaks.(i)
+let low t i = t.lows.(i)
+
+(* The [eligible] shard whose published value [v] ([peak] or [low]) is
+   best by [better], lowest index on ties; -1 if none. *)
+let pick t v eligible better =
   let b = ref (-1) in
-  Array.iteri
-    (fun i v -> if eligible i && (!b < 0 || better (Atomic.get v) (Atomic.get values.(!b))) then b := i)
-    values;
+  for i = 0 to Array.length t.lows - 1 do
+    if eligible i && (!b < 0 || better (v i) (v !b)) then b := i
+  done;
   !b
 
 (* Re-home up to [budget] jobs off shard [from] as two-phase transfers,
@@ -747,7 +753,7 @@ let evacuate t ~from ~budget =
          let survivor i = i <> from && routable.(i) in
          if !moved >= budget || not (List.exists survivor (List.init (shard_count t) Fun.id))
          then raise Exit;
-         match transfer ~evacuation:true t ~id ~dst:(pick t.lows survivor ( < )) with
+         match transfer ~evacuation:true t ~id ~dst:(pick t (low t) survivor ( < )) with
          | Ok mvs ->
            incr moved;
            moves := List.rev_append mvs !moves
@@ -1083,13 +1089,13 @@ let rebalance t ~k =
     let inter = ref [] in
     (try
        for _ = 1 to k do
-         let a = pick t.peaks (Array.get routable) ( > ) in
+         let a = pick t (peak t) (Array.get routable) ( > ) in
          if a < 0 then raise Exit;
          match run ~label:"peek" t a (fun e -> (Engine.makespan e, Engine.peek_heaviest e)) with
          | 0, _ | _, None -> raise Exit
          | lmax, Some (id, size, _) ->
-           let b = pick t.lows (fun i -> i <> a && routable.(i)) ( < ) in
-           if b < 0 || Atomic.get t.lows.(b) + size >= lmax then raise Exit;
+           let b = pick t (low t) (fun i -> i <> a && routable.(i)) ( < ) in
+           if b < 0 || low t b + size >= lmax then raise Exit;
            (match move t ~id ~dst:b with
            | Ok mvs -> inter := List.rev_append mvs !inter
            | Error _ -> () (* lost to a concurrent op; read again *))
@@ -1257,7 +1263,7 @@ let makespan t =
       if v > acc then v else acc)
     0 t.peaks
 
-let published t i = (Atomic.get t.peaks.(i), Atomic.get t.lows.(i))
+let published t i = (peak t i, low t i)
 
 let loads t =
   let out = Array.make t.m 0 in

@@ -314,8 +314,6 @@ let max_job_size t =
   done;
   !best
 
-let average_load ~m ~total_size = float_of_int total_size /. float_of_int m
-
 (* Makespan over the batch lower bound max(average load, largest job) —
    the same ratio Verify reports. Using the average alone would make a
    single oversized job read as permanent imbalance no repair can fix,
@@ -324,7 +322,7 @@ let imbalance_of ~m ~makespan ~total_size ~max_job_size =
   if total_size = 0 then 1.0
   else
     float_of_int makespan
-    /. Float.max (average_load ~m ~total_size) (float_of_int max_job_size)
+    /. Float.max (float_of_int total_size /. float_of_int m) (float_of_int max_job_size)
 
 let imbalance t =
   imbalance_of ~m:t.m ~makespan:(makespan t) ~total_size:t.total_size
@@ -596,7 +594,8 @@ let lift_and_place t ~k =
 let repair ~auto t ~k =
   if k < 0 then invalid_arg "Engine.rebalance: negative k";
   (* Decision-time context for the journal, captured before any load
-     changes. Both reads are O(1); skipped entirely when not journaling. *)
+     changes. [imbalance] scans the m heap roots, so both are read only
+     when journaling. *)
   let decision =
     match t.journal with
     | None -> None
@@ -682,17 +681,7 @@ let trigger_budget t =
   | Manual -> None
   | Every_events { events; k } ->
     if t.events_since_repair >= events then Some k else None
-  | Imbalance_above { threshold; k } ->
-    (* The bound is at least the average and division is monotonic, so
-       a ratio to the average within the threshold leaves [imbalance]
-       within it too: the O(m) scan runs only when the trigger may fire. *)
-    if
-      t.total_size > 0
-      && float_of_int (makespan t) /. average_load ~m:t.m ~total_size:t.total_size
-         <= threshold
-    then None
-    else if imbalance t > threshold then Some k
-    else None
+  | Imbalance_above { threshold; k } -> if imbalance t > threshold then Some k else None
   | Every_seconds { seconds; k } ->
     if t.clock () -. t.last_repair >= seconds then Some k else None
 

@@ -182,7 +182,7 @@ let parse_line line =
       | "ALERTS" -> Command (bare args Alerts_status "ALERTS")
       | "TSDB" -> (
         (* Re-split: a label value in the selector may hold a space. *)
-        match Rebal_obs.Tsdb.words ~sep:(Char.equal ' ') (token line a0 hi) with
+        match Rebal_obs.Tsdb.words ~sep:(Char.equal ' ') ~stop:(fun _ -> false) (token line a0 hi) with
         | [ selector ] -> Command (Tsdb_query { selector; window_s = 60. })
         | [ selector; window ] -> (
           match Rebal_obs.Tsdb.parse_duration window with

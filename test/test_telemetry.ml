@@ -401,6 +401,14 @@ let test_parse_label_with_space () =
     "value(rebal_journal_dropped_total{journal=\"a b.log\"}) > 0" expr;
   let again = parse ("alert x " ^ expr ^ " for 1s") in
   Alcotest.(check bool) "round trip" true (again.Alerts.condition = r.Alerts.condition);
+  (* A '#' inside a label value is part of it; one outside starts a comment. *)
+  (match
+     (parse "alert h value(rebal_journal_dropped_total{journal=\"a#b.log\"}) > 0 for 1s # j")
+       .Alerts.condition
+   with
+  | Alerts.Threshold { labels; _ } ->
+    Alcotest.(check (list (pair string string))) "hash labels" [ ("journal", "a#b.log") ] labels
+  | _ -> Alcotest.fail "wrong condition shape");
   match
     (parse "burnrate y bad=errs_total{shard=\"a b\"} total=ops_total budget=0.01 factor=2 short=5m long=1h")
       .Alerts.condition
